@@ -341,12 +341,13 @@ let passthrough_guarded src =
 let run_ladder ?options ?cache ~timeout_s ?max_output_bytes src =
   let base = Option.value options ~default:Engine.default_options in
   let rec walk mode retries acc_failures =
-    let guarded =
+    let guarded, parses =
       match mode with
-      | Passthrough -> passthrough_guarded src
+      | Passthrough ->
+          (passthrough_guarded src, { Engine.src_ast = None; out_ast = None })
       | m ->
-          Engine.run_guarded ~options:(mode_options base m) ?cache ~timeout_s
-            ?max_output_bytes src
+          Engine.run_guarded_parsed ~options:(mode_options base m) ?cache
+            ~timeout_s ?max_output_bytes src
     in
     let failures = acc_failures @ guarded.Engine.failures in
     let retryable =
@@ -364,7 +365,7 @@ let run_ladder ?options ?cache ~timeout_s ?max_output_bytes src =
               [ ("from", T.S (mode_name mode));
                 ("to", T.S (mode_name next)) ];
         walk next (retries + 1) failures
-    | _ -> (mode, retries, failures, guarded)
+    | _ -> (mode, retries, failures, guarded, parses)
   in
   walk Full 0 []
 
@@ -383,7 +384,7 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
   Quarantine.begin_request ();
   let finish_quarantine rolled = Quarantine.end_request ~rolled_rules:rolled in
   match
-    let mode, retries, ladder_failures, guarded =
+    let mode, retries, ladder_failures, guarded, parses =
       run_ladder ?options ?cache ~timeout_s ?max_output_bytes src
     in
     (* the semantic gate verifies (and on divergence rolls back) the rung
@@ -400,7 +401,10 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
               Engine.run_guarded ~options:(mode_options base m) ?cache
                 ~timeout_s ?max_output_bytes ~suppress src
         in
-        let g, o = Verify.gate ?opts:verify_opts ~rerun ~src guarded in
+        let g, o =
+          Verify.gate ?opts:verify_opts ?src_ast:parses.Engine.src_ast
+            ?out_ast:parses.Engine.out_ast ~rerun ~src guarded
+        in
         (g, Some o.Verify.verdict, o.Verify.rolled_rules)
     in
     (mode, retries, ladder_failures, guarded, verdict, rolled_rules)

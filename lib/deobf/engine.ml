@@ -39,81 +39,120 @@ type result = {
   changed : bool;  (** false when the tool returned the input unchanged *)
 }
 
+module Parser = Psparse.Parser
+
 (* an IEX invocation whose payload is not a plain literal: the code it will
    run at run time is invisible to renaming *)
-let residual_dynamic_iex src =
-  match Psparse.Parser.parse src with
-  | Error _ -> true
-  | Ok ast ->
-      let module A = Psast.Ast in
-      let is_iex_name s =
-        Pscommon.Strcase.equal s "iex"
-        || Pscommon.Strcase.equal s "invoke-expression"
-      in
-      let found = ref false in
-      A.iter_post_order
-        (fun n ->
-          match n.A.node with
-          | A.Command cmd -> (
-              let name_is_iex =
-                match cmd.A.cmd_elements with
-                | A.Elem_name { A.node = A.String_const (s, _); _ } :: _ ->
-                    is_iex_name s
-                | A.Elem_name
-                    { A.node =
-                        A.Paren_expr
-                          { A.node =
-                              A.Pipeline
-                                [ { A.node =
-                                      A.Command_expression
-                                        { A.node = A.String_const (s, _); _ };
-                                    _ } ];
-                            _ };
-                      _ }
-                  :: _ ->
-                    is_iex_name s
-                | _ -> false
-              in
-              if name_is_iex then
-                let risky_arg =
-                  List.exists
-                    (function
-                      | A.Elem_argument { A.node = A.String_const _; _ } ->
-                          false
-                      | A.Elem_argument a ->
-                          (* dynamic payloads built from local variables can
-                             name variables at run time; payloads with no
-                             local reads (e.g. downloads) cannot *)
-                          List.exists
-                            (fun v -> not (Tracer.is_automatic v))
-                            (Tracer.variables_read a)
-                      | _ -> false)
-                    cmd.A.cmd_elements
-                in
-                if risky_arg then found := true)
-          | _ -> ())
-        ast;
-      !found
+let residual_dynamic_iex ast =
+  let module A = Psast.Ast in
+  let is_iex_name s =
+    Pscommon.Strcase.equal s "iex"
+    || Pscommon.Strcase.equal s "invoke-expression"
+  in
+  let found = ref false in
+  A.iter_post_order
+    (fun n ->
+      match n.A.node with
+      | A.Command cmd -> (
+          let name_is_iex =
+            match cmd.A.cmd_elements with
+            | A.Elem_name { A.node = A.String_const (s, _); _ } :: _ ->
+                is_iex_name s
+            | A.Elem_name
+                { A.node =
+                    A.Paren_expr
+                      { A.node =
+                          A.Pipeline
+                            [ { A.node =
+                                  A.Command_expression
+                                    { A.node = A.String_const (s, _); _ };
+                                _ } ];
+                        _ };
+                  _ }
+              :: _ ->
+                is_iex_name s
+            | _ -> false
+          in
+          if name_is_iex then
+            let risky_arg =
+              List.exists
+                (function
+                  | A.Elem_argument { A.node = A.String_const _; _ } ->
+                      false
+                  | A.Elem_argument a ->
+                      (* dynamic payloads built from local variables can
+                         name variables at run time; payloads with no
+                         local reads (e.g. downloads) cannot *)
+                      List.exists
+                        (fun v -> not (Tracer.is_automatic v))
+                        (Tracer.variables_read a)
+                  | _ -> false)
+                cmd.A.cmd_elements
+            in
+            if risky_arg then found := true)
+      | _ -> ())
+    ast;
+  !found
+
+(* unparseable payloads (recursive entry) make one vacuous pass, as the
+   stage-by-stage loop always did *)
+let vacuous_passes opts =
+  if
+    opts.max_iterations <= 0
+    || Pscommon.Guard.expired (Pscommon.Guard.ambient_deadline ())
+  then 0
+  else 1
+
+(* Phase 1: token parsing, on tokens the caller already lexed *)
+let token_phase ~opts ?log ~suppress ~toks src =
+  if opts.token_phase then
+    Token_phase.run_parsed ?log ~pass:(-1) ~suppress ~toks src
+  else None
 
 (* Phase 2 driver: recovery based on AST, iterated to a fixpoint.  Returns
    the recovered text and the number of passes actually run (not the bound).
    The loop also stops when the ambient wall-clock deadline expires, keeping
    whatever partial recovery the completed passes produced.
 
-   Each pass tokenizes and parses the working text at most once: the input
-   AST comes from the previous stage's validating parse (stages return the
-   parse of their own patched output), Token_phase tokenizes the one time
-   its phase needs tokens, and Simplify plus the syntax re-check are skipped
-   outright when no stage produced an edit. *)
-let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = []) src =
-  (* Phase 1: token parsing *)
-  let src1 =
-    if opts.token_phase then Token_phase.run ?log ~pass:(-1) ~suppress src
-    else src
-  in
-  fixpoint_from ~opts ~stats ~cache ~depth ?log ~suppress src1
+   Each distinct text is lexed once and parsed once: every stage validates
+   its own output with {!Parser.parse_full} and hands the tokens and AST on
+   ({!Parser.parsed}), so the next stage neither re-lexes nor re-parses, and
+   Simplify plus the syntax re-check are skipped outright when no stage
+   produced an edit.
 
-and fixpoint_from ~opts ~stats ~cache ~depth ?log ?(suppress = []) src1 =
+   [deobfuscate_at] takes a layer payload seen for the first time: it is
+   lexed once, for the token phase and for the fixpoint's starting parse. *)
+let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = []) src =
+  match Pslex.Lexer.tokenize src with
+  | Error _ -> (src, vacuous_passes opts)
+  | Ok tokens -> (
+      let start =
+        match token_phase ~opts ?log ~suppress ~toks:tokens src with
+        | Some _ as p -> p
+        | None ->
+            Result.to_option
+              (Result.map
+                 (fun ast -> { Parser.text = src; tokens; ast })
+                 (Parser.parse_tokens src tokens))
+      in
+      match start with
+      | None -> (src, vacuous_passes opts)
+      | Some p ->
+          let out, passes =
+            fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress p
+          in
+          (out.Parser.text, passes))
+
+(* the top-level input, parsed once by the engine's validity check *)
+and deobfuscate_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = [])
+    (p : Parser.parsed) =
+  let start =
+    Option.value ~default:p
+      (token_phase ~opts ?log ~suppress ~toks:p.Parser.tokens p.Parser.text)
+  in
+  fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress start
+
+and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) start =
   let deobfuscate ~depth payload =
     (* recursive entry used by multi-layer unwrapping; shares the piece
        cache — unwrapped layers repeat the outer layers' decode pieces.
@@ -123,11 +162,10 @@ and fixpoint_from ~opts ~stats ~cache ~depth ?log ?(suppress = []) src1 =
        text, which is the unit the gate bisects. *)
     fst (deobfuscate_at ~opts ~stats ~cache ~depth ~suppress payload)
   in
-  (* [ast] is always the parse of [current]; [simplify_pending] records
-     whether the previous pass's Simplify landed edits (its output has not
-     itself been simplified yet), forcing one more Simplify run even when
-     Recover and Token_phase are quiescent *)
-  let rec fixpoint i current ast simplify_pending =
+  (* [simplify_pending] records whether the previous pass's Simplify landed
+     edits (its output has not itself been simplified yet), forcing one
+     more Simplify run even when Recover and Token_phase are quiescent *)
+  let rec fixpoint i (current : Parser.parsed) simplify_pending =
     if i >= opts.max_iterations then (current, i)
     else if Pscommon.Guard.expired (Pscommon.Guard.ambient_deadline ()) then
       (current, i)
@@ -140,7 +178,8 @@ and fixpoint_from ~opts ~stats ~cache ~depth ?log ?(suppress = []) src1 =
             ~attrs:
               [ ("pass", Pscommon.Telemetry.I i);
                 ("depth", Pscommon.Telemetry.I depth);
-                ("bytes", Pscommon.Telemetry.I (String.length current)) ]
+                ("bytes",
+                 Pscommon.Telemetry.I (String.length current.Parser.text)) ]
         else 0
       in
       let finish_pass ~changed result =
@@ -149,79 +188,74 @@ and fixpoint_from ~opts ~stats ~cache ~depth ?log ?(suppress = []) src1 =
             ~attrs:[ ("changed", Pscommon.Telemetry.B changed) ];
         result
       in
-      let cur1, ast1, recover_changed =
-        match
-          Recover.run_pass ~opts:opts.recovery ~stats ~cache ~deobfuscate
-            ~depth ?log ~pass:i ~suppress ~ast current
-        with
-        | Some (patched, patched_ast) -> (patched, patched_ast, true)
-        | None -> (current, ast, false)
+      let or_keep p = function
+        | Some p' -> (p', true)
+        | None -> (p, false)
       in
-      let cur2, ast2, token_changed =
-        match
-          if opts.token_phase then
-            Token_phase.run_shared ?log ~pass:i ~suppress cur1
-          else None
-        with
-        | Some (patched, patched_ast) -> (patched, patched_ast, true)
-        | None -> (cur1, ast1, false)
+      let p1, recover_changed =
+        or_keep current
+          (Recover.run_pass_parsed ~opts:opts.recovery ~stats ~cache
+             ~deobfuscate ~depth ?log ~pass:i ~suppress ~ast:current.Parser.ast
+             current.Parser.text)
+      in
+      let p2, token_changed =
+        or_keep p1
+          (if opts.token_phase then
+             Token_phase.run_parsed ?log ~pass:i ~suppress
+               ~toks:p1.Parser.tokens p1.Parser.text
+           else None)
       in
       if not (recover_changed || token_changed || simplify_pending) then
         (* nothing moved and the text is already simplify-stable: the
            fixpoint is reached without running Simplify or re-checking *)
         finish_pass ~changed:false (current, i + 1)
       else
-        let cur3, ast3, simplify_changed =
-          match Simplify.run_shared ?log ~pass:i ~suppress ~ast:ast2 cur2 with
-          | Some (patched, patched_ast) -> (patched, patched_ast, true)
-          | None -> (cur2, ast2, false)
+        let p3, simplify_changed =
+          or_keep p2
+            (Simplify.run_parsed ?log ~pass:i ~suppress ~ast:p2.Parser.ast
+               p2.Parser.text)
         in
-        if String.equal cur3 current then finish_pass ~changed:false (current, i + 1)
+        if String.equal p3.Parser.text current.Parser.text then
+          finish_pass ~changed:false (current, i + 1)
         else begin
           ignore (finish_pass ~changed:true ());
-          fixpoint (i + 1) cur3 ast3 simplify_changed
+          fixpoint (i + 1) p3 simplify_changed
         end
     end
   in
-  match Psparse.Parser.parse src1 with
-  | Error _ ->
-      (* unparseable payloads (recursive entry) make one vacuous pass, as
-         the stage-by-stage loop always did *)
-      if
-        opts.max_iterations <= 0
-        || Pscommon.Guard.expired (Pscommon.Guard.ambient_deadline ())
-      then (src1, 0)
-      else (src1, 1)
-  | Ok ast -> fixpoint 0 src1 ast true
+  fixpoint 0 start true
 
 (* Renaming is skipped when an encoded payload survived recovery — its
    hidden code may define or reference variables by their original names at
    run time, and renaming the visible script would desynchronise the two. *)
-let residual_encoded recovered =
+let residual_encoded_parsed (p : Parser.parsed) =
   (* a) a powershell -e/-enc/-command invocation still present; decided on
      the token stream, so command text like Write-Error cannot shortcut it *)
-  (match Pslex.Lexer.tokenize recovered with
-  | Error _ -> true
-  | Ok toks ->
-      List.exists
-        (fun t ->
-          t.Pslex.Token.kind = Pslex.Token.Command_parameter
-          && String.length t.Pslex.Token.content > 1
-          && Char.lowercase_ascii t.Pslex.Token.content.[1] = 'e')
-        toks)
+  List.exists
+    (fun t ->
+      t.Pslex.Token.kind = Pslex.Token.Command_parameter
+      && String.length t.Pslex.Token.content > 1
+      && Char.lowercase_ascii t.Pslex.Token.content.[1] = 'e')
+    p.Parser.tokens
   (* b) an Invoke-Expression whose argument is still dynamic *)
-  || residual_dynamic_iex recovered
+  || residual_dynamic_iex p.Parser.ast
 
-(* Phase 3: rename and reformat, falling back to the recovered text when
-   the re-rendered form breaks. *)
-let finalize ~options recovered =
+(* Phase 3: rename and reformat.  Each step validates its own output and
+   hands that parse on, so the result is known to parse. *)
+let finalize_parsed ~options (recovered : Parser.parsed) =
   let renamed =
-    if options.rename && not (residual_encoded recovered) then
-      Rename.rename recovered
+    if options.rename && not (residual_encoded_parsed recovered) then
+      Rename.rename_parsed recovered
     else recovered
   in
-  let formatted = if options.reformat then Rename.reformat renamed else renamed in
-  if Psparse.Parser.is_valid_syntax formatted then formatted else recovered
+  if options.reformat then Rename.reformat_parsed renamed else renamed
+
+(* the string form, for region texts; a text that does not parse is left
+   as it is *)
+let finalize ~options recovered =
+  match Parser.parse_full recovered with
+  | Error _ -> recovered
+  | Ok p -> (finalize_parsed ~options p).Parser.text
 
 type failure_site = { phase : string; failure : Pscommon.Guard.failure }
 
@@ -255,11 +289,15 @@ let add_timing timings phase ms =
   in
   add [] timings
 
+type parses = { src_ast : Psast.Ast.t option; out_ast : Psast.Ast.t option }
+
 (** Totalised pipeline: every phase runs under {!Pscommon.Guard.protect}
     with one wall-clock deadline for the whole run.  A phase that crashes,
     overruns, or over-produces degrades to the best text the earlier phases
-    produced, and the failure is recorded — the run itself always returns. *)
-let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
+    produced, and the failure is recorded — the run itself always returns.
+    Also returns the parses of the input and of the output that the run
+    made anyway, for the verify gate's sandbox runs. *)
+let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
     ?(max_output_bytes = 32 * 1024 * 1024) ?cache ?(suppress = []) src =
   let module Guard = Pscommon.Guard in
   let module T = Pscommon.Telemetry in
@@ -307,7 +345,8 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
   in
   let regions_total = ref 0 in
   let regions_recovered = ref 0 in
-  let finish output iterations =
+  let src_ast = ref None in
+  let finish ?out_ast output iterations =
     let changed = not (String.equal output src) in
     if run_sid <> 0 then
       T.span_end run_sid
@@ -315,12 +354,16 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
           [ ("iterations", T.I iterations);
             ("changed", T.B changed);
             ("bytes_out", T.I (String.length output)) ];
-    { result = { output; stats; iterations; changed };
-      failures = List.rev !failures;
-      timings = !timings;
-      regions_total = !regions_total;
-      regions_recovered = !regions_recovered;
-      edit_log = Editlog.stages log }
+    ( { result = { output; stats; iterations; changed };
+        failures = List.rev !failures;
+        timings = !timings;
+        regions_total = !regions_total;
+        regions_recovered = !regions_recovered;
+        edit_log = Editlog.stages log },
+      { src_ast = !src_ast; out_ast } )
+  in
+  let finish_parsed (p : Parser.parsed) iterations =
+    finish ~out_ast:p.Parser.ast p.Parser.text iterations
   in
   (* Partial-parse recovery: the whole file failed to parse, so segment it
      into maximal parseable regions at statement-boundary sync points and
@@ -421,28 +464,28 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
   in
   match
     timed "parse" (fun () ->
-        Guard.protect ~deadline (fun () -> Psparse.Parser.is_valid_syntax src))
+        Guard.protect ~deadline (fun () -> Parser.parse_full src))
   with
-  | Ok false ->
+  | Ok (Error _) ->
       record "parse" Guard.Parse_failure;
       if options.partial then recover_regions () else finish src 0
   | Error failure ->
       record "parse" failure;
       if options.partial then recover_regions () else finish src 0
-  | Ok true ->
+  | Ok (Ok parsed) ->
+      src_ast := Some parsed.Parser.ast;
+      let measure ((p : Parser.parsed), _) = String.length p.Parser.text in
       let recovered, iterations =
         match
           timed "recovery" (fun () ->
-              Guard.protect ~deadline ~max_output_bytes
-                ~measure:(fun (s, _) -> String.length s)
-                (fun () ->
-                  deobfuscate_at ~opts:options ~stats ~cache ~depth:0 ~log
-                    ~suppress src))
+              Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
+                  deobfuscate_parsed ~opts:options ~stats ~cache ~depth:0 ~log
+                    ~suppress parsed))
         with
         | Ok r -> r
         | Error failure ->
             record "recovery" failure;
-            (src, 0)
+            (parsed, 0)
       in
       (* dynamic recovery: provenance-guided replacement of the loop/
          conditional regions the static fixpoint cannot fold.  Runs under
@@ -456,17 +499,16 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
         else
           match
             timed "dynamic" (fun () ->
-                Guard.protect ~deadline ~max_output_bytes
-                  ~measure:(fun (s, _) -> String.length s)
-                  (fun () ->
+                Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
                     match
-                      Recover.run_dynamic ~opts:options.recovery ~stats ~log
-                        ~pass:iterations ~suppress recovered
+                      Recover.run_dynamic_parsed ~opts:options.recovery ~stats
+                        ~cache ~ast:recovered.Parser.ast ~log ~pass:iterations
+                        ~suppress recovered.Parser.text
                     with
                     | None -> (recovered, iterations)
-                    | Some (patched, _) ->
+                    | Some patched ->
                         let out, extra =
-                          fixpoint_from ~opts:options ~stats ~cache ~depth:0
+                          fixpoint_parsed ~opts:options ~stats ~cache ~depth:0
                             ~log ~suppress patched
                         in
                         (out, iterations + extra)))
@@ -481,7 +523,7 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
            recovery is kept, later phases are skipped *)
         if not (List.exists (fun s -> s.failure = Guard.Timeout) !failures)
         then record "recovery" Guard.Timeout;
-        finish recovered iterations
+        finish_parsed recovered iterations
       end
       else begin
         (* a finalize pseudo-suppression (semantic gate attributing the
@@ -494,51 +536,48 @@ let run_guarded ?(options = default_options) ?(timeout_s = 60.0)
           then { options with rename = false; reformat = false }
           else options
         in
-        let renamed =
-          if not options.rename then recovered
+        let measure (p : Parser.parsed) = String.length p.Parser.text in
+        (* each step hands on the parse it validated its output with *)
+        let step phase ~enabled ~rule input f =
+          if not enabled then input
           else
             match
-              timed "rename" (fun () ->
-                  Guard.protect ~deadline ~max_output_bytes
-                    ~measure:String.length (fun () ->
-                      if residual_encoded recovered then recovered
-                      else Rename.rename recovered))
+              timed phase (fun () ->
+                  Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
+                      f input))
             with
-            | Ok s ->
-                if not (String.equal s recovered) then
-                  T.Metrics.incr (T.Metrics.counter "engine.rule.rename");
-                s
+            | Ok (p : Parser.parsed) ->
+                if not (String.equal p.Parser.text input.Parser.text) then
+                  T.Metrics.incr (T.Metrics.counter rule);
+                p
             | Error failure ->
-                record "rename" failure;
-                recovered
+                record phase failure;
+                input
+        in
+        let renamed =
+          step "rename" ~enabled:options.rename ~rule:"engine.rule.rename"
+            recovered (fun p ->
+              if residual_encoded_parsed p then p else Rename.rename_parsed p)
         in
         let formatted =
-          if not options.reformat then renamed
-          else
-            match
-              timed "reformat" (fun () ->
-                  Guard.protect ~deadline ~max_output_bytes
-                    ~measure:String.length (fun () -> Rename.reformat renamed))
-            with
-            | Ok s ->
-                if not (String.equal s renamed) then
-                  T.Metrics.incr (T.Metrics.counter "engine.rule.reformat");
-                s
-            | Error failure ->
-                record "reformat" failure;
-                renamed
+          step "reformat" ~enabled:options.reformat
+            ~rule:"engine.rule.reformat" renamed Rename.reformat_parsed
         in
+        (* the syntax check of the finished text is the parse reformat (or
+           the last stage before it) validated it with; the phase keeps its
+           guard, so its deadline and fault site behave as before *)
         let output =
-          match
-            timed "check" (fun () ->
-                Guard.protect ~deadline (fun () ->
-                    Psparse.Parser.is_valid_syntax formatted))
-          with
-          | Ok true -> formatted
-          | Ok false | Error _ -> recovered
+          match timed "check" (fun () -> Guard.protect ~deadline Fun.id) with
+          | Ok () -> formatted
+          | Error _ -> recovered
         in
-        finish output iterations
+        finish_parsed output iterations
       end
+
+let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =
+  fst
+    (run_guarded_parsed ?options ?timeout_s ?max_output_bytes ?cache ?suppress
+       src)
 
 (** Deobfuscate a script.  Never raises: scripts that fail to lex or parse
     are returned unchanged with [changed = false]. *)
@@ -558,22 +597,27 @@ type phase_output = { phase : string; text : string }
     parsing, after variable tracing and recovery, and after renaming and
     reformatting. *)
 let run_phases ?(options = default_options) src =
-  if not (Psparse.Parser.is_valid_syntax src) then
-    [ { phase = "original"; text = src } ]
-  else begin
-    (* each stage is computed exactly once: the fixpoint continues from the
-       token-parsed text, and the final stage finalizes the recovered text *)
-    let stats = Recover.new_stats () in
-    let cache = Recover.Cache.create () in
-    let after_tokens = if options.token_phase then Token_phase.run src else src in
-    let recovered, _ =
-      fixpoint_from ~opts:options ~stats ~cache ~depth:0 after_tokens
-    in
-    let final = finalize ~options recovered in
-    [
-      { phase = "original"; text = src };
-      { phase = "token parsing"; text = after_tokens };
-      { phase = "variable tracing and recovery"; text = recovered };
-      { phase = "renaming and reformatting"; text = final };
-    ]
-  end
+  match Parser.parse_full src with
+  | Error _ -> [ { phase = "original"; text = src } ]
+  | Ok parsed ->
+      (* each stage is computed exactly once: the fixpoint continues from
+         the token-parsed text, and the final stage finalizes the recovered
+         text *)
+      let stats = Recover.new_stats () in
+      let cache = Recover.Cache.create () in
+      let after_tokens =
+        if options.token_phase then
+          Option.value ~default:parsed
+            (Token_phase.run_parsed ~toks:parsed.Parser.tokens src)
+        else parsed
+      in
+      let recovered, _ =
+        fixpoint_parsed ~opts:options ~stats ~cache ~depth:0 after_tokens
+      in
+      let final = finalize_parsed ~options recovered in
+      [
+        { phase = "original"; text = src };
+        { phase = "token parsing"; text = after_tokens.Parser.text };
+        { phase = "variable tracing and recovery"; text = recovered.Parser.text };
+        { phase = "renaming and reformatting"; text = final.Parser.text };
+      ]

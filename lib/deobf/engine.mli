@@ -65,11 +65,15 @@ type guarded = {
   result : result;
   failures : failure_site list;  (** contained degradations, in phase order *)
   timings : (string * float) list;
-      (** wall milliseconds per phase (["parse"], ["recovery"], ["rename"],
-          ["reformat"], ["check"]), {e summed} per phase in first-execution
-          order — keys are unique, so the list renders directly as a JSON
-          object.  The per-pass breakdown is exposed as [engine.pass]
-          telemetry spans instead. *)
+      (** wall milliseconds per phase, {e summed} per phase in
+          first-execution order — keys are unique, so the list renders
+          directly as a JSON object.  Keys: ["parse"] (the input's validity
+          parse), then either ["recovery"], ["dynamic"], ["rename"],
+          ["reformat"] and ["check"] for an input that parses, or
+          ["segment"] and ["region"] (summed over regions) for the
+          partial-parse path.  A phase that was switched off or skipped
+          (deadline reached, nothing to segment) has no key.  The per-pass
+          breakdown is exposed as [engine.pass] telemetry spans instead. *)
   regions_total : int;
       (** segments produced by partial-parse recovery (parseable, opaque
           and binary); 0 when the input parsed whole or [partial] is off *)
@@ -106,6 +110,33 @@ val run_guarded :
     [suppress] re-runs the pipeline with the matching edits rolled back
     (content-matched at every depth; {!Editlog.suppress_finalize} disables
     rename + reformat) — the semantic gate's rollback mechanism. *)
+
+type parses = {
+  src_ast : Psast.Ast.t option;
+      (** the input's parse; [None] when it does not parse *)
+  out_ast : Psast.Ast.t option;
+      (** the output's parse; [None] on the partial-parse path or when the
+          output is the unparseable input *)
+}
+(** The parses a run made anyway, handed on to the verify gate
+    ({!Verify.gate} [?src_ast ?out_ast]) so its sandbox runs do not parse
+    the same texts again. *)
+
+val run_guarded_parsed :
+  ?options:options ->
+  ?timeout_s:float ->
+  ?max_output_bytes:int ->
+  ?cache:Recover.Cache.t ->
+  ?suppress:Editlog.suppression list ->
+  string ->
+  guarded * parses
+(** {!run_guarded}, also returning the parses of the input and the output.
+    [run_guarded] is this function with the parses dropped: one code path.
+
+    Each distinct text of the run is lexed once and parsed once: the input
+    by the validity check, and every later text by the stage that produced
+    it, which validates it with {!Psparse.Parser.parse_full} and hands the
+    tokens and AST to the next stage. *)
 
 val run_with_scores : ?options:options -> string -> result * int * int
 (** [run_with_scores src] also returns the obfuscation score before and

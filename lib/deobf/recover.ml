@@ -116,6 +116,8 @@ module Cache = struct
     persistent_loads : int;
   }
 
+  type fact = Trivial | Blocked
+
   type t = {
     mu : Mutex.t;
     mutable hot : (string, entry) Hashtbl.t;
@@ -129,6 +131,8 @@ module Cache = struct
     mutable persistent_loads : int;
     mutable prog_hot : (string, Pseval.Compile.program) Hashtbl.t;
     mutable prog_cold : (string, Pseval.Compile.program) Hashtbl.t;
+    mutable facts_hot : (fact * string, bool) Hashtbl.t;
+    mutable facts_cold : (fact * string, bool) Hashtbl.t;
   }
 
   let m_resets = T.Metrics.counter "recover.cache.resets"
@@ -146,7 +150,9 @@ module Cache = struct
       evictions = 0;
       persistent_loads = 0;
       prog_hot = Hashtbl.create 64;
-      prog_cold = Hashtbl.create 64 }
+      prog_cold = Hashtbl.create 64;
+      facts_hot = Hashtbl.create 64;
+      facts_cold = Hashtbl.create 64 }
 
   let locked t f =
     Mutex.lock t.mu;
@@ -289,6 +295,7 @@ module Cache = struct
         t.evictions <- t.evictions + Hashtbl.length t.cold;
         t.cold <- Hashtbl.create 64;
         t.prog_cold <- Hashtbl.create 64;
+        t.facts_cold <- Hashtbl.create 64;
         T.Metrics.incr m_shrinks;
         T.Metrics.set m_entries (Hashtbl.length t.hot))
 
@@ -338,6 +345,53 @@ module Cache = struct
         then flip_progs_locked t;
         Hashtbl.replace t.prog_hot text prog;
         Hashtbl.remove t.prog_cold text)
+
+  (* ----- per-text fact tier ----- *)
+
+  (* Pure per-text answers (is the piece already a literal, does it name a
+     blocked command) that every fixpoint pass would otherwise recompute
+     with a parse or a lex of the same piece.  Keyed on (fact, text),
+     never persisted, and bounded like the program tier: two generations
+     flipping at [gen_cap], cold dropped by [shrink]. *)
+  let store_fact_locked t key v =
+    if
+      Hashtbl.length t.facts_hot >= t.gen_cap
+      && not (Hashtbl.mem t.facts_hot key)
+    then begin
+      t.facts_cold <- t.facts_hot;
+      t.facts_hot <- Hashtbl.create 64
+    end;
+    Hashtbl.replace t.facts_hot key v;
+    Hashtbl.remove t.facts_cold key
+
+  let fact t fact text compute =
+    let key = (fact, text) in
+    let known =
+      locked t (fun () ->
+          match Hashtbl.find_opt t.facts_hot key with
+          | Some _ as r -> r
+          | None -> (
+              match Hashtbl.find_opt t.facts_cold key with
+              | Some v ->
+                  (* promote: a fact the passes still ask for survives the
+                     next flip *)
+                  store_fact_locked t key v;
+                  Some v
+              | None -> None))
+    in
+    match known with
+    | Some v -> v
+    | None ->
+        let v = compute text in
+        locked t (fun () -> store_fact_locked t key v);
+        v
+
+  let fact_count t fact =
+    locked t (fun () ->
+        let count tbl =
+          Hashtbl.fold (fun (f, _) _ n -> if f = fact then n + 1 else n) tbl 0
+        in
+        count t.facts_hot + count t.facts_cold)
 end
 
 type pass_state = {
@@ -424,6 +478,11 @@ let program_for st text =
       Cache.add_program st.cache text p;
       p
 
+(* the blocklist test (paper §III-B2) is a pure function of the piece text,
+   asked again on every pass: answered from the cache's per-text tier *)
+let blocked cache text =
+  Cache.fact cache Cache.Blocked text Blocklist.mentions_blocked_command
+
 let cache_key st text =
   if not st.opts.use_piece_cache then None
   else
@@ -468,7 +527,7 @@ let invoke_piece ?(kind = "piece") st text =
           [ ("kind", T.S kind); ("bytes_in", T.I (String.length text)) ]
     else 0
   in
-  if st.opts.use_blocklist && Blocklist.mentions_blocked_command text then begin
+  if st.opts.use_blocklist && blocked st.cache text then begin
     st.stats.pieces_blocked <- st.stats.pieces_blocked + 1;
     T.Metrics.incr m_blocked;
     if sid <> 0 then
@@ -534,7 +593,7 @@ let is_recoverable (node : A.t) =
   | _ -> false
 
 (* pieces that are already in recovered form make no progress *)
-let trivially_recovered text =
+let is_literal_piece text =
   match Psparse.Parser.parse text with
   | Ok { A.node = A.Script_block { A.sb_statements = [ stmt ]; _ }; _ } -> (
       match stmt.A.node with
@@ -546,6 +605,11 @@ let trivially_recovered text =
           | _ -> false)
       | _ -> false)
   | Ok _ | Error _ -> false
+
+(* asked of every recoverable node on every pass; a pure function of the
+   text, so the per-text tier answers repeats without a parse *)
+let trivially_recovered st text =
+  Cache.fact st.cache Cache.Trivial text is_literal_piece
 
 (* ---------- Invoke-Expression identification (paper §III-B4) ---------- *)
 
@@ -709,7 +773,7 @@ let rec recover_in_node st (node : A.t) =
   if is_recoverable node && not (A.children node = []) then begin
     let text = A.text st.src node in
     let recovered =
-      if trivially_recovered text then None
+      if trivially_recovered st text then None
       else if has_unknown_variables st node then None
       else
         match invoke_piece ~kind:(A.kind_name node) st text with
@@ -796,8 +860,7 @@ let trace_assignment st ~in_guard (stmt : A.t) =
           else if Tracer.unknown_variables st.table rhs <> [] then
             Tracer.remove st.table name
           else if
-            st.opts.use_blocklist
-            && Blocklist.mentions_blocked_command (A.text st.src rhs)
+            st.opts.use_blocklist && blocked st.cache (A.text st.src rhs)
           then Tracer.remove st.table name
           else begin
             (* compute the assigned value by executing the whole assignment *)
@@ -947,7 +1010,7 @@ and process_block st ~in_guard (block : A.t) =
     Returns [None] when the pass changed nothing (no edits, or edits that
     would break the script) and [Some (patched, ast)] — the new text with
     its validated parse, ready to thread into the next stage — otherwise. *)
-let run_pass ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
+let run_pass_parsed ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
     ?(suppress = []) ~ast src =
   let st =
     { opts; stats; cache; src; table = Tracer.create (); edits = []; suppress;
@@ -962,8 +1025,8 @@ let run_pass ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
     let pairs = List.rev st.edits in
     match Patch.apply src (List.map fst pairs) with
     | patched when not (String.equal patched src) -> (
-        match Psparse.Parser.parse patched with
-        | Ok patched_ast ->
+        match Psparse.Parser.parse_full patched with
+        | Ok parsed ->
             (* journal only what was applied and validated *)
             stats.edits_recorded <-
               stats.edits_recorded
@@ -971,10 +1034,19 @@ let run_pass ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
             Option.iter
               (fun l -> Editlog.record_stage l ~phase:"recover" ~pass ~src pairs)
               log;
-            Some (patched, patched_ast)
+            Some parsed
         | Error _ -> None)
     | _ -> None
     | exception Invalid_argument _ -> None
+
+let text_and_ast =
+  Option.map (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
+
+let run_pass ~opts ~stats ~cache ~deobfuscate ~depth ?log ?pass ?suppress ~ast
+    src =
+  text_and_ast
+    (run_pass_parsed ~opts ~stats ~cache ~deobfuscate ~depth ?log ?pass
+       ?suppress ~ast src)
 
 (* ---------- dynamic recovery (PowerPeeler-style value provenance) ---------- *)
 
@@ -1015,10 +1087,13 @@ let rendered_bindings env =
     (fun (name, v) -> (name, Value.to_source_opt v))
     (Pseval.Env.global_bindings env)
 
-let run_dynamic ~opts ~stats ?log ?(pass = 0) ?(suppress = []) src =
+let run_dynamic_parsed ~opts ~stats ?cache ?ast ?log ?(pass = 0)
+    ?(suppress = []) src =
   if not opts.use_dynamic then None
   else
-    match Psparse.Parser.parse src with
+    match
+      match ast with Some ast -> Ok ast | None -> Psparse.Parser.parse src
+    with
     | Error _ -> None
     | Ok ast ->
         let statements =
@@ -1034,7 +1109,11 @@ let run_dynamic ~opts ~stats ?log ?(pass = 0) ?(suppress = []) src =
                 Tracer.assigned_names stmt = []
                 || contains_function_def stmt
                 || (opts.use_blocklist
-                   && Blocklist.mentions_blocked_command (A.text src stmt))
+                   &&
+                   let text = A.text src stmt in
+                   match cache with
+                   | Some cache -> blocked cache text
+                   | None -> Blocklist.mentions_blocked_command text)
               then None
               else Some kind
         in
@@ -1157,8 +1236,8 @@ let run_dynamic ~opts ~stats ?log ?(pass = 0) ?(suppress = []) src =
             let pairs = List.rev !edits in
             match Patch.apply src (List.map fst pairs) with
             | patched when not (String.equal patched src) -> (
-                match Psparse.Parser.parse patched with
-                | Ok patched_ast ->
+                match Psparse.Parser.parse_full patched with
+                | Ok parsed ->
                     stats.edits_recorded <-
                       stats.edits_recorded
                       + List.length (Patch.normalize (List.map fst pairs));
@@ -1166,8 +1245,11 @@ let run_dynamic ~opts ~stats ?log ?(pass = 0) ?(suppress = []) src =
                       (fun l ->
                         Editlog.record_stage l ~phase:"recover" ~pass ~src pairs)
                       log;
-                    Some (patched, patched_ast)
+                    Some parsed
                 | Error _ -> None)
             | _ -> None
             | exception Invalid_argument _ -> None
         end
+
+let run_dynamic ~opts ~stats ?log ?pass ?suppress src =
+  text_and_ast (run_dynamic_parsed ~opts ~stats ?log ?pass ?suppress src)

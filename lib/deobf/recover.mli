@@ -109,10 +109,28 @@ module Cache : sig
   val stats : t -> stats
 
   val shrink : t -> unit
-  (** Memory-pressure shed: drop the cold generation of both the result and
-      compiled-program tiers (counted in [recover.cache.shrinks] and the
-      eviction stats), keeping the hot working set.  The persistent tier is
-      untouched, so shrunk entries reload on demand. *)
+  (** Memory-pressure shed: drop the cold generation of the result,
+      compiled-program and per-text fact tiers (counted in
+      [recover.cache.shrinks] and the eviction stats), keeping the hot
+      working set.  The persistent tier is untouched, so shrunk entries
+      reload on demand. *)
+
+  (** Per-text facts: pure answers about a piece text that every fixpoint
+      pass would otherwise recompute with a parse or a lex.  Keyed on
+      (fact, text), never persisted, and bounded like the program tier
+      (two generations flipping at half the capacity, cold generation
+      dropped by {!shrink}). *)
+  type fact =
+    | Trivial  (** the piece is already a lone string or number literal *)
+    | Blocked  (** {!Blocklist.mentions_blocked_command} *)
+
+  val fact : t -> fact -> string -> (string -> bool) -> bool
+  (** [fact t f text compute] answers [f] for [text] from the tier, or
+      computes it with [compute text] and remembers the answer. *)
+
+  val fact_count : t -> fact -> int
+  (** Texts whose answer to the fact is currently held, both
+      generations. *)
 end
 
 val is_recoverable : Psast.Ast.t -> bool
@@ -141,6 +159,21 @@ val run_pass :
     [pass]) once the patch is validated; [suppress] skips edits the
     semantic gate rolled back, matched by content. *)
 
+val run_pass_parsed :
+  opts:options ->
+  stats:stats ->
+  cache:Cache.t ->
+  deobfuscate:(depth:int -> string -> string) ->
+  depth:int ->
+  ?log:Editlog.t ->
+  ?pass:int ->
+  ?suppress:Editlog.suppression list ->
+  ast:Psast.Ast.t ->
+  string ->
+  Psparse.Parser.parsed option
+(** {!run_pass}, returning the tokens of the patched text along with its
+    parse, so the next stage does not lex it again. *)
+
 val run_dynamic :
   opts:options ->
   stats:stats ->
@@ -163,3 +196,19 @@ val run_dynamic :
     them back individually and {!Quarantine} can circuit-break them.
     [None] when dynamic recovery is disabled, found no candidates, or
     changed nothing. *)
+
+val run_dynamic_parsed :
+  opts:options ->
+  stats:stats ->
+  ?cache:Cache.t ->
+  ?ast:Psast.Ast.t ->
+  ?log:Editlog.t ->
+  ?pass:int ->
+  ?suppress:Editlog.suppression list ->
+  string ->
+  Psparse.Parser.parsed option
+(** {!run_dynamic}, returning the tokens of the patched text along with its
+    parse.  [ast] is the parse of the text argument when the caller
+    already holds it (the static fixpoint's last validated parse); [cache]
+    answers the blocklist test of each candidate region from its per-text
+    tier. *)

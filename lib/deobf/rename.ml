@@ -74,149 +74,169 @@ let collect_names toks =
   walk toks;
   (List.rev !vars, List.rev !funcs)
 
-(** Rename random identifiers to [var{n}] / [func{n}].  Replacement is
-    token-based and also rewrites interpolations inside double-quoted
-    strings; the result is syntax-checked. *)
-let rename src =
+(* The stages below work on tokens and validate what they produce with
+   one parse.  [None]: keep the input — nothing changed, or the result
+   would not parse.  [Some parsed]: the new text with the tokens and parse
+   the next stage reuses. *)
+let validated ~src patched =
+  if String.equal patched src then None
+  else Result.to_option (Psparse.Parser.parse_full patched)
+
+(* the string entry points lex their input themselves *)
+let on_text f src =
   match Pslex.Lexer.tokenize src with
   | Error _ -> src
   | Ok toks -> (
-      let vars, funcs = collect_names toks in
-      if not (names_look_random (vars @ funcs)) then src
-      else begin
-        let var_map = Hashtbl.create 16 in
-        List.iteri
-          (fun i name ->
-            Hashtbl.replace var_map (Strcase.lower name) (Printf.sprintf "var%d" i))
-          vars;
-        let func_map = Hashtbl.create 4 in
-        List.iteri
-          (fun i name ->
-            Hashtbl.replace func_map (Strcase.lower name) (Printf.sprintf "func%d" i))
-          funcs;
-        let edits =
-          List.filter_map
-            (fun t ->
-              match t.T.kind with
-              | T.Variable -> (
-                  match Hashtbl.find_opt var_map (Strcase.lower t.T.content) with
-                  | Some fresh -> Some (Patch.edit t.T.extent ("$" ^ fresh))
-                  | None -> None)
-              | T.Command | T.Command_argument -> (
-                  match Hashtbl.find_opt func_map (Strcase.lower t.T.content) with
-                  | Some fresh -> Some (Patch.edit t.T.extent fresh)
-                  | None -> None)
-              | T.String_double ->
-                  let is_ident c =
-                    match c with
-                    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-                    | _ -> false
-                  in
-                  let text = ref t.T.text in
-                  Hashtbl.iter
-                    (fun old fresh ->
-                      text :=
-                        Strcase.replace_word ~needle:("$" ^ old)
-                          ~replacement:("$" ^ fresh) ~is_word_char:is_ident !text)
-                    var_map;
-                  if !text = t.T.text then None else Some (Patch.edit t.T.extent !text)
-              | _ -> None)
-            toks
-        in
-        if edits = [] then src
-        else
-          match Patch.apply src edits with
-          | patched when Psparse.Parser.is_valid_syntax patched -> patched
-          | _ -> src
-          | exception Invalid_argument _ -> src
-      end)
+      match f ~src toks with Some p -> p.Psparse.Parser.text | None -> src)
+
+(* the parsed entry points reuse the tokens a previous stage lexed *)
+let on_parsed f (p : Psparse.Parser.parsed) =
+  Option.value ~default:p (f ~src:p.Psparse.Parser.text p.Psparse.Parser.tokens)
+
+let rename_tokens ~src toks =
+  let vars, funcs = collect_names toks in
+  if not (names_look_random (vars @ funcs)) then None
+  else begin
+    let var_map = Hashtbl.create 16 in
+    List.iteri
+      (fun i name ->
+        Hashtbl.replace var_map (Strcase.lower name) (Printf.sprintf "var%d" i))
+      vars;
+    let func_map = Hashtbl.create 4 in
+    List.iteri
+      (fun i name ->
+        Hashtbl.replace func_map (Strcase.lower name) (Printf.sprintf "func%d" i))
+      funcs;
+    let edits =
+      List.filter_map
+        (fun t ->
+          match t.T.kind with
+          | T.Variable -> (
+              match Hashtbl.find_opt var_map (Strcase.lower t.T.content) with
+              | Some fresh -> Some (Patch.edit t.T.extent ("$" ^ fresh))
+              | None -> None)
+          | T.Command | T.Command_argument -> (
+              match Hashtbl.find_opt func_map (Strcase.lower t.T.content) with
+              | Some fresh -> Some (Patch.edit t.T.extent fresh)
+              | None -> None)
+          | T.String_double ->
+              let is_ident c =
+                match c with
+                | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+                | _ -> false
+              in
+              let text = ref t.T.text in
+              Hashtbl.iter
+                (fun old fresh ->
+                  text :=
+                    Strcase.replace_word ~needle:("$" ^ old)
+                      ~replacement:("$" ^ fresh) ~is_word_char:is_ident !text)
+                var_map;
+              if !text = t.T.text then None else Some (Patch.edit t.T.extent !text)
+          | _ -> None)
+        toks
+    in
+    if edits = [] then None
+    else
+      match Patch.apply src edits with
+      | patched -> validated ~src patched
+      | exception Invalid_argument _ -> None
+  end
+
+(** Rename random identifiers to [var{n}] / [func{n}].  Replacement is
+    token-based and also rewrites interpolations inside double-quoted
+    strings; the result is syntax-checked. *)
+let rename src = on_text rename_tokens src
+
+let rename_parsed p = on_parsed rename_tokens p
+
+let reformat_tokens ~src toks =
+  let buf = Buffer.create (String.length src) in
+  let depth = ref 0 in
+  let paren_depth = ref 0 in
+  let group_stack = ref [] in
+  let at_line_start = ref true in
+  let pending_newlines = ref 0 in
+  let emit_indent () =
+    if !at_line_start then begin
+      Buffer.add_string buf (String.make (2 * max 0 !depth) ' ');
+      at_line_start := false
+    end
+  in
+  let newline () =
+    if not !at_line_start then pending_newlines := 1
+  in
+  let flush_newlines () =
+    if !pending_newlines > 0 then begin
+      Buffer.add_char buf '\n';
+      pending_newlines := 0;
+      at_line_start := true
+    end
+  in
+  let prev_stop = ref 0 in
+  List.iter
+    (fun t ->
+      match t.T.kind with
+      | T.Statement_separator when !paren_depth > 0 ->
+          (* ';' inside for(...) headers must stay *)
+          flush_newlines ();
+          Buffer.add_string buf "; ";
+          prev_stop := t.T.extent.Extent.stop
+      | T.New_line when !paren_depth > 0 ->
+          prev_stop := t.T.extent.Extent.stop
+      | T.New_line | T.Statement_separator ->
+          newline ();
+          prev_stop := t.T.extent.Extent.stop
+      | T.Line_continuation ->
+          prev_stop := t.T.extent.Extent.stop
+      | T.Comment ->
+          (* comments carry analyst-relevant context; keep them on their
+             own terms and force a break after line comments *)
+          flush_newlines ();
+          if (not !at_line_start) then Buffer.add_char buf ' ';
+          emit_indent ();
+          Buffer.add_string buf t.T.text;
+          if not (Pscommon.Strcase.starts_with ~prefix:"<#" t.T.text) then
+            newline ();
+          prev_stop := t.T.extent.Extent.stop
+      | _ ->
+          flush_newlines ();
+          (match t.T.kind with
+          | T.Group_end when t.T.content = "}" -> (
+              match !group_stack with
+              | `Brace :: rest ->
+                  decr depth;
+                  group_stack := rest
+              | _ :: rest -> group_stack := rest
+              | [] -> ())
+          | T.Group_end when t.T.content = ")" -> (
+              decr paren_depth;
+              match !group_stack with _ :: rest -> group_stack := rest | [] -> ())
+          | _ -> ());
+          let had_gap = t.T.extent.Extent.start > !prev_stop in
+          if (not !at_line_start) && had_gap then Buffer.add_char buf ' ';
+          emit_indent ();
+          Buffer.add_string buf t.T.text;
+          (match t.T.kind with
+          | T.Group_start when t.T.content = "{" ->
+              incr depth;
+              group_stack := `Brace :: !group_stack
+          | T.Group_start when t.T.content = "@{" ->
+              group_stack := `Hash :: !group_stack
+          | T.Group_start ->
+              incr paren_depth;
+              group_stack := `Paren :: !group_stack
+          | _ -> ());
+          prev_stop := t.T.extent.Extent.stop)
+    toks;
+  if not !at_line_start then Buffer.add_char buf '\n';
+  validated ~src (Buffer.contents buf)
 
 (** Reformat: collapse every horizontal whitespace gap to one space, drop
     line continuations and blank-line runs, and indent by brace depth.
     Token adjacency (member access, method parens) is preserved because only
     {e existing} gaps are rewritten. *)
-let reformat src =
-  match Pslex.Lexer.tokenize src with
-  | Error _ -> src
-  | Ok toks -> (
-      let buf = Buffer.create (String.length src) in
-      let depth = ref 0 in
-      let paren_depth = ref 0 in
-      let group_stack = ref [] in
-      let at_line_start = ref true in
-      let pending_newlines = ref 0 in
-      let emit_indent () =
-        if !at_line_start then begin
-          Buffer.add_string buf (String.make (2 * max 0 !depth) ' ');
-          at_line_start := false
-        end
-      in
-      let newline () =
-        if not !at_line_start then pending_newlines := 1
-      in
-      let flush_newlines () =
-        if !pending_newlines > 0 then begin
-          Buffer.add_char buf '\n';
-          pending_newlines := 0;
-          at_line_start := true
-        end
-      in
-      let prev_stop = ref 0 in
-      List.iter
-        (fun t ->
-          match t.T.kind with
-          | T.Statement_separator when !paren_depth > 0 ->
-              (* ';' inside for(...) headers must stay *)
-              flush_newlines ();
-              Buffer.add_string buf "; ";
-              prev_stop := t.T.extent.Extent.stop
-          | T.New_line when !paren_depth > 0 ->
-              prev_stop := t.T.extent.Extent.stop
-          | T.New_line | T.Statement_separator ->
-              newline ();
-              prev_stop := t.T.extent.Extent.stop
-          | T.Line_continuation ->
-              prev_stop := t.T.extent.Extent.stop
-          | T.Comment ->
-              (* comments carry analyst-relevant context; keep them on their
-                 own terms and force a break after line comments *)
-              flush_newlines ();
-              if (not !at_line_start) then Buffer.add_char buf ' ';
-              emit_indent ();
-              Buffer.add_string buf t.T.text;
-              if not (Pscommon.Strcase.starts_with ~prefix:"<#" t.T.text) then
-                newline ();
-              prev_stop := t.T.extent.Extent.stop
-          | _ ->
-              flush_newlines ();
-              (match t.T.kind with
-              | T.Group_end when t.T.content = "}" -> (
-                  match !group_stack with
-                  | `Brace :: rest ->
-                      decr depth;
-                      group_stack := rest
-                  | _ :: rest -> group_stack := rest
-                  | [] -> ())
-              | T.Group_end when t.T.content = ")" -> (
-                  decr paren_depth;
-                  match !group_stack with _ :: rest -> group_stack := rest | [] -> ())
-              | _ -> ());
-              let had_gap = t.T.extent.Extent.start > !prev_stop in
-              if (not !at_line_start) && had_gap then Buffer.add_char buf ' ';
-              emit_indent ();
-              Buffer.add_string buf t.T.text;
-              (match t.T.kind with
-              | T.Group_start when t.T.content = "{" ->
-                  incr depth;
-                  group_stack := `Brace :: !group_stack
-              | T.Group_start when t.T.content = "@{" ->
-                  group_stack := `Hash :: !group_stack
-              | T.Group_start ->
-                  incr paren_depth;
-                  group_stack := `Paren :: !group_stack
-              | _ -> ());
-              prev_stop := t.T.extent.Extent.stop)
-        toks;
-      if not !at_line_start then Buffer.add_char buf '\n';
-      let out = Buffer.contents buf in
-      if Psparse.Parser.is_valid_syntax out then out else src)
+let reformat src = on_text reformat_tokens src
+
+let reformat_parsed p = on_parsed reformat_tokens p
+

@@ -23,3 +23,13 @@ val reformat : string -> string
     indent by brace depth.  Only existing gaps are rewritten, so member
     access and method-call adjacency survive.  Returns the input unchanged
     when the result would not parse. *)
+
+val rename_parsed : Psparse.Parser.parsed -> Psparse.Parser.parsed
+(** {!rename} on a text whose tokens are already known: no lex of the
+    input, and the returned value carries the tokens and parse of the
+    result (the input itself when nothing changed). *)
+
+val reformat_parsed : Psparse.Parser.parsed -> Psparse.Parser.parsed
+(** {!reformat} on a text whose tokens are already known, like
+    {!rename_parsed}; the parse it validated its output with is the one
+    returned. *)

@@ -17,9 +17,10 @@ let literal_inside (paren_body : A.t) =
 
 (** Simplify an already-parsed script ([ast] must be the parse of [src]).
     [None] when nothing reduces or the reduction would break the script;
-    [Some (patched, ast')] carries the validated parse of the result so a
-    fixpoint driver can thread it onward without re-parsing. *)
-let run_shared ?log ?(pass = 0) ?(suppress = []) ~ast src =
+    [Some parsed] carries the tokens and validated parse of the result so a
+    fixpoint driver can thread them onward without re-lexing or
+    re-parsing. *)
+let run_parsed ?log ?(pass = 0) ?(suppress = []) ~ast src =
   let edits = ref [] in
   let add node replacement =
     if
@@ -61,8 +62,8 @@ let run_shared ?log ?(pass = 0) ?(suppress = []) ~ast src =
   else
     match Pscommon.Patch.apply src !edits with
     | patched when not (String.equal patched src) -> (
-        match Psparse.Parser.parse patched with
-        | Ok patched_ast ->
+        match Psparse.Parser.parse_full patched with
+        | Ok parsed ->
             Pscommon.Telemetry.Metrics.incr
               ~by:(List.length !edits)
               (Pscommon.Telemetry.Metrics.counter "simplify.rule.paren");
@@ -71,10 +72,15 @@ let run_shared ?log ?(pass = 0) ?(suppress = []) ~ast src =
                 Editlog.record_stage l ~phase:"simplify" ~pass ~src
                   (List.map (fun e -> (e, "paren")) !edits))
               log;
-            Some (patched, patched_ast)
+            Some parsed
         | Error _ -> None)
     | _ -> None
     | exception Invalid_argument _ -> None
+
+let run_shared ?log ?pass ?suppress ~ast src =
+  Option.map
+    (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
+    (run_parsed ?log ?pass ?suppress ~ast src)
 
 let run src =
   match Psparse.Parser.parse src with

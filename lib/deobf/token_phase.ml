@@ -128,14 +128,18 @@ let token_edit t =
   | T.String_single_here | T.String_double_here | T.Splat_variable ->
       None
 
-(** Run the token phase, one tokenize and (only when edits landed) one
+(** Run the token phase, one tokenize (none when the caller hands in
+    [toks], the tokens of [src]) and, only when edits landed, one
     validating parse.  [None] when the phase changed nothing — the input
     does not lex, no token needs recovery, or the patched result would not
     parse (paper §IV-A: skip a step that introduces syntax errors).
-    [Some (patched, ast)] carries the validated parse of the result so the
-    caller can thread it into the next stage without re-parsing. *)
-let run_shared ?log ?(pass = 0) ?(suppress = []) src =
-  match Pslex.Lexer.tokenize src with
+    [Some parsed] carries the tokens and validated parse of the result so
+    the caller can thread them into the next stage without re-lexing or
+    re-parsing. *)
+let run_parsed ?log ?(pass = 0) ?(suppress = []) ?toks src =
+  match
+    match toks with Some toks -> Ok toks | None -> Pslex.Lexer.tokenize src
+  with
   | Error _ -> None
   | Ok toks -> (
       let keep (e, kind) =
@@ -155,8 +159,8 @@ let run_shared ?log ?(pass = 0) ?(suppress = []) src =
       else
         match Patch.apply src edits with
         | patched when not (String.equal patched src) -> (
-            match Psparse.Parser.parse patched with
-            | Ok ast ->
+            match Psparse.Parser.parse_full patched with
+            | Ok parsed ->
                 (* rule attribution, counted only for edits that landed in a
                    syntactically valid result *)
                 List.iter
@@ -167,14 +171,19 @@ let run_shared ?log ?(pass = 0) ?(suppress = []) src =
                 Option.iter
                   (fun l -> Editlog.record_stage l ~phase:"token" ~pass ~src pairs)
                   log;
-                Some (patched, ast)
+                Some parsed
             | Error _ -> None)
         | _ -> None
         | exception Invalid_argument _ -> None)
 
+let run_shared ?log ?pass ?suppress src =
+  Option.map
+    (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
+    (run_parsed ?log ?pass ?suppress src)
+
 (** Run the token phase.  The result is checked for syntactic validity; on
     any breakage the input is returned unchanged. *)
 let run ?log ?pass ?suppress src =
-  match run_shared ?log ?pass ?suppress src with
-  | Some (patched, _) -> patched
+  match run_parsed ?log ?pass ?suppress src with
+  | Some p -> p.Psparse.Parser.text
   | None -> src

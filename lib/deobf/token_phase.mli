@@ -17,6 +17,13 @@ val run_shared :
     the validated parse of the changed result, so a fixpoint driver can
     skip its own re-parse and re-check. *)
 
+val run_parsed :
+  ?log:Editlog.t -> ?pass:int -> ?suppress:Editlog.suppression list ->
+  ?toks:Pslex.Token.t list -> string -> Psparse.Parser.parsed option
+(** {!run_shared}, also returning the tokens of the changed result.
+    [toks], when given, must be the tokens of the text argument; the phase
+    then does not lex it again. *)
+
 val canonical_member : string -> string
 (** Canonical spelling of a known member name ([replace] → [Replace]). *)
 

@@ -48,10 +48,10 @@ type outcome = {
 let is_dynamic_rule rule =
   String.length rule >= 16 && String.sub rule 0 16 = "recover.dynamic."
 
-let run_log ~opts ~runs text =
+let run_log ~opts ~runs ?ast text =
   incr runs;
   Sandbox.run_for_verify ~max_steps:opts.max_steps ~timeout_s:opts.timeout_s
-    text
+    ?ast text
 
 (* Reference-log memo for the {e original} script's sandbox run.  The gate
    re-verifies the same input whenever the ladder re-runs a rung, and a
@@ -67,8 +67,8 @@ let ref_cache_lock = Mutex.create ()
 let ref_cache_cap = 512
 let m_ref_hits = T.Metrics.counter "verify.ref_cache_hits"
 
-let ref_log ~opts ~runs src =
-  if not opts.use_ref_cache then run_log ~opts ~runs src
+let ref_log ~opts ~runs ~ast src =
+  if not opts.use_ref_cache then run_log ~opts ~runs ~ast src
   else begin
     let key =
       Printf.sprintf "%s:%d:%h"
@@ -85,7 +85,7 @@ let ref_log ~opts ~runs src =
         T.Metrics.incr m_ref_hits;
         Ok log
     | None -> (
-        match run_log ~opts ~runs src with
+        match run_log ~opts ~runs ~ast src with
         | Ok log as ok ->
             Mutex.lock ref_cache_lock;
             if Hashtbl.length ref_cache >= ref_cache_cap then
@@ -146,7 +146,8 @@ let culprit ~opts ~runs ~orig_log ~src (guarded : Engine.guarded) =
     (Editlog.suppress_edit e, e.Editlog.phase ^ "." ^ e.Editlog.kind)
   end
 
-let gate ?(opts = default_opts) ~rerun ~src (guarded : Engine.guarded) =
+let gate ?(opts = default_opts) ?src_ast ?out_ast ~rerun ~src
+    (guarded : Engine.guarded) =
   T.span "verify.gate" @@ fun () ->
   let started = Guard.now () in
   let runs = ref 0 in
@@ -174,17 +175,21 @@ let gate ?(opts = default_opts) ~rerun ~src (guarded : Engine.guarded) =
     (* unchanged output is trivially equivalent; skip the sandbox *)
     finish guarded Equivalent [] []
   else
-    match Psparse.Parser.parse src with
+    match
+      match src_ast with Some ast -> Ok ast | None -> Psparse.Parser.parse src
+    with
     | Error _ ->
         (* covers the partial-parse (region) path too, whose edits are not
            journaled and could not be bisected *)
         finish guarded (Unverifiable "original does not parse") [] []
-    | Ok _ -> (
-        match ref_log ~opts ~runs src with
+    | Ok src_ast -> (
+        match ref_log ~opts ~runs ~ast:src_ast src with
         | Error reason ->
             finish guarded (Unverifiable ("original: " ^ reason)) [] []
         | Ok orig_log ->
-            let rec round guarded suppressed rolled_rules rounds_left =
+            (* [out_ast] is the parse of [guarded]'s output; a rollback
+               re-run's output comes without one *)
+            let rec round guarded out_ast suppressed rolled_rules rounds_left =
               let diverged () =
                 if rounds_left = 0 then
                   finish guarded Diverged suppressed rolled_rules
@@ -203,8 +208,8 @@ let gate ?(opts = default_opts) ~rerun ~src (guarded : Engine.guarded) =
                       if List.mem rule rolled_rules then rolled_rules
                       else rule :: rolled_rules
                     in
-                    round (rerun ~suppress:suppressed) suppressed rolled_rules
-                      (rounds_left - 1)
+                    round (rerun ~suppress:suppressed) None suppressed
+                      rolled_rules (rounds_left - 1)
                   end
               in
               let equal_now =
@@ -214,7 +219,8 @@ let gate ?(opts = default_opts) ~rerun ~src (guarded : Engine.guarded) =
                 String.equal guarded.Engine.result.Engine.output src
                 ||
                 match
-                  run_log ~opts ~runs guarded.Engine.result.Engine.output
+                  run_log ~opts ~runs ?ast:out_ast
+                    guarded.Engine.result.Engine.output
                 with
                 | Ok out_log -> logs_equal orig_log out_log
                 | Error _ -> false
@@ -227,10 +233,14 @@ let gate ?(opts = default_opts) ~rerun ~src (guarded : Engine.guarded) =
                     suppressed rolled_rules
               else diverged ()
             in
-            round guarded [] [] opts.max_rounds)
+            round guarded out_ast [] [] opts.max_rounds)
 
 let run_guarded ?options ?timeout_s ?max_output_bytes ?opts src =
   let rerun ~suppress =
     Engine.run_guarded ?options ?timeout_s ?max_output_bytes ~suppress src
   in
-  gate ?opts ~rerun ~src (rerun ~suppress:[])
+  let guarded, parses =
+    Engine.run_guarded_parsed ?options ?timeout_s ?max_output_bytes src
+  in
+  gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
+    ~rerun ~src guarded

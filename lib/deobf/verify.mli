@@ -69,6 +69,8 @@ type outcome = {
 
 val gate :
   ?opts:opts ->
+  ?src_ast:Psast.Ast.t ->
+  ?out_ast:Psast.Ast.t ->
   rerun:(suppress:Editlog.suppression list -> Engine.guarded) ->
   src:string ->
   Engine.guarded ->
@@ -85,7 +87,13 @@ val gate :
     re-evaluated, a prefix that fails to parse or whose execution is
     contained counts as divergent, and when every journaled edit checks
     out the culprit is the finalization phase (rename + reformat), rolled
-    back with {!Editlog.suppress_finalize}. *)
+    back with {!Editlog.suppress_finalize}.
+
+    [src_ast] and [out_ast] are the parses of [src] and of [guarded]'s
+    output when the caller holds them ({!Engine.run_guarded_parsed}): the
+    reference and output sandbox runs then execute them without parsing
+    either text again.  Without [src_ast] the gate parses [src] once and
+    uses that parse for its reference run. *)
 
 val run_guarded :
   ?options:Engine.options ->

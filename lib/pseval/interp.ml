@@ -1229,6 +1229,15 @@ let run_ast env ~src ast =
   let ctx = { env; src } in
   try eval_statement ctx ast with Return_exc out -> out | Exit_exc -> []
 
+let eval_parsed env ~src ast =
+  match run_ast env ~src ast with
+  | out -> Ok out
+  | exception Throw_exc v -> Error ("uncaught throw: " ^ Value.to_string v)
+  | exception e -> (
+      match describe_exception e with
+      | Some msg -> Error msg
+      | None -> raise e)
+
 let run_script env src =
   (* chaos probe: an injected fault here propagates out of the interpreter
      exactly like a genuine evaluation blow-up, exercising the enclosing
@@ -1240,14 +1249,13 @@ let run_script env src =
       Error
         (Printf.sprintf "syntax error at %d: %s" e.Psparse.Parser.position
            e.Psparse.Parser.message)
-  | Ok ast -> (
-      match run_ast env ~src ast with
-      | out -> Ok out
-      | exception Throw_exc v -> Error ("uncaught throw: " ^ Value.to_string v)
-      | exception e -> (
-          match describe_exception e with
-          | Some msg -> Error msg
-          | None -> raise e))
+  | Ok ast -> eval_parsed env ~src ast
+
+(* [run_script] minus the parse: the same probe, drawn first, and the same
+   error texts *)
+let run_parsed env ~src ast =
+  Pscommon.Chaos.probe "interp.eval";
+  eval_parsed env ~src ast
 
 (** Execute a recoverable piece and return its output — the paper's
     "Recovery Based on Invoke" (§III-B2). *)

@@ -26,6 +26,12 @@ val run_script : Env.t -> string -> (Psvalue.Value.t list, string) result
 (** Parse and evaluate; every evaluation exception is rendered as an error
     message. *)
 
+val run_parsed :
+  Env.t -> src:string -> Psast.Ast.t -> (Psvalue.Value.t list, string) result
+(** {!run_script} on a script already parsed ([ast] must be the parse of
+    [src]): the [interp.eval] chaos probe is drawn first, exactly as there,
+    and evaluation errors read the same. *)
+
 val invoke_piece : Env.t -> string -> (Psvalue.Value.t, string) result
 (** Execute a recoverable piece and return its collected output as one
     value ([Null] / the value / an array) — the paper's "Recovery Based on

@@ -693,7 +693,12 @@ and lex_bareword_token st =
       emit st Token.Member content stop;
       st.after_value <- true
 
+(* every lexer run, fragments included: the front-end cost the pipeline
+   hands stage to stage is measured in these *)
+let m_tokenizes = Pscommon.Telemetry.Metrics.counter "pslex.tokenizes"
+
 let tokenize src =
+  Pscommon.Telemetry.Metrics.incr m_tokenizes;
   let st =
     {
       src;

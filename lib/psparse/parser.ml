@@ -1267,19 +1267,38 @@ let prepare_tokens toks =
       | _ -> true)
     toks
 
+(* every whole-script parse, whichever entry point it came through *)
+let m_parses = Pscommon.Telemetry.Metrics.counter "psparse.parses"
+
+let parse_tokens src toks =
+  Pscommon.Telemetry.Metrics.incr m_parses;
+  let toks = prepare_tokens toks in
+  let st = { src; toks = Array.of_list toks; pos = 0; last_stop = 0; no_comma = false } in
+  match parse_script_block st ~closing:None with
+  | sb ->
+      if at_end st then Ok sb
+      else Error { message = "unexpected trailing tokens"; position = cur_position st }
+  | exception Err e -> Error e
+  | exception Failure m -> Error { message = m; position = 0 }
+  | exception Invalid_argument m -> Error { message = m; position = 0 }
+
+let lex_error (e : Pslex.Lexer.error) =
+  { message = e.Pslex.Lexer.message; position = e.Pslex.Lexer.position }
+
 let parse src =
   match Pslex.Lexer.tokenize src with
-  | Error e -> Error { message = e.Pslex.Lexer.message; position = e.Pslex.Lexer.position }
-  | Ok toks -> (
-      let toks = prepare_tokens toks in
-      let st = { src; toks = Array.of_list toks; pos = 0; last_stop = 0; no_comma = false } in
-      match parse_script_block st ~closing:None with
-      | sb ->
-          if at_end st then Ok sb
-          else Error { message = "unexpected trailing tokens"; position = cur_position st }
-      | exception Err e -> Error e
-      | exception Failure m -> Error { message = m; position = 0 }
-      | exception Invalid_argument m -> Error { message = m; position = 0 })
+  | Error e -> Error (lex_error e)
+  | Ok toks -> parse_tokens src toks
+
+type parsed = { text : string; tokens : T.t list; ast : Psast.Ast.t }
+
+let parse_full src =
+  match Pslex.Lexer.tokenize src with
+  | Error e -> Error (lex_error e)
+  | Ok tokens -> (
+      match parse_tokens src tokens with
+      | Ok ast -> Ok { text = src; tokens; ast }
+      | Error _ as e -> e)
 
 let parse_exn src =
   match parse src with

@@ -21,7 +21,7 @@ type report = {
           deadline, stray exception) rather than finishing *)
 }
 
-let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) script =
+let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast script =
   let deadline = Pscommon.Guard.deadline_after timeout_s in
   let limits =
     { Pseval.Env.default_limits with Pseval.Env.max_steps; deadline }
@@ -33,7 +33,10 @@ let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) script =
       bindings = Pseval.Env.global_bindings env; error; failure }
   in
   match
-    Pscommon.Guard.protect ~deadline (fun () -> Pseval.Interp.run_script env script)
+    Pscommon.Guard.protect ~deadline (fun () ->
+        match ast with
+        | Some ast -> Pseval.Interp.run_parsed env ~src:script ast
+        | None -> Pseval.Interp.run_script env script)
   with
   | Ok (Ok output) -> { (report None None) with output }
   | Ok (Error msg) -> report (Some msg) None
@@ -80,8 +83,8 @@ let effect_log r =
   @ vars
   @ (match r.error with Some _ -> [ "error" ] | None -> [])
 
-let run_for_verify ?(max_steps = 400_000) ?(timeout_s = 5.0) script =
-  let r = run ~max_steps ~timeout_s script in
+let run_for_verify ?(max_steps = 400_000) ?(timeout_s = 5.0) ?ast script =
+  let r = run ~max_steps ~timeout_s ?ast script in
   match r.failure with
   | Some f -> Error (Pscommon.Guard.failure_to_string f)
   | None -> Ok (effect_log r)

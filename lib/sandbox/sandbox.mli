@@ -16,9 +16,12 @@ type report = {
           deadline, stray exception) rather than finishing *)
 }
 
-val run : ?max_steps:int -> ?timeout_s:float -> string -> report
+val run :
+  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t -> string -> report
 (** Never raises: execution is guarded, and a contained crash or overrun
-    keeps the events recorded up to that point. *)
+    keeps the events recorded up to that point.  [ast], when the caller
+    already holds the parse of the script, is run without parsing it
+    again ({!Pseval.Interp.run_parsed}). *)
 
 val effect_log : report -> string list
 (** Deterministic canonical effect log for semantic comparison:
@@ -30,11 +33,13 @@ val effect_log : report -> string list
     evaluation errored.  Script-block values canonicalise to
     ["<scriptblock>"] so renames inside emitted blocks don't register. *)
 
-val run_for_verify : ?max_steps:int -> ?timeout_s:float -> string -> (string list, string) result
+val run_for_verify :
+  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t -> string ->
+  (string list, string) result
 (** Run under a tight budget and return the {!effect_log}, or [Error
     reason] when the run was contained (deadline, step budget, crash) —
     the script is then unverifiable rather than comparable.  Defaults:
-    400k steps, 5s. *)
+    400k steps, 5s.  [ast] as in {!run}. *)
 
 val is_network_event : Pseval.Env.event -> bool
 

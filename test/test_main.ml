@@ -15,6 +15,7 @@ let () =
       ("obsplane", Test_obsplane.suite);
       ("parallel", Test_parallel.suite);
       ("piece-cache", Test_piece_cache.suite);
+      ("frontend", Test_frontend.suite);
       ("ops", Test_ops.suite);
       ("obfuscator", Test_obfuscator.suite);
       ("deobf", Test_deobf.suite);

@@ -410,17 +410,25 @@ let test_scrape_during_chaos_flood () =
               end
             in
             await 100;
-            (* scraper domain: poll /metrics concurrently with the flood *)
+            (* scraper domain: poll /metrics concurrently with the flood.
+               The flood starts only once the scraper is polling, so a
+               flood answered before the new domain got scheduled cannot
+               leave the scrape list empty. *)
             let stop_scraping = Atomic.make false in
+            let polling = Atomic.make false in
             let scraper =
               Domain.spawn (fun () ->
                   let acc = ref [] in
                   while not (Atomic.get stop_scraping) do
+                    Atomic.set polling true;
                     acc := http_get msock "/metrics" :: !acc;
                     Unix.sleepf 0.02
                   done;
                   !acc)
             in
+            while not (Atomic.get polling) do
+              Unix.sleepf 0.001
+            done;
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
             Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
             Unix.connect fd (Unix.ADDR_UNIX sock);

@@ -85,6 +85,96 @@ let test_cold_hit_promotes () =
   check_b "promoted entry survives the next flip" true
     (Cache.find c "a" = Some (Ok (Value.Int 1)))
 
+(* ---------- per-text fact tier ---------- *)
+
+(* a compute function that counts how often the tier had to ask it *)
+let counting () =
+  let calls = ref 0 in
+  (calls, fun text -> incr calls; String.length text mod 2 = 0)
+
+let test_fact_tier_generations_and_shrink () =
+  let c = Cache.create ~cap:8 () in
+  let calls, compute = counting () in
+  let ask i = ignore (Cache.fact c Cache.Trivial (Printf.sprintf "t%d" i) compute) in
+  for i = 1 to 6 do ask i done;
+  (* gen_cap = 4: t1..t4 flipped cold when t5 arrived *)
+  check_i "every text computed once" 6 !calls;
+  check_i "both generations held" 6 (Cache.fact_count c Cache.Trivial);
+  ask 1;
+  ask 6;
+  check_i "repeats answered from the tier" 6 !calls;
+  for i = 7 to 100 do ask i done;
+  check_b "flips bound the tier" true (Cache.fact_count c Cache.Trivial <= 8);
+  ask 2;
+  check_i "an evicted text is computed again" 101 !calls;
+  Cache.shrink c;
+  check_b "shrink drops the cold generation" true
+    (Cache.fact_count c Cache.Trivial <= 4);
+  ask 100;
+  check_i "the hot generation survives shrink" 101 !calls
+
+let test_fact_kinds_are_separate () =
+  let c = Cache.create () in
+  let calls, compute = counting () in
+  ignore (Cache.fact c Cache.Trivial "piece" compute);
+  ignore (Cache.fact c Cache.Blocked "piece" compute);
+  check_i "one text, two facts, two computations" 2 !calls;
+  check_i "trivial held" 1 (Cache.fact_count c Cache.Trivial);
+  check_i "blocked held" 1 (Cache.fact_count c Cache.Blocked)
+
+let blocklist_script =
+  "$u = 'http://' + 'example.com'\n\
+   $c = (New-Object Net.WebClient).DownloadString($u)\n\
+   Write-Host ('a' + 'b') ([char]72 + [char]105)"
+
+let test_blocklist_off_never_consults_tier () =
+  let run use_blocklist =
+    let cache = Cache.create () in
+    let options =
+      { Deobf.Engine.default_options with
+        recovery = { Deobf.Recover.default_options with use_blocklist } }
+    in
+    ignore (Deobf.Engine.run_guarded ~options ~cache blocklist_script);
+    cache
+  in
+  let on = run true and off = run false in
+  check_b "blocklist on: answers held" true
+    (Cache.fact_count on Cache.Blocked > 0);
+  check_i "blocklist off: never asked" 0 (Cache.fact_count off Cache.Blocked);
+  check_b "the literal test still uses the tier" true
+    (Cache.fact_count off Cache.Trivial > 0)
+
+let test_fact_tier_cache_off_byte_identical () =
+  (* results caching off still shares the per-text tier (like the program
+     tier); outputs and verdicts must not move either way *)
+  let no_cache =
+    { Deobf.Engine.default_options with
+      recovery = { Deobf.Recover.default_options with use_piece_cache = false } }
+  in
+  let c_on = Cache.create () and c_off = Cache.create () in
+  let samples =
+    Corpus.Generator.generate_dynamic ~seed:9 ~count:40
+    @ Corpus.Generator.generate_multilayer ~seed:9 ~count:20 ~min_depth:1
+        ~max_depth:3
+  in
+  List.iter
+    (fun (s : Corpus.Generator.sample) ->
+      let src = s.Corpus.Generator.obfuscated in
+      let o_on, out_on =
+        Deobf.Batch.run_source ~cache:c_on ~verify:true ~name:"on" src
+      in
+      let o_off, out_off =
+        Deobf.Batch.run_source ~options:no_cache ~cache:c_off ~verify:true
+          ~name:"off" src
+      in
+      check_s "cache on/off outputs byte-identical" out_on out_off;
+      check_b "same verdict" true
+        (o_on.Deobf.Batch.verdict = o_off.Deobf.Batch.verdict))
+    samples;
+  check_i "no results cached when off" 0 (Cache.stats c_off).Cache.entries;
+  check_b "the tier served the cache-off run" true
+    (Cache.fact_count c_off Cache.Trivial > 0)
+
 (* ---------- persistent tier ---------- *)
 
 let test_persistent_round_trip () =
@@ -253,6 +343,14 @@ let suite =
       test_two_generation_eviction;
     Alcotest.test_case "cold hits promote to the hot generation" `Quick
       test_cold_hit_promotes;
+    Alcotest.test_case "fact tier: generations and shrink bound it" `Quick
+      test_fact_tier_generations_and_shrink;
+    Alcotest.test_case "fact tier: facts are kept apart" `Quick
+      test_fact_kinds_are_separate;
+    Alcotest.test_case "fact tier: blocklist off never asks it" `Quick
+      test_blocklist_off_never_consults_tier;
+    Alcotest.test_case "fact tier: cache on/off byte-identical" `Quick
+      test_fact_tier_cache_off_byte_identical;
     Alcotest.test_case "persistent tier round-trips" `Quick
       test_persistent_round_trip;
     Alcotest.test_case "persistent corruption is a miss, never a crash" `Quick
