@@ -5,12 +5,16 @@
     pervasive in both the lexer and the deobfuscator. *)
 
 val lower : string -> string
-(** ASCII lowercase. *)
+(** ASCII lowercase.  Returns its argument, without allocating, when it
+    has no uppercase letter. *)
 
 val upper : string -> string
+(** ASCII uppercase.  Returns its argument when it has no lowercase
+    letter. *)
 
 val equal : string -> string -> bool
-(** Caseless equality. *)
+(** Caseless equality.  This and the comparisons below work in place: no
+    substring and no lowercased copy. *)
 
 val compare : string -> string -> int
 

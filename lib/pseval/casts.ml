@@ -20,7 +20,8 @@ let normalize_type name =
     else n
   in
   (* collapse internal whitespace in things like [char []] *)
-  String.concat "" (String.split_on_char ' ' n)
+  if String.contains n ' ' then String.concat "" (String.split_on_char ' ' n)
+  else n
 
 let to_string_array v =
   Value.Arr

@@ -459,8 +459,9 @@ and compile_unary src op operand =
 (* ---------- statement compilation ---------- *)
 
 and compile_stmts src stmts : Interp.ctx -> Value.t list =
-  let cs = List.map (compile_stmt src) stmts in
-  fun ctx -> List.concat_map (fun f -> f ctx) cs
+  match List.map (compile_stmt src) stmts with
+  | [ c ] -> c
+  | cs -> fun ctx -> List.concat_map (fun f -> f ctx) cs
 
 and compile_stmt src (t : A.t) : Interp.ctx -> Value.t list =
   match compile_stmt_spec src t with
@@ -522,13 +523,11 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
             | _ -> compile_expr src e)
           elems
       in
-      Some
-        (fun ctx ->
-          let rec run input = function
-            | [] -> input
-            | f :: rest -> run (Value.to_list (f ctx)) rest
-          in
-          run [] stages)
+      let rec run ctx input = function
+        | [] -> input
+        | f :: rest -> run ctx (Value.to_list (f ctx)) rest
+      in
+      Some (fun ctx -> run ctx [] stages)
   | A.Assignment (op, lhs, rhs) -> (
       let crhs = compile_stmt src rhs in
       let combined =
@@ -587,10 +586,11 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
           (try
              while Value.to_bool (Value.of_list (ccond ctx)) do
                Env.tick ctx.Interp.env;
-               try out := !out @ cbody ctx with Interp.Continue_exc -> ()
+               try Interp.collect out (cbody ctx)
+               with Interp.Continue_exc -> ()
              done
            with Interp.Break_exc -> ());
-          !out)
+          List.rev !out)
   | A.Do_while_stmt (body, cond) ->
       let cbody = compile_stmt src body and ccond = compile_stmt src cond in
       Some
@@ -600,11 +600,12 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
              let continue = ref true in
              while !continue do
                Env.tick ctx.Interp.env;
-               (try out := !out @ cbody ctx with Interp.Continue_exc -> ());
+               (try Interp.collect out (cbody ctx)
+                with Interp.Continue_exc -> ());
                continue := Value.to_bool (Value.of_list (ccond ctx))
              done
            with Interp.Break_exc -> ());
-          !out)
+          List.rev !out)
   | A.Do_until_stmt (body, cond) ->
       let cbody = compile_stmt src body and ccond = compile_stmt src cond in
       Some
@@ -614,11 +615,12 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
              let continue = ref true in
              while !continue do
                Env.tick ctx.Interp.env;
-               (try out := !out @ cbody ctx with Interp.Continue_exc -> ());
+               (try Interp.collect out (cbody ctx)
+                with Interp.Continue_exc -> ());
                continue := not (Value.to_bool (Value.of_list (ccond ctx)))
              done
            with Interp.Break_exc -> ());
-          !out)
+          List.rev !out)
   | A.For_stmt (init, cond, step, body) ->
       let cinit = Option.map (compile_stmt src) init in
       let ccond = Option.map (compile_stmt src) cond in
@@ -636,11 +638,12 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
              in
              while check () do
                Env.tick ctx.Interp.env;
-               (try out := !out @ cbody ctx with Interp.Continue_exc -> ());
+               (try Interp.collect out (cbody ctx)
+                with Interp.Continue_exc -> ());
                match cstep with Some s -> ignore (s ctx) | None -> ()
              done
            with Interp.Break_exc -> ());
-          !out)
+          List.rev !out)
   | A.Foreach_stmt (var, coll, body) -> (
       match var.A.node with
       | A.Variable_expr v ->
@@ -655,10 +658,11 @@ and compile_stmt_spec src (t : A.t) : (Interp.ctx -> Value.t list) option =
                    (fun item ->
                      Env.tick ctx.Interp.env;
                      Env.set_var ctx.Interp.env name item;
-                     try out := !out @ cbody ctx with Interp.Continue_exc -> ())
+                     try Interp.collect out (cbody ctx)
+                     with Interp.Continue_exc -> ())
                    items
                with Interp.Break_exc -> ());
-              !out)
+              List.rev !out)
       | _ -> None)
   | A.Function_def (name, params, body) ->
       let fn = { Env.fn_params = params; fn_body = body } in

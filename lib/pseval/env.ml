@@ -244,6 +244,16 @@ let rec lookup_in scopes key =
       | Some v -> Some v
       | None -> lookup_in rest key)
 
+(* update [key] in the innermost scope that binds it; false when none does *)
+let rec assign_existing key value = function
+  | [] -> false
+  | s :: rest ->
+      if Hashtbl.mem s.table key then begin
+        Hashtbl.replace s.table key value;
+        true
+      end
+      else assign_existing key value rest
+
 let get_var env name =
   match split_drive name with
   | Some ("env", rest) -> (
@@ -272,17 +282,10 @@ let set_var env name value =
       let key = Strcase.lower name in
       (* PowerShell assignment updates an existing visible variable, or
          creates it in the current scope *)
-      let rec find_scope = function
-        | [] -> None
-        | s :: rest ->
-            if Hashtbl.mem s.table key then Some s else find_scope rest
-      in
-      match find_scope env.scopes with
-      | Some s -> Hashtbl.replace s.table key value
-      | None -> (
-          match env.scopes with
-          | s :: _ -> Hashtbl.replace s.table key value
-          | [] -> assert false))
+      if not (assign_existing key value env.scopes) then
+        match env.scopes with
+        | s :: _ -> Hashtbl.replace s.table key value
+        | [] -> assert false)
 
 let push_scope env = env.scopes <- new_scope () :: env.scopes
 

@@ -39,6 +39,11 @@ let note_write ctx ?rhs ?(also_reads = []) ~extent name =
 (* pipeline-boundary enumeration: arrays stream element-wise *)
 let enumerate v = Value.to_list v
 
+(* Loops gather their output reversed, one [rev_append] per iteration, and
+   reverse it once at the end: appending each iteration's output to the
+   total so far would be quadratic in the number of iterations. *)
+let collect out chunk = out := List.rev_append chunk !out
+
 (* ---------- expressions ---------- *)
 
 (* every expression result passes one O(1) size check: string concat, -join,
@@ -333,21 +338,25 @@ and invoke_function ctx (fn : Env.fn) args ~input =
       if process_blocks <> [] then begin
         try
           let out = ref [] in
-          List.iter (fun b -> out := !out @ eval_statement ctx b) (named "begin");
+          let run b = collect out (eval_statement ctx b) in
+          List.iter run (named "begin");
           List.iter
             (fun item ->
               Env.set_var ctx.env "_" item;
-              List.iter (fun b -> out := !out @ eval_statement ctx b) process_blocks)
+              List.iter run process_blocks)
             input;
-          List.iter (fun b -> out := !out @ eval_statement ctx b) (named "end");
-          !out
+          List.iter run (named "end");
+          List.rev !out
         with Return_exc out -> out
       end
       else try eval_statements ctx body_stmts with Return_exc out -> out)
 
 (* ---------- statements ---------- *)
 
-and eval_statements ctx stmts = List.concat_map (eval_statement ctx) stmts
+and eval_statements ctx stmts =
+  match stmts with
+  | [ stmt ] -> eval_statement ctx stmt
+  | stmts -> List.concat_map (eval_statement ctx) stmts
 
 and bind_param_defaults ctx names =
   List.iter
@@ -391,33 +400,33 @@ and eval_statement ctx (t : A.t) : Value.t list =
       (try
          while Value.to_bool (Value.of_list (eval_statement ctx cond)) do
            Env.tick ctx.env;
-           try out := !out @ eval_statement ctx body
+           try collect out (eval_statement ctx body)
            with Continue_exc -> ()
          done
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.Do_while_stmt (body, cond) ->
       let out = ref [] in
       (try
          let continue = ref true in
          while !continue do
            Env.tick ctx.env;
-           (try out := !out @ eval_statement ctx body with Continue_exc -> ());
+           (try collect out (eval_statement ctx body) with Continue_exc -> ());
            continue := Value.to_bool (Value.of_list (eval_statement ctx cond))
          done
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.Do_until_stmt (body, cond) ->
       let out = ref [] in
       (try
          let continue = ref true in
          while !continue do
            Env.tick ctx.env;
-           (try out := !out @ eval_statement ctx body with Continue_exc -> ());
+           (try collect out (eval_statement ctx body) with Continue_exc -> ());
            continue := not (Value.to_bool (Value.of_list (eval_statement ctx cond)))
          done
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.For_stmt (init, cond, step, body) ->
       (match init with Some s -> ignore (eval_statement ctx s) | None -> ());
       let out = ref [] in
@@ -429,11 +438,11 @@ and eval_statement ctx (t : A.t) : Value.t list =
          in
          while check () do
            Env.tick ctx.env;
-           (try out := !out @ eval_statement ctx body with Continue_exc -> ());
+           (try collect out (eval_statement ctx body) with Continue_exc -> ());
            match step with Some s -> ignore (eval_statement ctx s) | None -> ()
          done
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.Foreach_stmt (var, coll, body) ->
       let items = enumerate (Value.of_list (eval_statement ctx coll)) in
       let var_name =
@@ -448,10 +457,10 @@ and eval_statement ctx (t : A.t) : Value.t list =
              Env.tick ctx.env;
              Env.set_var ctx.env var_name item;
              note_write ctx ~rhs:coll ~extent:var.A.extent var_name;
-             try out := !out @ eval_statement ctx body with Continue_exc -> ())
+             try collect out (eval_statement ctx body) with Continue_exc -> ())
            items
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.Switch_stmt (value, cases, default) ->
       let subjects = enumerate (Value.of_list (eval_statement ctx value)) in
       let out = ref [] in
@@ -476,17 +485,17 @@ and eval_statement ctx (t : A.t) : Value.t list =
                  in
                  if hit then begin
                    matched := true;
-                   try out := !out @ eval_statement ctx body with Continue_exc -> ()
+                   try collect out (eval_statement ctx body) with Continue_exc -> ()
                  end)
                cases;
              if not !matched then
                match default with
                | Some body -> (
-                   try out := !out @ eval_statement ctx body with Continue_exc -> ())
+                   try collect out (eval_statement ctx body) with Continue_exc -> ())
                | None -> ())
            subjects
        with Break_exc -> ());
-      !out
+      List.rev !out
   | A.Function_def (name, params, body) ->
       Env.define_function ctx.env name { Env.fn_params = params; fn_body = body };
       []
@@ -616,18 +625,20 @@ and eval_assignment ctx op lhs rhs =
 (* ---------- pipelines & commands ---------- *)
 
 and eval_pipeline ctx elems =
-  let rec run input = function
-    | [] -> input
-    | elem :: rest ->
-        let output =
-          match elem.A.node with
-          | A.Command cmd -> run_command ctx cmd ~input
-          | A.Command_expression e -> enumerate (eval_expr ctx e)
-          | _ -> enumerate (eval_expr ctx elem)
-        in
-        run output rest
-  in
-  run [] elems
+  match elems with
+  | [ { A.node = A.Command_expression e; _ } ] -> enumerate (eval_expr ctx e)
+  | elems -> run_stages ctx [] elems
+
+and run_stages ctx input = function
+  | [] -> input
+  | elem :: rest ->
+      let output =
+        match elem.A.node with
+        | A.Command cmd -> run_command ctx cmd ~input
+        | A.Command_expression e -> enumerate (eval_expr ctx e)
+        | _ -> enumerate (eval_expr ctx elem)
+      in
+      run_stages ctx output rest
 
 and run_command ctx (cmd : A.command) ~input =
   (* evaluate elements *)
@@ -850,12 +861,15 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
       | Some b -> (
           match b with
           | Value.Script_block sb ->
-              List.concat_map
+              let run_block = block_runner ctx sb in
+              let out = ref [] in
+              List.iter
                 (fun item ->
                   Env.tick env;
                   Env.set_var env "_" item;
-                  invoke_script_block_no_scope ctx sb ~input:[ item ])
-                input
+                  collect out (run_block item))
+                input;
+              List.rev !out
           | member ->
               (* ForEach-Object membername *)
               let mname = Value.to_string member in
@@ -871,12 +885,12 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
   | "where-object" -> (
       match positional () with
       | [ Value.Script_block sb ] ->
+          let run_block = block_runner ctx sb in
           List.filter
             (fun item ->
               Env.tick env;
               Env.set_var env "_" item;
-              Value.to_bool
-                (Value.of_list (invoke_script_block_no_scope ctx sb ~input:[ item ])))
+              Value.to_bool (Value.of_list (run_block item)))
             input
       | _ -> input)
   | "select-object" -> (
@@ -1117,12 +1131,15 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
       []
 
 (* ForEach-Object / Where-Object run their blocks in the CALLER's scope in
-   PowerShell ($_ and assignments leak); no new scope here. *)
-and invoke_script_block_no_scope ctx (sb : Value.sb) ~input =
+   PowerShell ($_ and assignments leak); no new scope here.  The block's
+   context and statements are resolved once per pipeline; each item then
+   binds [$input] to a fresh one-element array and runs them. *)
+and block_runner ctx (sb : Value.sb) =
   let inner_ctx = { ctx with src = sb.Value.sb_text } in
-  Env.set_var ctx.env "input" (Value.Arr (Array.of_list input));
-  try eval_statements inner_ctx sb.Value.sb_ast.A.sb_statements
-  with Return_exc out -> out
+  let stmts = sb.Value.sb_ast.A.sb_statements in
+  fun item ->
+    Env.set_var ctx.env "input" (Value.Arr [| item |]);
+    try eval_statements inner_ctx stmts with Return_exc out -> out
 
 and construct_object ctx type_name args =
   let t = Casts.normalize_type type_name in

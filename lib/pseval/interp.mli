@@ -50,6 +50,11 @@ val read_variable : ctx -> string -> Psvalue.Value.t
 (** [$name] read with the automatic-variable special cases ([$args],
     [$input], [$ofs]) and mode-dependent undefined-variable behavior. *)
 
+val collect : Psvalue.Value.t list ref -> Psvalue.Value.t list -> unit
+(** Add one loop iteration's output to a reversed accumulator; the loop
+    returns [List.rev] of it, so gathering stays linear in the number of
+    iterations. *)
+
 val invoke_script_block :
   ctx -> Psvalue.Value.sb -> Psvalue.Value.t list -> input:Psvalue.Value.t list ->
   Psvalue.Value.t list

@@ -164,55 +164,35 @@ let replace_op sensitivity a b =
 
 let split_op sensitivity a b =
   let case_sensitive = sensitivity = Some true in
-  (* '-split pattern,count' limits the number of pieces *)
-  let pattern, max_count =
+  (* '-split pattern,count' limits the number of pieces; the last piece is
+     the rest of the subject, separators and all *)
+  let pattern, limit =
     match b with
     | Value.Arr (arr : Value.t array) when Array.length arr >= 2 ->
-        (Value.to_string arr.(0), Some (Value.to_int arr.(1)))
-    | Value.Arr arr when Array.length arr > 0 -> (Value.to_string arr.(0), None)
-    | v -> (Value.to_string v, None)
+        (Value.to_string arr.(0), Value.to_int arr.(1))
+    | Value.Arr arr when Array.length arr > 0 -> (Value.to_string arr.(0), 0)
+    | v -> (Value.to_string v, 0)
   in
   let r = compile_regex ~case_sensitive pattern in
+  let split_one v = Regexen.Regex.split ~limit r (Value.to_string v) in
   (* applied to an array, -split splits each element and flattens — chained
      splits ('x' -split 'a' -split 'b') rely on this *)
-  let subjects =
+  let per_subject =
     match a with
-    | Value.Arr xs -> List.map Value.to_string (Array.to_list xs)
-    | v -> [ Value.to_string v ]
+    | Value.Arr xs -> Array.map split_one xs
+    | v -> [| split_one v |]
   in
-  let split_one subject =
-    let parts = Regexen.Regex.split r subject in
-    match max_count with
-    | Some n when n > 0 && List.length parts > n ->
-        (* keep n pieces: the last one swallows the remaining separators *)
-        let rec take i = function
-          | [] -> ([], [])
-          | x :: rest ->
-              if i = 1 then ([], x :: rest)
-              else
-                let first, leftover = take (i - 1) rest in
-                (x :: first, leftover)
-        in
-        let first, leftover = take n parts in
-        (* re-split the original to recover the tail verbatim is regex-hard;
-           join leftovers with the literal pattern when it has no
-           metacharacters, else with empty string *)
-        let sep =
-          if String.for_all (fun c -> match c with
-              | 'a'..'z' | 'A'..'Z' | '0'..'9' | ' ' | ',' | '~' | ':' | ';'
-              | '-' | '_' -> true
-              | _ -> false) pattern
-          then pattern
-          else ""
-        in
-        first @ [ String.concat sep leftover ]
-    | _ -> parts
+  let total =
+    Array.fold_left (fun n parts -> n + List.length parts) 0 per_subject
   in
-  Value.Arr
-    (Array.of_list
-       (List.concat_map
-          (fun subject -> List.map (fun s -> Value.Str s) (split_one subject))
-          subjects))
+  let out = Array.make total Value.Null in
+  let i = ref 0 in
+  Array.iter
+    (List.iter (fun s ->
+         out.(!i) <- Value.Str s;
+         incr i))
+    per_subject;
+  Value.Arr out
 
 let unary_split a =
   (* unary -split: split on runs of whitespace, dropping empties *)
@@ -228,8 +208,22 @@ let unary_split a =
 
 let join_op a b =
   let sep = Value.to_string b in
-  let parts = List.map Value.to_string (Value.to_list a) in
-  Value.Str (String.concat sep parts)
+  match a with
+  | Value.Arr xs ->
+      (* straight from the array into one buffer: characters are appended
+         as characters, not as one-character strings *)
+      let buf = Buffer.create (Array.length xs * (1 + String.length sep)) in
+      Array.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string buf sep;
+          match x with
+          | Value.Char c -> Buffer.add_char buf c
+          | Value.Str s -> Buffer.add_string buf s
+          | x -> Buffer.add_string buf (Value.to_string x))
+        xs;
+      Value.Str (Buffer.contents buf)
+  | Value.Null -> Value.Str ""
+  | v -> Value.Str (Value.to_string v)
 
 let unary_join a = join_op a (Value.Str "")
 

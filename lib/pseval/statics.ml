@@ -79,13 +79,16 @@ let to_int_radix s radix =
     | _ -> fail "invalid digit %C" c
   in
   if s = "" then fail "empty number string"
-  else
-    String.fold_left
-      (fun acc c ->
-        let d = digit c in
-        if d >= radix then fail "digit %C out of range for base %d" c radix
-        else (acc * radix) + d)
-      0 s
+  else begin
+    let acc = ref 0 in
+    for i = 0 to String.length s - 1 do
+      let c = s.[i] in
+      let d = digit c in
+      if d >= radix then fail "digit %C out of range for base %d" c radix;
+      acc := (!acc * radix) + d
+    done;
+    !acc
+  end
 
 let to_string_radix n radix =
   if n = 0 then "0"

@@ -18,7 +18,14 @@ type node =
   | NotWordBoundary
   | Backref of int
 
-type t = { node : node; group_count : int; case_insensitive : bool }
+type t = {
+  node : node;
+  group_count : int;
+  case_insensitive : bool;
+  literal : string option;
+      (** the pattern is a plain character sequence (no groups, classes,
+          anchors or quantifiers): matched by a direct scan, not [exec] *)
+}
 
 (* ---------- parser ---------- *)
 
@@ -264,7 +271,17 @@ let compile ?(case_insensitive = true) pat =
   let node = parse_alt st in
   if st.pos <> String.length pat then
     raise (Parse_error (Printf.sprintf "unexpected %C at %d" pat.[st.pos] st.pos));
-  { node; group_count = st.groups; case_insensitive }
+  let literal =
+    match node with
+    | Char c -> Some (String.make 1 c)
+    | Seq nodes
+      when List.for_all (function Char _ -> true | _ -> false) nodes ->
+        Some
+          (String.concat ""
+             (List.map (function Char c -> String.make 1 c | _ -> "") nodes))
+    | _ -> None
+  in
+  { node; group_count = st.groups; case_insensitive; literal }
 
 let compile_opt ?case_insensitive pat =
   match compile ?case_insensitive pat with
@@ -386,10 +403,37 @@ let exec t subject start_pos =
       }
   else None
 
+(* ---------- literal scan ---------- *)
+
+(* A literal pattern matches at [pos] exactly when [exec] would: [exec]
+   walks the same [Char] nodes with the same [char_eq], and a literal
+   can neither backtrack nor exhaust the step budget.  The scans below
+   therefore find the same matches without the per-position group arrays,
+   continuation closures and match records. *)
+let rec literal_at ci lit subject pos i len =
+  i = len
+  || char_eq ci (String.unsafe_get lit i) (String.unsafe_get subject (pos + i))
+     && literal_at ci lit subject pos (i + 1) len
+
+(* offset of the first match at or after [pos], or -1 *)
+let rec literal_index ci lit subject pos =
+  if pos + String.length lit > String.length subject then -1
+  else if literal_at ci lit subject pos 0 (String.length lit) then pos
+  else literal_index ci lit subject (pos + 1)
+
+let literal_match start len =
+  { m_start = start; m_stop = start + len;
+    groups = [| { g_start = start; g_stop = start + len } |] }
+
 let find ?(start = 0) t subject =
-  let n = String.length subject in
-  let rec scan pos = if pos > n then None else match exec t subject pos with Some m -> Some m | None -> scan (pos + 1) in
-  scan (max 0 start)
+  match t.literal with
+  | Some lit ->
+      let i = literal_index t.case_insensitive lit subject (max 0 start) in
+      if i < 0 then None else Some (literal_match i (String.length lit))
+  | None ->
+      let n = String.length subject in
+      let rec scan pos = if pos > n then None else match exec t subject pos with Some m -> Some m | None -> scan (pos + 1) in
+      scan (max 0 start)
 
 let find_all t subject =
   let n = String.length subject in
@@ -478,13 +522,34 @@ let replace_f t ~f subject =
 let replace t ~template subject =
   replace_f t ~f:(fun subj m -> expand_template subj m template) subject
 
-let split t subject =
-  let matches = find_all t subject in
-  let rec loop pos = function
-    | [] -> [ String.sub subject pos (String.length subject - pos) ]
-    | m :: rest -> String.sub subject pos (m.m_start - pos) :: loop m.m_stop rest
+(* The fields between the matches [find_all] would return.  With [limit] =
+   k > 0, at most k fields: after k - 1 separators the rest of the subject
+   is the last field, verbatim. *)
+let split ?(limit = 0) t subject =
+  let n = String.length subject in
+  let field pos stop acc = String.sub subject pos (stop - pos) :: acc in
+  (* [pos]: start of the current field; [search]: where the next match may
+     start, one past an empty match *)
+  let rec loop fields pos search acc =
+    if fields = limit - 1 || search > n then field pos n acc
+    else
+      match t.literal with
+      | Some lit ->
+          let i = literal_index t.case_insensitive lit subject search in
+          if i < 0 then field pos n acc
+          else
+            let stop = i + String.length lit in
+            loop (fields + 1) stop stop (field pos i acc)
+      | None -> (
+          match find ~start:search t subject with
+          | None -> field pos n acc
+          | Some m ->
+              let search =
+                if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop
+              in
+              loop (fields + 1) m.m_stop search (field pos m.m_start acc))
   in
-  loop 0 matches
+  List.rev (loop 0 0 0 [])
 
 let quote s =
   let buf = Buffer.create (String.length s) in

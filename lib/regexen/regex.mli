@@ -11,7 +11,14 @@
     negation, escapes ([\d \D \w \W \s \S \n \r \t \xHH] and escaped
     metacharacters), alternation, capturing groups, non-capturing groups
     [(?:...)], greedy and lazy quantifiers ([* + ? {n} {n,} {n,m}]),
-    anchors [^ $ \b \B], and backreferences [\1]–[\9]. *)
+    anchors [^ $ \b \B], and backreferences [\1]–[\9].
+
+    A pattern made only of plain characters (escaped metacharacters such
+    as [\.] included) is a {e literal}: every search ({!find} and all the
+    functions built on it) scans for it directly, with the same caseless
+    character comparison, instead of running the backtracking matcher at
+    each offset.  The choice is made from the pattern alone and gives the
+    same matches. *)
 
 type t
 
@@ -52,9 +59,11 @@ val replace : t -> template:string -> string -> string
 val replace_f : t -> f:(string -> match_result -> string) -> string -> string
 (** Replace every match with the result of [f subject m]. *)
 
-val split : t -> string -> string list
+val split : ?limit:int -> t -> string -> string list
 (** Split on every match, like .NET [Regex.Split] (no captured separators;
-    adjacent matches yield empty fields). *)
+    adjacent matches yield empty fields).  With [limit] = k > 0 at most k
+    fields come back: the last one is the rest of the subject after the
+    (k-1)-th match, verbatim. *)
 
 val quote : string -> string
 (** Escape a literal so it matches itself. *)

@@ -126,8 +126,27 @@ let test_type_matches () =
   check_b "string" true (Ops.type_matches "System.String" (str "x"));
   check_b "mismatch" false (Ops.type_matches "int" (str "x"))
 
+let split_with_count subject pattern n =
+  match Ops.split_op None (str subject) (arr [ str pattern; int n ]) with
+  | Value.Arr parts -> List.map Value.to_string (Array.to_list parts)
+  | v -> [ Value.to_string v ]
+
+let test_split_count_tail () =
+  let check_l = Alcotest.(check (list string)) in
+  (* the last piece is the rest of the subject, verbatim: its separators
+     keep their own spelling and case *)
+  check_l "regex separator run" [ "a"; "b  c" ]
+    (split_with_count "a b  c" {|\s+|} 2);
+  check_l "caseless literal" [ "a"; "bXc" ] (split_with_count "axbXc" "x" 2);
+  check_l "count 1 is the whole subject" [ "a,b" ] (split_with_count "a,b" "," 1);
+  check_l "count above the field count" [ "a"; "b" ]
+    (split_with_count "a,b" "," 5);
+  check_l "count 0 is unlimited" [ "a"; "b"; "c" ]
+    (split_with_count "a,b,c" "," 0)
+
 let suite =
   [
+    ("split count tail", `Quick, test_split_count_tail);
     ("add coercions", `Quick, test_add_coercions);
     ("multiply", `Quick, test_multiply);
     ("divide kinds", `Quick, test_divide_kinds);

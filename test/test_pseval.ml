@@ -153,6 +153,14 @@ let test_pipeline_foreach () =
     (eval_str "('99,115,116' -split ',' | ForEach-Object { [char][int]$_ }) -join ''");
   check_s "percent alias" "246" (eval_str "(1,2,3 | % { $_ * 2 }) -join ''");
   check_s "where-object" "13" (eval_str "(1,2,3 | Where-Object { $_ -ne 2 }) -join ''");
+  (* each item gets its own one-element $input, even when a block
+     rewrites it *)
+  check_s "foreach-object $input" "1x,2x"
+    (eval_str "(1,2 | ForEach-Object { $r = $input[0]; $input[0] = 'x'; \"$r$($input[0])\" }) -join ','");
+  check_s "where-object $input" "3"
+    (eval_str "(1,2,3 | Where-Object { $input[0] -gt 2 }) -join ''");
+  check_s "foreach-object return" "12"
+    (eval_str "(1,2 | ForEach-Object { return $_; 'skipped' }) -join ''");
   check_i "select first" 2 (eval_int "(1,2,3 | Select-Object -First 2).Length";);
   check_s "sort" "123" (eval_str "(3,1,2 | Sort-Object) -join ''")
 
@@ -261,8 +269,116 @@ let test_url_decode_statics () =
   check_s "escape roundtrip" "x&y"
     (eval_str "[uri]::UnescapeDataString([uri]::EscapeDataString('x&y'))")
 
+(* ---------- per-element evaluation cost ---------- *)
+
+(* The L3 decoder loops, (codes -split ',' | ForEach-Object { conv }) -join
+   '', dominate piece recovery and the verify sandbox on encoded samples.
+   Their step counts are part of the evaluator's contract (budgets and the
+   recovery telemetry observe them); their allocation is what the
+   per-element cost comes down to. *)
+
+let decoder_shapes =
+  (* name, radix, per-item conversion, steps at 2 000 elements *)
+  [ ("ascii", Encoding.Digits.Decimal, "[char][int]$_", 10_012);
+    ("hex", Encoding.Digits.Hex, "[char][convert]::ToInt32($_,16)", 12_012);
+    ("binary", Encoding.Digits.Binary, "[char][convert]::ToInt32($_,2)", 12_012);
+    ("bxor", Encoding.Digits.Decimal, "[char]($_ -bxor '0x2A')", 16_012) ]
+
+let decoder_payload n = String.init n (fun i -> Char.chr (32 + (i * 7 mod 90)))
+
+let decoder_source name radix conv n =
+  let plain = decoder_payload n in
+  let encoded =
+    if name = "bxor" then String.map (fun c -> Char.chr (Char.code c lxor 0x2A)) plain
+    else plain
+  in
+  let codes = String.concat "," (Encoding.Digits.encode_codes radix encoded) in
+  Printf.sprintf "(('%s' -split ',' | ForEach-Object { %s }) -join '')" codes conv
+
+(* minor words and steps of one run, the parse outside the window *)
+let measured run =
+  let env = Pseval.Env.create () in
+  let before = Gc.minor_words () in
+  let result = run env in
+  let words = Gc.minor_words () -. before in
+  (result, env.Pseval.Env.steps, words)
+
+let test_decoder_element_cost () =
+  let n = 2000 in
+  List.iter
+    (fun (name, radix, conv, steps) ->
+      let src = decoder_source name radix conv n in
+      let ast =
+        match Psparse.Parser.parse src with
+        | Ok ast -> ast
+        | Error _ -> Alcotest.fail ("parse " ^ name)
+      in
+      let prog = Pseval.Compile.compile src in
+      let runs =
+        [ ("walked", fun env ->
+              Result.map Value.of_list (Pseval.Interp.run_parsed env ~src ast));
+          ("compiled", fun env -> Pseval.Compile.run env prog) ]
+      in
+      List.iter
+        (fun (how, run) ->
+          let label = Printf.sprintf "%s %s" name how in
+          let result, used, words = measured run in
+          (match result with
+          | Ok v -> check_s (label ^ " decodes") (decoder_payload n) (Value.to_string v)
+          | Error msg -> Alcotest.fail (label ^ ": " ^ msg));
+          check_i (label ^ " steps") steps used;
+          let per_element = words /. float_of_int n in
+          check_b
+            (Printf.sprintf "%s allocates %.1f minor words per element" label
+               per_element)
+            true (per_element <= 100.0))
+        runs)
+    decoder_shapes
+
+let test_lower_folded_allocates_nothing () =
+  let s = "already-lowercase $name" in
+  ignore (Pscommon.Strcase.lower s);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Pscommon.Strcase.lower s))
+  done;
+  let words = Gc.minor_words () -. before in
+  check_b (Printf.sprintf "allocated %.0f minor words" words) true (words = 0.0)
+
+let test_loop_output_linear () =
+  (* a loop's output is gathered in linear time: each iteration's words
+     stay flat however many iterations came before *)
+  let n = 16_000 in
+  let src = Printf.sprintf "-join (foreach ($i in 1..%d) { [char](65 + $i %% 26) })" n in
+  let expected = String.init n (fun k -> Char.chr (65 + ((k + 1) mod 26))) in
+  let ast =
+    match Psparse.Parser.parse src with
+    | Ok ast -> ast
+    | Error _ -> Alcotest.fail "parse"
+  in
+  let prog = Pseval.Compile.compile src in
+  List.iter
+    (fun (how, run) ->
+      let result, used, words = measured run in
+      (match result with
+      | Ok v -> check_s (how ^ " value") expected (Value.to_string v)
+      | Error msg -> Alcotest.fail (how ^ ": " ^ msg));
+      check_i (how ^ " steps") 176_009 used;
+      let per_iteration = words /. float_of_int n in
+      check_b
+        (Printf.sprintf "%s allocates %.0f minor words per iteration" how
+           per_iteration)
+        true (per_iteration <= 200.0))
+    [ ("walked", fun env ->
+          Result.map Value.of_list (Pseval.Interp.run_parsed env ~src ast));
+      ("compiled", fun env -> Pseval.Compile.run env prog) ]
+
 let suite =
   [
+    ("decoder per-element cost", `Quick, test_decoder_element_cost);
+    ("lower of folded text allocates nothing", `Quick,
+      test_lower_folded_allocates_nothing);
+    ("loop output is linear", `Quick, test_loop_output_linear);
     ("concat coercions", `Quick, test_concat);
     ("arithmetic", `Quick, test_arithmetic);
     ("hex string conversion", `Quick, test_hex_string_conversion);

@@ -138,6 +138,40 @@ let prop_split_rejoin =
       let parts = Regex.split (Regex.compile ",") s in
       String.concat "" parts = String.concat "" (String.split_on_char ',' s))
 
+(* Differential check of the literal scan: a pattern made only of plain
+   characters takes the direct scan; wrapped as [(?:…)] the same pattern
+   takes the backtracking matcher.  Every entry point must agree. *)
+let literal_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 1 4)
+         (oneofl [ ","; "-"; "~"; ":"; "\t"; "\\t"; "a"; "B"; "x"; "\\." ])))
+
+let subject_gen =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ ','; '-'; '~'; ':'; '\t'; 'a'; 'A'; 'b'; 'B'; 'x'; 'X'; '.' ])
+      (int_range 0 30))
+
+let prop_literal_scan_matches_backtracker =
+  QCheck.Test.make ~name:"regex: literal scan = backtracking matcher" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (p, s, ci, t, k) ->
+          Printf.sprintf "pattern %S subject %S ci=%b template %S limit %d" p s ci t k)
+        Gen.(
+          tup5 literal_gen subject_gen bool
+            (oneofl [ ""; "_"; "<$&>"; "$$"; "[$1]"; "${0}" ])
+            (int_range 0 4)))
+    (fun (pat, subject, case_insensitive, template, limit) ->
+      let lit = Regex.compile ~case_insensitive pat in
+      let gen = Regex.compile ~case_insensitive ("(?:" ^ pat ^ ")") in
+      Regex.find lit subject = Regex.find gen subject
+      && Regex.find ~start:limit lit subject = Regex.find ~start:limit gen subject
+      && Regex.find_all lit subject = Regex.find_all gen subject
+      && Regex.split lit subject = Regex.split gen subject
+      && Regex.split ~limit lit subject = Regex.split ~limit gen subject
+      && Regex.replace lit ~template subject = Regex.replace gen ~template subject)
+
 let suite =
   [
     ("literals", `Quick, test_literals);
@@ -157,4 +191,5 @@ let suite =
     ("baseline patterns", `Quick, test_baseline_patterns);
     QCheck_alcotest.to_alcotest prop_quote_always_matches_self;
     QCheck_alcotest.to_alcotest prop_split_rejoin;
+    QCheck_alcotest.to_alcotest prop_literal_scan_matches_backtracker;
   ]

@@ -126,8 +126,11 @@ let status_of line =
 let piece_script = "$x = 'he' + 'llo'; Invoke-Expression ('Write-Output ' + $x)"
 
 (* a wall-clock bomb: an infinite loop the interpreter can only contain by
-   deadline — exercises per-request budget isolation *)
+   deadline — exercises per-request budget isolation.  The daemon serving
+   it runs with [bomb_options]: at the default piece step budget the loop
+   runs out of steps within milliseconds, before any deadline *)
 let bomb_script = "$x = $(while (1 -lt 2) { 1 }; 'done')"
+let bomb_options = Test_guard.bomb_options
 
 (* ---------- round trips ---------- *)
 
@@ -193,7 +196,8 @@ let test_malformed_and_unknown () =
 let test_overload_shed () =
   with_server "shed"
     (fun bind ->
-      { (Serve.default_config bind) with Serve.jobs = 1; queue_cap = 2 })
+      { (Serve.default_config bind) with
+        Serve.jobs = 1; queue_cap = 2; options = bomb_options })
     (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -237,7 +241,9 @@ let test_overload_shed () =
 
 let test_deadline_isolation () =
   with_server "deadline"
-    (fun bind -> { (Serve.default_config bind) with Serve.jobs = 2 })
+    (fun bind ->
+      { (Serve.default_config bind) with
+        Serve.jobs = 2; options = bomb_options })
     (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -318,7 +324,8 @@ let test_drain_finishes_inflight () =
   with_temp_dir "drain" @@ fun dir ->
   let sock = Filename.concat dir "d.sock" in
   let cfg =
-    { (Serve.default_config (Serve.Unix_sock sock)) with Serve.jobs = 1 }
+    { (Serve.default_config (Serve.Unix_sock sock)) with
+      Serve.jobs = 1; options = bomb_options }
   in
   match Serve.start cfg with
   | Error e -> Alcotest.failf "start: %s" e
