@@ -1019,10 +1019,13 @@ let run_provenance () =
    Request latency quantiles (p50/p99) come from the daemon's own
    [serve.request_ms] log2 histogram via {!Telemetry.Metrics.quantile}.
    A seeded chaos flood then hits the socket edges ([serve.*] at 10%) with
-   2x queue-capacity load and reports the shed rate.  Fails loudly when
-   the warm daemon is slower than the cold batch (the warm cache and
-   amortized startup are the daemon's whole pitch), when any flood request
-   goes unanswered, or when the drain does not exit 0. *)
+   2x queue-capacity load of loop bombs and reports the shed rate.  Batch
+   and daemon run with a piece step budget only the wall clock can
+   exhaust, so an admitted bomb holds its worker until its deadline.
+   Fails loudly when the warm daemon is slower than the cold batch (the
+   warm cache and amortized startup are the daemon's whole pitch), when
+   any flood request goes unanswered, when no admitted flood request
+   reaches its deadline, or when the drain does not exit 0. *)
 let run_serve () =
   line ();
   let module Guard = Pscommon.Guard in
@@ -1043,10 +1046,19 @@ let run_serve () =
   in
   Printf.printf "service mode: %d samples (seed %d), cold batch vs daemon\n"
     count seed;
+  (* a piece step budget only the wall clock can exhaust, so the flood's
+     loop bomb holds a worker until its request deadline *)
+  let options =
+    { Deobf.Engine.default_options with
+      recovery =
+        { Deobf.Recover.default_options with
+          piece_step_budget = 1_000_000_000;
+          piece_timeout_s = 60.0 } }
+  in
   (* (a) cold batch: one-shot pipeline, fresh caches *)
   let t0 = Guard.now () in
   let _ =
-    Deobf.Batch.run_files ~timeout_s:30.0
+    Deobf.Batch.run_files ~options ~timeout_s:30.0
       ~out_dir:(Filename.concat dir "out_batch") ~jobs:1 files
   in
   let wall_batch = Guard.now () -. t0 in
@@ -1059,6 +1071,7 @@ let run_serve () =
       (Deobf.Serve.default_config (Deobf.Serve.Unix_sock sock)) with
       Deobf.Serve.jobs = 1;
       queue_cap;
+      options;
     }
   in
   let server =
@@ -1177,6 +1190,17 @@ let run_serve () =
          flood_lines)
   in
   let shed_rate = float_of_int shed /. float_of_int flood_n in
+  (* admitted bombs end at their deadline: degraded, or a timeout error *)
+  let deadlined =
+    List.length
+      (List.filter
+         (fun l ->
+           match Deobf.Jsonl.string_field l "status" with
+           | Some "degraded" -> true
+           | Some "error" -> Deobf.Jsonl.string_field l "kind" = Some "timeout"
+           | _ -> false)
+         flood_lines)
+  in
   (* the daemon must have survived the flood: a fresh connection answers *)
   let alive =
     let fd = connect () in
@@ -1205,6 +1229,7 @@ let run_serve () =
         Printf.sprintf "  \"flood_answered\": %d," flood_answered;
         Printf.sprintf "  \"shed\": %d," shed;
         Printf.sprintf "  \"shed_rate\": %.3f," shed_rate;
+        Printf.sprintf "  \"flood_deadlined\": %d," deadlined;
         Printf.sprintf "  \"daemon_alive_after_flood\": %b," alive;
         Printf.sprintf "  \"drain_exit_code\": %d" exit_code;
         "}";
@@ -1218,8 +1243,9 @@ let run_serve () =
     wall_batch batch_rps wall_cold cold_rps wall_warm warm_rps;
   Printf.printf "  latency: p50 %.2f ms, p99 %.2f ms\n" p50 p99;
   Printf.printf
-    "  flood: %d/%d answered under serve.* faults, %d shed (%.0f%%)\n"
-    flood_answered flood_n shed (100.0 *. shed_rate);
+    "  flood: %d/%d answered under serve.* faults, %d shed (%.0f%%), \
+     %d at their deadline\n"
+    flood_answered flood_n shed (100.0 *. shed_rate) deadlined;
   Printf.printf "  drain exit code: %d\n" exit_code;
   print_endline "  wrote BENCH_serve.json";
   if warm_rps < batch_rps then begin
@@ -1231,6 +1257,10 @@ let run_serve () =
   if flood_answered <> flood_n then begin
     Printf.eprintf "FAIL: flood answered %d/%d requests\n" flood_answered
       flood_n;
+    exit 1
+  end;
+  if deadlined = 0 then begin
+    Printf.eprintf "FAIL: no admitted flood request reached its deadline\n";
     exit 1
   end;
   if not alive then begin
@@ -1572,11 +1602,7 @@ let micro_tests () =
        (New-Object Net.WebClient).DownloadString($u) | Invoke-Expression"
   in
   let simple = "('wri'+'te-host') ('he'+'llo')" in
-  (* compiled-vs-walk: the same piece through the per-call parse+walk of
-     Interp.invoke_piece and through a program compiled once outside the
-     measured loop — the recovery fixpoint's repeat-execution shape *)
   let piece = "(('In'+'voke')+('-Ex'+'pression'))+[string](17*3+2)" in
-  let compiled = Pseval.Compile.compile piece in
   [
     Test.make ~name:"lexer/multilayer-sample"
       (Staged.stage (fun () -> ignore (Pslex.Lexer.tokenize sample)));
@@ -1590,10 +1616,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let env = Pseval.Env.create () in
            ignore (Pseval.Interp.invoke_piece env piece)));
-    Test.make ~name:"pseval/piece-compiled"
-      (Staged.stage (fun () ->
-           let env = Pseval.Env.create () in
-           ignore (Pseval.Compile.run env compiled)));
     Test.make ~name:"deobf/simple"
       (Staged.stage (fun () -> ignore (Deobf.Engine.run simple)));
     Test.make ~name:"deobf/multilayer"

@@ -94,11 +94,62 @@ let new_stats () =
    (atomic rename; payload digest + version/options [fingerprint] checked
    on load, so corruption, torn writes, and stale options all read as a
    miss) — batch reruns and daemon restarts start warm.  Alongside the
-   result tiers, compiled piece programs ({!Pseval.Compile}) are memoized
-   on text alone: compilation has no environment inputs, so programs are
-   shared even when the binding digest differs or result caching is
-   ablated away. *)
+   result tiers, piece parses ({!Pseval.Interp.parse_piece}) are memoized
+   on text alone: a parse has no environment inputs, so one parse of a
+   piece is shared even when the binding digest differs or result caching
+   is ablated away. *)
 module Cache = struct
+  (* Two generations of one table, bounded at [cap] entries each: adding a
+     new key to a full hot generation flips it (hot becomes cold, the
+     previous cold generation is dropped, [on_flip] is told), and a cold
+     hit is promoted back to hot, so recently used keys survive the next
+     flip.  [dropped] counts the entries flips and shrinks discarded.
+     Callers hold the cache mutex. *)
+  module Gens = struct
+    type ('k, 'v) t = {
+      cap : int;
+      on_flip : unit -> unit;
+      mutable hot : ('k, 'v) Hashtbl.t;
+      mutable cold : ('k, 'v) Hashtbl.t;
+      mutable dropped : int;
+    }
+
+    type 'v hit = Hot of 'v | Cold of 'v
+
+    let create ?(on_flip = ignore) cap =
+      { cap; on_flip; hot = Hashtbl.create 64; cold = Hashtbl.create 64;
+        dropped = 0 }
+
+    let add g key v =
+      if Hashtbl.length g.hot >= g.cap && not (Hashtbl.mem g.hot key) then begin
+        g.dropped <- g.dropped + Hashtbl.length g.cold;
+        g.cold <- g.hot;
+        g.hot <- Hashtbl.create 64;
+        g.on_flip ()
+      end;
+      Hashtbl.replace g.hot key v;
+      Hashtbl.remove g.cold key
+
+    let find g key =
+      match Hashtbl.find_opt g.hot key with
+      | Some v -> Some (Hot v)
+      | None -> (
+          match Hashtbl.find_opt g.cold key with
+          | Some v ->
+              add g key v;
+              Some (Cold v)
+          | None -> None)
+
+    (* memory-pressure shed: the cold generation goes, the hot working set
+       stays *)
+    let shrink g =
+      g.dropped <- g.dropped + Hashtbl.length g.cold;
+      g.cold <- Hashtbl.create 64
+
+    let length g = Hashtbl.length g.hot + Hashtbl.length g.cold
+    let fold f g acc = Hashtbl.fold f g.hot (Hashtbl.fold f g.cold acc)
+  end
+
   (* tier attribution: which tier answered a hit — the scrape endpoint's
      view of where the working set actually lives *)
   let m_tier_hot = T.Metrics.counter "recover.cache.tier.hot"
@@ -120,60 +171,45 @@ module Cache = struct
 
   type t = {
     mu : Mutex.t;
-    mutable hot : (string, entry) Hashtbl.t;
-    mutable cold : (string, entry) Hashtbl.t;
-    gen_cap : int;  (** per generation; total residency stays under [cap] *)
+    results : (string, entry) Gens.t;
+        (** [gen_cap] per generation; total residency stays under [cap] *)
     dir : string option;
     fingerprint : string;
     mutable hits : int;
     mutable lookups : int;
-    mutable evictions : int;
     mutable persistent_loads : int;
-    mutable prog_hot : (string, Pseval.Compile.program) Hashtbl.t;
-    mutable prog_cold : (string, Pseval.Compile.program) Hashtbl.t;
-    mutable facts_hot : (fact * string, bool) Hashtbl.t;
-    mutable facts_cold : (fact * string, bool) Hashtbl.t;
+    parses : (string, (Psast.Ast.t, string) result) Gens.t;
+    facts : (fact * string, bool) Gens.t;
   }
 
   let m_resets = T.Metrics.counter "recover.cache.resets"
   let m_entries = T.Metrics.gauge "recover.cache.entries"
 
+  (* result-tier flips are counted in [recover.cache.resets], as the
+     whole-table reset they replace was; the program and fact tiers flip
+     uncounted *)
   let create ?(cap = 2048) ?dir ?(fingerprint = "") () =
+    let gen_cap = max 1 (cap / 2) in
     { mu = Mutex.create ();
-      hot = Hashtbl.create 64;
-      cold = Hashtbl.create 64;
-      gen_cap = max 1 (cap / 2);
+      results = Gens.create ~on_flip:(fun () -> T.Metrics.incr m_resets) gen_cap;
       dir;
       fingerprint;
       hits = 0;
       lookups = 0;
-      evictions = 0;
       persistent_loads = 0;
-      prog_hot = Hashtbl.create 64;
-      prog_cold = Hashtbl.create 64;
-      facts_hot = Hashtbl.create 64;
-      facts_cold = Hashtbl.create 64 }
+      parses = Gens.create gen_cap;
+      facts = Gens.create gen_cap }
 
   let locked t f =
     Mutex.lock t.mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-  (* generation flip: hot becomes cold, the previous cold generation is
-     dropped.  Counted in [recover.cache.resets], as the whole-table reset
-     it replaces was. *)
-  let flip_locked t =
-    t.evictions <- t.evictions + Hashtbl.length t.cold;
-    t.cold <- t.hot;
-    t.hot <- Hashtbl.create 64;
-    T.Metrics.incr m_resets
+  (* last writer wins across domains — a gauge, not an exact census *)
+  let gauge_entries t = T.Metrics.set m_entries (Gens.length t.results)
 
   let insert_locked t key entry =
-    if Hashtbl.length t.hot >= t.gen_cap && not (Hashtbl.mem t.hot key) then
-      flip_locked t;
-    Hashtbl.replace t.hot key entry;
-    Hashtbl.remove t.cold key;
-    (* last writer wins across domains — a gauge, not an exact census *)
-    T.Metrics.set m_entries (Hashtbl.length t.hot + Hashtbl.length t.cold)
+    Gens.add t.results key entry;
+    gauge_entries t
 
   (* ----- persistent tier ----- *)
 
@@ -253,20 +289,18 @@ module Cache = struct
     let in_memory =
       locked t (fun () ->
           t.lookups <- t.lookups + 1;
-          match Hashtbl.find_opt t.hot key with
-          | Some e ->
+          match Gens.find t.results key with
+          | Some (Gens.Hot e) ->
               t.hits <- t.hits + 1;
               T.Metrics.incr m_tier_hot;
               Some e
-          | None -> (
-              match Hashtbl.find_opt t.cold key with
-              | Some e ->
-                  (* promote: recently-used entries survive the next flip *)
-                  t.hits <- t.hits + 1;
-                  T.Metrics.incr m_tier_cold;
-                  insert_locked t key e;
-                  Some e
-              | None -> None))
+          | Some (Gens.Cold e) ->
+              (* promoted: recently-used entries survive the next flip *)
+              t.hits <- t.hits + 1;
+              T.Metrics.incr m_tier_cold;
+              gauge_entries t;
+              Some e
+          | None -> None)
     in
     match in_memory with
     | Some _ as r -> r
@@ -287,111 +321,62 @@ module Cache = struct
 
   let m_shrinks = T.Metrics.counter "recover.cache.shrinks"
 
-  (* memory-pressure shed: drop both cold generations (results and
-     programs) without touching the hot working set — the cheapest bytes to
-     give back, since anything recently used was promoted to hot *)
+  (* memory-pressure shed: drop the cold generation of every tier without
+     touching the hot working set — the cheapest bytes to give back, since
+     anything recently used was promoted to hot *)
   let shrink t =
     locked t (fun () ->
-        t.evictions <- t.evictions + Hashtbl.length t.cold;
-        t.cold <- Hashtbl.create 64;
-        t.prog_cold <- Hashtbl.create 64;
-        t.facts_cold <- Hashtbl.create 64;
+        Gens.shrink t.results;
+        Gens.shrink t.parses;
+        Gens.shrink t.facts;
         T.Metrics.incr m_shrinks;
-        T.Metrics.set m_entries (Hashtbl.length t.hot))
+        gauge_entries t)
 
-  let length t =
-    locked t (fun () -> Hashtbl.length t.hot + Hashtbl.length t.cold)
+  let length t = locked t (fun () -> Gens.length t.results)
 
   let stats t =
     locked t (fun () ->
-        { entries = Hashtbl.length t.hot + Hashtbl.length t.cold;
+        { entries = Gens.length t.results;
           hits = t.hits;
           lookups = t.lookups;
-          evictions = t.evictions;
+          evictions = t.results.Gens.dropped;
           persistent_loads = t.persistent_loads })
 
-  (* ----- compiled-program tier ----- *)
+  (* [key]'s value from [gens], or [compute ()] outside the lock,
+     remembered *)
+  let memo ?(on_hit = ignore) t gens key compute =
+    match locked t (fun () -> Gens.find gens key) with
+    | Some (Gens.Hot v | Gens.Cold v) ->
+        on_hit ();
+        v
+    | None ->
+        let v = compute () in
+        locked t (fun () -> Gens.add gens key v);
+        v
 
-  (* programs hold closures, so they never touch the persistent tier; they
-     ride the same two-generation discipline on their own tables (flips are
-     not counted in [recover.cache.resets] — that counter is the result
-     cache's) *)
-  let flip_progs_locked t =
-    t.prog_cold <- t.prog_hot;
-    t.prog_hot <- Hashtbl.create 64
+  (* ----- program tier ----- *)
 
-  let find_program t text =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.prog_hot text with
-        | Some _ as r ->
-            T.Metrics.incr m_tier_program;
-            r
-        | None -> (
-            match Hashtbl.find_opt t.prog_cold text with
-            | Some p ->
-                T.Metrics.incr m_tier_program;
-                if Hashtbl.length t.prog_hot >= t.gen_cap then
-                  flip_progs_locked t;
-                Hashtbl.replace t.prog_hot text p;
-                Hashtbl.remove t.prog_cold text;
-                Some p
-            | None -> None))
-
-  let add_program t text prog =
-    locked t (fun () ->
-        if
-          Hashtbl.length t.prog_hot >= t.gen_cap
-          && not (Hashtbl.mem t.prog_hot text)
-        then flip_progs_locked t;
-        Hashtbl.replace t.prog_hot text prog;
-        Hashtbl.remove t.prog_cold text)
+  (* A piece's parse depends on its text alone, so it is shared across
+     binding digests, passes, files and domains, and kept even when result
+     caching is ablated off.  ASTs are immutable, so one parse serves any
+     number of concurrent evaluations. *)
+  let parse t text =
+    memo t t.parses text
+      ~on_hit:(fun () -> T.Metrics.incr m_tier_program)
+      (fun () -> Pseval.Interp.parse_piece text)
 
   (* ----- per-text fact tier ----- *)
 
   (* Pure per-text answers (is the piece already a literal, does it name a
      blocked command) that every fixpoint pass would otherwise recompute
      with a parse or a lex of the same piece.  Keyed on (fact, text),
-     never persisted, and bounded like the program tier: two generations
-     flipping at [gen_cap], cold dropped by [shrink]. *)
-  let store_fact_locked t key v =
-    if
-      Hashtbl.length t.facts_hot >= t.gen_cap
-      && not (Hashtbl.mem t.facts_hot key)
-    then begin
-      t.facts_cold <- t.facts_hot;
-      t.facts_hot <- Hashtbl.create 64
-    end;
-    Hashtbl.replace t.facts_hot key v;
-    Hashtbl.remove t.facts_cold key
-
+     never persisted, and bounded like the program tier. *)
   let fact t fact text compute =
-    let key = (fact, text) in
-    let known =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.facts_hot key with
-          | Some _ as r -> r
-          | None -> (
-              match Hashtbl.find_opt t.facts_cold key with
-              | Some v ->
-                  (* promote: a fact the passes still ask for survives the
-                     next flip *)
-                  store_fact_locked t key v;
-                  Some v
-              | None -> None))
-    in
-    match known with
-    | Some v -> v
-    | None ->
-        let v = compute text in
-        locked t (fun () -> store_fact_locked t key v);
-        v
+    memo t t.facts (fact, text) (fun () -> compute text)
 
   let fact_count t fact =
     locked t (fun () ->
-        let count tbl =
-          Hashtbl.fold (fun (f, _) _ n -> if f = fact then n + 1 else n) tbl 0
-        in
-        count t.facts_hot + count t.facts_cold)
+        Gens.fold (fun (f, _) _ n -> if f = fact then n + 1 else n) t.facts 0)
 end
 
 type pass_state = {
@@ -466,18 +451,6 @@ let cacheable_error = function
   | "timeout" | "stack-exhausted" -> false
   | _ -> true
 
-(* compile-once-run-many: the closure-compiled form of a piece text, from
-   the cache's program tier when warm.  Compilation is deterministic, draws
-   no chaos probes, and is environment-independent, so memoizing on text
-   alone is sound even across scripts with different traced bindings. *)
-let program_for st text =
-  match Cache.find_program st.cache text with
-  | Some p -> p
-  | None ->
-      let p = Pseval.Compile.compile text in
-      Cache.add_program st.cache text p;
-      p
-
 (* the blocklist test (paper §III-B2) is a pure function of the piece text,
    asked again on every pass: answered from the cache's per-text tier *)
 let blocked cache text =
@@ -548,9 +521,9 @@ let invoke_piece ?(kind = "piece") st text =
         let result =
           guarded st (fun () ->
               Pscommon.Chaos.probe "recover.piece";
-              let prog = program_for st text in
+              let parsed = Cache.parse st.cache text in
               let env = fresh_env ~for_bytes:(String.length text) st in
-              Pseval.Compile.run env prog)
+              Pseval.Interp.invoke_parsed env ~src:text parsed)
         in
         let dt_ms = (Guard.now () -. t0) *. 1000.0 in
         T.Metrics.observe m_piece_ms dt_ms;
@@ -867,12 +840,12 @@ let trace_assignment st ~in_guard (stmt : A.t) =
             let traced =
               guarded st (fun () ->
                   let text = A.text st.src stmt in
-                  let prog = program_for st text in
+                  let parsed = Cache.parse st.cache text in
                   let env = fresh_env ~for_bytes:(String.length text) st in
                   (match Tracer.lookup st.table name with
                   | Some v -> Pseval.Env.set_var env name v
                   | None -> ());
-                  match Pseval.Compile.run_script env prog with
+                  match Pseval.Interp.run_parsed env ~src:text parsed with
                   | Ok _ -> (
                       ignore op;
                       Ok (Pseval.Env.get_var env name))

@@ -77,10 +77,13 @@ val new_stats : unit -> stats
     crash.  A later run pointed at the same [dir] with the same
     fingerprint starts warm.
 
-    The cache also memoizes closure-compiled piece programs
-    ({!Pseval.Compile}) keyed on text alone; programs are
-    environment-independent, never persisted, and shared even when result
-    caching is ablated off. *)
+    The cache also holds the program tier: each piece text's parse
+    ({!Pseval.Interp.parse_piece}, a syntax error included), keyed on text
+    alone, so a piece is parsed once however many passes, files and
+    domains run it.  Parses are environment-independent, never persisted,
+    kept even when result caching is ablated off, and answered hits are
+    counted in [recover.cache.tier.program].  All in-memory tiers share
+    the two-generation bounding above. *)
 module Cache : sig
   type t
 
@@ -110,7 +113,7 @@ module Cache : sig
 
   val shrink : t -> unit
   (** Memory-pressure shed: drop the cold generation of the result,
-      compiled-program and per-text fact tiers (counted in
+      program (parse) and per-text fact tiers (counted in
       [recover.cache.shrinks] and the eviction stats), keeping the hot
       working set.  The persistent tier is untouched, so shrunk entries
       reload on demand. *)

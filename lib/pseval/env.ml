@@ -174,20 +174,6 @@ let tick env =
      steps keeps deadline latency in the microseconds *)
   if env.steps land 2047 = 0 then Guard.check env.limits.deadline
 
-(* Bulk step accounting for pre-folded constant subtrees: the compiled form
-   replays the steps its folded subtree would have consumed, so step budgets
-   observe identical totals whether or not folding happened.  The deadline
-   is polled iff the bulk add crossed a 2048-step boundary — the same
-   boundaries [tick] itself would have hit. *)
-let tick_n env n =
-  if n > 0 then begin
-    let before = env.steps in
-    env.steps <- env.steps + n;
-    if env.steps > env.limits.max_steps then
-      raise (Limit_exceeded "step budget exhausted");
-    if env.steps lsr 11 <> before lsr 11 then Guard.check env.limits.deadline
-  end
-
 let check_size env (v : Psvalue.Value.t) =
   match v with
   | Psvalue.Value.Str s ->

@@ -84,13 +84,6 @@ val tick : t -> unit
 (** Account one evaluation step.  @raise Limit_exceeded over budget.
     @raise Pscommon.Guard.Deadline_exceeded past the wall-clock deadline. *)
 
-val tick_n : t -> int -> unit
-(** Account [n] evaluation steps at once — used by compiled pieces to
-    replay the step cost of constant-folded subtrees, keeping budgets
-    identical to the uncompiled walk.  Polls the deadline when the bulk
-    add crosses a 2048-step boundary (the same points {!tick} polls).
-    @raise Limit_exceeded over budget. *)
-
 val check_size : t -> Psvalue.Value.t -> unit
 (** Enforce [max_string_bytes] / [max_collection] on a freshly built value —
     the string-building hot paths (concat, [-join], array append) call this

@@ -1255,28 +1255,28 @@ let eval_parsed env ~src ast =
       | Some msg -> Error msg
       | None -> raise e)
 
-let run_script env src =
-  (* chaos probe: an injected fault here propagates out of the interpreter
-     exactly like a genuine evaluation blow-up, exercising the enclosing
-     guards' containment paths *)
-  Pscommon.Chaos.probe "interp.eval";
+(* The parse of a piece, with a failure rendered as the error text the
+   evaluation would report.  Pure and environment-independent, so callers
+   may memoise it on the text and run one parse in any number of envs. *)
+let parse_piece src =
   match Psparse.Parser.parse src with
   | exception Stack_overflow -> Error "stack exhausted while parsing"
   | Error e ->
       Error
         (Printf.sprintf "syntax error at %d: %s" e.Psparse.Parser.position
            e.Psparse.Parser.message)
-  | Ok ast -> eval_parsed env ~src ast
+  | Ok ast -> Ok ast
 
-(* [run_script] minus the parse: the same probe, drawn first, and the same
-   error texts *)
-let run_parsed env ~src ast =
+let run_parsed env ~src parsed =
+  (* chaos probe: an injected fault here propagates out of the interpreter
+     exactly like a genuine evaluation blow-up, exercising the enclosing
+     guards' containment paths.  Drawn before a parse error is returned. *)
   Pscommon.Chaos.probe "interp.eval";
-  eval_parsed env ~src ast
+  match parsed with Error msg -> Error msg | Ok ast -> eval_parsed env ~src ast
 
-(** Execute a recoverable piece and return its output — the paper's
-    "Recovery Based on Invoke" (§III-B2). *)
-let invoke_piece env src =
+let run_script env src = run_parsed env ~src (parse_piece src)
+
+let invoke_parsed env ~src parsed =
   let module T = Pscommon.Telemetry in
   let sid =
     if T.active () then
@@ -1287,7 +1287,7 @@ let invoke_piece env src =
     else 0
   in
   let result =
-    match run_script env src with
+    match run_parsed env ~src parsed with
     | Ok out -> Ok (Value.of_list out)
     | Error msg -> Error msg
   in
@@ -1298,7 +1298,6 @@ let invoke_piece env src =
           ("ok", T.B (Result.is_ok result)) ];
   result
 
-let eval_expression_ast env ~src ast =
-  let ctx = { env; src } in
-  eval_expr ctx ast
-
+(** Execute a recoverable piece and return its output — the paper's
+    "Recovery Based on Invoke" (§III-B2). *)
+let invoke_piece env src = invoke_parsed env ~src (parse_piece src)

@@ -34,9 +34,10 @@ let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast script =
   in
   match
     Pscommon.Guard.protect ~deadline (fun () ->
-        match ast with
-        | Some ast -> Pseval.Interp.run_parsed env ~src:script ast
-        | None -> Pseval.Interp.run_script env script)
+        Pseval.Interp.run_parsed env ~src:script
+          (match ast with
+          | Some ast -> Ok ast
+          | None -> Pseval.Interp.parse_piece script))
   with
   | Ok (Ok output) -> { (report None None) with output }
   | Ok (Error msg) -> report (Some msg) None

@@ -86,7 +86,7 @@ let observe run src =
 
 let parsed_run env src =
   match Psparse.Parser.parse src with
-  | Ok ast -> Pseval.Interp.run_parsed env ~src ast
+  | Ok ast -> Pseval.Interp.run_parsed env ~src (Ok ast)
   | Error _ -> Alcotest.fail "script does not parse"
 
 let compare_entry_points () =

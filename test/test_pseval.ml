@@ -303,36 +303,29 @@ let measured run =
   let words = Gc.minor_words () -. before in
   (result, env.Pseval.Env.steps, words)
 
+let parsed_once src =
+  match Pseval.Interp.parse_piece src with
+  | Ok _ as parsed -> parsed
+  | Error msg -> Alcotest.fail ("parse: " ^ msg)
+
 let test_decoder_element_cost () =
   let n = 2000 in
   List.iter
     (fun (name, radix, conv, steps) ->
       let src = decoder_source name radix conv n in
-      let ast =
-        match Psparse.Parser.parse src with
-        | Ok ast -> ast
-        | Error _ -> Alcotest.fail ("parse " ^ name)
+      let parsed = parsed_once src in
+      let result, used, words =
+        measured (fun env -> Pseval.Interp.invoke_parsed env ~src parsed)
       in
-      let prog = Pseval.Compile.compile src in
-      let runs =
-        [ ("walked", fun env ->
-              Result.map Value.of_list (Pseval.Interp.run_parsed env ~src ast));
-          ("compiled", fun env -> Pseval.Compile.run env prog) ]
-      in
-      List.iter
-        (fun (how, run) ->
-          let label = Printf.sprintf "%s %s" name how in
-          let result, used, words = measured run in
-          (match result with
-          | Ok v -> check_s (label ^ " decodes") (decoder_payload n) (Value.to_string v)
-          | Error msg -> Alcotest.fail (label ^ ": " ^ msg));
-          check_i (label ^ " steps") steps used;
-          let per_element = words /. float_of_int n in
-          check_b
-            (Printf.sprintf "%s allocates %.1f minor words per element" label
-               per_element)
-            true (per_element <= 100.0))
-        runs)
+      (match result with
+      | Ok v -> check_s (name ^ " decodes") (decoder_payload n) (Value.to_string v)
+      | Error msg -> Alcotest.fail (name ^ ": " ^ msg));
+      check_i (name ^ " steps") steps used;
+      let per_element = words /. float_of_int n in
+      check_b
+        (Printf.sprintf "%s allocates %.1f minor words per element" name
+           per_element)
+        true (per_element <= 100.0))
     decoder_shapes
 
 let test_lower_folded_allocates_nothing () =
@@ -351,27 +344,97 @@ let test_loop_output_linear () =
   let n = 16_000 in
   let src = Printf.sprintf "-join (foreach ($i in 1..%d) { [char](65 + $i %% 26) })" n in
   let expected = String.init n (fun k -> Char.chr (65 + ((k + 1) mod 26))) in
-  let ast =
-    match Psparse.Parser.parse src with
-    | Ok ast -> ast
-    | Error _ -> Alcotest.fail "parse"
+  let parsed = parsed_once src in
+  let result, used, words =
+    measured (fun env -> Pseval.Interp.invoke_parsed env ~src parsed)
   in
-  let prog = Pseval.Compile.compile src in
+  (match result with
+  | Ok v -> check_s "value" expected (Value.to_string v)
+  | Error msg -> Alcotest.fail msg);
+  check_i "steps" 176_009 used;
+  let per_iteration = words /. float_of_int n in
+  check_b
+    (Printf.sprintf "allocates %.0f minor words per iteration" per_iteration)
+    true (per_iteration <= 200.0)
+
+(* ---------- one parse, many runs ---------- *)
+
+(* The recovery cache memoises a piece's parse and runs it in a fresh env
+   each time; every run must read exactly like evaluating the text. *)
+let reusable_pieces =
+  let default = Pseval.Env.default_limits.Pseval.Env.max_steps in
+  (* name, source, step budget, how every run must read *)
+  List.map
+    (fun (name, radix, conv, _) ->
+      (name, decoder_source name radix conv 200, default, "ok:"))
+    decoder_shapes
+  @ [ ("syntax error", "('a' + ", default, "error:syntax error at ");
+      ("uncaught throw", "throw 'boom'", default, "error:uncaught throw: boom");
+      ("step budget", "$(while (1 -lt 2) { 1 })", 500,
+        "error:limit exceeded: step budget exhausted") ]
+
+let observe_piece max_steps run =
+  let limits = { Pseval.Env.default_limits with Pseval.Env.max_steps } in
+  let env = Pseval.Env.create ~limits () in
+  let result =
+    match run env with Ok v -> "ok:" ^ Value.to_string v | Error e -> "error:" ^ e
+  in
+  (result, env.Pseval.Env.steps)
+
+let test_parsed_piece_reusable () =
   List.iter
-    (fun (how, run) ->
-      let result, used, words = measured run in
-      (match result with
-      | Ok v -> check_s (how ^ " value") expected (Value.to_string v)
-      | Error msg -> Alcotest.fail (how ^ ": " ^ msg));
-      check_i (how ^ " steps") 176_009 used;
-      let per_iteration = words /. float_of_int n in
-      check_b
-        (Printf.sprintf "%s allocates %.0f minor words per iteration" how
-           per_iteration)
-        true (per_iteration <= 200.0))
-    [ ("walked", fun env ->
-          Result.map Value.of_list (Pseval.Interp.run_parsed env ~src ast));
-      ("compiled", fun env -> Pseval.Compile.run env prog) ]
+    (fun (name, src, max_steps, reads) ->
+      let expected, steps =
+        observe_piece max_steps (fun env -> Pseval.Interp.invoke_piece env src)
+      in
+      check_b (name ^ " reads " ^ reads) true
+        (String.starts_with ~prefix:reads expected);
+      let parsed = Pseval.Interp.parse_piece src in
+      for i = 1 to 3 do
+        let label = Printf.sprintf "%s run %d" name i in
+        let got, used =
+          observe_piece max_steps (fun env ->
+              Pseval.Interp.invoke_parsed env ~src parsed)
+        in
+        check_s (label ^ " result") expected got;
+        check_i (label ^ " steps") steps used
+      done)
+    reusable_pieces;
+  (* the interp.eval probe comes before a stored parse error *)
+  Pscommon.Chaos.set
+    (Some { Pscommon.Chaos.seed = 3; rate = 0.0; site_rates = [ ("interp.eval", 1.0) ] });
+  let faulted =
+    Fun.protect ~finally:(fun () -> Pscommon.Chaos.set None) @@ fun () ->
+    match
+      Pseval.Interp.invoke_parsed (Pseval.Env.create ()) ~src:"('a' + "
+        (Pseval.Interp.parse_piece "('a' + ")
+    with
+    | _ -> false
+    | exception _ -> true
+  in
+  check_b "probe drawn before the syntax error" true faulted;
+  (* the recovery cache's program tier answers the second pass *)
+  let module R = Deobf.Recover in
+  let tier = Pscommon.Telemetry.Metrics.counter "recover.cache.tier.program" in
+  let script = "$x = 'he' + 'llo'\nWrite-Output ([char]72 + [char]105)" in
+  let ast =
+    match Psparse.Parser.parse script with
+    | Ok ast -> ast
+    | Error _ -> Alcotest.fail "script parse"
+  in
+  let cache = R.Cache.create () in
+  let pass () =
+    ignore
+      (R.run_pass
+         ~opts:{ R.default_options with R.use_piece_cache = false }
+         ~stats:(R.new_stats ()) ~cache
+         ~deobfuscate:(fun ~depth:_ s -> s)
+         ~depth:0 ~ast script);
+    Pscommon.Telemetry.Metrics.counter_value tier
+  in
+  let first = pass () in
+  let second = pass () in
+  check_b "program tier hit on the second pass" true (second > first)
 
 let suite =
   [
@@ -379,6 +442,7 @@ let suite =
     ("lower of folded text allocates nothing", `Quick,
       test_lower_folded_allocates_nothing);
     ("loop output is linear", `Quick, test_loop_output_linear);
+    ("a parsed piece is reusable", `Quick, test_parsed_piece_reusable);
     ("concat coercions", `Quick, test_concat);
     ("arithmetic", `Quick, test_arithmetic);
     ("hex string conversion", `Quick, test_hex_string_conversion);
