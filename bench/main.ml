@@ -366,8 +366,8 @@ let run_obs () =
   let out_plain, wall_plain = run "plain" in
   let trace_dir = Filename.concat dir "traces" in
   let out_traced, wall_traced = run ~trace_dir "traced" in
-  (* sampled tracing: every 8th file serializes its trace; the rest record
-     into a reusable per-domain scratch ring and skip JSONL entirely *)
+  (* sampled tracing: every 8th file serializes its trace; the rest run
+     untraced *)
   let trace_sample = 8 in
   let _out_sampled, wall_sampled =
     run ~trace_dir:(Filename.concat dir "traces_sampled") ~trace_sample

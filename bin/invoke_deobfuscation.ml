@@ -300,10 +300,10 @@ let deobfuscate_cmd =
             summary.Deobf.Batch.total summary.Deobf.Batch.clean
             summary.Deobf.Batch.degraded out_dir);
       if summary_flag then print_batch_summary summary;
-      (* exit 0 only when every file came through clean at full strength;
-         2 signals that at least one file degraded, needed the retry
-         ladder, or failed the semantic gate without a successful rollback,
-         so callers scripting over corpora can detect it *)
+      (* exit 0 only when every file came through clean; 2 signals that
+         at least one file had a phase skipped (a contained failure) or
+         failed the semantic gate without a successful rollback, so
+         callers scripting over corpora can detect it *)
       if summary.Deobf.Batch.degraded > 0
          || Deobf.Batch.diverged_count summary > 0
       then exit 2
@@ -521,8 +521,7 @@ let deobfuscate_cmd =
               ~doc:
                 "With --trace DIR: serialize only every $(docv)-th trace \
                  (by input index in --batch mode, by request sequence in \
-                 --serve mode).  Unsampled runs still trace into a \
-                 reusable in-memory ring, shaving the serialization cost.")
+                 --serve mode).  Unsampled runs are not traced.")
       $ Arg.(
           value
           & opt (some string) None

@@ -11,28 +11,13 @@ let ensure_dir path =
 let write_file path content =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
 
-let escape_json s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let manifest_entry (s : Generator.sample) =
   Printf.sprintf
     "  {\"id\": %d, \"family\": \"%s\", \"obfuscated\": \"sample_%04d.ps1\", \
      \"clean\": \"clean_%04d.ps1\", \"techniques\": [%s], \"bytes\": %d}"
-    s.Generator.id (escape_json s.Generator.family) s.Generator.id
     s.Generator.id
+    (Pscommon.Telemetry.json_escape s.Generator.family)
+    s.Generator.id s.Generator.id
     (String.concat ", "
        (List.map
           (fun t -> Printf.sprintf "\"%s\"" (Obfuscator.Technique.name t))

@@ -6,40 +6,6 @@ module Pool = Pscommon.Pool
 module T = Pscommon.Telemetry
 module Chaos = Pscommon.Chaos
 
-(* ---------- the degraded-mode retry ladder ---------- *)
-
-type mode = Full | Static | Token_only | Passthrough
-
-let mode_name = function
-  | Full -> "full"
-  | Static -> "static"
-  | Token_only -> "token-only"
-  | Passthrough -> "passthrough"
-
-let weaker = function
-  | Full -> Some Static
-  | Static -> Some Token_only
-  | Token_only -> Some Passthrough
-  | Passthrough -> None
-
-(* each rung strips the pipeline further: Static drops piece execution and
-   the provenance-guided dynamic phase (the latter runs outside the fixpoint,
-   so max_iterations = 0 alone would not strip it), Token_only additionally
-   drops renaming and reformatting, Passthrough does not run the engine at
-   all *)
-let mode_options base = function
-  | Full | Passthrough -> base
-  | Static ->
-      { base with
-        Engine.max_iterations = 0;
-        recovery = { base.Engine.recovery with Engine.use_dynamic = false } }
-  | Token_only ->
-      { base with
-        Engine.max_iterations = 0;
-        recovery = { base.Engine.recovery with Engine.use_dynamic = false };
-        rename = false;
-        reformat = false }
-
 type outcome = {
   file : string;
   output_file : string option;
@@ -49,7 +15,6 @@ type outcome = {
   changed : bool;
   failures : Engine.failure_site list;
   stats : Recover.stats;
-  degraded_mode : mode;
   retries : int;
   regions_total : int;
   regions_recovered : int;
@@ -72,9 +37,9 @@ type summary = {
 
 let failure_to_json (site : Engine.failure_site) =
   Printf.sprintf "{\"phase\": %s, \"kind\": %s, \"detail\": %s}"
-    (Report.json_string site.Engine.phase)
-    (Report.json_string (Guard.failure_label site.Engine.failure))
-    (Report.json_string (Guard.failure_to_string site.Engine.failure))
+    (T.json_string site.Engine.phase)
+    (T.json_string (Guard.failure_label site.Engine.failure))
+    (T.json_string (Guard.failure_to_string site.Engine.failure))
 
 let stats_to_json (s : Recover.stats) =
   Printf.sprintf
@@ -93,31 +58,28 @@ let phase_ms_to_json phases =
     (String.concat ", "
        (List.map
           (fun (phase, ms) ->
-            Printf.sprintf "%s: %.1f" (Report.json_string phase) ms)
+            Printf.sprintf "%s: %.1f" (T.json_string phase) ms)
           phases))
 
 let outcome_to_json o =
   String.concat "\n"
     [
       "{";
-      Printf.sprintf "  \"file\": %s," (Report.json_string o.file);
+      Printf.sprintf "  \"file\": %s," (T.json_string o.file);
       Printf.sprintf "  \"status\": %s,"
-        (Report.json_string (if o.failures = [] then "ok" else "degraded"));
+        (T.json_string (if o.failures = [] then "ok" else "degraded"));
       Printf.sprintf "  \"wall_ms\": %.1f," o.wall_ms;
       Printf.sprintf "  \"phase_ms\": %s," (phase_ms_to_json o.phase_ms);
       Printf.sprintf "  \"iterations\": %d," o.iterations;
       Printf.sprintf "  \"changed\": %b," o.changed;
-      Printf.sprintf "  \"degraded_mode\": %s,"
-        (Report.json_string (mode_name o.degraded_mode));
-      Printf.sprintf "  \"retries\": %d," o.retries;
       Printf.sprintf "  \"verdict\": %s,"
         (match o.verdict with
         | None -> "null"
-        | Some v -> Report.json_string (Verify.verdict_name v));
+        | Some v -> T.json_string (Verify.verdict_name v));
       Printf.sprintf "  \"verdict_detail\": %s,"
         (match Option.bind o.verdict Verify.verdict_detail with
         | None -> "null"
-        | Some d -> Report.json_string d);
+        | Some d -> T.json_string d);
       Printf.sprintf "  \"resumed\": %b," o.resumed;
       Printf.sprintf "  \"regions_total\": %d," o.regions_total;
       Printf.sprintf "  \"regions_recovered\": %d," o.regions_recovered;
@@ -126,7 +88,7 @@ let outcome_to_json o =
       Printf.sprintf "  \"stats\": %s," (stats_to_json o.stats);
       Printf.sprintf "  \"output_file\": %s"
         (match o.output_file with
-        | Some p -> Report.json_string p
+        | Some p -> T.json_string p
         | None -> "null");
       "}";
     ]
@@ -166,7 +128,6 @@ type done_entry = {
   d_verdict : string option;
   d_detail : string option;
   d_rolled : int;
-  d_mode : string;
   d_output : string option;
 }
 
@@ -230,9 +191,6 @@ let journal_load path =
                     d_detail = string_field line "verdict_detail";
                     d_rolled =
                       Option.value ~default:0 (int_field line "rolled_back");
-                    d_mode =
-                      Option.value ~default:"full"
-                        (string_field line "degraded_mode");
                     d_output = string_field line "output_file";
                   }
             | _ -> ())
@@ -262,31 +220,29 @@ let journal_append j line =
 let started_line j ~file ~digest =
   Printf.sprintf
     "{\"status\": \"started\", \"file\": %s, \"digest\": %s, \"options\": %s}"
-    (Report.json_string file) (Report.json_string digest)
-    (Report.json_string j.j_options)
+    (T.json_string file) (T.json_string digest)
+    (T.json_string j.j_options)
 
-let outcome_clean o =
-  o.failures = [] && o.retries = 0 && o.verdict <> Some Verify.Diverged
+let outcome_clean o = o.failures = [] && o.verdict <> Some Verify.Diverged
 
 let done_line j ~digest (o : outcome) =
   Printf.sprintf
     "{\"status\": \"done\", \"file\": %s, \"digest\": %s, \"options\": %s, \
      \"clean\": %b, \"changed\": %b, \"verdict\": %s, \"verdict_detail\": \
-     %s, \"rolled_back\": %d, \"degraded_mode\": %s, \"output_file\": %s}"
-    (Report.json_string (Filename.basename o.file))
-    (Report.json_string digest)
-    (Report.json_string j.j_options)
+     %s, \"rolled_back\": %d, \"output_file\": %s}"
+    (T.json_string (Filename.basename o.file))
+    (T.json_string digest)
+    (T.json_string j.j_options)
     (outcome_clean o) o.changed
     (match o.verdict with
     | None -> "null"
-    | Some v -> Report.json_string (Verify.verdict_name v))
+    | Some v -> T.json_string (Verify.verdict_name v))
     (match o.verdict with
-    | Some (Verify.Unverifiable reason) -> Report.json_string reason
+    | Some (Verify.Unverifiable reason) -> T.json_string reason
     | _ -> "null")
     (match o.verdict with Some (Verify.Rolled_back n) -> n | _ -> 0)
-    (Report.json_string (mode_name o.degraded_mode))
     (match o.output_file with
-    | Some p -> Report.json_string p
+    | Some p -> T.json_string p
     | None -> "null")
 
 let verdict_of_entry (e : done_entry) =
@@ -297,12 +253,6 @@ let verdict_of_entry (e : done_entry) =
   | Some "unverifiable" ->
       Some (Verify.Unverifiable (Option.value ~default:"" e.d_detail))
   | Some _ | None -> None
-
-let mode_of_name = function
-  | "static" -> Static
-  | "token-only" -> Token_only
-  | "passthrough" -> Passthrough
-  | _ -> Full
 
 let resume_hit journal ~file ~digest =
   match journal with
@@ -323,97 +273,45 @@ let write_file path content =
   Chaos.probe "batch.write";
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
 
-(* the Passthrough rung: the engine is not run at all, the input is the
-   output — the ladder's unconditional floor *)
-let passthrough_guarded src =
-  { Engine.result =
-      { Engine.output = src; stats = Recover.new_stats (); iterations = 0;
-        changed = false };
-    failures = []; timings = []; regions_total = 0; regions_recovered = 0;
-    edit_log = [] }
-
-(* Walk the ladder: run an attempt, and when it degrades for any reason a
-   weaker mode could dodge (anything but [Parse_failure] — no rung parses
-   better than a stronger one, and partial recovery already made its best
-   effort on the parse), retry one rung down with a fresh deadline.
-   Failures accumulate across attempts so the report shows the whole
-   descent; [Passthrough] cannot fail, so the walk terminates clean. *)
-let run_ladder ?options ?cache ~timeout_s ?max_output_bytes src =
-  let base = Option.value options ~default:Engine.default_options in
-  let rec walk mode retries acc_failures =
-    let guarded, parses =
-      match mode with
-      | Passthrough ->
-          (passthrough_guarded src, { Engine.src_ast = None; out_ast = None })
-      | m ->
-          Engine.run_guarded_parsed ~options:(mode_options base m) ?cache
-            ~timeout_s ?max_output_bytes src
-    in
-    let failures = acc_failures @ guarded.Engine.failures in
-    let retryable =
-      List.exists
-        (fun (s : Engine.failure_site) ->
-          s.Engine.failure <> Guard.Parse_failure)
-        guarded.Engine.failures
-    in
-    match (retryable, weaker mode) with
-    | true, Some next ->
-        T.Metrics.incr (T.Metrics.counter "batch.ladder.retries");
-        if T.active () then
-          T.event "batch.retry"
-            ~attrs:
-              [ ("from", T.S (mode_name mode));
-                ("to", T.S (mode_name next)) ];
-        walk next (retries + 1) failures
-    | _ -> (mode, retries, failures, guarded, parses)
-  in
-  walk Full 0 []
-
 (* The shared request core: everything between "we have source text" and
    "we have an outcome plus output text".  Batch file processing and the
-   serve daemon both go through it, so a service request walks the same
-   retry ladder and semantic gate as a batch file — one hardening path,
-   two transports. *)
+   serve daemon both go through it, so a service request runs the same
+   guarded engine and semantic gate as a batch file — one hardening path,
+   two transports.  The engine runs once, under one deadline: a phase that
+   fails is skipped and the best text the earlier phases validated is
+   kept, so there is nothing for a second attempt to add. *)
 let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
     ?(verify = false) ?verify_opts ~name src =
   let started = Guard.now () in
   (* quarantine scope: admission decisions (which rules may run) are fixed
-     for the whole request — including the ladder's weaker rungs and the
-     gate's rollback re-runs — and the verdict's rolled-back rule names
-     feed the breakers when the scope closes.  No-op while disabled. *)
+     for the whole request — including the gate's rollback re-runs — and
+     the verdict's rolled-back rule names feed the breakers when the scope
+     closes.  No-op while disabled. *)
   Quarantine.begin_request ();
-  let finish_quarantine rolled = Quarantine.end_request ~rolled_rules:rolled in
   match
-    let mode, retries, ladder_failures, guarded, parses =
-      run_ladder ?options ?cache ~timeout_s ?max_output_bytes src
+    let guarded, parses =
+      Engine.run_guarded_parsed ?options ?cache ~timeout_s ?max_output_bytes
+        src
     in
-    (* the semantic gate verifies (and on divergence rolls back) the rung
-       that produced the output; its re-runs repeat that same rung, with the
-       same piece cache, so replayed pieces stay byte-identical *)
-    let guarded, verdict, rolled_rules =
-      if not verify then (guarded, None, [])
-      else
-        let base = Option.value options ~default:Engine.default_options in
-        let rerun ~suppress =
-          match mode with
-          | Passthrough -> passthrough_guarded src
-          | m ->
-              Engine.run_guarded ~options:(mode_options base m) ?cache
-                ~timeout_s ?max_output_bytes ~suppress src
-        in
-        let g, o =
-          Verify.gate ?opts:verify_opts ?src_ast:parses.Engine.src_ast
-            ?out_ast:parses.Engine.out_ast ~rerun ~src guarded
-        in
-        (g, Some o.Verify.verdict, o.Verify.rolled_rules)
-    in
-    (mode, retries, ladder_failures, guarded, verdict, rolled_rules)
+    (* the gate's re-runs repeat the same run with the same piece cache, so
+       replayed pieces stay byte-identical *)
+    if not verify then (guarded, None, [])
+    else
+      let rerun ~suppress =
+        Engine.run_guarded ?options ?cache ~timeout_s ?max_output_bytes
+          ~suppress src
+      in
+      let g, o =
+        Verify.gate ?opts:verify_opts ?src_ast:parses.Engine.src_ast
+          ?out_ast:parses.Engine.out_ast ~rerun ~src guarded
+      in
+      (g, Some o.Verify.verdict, o.Verify.rolled_rules)
   with
   | exception e ->
       Quarantine.abort_request ();
       raise e
-  | mode, retries, ladder_failures, guarded, verdict, rolled_rules ->
-  finish_quarantine rolled_rules;
+  | guarded, verdict, rolled_rules ->
+  Quarantine.end_request ~rolled_rules;
   (* a diverged verdict is exactly the situation the flight recorder
      exists for: the spans of the run whose semantics the gate rejected *)
   (match verdict with
@@ -425,8 +323,8 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
       wall_ms = (Guard.now () -. started) *. 1000.0;
       phase_ms = guarded.Engine.timings;
       iterations = result.Engine.iterations; changed = result.Engine.changed;
-      failures = ladder_failures; stats = result.Engine.stats;
-      degraded_mode = mode; retries;
+      failures = guarded.Engine.failures; stats = result.Engine.stats;
+      retries = 0;
       regions_total = guarded.Engine.regions_total;
       regions_recovered = guarded.Engine.regions_recovered;
       verdict; resumed = false },
@@ -435,11 +333,11 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
 let process_file_inner ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
     ?out_dir ?(verify = false) ?verify_opts ?journal file =
   let started = Guard.now () in
-  let finish ?output_file ?(phase_ms = []) ?(degraded_mode = Full)
-      ?(retries = 0) ?(regions = (0, 0)) ?(verdict = None) ?(resumed = false)
-      ~iterations ~changed ~stats failures =
+  let finish ?output_file ?(phase_ms = []) ?(regions = (0, 0))
+      ?(verdict = None) ?(resumed = false) ~iterations ~changed ~stats failures
+      =
     { file; output_file; wall_ms = (Guard.now () -. started) *. 1000.0;
-      phase_ms; iterations; changed; failures; stats; degraded_mode; retries;
+      phase_ms; iterations; changed; failures; stats; retries = 0;
       regions_total = fst regions; regions_recovered = snd regions;
       verdict; resumed }
   in
@@ -458,8 +356,8 @@ let process_file_inner ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
           (* journaled clean result with matching input and options, output
              still on disk: keep it, byte for byte *)
           T.Metrics.incr (T.Metrics.counter "batch.resume.skipped");
-          finish ?output_file:e.d_output ~degraded_mode:(mode_of_name e.d_mode)
-            ~verdict:(verdict_of_entry e) ~resumed:true ~iterations:0
+          finish ?output_file:e.d_output ~verdict:(verdict_of_entry e)
+            ~resumed:true ~iterations:0
             ~changed:e.d_changed ~stats:(Recover.new_stats ()) []
       | None ->
       Option.iter
@@ -503,16 +401,8 @@ let process_file_inner ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
       | _ -> ());
       outcome)
 
-(* Reusable per-domain ring for unsampled traced runs: spans still record
-   (ambient instrumentation stays exercised, and the trace could be dumped
-   from a debugger), but nothing serializes to JSONL — the dominant cost
-   of tracing — and the 64k-slot ring is allocated once per domain, not
-   once per file. *)
-let scratch_trace : T.trace Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> T.create ())
-
 let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
-    ?trace_dir ?(sampled = true) ?verify ?verify_opts ?journal file =
+    ?trace_dir ?verify ?verify_opts ?journal file =
   (* Scope the chaos stream to the file: injection becomes a pure function
      of (seed, basename, probe order), so a file draws the same faults no
      matter which pool domain ran it or in what order — outputs under
@@ -534,16 +424,6 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
     | None ->
         process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
           ?out_dir ?verify ?verify_opts ?journal file
-    | Some _ when not sampled ->
-        (* unsampled: record into the domain's scratch ring, skip the
-           JSONL serialization — the trace machinery runs, the bytes
-           don't land *)
-        let trace = Domain.DLS.get scratch_trace in
-        T.reset trace;
-        T.with_trace trace (fun () ->
-            T.span ~attrs:[ ("file", T.S file) ] "batch.file" (fun () ->
-                process_file_inner ?options ?timeout_s ?max_output_bytes
-                  ?cache ?out_dir ?verify ?verify_opts ?journal file))
     | Some dir ->
         (* one event stream per input: the trace is created in (and private
            to) whichever pool domain runs this file, installed as that
@@ -578,7 +458,7 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
       { file; output_file = None; wall_ms = 0.0; phase_ms = [];
         iterations = 0; changed = false;
         failures = [ { Engine.phase = "task"; failure } ];
-        stats = Recover.new_stats (); degraded_mode = Full; retries = 0;
+        stats = Recover.new_stats (); retries = 0;
         regions_total = 0; regions_recovered = 0; verdict = None;
         resumed = false }
 
@@ -672,7 +552,7 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
           (fun file ->
             { file; output_file = None; wall_ms = 0.0; phase_ms = [];
               iterations = 0; changed = false; failures = [ site ];
-              stats = Recover.new_stats (); degraded_mode = Full; retries = 0;
+              stats = Recover.new_stats (); retries = 0;
               regions_total = 0; regions_recovered = 0; verdict = None;
               resumed = false })
           files
@@ -680,26 +560,20 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
         (* outcomes come back input-ordered regardless of which domain ran
            which file, so reports and outputs are deterministic — and so is
            trace sampling, which keys on the input index, not on which
-           domain or in what order a file happened to run *)
+           domain or in what order a file happened to run; an unsampled
+           file runs untraced *)
         Pool.map ~jobs:jobs_effective
           (fun (i, file) ->
-            let sampled =
+            let trace_dir =
               match trace_sample with
-              | Some n when n > 1 -> i mod n = 0
-              | _ -> true
+              | Some n when n > 1 && i mod n <> 0 -> None
+              | _ -> trace_dir
             in
             process_file ?options ?timeout_s ?max_output_bytes ~cache
-              ?out_dir ?trace_dir ~sampled ~verify ?verify_opts ?journal file)
+              ?out_dir ?trace_dir ~verify ?verify_opts ?journal file)
           (List.mapi (fun i file -> (i, file)) files)
   in
-  (* clean means clean at full strength: no contained failures and no trip
-     down the retry ladder (retries > 0 implies failures <> [], since
-     failures accumulate across attempts, but the predicate states the
-     contract explicitly) *)
-  let clean =
-    List.length
-      (List.filter (fun o -> o.failures = [] && o.retries = 0) outcomes)
-  in
+  let clean = List.length (List.filter (fun o -> o.failures = []) outcomes) in
   {
     total = List.length outcomes;
     clean;
@@ -785,7 +659,7 @@ let metrics_json s =
       Printf.sprintf "  \"failure_sites\": {%s},"
         (String.concat ", "
            (List.map
-              (fun (k, n) -> Printf.sprintf "%s: %d" (Report.json_string k) n)
+              (fun (k, n) -> Printf.sprintf "%s: %d" (T.json_string k) n)
               (failure_site_counts s.outcomes)));
       (* per-piece counters from the outcomes plus the shared cache's own
          view: occupancy, generation-flip evictions, and how many hits the
@@ -809,27 +683,14 @@ let metrics_json s =
       Printf.sprintf "  \"phase_ms_total\": {%s},"
         (String.concat ", "
            (List.map
-              (fun (p, ms) -> Printf.sprintf "%s: %.1f" (Report.json_string p) ms)
+              (fun (p, ms) -> Printf.sprintf "%s: %.1f" (T.json_string p) ms)
               (phase_totals s.outcomes)));
-      (* how far down the ladder the run had to go, and how much text the
-         partial-parse recovery salvaged *)
-      Printf.sprintf "  \"degraded_modes\": {%s},"
-        (String.concat ", "
-           (List.map
-              (fun m ->
-                Printf.sprintf "%s: %d"
-                  (Report.json_string (mode_name m))
-                  (List.length
-                     (List.filter (fun o -> o.degraded_mode = m) s.outcomes)))
-              [ Full; Static; Token_only; Passthrough ]));
-      Printf.sprintf "  \"retries_total\": %d,"
-        (List.fold_left (fun acc o -> acc + o.retries) 0 s.outcomes);
       (* the semantic gate's verdict distribution and how much of the run
          was answered from the resume journal *)
       Printf.sprintf "  \"verify\": {%s},"
         (String.concat ", "
            (List.map
-              (fun (k, n) -> Printf.sprintf "%s: %d" (Report.json_string k) n)
+              (fun (k, n) -> Printf.sprintf "%s: %d" (T.json_string k) n)
               (verdict_counts s.outcomes)));
       Printf.sprintf "  \"resumed\": %d,"
         (List.length (List.filter (fun o -> o.resumed) s.outcomes));
@@ -844,6 +705,7 @@ let metrics_json s =
         (sum_stats (fun st -> st.Recover.dynamic_recovered) s.outcomes)
         (T.Metrics.counter_value (T.Metrics.counter "verify.dynamic_rolled_back"))
         (sum_stats (fun st -> st.Recover.dynamic_unverifiable) s.outcomes);
+      (* how much text the partial-parse recovery salvaged *)
       Printf.sprintf
         "  \"regions\": {\"total\": %d, \"recovered\": %d},"
         (List.fold_left (fun acc o -> acc + o.regions_total) 0 s.outcomes)
@@ -856,8 +718,8 @@ let metrics_json s =
         (String.concat ", "
            (List.map
               (fun (rule, st) ->
-                Printf.sprintf "%s: %s" (Report.json_string rule)
-                  (Report.json_string st))
+                Printf.sprintf "%s: %s" (T.json_string rule)
+                  (T.json_string st))
               (Quarantine.snapshot ())));
       Printf.sprintf "  \"memory\": %s," (Pscommon.Memwatch.to_json ());
       Printf.sprintf "  \"metrics\": %s"

@@ -5,21 +5,6 @@
     parallel on a fixed-size domain pool ({!Pscommon.Pool}); outcomes stay
     in input order and outputs are byte-identical to a sequential run. *)
 
-(** The degraded-mode retry ladder, strongest first.  When an attempt
-    degrades for any reason a weaker mode could dodge (anything but a parse
-    failure), the file is retried one rung down with a fresh deadline:
-    {!Static} drops the dynamic recovery fixpoint (no piece execution),
-    {!Token_only} additionally drops renaming and reformatting, and
-    {!Passthrough} does not run the engine at all — the unconditional
-    floor, so every file always yields an output and a classified report. *)
-type mode = Full | Static | Token_only | Passthrough
-
-val mode_name : mode -> string
-(** ["full"], ["static"], ["token-only"], ["passthrough"] — the JSON tags. *)
-
-val weaker : mode -> mode option
-(** The next rung down, [None] below {!Passthrough}. *)
-
 type outcome = {
   file : string;  (** input path *)
   output_file : string option;  (** where the recovered text was written *)
@@ -29,11 +14,12 @@ type outcome = {
   iterations : int;
   changed : bool;
   failures : Engine.failure_site list;
-      (** empty when the file ran clean; accumulated across every ladder
-          attempt, so a retried file shows its whole descent *)
+      (** empty when the file ran clean; otherwise the phases the engine
+          skipped, in phase order *)
   stats : Recover.stats;
-  degraded_mode : mode;  (** the rung that produced the final output *)
-  retries : int;  (** ladder steps taken; 0 means full strength *)
+  retries : int;
+      (** always 0: files are never retried.  Kept only for readers built
+          against the old record; to be deleted. *)
   regions_total : int;  (** {!Engine.guarded} partial-parse region count *)
   regions_recovered : int;
   verdict : Verify.verdict option;
@@ -45,10 +31,8 @@ type outcome = {
 
 type summary = {
   total : int;
-  clean : int;
-      (** files with no contained failures {e and} no ladder retries —
-          clean at full strength *)
-  degraded : int;  (** files that degraded or walked the retry ladder *)
+  clean : int;  (** files with no contained failures *)
+  degraded : int;  (** files with at least one contained failure *)
   wall_ms : float;
   jobs_requested : int;  (** the [jobs] the caller asked for *)
   jobs_effective : int;
@@ -87,9 +71,9 @@ val run_source :
   string ->
   outcome * string
 (** [run_source ~name src] is the shared request core between batch files
-    and serve-daemon requests: walk the retry ladder on the source text,
-    optionally run the {!Verify} gate on the winning rung, and return the
-    outcome (with [file = name], no output file, [wall_ms] covering just
+    and serve-daemon requests: run {!Engine.run_guarded_parsed} once on the
+    source text under one [timeout_s] deadline, optionally run the
+    {!Verify} gate on its result, and return the outcome (with [file = name], no output file, [wall_ms] covering just
     the pipeline) alongside the recovered text.  [cache] supplies a
     caller-owned piece cache, so a long-running service keeps recovered
     pieces warm across requests; without it each call starts cold.  Never
@@ -103,14 +87,13 @@ val process_file :
   ?cache:Recover.Cache.t ->
   ?out_dir:string ->
   ?trace_dir:string ->
-  ?sampled:bool ->
   ?verify:bool ->
   ?verify_opts:Verify.opts ->
   ?journal:journal ->
   string ->
   outcome
-(** Run one file through {!Engine.run_guarded} under its own deadline,
-    descending the retry ladder on non-parse degradations.  Never raises:
+(** Run one file through {!run_source} under its own deadline.  Never
+    raises:
     unreadable files and crashing samples come back as an outcome with
     failures, and anything escaping the per-file pipeline (including
     injected {!Pscommon.Chaos} pool faults) is contained by a backstop
@@ -123,14 +106,13 @@ val process_file :
     recorded as a ["write"] failure site.  With [trace_dir], the file runs
     under an ambient {!Pscommon.Telemetry} trace and the event stream is
     written to [trace_dir/<basename>.trace.jsonl] — one stream per input,
-    even across pool domains.  With [sampled:false] (and a [trace_dir])
-    the file still runs traced, but into a reusable per-domain scratch
-    ring with no JSONL serialization — the sampling fast path.
+    even across pool domains.  Without [trace_dir] the file runs
+    untraced.
 
     With [verify] (default off here, on in {!run_files}), the {!Verify}
-    gate executes original and output in the sandbox after the ladder
-    settles and the outcome carries the verdict; a divergence is rolled
-    back by re-running the same rung with the offending edits suppressed.
+    gate executes original and output in the sandbox after the engine run
+    and the outcome carries the verdict; a divergence is rolled back by
+    re-running the engine with the offending edits suppressed.
     With [journal], the file is skipped when a matching clean ["done"]
     entry exists (resume), and ["started"]/["done"] entries are appended
     as it is processed. *)
@@ -174,9 +156,8 @@ val run_files :
     same output bytes without redoing finished work.
 
     [trace_sample n] (with a [trace_dir], [n > 1]) serializes only every
-    n-th file's trace, by input index, so the selection is deterministic
-    across [jobs] levels; unsampled files trace into a reusable scratch
-    ring with no serialization cost. *)
+    n-th file's trace, by input index (0, n, 2n, …), so the selection is
+    deterministic across [jobs] levels; the other files run untraced. *)
 
 val run_dir :
   ?options:Engine.options ->
@@ -206,8 +187,7 @@ val summary_to_json : summary -> string
 val metrics_json : summary -> string
 (** The run-level rollup written as [metrics.json]: contained-failure
     counts keyed ["phase/kind"], piece-cache hit rate, per-phase wall-time
-    totals, per-rung [degraded_modes] counts with [retries_total], the
-    partial-parse [regions] totals, and the current
+    totals, the partial-parse [regions] totals, and the current
     {!Pscommon.Telemetry.Metrics} snapshot
     (counters, gauges and latency histograms aggregated across all pool
     domains).  Meaningful right after {!run_files}/{!run_dir}, which reset

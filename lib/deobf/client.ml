@@ -84,7 +84,7 @@ let backoff_ms rng ~retry_after_ms ~attempt =
 
 let request_line ~id ~timeout_s ~verify src =
   String.concat ""
-    [ Printf.sprintf "{\"id\": %d, \"script\": %s" id (Report.json_string src);
+    [ Printf.sprintf "{\"id\": %d, \"script\": %s" id (T.json_string src);
       (match timeout_s with
       | Some t -> Printf.sprintf ", \"timeout_s\": %g" t
       | None -> "");
@@ -179,16 +179,16 @@ let result_json r =
   Printf.sprintf
     "{\"file\": %s, \"result\": %s, \"status\": %s, \"attempts\": %d, \
      \"wall_ms\": %.1f, \"output_file\": %s}"
-    (Report.json_string r.r_file)
-    (Report.json_string
+    (T.json_string r.r_file)
+    (T.json_string
        (match r.r_kind with
        | Done -> "done"
        | Shed -> "shed"
        | Failed -> "failed"))
-    (Report.json_string r.r_status)
+    (T.json_string r.r_status)
     r.r_attempts r.r_wall_ms
     (match r.r_output_file with
-    | Some p -> Report.json_string p
+    | Some p -> T.json_string p
     | None -> "null")
 
 let run ?(max_retries = 5) ?timeout_s ?verify ?out_dir ?rng_seed ~addr files =

@@ -144,15 +144,19 @@ let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = []) src =
           (out.Parser.text, passes))
 
 (* the top-level input, parsed once by the engine's validity check *)
-and deobfuscate_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = [])
+and deobfuscate_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
     (p : Parser.parsed) =
   let start =
     Option.value ~default:p
       (token_phase ~opts ?log ~suppress ~toks:p.Parser.tokens p.Parser.text)
   in
-  fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress start
+  fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress ?keep start
 
-and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) start =
+(* [keep], when given, sees every validated text the loop starts a pass
+   from (the token-phase output first), with the passes completed so far:
+   what the caller falls back to if the loop itself later fails *)
+and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
+    start =
   let deobfuscate ~depth payload =
     (* recursive entry used by multi-layer unwrapping; shares the piece
        cache — unwrapped layers repeat the outer layers' decode pieces.
@@ -166,6 +170,7 @@ and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) start =
      edits (its output has not itself been simplified yet), forcing one
      more Simplify run even when Recover and Token_phase are quiescent *)
   let rec fixpoint i (current : Parser.parsed) simplify_pending =
+    Option.iter (fun keep -> keep current i) keep;
     if i >= opts.max_iterations then (current, i)
     else if Pscommon.Guard.expired (Pscommon.Guard.ambient_deadline ()) then
       (current, i)
@@ -301,7 +306,12 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
     ?(max_output_bytes = 32 * 1024 * 1024) ?cache ?(suppress = []) src =
   let module Guard = Pscommon.Guard in
   let module T = Pscommon.Telemetry in
-  let deadline = Guard.deadline_after timeout_s in
+  (* one deadline for the whole run, never later than an enclosing one (a
+     serve request's admission deadline): when it passes, the phase that
+     overran records the timeout and every later phase is skipped *)
+  let deadline =
+    Float.min (Guard.deadline_after timeout_s) (Guard.ambient_deadline ())
+  in
   let stats = Recover.new_stats () in
   (* a caller-owned cache (the serve daemon's per-worker cache) persists
      across runs; the default is private to this run *)
@@ -475,17 +485,25 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
   | Ok (Ok parsed) ->
       src_ast := Some parsed.Parser.ast;
       let measure ((p : Parser.parsed), _) = String.length p.Parser.text in
+      (* the newest validated text that fits the output cap: a recovery
+         phase that crashes, overruns or over-produces falls back to it,
+         and to the input only when the phase validated nothing *)
+      let best = ref (parsed, 0) in
+      let keep (p : Parser.parsed) passes =
+        if String.length p.Parser.text <= max_output_bytes then
+          best := (p, passes)
+      in
       let recovered, iterations =
         match
           timed "recovery" (fun () ->
               Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
                   deobfuscate_parsed ~opts:options ~stats ~cache ~depth:0 ~log
-                    ~suppress parsed))
+                    ~suppress ~keep parsed))
         with
         | Ok r -> r
         | Error failure ->
             record "recovery" failure;
-            (parsed, 0)
+            !best
       in
       (* dynamic recovery: provenance-guided replacement of the loop/
          conditional regions the static fixpoint cannot fold.  Runs under

@@ -96,10 +96,15 @@ val run_guarded :
   guarded
 (** Totalised pipeline for hostile input: every phase runs under
     {!Pscommon.Guard.protect} with one wall-clock deadline for the whole
-    run.  Deeply nested scripts, decode bombs and random bytes each come
-    back as a structured {!failure_site} — the call itself always returns,
-    degrading phase-by-phase to the best text produced so far (partial
-    recovery is kept on timeout).
+    run, [timeout_s] from now or the enclosing ambient deadline, whichever
+    comes first.  Deeply nested scripts, decode bombs and random bytes each
+    come back as a structured {!failure_site} — the call itself always
+    returns, degrading phase-by-phase to the best text produced so far.
+    When the deadline passes, partial recovery is kept and the later
+    phases are skipped; when the recovery phase fails, it falls back to
+    the newest text it validated that fits [max_output_bytes] (the
+    token-phase output at the latest), and to the input only when there
+    is none.
 
     [cache] supplies a caller-owned piece cache that persists across runs
     (the serve daemon keeps one warm per worker domain); by default each

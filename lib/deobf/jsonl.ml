@@ -2,9 +2,9 @@
 
     Shared by the batch resume journal and the serve daemon's NDJSON
     protocol.  This is {e not} a general JSON parser: it scans flat
-    objects whose strings were escaped by {!Report.json_escape} (so a
-    value never contains a raw newline or an unescaped quote).  A
-    malformed line simply fails to match — exactly the right degradation
+    objects whose strings were escaped by
+    {!Pscommon.Telemetry.json_escape} (so a value never contains a raw
+    newline or an unescaped quote).  A malformed line simply fails to match — exactly the right degradation
     for a journal replay or an untrusted request line, where the answer
     to "can't read it" is "skip it / answer with an error", never an
     exception. *)

@@ -2,8 +2,8 @@
 
     Shared by the batch resume journal and the serve daemon's NDJSON
     protocol.  Not a general JSON parser: it scans {e flat} objects whose
-    string values were escaped by {!Report.json_escape} (no raw newlines,
-    no unescaped quotes).  Every accessor returns [None] on a malformed
+    string values were escaped by {!Pscommon.Telemetry.json_escape} (no
+    raw newlines, no unescaped quotes).  Every accessor returns [None] on a malformed
     or absent field — callers degrade (skip the journal line, answer the
     request with a structured error) rather than raise. *)
 
@@ -25,5 +25,5 @@ val field_start : string -> string -> int option
 val oneline : string -> string
 (** Replace every newline with a space — turns this codebase's pretty
     multi-line JSON renderings into single NDJSON lines.  Only safe for
-    JSON we rendered ourselves ({!Report.json_escape} never leaves a raw
-    newline inside a string value). *)
+    JSON we rendered ourselves ({!Pscommon.Telemetry.json_escape} never
+    leaves a raw newline inside a string value). *)

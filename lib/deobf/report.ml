@@ -77,23 +77,7 @@ let analyze ?options ?(verify = false) src =
     verify = verify_outcome;
   }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string = Pscommon.Telemetry.json_string
 
 let json_list items = "[" ^ String.concat ", " (List.map json_string items) ^ "]"
 

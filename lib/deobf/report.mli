@@ -56,5 +56,3 @@ val to_json : t -> string
     [regions_recovered]) and the ["verify"] object (or [null]) precede
     ["output"]. *)
 
-val json_escape : string -> string
-val json_string : string -> string

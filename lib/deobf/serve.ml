@@ -2,8 +2,8 @@
 
     One listener domain multiplexes connections with [select] and parses
     NDJSON request lines; a {!Pscommon.Pool.Service} of worker domains
-    runs each request through {!Batch.run_source} — the same retry
-    ladder, fault containment and semantic gate as a batch file.  The
+    runs each request through {!Batch.run_source} — the same guarded
+    engine, fault containment and semantic gate as a batch file.  The
     architectural invariants:
 
     {ul
@@ -12,8 +12,9 @@
        (with a [retry_after_ms] hint) instead of queueing unboundedly;}
     {- {e per-request budgets}: each request's deadline starts at admission
        and is installed as the {!Pscommon.Guard} ambient deadline around
-       the whole pipeline, so every ladder rung inherits what is left of
-       the request's budget — a request can time out, the daemon cannot;}
+       the whole pipeline, so the engine's own deadline is cut to what is
+       left of the request's budget — a request can time out, the daemon
+       cannot;}
     {- {e fault containment}: any guard failure, chaos fault or worker
        exception becomes a structured error response; the worker recycles
        and the server never dies;}
@@ -165,8 +166,8 @@ let error_json ~id ~kind ~detail =
   T.Metrics.incr m_errors;
   Printf.sprintf "{\"id\": %s, \"status\": \"error\", \"kind\": %s, \"detail\": %s}"
     id
-    (Report.json_string kind)
-    (Report.json_string detail)
+    (T.json_string kind)
+    (T.json_string detail)
 
 let overloaded_json ~id ~depth ~reason =
   T.Metrics.incr m_shed;
@@ -180,7 +181,7 @@ let overloaded_json ~id ~depth ~reason =
   Printf.sprintf
     "{\"id\": %s, \"status\": \"overloaded\", \"reason\": %s, \
      \"retry_after_ms\": %d}"
-    id (Report.json_string reason)
+    id (T.json_string reason)
     (int_of_float retry)
 
 (* ---------- requests ---------- *)
@@ -207,7 +208,7 @@ let respond req line =
    server's own sequence number keeps responses matchable *)
 let id_of_line ~seq line =
   match Jsonl.string_field line "id" with
-  | Some s -> Report.json_string s
+  | Some s -> T.json_string s
   | None -> (
       match Jsonl.int_field line "id" with
       | Some n -> string_of_int n
@@ -226,35 +227,23 @@ let make_cache cfg =
          ~max_output_bytes:(Some cfg.max_output_bytes))
     ()
 
-(* per-domain scratch ring for unsampled traced requests, mirroring the
-   batch sampling fast path *)
-let scratch_trace : T.trace Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> T.create ())
-
 (* Per-request tracing, two consumers: [trace_dir] serializes sampled
    requests to [req-<seq>.trace.jsonl]; a request whose line carries
    ["trace": true] additionally gets its events inlined in the response
    (recorded into a small dedicated ring so the inline field stays
-   bounded).  Either way the trace is created/reset inside the request-id
-   scope, so its trace_id is the request's. *)
+   bounded); any other request runs untraced.  Either way the trace is
+   created inside the request-id scope, so its trace_id is the
+   request's. *)
 let with_request_trace cfg seq ~inline f =
-  match (cfg.trace_dir, inline) with
-  | None, None -> f ()
+  let sampled =
+    cfg.trace_dir <> None
+    &&
+    match cfg.trace_sample with Some n when n > 1 -> seq mod n = 0 | _ -> true
+  in
+  match inline with
+  | None when not sampled -> f ()
   | _ ->
-      let sampled =
-        match cfg.trace_sample with Some n when n > 1 -> seq mod n = 0 | _ -> true
-      in
-      let trace =
-        match inline with
-        | Some tr -> tr
-        | None ->
-            if sampled then T.create ()
-            else begin
-              let t = Domain.DLS.get scratch_trace in
-              T.reset t;
-              t
-            end
-      in
+      let trace = match inline with Some tr -> tr | None -> T.create () in
       let v =
         T.with_trace trace (fun () ->
             T.span ~attrs:[ ("request", T.I seq) ] "serve.request" f)
@@ -274,7 +263,7 @@ let with_request_trace cfg seq ~inline f =
 (* The worker-side request handler.  Totalised twice over: the pipeline
    inside is {!Batch.run_source} (already total), the outer
    {!Guard.protect} installs the request's admission-time deadline as the
-   ambient budget (every ladder rung's own deadline is min'd against it)
+   ambient budget (the engine's own deadline is min'd against it)
    and catches anything outside the pipeline, and the final [try] is the
    last-resort conversion of a response-rendering bug into an error
    response rather than a recycled-but-silent worker. *)
@@ -350,9 +339,9 @@ let handle cfg cache req =
                 "{\"id\": %s, \"status\": %s, \"trace_id\": %s, \
                  \"output\": %s, \"report\": %s}"
                 id
-                (Report.json_string status)
-                (Report.json_string req.rq_tid)
-                (Report.json_string output)
+                (T.json_string status)
+                (T.json_string req.rq_tid)
+                (T.json_string output)
                 (Jsonl.oneline (Batch.outcome_to_json outcome))
           | Error failure ->
               (* a blown deadline is a flight-recorder trigger: dump the
@@ -392,7 +381,7 @@ let health_json ~id ~started ~service ~draining cfg =
      \"queue_depth\": %d, \"inflight\": %d, \"jobs\": %d, \"queue_cap\": %d, \
      \"uptime_s\": %.1f}"
     id
-    (Report.json_string (if draining then "draining" else "serving"))
+    (T.json_string (if draining then "draining" else "serving"))
     (Pool.Service.depth service)
     (Pool.Service.inflight service)
     cfg.jobs cfg.queue_cap
@@ -415,8 +404,8 @@ let selfheal_json () =
     (String.concat ", "
        (List.map
           (fun (rule, st) ->
-            Printf.sprintf "%s: %s" (Report.json_string rule)
-              (Report.json_string st))
+            Printf.sprintf "%s: %s" (T.json_string rule)
+              (T.json_string st))
           (Quarantine.snapshot ())))
     (Memwatch.to_json ())
 

@@ -33,10 +33,10 @@
     {2 Hardening}
 
     Worker domains ({!Pscommon.Pool.Service}) run each request through
-    {!Batch.run_source} — the batch retry ladder and {!Verify} gate — under
-    a {!Pscommon.Guard} ambient deadline that starts at {e admission}, so
-    queue time counts against the request's budget and drain time is
-    bounded.  Any failure is a structured error response; workers recycle,
+    {!Batch.run_source} — one guarded engine run and the {!Verify} gate,
+    as for a batch file — under a {!Pscommon.Guard} ambient deadline that
+    starts at {e admission}, so queue time counts against the request's
+    budget and drain time is bounded.  Any failure is a structured error response; workers recycle,
     the daemon survives.  All workers share one warm bounded piece cache
     ({!Recover.Cache}) for the life of the process — a piece recovered for
     one request is a hit for every later one, whichever worker runs it —

@@ -53,9 +53,9 @@ let run_log ~opts ~runs ?ast text =
   Sandbox.run_for_verify ~max_steps:opts.max_steps ~timeout_s:opts.timeout_s
     ?ast text
 
-(* Reference-log memo for the {e original} script's sandbox run.  The gate
-   re-verifies the same input whenever the ladder re-runs a rung, and a
-   service sees the same script again and again — but the reference log is
+(* Reference-log memo for the {e original} script's sandbox run.  A
+   service sees the same script again and again, and a repeated batch
+   re-verifies the same inputs — but the reference log is
    a pure function of (text, sandbox limits), so it is cached keyed on the
    content digest plus those limits.  Only [Ok] logs are stored: a
    containment error (timeout, step limit hit mid-wall-clock) depends on

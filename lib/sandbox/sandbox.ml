@@ -17,8 +17,8 @@ type report = {
       (** final global-scope bindings the script established, by name *)
   error : string option;  (** execution error, if any; events are kept *)
   failure : Pscommon.Guard.failure option;
-      (** set when the run was contained by the guard (stack overflow,
-          deadline, stray exception) rather than finishing *)
+      (** set when the run was contained (stack overflow, deadline, step
+          budget, stray exception) rather than finishing *)
 }
 
 let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast script =
@@ -40,6 +40,12 @@ let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast script =
           | None -> Pseval.Interp.parse_piece script))
   with
   | Ok (Ok output) -> { (report None None) with output }
+  | Ok (Error msg) when env.Pseval.Env.steps > max_steps ->
+      (* the interpreter reports an exhausted step budget as an evaluation
+         error, but the run was cut short, not finished: what the script
+         would have done next is unknown *)
+      report (Some msg)
+        (Some (Pscommon.Guard.Interpreter_limit "step budget exhausted"))
   | Ok (Error msg) -> report (Some msg) None
   | Error failure ->
       (* events recorded before containment are kept: a sample that beacons

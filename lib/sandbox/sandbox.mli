@@ -12,8 +12,8 @@ type report = {
       (** final global-scope bindings the script established, by name *)
   error : string option;  (** execution error, if any; events are kept *)
   failure : Pscommon.Guard.failure option;
-      (** set when the run was contained by the guard (stack overflow,
-          deadline, stray exception) rather than finishing *)
+      (** set when the run was contained (stack overflow, deadline, step
+          budget, stray exception) rather than finishing *)
 }
 
 val run :

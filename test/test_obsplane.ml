@@ -340,8 +340,8 @@ let body_of_http response =
 
 let request_line ?(trace = false) ?(timeout_s = 0.0) id script =
   Printf.sprintf "{\"id\": %s, \"script\": %s%s%s}\n"
-    (Deobf.Report.json_string id)
-    (Deobf.Report.json_string script)
+    (T.json_string id)
+    (T.json_string script)
     (if trace then ", \"trace\": true" else "")
     (if timeout_s > 0.0 then Printf.sprintf ", \"timeout_s\": %g" timeout_s
      else "")

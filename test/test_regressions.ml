@@ -132,6 +132,34 @@ let test_new_object_paren_arguments () =
 let test_range_after_value () =
   check_s "range" "123" (eval_str "(1..3) -join ''")
 
+(* the verify sandbox reported an exhausted step budget as a script error,
+   so a reference run cut short mid-decode was compared as if the script
+   had finished, and the gate called a correct unwrap "diverged".  Found on
+   sample 60 of [generate_hard ~seed:4243] (198 552 bytes: a 66 378-element
+   hex decode around a whitespace decoder); the repro is the same shape,
+   a hex decode padded until the sandbox budget runs out before its IEX. *)
+let test_step_budget_is_containment () =
+  check_b "a run cut short by the step budget is unverifiable" true
+    (Result.is_error
+       (Sandbox.run_for_verify ~max_steps:1000
+          "foreach ($i in 1..100000) { $x = $i }\nWrite-Output 'done'"));
+  let hex =
+    String.concat ":"
+      (List.init 8000 (fun _ -> "20")
+      @ List.map
+          (fun c -> Printf.sprintf "%x" (Char.code c))
+          (List.of_seq (String.to_seq "Write-Output 'hi'")))
+  in
+  let src =
+    Printf.sprintf
+      "iex ((('%s') -split ':' | ForEach-Object { [char][convert]::ToInt32($_, 16) }) -join '')\n"
+      hex
+  in
+  let opts = { Deobf.Verify.default_opts with Deobf.Verify.max_steps = 20_000 } in
+  let g, o = Deobf.Verify.run_guarded ~opts src in
+  check_s "the unwrap is kept" "'hi'\n" g.Deobf.Engine.result.Deobf.Engine.output;
+  check_s "verdict" "unverifiable" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict)
+
 let suite =
   [
     ("-contains prefix", `Quick, test_contains_not_case_prefixed);
@@ -150,4 +178,5 @@ let suite =
     ("hash multiple entries", `Quick, test_hash_multiple_entries);
     ("new-object paren arguments", `Quick, test_new_object_paren_arguments);
     ("range after value", `Quick, test_range_after_value);
+    ("step budget is containment", `Quick, test_step_budget_is_containment);
   ]

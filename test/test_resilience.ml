@@ -1,9 +1,10 @@
 (* Tests for the resilience layer: statement-boundary segmentation and
    partial-parse recovery, seeded chaos injection with its mutation fuzzer,
-   and the degraded-mode retry ladder.  The standing contracts: no input —
-   truncated, binary-prefixed, fault-injected — ever crashes a run; every
-   file yields a classified outcome; and injection is a pure function of
-   (seed, scope, probe order), so outputs replay byte-identically. *)
+   and per-phase degradation under deadlines and output caps.  The
+   standing contracts: no input — truncated, binary-prefixed,
+   fault-injected — ever crashes a run; every file yields a classified
+   outcome; and injection is a pure function of (seed, scope, probe
+   order), so outputs replay byte-identically. *)
 
 open Pscommon
 module Seg = Psparse.Segment
@@ -392,21 +393,7 @@ let prop_mutated_scripts_contained =
       || g.Deobf.Engine.regions_recovered >= 1
       || String.equal g.Deobf.Engine.result.Deobf.Engine.output src)
 
-(* ---------- the retry ladder ---------- *)
-
-let test_ladder_rungs () =
-  check_b "full -> static" true (Deobf.Batch.weaker Deobf.Batch.Full = Some Deobf.Batch.Static);
-  check_b "static -> token-only" true
-    (Deobf.Batch.weaker Deobf.Batch.Static = Some Deobf.Batch.Token_only);
-  check_b "token-only -> passthrough" true
-    (Deobf.Batch.weaker Deobf.Batch.Token_only = Some Deobf.Batch.Passthrough);
-  check_b "passthrough is the floor" true
-    (Deobf.Batch.weaker Deobf.Batch.Passthrough = None);
-  check_s "mode tags" "full,static,token-only,passthrough"
-    (String.concat ","
-       (List.map Deobf.Batch.mode_name
-          [ Deobf.Batch.Full; Deobf.Batch.Static; Deobf.Batch.Token_only;
-            Deobf.Batch.Passthrough ]))
+(* ---------- one degradation path: a failed phase keeps the best text ---------- *)
 
 let bomb_options =
   { Deobf.Engine.default_options with
@@ -415,33 +402,73 @@ let bomb_options =
         piece_step_budget = 1_000_000_000;
         piece_timeout_s = 60.0 } }
 
-let test_ladder_degrades_decode_bomb () =
-  (* the bomb times out at Full; Static (no piece execution) succeeds, so
-     the ladder settles one rung down with the whole descent on record *)
+(* a foldable concatenation, a backtick-obfuscated command, then a decode
+   bomb only the wall clock can stop *)
+let partial_bomb =
+  "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n$x = $(while (1 -lt 2) { 1 }; 'done')\n"
+
+let site_labels failures =
+  List.map
+    (fun (s : Deobf.Engine.failure_site) ->
+      s.Deobf.Engine.phase ^ "/" ^ Guard.failure_label s.Deobf.Engine.failure)
+    failures
+
+let check_partial_recovery output failures =
+  check_b "the fold before the bomb is kept" true
+    (Strcase.contains ~needle:"$a = 'hello'" output);
+  check_s "one failure site" "recovery/timeout"
+    (String.concat "," (site_labels failures))
+
+let test_deadline_keeps_partial_recovery () =
+  (* the bomb overruns the file's deadline: the engine stops the recovery
+     loop, keeps what the completed passes recovered, and the file is done
+     — one run under one deadline *)
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "bomb.ps1" in
-      write_file path "$x = $(while (1 -lt 2) { 1 }; 'done')\n";
+      write_file path partial_bomb;
+      let out_dir = Filename.concat dir "out" in
+      Sys.mkdir out_dir 0o755;
+      let timeout_s = 0.4 in
       let o =
-        Deobf.Batch.process_file ~options:bomb_options ~timeout_s:0.4 path
+        Deobf.Batch.process_file ~options:bomb_options ~timeout_s ~out_dir path
       in
-      check_b "walked the ladder" true (o.Deobf.Batch.retries >= 1);
-      check_b "settled below full strength" true
-        (o.Deobf.Batch.degraded_mode <> Deobf.Batch.Full);
-      check_b "timeout on record" true
-        (List.exists
-           (fun (s : Deobf.Engine.failure_site) -> s.failure = Guard.Timeout)
-           o.Deobf.Batch.failures))
+      check_partial_recovery
+        (read_file (Filename.concat out_dir "bomb.ps1"))
+        o.Deobf.Batch.failures;
+      check_b
+        (Printf.sprintf "wall %.0f ms within one deadline" o.Deobf.Batch.wall_ms)
+        true
+        (o.Deobf.Batch.wall_ms < (timeout_s +. 0.5) *. 1000.0))
+
+let test_admission_deadline_keeps_partial_recovery () =
+  (* a serve request: the admission deadline is ambient around the whole
+     request and is shorter than the engine's own timeout *)
+  match
+    Guard.protect ~deadline:(Guard.deadline_after 0.4) (fun () ->
+        Deobf.Batch.run_source ~options:bomb_options ~timeout_s:30.0
+          ~name:"request" partial_bomb)
+  with
+  | Error f -> Alcotest.failf "request escaped: %s" (Guard.failure_to_string f)
+  | Ok (o, output) -> check_partial_recovery output o.Deobf.Batch.failures
+
+let test_recovery_fault_keeps_token_text () =
+  (* recovery folds the repetition past the output cap; the phase fails and
+     falls back to the token phase's text, not to the raw input *)
+  let g =
+    Deobf.Engine.run_guarded ~max_output_bytes:31
+      "W`r`i`t`e`-`O`u`t`p`u`t ('a'*30)"
+  in
+  check_s "token-phase text kept" "Write-Output ('a'*30)\n"
+    g.Deobf.Engine.result.Deobf.Engine.output;
+  check_s "recovery failure on record" "recovery/output-too-large"
+    (String.concat "," (site_labels g.Deobf.Engine.failures))
 
 let test_ladder_parse_failure_no_retry () =
-  (* no rung parses better than a stronger one: a pure parse failure stops
-     the ladder at Full with partial recovery's best effort *)
+  (* a pure parse failure is answered by partial recovery's best effort *)
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "frag.ps1" in
       write_file path "$a = 'he' + 'llo'\nif (1) { broken\n";
       let o = Deobf.Batch.process_file ~timeout_s:5.0 path in
-      check_i "no retries on parse failure" 0 o.Deobf.Batch.retries;
-      check_b "stays at full strength" true
-        (o.Deobf.Batch.degraded_mode = Deobf.Batch.Full);
       check_b "partial recovery still ran" true (o.Deobf.Batch.regions_total >= 1))
 
 let test_clean_means_full_strength () =
@@ -455,7 +482,7 @@ let test_clean_means_full_strength () =
           [ good; bomb ]
       in
       check_i "only the untouched file counts as clean" 1 s.Deobf.Batch.clean;
-      check_i "the laddered file counts as degraded" 1 s.Deobf.Batch.degraded)
+      check_i "the timed-out file counts as degraded" 1 s.Deobf.Batch.degraded)
 
 (* --- verify.diff chaos: faults inside the effect-log comparison --- *)
 
@@ -553,9 +580,12 @@ let suite =
       test_chaos_task_fault_contained;
     QCheck_alcotest.to_alcotest prop_mutate_total;
     QCheck_alcotest.to_alcotest prop_mutated_scripts_contained;
-    Alcotest.test_case "ladder rungs" `Quick test_ladder_rungs;
-    Alcotest.test_case "ladder degrades decode bomb" `Quick
-      test_ladder_degrades_decode_bomb;
+    Alcotest.test_case "deadline keeps partial recovery" `Quick
+      test_deadline_keeps_partial_recovery;
+    Alcotest.test_case "admission deadline keeps partial recovery" `Quick
+      test_admission_deadline_keeps_partial_recovery;
+    Alcotest.test_case "recovery fault keeps token-phase text" `Quick
+      test_recovery_fault_keeps_token_text;
     Alcotest.test_case "ladder parse failure no retry" `Quick
       test_ladder_parse_failure_no_retry;
     Alcotest.test_case "clean means full strength" `Quick

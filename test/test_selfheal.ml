@@ -92,10 +92,10 @@ let request ?id ?op ?script ?timeout_s () =
   let fields =
     List.filter_map Fun.id
       [
-        Option.map (fun i -> field "id" (Deobf.Report.json_string i)) id;
-        Option.map (fun o -> field "op" (Deobf.Report.json_string o)) op;
+        Option.map (fun i -> field "id" (T.json_string i)) id;
+        Option.map (fun o -> field "op" (T.json_string o)) op;
         Option.map
-          (fun s -> field "script" (Deobf.Report.json_string s))
+          (fun s -> field "script" (T.json_string s))
           script;
         Option.map
           (fun t -> field "timeout_s" (Printf.sprintf "%g" t))

@@ -100,10 +100,10 @@ let request ?id ?op ?script ?timeout_s ?verify () =
   let fields =
     List.filter_map Fun.id
       [
-        Option.map (fun i -> field "id" (Deobf.Report.json_string i)) id;
-        Option.map (fun o -> field "op" (Deobf.Report.json_string o)) op;
+        Option.map (fun i -> field "id" (Pscommon.Telemetry.json_string i)) id;
+        Option.map (fun o -> field "op" (Pscommon.Telemetry.json_string o)) op;
         Option.map
-          (fun s -> field "script" (Deobf.Report.json_string s))
+          (fun s -> field "script" (Pscommon.Telemetry.json_string s))
           script;
         Option.map (fun t -> field "timeout_s" (Printf.sprintf "%g" t)) timeout_s;
         Option.map (fun v -> field "verify" (string_of_bool v)) verify;
@@ -252,9 +252,9 @@ let test_deadline_isolation () =
       let lines = read_lines fd 2 in
       check_i "both answered" 2 (List.length lines);
       let bomb = response_for lines "bomb" in
-      (* the bomb's budget fired: either the ladder degraded it (report
-         with failures) or the outer guard answered with a structured
-         timeout — never silence, never a daemon crash *)
+      (* the bomb's budget fired: either the engine skipped the phase it
+         overran (report with failures) or the outer guard answered with a
+         structured timeout — never silence, never a daemon crash *)
       check_b "bomb contained" true
         (List.mem (status_of bomb) [ "degraded"; "error" ]);
       let clean = response_for lines "clean" in

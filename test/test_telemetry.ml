@@ -242,6 +242,37 @@ let test_batch_trace_identity () =
   check_b "rollup lists the cache" true
     (Pscommon.Strcase.contains ~needle:"\"pieces_attempted\"" rollup)
 
+(* sampling keys on the input index: every n-th file (0, n, 2n, …) writes
+   its trace, the rest run untraced, and no output byte changes *)
+let test_batch_trace_sample () =
+  let dir = Filename.temp_dir "telemetry_sample" "" in
+  let files =
+    List.init 7 (fun i ->
+        let path = Filename.concat dir (Printf.sprintf "s%d.ps1" i) in
+        write_file path
+          (Printf.sprintf "$x%d = 'pa' + 'y%d'\nWrite-Host $x%d" i i i);
+        path)
+  in
+  let out_plain = Filename.concat dir "out_plain" in
+  let out_traced = Filename.concat dir "out_traced" in
+  let trace_dir = Filename.concat dir "traces" in
+  ignore (Deobf.Batch.run_files ~timeout_s:30.0 ~out_dir:out_plain files);
+  ignore
+    (Deobf.Batch.run_files ~timeout_s:30.0 ~out_dir:out_traced ~trace_dir
+       ~trace_sample:3 files);
+  check_s "traces for indices 0, 3 and 6 only"
+    "s0.ps1.trace.jsonl,s3.ps1.trace.jsonl,s6.ps1.trace.jsonl"
+    (String.concat ","
+       (List.sort String.compare (Array.to_list (Sys.readdir trace_dir))));
+  List.iter
+    (fun file ->
+      let base = Filename.basename file in
+      let read d =
+        In_channel.with_open_bin (Filename.concat d base) In_channel.input_all
+      in
+      check_s ("output " ^ base) (read out_plain) (read out_traced))
+    files
+
 (* ---------- disabled path allocates nothing ---------- *)
 
 let test_disabled_path_zero_alloc () =
@@ -277,6 +308,7 @@ let suite =
       test_metrics_aggregate_across_domains;
     Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
     Alcotest.test_case "batch trace identity" `Quick test_batch_trace_identity;
+    Alcotest.test_case "batch trace sample" `Quick test_batch_trace_sample;
     Alcotest.test_case "disabled path zero-alloc" `Quick
       test_disabled_path_zero_alloc;
   ]
