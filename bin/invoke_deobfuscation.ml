@@ -313,21 +313,14 @@ let deobfuscate_cmd =
       let file_trace =
         match trace with None -> None | Some path -> Some (path, T.create ())
       in
-      let run_once ?(suppress = []) () =
-        Deobf.Engine.run_guarded ~options
-          ~timeout_s:(Option.value timeout ~default:infinity)
-          ~suppress src
-      in
+      let timeout_s = Option.value timeout ~default:infinity in
       let compute () =
-        let guarded = run_once () in
+        (* with --verify, the gate runs under the same deadline as the
+           engine (--timeout) *)
         if verify_flag then
-          let g, o =
-            Deobf.Verify.gate
-              ~rerun:(fun ~suppress -> run_once ~suppress ())
-              ~src guarded
-          in
+          let g, o = Deobf.Verify.run_guarded ~options ~timeout_s src in
           (g, Some o)
-        else (guarded, None)
+        else (Deobf.Engine.run_guarded ~options ~timeout_s src, None)
       in
       let guarded, verify_outcome =
         match file_trace with

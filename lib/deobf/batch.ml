@@ -279,7 +279,9 @@ let write_file path content =
    guarded engine and semantic gate as a batch file — one hardening path,
    two transports.  The engine runs once, under one deadline: a phase that
    fails is skipped and the best text the earlier phases validated is
-   kept, so there is nothing for a second attempt to add. *)
+   kept, so there is nothing for a second attempt to add.  The semantic
+   gate runs under the same deadline, its rollback re-runs included
+   ({!Verify.run_guarded}). *)
 let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
     ?(verify = false) ?verify_opts ~name src =
   let started = Guard.now () in
@@ -289,21 +291,14 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
      closes.  No-op while disabled. *)
   Quarantine.begin_request ();
   match
-    let guarded, parses =
-      Engine.run_guarded_parsed ?options ?cache ~timeout_s ?max_output_bytes
-        src
-    in
-    (* the gate's re-runs repeat the same run with the same piece cache, so
-       replayed pieces stay byte-identical *)
-    if not verify then (guarded, None, [])
+    if not verify then
+      ( Engine.run_guarded ?options ?cache ~timeout_s ?max_output_bytes src,
+        None,
+        [] )
     else
-      let rerun ~suppress =
-        Engine.run_guarded ?options ?cache ~timeout_s ?max_output_bytes
-          ~suppress src
-      in
       let g, o =
-        Verify.gate ?opts:verify_opts ?src_ast:parses.Engine.src_ast
-          ?out_ast:parses.Engine.out_ast ~rerun ~src guarded
+        Verify.run_guarded ?options ?cache ~timeout_s ?max_output_bytes
+          ?opts:verify_opts src
       in
       (g, Some o.Verify.verdict, o.Verify.rolled_rules)
   with

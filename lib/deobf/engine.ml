@@ -122,7 +122,8 @@ let token_phase ~opts ?log ~suppress ~toks src =
 
    [deobfuscate_at] takes a layer payload seen for the first time: it is
    lexed once, for the token phase and for the fixpoint's starting parse. *)
-let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = []) src =
+let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = [])
+    ?payloads src =
   match Pslex.Lexer.tokenize src with
   | Error _ -> (src, vacuous_passes opts)
   | Ok tokens -> (
@@ -139,24 +140,26 @@ let rec deobfuscate_at ~opts ~stats ~cache ~depth ?log ?(suppress = []) src =
       | None -> (src, vacuous_passes opts)
       | Some p ->
           let out, passes =
-            fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress p
+            fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress
+              ?payloads p
           in
           (out.Parser.text, passes))
 
 (* the top-level input, parsed once by the engine's validity check *)
-and deobfuscate_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
-    (p : Parser.parsed) =
+and deobfuscate_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = [])
+    ?payloads ?keep (p : Parser.parsed) =
   let start =
     Option.value ~default:p
       (token_phase ~opts ?log ~suppress ~toks:p.Parser.tokens p.Parser.text)
   in
-  fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress ?keep start
+  fixpoint_parsed ~opts ~stats ~cache ~depth ?log ~suppress ?payloads ?keep
+    start
 
 (* [keep], when given, sees every validated text the loop starts a pass
    from (the token-phase output first), with the passes completed so far:
    what the caller falls back to if the loop itself later fails *)
-and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
-    start =
+and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = [])
+    ?payloads ?keep start =
   let deobfuscate ~depth payload =
     (* recursive entry used by multi-layer unwrapping; shares the piece
        cache — unwrapped layers repeat the outer layers' decode pieces.
@@ -164,7 +167,7 @@ and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
        wherever its text recurs), but only depth-0 stages are journaled:
        a nested layer's edits land inside the outer unwrap edit's [after]
        text, which is the unit the gate bisects. *)
-    fst (deobfuscate_at ~opts ~stats ~cache ~depth ~suppress payload)
+    fst (deobfuscate_at ~opts ~stats ~cache ~depth ~suppress ?payloads payload)
   in
   (* [simplify_pending] records whether the previous pass's Simplify landed
      edits (its output has not itself been simplified yet), forcing one
@@ -200,8 +203,8 @@ and fixpoint_parsed ~opts ~stats ~cache ~depth ?log ?(suppress = []) ?keep
       let p1, recover_changed =
         or_keep current
           (Recover.run_pass_parsed ~opts:opts.recovery ~stats ~cache
-             ~deobfuscate ~depth ?log ~pass:i ~suppress ~ast:current.Parser.ast
-             current.Parser.text)
+             ~deobfuscate ~depth ?log ~pass:i ~suppress ?payloads
+             ~ast:current.Parser.ast current.Parser.text)
       in
       let p2, token_changed =
         or_keep p1
@@ -294,7 +297,10 @@ let add_timing timings phase ms =
   in
   add [] timings
 
-type parses = { src_ast : Psast.Ast.t option; out_ast : Psast.Ast.t option }
+type parses = {
+  src_ast : Psast.Ast.t option;
+  out_ast : Psast.Ast.t option;
+}
 
 (** Totalised pipeline: every phase runs under {!Pscommon.Guard.protect}
     with one wall-clock deadline for the whole run.  A phase that crashes,
@@ -303,7 +309,8 @@ type parses = { src_ast : Psast.Ast.t option; out_ast : Psast.Ast.t option }
     Also returns the parses of the input and of the output that the run
     made anyway, for the verify gate's sandbox runs. *)
 let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
-    ?(max_output_bytes = 32 * 1024 * 1024) ?cache ?(suppress = []) src =
+    ?(max_output_bytes = 32 * 1024 * 1024) ?cache ?(suppress = []) ?payloads
+    src =
   let module Guard = Pscommon.Guard in
   let module T = Pscommon.Telemetry in
   (* one deadline for the whole run, never later than an enclosing one (a
@@ -498,7 +505,7 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
           timed "recovery" (fun () ->
               Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
                   deobfuscate_parsed ~opts:options ~stats ~cache ~depth:0 ~log
-                    ~suppress ~keep parsed))
+                    ~suppress ?payloads ~keep parsed))
         with
         | Ok r -> r
         | Error failure ->
@@ -527,7 +534,7 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
                     | Some patched ->
                         let out, extra =
                           fixpoint_parsed ~opts:options ~stats ~cache ~depth:0
-                            ~log ~suppress patched
+                            ~log ~suppress ?payloads patched
                         in
                         (out, iterations + extra)))
           with

@@ -133,10 +133,19 @@ val run_guarded_parsed :
   ?max_output_bytes:int ->
   ?cache:Recover.Cache.t ->
   ?suppress:Editlog.suppression list ->
+  ?payloads:Pseval.Env.payloads ->
   string ->
   guarded * parses
 (** {!run_guarded}, also returning the parses of the input and the output.
     [run_guarded] is this function with the parses dropped: one code path.
+
+    [payloads], given by a caller that will run the verify gate
+    ({!Verify.run_guarded}), collects the Invoke-Expression payloads
+    recovery decodes self-containedly, at any layer depth, keyed on the
+    exact text it evaluated ({!Recover.run_pass_parsed}); it stays empty on
+    the partial-parse path.  The gate's reference run reuses them
+    ({!Verify.gate} [?payloads]).  Without it, recovery runs no
+    self-containment probe.
 
     Each distinct text of the run is lexed once and parsed once: the input
     by the validity check, and every later text by the stage that produced

@@ -390,6 +390,8 @@ type pass_state = {
       (** edits rolled back by the semantic gate; matched by content *)
   deobfuscate : depth:int -> string -> string;  (** full engine, for layers *)
   depth : int;
+  payloads : Pseval.Env.payloads option;
+      (** the request's decoded IEX payloads, for the verify sandbox *)
 }
 
 (* [false] when the gate suppressed this edit on a rollback re-run — the
@@ -486,8 +488,10 @@ let piece_end_attrs ~cache_hit result =
     from an identical binding set evaluates identical text to the same
     value, so a hit replays the recorded result without re-interpreting.
     [kind] labels the telemetry span with what the piece syntactically is
-    (AST node kind, or the call-site role for command names / payloads). *)
-let invoke_piece ?(kind = "piece") st text =
+    (AST node kind, or the call-site role for command names / payloads).
+    With [payload], an evaluation that turns out self-contained is also
+    recorded in [st.payloads] under [text]. *)
+let invoke_piece ?(kind = "piece") ?(payload = false) st text =
   st.stats.pieces_attempted <- st.stats.pieces_attempted + 1;
   T.Metrics.incr m_attempted;
   (* per-kind attribution: which syntactic shapes the recovery budget is
@@ -523,7 +527,15 @@ let invoke_piece ?(kind = "piece") st text =
               Pscommon.Chaos.probe "recover.piece";
               let parsed = Cache.parse st.cache text in
               let env = fresh_env ~for_bytes:(String.length text) st in
-              Pseval.Interp.invoke_parsed env ~src:text parsed)
+              match st.payloads with
+              | Some table when payload ->
+                  let result, decoded =
+                    Pseval.Interp.invoke_payload env ~src:text parsed
+                  in
+                  Option.iter (Hashtbl.replace table text) decoded;
+                  result
+              | Some _ | None ->
+                  Pseval.Interp.invoke_parsed env ~src:text parsed)
         in
         let dt_ms = (Guard.now () -. t0) *. 1000.0 in
         T.Metrics.observe m_piece_ms dt_ms;
@@ -634,7 +646,9 @@ let eval_payload st (arg : A.t) =
   | _ ->
       if has_unknown_variables st arg then None
       else
-        match invoke_piece ~kind:"payload" st (A.text st.src arg) with
+        match
+          invoke_piece ~kind:"payload" ~payload:true st (A.text st.src arg)
+        with
         | Ok (Value.Str s) -> Some s
         | Ok _ | Error _ -> None
 
@@ -721,7 +735,10 @@ let multilayer_payload st (stmt : A.t) =
                 in
                 if unknown then None
                 else
-                  match invoke_piece ~kind:"pipeline-prefix" st prefix_text with
+                  match
+                    invoke_piece ~kind:"pipeline-prefix" ~payload:true st
+                      prefix_text
+                  with
                   | Ok (Value.Str s) -> Some s
                   | Ok _ | Error _ -> None)
           | _ -> None)
@@ -984,10 +1001,10 @@ and process_block st ~in_guard (block : A.t) =
     would break the script) and [Some (patched, ast)] — the new text with
     its validated parse, ready to thread into the next stage — otherwise. *)
 let run_pass_parsed ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
-    ?(suppress = []) ~ast src =
+    ?(suppress = []) ?payloads ~ast src =
   let st =
     { opts; stats; cache; src; table = Tracer.create (); edits = []; suppress;
-      deobfuscate; depth }
+      deobfuscate; depth; payloads }
   in
   (match ast.A.node with
   | A.Script_block sb ->
@@ -1099,7 +1116,7 @@ let run_dynamic_parsed ~opts ~stats ?cache ?ast ?log ?(pass = 0)
           let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
           let prov = Pseval.Provenance.create () in
           env.Pseval.Env.provenance <- Some prov;
-          let ctx = { Pseval.Interp.env; src } in
+          let ctx = { Pseval.Interp.env; src; src_exact = true } in
           let edits = ref [] in
           let halted = ref false in
           let unverifiable () =

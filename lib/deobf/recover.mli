@@ -171,11 +171,17 @@ val run_pass_parsed :
   ?log:Editlog.t ->
   ?pass:int ->
   ?suppress:Editlog.suppression list ->
+  ?payloads:Pseval.Env.payloads ->
   ast:Psast.Ast.t ->
   string ->
   Psparse.Parser.parsed option
 (** {!run_pass}, returning the tokens of the patched text along with its
-    parse, so the next stage does not lex it again. *)
+    parse, so the next stage does not lex it again.  With [payloads], every
+    Invoke-Expression payload the pass evaluates self-containedly (an
+    IEX argument or a [… | iex] prefix; see {!Pseval.Interp.invoke_payload})
+    is recorded there under its exact text, for the verify gate's
+    reference run.  A payload answered from the piece cache is not
+    evaluated, so it is not recorded. *)
 
 val run_dynamic :
   opts:options ->

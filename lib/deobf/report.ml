@@ -36,16 +36,14 @@ let analyze ?options ?(verify = false) src =
   let started = Pscommon.Guard.now () in
   (* guarded pipeline with no deadline: same phases and timings as batch,
      but a single file is allowed to run to completion *)
-  let run ~suppress =
-    Engine.run_guarded ?options ~timeout_s:infinity ~max_output_bytes:max_int
-      ~suppress src
-  in
-  let guarded = run ~suppress:[] in
+  let timeout_s = infinity and max_output_bytes = max_int in
   let guarded, verify_outcome =
     if verify then
-      let g, o = Verify.gate ~rerun:run ~src guarded in
+      let g, o =
+        Verify.run_guarded ?options ~timeout_s ~max_output_bytes src
+      in
       (g, Some o)
-    else (guarded, None)
+    else (Engine.run_guarded ?options ~timeout_s ~max_output_bytes src, None)
   in
   let result = guarded.Engine.result in
   let before = Score.detect src in

@@ -48,10 +48,21 @@ type outcome = {
 let is_dynamic_rule rule =
   String.length rule >= 16 && String.sub rule 0 16 = "recover.dynamic."
 
-let run_log ~opts ~runs ?ast text =
+(* A sandbox run the ambient (request) deadline contained.  Before any
+   divergence is found the gate stops there, unverifiable, rather than read
+   the cut-short run as one; after, it stops as if out of rounds. *)
+exception Out_of_time
+
+let out_of_time () = Guard.expired (Guard.ambient_deadline ())
+
+let run_log ~opts ~runs ?ast ?payloads text =
   incr runs;
-  Sandbox.run_for_verify ~max_steps:opts.max_steps ~timeout_s:opts.timeout_s
-    ?ast text
+  match
+    Sandbox.run_for_verify ~max_steps:opts.max_steps ~timeout_s:opts.timeout_s
+      ?ast ?payloads text
+  with
+  | Error _ when out_of_time () -> raise Out_of_time
+  | log -> log
 
 (* Reference-log memo for the {e original} script's sandbox run.  A
    service sees the same script again and again, and a repeated batch
@@ -67,8 +78,8 @@ let ref_cache_lock = Mutex.create ()
 let ref_cache_cap = 512
 let m_ref_hits = T.Metrics.counter "verify.ref_cache_hits"
 
-let ref_log ~opts ~runs ~ast src =
-  if not opts.use_ref_cache then run_log ~opts ~runs ~ast src
+let ref_log ~opts ~runs ~ast ?payloads src =
+  if not opts.use_ref_cache then run_log ~opts ~runs ~ast ?payloads src
   else begin
     let key =
       Printf.sprintf "%s:%d:%h"
@@ -85,7 +96,7 @@ let ref_log ~opts ~runs ~ast src =
         T.Metrics.incr m_ref_hits;
         Ok log
     | None -> (
-        match run_log ~opts ~runs ~ast src with
+        match run_log ~opts ~runs ~ast ?payloads src with
         | Ok log as ok ->
             Mutex.lock ref_cache_lock;
             if Hashtbl.length ref_cache >= ref_cache_cap then
@@ -146,7 +157,7 @@ let culprit ~opts ~runs ~orig_log ~src (guarded : Engine.guarded) =
     (Editlog.suppress_edit e, e.Editlog.phase ^ "." ^ e.Editlog.kind)
   end
 
-let gate ?(opts = default_opts) ?src_ast ?out_ast ~rerun ~src
+let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
     (guarded : Engine.guarded) =
   T.span "verify.gate" @@ fun () ->
   let started = Guard.now () in
@@ -183,36 +194,42 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ~rerun ~src
            journaled and could not be bisected *)
         finish guarded (Unverifiable "original does not parse") [] []
     | Ok src_ast -> (
-        match ref_log ~opts ~runs ~ast:src_ast src with
+        match ref_log ~opts ~runs ~ast:src_ast ?payloads src with
+        | exception Out_of_time ->
+            finish guarded (Unverifiable "request deadline") [] []
         | Error reason ->
             finish guarded (Unverifiable ("original: " ^ reason)) [] []
         | Ok orig_log ->
             (* [out_ast] is the parse of [guarded]'s output; a rollback
                re-run's output comes without one *)
             let rec round guarded out_ast suppressed rolled_rules rounds_left =
+              (* a divergence is confirmed: running out of time from here
+                 on ends the gate as running out of rounds does *)
               let diverged () =
                 if rounds_left = 0 then
                   finish guarded Diverged suppressed rolled_rules
                 else
-                  let sup, rule = culprit ~opts ~runs ~orig_log ~src guarded in
-                  if List.mem sup suppressed then
-                    (* the suppression did not remove the divergence (or
-                       chaos keeps forcing one): stop rather than loop *)
-                    finish guarded Diverged suppressed rolled_rules
-                  else begin
-                    if T.active () then
-                      T.event "verify.rollback"
-                        ~attrs:[ ("edit", T.S (Editlog.describe sup)) ];
-                    let suppressed = sup :: suppressed in
-                    let rolled_rules =
-                      if List.mem rule rolled_rules then rolled_rules
-                      else rule :: rolled_rules
-                    in
-                    round (rerun ~suppress:suppressed) None suppressed
-                      rolled_rules (rounds_left - 1)
-                  end
+                  match culprit ~opts ~runs ~orig_log ~src guarded with
+                  | exception Out_of_time ->
+                      finish guarded Diverged suppressed rolled_rules
+                  | sup, _ when List.mem sup suppressed || out_of_time () ->
+                      (* the suppression did not remove the divergence (or
+                         chaos keeps forcing one): stop rather than loop;
+                         past the deadline, a re-run could not finish *)
+                      finish guarded Diverged suppressed rolled_rules
+                  | sup, rule ->
+                      if T.active () then
+                        T.event "verify.rollback"
+                          ~attrs:[ ("edit", T.S (Editlog.describe sup)) ];
+                      let suppressed = sup :: suppressed in
+                      let rolled_rules =
+                        if List.mem rule rolled_rules then rolled_rules
+                        else rule :: rolled_rules
+                      in
+                      round (rerun ~suppress:suppressed) None suppressed
+                        rolled_rules (rounds_left - 1)
               in
-              let equal_now =
+              match
                 (* an output equal to the input (everything rolled back) is
                    trivially equivalent — decided without the sandbox or
                    the (possibly fault-injected) differ *)
@@ -224,23 +241,36 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ~rerun ~src
                 with
                 | Ok out_log -> logs_equal orig_log out_log
                 | Error _ -> false
-              in
-              if equal_now then
-                if suppressed = [] then finish guarded Equivalent [] []
-                else
+              with
+              | exception Out_of_time when suppressed = [] ->
+                  finish guarded (Unverifiable "request deadline") [] []
+              | exception Out_of_time ->
+                  finish guarded Diverged suppressed rolled_rules
+              | true when suppressed = [] -> finish guarded Equivalent [] []
+              | true ->
                   finish guarded
                     (Rolled_back (List.length suppressed))
                     suppressed rolled_rules
-              else diverged ()
+              | false -> diverged ()
             in
             round guarded out_ast [] [] opts.max_rounds)
 
-let run_guarded ?options ?timeout_s ?max_output_bytes ?opts src =
-  let rerun ~suppress =
-    Engine.run_guarded ?options ?timeout_s ?max_output_bytes ~suppress src
+let run_guarded ?options ?cache ?timeout_s ?max_output_bytes ?opts src =
+  let request () =
+    let payloads = Hashtbl.create 8 in
+    let guarded, parses =
+      Engine.run_guarded_parsed ?options ?cache ?timeout_s ?max_output_bytes
+        ~payloads src
+    in
+    (* the re-runs repeat the same run with the same piece cache, so
+       replayed pieces stay byte-identical *)
+    let rerun ~suppress =
+      Engine.run_guarded ?options ?cache ?timeout_s ?max_output_bytes
+        ~suppress src
+    in
+    gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
+      ~payloads ~rerun ~src guarded
   in
-  let guarded, parses =
-    Engine.run_guarded_parsed ?options ?timeout_s ?max_output_bytes src
-  in
-  gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
-    ~rerun ~src guarded
+  match timeout_s with
+  | None -> request ()
+  | Some s -> Guard.within (Guard.deadline_after s) request

@@ -71,6 +71,7 @@ val gate :
   ?opts:opts ->
   ?src_ast:Psast.Ast.t ->
   ?out_ast:Psast.Ast.t ->
+  ?payloads:Pseval.Env.payloads ->
   rerun:(suppress:Editlog.suppression list -> Engine.guarded) ->
   src:string ->
   Engine.guarded ->
@@ -93,14 +94,34 @@ val gate :
     output when the caller holds them ({!Engine.run_guarded_parsed}): the
     reference and output sandbox runs then execute them without parsing
     either text again.  Without [src_ast] the gate parses [src] once and
-    uses that parse for its reference run. *)
+    uses that parse for its reference run.
+
+    [payloads] are the Invoke-Expression payloads the run decoded
+    ({!Engine.run_guarded_parsed} [?payloads]): the reference run reuses
+    them instead of decoding each one again (one decode per payload per
+    request), with the same effect log, step count and verdict as without
+    them.  The output and bisection runs do not use them.
+
+    Every sandbox run is bounded by the ambient deadline
+    ({!Pscommon.Guard.within}) on top of [opts.timeout_s].  A reference
+    run, or a first output run, that deadline contains ends the gate
+    [Unverifiable "request deadline"] with [guarded] kept: no bisection or
+    rollback starts from a run the deadline cut short.  Once a divergence
+    is found, the deadline ends the gate as running out of rounds does:
+    [Diverged], with the current round's run, suppressions and rules.  No
+    rollback re-run starts past the deadline. *)
 
 val run_guarded :
   ?options:Engine.options ->
+  ?cache:Recover.Cache.t ->
   ?timeout_s:float ->
   ?max_output_bytes:int ->
   ?opts:opts ->
   string ->
   Engine.guarded * outcome
-(** Convenience wrapper: {!Engine.run_guarded} followed by {!gate}, with
-    rollback re-runs wired to the same engine configuration. *)
+(** One verified request: {!Engine.run_guarded_parsed} followed by {!gate},
+    handing the gate the run's parses and decoded payloads, with rollback
+    re-runs wired to the same engine configuration and piece cache.  With
+    [timeout_s], the engine run and the whole gate share one deadline
+    ({!Pscommon.Guard.within}), never later than an enclosing one; without
+    it, the gate's runs are bounded by [opts.timeout_s] alone. *)

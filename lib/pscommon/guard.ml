@@ -64,6 +64,11 @@ let expired d = d < infinity && now () >= d
 let remaining_s d = if d = infinity then infinity else d -. now ()
 let ambient_remaining_s () = remaining_s (ambient_deadline ())
 
+let within d f =
+  let stack = Domain.DLS.get ambient in
+  Domain.DLS.set ambient (Float.min d (ambient_deadline ()) :: stack);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient stack) f
+
 (* ---------- heartbeats ---------- *)
 
 (* The watchdog contract: a supervised worker registers an [Atomic] cell

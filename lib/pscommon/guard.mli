@@ -76,6 +76,13 @@ val ambient_remaining_s : unit -> float
     guard, negative when expired) — what a request handler has left of its
     budget, e.g. to report alongside a timeout response. *)
 
+val within : deadline -> (unit -> 'a) -> 'a
+(** [within d f] runs [f ()] with the minimum of [d] and the ambient
+    deadline installed as ambient, like {!protect}, but contains nothing:
+    exceptions pass through, and an expired [d] still runs [f].  For work
+    made of guarded steps that must all fit one deadline (a request's
+    engine run and its verify gate). *)
+
 val check : deadline -> unit
 (** The cooperative checkpoint: publishes a heartbeat ({!beat}), enforces
     the ambient allocation budget, then the deadline.

@@ -145,14 +145,15 @@ end
 let id_counter = Atomic.make 0
 
 (* one process nonce so ids from different daemon instances never collide
-   in a shared log pipeline *)
+   in a shared log pipeline.  Computed at module init: a [Lazy.force]
+   racing between parallel batch domains raised [CamlinternalLazy.Undefined]
+   and crashed the batch. *)
 let id_nonce =
-  lazy
-    ((Unix.getpid () land 0xffff)
-    lxor (int_of_float (Unix.gettimeofday () *. 1000.0) land 0xfffffff))
+  (Unix.getpid () land 0xffff)
+  lxor (int_of_float (Unix.gettimeofday () *. 1000.0) land 0xfffffff)
 
 let new_trace_id () =
-  Printf.sprintf "%07x-%06x" (Lazy.force id_nonce)
+  Printf.sprintf "%07x-%06x" id_nonce
     (Atomic.fetch_and_add id_counter 1 land 0xffffff)
 
 (* The ambient request id of the current domain: installed around one

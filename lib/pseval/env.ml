@@ -67,6 +67,33 @@ type scope = { table : (string, Psvalue.Value.t) Hashtbl.t }
 
 type fn = { fn_params : string list; fn_body : Psast.Ast.t }
 
+type payload = {
+  decoded : string;
+  steps : int;
+  writes : (string * Psvalue.Value.t) list;
+  commands : string list;
+  decoded_under : limits;
+}
+
+type payloads = (string, payload) Hashtbl.t
+
+(* What recovery watches while it decodes a payload piece: whether the
+   evaluation is self-contained, where its writes landed, and the steps of
+   the piece's lone statement minus that statement's own tick. *)
+type probe = {
+  target : Psast.Ast.t;  (** the piece's lone pipeline statement *)
+  outer : scope list;  (** the scopes that existed before the piece ran *)
+  mutable self_contained : bool;
+  mutable written : string list;  (** keys the piece wrote into [outer] *)
+  mutable settled : string list;
+      (** names (physically, as the AST and the interpreter pass them)
+          whose key is in [written]: every later read or write of them is
+          the piece's own, so the decode loop's [$_] and [$input] are
+          checked once, not per element *)
+  mutable looked_up : string list;  (** command names it found undefined *)
+  mutable in_place : int;  (** steps of [target]'s pipeline; -1 until done *)
+}
+
 type t = {
   mutable scopes : scope list;  (** innermost first; last is global *)
   functions : (string, fn) Hashtbl.t;  (** keys lowercased *)
@@ -96,6 +123,11 @@ type t = {
       (** when installed, the interpreter stamps each variable write with
           its defining extent / step / dependency set — the dynamic
           recovery plane.  [None] (the default) costs one load per write. *)
+  mutable probe : probe option;
+      (** [Recovery]: set while a payload piece is decoded for reuse *)
+  mutable payloads : payloads option;
+      (** [Sandbox]: payloads recovery already decoded, keyed on the exact
+          text of the argument they decode *)
 }
 
 let new_scope () = { table = Hashtbl.create 16 }
@@ -164,6 +196,8 @@ let create ?(mode = Recovery) ?(limits = default_limits) () =
     downloads_fail = false;
     iex_hook = None;
     provenance = None;
+    probe = None;
+    payloads = None;
   }
 
 let tick env =
@@ -190,7 +224,13 @@ let check_size env (v : Psvalue.Value.t) =
                 (Array.length a)))
   | _ -> ()
 
+(* ---------- payload probes (recording) ---------- *)
+
+let taint env =
+  match env.probe with Some p -> p.self_contained <- false | None -> ()
+
 let record env ev =
+  taint env;
   match env.mode with
   | Sandbox -> env.events <- ev :: env.events
   | Recovery -> raise (Blocked (event_to_string ev))
@@ -201,6 +241,7 @@ let events env = List.rev env.events
    piece instead, so a cached piece result can never hold a command
    observation that a cache hit would fail to (or doubly) replay. *)
 let log_command env name args =
+  taint env;
   match env.mode with
   | Sandbox ->
       let line =
@@ -230,6 +271,49 @@ let rec lookup_in scopes key =
       | Some v -> Some v
       | None -> lookup_in rest key)
 
+(* A read is the piece's own when it resolves to a binding the piece
+   wrote; anything else (a seeded or automatic binding, [$env:], a drive
+   scope, a miss) could read differently where the payload runs in place. *)
+let rec probe_resolved p name key = function
+  | [] -> p.self_contained <- false
+  | s :: rest ->
+      if not (Hashtbl.mem s.table key) then probe_resolved p name key rest
+      else if not (List.memq s p.outer) then ()
+      else if List.mem key p.written then p.settled <- name :: p.settled
+      else p.self_contained <- false
+
+let probe_read env p name =
+  if List.memq name p.settled then ()
+  else if String.contains name ':' then p.self_contained <- false
+  else probe_resolved p name (Strcase.lower name) env.scopes
+
+(* A write lands where {!set_var} puts it: in a scope that existed before
+   the piece ran, it is a residual write replayed after a reuse.  Creating
+   a binding in a scope the piece pushed is not replayable: where the
+   payload runs in place, the name may be visible and be updated. *)
+let probe_lands p name key s =
+  if List.memq s p.outer then begin
+    if not (List.mem key p.written) then p.written <- key :: p.written;
+    p.settled <- name :: p.settled
+  end
+  else p.self_contained <- false
+
+let rec probe_landing p name key current = function
+  | [] -> probe_lands p name key current
+  | s :: rest ->
+      if not (Hashtbl.mem s.table key) then
+        probe_landing p name key current rest
+      else if List.memq s p.outer then probe_lands p name key s
+
+let probe_write env p name =
+  if List.memq name p.settled then ()
+  else if String.contains name ':' then p.self_contained <- false
+  else
+    match env.scopes with
+    | [] -> ()
+    | current :: _ ->
+        probe_landing p name (Strcase.lower name) current env.scopes
+
 (* update [key] in the innermost scope that binds it; false when none does *)
 let rec assign_existing key value = function
   | [] -> false
@@ -241,6 +325,7 @@ let rec assign_existing key value = function
       else assign_existing key value rest
 
 let get_var env name =
+  (match env.probe with Some p -> probe_read env p name | None -> ());
   match split_drive name with
   | Some ("env", rest) -> (
       match Hashtbl.find_opt env.env_vars (Strcase.lower rest) with
@@ -252,6 +337,7 @@ let get_var env name =
   | None -> lookup_in env.scopes (Strcase.lower name)
 
 let set_var env name value =
+  (match env.probe with Some p -> probe_write env p name | None -> ());
   match split_drive name with
   | Some ("env", rest) ->
       Hashtbl.replace env.env_vars (Strcase.lower rest)
@@ -293,13 +379,27 @@ let with_scope env f =
 (* ---------- functions ---------- *)
 
 let define_function env name fn =
+  taint env;
   Hashtbl.replace env.functions (Strcase.lower name) fn
 
-let find_function env name = Hashtbl.find_opt env.functions (Strcase.lower name)
+let find_function env name =
+  let key = Strcase.lower name in
+  let found = Hashtbl.find_opt env.functions key in
+  (match env.probe with
+  | Some p -> (
+      match found with
+      | Some _ -> p.self_contained <- false
+      | None ->
+          if not (List.mem key p.looked_up) then
+            p.looked_up <- key :: p.looked_up)
+  | None -> ());
+  found
 
 (* ---------- output sink (Write-Host etc.) ---------- *)
 
-let sink env v = env.output_sink <- v :: env.output_sink
+let sink env v =
+  taint env;
+  env.output_sink <- v :: env.output_sink
 let sunk_output env = List.rev env.output_sink
 
 (* ---------- final bindings (verification) ---------- *)
@@ -370,3 +470,64 @@ let bindings_digest bindings =
       bindings
   in
   if all_scalar then Some (Digest.string (Buffer.contents buf)) else None
+
+(* ---------- payload reuse ---------- *)
+
+let start_probe env ~target =
+  let p =
+    { target; outer = env.scopes; self_contained = true; written = [];
+      settled = []; looked_up = []; in_place = -1 }
+  in
+  env.probe <- Some p;
+  p
+
+let set_in_place p stmt steps = if p.target == stmt then p.in_place <- steps
+
+(* residual values are replayed into another environment, possibly many
+   times: only values that can be copied without sharing qualify *)
+let rec replayable (v : Psvalue.Value.t) =
+  match v with
+  | Null | Bool _ | Int _ | Float _ | Char _ | Str _ -> true
+  | Arr a -> Array.for_all replayable a
+  | Hash _ | Script_block _ | Secure_string _ | Obj _ -> false
+
+let rec copy (v : Psvalue.Value.t) =
+  match v with Arr a -> Psvalue.Value.Arr (Array.map copy a) | v -> v
+
+let finish_probe env p decoded =
+  let final key = lookup_in p.outer key in
+  if
+    p.self_contained && p.in_place >= 0
+    && List.for_all
+         (fun key ->
+           match final key with Some v -> replayable v | None -> false)
+         p.written
+  then
+    Some
+      { decoded; steps = p.in_place;
+        writes =
+          List.rev_map (fun key -> (key, Option.get (final key))) p.written;
+        commands = p.looked_up; decoded_under = env.limits }
+  else None
+
+(* [steps] evaluation steps at once, polling the deadline when that many
+   single ticks would have polled it *)
+let charge env steps =
+  let before = env.steps in
+  env.steps <- before + steps;
+  if before lsr 11 <> env.steps lsr 11 then Guard.check env.limits.deadline
+
+let reuse env (p : payload) =
+  if
+    env.provenance <> None
+    || env.steps + p.steps > env.limits.max_steps
+    || env.limits.max_string_bytes < p.decoded_under.max_string_bytes
+    || env.limits.max_collection < p.decoded_under.max_collection
+    || List.exists (Hashtbl.mem env.functions) p.commands
+  then false
+  else begin
+    charge env p.steps;
+    List.iter (fun (key, v) -> set_var env key (copy v)) p.writes;
+    check_size env (Psvalue.Value.Str p.decoded);
+    true
+  end

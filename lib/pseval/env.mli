@@ -45,6 +45,37 @@ val default_limits : limits
 
 type fn = { fn_params : string list; fn_body : Psast.Ast.t }
 
+type payload = {
+  decoded : string;  (** the string the payload expression evaluated to *)
+  steps : int;
+      (** evaluation steps the expression took, counted as in place: the
+          piece's own statement tick is not included *)
+  writes : (string * Psvalue.Value.t) list;
+      (** bindings the evaluation left in the scope it ran in, with their
+          final values — in practice the [$_] and [$input] cursors
+          ForEach-Object leaves in its caller's scope *)
+  commands : string list;
+      (** command names it ran as builtins; a reuse where one of them is a
+          user function would call that function in place, so it misses *)
+  decoded_under : limits;
+      (** the limits it was decoded under: a run whose string or
+          collection caps are lower could fail in place where recovery
+          did not *)
+}
+(** What recovery learned decoding an Invoke-Expression payload whose
+    evaluation was self-contained: it returned a string, read only
+    bindings it wrote itself, wrote only into the scope it ran in, called
+    no user function, recorded no event, command-log line or host output,
+    and took no path on which [Recovery] and [Sandbox] mode differ.
+    {!reuse} stands in for the same evaluation in place. *)
+
+type payloads = (string, payload) Hashtbl.t
+(** One request's decoded payloads, keyed on the exact source text of the
+    expression (or pipeline prefix) recovery evaluated. *)
+
+type probe
+(** The watch {!start_probe} keeps over one recovery evaluation. *)
+
 type t = {
   mutable scopes : scope list;
   functions : (string, fn) Hashtbl.t;
@@ -70,6 +101,16 @@ type t = {
       (** when installed, the interpreter stamps each variable write with
           its defining extent / step / dependency set — the dynamic
           recovery plane.  [None] (the default) costs one load per write. *)
+  mutable probe : probe option;
+      (** [Recovery]: set by {!start_probe} while a payload is decoded for
+          reuse; every read, write, command lookup and effect then checks
+          that the evaluation stays self-contained.  [None] (the default)
+          costs one load per variable access. *)
+  mutable payloads : payloads option;
+      (** [Sandbox]: payloads recovery already decoded for this request.
+          The interpreter consults it at Invoke-Expression sites (see
+          {!Interp}) and {!reuse}s a hit instead of evaluating the payload
+          expression again.  [None] (the default) evaluates every payload. *)
 }
 
 and scope = { table : (string, Psvalue.Value.t) Hashtbl.t }
@@ -135,3 +176,32 @@ val bindings_digest : (string * Psvalue.Value.t) list -> string option
     compound value (array, hashtable, stream, script block) — those are
     mutable or carry hidden state, so the set cannot be fingerprinted
     soundly and callers must not cache. *)
+
+val start_probe : t -> target:Psast.Ast.t -> probe
+(** Watch the evaluation about to run in [t], whose step count is taken
+    over [target], the piece's lone pipeline statement (the interpreter
+    stamps it; see {!set_in_place}). *)
+
+val set_in_place : probe -> Psast.Ast.t -> int -> unit
+(** [set_in_place p stmt steps]: the interpreter reports the steps a
+    pipeline statement's pipeline took; kept when [stmt] is the target. *)
+
+val taint : t -> unit
+(** The running evaluation took a path whose result may differ where the
+    payload runs in place (a [Recovery]-only failure, a nested
+    Invoke-Expression): no-op unless a probe is watching. *)
+
+val finish_probe : t -> probe -> string -> payload option
+(** [Some] when the evaluation watched by the probe, which returned
+    [decoded], was self-contained and its target statement finished.  The
+    caller clears [t.probe]. *)
+
+val reuse : t -> payload -> bool
+(** Stand in for evaluating the payload's expression in place: charge its
+    steps against the budget (polling the deadline as those ticks would),
+    replay its residual writes with {!set_var}, and apply {!check_size} to
+    the decoded string.  [false], with nothing changed, when the reuse
+    could not match an in-place evaluation: the steps would cross the
+    budget, a provenance recorder is installed, this run's string or
+    collection caps are lower than the ones it was decoded under, or one
+    of its commands is a user function here. *)

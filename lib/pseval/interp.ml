@@ -16,7 +16,10 @@ exception Continue_exc
 exception Throw_exc of Value.t
 exception Exit_exc
 
-type ctx = { env : Env.t; src : string }
+type ctx = { env : Env.t; src : string; src_exact : bool }
+
+let m_payloads_reused =
+  Pscommon.Telemetry.Metrics.counter "verify.payloads_reused"
 
 let eval_fail fmt = Printf.ksprintf (fun s -> raise (Env.Eval_error s)) fmt
 
@@ -255,6 +258,7 @@ and eval_member_access ctx whole obj member static =
         | _ -> (
             match ctx.env.Env.mode with
             | Env.Recovery ->
+                Env.taint ctx.env;
                 eval_fail "unknown property '%s' on %s (%s)" name
                   (Value.type_name v)
                   (String.trim (node_text ctx whole))
@@ -283,6 +287,7 @@ and eval_invoke_member ctx whole obj member args static =
         | None -> (
             match ctx.env.Env.mode with
             | Env.Recovery ->
+                Env.taint ctx.env;
                 eval_fail "unknown method '%s' on %s (%s)" name (Value.type_name v)
                   (String.trim (node_text ctx whole))
             | Env.Sandbox -> Value.Null))
@@ -295,7 +300,7 @@ and invoke_script_block ctx (sb : Value.sb) args ~input =
       let params = sb.Value.sb_ast.A.sb_params in
       bind_parameters ctx params args;
       Env.set_var ctx.env "input" (Value.Arr (Array.of_list input));
-      let inner_ctx = { ctx with src = sb.Value.sb_text } in
+      let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
       (* script-block ASTs parsed from their own text keep extents relative
          to that text *)
       let stmts = sb.Value.sb_ast.A.sb_statements in
@@ -315,6 +320,9 @@ and bind_parameters ctx params args =
   bind params args
 
 and invoke_function ctx (fn : Env.fn) args ~input =
+  (* the body's extents index the text the function was defined in, which
+     need not be the caller's *)
+  let ctx = { ctx with src_exact = false } in
   Env.with_scope ctx.env (fun () ->
       bind_parameters ctx fn.Env.fn_params args;
       Env.set_var ctx.env "input" (Value.Arr (Array.of_list input));
@@ -379,7 +387,14 @@ and eval_statement ctx (t : A.t) : Value.t list =
                               | A.Unary_expr ((A.Incr | A.Decr), _); _ }; _ } ] ->
       ignore (eval_pipeline ctx (match t.A.node with A.Pipeline e -> e | _ -> []));
       []
-  | A.Pipeline elems -> eval_pipeline ctx elems
+  | A.Pipeline elems -> (
+      match ctx.env.Env.probe with
+      | None -> eval_pipeline ctx elems
+      | Some p ->
+          let before = ctx.env.Env.steps in
+          let out = eval_pipeline ctx elems in
+          Env.set_in_place p t (ctx.env.Env.steps - before);
+          out)
   | A.Assignment (op, lhs, rhs) ->
       eval_assignment ctx op lhs rhs;
       []
@@ -627,7 +642,48 @@ and eval_assignment ctx op lhs rhs =
 and eval_pipeline ctx elems =
   match elems with
   | [ { A.node = A.Command_expression e; _ } ] -> enumerate (eval_expr ctx e)
+  | first :: _ :: _ when ctx.env.Env.payloads <> None -> (
+      (* `<prefix> | iex`: a prefix recovery decoded stands in for running
+         the prefix stages; the last stage, its name included, then runs
+         as it would in place *)
+      match List.rev elems with
+      | ({ A.node = A.Command { A.cmd_elements = [ A.Elem_name name ]; _ }; _ }
+         as last)
+        :: prefix_last :: _
+        when may_name_iex name -> (
+          match
+            reused_payload ctx
+              (Pscommon.Extent.union first.A.extent prefix_last.A.extent)
+          with
+          | Some decoded -> run_stages ctx [ decoded ] [ last ]
+          | None -> run_stages ctx [] elems)
+      | _ -> run_stages ctx [] elems)
   | elems -> run_stages ctx [] elems
+
+(* a bare command name that spells Invoke-Expression, or that is computed
+   (`& ('ie'+'x')`) and may evaluate to it *)
+and may_name_iex (name : A.t) =
+  match name.A.node with
+  | A.String_const (s, A.Bare) -> (
+      let resolved =
+        match Pslex.Aliases.resolve s with Some full -> full | None -> s
+      in
+      match Strcase.lower resolved with
+      | "invoke-expression" | "iex" -> true
+      | _ -> false)
+  | _ -> true
+
+(* The verify sandbox's reference run: a payload recovery decoded from the
+   text at [extent] replaces evaluating it again (see {!Env.reuse}) *)
+and reused_payload ctx extent =
+  match ctx.env.Env.payloads with
+  | Some table when ctx.src_exact -> (
+      match Hashtbl.find_opt table (Pscommon.Extent.text ctx.src extent) with
+      | Some p when Env.reuse ctx.env p ->
+          Pscommon.Telemetry.Metrics.incr m_payloads_reused;
+          Some (Value.Str p.Env.decoded)
+      | Some _ | None -> None)
+  | Some _ | None -> None
 
 and run_stages ctx input = function
   | [] -> input
@@ -743,6 +799,8 @@ and script_block_of_value _ctx v =
 and run_iex ctx payload ~input =
   ignore input;
   let env = ctx.env in
+  (* a nested layer's depth and Invoke-Expression hook are the caller's *)
+  Env.taint env;
   env.Env.invoke_depth <- env.Env.invoke_depth + 1;
   if Pscommon.Telemetry.active () then
     Pscommon.Telemetry.event "interp.iex"
@@ -759,7 +817,7 @@ and run_iex ctx payload ~input =
           eval_fail "Invoke-Expression: syntax error at %d: %s"
             e.Psparse.Parser.position e.Psparse.Parser.message
       | Ok ast -> (
-          let inner_ctx = { ctx with src = payload } in
+          let inner_ctx = { ctx with src = payload; src_exact = true } in
           try eval_statement inner_ctx ast with Return_exc out -> out))
 
 and decode_encoded_command payload =
@@ -823,9 +881,14 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
     | Some _ | None -> run_iex ctx s ~input:[]
   in
   match lname with
-  | "invoke-expression" ->
+  | "invoke-expression" | "iex" ->
       let payloads =
-        match positional () with [] -> input | args -> args
+        match elements with
+        | [ A.Elem_argument a ] -> (
+            match reused_payload ctx a.A.extent with
+            | Some decoded -> [ decoded ]
+            | None -> positional ())
+        | _ -> ( match positional () with [] -> input | args -> args)
       in
       List.concat_map iex_payload payloads
   | "invoke-command" -> (
@@ -1107,24 +1170,24 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
   | "powershell" | "powershell.exe" | "pwsh" | "pwsh.exe" ->
       (match env.Env.mode with
       | Env.Sandbox -> Env.record env (Env.Process_start "powershell")
-      | Env.Recovery -> ());
+      | Env.Recovery -> Env.taint env);
       run_powershell_exe ctx ~elements ~input
   | "cmd" | "cmd.exe" ->
       let args = String.concat " " (List.map Value.to_string (positional ())) in
       Env.record env (Env.Process_start ("cmd " ^ args));
       []
-  | "iex" ->
-      (* alias table covers this, but keep a direct route *)
-      let payloads = match positional () with [] -> input | args -> args in
-      List.concat_map iex_payload payloads
   | _ ->
       (match env.Env.mode with
-      | Env.Recovery -> eval_fail "unknown command '%s'" original_name
+      | Env.Recovery ->
+          Env.taint env;
+          eval_fail "unknown command '%s'" original_name
       | Env.Sandbox ->
           (* unresolved commands are otherwise invisible to the sandbox;
              the effect log needs them so a rewrite that drops or alters
-             one shows up as a behavioural divergence *)
-          Env.log_command env (Strcase.lower original_name)
+             one shows up as a behavioural divergence.  They are logged
+             under the alias-resolved name, so expanding an alias is not
+             a divergence. *)
+          Env.log_command env lname
             (List.map Value.to_string (positional ()));
           if Strcase.ends_with ~suffix:".exe" lname then
             Env.record env (Env.Process_start original_name));
@@ -1135,7 +1198,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
    context and statements are resolved once per pipeline; each item then
    binds [$input] to a fresh one-element array and runs them. *)
 and block_runner ctx (sb : Value.sb) =
-  let inner_ctx = { ctx with src = sb.Value.sb_text } in
+  let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
   let stmts = sb.Value.sb_ast.A.sb_statements in
   fun item ->
     Env.set_var ctx.env "input" (Value.Arr [| item |]);
@@ -1243,7 +1306,7 @@ let describe_exception = function
   | _ -> None
 
 let run_ast env ~src ast =
-  let ctx = { env; src } in
+  let ctx = { env; src; src_exact = true } in
   try eval_statement ctx ast with Return_exc out -> out | Exit_exc -> []
 
 let eval_parsed env ~src ast =
@@ -1301,3 +1364,30 @@ let invoke_parsed env ~src parsed =
 (** Execute a recoverable piece and return its output — the paper's
     "Recovery Based on Invoke" (§III-B2). *)
 let invoke_piece env src = invoke_parsed env ~src (parse_piece src)
+
+(* A piece whose parse is one pipeline statement: the argument of an
+   Invoke-Expression, or the prefix of `… | iex`, parsed on its own *)
+let lone_pipeline = function
+  | Ok
+      { A.node =
+          A.Script_block
+            { A.sb_params = [];
+              sb_statements = [ ({ A.node = A.Pipeline _; _ } as stmt) ]; _ };
+        _ } ->
+      Some stmt
+  | Ok _ | Error _ -> None
+
+let invoke_payload env ~src parsed =
+  match lone_pipeline parsed with
+  | None -> (invoke_parsed env ~src parsed, None)
+  | Some target ->
+      let probe = Env.start_probe env ~target in
+      let result =
+        Fun.protect
+          ~finally:(fun () -> env.Env.probe <- None)
+          (fun () -> invoke_parsed env ~src parsed)
+      in
+      ( result,
+        match result with
+        | Ok (Value.Str s) -> Env.finish_probe env probe s
+        | Ok _ | Error _ -> None )

@@ -11,7 +11,16 @@ exception Continue_exc
 exception Throw_exc of Psvalue.Value.t
 exception Exit_exc
 
-type ctx = { env : Env.t; src : string }
+type ctx = {
+  env : Env.t;
+  src : string;
+  src_exact : bool;
+      (** [src] is the text the evaluated AST was parsed from, so a node's
+          extent reads the node's own text there.  False inside functions
+          and script blocks, whose extents may index another text; the
+          sandbox then does not look payloads up by text
+          ({!Env.payloads}). *)
+}
 
 val eval_expr : ctx -> Psast.Ast.t -> Psvalue.Value.t
 (** Evaluate an expression node.  @raise Env.Eval_error and friends. *)
@@ -45,6 +54,17 @@ val invoke_parsed :
   (Psvalue.Value.t, string) result
 (** {!run_parsed} inside an [interp.invoke_piece] span, with the output
     collected as one value ([Null] / the value / an array). *)
+
+val invoke_payload :
+  Env.t -> src:string -> (Psast.Ast.t, string) result ->
+  (Psvalue.Value.t, string) result * Env.payload option
+(** {!invoke_parsed} on a [Recovery] environment under an {!Env.probe}:
+    the same result, plus what a sandbox needs to reuse it
+    ({!Env.payload}) when the piece is one pipeline statement and its
+    evaluation was self-contained.  The recorded step count is that of
+    the statement's pipeline alone, which is what the same text costs in
+    place: as the argument of Invoke-Expression, or as the stages before
+    [| iex]. *)
 
 val invoke_piece : Env.t -> string -> (Psvalue.Value.t, string) result
 (** Execute a recoverable piece and return its collected output — the

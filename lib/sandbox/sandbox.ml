@@ -21,12 +21,14 @@ type report = {
           budget, stray exception) rather than finishing *)
 }
 
-let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast script =
+let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast ?payloads
+    script =
   let deadline = Pscommon.Guard.deadline_after timeout_s in
   let limits =
     { Pseval.Env.default_limits with Pseval.Env.max_steps; deadline }
   in
   let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
+  env.Pseval.Env.payloads <- payloads;
   let report error failure =
     { events = Pseval.Env.events env; commands = Pseval.Env.commands env;
       output = []; host_output = Pseval.Env.sunk_output env;
@@ -90,8 +92,9 @@ let effect_log r =
   @ vars
   @ (match r.error with Some _ -> [ "error" ] | None -> [])
 
-let run_for_verify ?(max_steps = 400_000) ?(timeout_s = 5.0) ?ast script =
-  let r = run ~max_steps ~timeout_s ?ast script in
+let run_for_verify ?(max_steps = 400_000) ?(timeout_s = 5.0) ?ast ?payloads
+    script =
+  let r = run ~max_steps ~timeout_s ?ast ?payloads script in
   match r.failure with
   | Some f -> Error (Pscommon.Guard.failure_to_string f)
   | None -> Ok (effect_log r)

@@ -17,11 +17,17 @@ type report = {
 }
 
 val run :
-  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t -> string -> report
+  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t ->
+  ?payloads:Pseval.Env.payloads -> string -> report
 (** Never raises: execution is guarded, and a contained crash or overrun
-    keeps the events recorded up to that point.  [ast], when the caller
+    keeps the events recorded up to that point.  The run stops at
+    [timeout_s] from now or at the ambient {!Pscommon.Guard} deadline,
+    whichever is sooner.  [ast], when the caller
     already holds the parse of the script, is run without parsing it
-    again ({!Pseval.Interp.run_parsed}). *)
+    again ({!Pseval.Interp.run_parsed}).  [payloads] are Invoke-Expression
+    payloads recovery already decoded from this script
+    ({!Pseval.Env.payloads}): a payload expression found there is not
+    evaluated again, and the report is the same as without them. *)
 
 val effect_log : report -> string list
 (** Deterministic canonical effect log for semantic comparison:
@@ -34,12 +40,14 @@ val effect_log : report -> string list
     ["<scriptblock>"] so renames inside emitted blocks don't register. *)
 
 val run_for_verify :
-  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t -> string ->
-  (string list, string) result
+  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t ->
+  ?payloads:Pseval.Env.payloads -> string -> (string list, string) result
 (** Run under a tight budget and return the {!effect_log}, or [Error
     reason] when the run was contained (deadline, step budget, crash) —
     the script is then unverifiable rather than comparable.  Defaults:
-    400k steps, 5s.  [ast] as in {!run}. *)
+    400k steps, 5s.  [ast] and [payloads] as in {!run}: a reused payload
+    is charged the steps its evaluation took, so the budget binds as it
+    would without it. *)
 
 val is_network_event : Pseval.Env.event -> bool
 

@@ -160,6 +160,22 @@ let test_step_budget_is_containment () =
   check_s "the unwrap is kept" "'hi'\n" g.Deobf.Engine.result.Deobf.Engine.output;
   check_s "verdict" "unverifiable" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict)
 
+(* the sandbox logged an unknown command under the name as written, so
+   the token phase's alias expansion (iwmi -> Invoke-WmiMethod) read as a
+   behavioural divergence and the gate rolled it back *)
+let test_alias_expansion_not_divergent () =
+  List.iter
+    (fun (src, expected) ->
+      let g, o = Deobf.Verify.run_guarded src in
+      check_s (src ^ " verdict") "equivalent"
+        (Deobf.Verify.verdict_name o.Deobf.Verify.verdict);
+      check_s (src ^ " output") expected
+        g.Deobf.Engine.result.Deobf.Engine.output)
+    [ ( "iwmi -Class Win32_Process -Name Create | Out-Null",
+        "Invoke-WmiMethod -class Win32_Process -name Create | Out-Null\n" );
+      ( "$a = 'he'+'llo'; iwmi $a | Out-Null",
+        "$a = 'hello'\nInvoke-WmiMethod 'hello' | Out-Null\n" ) ]
+
 let suite =
   [
     ("-contains prefix", `Quick, test_contains_not_case_prefixed);
@@ -179,4 +195,5 @@ let suite =
     ("new-object paren arguments", `Quick, test_new_object_paren_arguments);
     ("range after value", `Quick, test_range_after_value);
     ("step budget is containment", `Quick, test_step_budget_is_containment);
+    ("alias expansion not divergent", `Quick, test_alias_expansion_not_divergent);
   ]

@@ -440,6 +440,95 @@ let test_deadline_keeps_partial_recovery () =
         true
         (o.Deobf.Batch.wall_ms < (timeout_s +. 0.5) *. 1000.0))
 
+(* the same bomb with dear steps, so the sandbox's step budget outlasts
+   the deadline: the verify gate's reference run used to get its own 5 s
+   budget after the engine had spent the file's deadline *)
+let verify_bomb =
+  "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n\
+   $x = $(while (1 -lt 2) { $null = ('a' * 20000).ToUpper() }; 'done')\n"
+
+let test_verify_gate_honours_deadline () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "bomb.ps1" in
+      write_file path verify_bomb;
+      let out_dir = Filename.concat dir "out" in
+      Sys.mkdir out_dir 0o755;
+      let started = Guard.now () in
+      let o =
+        Deobf.Batch.process_file ~options:bomb_options ~timeout_s:0.4
+          ~verify:true ~out_dir path
+      in
+      let elapsed = Guard.now () -. started in
+      check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.9);
+      check_s "verdict" "unverifiable"
+        (match o.Deobf.Batch.verdict with
+        | Some v -> Deobf.Verify.verdict_name v
+        | None -> "none");
+      let output = read_file (Filename.concat out_dir "bomb.ps1") in
+      check_b "partial recovery kept" true
+        (String.starts_with ~prefix:"$a = 'hello'" output))
+
+(* the deadline passes after the gate has found a divergence: forced diff
+   faults make the first output diverge, bisection names an edit, and the
+   rollback re-run finishes just as the deadline passes, so the next
+   round's sandbox runs are cut short.  The divergence must stand: the
+   verdict is diverged with the rollback on record, never unverifiable *)
+let test_verify_deadline_keeps_divergence () =
+  with_chaos (cfg 9 ~site_rates:[ ("verify.diff", 1.0) ]) (fun () ->
+      let src = "$a = ('te'+'st'); Write-Output $a" in
+      let deadline = Guard.deadline_after 0.5 in
+      let rerun_output = ref "" in
+      let rerun ~suppress =
+        let g = Deobf.Engine.run_guarded ~suppress src in
+        rerun_output := g.Deobf.Engine.result.Deobf.Engine.output;
+        Unix.sleepf (Float.max 0.0 (Guard.remaining_s deadline) +. 0.01);
+        g
+      in
+      let g, o =
+        Guard.within deadline (fun () ->
+            Deobf.Verify.gate ~rerun ~src (Deobf.Engine.run_guarded src))
+      in
+      check_s "verdict" "diverged" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict);
+      check_i "one rollback on record" 1 (List.length o.Deobf.Verify.suppressed);
+      check_b "rolled-back rule named" true (o.Deobf.Verify.rolled_rules <> []);
+      check_b "the rollback re-run was made" true (!rerun_output <> "");
+      check_s "current round's run kept" !rerun_output
+        g.Deobf.Engine.result.Deobf.Engine.output)
+
+(* the deadline passes in the middle of bisection: the reference and
+   output runs finish and differ, but replaying the journal's one edit
+   yields a loop only the deadline stops.  The divergence is already
+   confirmed, so the verdict is diverged (as when out of rounds) with the
+   output kept, never unverifiable, and no rollback re-run starts *)
+let test_verify_deadline_in_bisection_keeps_divergence () =
+  let src = "$n = 0\nWrite-Output 'x'\n" in
+  let base = Deobf.Engine.run_guarded "Write-Output 'y'" in
+  let edit =
+    { Deobf.Editlog.phase = "recover"; kind = "piece"; pass = 0; start = 0;
+      stop = 6; before = "$n = 0"; after = "while (1 -lt 2) { }" }
+  in
+  let guarded =
+    { base with
+      Deobf.Engine.edit_log =
+        [ { Deobf.Editlog.s_phase = "recover"; s_pass = 0; s_edits = [ edit ] } ] }
+  in
+  let opts =
+    { Deobf.Verify.default_opts with
+      Deobf.Verify.max_steps = max_int; use_ref_cache = false }
+  in
+  let rerun ~suppress:_ = Alcotest.fail "rollback re-run past the deadline" in
+  let started = Guard.now () in
+  let g, o =
+    Guard.within (Guard.deadline_after 0.3) (fun () ->
+        Deobf.Verify.gate ~opts ~rerun ~src guarded)
+  in
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 2.0);
+  check_s "verdict" "diverged" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict);
+  check_i "nothing rolled back" 0 (List.length o.Deobf.Verify.suppressed);
+  check_s "output kept" base.Deobf.Engine.result.Deobf.Engine.output
+    g.Deobf.Engine.result.Deobf.Engine.output
+
 let test_admission_deadline_keeps_partial_recovery () =
   (* a serve request: the admission deadline is ambient around the whole
      request and is shorter than the engine's own timeout *)
@@ -582,6 +671,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mutated_scripts_contained;
     Alcotest.test_case "deadline keeps partial recovery" `Quick
       test_deadline_keeps_partial_recovery;
+    Alcotest.test_case "verify gate honours the deadline" `Quick
+      test_verify_gate_honours_deadline;
+    Alcotest.test_case "verify deadline keeps a found divergence" `Quick
+      test_verify_deadline_keeps_divergence;
+    Alcotest.test_case "verify deadline in bisection keeps divergence" `Quick
+      test_verify_deadline_in_bisection_keeps_divergence;
     Alcotest.test_case "admission deadline keeps partial recovery" `Quick
       test_admission_deadline_keeps_partial_recovery;
     Alcotest.test_case "recovery fault keeps token-phase text" `Quick

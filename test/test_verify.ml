@@ -364,6 +364,179 @@ let test_batch_resume_ignores_other_options () =
       | [ o ] -> check_b "options change defeats resume" false o.Deobf.Batch.resumed
       | _ -> Alcotest.fail "expected one outcome")
 
+(* ---------- one decode per payload per request ---------- *)
+
+module Env = Pseval.Env
+
+(* The reference run as the gate makes it (Sandbox.run_for_verify's step
+   budget, no deadline), returning the whole final state: result, events,
+   command log, host output, every binding of every scope ($_ and $input
+   included) and the step count.  Values compare structurally. *)
+type final_state = {
+  result : (Psvalue.Value.t list, string) result;
+  events : Env.event list;
+  commands : string list;
+  host : Psvalue.Value.t list;
+  scopes : (string * Psvalue.Value.t) list list;
+  steps : int;
+}
+
+let reference_state ?payloads src =
+  let ast =
+    match Psparse.Parser.parse src with
+    | Ok ast -> ast
+    | Error _ -> Alcotest.failf "does not parse: %s" src
+  in
+  let limits =
+    { Env.default_limits with Env.max_steps = V.default_opts.V.max_steps }
+  in
+  let env = Env.create ~mode:Env.Sandbox ~limits () in
+  env.Env.payloads <- payloads;
+  let result = Pseval.Interp.run_parsed env ~src (Ok ast) in
+  let sorted scope =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) scope.Env.table []
+    |> List.sort compare
+  in
+  { result; events = Env.events env; commands = Env.commands env;
+    host = Env.sunk_output env; scopes = List.map sorted env.Env.scopes;
+    steps = env.Env.steps }
+
+let m_reused = Pscommon.Telemetry.Metrics.counter "verify.payloads_reused"
+
+(* reference runs of [src] without and with the payloads its engine run
+   decoded must end in the same state; returns the reuse count *)
+let reuses_identically src =
+  let payloads = Hashtbl.create 8 in
+  ignore (E.run_guarded_parsed ~payloads src);
+  let without = reference_state src in
+  let before = Pscommon.Telemetry.Metrics.counter_value m_reused in
+  let with_table = reference_state ~payloads src in
+  let reused = Pscommon.Telemetry.Metrics.counter_value m_reused - before in
+  if without <> with_table then
+    Alcotest.failf
+      "reference run differs with reuse (%d reused, steps %d vs %d): %s"
+      reused without.steps with_table.steps src;
+  reused
+
+let test_reuse_equivalence_sweep () =
+  let samples =
+    Corpus.Generator.generate_multilayer ~seed:23 ~count:100 ~min_depth:1
+      ~max_depth:4
+    @ Corpus.Generator.generate_hard ~seed:23 ~count:100
+    @ Corpus.Generator.generate ~seed:23 ~count:100
+  in
+  let reused, hit_samples =
+    List.fold_left
+      (fun (reused, hits) (s : Corpus.Generator.sample) ->
+        let n = reuses_identically s.Corpus.Generator.obfuscated in
+        (reused + n, if n > 0 then hits + 1 else hits))
+      (0, 0) samples
+  in
+  (* not vacuous: a good share of the samples must hit the table *)
+  check_b (Printf.sprintf "%d payloads reused in %d of %d samples" reused
+       hit_samples (List.length samples))
+    true (hit_samples >= 60)
+
+let b64_utf16 s = Encoding.Base64.encode (Encoding.Utf16.encode s)
+
+(* each of these payloads is decoded by recovery but must never be
+   reused: its evaluation read outside itself, had an effect, or took a
+   path where recovery and the sandbox differ *)
+let test_reuse_negative_cases () =
+  let cases =
+    [ ( "reads a variable the script reassigns",
+        "$c = 'Write-Output old'\niex 'Write-Output mid'\n\
+         $c = 'Write-Output new'\niex ($c + ';')" );
+      ( "invokes powershell -enc",
+        Printf.sprintf "iex (powershell -enc %s)"
+          (b64_utf16 "'Write-Output one'") );
+      ("calls Write-Host", "iex $(Write-Host 'x'; 'Write-Output y')");
+      ("reads $pshome", "iex ($pshome.Substring(0, 0) + 'Write-Output z')");
+      ( "rewritten by the token phase",
+        "iex (('104,105' -split ',' | % { [char][int]$_ }) -join '')" ) ]
+  in
+  List.iter
+    (fun (name, src) -> check_i name 0 (reuses_identically src))
+    cases;
+  (* control: the last payload spelled without the alias is reused *)
+  check_i "same payload, no rewrite" 1
+    (reuses_identically
+       "iex (('104,105' -split ',' | ForEach-Object { [char][int]$_ }) -join '')")
+
+(* the same payloads, checked at the probe itself: recovery evaluates them
+   to a string, yet records nothing *)
+let test_probe_rejects_impure_payloads () =
+  let decode src =
+    let env = Env.create ~mode:Env.Recovery () in
+    Env.set_var env "c" (Psvalue.Value.Str "Write-Output traced");
+    Pseval.Interp.invoke_payload env ~src (Pseval.Interp.parse_piece src)
+  in
+  List.iter
+    (fun src ->
+      match decode src with
+      | Ok (Psvalue.Value.Str _), None -> ()
+      | Ok (Psvalue.Value.Str _), Some _ -> Alcotest.failf "recorded: %s" src
+      | _ -> Alcotest.failf "did not decode to a string: %s" src)
+    [ "($c + ';')";
+      Printf.sprintf "(powershell -enc %s)" (b64_utf16 "'Write-Output x'");
+      "$(Write-Host 'x'; 'Write-Output y')";
+      "($pshome.Substring(0, 0) + 'Write-Output z')";
+      "($env:comspec.Substring(0, 0) + 'Write-Output z')";
+      "(& { 'Write-Output s' })";
+      (* a Recovery-only failure a try/catch absorbs: the sandbox reads an
+         unknown method as $null and never reaches the catch *)
+      "$(try { 'x'.NoSuchMethod() } catch { 'Write-Output caught' })" ];
+  (* a self-contained decode is recorded with its cursor writes and the
+     steps of its expression alone *)
+  let arg = "(('87,114' -split ',' | ForEach-Object { [char][int]$_ }) -join '')" in
+  match decode arg with
+  | Ok (Psvalue.Value.Str "Wr"), Some p ->
+      check_s "decoded" "Wr" p.Env.decoded;
+      check_b "cursor writes recorded" true
+        (List.mem_assoc "_" p.Env.writes && List.mem_assoc "input" p.Env.writes);
+      let src = "iex " ^ arg in
+      let table = Hashtbl.create 1 in
+      Hashtbl.replace table arg p;
+      let before = Pscommon.Telemetry.Metrics.counter_value m_reused in
+      let reused = reference_state ~payloads:table src in
+      check_i "reused once" 1
+        (Pscommon.Telemetry.Metrics.counter_value m_reused - before);
+      check_i "steps counted as in place" (reference_state src).steps
+        reused.steps
+  | _ -> Alcotest.fail "self-contained decode not recorded"
+
+(* a payload whose in-place evaluation crosses the verify step budget:
+   the loop before it stays within the budget, the payload's own steps
+   cross it, so the reuse falls back to evaluating it and the run ends
+   unverifiable with or without the table *)
+let budget_loop = "for ($i = 0; $i -lt 30000; $i++) { }\n"
+
+let budget_bomb =
+  budget_loop
+  ^ "iex ((((1..60000) | ForEach-Object { $_ }) -join '').Substring(0, 0) \
+     + 'Write-Output late')"
+
+let test_reuse_budget_still_unverifiable () =
+  let budget = V.default_opts.V.max_steps in
+  check_b "the loop alone fits the budget" true
+    ((reference_state budget_loop).steps <= budget);
+  let payloads = Hashtbl.create 8 in
+  let guarded, parses = E.run_guarded_parsed ~payloads budget_bomb in
+  check_b "payload recorded" true (Hashtbl.length payloads > 0);
+  let without = reference_state budget_bomb in
+  check_b "budget crossed" true (without.steps > budget);
+  let before = Pscommon.Telemetry.Metrics.counter_value m_reused in
+  check_b "same state" true
+    (without = reference_state ~payloads budget_bomb);
+  check_i "reuse refused" 0
+    (Pscommon.Telemetry.Metrics.counter_value m_reused - before);
+  let rerun ~suppress = E.run_guarded ~suppress budget_bomb in
+  let _, o =
+    V.gate ?src_ast:parses.E.src_ast ?out_ast:parses.E.out_ast
+      ~payloads ~rerun ~src:budget_bomb guarded
+  in
+  check_s "verdict" "unverifiable" (V.verdict_name o.V.verdict)
+
 (* ---------- properties ---------- *)
 
 (* every generator sample round-trips through the verified pipeline as
@@ -403,6 +576,14 @@ let prop_rollback_output_parses =
 
 let suite =
   [
+    Alcotest.test_case "payload reuse: reference runs identical" `Quick
+      test_reuse_equivalence_sweep;
+    Alcotest.test_case "payload reuse: impure payloads never reused" `Quick
+      test_reuse_negative_cases;
+    Alcotest.test_case "payload reuse: probe rejects impure payloads" `Quick
+      test_probe_rejects_impure_payloads;
+    Alcotest.test_case "payload reuse: budget still unverifiable" `Quick
+      test_reuse_budget_still_unverifiable;
     Alcotest.test_case "effect log records unresolved commands" `Quick
       test_effect_log_records_commands;
     Alcotest.test_case "effect log is rename-invariant" `Quick
