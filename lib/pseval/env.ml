@@ -208,14 +208,20 @@ let tick env =
      steps keeps deadline latency in the microseconds *)
   if env.steps land 2047 = 0 then Guard.check env.limits.deadline
 
+let large_string_bytes = 65536
+
 let check_size env (v : Psvalue.Value.t) =
   match v with
   | Psvalue.Value.Str s ->
-      if String.length s > env.limits.max_string_bytes then
+      let n = String.length s in
+      if n > env.limits.max_string_bytes then
         raise
           (Limit_exceeded
-             (Printf.sprintf "string of %d bytes exceeds max_string_bytes"
-                (String.length s)))
+             (Printf.sprintf "string of %d bytes exceeds max_string_bytes" n));
+      (* a step that builds a large string can cost milliseconds, so
+         [tick]'s poll every 2048 steps would let it overrun the deadline
+         by seconds *)
+      if n >= large_string_bytes then Guard.check env.limits.deadline
   | Psvalue.Value.Arr a ->
       if Array.length a > env.limits.max_collection then
         raise

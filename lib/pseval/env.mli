@@ -128,8 +128,10 @@ val tick : t -> unit
 val check_size : t -> Psvalue.Value.t -> unit
 (** Enforce [max_string_bytes] / [max_collection] on a freshly built value —
     the string-building hot paths (concat, [-join], array append) call this
-    so decode bombs stop growing at the cap.
-    @raise Limit_exceeded when the value is over a limit. *)
+    so decode bombs stop growing at the cap.  A string of 64 KiB or more
+    also polls the deadline, as {!tick} does every 2048 steps.
+    @raise Limit_exceeded when the value is over a limit.
+    @raise Pscommon.Guard.Deadline_exceeded past the wall-clock deadline. *)
 
 val record : t -> event -> unit
 (** Record a side effect ([Sandbox]) or @raise Blocked ([Recovery]). *)

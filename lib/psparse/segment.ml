@@ -215,8 +215,3 @@ let segment ?(max_attempts = 512) src =
     in
     merge regions
   end
-
-let parseable_bytes regions =
-  List.fold_left
-    (fun acc r -> if r.kind = Parseable then acc + (r.stop - r.start) else acc)
-    0 regions

@@ -39,6 +39,3 @@ val segment : ?max_attempts:int -> string -> region list
     region is re-split at quote-aware newlines and the refinement is kept
     whenever it surfaces a parseable sub-region.  Whitespace-only regions
     are demoted to {!Opaque}: they carry nothing to recover. *)
-
-val parseable_bytes : region list -> int
-(** Total bytes covered by {!Parseable} regions. *)

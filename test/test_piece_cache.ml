@@ -317,6 +317,39 @@ let test_batch_persistent_warm_run_identical () =
       check_b "warm run answered lookups from disk" true (loads > 0);
       ignore cold)
 
+(* batch-scale hit rate: the lookups the shared cache answered across a
+   one-shot run and a warm re-run over the persistent tier *)
+let test_batch_scale_hit_rate () =
+  with_temp_dir (fun dir ->
+      let in_dir = Filename.concat dir "in" in
+      Sys.mkdir in_dir 0o755;
+      let files =
+        Corpus.Generator.generate ~seed:42 ~count:64
+        |> List.map (fun (s : Corpus.Generator.sample) ->
+               let path =
+                 Filename.concat in_dir (Printf.sprintf "sample_%04d.ps1" s.id)
+               in
+               write path s.obfuscated;
+               path)
+      in
+      let cache_dir = Filename.concat dir "piece-cache" in
+      let run tag =
+        let s =
+          Deobf.Batch.run_files ~timeout_s:20.0
+            ~out_dir:(Filename.concat dir tag) ~verify:false
+            ~piece_cache_dir:cache_dir files
+        in
+        Option.get s.Deobf.Batch.cache_stats
+      in
+      let cold = run "out-cold" in
+      let warm = run "out-warm" in
+      let hits = cold.Cache.hits + warm.Cache.hits in
+      let lookups = cold.Cache.lookups + warm.Cache.lookups in
+      check_b
+        (Printf.sprintf "hit rate %d/%d above one half" hits lookups)
+        true
+        (2 * hits > lookups))
+
 let test_jobs_clamped_and_reported () =
   with_temp_dir (fun dir ->
       let input = Filename.concat dir "one.ps1" in
@@ -361,6 +394,8 @@ let suite =
       test_batch_cache_off_byte_identical;
     Alcotest.test_case "batch persistent warm run byte-identical" `Slow
       test_batch_persistent_warm_run_identical;
+    Alcotest.test_case "batch-scale hit rate above one half" `Slow
+      test_batch_scale_hit_rate;
     Alcotest.test_case "jobs clamped to cores and reported" `Quick
       test_jobs_clamped_and_reported;
   ]

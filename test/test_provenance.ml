@@ -334,6 +334,7 @@ let test_chaos_seed_replay_byte_identical () =
 let test_dynamic_corpus_recovers_and_verifies () =
   let samples = Corpus.Generator.generate_dynamic ~seed:41 ~count:6 in
   check_i "samples generated" 6 (List.length samples);
+  let recovered = ref 0 in
   List.iter
     (fun (s : Corpus.Generator.sample) ->
       check_b "obfuscation fired" true
@@ -346,8 +347,13 @@ let test_dynamic_corpus_recovers_and_verifies () =
       check_b
         (Printf.sprintf "sample %d dynamic region attempted" s.Corpus.Generator.id)
         true
-        (g.E.result.E.stats.R.dynamic_attempted > 0))
-    samples
+        (g.E.result.E.stats.R.dynamic_attempted > 0);
+      if g.E.result.E.stats.R.dynamic_recovered >= 1 then incr recovered)
+    samples;
+  check_b
+    (Printf.sprintf "majority recovered dynamically (%d of 6)" !recovered)
+    true
+    (2 * !recovered > 6)
 
 let test_batch_dynamic_jobs_byte_identical () =
   with_temp_dir (fun dir ->

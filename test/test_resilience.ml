@@ -174,6 +174,27 @@ let test_recovery_fixpoint_stable () =
   check_s "second pass is identity" out1
     twice.Deobf.Engine.result.Deobf.Engine.output
 
+let check_truncated_majority ~frac sources =
+  let attempted = ref 0 and recovered = ref 0 in
+  List.iter
+    (fun src ->
+      let src = Chaos.Mutate.truncate_at frac src in
+      let g = Deobf.Engine.run_guarded ~timeout_s:10.0 src in
+      if
+        List.exists
+          (fun (s : Deobf.Engine.failure_site) -> s.Deobf.Engine.phase = "parse")
+          g.Deobf.Engine.failures
+      then begin
+        incr attempted;
+        if g.Deobf.Engine.regions_recovered >= 1 then incr recovered
+      end)
+    sources;
+  check_b "some truncations made files unparseable" true (!attempted >= 3);
+  check_b
+    (Printf.sprintf "majority recovered (%d of %d)" !recovered !attempted)
+    true
+    (2 * !recovered > !attempted)
+
 let test_truncated_majority_recovers () =
   (* the acceptance bar: truncating a small varied corpus at mid-file must
      leave a majority of the now-unparseable files partially recovered
@@ -183,24 +204,12 @@ let test_truncated_majority_recovers () =
       "$a%d = 'p' + 'q%d'\nWrite-Output $a%d\n$s%d = \"lit%d\"\n$b%d = %d + 1\nWrite-Output ($b%d)\n"
       i i i i i i i i
   in
-  let attempted = ref 0 and recovered = ref 0 in
-  for i = 1 to 8 do
-    let src = Chaos.Mutate.truncate_at 0.45 (sample i) in
-    let g = Deobf.Engine.run_guarded ~timeout_s:10.0 src in
-    if
-      List.exists
-        (fun (s : Deobf.Engine.failure_site) -> s.Deobf.Engine.phase = "parse")
-        g.Deobf.Engine.failures
-    then begin
-      incr attempted;
-      if g.Deobf.Engine.regions_recovered >= 1 then incr recovered
-    end
-  done;
-  check_b "some truncations made files unparseable" true (!attempted >= 3);
-  check_b
-    (Printf.sprintf "majority recovered (%d of %d)" !recovered !attempted)
-    true
-    (2 * !recovered > !attempted)
+  check_truncated_majority ~frac:0.45 (List.init 8 (fun i -> sample (i + 1)));
+  (* the same bar on a seeded generated corpus *)
+  check_truncated_majority ~frac:0.5
+    (List.map
+       (fun (s : Corpus.Generator.sample) -> s.Corpus.Generator.obfuscated)
+       (Corpus.Generator.generate ~seed:42 ~count:32))
 
 (* ---------- chaos: determinism and containment ---------- *)
 
@@ -211,6 +220,23 @@ let test_probe_disabled_is_silent () =
     Chaos.probe "anywhere"
   done;
   check_i "disabled probes draw nothing" 0 (Chaos.draws ())
+
+(* every production run pays the disabled probes: one atomic load and a
+   comparison each, no allocation *)
+let test_probe_disabled_zero_alloc () =
+  Chaos.set None;
+  for _ = 1 to 100 do
+    Chaos.probe "warm"
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 20_000 do
+    Chaos.probe "anywhere"
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_b
+    (Printf.sprintf "allocated %.0f minor words for 20k disabled probes"
+       allocated)
+    true (allocated < 100.0)
 
 let fault_trace seed =
   (* which of 100 scoped probe calls fire, and as what *)
@@ -468,6 +494,25 @@ let test_verify_gate_honours_deadline () =
       check_b "partial recovery kept" true
         (String.starts_with ~prefix:"$a = 'hello'" output))
 
+(* each step builds a megabyte, so 2048 steps take seconds: the deadline
+   must be polled by the string size check, not only by the step counter *)
+let test_string_bomb_honours_deadline () =
+  let src =
+    "while ($i -lt 100000) { $null = ('a' * 1000000).ToUpper(); $i++ }\n"
+  in
+  let started = Guard.now () in
+  let o, out =
+    Deobf.Batch.run_source ~verify:false ~timeout_s:0.5 ~name:"string-bomb" src
+  in
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 1.0);
+  check_s "script kept" src out;
+  check_b "the overrun is reported" true
+    (List.exists
+       (fun (f : Deobf.Engine.failure_site) ->
+         f.Deobf.Engine.failure = Guard.Timeout)
+       o.Deobf.Batch.failures)
+
 (* the deadline passes after the gate has found a divergence: forced diff
    faults make the first output diverge, bisection names an edit, and the
    rollback re-run finishes just as the deadline passes, so the next
@@ -657,6 +702,8 @@ let suite =
     Alcotest.test_case "truncated majority recovers" `Quick
       test_truncated_majority_recovers;
     Alcotest.test_case "disabled probes silent" `Quick test_probe_disabled_is_silent;
+    Alcotest.test_case "disabled probes zero-alloc" `Quick
+      test_probe_disabled_zero_alloc;
     Alcotest.test_case "chaos deterministic replay" `Quick
       test_chaos_deterministic_replay;
     Alcotest.test_case "chaos faults classified" `Quick test_chaos_faults_classified;
@@ -673,6 +720,8 @@ let suite =
       test_deadline_keeps_partial_recovery;
     Alcotest.test_case "verify gate honours the deadline" `Quick
       test_verify_gate_honours_deadline;
+    Alcotest.test_case "string bomb honours the deadline" `Quick
+      test_string_bomb_honours_deadline;
     Alcotest.test_case "verify deadline keeps a found divergence" `Quick
       test_verify_deadline_keeps_divergence;
     Alcotest.test_case "verify deadline in bisection keeps divergence" `Quick

@@ -128,12 +128,13 @@ let test_wedged_worker_preempted () =
      structured wedged error, replace the worker, and the daemon must
      answer the next request normally *)
   let wedged_before = counter "pool.service.wedged" in
+  let timeout_s = 0.3 and grace_s = 0.2 in
   with_server "wedge"
     (fun bind ->
       { (Serve.default_config bind) with
         Serve.jobs = 1;
-        default_timeout_s = 0.3;
-        grace_s = 0.2 })
+        default_timeout_s = timeout_s;
+        grace_s })
     (fun sock _server ->
       Chaos.set
         (Some
@@ -144,9 +145,17 @@ let test_wedged_worker_preempted () =
           Chaos.set None;
           Unix.close fd)
       @@ fun () ->
+      let sent = Unix.gettimeofday () in
       send_all fd (request ~id:"victim" ~script:piece_script ());
       let lines = read_lines fd 1 in
+      let elapsed = Unix.gettimeofday () -. sent in
       let v = response_for lines "victim" in
+      (* the time to recover: the watchdog answers once deadline + grace
+         has passed, and within one more grace window *)
+      check_b
+        (Printf.sprintf "victim answered after %.2f s" elapsed)
+        true
+        (elapsed <= timeout_s +. (2.0 *. grace_s));
       check_s "victim answered with a structured error" "error" (status_of v);
       check_s "error kind is wedged" "wedged"
         (Option.value ~default:"?" (Jsonl.string_field v "kind"));
@@ -158,6 +167,46 @@ let test_wedged_worker_preempted () =
       let lines = read_lines fd 1 in
       check_s "daemon serves after preemption" "ok"
         (status_of (response_for lines "next")))
+
+(* a pipelined flood at twice the queue bound under seeded wedge chaos:
+   shed, wedged or served, every request gets an answer and the daemon
+   keeps serving *)
+let test_wedge_flood_answered () =
+  let wedged_before = counter "pool.service.wedged" in
+  with_server "wflood"
+    (fun bind ->
+      { (Serve.default_config bind) with
+        Serve.jobs = 2;
+        queue_cap = 4;
+        default_timeout_s = 0.2;
+        grace_s = 0.1 })
+    (fun sock _server ->
+      let n = 8 in
+      (with_chaos
+         { Chaos.seed = 11; rate = 0.0; site_rates = [ ("serve.wedge", 0.3) ] }
+       @@ fun () ->
+       let fd = connect sock in
+       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+       for i = 1 to n do
+         send_all fd
+           (request ~id:(Printf.sprintf "w%d" i) ~script:piece_script ())
+       done;
+       let lines = read_lines fd n in
+       check_i "every flood request answered" n (List.length lines);
+       for i = 1 to n do
+         let s = status_of (response_for lines (Printf.sprintf "w%d" i)) in
+         check_b
+           (Printf.sprintf "w%d classified (%s)" i s)
+           true
+           (List.mem s [ "ok"; "overloaded"; "error" ])
+       done;
+       check_b "chaos wedged a worker" true
+         (counter "pool.service.wedged" > wedged_before));
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send_all fd (request ~id:"after" ~script:piece_script ());
+      check_s "daemon serves after the flood" "ok"
+        (status_of (response_for (read_lines fd 1) "after")))
 
 (* ---------- respawn backoff schedule ---------- *)
 
@@ -236,6 +285,41 @@ let test_quarantine_disabled_admits_everything () =
   Q.end_request ~rolled_rules:[ "recover.piece"; "recover.piece" ];
   Alcotest.(check (list (pair string string)))
     "disabled records nothing" [] (Q.snapshot ())
+
+(* end to end: a forced divergence rolls the same rules back on every
+   request until the breaker opens, and no rollback follows *)
+let test_quarantine_converges () =
+  Q.reset ();
+  Q.set_enabled true;
+  Q.configure ~k:3 ~window_s:300.0 ~cooldown_s:3600.0 ();
+  Fun.protect
+    ~finally:(fun () ->
+      Q.set_enabled false;
+      Q.reset ();
+      Q.configure ~k:3 ~window_s:300.0 ~cooldown_s:30.0 ())
+  @@ fun () ->
+  with_chaos
+    { Chaos.seed = 11; rate = 0.0; site_rates = [ ("verify.diff", 1.0) ] }
+  @@ fun () ->
+  let src = "$x = 'a'\nforeach ($i in 1..3) { $x = $x + 'b' }\nWrite-Output $x" in
+  let tripped_at = ref None and rolled_after = ref 0 in
+  for i = 1 to 8 do
+    let o, _ =
+      Deobf.Batch.run_source ~verify:true ~name:(Printf.sprintf "bad-%d" i) src
+    in
+    let rolled =
+      match o.Deobf.Batch.verdict with
+      | Some (Deobf.Verify.Rolled_back n) -> n > 0
+      | _ -> false
+    in
+    match !tripped_at with
+    | None -> if Q.snapshot () <> [] then tripped_at := Some i
+    | Some _ -> if rolled then incr rolled_after
+  done;
+  check_b "breaker opened by request K+1"
+    true
+    (match !tripped_at with Some i -> i <= 4 | None -> false);
+  check_i "no rollback after the breaker opened" 0 !rolled_after
 
 (* ---------- memory-pressure governor ---------- *)
 
@@ -365,10 +449,14 @@ let suite =
   [
     Alcotest.test_case "wedged worker preempted, daemon survives" `Quick
       test_wedged_worker_preempted;
+    Alcotest.test_case "wedge flood: every request answered" `Quick
+      test_wedge_flood_answered;
     Alcotest.test_case "respawn backoff monotone and capped" `Quick
       test_respawn_backoff_monotone;
     Alcotest.test_case "quarantine trips and re-admits" `Quick
       test_quarantine_trips_and_readmits;
+    Alcotest.test_case "quarantine converges end to end" `Quick
+      test_quarantine_converges;
     Alcotest.test_case "quarantine disabled admits everything" `Quick
       test_quarantine_disabled_admits_everything;
     Alcotest.test_case "memory shed carries reason" `Quick

@@ -265,6 +265,42 @@ let sample_files dir n =
       path)
     samples
 
+(* the gate's cost as a count: with the reference memo off, a file the
+   engine changed costs one reference and one output run, and a batch
+   with nothing to roll back never pays for bisection or re-runs *)
+let test_batch_gate_two_runs_per_changed_file () =
+  with_temp_dir (fun dir ->
+      let s =
+        Deobf.Batch.run_files ~timeout_s:20.0 ~jobs:1 ~verify:true
+          ~verify_opts:{ V.default_opts with V.use_ref_cache = false }
+          (sample_files dir 32)
+      in
+      (* run_files starts the metrics registry afresh for the batch *)
+      let sandbox_runs =
+        Pscommon.Telemetry.Metrics.(counter_value (counter "verify.sandbox_runs"))
+      in
+      List.iter
+        (fun (o : Deobf.Batch.outcome) ->
+          check_b
+            (Printf.sprintf "%s neither rolled back nor diverged"
+               (Filename.basename o.Deobf.Batch.file))
+            true
+            (match o.Deobf.Batch.verdict with
+            | Some (V.Rolled_back _ | V.Diverged) -> false
+            | _ -> true))
+        s.Deobf.Batch.outcomes;
+      let changed =
+        List.length
+          (List.filter (fun (o : Deobf.Batch.outcome) -> o.Deobf.Batch.changed)
+             s.Deobf.Batch.outcomes)
+      in
+      check_b "the engine changed files" true (changed > 0);
+      check_b
+        (Printf.sprintf "%d sandbox runs for %d changed files" sandbox_runs
+           changed)
+        true
+        (sandbox_runs <= 2 * changed))
+
 let test_batch_verify_jobs_byte_identical () =
   with_temp_dir (fun dir ->
       let in_dir = Filename.concat dir "in" in
@@ -614,6 +650,8 @@ let suite =
       test_gate_with_custom_rerun;
     Alcotest.test_case "verdict identical with and without piece cache"
       `Quick test_verdict_identical_with_and_without_piece_cache;
+    Alcotest.test_case "batch gate: two sandbox runs per changed file" `Quick
+      test_batch_gate_two_runs_per_changed_file;
     Alcotest.test_case "batch --verify jobs=4 byte-identical" `Slow
       test_batch_verify_jobs_byte_identical;
     Alcotest.test_case "batch resume skips and preserves outputs" `Slow
