@@ -28,7 +28,7 @@ let csharp_pshome = "C:\\Program Files\\dotnet\\shared\\Microsoft.NETCore.App\\5
 let fresh_env () =
   let limits = { Pseval.Env.default_limits with Pseval.Env.max_steps = 200_000 } in
   let env = Pseval.Env.create ~mode:Pseval.Env.Recovery ~limits () in
-  Pseval.Env.set_var env "pshome" (Value.Str csharp_pshome);
+  Pseval.Env.set_var env (Psparse.Names.var_key "pshome") (Value.Str csharp_pshome);
   env
 
 let render_result value =

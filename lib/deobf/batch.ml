@@ -147,12 +147,16 @@ let options_fingerprint ~options ~timeout_s ~max_output_bytes ~verify =
 (* The persistent piece tier is only sound between runs that would evaluate
    pieces identically, so its fingerprint covers the cache format version
    and every evaluation-relevant knob.  [verify] is deliberately absent:
-   the gate replays the same pieces, it does not change their results. *)
+   the gate replays the same pieces, it does not change their results.
+   Entries are marshalled [Value.t], and [Value.Script_block] embeds
+   [Psast.Ast]: the version must change with any change to the shape of
+   [Value.t] or [Psast.Ast.t], or a warm run would unmarshal an entry
+   into the wrong layout. *)
 let piece_cache_fingerprint ~options ~timeout_s ~max_output_bytes =
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
-          ("piece-cache-v1", options, timeout_s, max_output_bytes) []))
+          ("piece-cache-v2", options, timeout_s, max_output_bytes) []))
 
 (* field extraction for our own single-line manifest entries lives in
    {!Jsonl} (shared with the serve daemon's NDJSON protocol); a malformed

@@ -689,14 +689,14 @@ let payload_of_command st (cmd : A.command) ~piped_input =
             in
             let rec find = function
               | [] -> None
-              | A.Elem_parameter (p, Some v) :: _ when is_encoded_command_param p ->
+              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _ when is_encoded_command_param p ->
                   decode_enc v
-              | A.Elem_parameter (p, None) :: A.Elem_argument v :: _
+              | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
                 when is_encoded_command_param p ->
                   decode_enc v
-              | A.Elem_parameter (p, Some v) :: _ when is_command_param p ->
+              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _ when is_command_param p ->
                   eval_payload st v
-              | A.Elem_parameter (p, None) :: A.Elem_argument v :: _
+              | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
                 when is_command_param p ->
                   eval_payload st v
               | _ :: rest -> find rest
@@ -838,14 +838,14 @@ let trace_assignment st ~in_guard (stmt : A.t) =
   | A.Assignment (op, lhs, rhs) -> (
       let target =
         match lhs.A.node with
-        | A.Variable_expr v when not (String.contains v.A.var_name ':') ->
-            Some v.A.var_name
-        | A.Convert_expr (_, { A.node = A.Variable_expr v; _ }) -> Some v.A.var_name
+        | A.Variable_expr v when not (String.contains v.A.var_name ':') -> Some v
+        | A.Convert_expr (_, { A.node = A.Variable_expr v; _ }) -> Some v
         | _ -> None
       in
       match target with
       | None -> ()
-      | Some name ->
+      | Some v ->
+          let name = v.A.var_name in
           if in_guard || not st.opts.use_tracing then Tracer.remove st.table name
           else if Tracer.unknown_variables st.table rhs <> [] then
             Tracer.remove st.table name
@@ -860,12 +860,12 @@ let trace_assignment st ~in_guard (stmt : A.t) =
                   let parsed = Cache.parse st.cache text in
                   let env = fresh_env ~for_bytes:(String.length text) st in
                   (match Tracer.lookup st.table name with
-                  | Some v -> Pseval.Env.set_var env name v
+                  | Some value -> Pseval.Env.set_var env v.A.var_key value
                   | None -> ());
                   match Pseval.Interp.run_parsed env ~src:text parsed with
                   | Ok _ -> (
                       ignore op;
-                      Ok (Pseval.Env.get_var env name))
+                      Ok (Pseval.Env.get_var env v.A.var_key))
                   | Error _ -> Error "evaluation failed")
             in
             match traced with

@@ -127,7 +127,7 @@ let rec concat_chain_of_strings (n : A.t) =
 
 let member_named name m =
   match m with
-  | A.Member_name n -> Strcase.equal n name
+  | A.Member_name n -> Strcase.equal n.A.written name
   | A.Member_dynamic _ -> false
 
 let detect_ast src =
@@ -176,11 +176,12 @@ let detect_ast src =
                   if negative a && negative b then
                     set (fun d -> { d with reverse = true }))
               | _ -> ())
-          | A.Convert_expr (t, inner) -> (
+          | A.Convert_expr ({ A.written = t; _ }, inner) -> (
               let tn = Strcase.lower t in
               if tn = "char" then
                 match inner.A.node with
-                | A.Convert_expr (t2, _) when Strcase.equal t2 "int" ->
+                | A.Convert_expr ({ A.written = t2; _ }, _)
+                  when Strcase.equal t2 "int" ->
                     set (fun d -> { d with enc_radix = true })
                 | A.Paren_expr _ | A.Variable_expr _ | A.Number_const _ ->
                     set (fun d -> { d with enc_radix = true })
@@ -199,14 +200,14 @@ let detect_ast src =
                   then
                     List.iter
                       (function
-                        | A.Elem_parameter (p, _) ->
+                        | A.Elem_parameter ({ A.written = p; _ }, _) ->
                             let p = Strcase.lower p in
                             if String.length p > 1 && p.[1] = 'e' then
                               set (fun d -> { d with enc_base64 = true })
                         | _ -> ())
                       cmd.A.cmd_elements)
               | None -> ())
-          | A.Type_literal t ->
+          | A.Type_literal { A.written = t; _ } ->
               let tn = Strcase.lower t in
               if Strcase.contains ~needle:"deflatestream" tn
                  || Strcase.contains ~needle:"gzipstream" tn

@@ -77,7 +77,10 @@ let digest t =
 
 (** Seed an evaluation environment with the traced values. *)
 let seed_env t env =
-  Strcase.Map.iter (fun name value -> Pseval.Env.set_var env name value) t.table
+  Strcase.Map.iter
+    (fun name value ->
+      Pseval.Env.set_var env (Psparse.Names.var_key name) value)
+    t.table
 
 (** Variables read anywhere in a subtree: every VariableExpressionAst plus
     interpolations inside expandable strings. *)

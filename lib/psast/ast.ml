@@ -36,9 +36,41 @@ type unop =
 
 type quote_kind = Bare | Single_quoted | Double_quoted | Single_here | Double_here
 
+(* Names.  The evaluator looks names up caselessly; the parser stores each
+   name's lookup key next to the text as written, made once per parse
+   ([Psparse.Names] makes them).  The evaluator dispatches on the key; the
+   printer, scoring and the tracer read the text. *)
+
+type name = {
+  written : string;  (** as in the source *)
+  key : string;  (** the evaluator's lookup key *)
+}
+
+type drive =
+  | No_drive
+  | Env_drive  (** [$env:x]: the simulated environment *)
+  | Global_drive  (** [global:], [script:]: the global scope *)
+  | Local_drive  (** [local:], [private:], [variable:]: the current scope *)
+  | Other_drive  (** any other drive: reads find nothing *)
+
+type var_key = {
+  drive : drive;
+  scope_key : string;
+      (** the scope-table key: the folded name with its drive split off
+          (the whole folded name under [Other_drive]) *)
+  folded : string;  (** the whole name folded, drive kept *)
+}
+
 type variable = {
   var_name : string;  (** name without [$]; ["env:path"] keeps the drive *)
   var_splat : bool;
+  var_key : var_key;
+}
+
+type command_key = {
+  cmd_name : string;  (** as written *)
+  cmd_folded : string;  (** folded: the function-table key *)
+  cmd_builtin : string;  (** alias-resolved and folded: the builtin it runs *)
 }
 
 type number = Int_lit of int | Float_lit of float
@@ -62,8 +94,8 @@ and node =
   | For_stmt of t option * t option * t option * t  (** ForStatementAst *)
   | Foreach_stmt of t * t * t  (** ForEachStatementAst: var, collection, body *)
   | Switch_stmt of t * (t * t) list * t option  (** value, cases, default *)
-  | Function_def of string * string list * t  (** name, params, body block *)
-  | Param_block of string list
+  | Function_def of name * variable list * t  (** name, params, body block *)
+  | Param_block of variable list
   | Return_stmt of t option
   | Break_stmt
   | Continue_stmt
@@ -81,8 +113,8 @@ and node =
           [Some true] for [-creplace], [Some false] for [-ireplace] *)
   | Unary_expr of unop * t  (** UnaryExpressionAst *)
   | Postfix_expr of unop * t  (** [$i++] *)
-  | Convert_expr of string * t  (** ConvertExpressionAst: [\[type\] expr] *)
-  | Type_literal of string  (** TypeExpressionAst *)
+  | Convert_expr of name * t  (** ConvertExpressionAst: [\[type\] expr] *)
+  | Type_literal of name  (** TypeExpressionAst *)
   | Variable_expr of variable  (** VariableExpressionAst *)
   | Member_access of t * member * bool  (** MemberExpressionAst; true = [::] *)
   | Invoke_member of t * member * t list * bool
@@ -100,24 +132,25 @@ and node =
   | Script_block_expr of script_block  (** ScriptBlockExpressionAst *)
 
 and script_block = {
-  sb_params : string list;  (** param(...) names, if any *)
+  sb_params : variable list;  (** param(...) names, if any *)
   sb_statements : t list;
 }
 
 and command = {
   cmd_invocation : invocation;
   cmd_elements : command_element list;
+  cmd_key : command_key option;  (** [Some] when the name is a bareword *)
 }
 
 and command_element =
   | Elem_name of t
       (** first element: bareword string constant, or any expression after
           [&] / [.] *)
-  | Elem_parameter of string * t option  (** [-Name] or [-Name:value] *)
+  | Elem_parameter of name * t option  (** [-Name] or [-Name:value] *)
   | Elem_argument of t
   | Elem_redirection of string
 
-and member = Member_name of string | Member_dynamic of t
+and member = Member_name of name | Member_dynamic of t
 
 and expand_part =
   | Part_text of string

@@ -152,8 +152,8 @@ let rec expr (t : Ast.t) =
       if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
   | Ast.Number_const (Ast.Float_lit f) -> Printf.sprintf "%g" f
   | Ast.Variable_expr v -> variable_text v
-  | Ast.Type_literal name -> "[" ^ name ^ "]"
-  | Ast.Convert_expr (name, inner) -> "[" ^ name ^ "](" ^ expr inner ^ ")"
+  | Ast.Type_literal name -> "[" ^ name.Ast.written ^ "]"
+  | Ast.Convert_expr (name, inner) -> "[" ^ name.Ast.written ^ "](" ^ expr inner ^ ")"
   | Ast.Unary_expr (op, inner) -> unop_text op ^ " (" ^ expr inner ^ ")"
   | Ast.Postfix_expr (Ast.Incr, inner) -> expr inner ^ "++"
   | Ast.Postfix_expr (_, inner) -> expr inner ^ "--"
@@ -191,13 +191,13 @@ and unop_text = function
   | Ast.Decr -> "--"
 
 and member = function
-  | Ast.Member_name n -> n
+  | Ast.Member_name n -> n.Ast.written
   | Ast.Member_dynamic e -> expr e
 
 and command_element = function
   | Ast.Elem_name e -> expr e
-  | Ast.Elem_parameter (p, Some v) -> p ^ (if String.length p > 0 && p.[String.length p - 1] = ':' then "" else " ") ^ expr v
-  | Ast.Elem_parameter (p, None) -> p
+  | Ast.Elem_parameter ({ Ast.written = p; _ }, Some v) -> p ^ (if String.length p > 0 && p.[String.length p - 1] = ':' then "" else " ") ^ expr v
+  | Ast.Elem_parameter ({ Ast.written = p; _ }, None) -> p
   | Ast.Elem_argument a -> expr a
   | Ast.Elem_redirection r -> r
 
@@ -258,12 +258,12 @@ and statement (t : Ast.t) =
         | None -> "")
       ^ " }"
   | Ast.Function_def (name, params, body) ->
-      Printf.sprintf "function %s%s %s" name
+      Printf.sprintf "function %s%s %s" name.Ast.written
         (if params = [] then ""
-         else "(" ^ String.concat ", " (List.map (fun p -> "$" ^ p) params) ^ ")")
+         else "(" ^ String.concat ", " (List.map (fun p -> "$" ^ p.Ast.var_name) params) ^ ")")
         (block body)
   | Ast.Param_block names ->
-      "param(" ^ String.concat ", " (List.map (fun p -> "$" ^ p) names) ^ ")"
+      "param(" ^ String.concat ", " (List.map (fun p -> "$" ^ p.Ast.var_name) names) ^ ")"
   | Ast.Return_stmt (Some v) -> "return " ^ statement v
   | Ast.Return_stmt None -> "return"
   | Ast.Break_stmt -> "break"
@@ -301,7 +301,7 @@ and script_block_body (sb : Ast.script_block) =
     if sb.Ast.sb_params = [] then ""
     else
       "param("
-      ^ String.concat ", " (List.map (fun p -> "$" ^ p) sb.Ast.sb_params)
+      ^ String.concat ", " (List.map (fun p -> "$" ^ p.Ast.var_name) sb.Ast.sb_params)
       ^ "); "
   in
   params ^ String.concat "; " (List.map statement sb.Ast.sb_statements)
@@ -314,7 +314,7 @@ let print (t : Ast.t) =
         if sb.Ast.sb_params = [] then ""
         else
           "param("
-          ^ String.concat ", " (List.map (fun p -> "$" ^ p) sb.Ast.sb_params)
+          ^ String.concat ", " (List.map (fun p -> "$" ^ p.Ast.var_name) sb.Ast.sb_params)
           ^ ")\n"
       in
       params

@@ -6,22 +6,10 @@
     array). *)
 
 open Psvalue
-module Strcase = Pscommon.Strcase
 
 exception Cast_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Cast_error s)) fmt
-
-let normalize_type name =
-  let n = Strcase.lower (String.trim name) in
-  let n =
-    if Strcase.starts_with ~prefix:"system." n then
-      String.sub n 7 (String.length n - 7)
-    else n
-  in
-  (* collapse internal whitespace in things like [char []] *)
-  if String.contains n ' ' then String.concat "" (String.split_on_char ' ' n)
-  else n
 
 let to_string_array v =
   Value.Arr
@@ -47,8 +35,9 @@ let parse_scriptblock text =
   | Ok _ -> fail "scriptblock parse produced an unexpected node"
   | Error e -> fail "cannot convert to scriptblock: %s" e.Psparse.Parser.message
 
-let cast type_name v =
-  match normalize_type type_name with
+(* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)
+let cast key v =
+  match key with
   | "string" -> Value.Str (Value.to_string v)
   | "char" -> Value.Char (Value.to_char v)
   | "int" | "int32" | "int64" | "long" | "int16" | "short" | "uint32" | "uint64"

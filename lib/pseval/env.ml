@@ -65,7 +65,7 @@ let () =
 
 type scope = { table : (string, Psvalue.Value.t) Hashtbl.t }
 
-type fn = { fn_params : string list; fn_body : Psast.Ast.t }
+type fn = { fn_params : Psast.Ast.variable list; fn_body : Psast.Ast.t }
 
 type payload = {
   decoded : string;
@@ -85,11 +85,11 @@ type probe = {
   outer : scope list;  (** the scopes that existed before the piece ran *)
   mutable self_contained : bool;
   mutable written : string list;  (** keys the piece wrote into [outer] *)
-  mutable settled : string list;
-      (** names (physically, as the AST and the interpreter pass them)
-          whose key is in [written]: every later read or write of them is
-          the piece's own, so the decode loop's [$_] and [$input] are
-          checked once, not per element *)
+  mutable settled : Psast.Ast.var_key list;
+      (** variable keys (physically, as the AST and the interpreter pass
+          them) whose scope key is in [written]: every later read or write
+          of them is the piece's own, so the decode loop's [$_] and
+          [$input] are checked once, not per element *)
   mutable looked_up : string list;  (** command names it found undefined *)
   mutable in_place : int;  (** steps of [target]'s pipeline; -1 until done *)
 }
@@ -262,12 +262,12 @@ let commands env = List.rev env.command_log
 
 (* ---------- variables ---------- *)
 
-let split_drive name =
-  match String.index_opt name ':' with
-  | Some i ->
-      Some (Strcase.lower (String.sub name 0 i),
-            String.sub name (i + 1) (String.length name - i - 1))
-  | None -> None
+module A = Psast.Ast
+
+(* the pipeline cursors and [$args], which the interpreter binds itself *)
+let item_var = Psparse.Names.var_key "_"
+let input_var = Psparse.Names.var_key "input"
+let args_var = Psparse.Names.var_key "args"
 
 let rec lookup_in scopes key =
   match scopes with
@@ -280,45 +280,44 @@ let rec lookup_in scopes key =
 (* A read is the piece's own when it resolves to a binding the piece
    wrote; anything else (a seeded or automatic binding, [$env:], a drive
    scope, a miss) could read differently where the payload runs in place. *)
-let rec probe_resolved p name key = function
+let rec probe_resolved p (k : A.var_key) key = function
   | [] -> p.self_contained <- false
   | s :: rest ->
-      if not (Hashtbl.mem s.table key) then probe_resolved p name key rest
+      if not (Hashtbl.mem s.table key) then probe_resolved p k key rest
       else if not (List.memq s p.outer) then ()
-      else if List.mem key p.written then p.settled <- name :: p.settled
+      else if List.mem key p.written then p.settled <- k :: p.settled
       else p.self_contained <- false
 
-let probe_read env p name =
-  if List.memq name p.settled then ()
-  else if String.contains name ':' then p.self_contained <- false
-  else probe_resolved p name (Strcase.lower name) env.scopes
+let probe_read env p (k : A.var_key) =
+  if List.memq k p.settled then ()
+  else if k.A.drive <> A.No_drive then p.self_contained <- false
+  else probe_resolved p k k.A.scope_key env.scopes
 
 (* A write lands where {!set_var} puts it: in a scope that existed before
    the piece ran, it is a residual write replayed after a reuse.  Creating
    a binding in a scope the piece pushed is not replayable: where the
    payload runs in place, the name may be visible and be updated. *)
-let probe_lands p name key s =
+let probe_lands p k key s =
   if List.memq s p.outer then begin
     if not (List.mem key p.written) then p.written <- key :: p.written;
-    p.settled <- name :: p.settled
+    p.settled <- k :: p.settled
   end
   else p.self_contained <- false
 
-let rec probe_landing p name key current = function
-  | [] -> probe_lands p name key current
+let rec probe_landing p k key current = function
+  | [] -> probe_lands p k key current
   | s :: rest ->
       if not (Hashtbl.mem s.table key) then
-        probe_landing p name key current rest
-      else if List.memq s p.outer then probe_lands p name key s
+        probe_landing p k key current rest
+      else if List.memq s p.outer then probe_lands p k key s
 
-let probe_write env p name =
-  if List.memq name p.settled then ()
-  else if String.contains name ':' then p.self_contained <- false
+let probe_write env p (k : A.var_key) =
+  if List.memq k p.settled then ()
+  else if k.A.drive <> A.No_drive then p.self_contained <- false
   else
     match env.scopes with
     | [] -> ()
-    | current :: _ ->
-        probe_landing p name (Strcase.lower name) current env.scopes
+    | current :: _ -> probe_landing p k k.A.scope_key current env.scopes
 
 (* update [key] in the innermost scope that binds it; false when none does *)
 let rec assign_existing key value = function
@@ -330,40 +329,39 @@ let rec assign_existing key value = function
       end
       else assign_existing key value rest
 
-let get_var env name =
-  (match env.probe with Some p -> probe_read env p name | None -> ());
-  match split_drive name with
-  | Some ("env", rest) -> (
-      match Hashtbl.find_opt env.env_vars (Strcase.lower rest) with
+let get_var env (k : A.var_key) =
+  (match env.probe with Some p -> probe_read env p k | None -> ());
+  match k.A.drive with
+  | A.Env_drive -> (
+      match Hashtbl.find_opt env.env_vars k.A.scope_key with
       | Some s -> Some (Psvalue.Value.Str s)
       | None -> Some Psvalue.Value.Null)
-  | Some (("global" | "script" | "local" | "private" | "variable"), rest) ->
-      lookup_in env.scopes (Strcase.lower rest)
-  | Some (_, _) -> None
-  | None -> lookup_in env.scopes (Strcase.lower name)
+  | A.Global_drive | A.Local_drive | A.No_drive ->
+      lookup_in env.scopes k.A.scope_key
+  | A.Other_drive -> None
 
-let set_var env name value =
-  (match env.probe with Some p -> probe_write env p name | None -> ());
-  match split_drive name with
-  | Some ("env", rest) ->
-      Hashtbl.replace env.env_vars (Strcase.lower rest)
-        (Psvalue.Value.to_string value)
-  | Some (("global" | "script"), rest) -> (
+(* PowerShell assignment updates an existing visible variable, or creates
+   it in the current scope *)
+let assign env key value =
+  if not (assign_existing key value env.scopes) then
+    match env.scopes with
+    | s :: _ -> Hashtbl.replace s.table key value
+    | [] -> assert false
+
+let set_var env (k : A.var_key) value =
+  (match env.probe with Some p -> probe_write env p k | None -> ());
+  match k.A.drive with
+  | A.Env_drive ->
+      Hashtbl.replace env.env_vars k.A.scope_key (Psvalue.Value.to_string value)
+  | A.Global_drive -> (
       match List.rev env.scopes with
-      | global :: _ -> Hashtbl.replace global.table (Strcase.lower rest) value
+      | global :: _ -> Hashtbl.replace global.table k.A.scope_key value
       | [] -> assert false)
-  | Some (("local" | "private" | "variable"), rest) -> (
+  | A.Local_drive -> (
       match env.scopes with
-      | s :: _ -> Hashtbl.replace s.table (Strcase.lower rest) value
+      | s :: _ -> Hashtbl.replace s.table k.A.scope_key value
       | [] -> assert false)
-  | Some (_, _) | None -> (
-      let key = Strcase.lower name in
-      (* PowerShell assignment updates an existing visible variable, or
-         creates it in the current scope *)
-      if not (assign_existing key value env.scopes) then
-        match env.scopes with
-        | s :: _ -> Hashtbl.replace s.table key value
-        | [] -> assert false)
+  | A.Other_drive | A.No_drive -> assign env k.A.scope_key value
 
 let push_scope env = env.scopes <- new_scope () :: env.scopes
 
@@ -384,12 +382,11 @@ let with_scope env f =
 
 (* ---------- functions ---------- *)
 
-let define_function env name fn =
+let define_function env key fn =
   taint env;
-  Hashtbl.replace env.functions (Strcase.lower name) fn
+  Hashtbl.replace env.functions key fn
 
-let find_function env name =
-  let key = Strcase.lower name in
+let find_function env key =
   let found = Hashtbl.find_opt env.functions key in
   (match env.probe with
   | Some p -> (
@@ -533,7 +530,7 @@ let reuse env (p : payload) =
   then false
   else begin
     charge env p.steps;
-    List.iter (fun (key, v) -> set_var env key (copy v)) p.writes;
+    List.iter (fun (key, v) -> assign env key (copy v)) p.writes;
     check_size env (Psvalue.Value.Str p.decoded);
     true
   end

@@ -43,7 +43,7 @@ type limits = {
 
 val default_limits : limits
 
-type fn = { fn_params : string list; fn_body : Psast.Ast.t }
+type fn = { fn_params : Psast.Ast.variable list; fn_body : Psast.Ast.t }
 
 type payload = {
   decoded : string;  (** the string the payload expression evaluated to *)
@@ -51,12 +51,13 @@ type payload = {
       (** evaluation steps the expression took, counted as in place: the
           piece's own statement tick is not included *)
   writes : (string * Psvalue.Value.t) list;
-      (** bindings the evaluation left in the scope it ran in, with their
-          final values — in practice the [$_] and [$input] cursors
+      (** bindings the evaluation left in the scope it ran in, by scope
+          key, with their final values — in practice the [$_] and [$input] cursors
           ForEach-Object leaves in its caller's scope *)
   commands : string list;
-      (** command names it ran as builtins; a reuse where one of them is a
-          user function would call that function in place, so it misses *)
+      (** folded command names it ran as builtins; a reuse where one of
+          them is a user function would call that function in place, so
+          it misses *)
   decoded_under : limits;
       (** the limits it was decoded under: a run whose string or
           collection caps are lower could fail in place where recovery
@@ -152,19 +153,29 @@ val global_bindings : t -> (string * Psvalue.Value.t) list
 (** Global-scope bindings the script established, sorted by name; automatic
     variables appear only if the script overwrote them. *)
 
-val get_var : t -> string -> Psvalue.Value.t option
+val get_var : t -> Psast.Ast.var_key -> Psvalue.Value.t option
 (** Scope-chain lookup; [$env:*] reads the simulated environment;
-    drive-qualified names resolve their scope. *)
+    drive-qualified names resolve their scope.  The key comes from the
+    AST, or from {!Psparse.Names.var_key} for a name made at run time. *)
 
-val set_var : t -> string -> Psvalue.Value.t -> unit
+val set_var : t -> Psast.Ast.var_key -> Psvalue.Value.t -> unit
 (** Update where visible, else create in the current scope. *)
+
+val item_var : Psast.Ast.var_key
+(** [$_], the pipeline cursor *)
+
+val input_var : Psast.Ast.var_key
+val args_var : Psast.Ast.var_key
 
 val push_scope : t -> unit
 val pop_scope : t -> unit
 val with_scope : t -> (unit -> 'a) -> 'a
 
 val define_function : t -> string -> fn -> unit
+(** Keyed on the folded name ({!Psast.Ast.name}'s [key]). *)
+
 val find_function : t -> string -> fn option
+(** Looked up by the folded name: a command's [cmd_folded]. *)
 
 val sink : t -> Psvalue.Value.t -> unit
 (** Host output (Write-Host). *)
@@ -201,7 +212,7 @@ val finish_probe : t -> probe -> string -> payload option
 val reuse : t -> payload -> bool
 (** Stand in for evaluating the payload's expression in place: charge its
     steps against the budget (polling the deadline as those ticks would),
-    replay its residual writes with {!set_var}, and apply {!check_size} to
+    replay its residual writes as {!set_var} would, and apply {!check_size} to
     the decoded string.  [false], with nothing changed, when the reuse
     could not match an in-place evaluation: the steps would cross the
     budget, a provenance recorder is installed, this run's string or

@@ -28,16 +28,19 @@ let node_text ctx (t : A.t) = A.text ctx.src t
 (* provenance stamping: one option load per variable write when no recorder
    is installed, so the plane is free on production recovery paths.  [rhs]
    (when given) contributes its variable reads to the dependency set;
-   [also_reads] adds names the node shape implies (compound assignment and
-   ++/-- read their own target). *)
-let note_write ctx ?rhs ?(also_reads = []) ~extent name =
+   [reads_self] says the node shape reads the target too (compound
+   assignment and ++/--). *)
+let note_write ctx ?rhs ?(reads_self = false) ~extent (v : A.variable) =
   match ctx.env.Env.provenance with
   | None -> ()
   | Some p ->
+      let folded = v.A.var_key.A.folded in
       let reads =
-        also_reads @ (match rhs with Some r -> Provenance.read_vars r | None -> [])
+        (if reads_self then [ folded ] else [])
+        @ (match rhs with Some r -> Provenance.read_vars r | None -> [])
       in
-      Provenance.note p ~var:name ~extent ~step:ctx.env.Env.steps ~reads
+      Provenance.note p ~var:folded ~spelled:v.A.var_name ~extent
+        ~step:ctx.env.Env.steps ~reads
 
 (* pipeline-boundary enumeration: arrays stream element-wise *)
 let enumerate v = Value.to_list v
@@ -70,24 +73,24 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
           match part with
           | A.Part_text s -> Buffer.add_string buf s
           | A.Part_variable (v, _) ->
-              Buffer.add_string buf (Value.to_string (read_variable ctx v.A.var_name))
+              Buffer.add_string buf (Value.to_string (read_variable ctx v))
           | A.Part_subexpr e -> Buffer.add_string buf (Value.to_string (eval_expr ctx e)))
         parts;
       Value.Str (Buffer.contents buf)
-  | A.Variable_expr v -> read_variable ctx v.A.var_name
+  | A.Variable_expr v -> read_variable ctx v
   | A.Binary_expr (op, sensitivity, a, b) -> eval_binary ctx op sensitivity a b
   | A.Unary_expr (op, operand) -> eval_unary ctx op operand
   | A.Postfix_expr (op, operand) -> eval_postfix ctx op operand
-  | A.Convert_expr (type_name, inner) -> (
+  | A.Convert_expr (ty, inner) -> (
       let v = eval_expr ctx inner in
-      match Casts.normalize_type type_name with
+      match ty.A.key with
       | "io.compression.deflatestream" | "io.streamreader" ->
           (* cast form of stream construction is rare; treat like New-Object
              with a single argument *)
-          construct_object ctx type_name [ v ]
-      | _ -> Casts.cast type_name v)
-  | A.Type_literal name ->
-      Value.Obj { Value.otype = type_display_name name; okind = Value.Generic }
+          construct_object ctx ty.A.key [ v ]
+      | key -> Casts.cast key v)
+  | A.Type_literal ty ->
+      Value.Obj { Value.otype = type_display_name ty.A.key; okind = Value.Generic }
   | A.Member_access (obj, member, static) ->
       eval_member_access ctx t obj member static
   | A.Invoke_member (obj, member, args, static) ->
@@ -131,23 +134,23 @@ and strip_braces text =
   then String.sub text 1 (String.length text - 2)
   else text
 
-and type_display_name name =
-  let n = Casts.normalize_type name in
-  "System." ^ String.concat "." (List.map String.capitalize_ascii (String.split_on_char '.' n))
+(* [key] is a type's lookup key ({!Psparse.Names.type_key}) *)
+and type_display_name key =
+  "System." ^ String.concat "." (List.map String.capitalize_ascii (String.split_on_char '.' key))
 
-and read_variable ctx name =
-  match Strcase.lower name with
+and read_variable ctx (v : A.variable) =
+  match v.A.var_key.A.folded with
   | "args" -> (
-      match Env.get_var ctx.env "args" with Some v -> v | None -> Value.Arr [||])
+      match Env.get_var ctx.env Env.args_var with Some v -> v | None -> Value.Arr [||])
   | "input" -> (
-      match Env.get_var ctx.env "input" with Some v -> v | None -> Value.Arr [||])
+      match Env.get_var ctx.env Env.input_var with Some v -> v | None -> Value.Arr [||])
   | "ofs" -> Value.Str " "
   | _ -> (
-      match Env.get_var ctx.env name with
+      match Env.get_var ctx.env v.A.var_key with
       | Some v -> v
       | None -> (
           match ctx.env.Env.mode with
-          | Env.Recovery -> eval_fail "undefined variable $%s" name
+          | Env.Recovery -> eval_fail "undefined variable $%s" v.A.var_name
           | Env.Sandbox -> Value.Null))
 
 and eval_binary ctx op sensitivity a b =
@@ -188,10 +191,13 @@ and eval_binary ctx op sensitivity a b =
           | Value.Bool x -> Value.Bool (not x)
           | _ -> Value.Bool false)
       | A.As_op -> (
-          match vb with
-          | Value.Obj { Value.otype; _ } -> (
-              try Casts.cast otype va with Casts.Cast_error _ -> Value.Null)
-          | v -> ( try Casts.cast (Value.to_string v) va with Casts.Cast_error _ -> Value.Null))
+          let target =
+            match vb with
+            | Value.Obj { Value.otype; _ } -> otype
+            | v -> Value.to_string v
+          in
+          try Casts.cast (Psparse.Names.type_key target) va
+          with Casts.Cast_error _ -> Value.Null)
       | A.Band | A.Bor | A.Bxor | A.Shl | A.Shr -> Ops.bitwise op va vb
       | A.And_op | A.Or_op | A.Xor_op -> Ops.logical op va vb)
 
@@ -215,10 +221,9 @@ and eval_unary ctx op operand =
       let delta = if op = A.Incr then 1 else -1 in
       match operand.A.node with
       | A.Variable_expr v ->
-          let old = try Value.to_int (read_variable ctx v.A.var_name) with _ -> 0 in
-          Env.set_var ctx.env v.A.var_name (Value.Int (old + delta));
-          note_write ctx ~also_reads:[ v.A.var_name ] ~extent:operand.A.extent
-            v.A.var_name;
+          let old = try Value.to_int (read_variable ctx v) with _ -> 0 in
+          Env.set_var ctx.env v.A.var_key (Value.Int (old + delta));
+          note_write ctx ~reads_self:true ~extent:operand.A.extent v;
           Value.Int (old + delta)
       | _ -> eval_fail "++/-- requires a variable")
 
@@ -226,40 +231,42 @@ and eval_postfix ctx op operand =
   let delta = if op = A.Incr then 1 else -1 in
   match operand.A.node with
   | A.Variable_expr v ->
-      let old = try Value.to_int (read_variable ctx v.A.var_name) with _ -> 0 in
-      Env.set_var ctx.env v.A.var_name (Value.Int (old + delta));
-      note_write ctx ~also_reads:[ v.A.var_name ] ~extent:operand.A.extent
-        v.A.var_name;
+      let old = try Value.to_int (read_variable ctx v) with _ -> 0 in
+      Env.set_var ctx.env v.A.var_key (Value.Int (old + delta));
+      note_write ctx ~reads_self:true ~extent:operand.A.extent v;
       Value.Int old
   | _ -> eval_fail "++/-- requires a variable"
 
+(* a member's name: keyed by the parser, or folded here when [.$x] or
+   [."name"] computes it at run time *)
 and member_name ctx member =
   match member with
   | A.Member_name n -> n
-  | A.Member_dynamic e -> Value.to_string (eval_expr ctx e)
+  | A.Member_dynamic e -> Psparse.Names.member (Value.to_string (eval_expr ctx e))
 
 and eval_member_access ctx whole obj member static =
   let name = member_name ctx member in
   if static then begin
     match obj.A.node with
-    | A.Type_literal type_name -> (
-        match Statics.get_static type_name name with
+    | A.Type_literal ty -> (
+        match Statics.get_static ty.A.key name.A.key with
         | Some v -> v
-        | None -> eval_fail "unknown static member [%s]::%s" type_name name)
+        | None ->
+            eval_fail "unknown static member [%s]::%s" ty.A.written name.A.written)
     | _ -> eval_fail "static member access requires a type literal"
   end
   else begin
     let v = eval_expr ctx obj in
-    match Members.get_property v name with
+    match Members.get_property v name.A.key with
     | Some result -> result
     | None -> (
-        match Strcase.lower name with
+        match name.A.key with
         | "length" | "count" -> Value.Int 1  (* scalars have Length 1 in PS *)
         | _ -> (
             match ctx.env.Env.mode with
             | Env.Recovery ->
                 Env.taint ctx.env;
-                eval_fail "unknown property '%s' on %s (%s)" name
+                eval_fail "unknown property '%s' on %s (%s)" name.A.written
                   (Value.type_name v)
                   (String.trim (node_text ctx whole))
             | Env.Sandbox -> Value.Null))
@@ -270,25 +277,27 @@ and eval_invoke_member ctx whole obj member args static =
   let arg_values = List.map (eval_expr ctx) args in
   if static then begin
     match obj.A.node with
-    | A.Type_literal type_name -> (
-        match Statics.invoke_static ctx.env type_name name arg_values with
+    | A.Type_literal ty -> (
+        match Statics.invoke_static ty.A.key name.A.key arg_values with
         | Some v -> v
-        | None -> eval_fail "unknown static method [%s]::%s" type_name name)
+        | None ->
+            eval_fail "unknown static method [%s]::%s" ty.A.written name.A.written)
     | _ -> eval_fail "static method call requires a type literal"
   end
   else begin
     let v = eval_expr ctx obj in
-    match (v, Strcase.lower name) with
+    match (v, name.A.key) with
     | Value.Script_block sb, ("invoke" | "invokereturnasis") ->
         Value.of_list (invoke_script_block ctx sb arg_values ~input:[])
     | _ -> (
-        match Members.invoke_method ctx.env v name arg_values with
+        match Members.invoke_method ctx.env v name.A.key arg_values with
         | Some result -> result
         | None -> (
             match ctx.env.Env.mode with
             | Env.Recovery ->
                 Env.taint ctx.env;
-                eval_fail "unknown method '%s' on %s (%s)" name (Value.type_name v)
+                eval_fail "unknown method '%s' on %s (%s)" name.A.written
+                  (Value.type_name v)
                   (String.trim (node_text ctx whole))
             | Env.Sandbox -> Value.Null))
   end
@@ -299,7 +308,7 @@ and invoke_script_block ctx (sb : Value.sb) args ~input =
   Env.with_scope ctx.env (fun () ->
       let params = sb.Value.sb_ast.A.sb_params in
       bind_parameters ctx params args;
-      Env.set_var ctx.env "input" (Value.Arr (Array.of_list input));
+      Env.set_var ctx.env Env.input_var (Value.Arr (Array.of_list input));
       let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
       (* script-block ASTs parsed from their own text keep extents relative
          to that text *)
@@ -309,12 +318,12 @@ and invoke_script_block ctx (sb : Value.sb) args ~input =
 and bind_parameters ctx params args =
   let rec bind params args =
     match (params, args) with
-    | [], rest -> Env.set_var ctx.env "args" (Value.Arr (Array.of_list rest))
-    | p :: ps, a :: rest ->
-        Env.set_var ctx.env p a;
+    | [], rest -> Env.set_var ctx.env Env.args_var (Value.Arr (Array.of_list rest))
+    | (p : A.variable) :: ps, a :: rest ->
+        Env.set_var ctx.env p.A.var_key a;
         bind ps rest
     | p :: ps, [] ->
-        Env.set_var ctx.env p Value.Null;
+        Env.set_var ctx.env p.A.var_key Value.Null;
         bind ps []
   in
   bind params args
@@ -325,7 +334,7 @@ and invoke_function ctx (fn : Env.fn) args ~input =
   let ctx = { ctx with src_exact = false } in
   Env.with_scope ctx.env (fun () ->
       bind_parameters ctx fn.Env.fn_params args;
-      Env.set_var ctx.env "input" (Value.Arr (Array.of_list input));
+      Env.set_var ctx.env Env.input_var (Value.Arr (Array.of_list input));
       let body_stmts =
         match fn.Env.fn_body.A.node with
         | A.Script_block sb -> sb.A.sb_statements
@@ -350,7 +359,7 @@ and invoke_function ctx (fn : Env.fn) args ~input =
           List.iter run (named "begin");
           List.iter
             (fun item ->
-              Env.set_var ctx.env "_" item;
+              Env.set_var ctx.env Env.item_var item;
               List.iter run process_blocks)
             input;
           List.iter run (named "end");
@@ -368,10 +377,10 @@ and eval_statements ctx stmts =
 
 and bind_param_defaults ctx names =
   List.iter
-    (fun n ->
-      match Env.get_var ctx.env n with
+    (fun (n : A.variable) ->
+      match Env.get_var ctx.env n.A.var_key with
       | Some _ -> ()
-      | None -> Env.set_var ctx.env n Value.Null)
+      | None -> Env.set_var ctx.env n.A.var_key Value.Null)
     names
 
 and eval_statement ctx (t : A.t) : Value.t list =
@@ -460,9 +469,9 @@ and eval_statement ctx (t : A.t) : Value.t list =
       List.rev !out
   | A.Foreach_stmt (var, coll, body) ->
       let items = enumerate (Value.of_list (eval_statement ctx coll)) in
-      let var_name =
+      let loop_var =
         match var.A.node with
-        | A.Variable_expr v -> v.A.var_name
+        | A.Variable_expr v -> v
         | _ -> eval_fail "foreach requires a variable"
       in
       let out = ref [] in
@@ -470,8 +479,8 @@ and eval_statement ctx (t : A.t) : Value.t list =
          List.iter
            (fun item ->
              Env.tick ctx.env;
-             Env.set_var ctx.env var_name item;
-             note_write ctx ~rhs:coll ~extent:var.A.extent var_name;
+             Env.set_var ctx.env loop_var.A.var_key item;
+             note_write ctx ~rhs:coll ~extent:var.A.extent loop_var;
              try collect out (eval_statement ctx body) with Continue_exc -> ())
            items
        with Break_exc -> ());
@@ -482,7 +491,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
       (try
          List.iter
            (fun subject ->
-             Env.set_var ctx.env "_" subject;
+             Env.set_var ctx.env Env.item_var subject;
              let matched = ref false in
              List.iter
                (fun (pat, body) ->
@@ -512,7 +521,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
        with Break_exc -> ());
       List.rev !out
   | A.Function_def (name, params, body) ->
-      Env.define_function ctx.env name { Env.fn_params = params; fn_body = body };
+      Env.define_function ctx.env name.A.key { Env.fn_params = params; fn_body = body };
       []
   | A.Param_block names ->
       bind_param_defaults ctx names;
@@ -537,7 +546,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
         | None -> ()
       in
       let run_catch () =
-        Env.set_var ctx.env "_" Value.Null;
+        Env.set_var ctx.env Env.item_var Value.Null;
         match catches with
         | (_, handler) :: _ -> eval_statement ctx handler
         | [] -> []
@@ -576,18 +585,17 @@ and eval_assignment ctx op lhs rhs =
   | A.Variable_expr v ->
       let current =
         if op = A.Assign then Value.Null
-        else match Env.get_var ctx.env v.A.var_name with Some x -> x | None -> Value.Null
+        else match Env.get_var ctx.env v.A.var_key with Some x -> x | None -> Value.Null
       in
-      Env.set_var ctx.env v.A.var_name (combined current);
-      note_write ctx ~rhs
-        ~also_reads:(if op = A.Assign then [] else [ v.A.var_name ])
+      Env.set_var ctx.env v.A.var_key (combined current);
+      note_write ctx ~rhs ~reads_self:(op <> A.Assign)
         ~extent:(Pscommon.Extent.union lhs.A.extent rhs.A.extent)
-        v.A.var_name
-  | A.Convert_expr (type_name, { A.node = A.Variable_expr v; _ }) ->
-      Env.set_var ctx.env v.A.var_name (Casts.cast type_name rhs_value);
+        v
+  | A.Convert_expr (ty, { A.node = A.Variable_expr v; _ }) ->
+      Env.set_var ctx.env v.A.var_key (Casts.cast ty.A.key rhs_value);
       note_write ctx ~rhs
         ~extent:(Pscommon.Extent.union lhs.A.extent rhs.A.extent)
-        v.A.var_name
+        v
   | A.Index_expr (obj, idx) -> (
       let container = eval_expr ctx obj in
       let index = eval_expr ctx idx in
@@ -599,9 +607,9 @@ and eval_assignment ctx op lhs rhs =
             a.(i) <- combined (if op = A.Assign then Value.Null else a.(i));
             match obj.A.node with
             | A.Variable_expr v ->
-                note_write ctx ~rhs ~also_reads:[ v.A.var_name ]
+                note_write ctx ~rhs ~reads_self:true
                   ~extent:(Pscommon.Extent.union lhs.A.extent rhs.A.extent)
-                  v.A.var_name
+                  v
             | _ -> ()
           end
           else eval_fail "index %d out of range in assignment" i
@@ -612,10 +620,10 @@ and eval_assignment ctx op lhs rhs =
           | A.Variable_expr v ->
               let pairs = match container with Value.Hash p -> p | _ -> [] in
               let filtered = List.filter (fun (k, _) -> not (Value.equal_loose k index)) pairs in
-              Env.set_var ctx.env v.A.var_name (Value.Hash (filtered @ [ (index, rhs_value) ]));
-              note_write ctx ~rhs ~also_reads:[ v.A.var_name ]
+              Env.set_var ctx.env v.A.var_key (Value.Hash (filtered @ [ (index, rhs_value) ]));
+              note_write ctx ~rhs ~reads_self:true
                 ~extent:(Pscommon.Extent.union lhs.A.extent rhs.A.extent)
-                v.A.var_name
+                v
           | _ -> eval_fail "cannot assign into this hashtable expression")
       | _ -> eval_fail "cannot index-assign into %s" (Value.type_name container))
   | A.Array_literal vars ->
@@ -628,10 +636,10 @@ and eval_assignment ctx op lhs rhs =
               let value =
                 if i < List.length values then List.nth values i else Value.Null
               in
-              Env.set_var ctx.env v.A.var_name value;
+              Env.set_var ctx.env v.A.var_key value;
               note_write ctx ~rhs
                 ~extent:(Pscommon.Extent.union lhs_item.A.extent rhs.A.extent)
-                v.A.var_name
+                v
           | _ -> eval_fail "unsupported multiple-assignment target")
         vars
   | A.Member_access (_, _, _) -> ()  (* property assignment: ignored *)
@@ -647,10 +655,10 @@ and eval_pipeline ctx elems =
          the prefix stages; the last stage, its name included, then runs
          as it would in place *)
       match List.rev elems with
-      | ({ A.node = A.Command { A.cmd_elements = [ A.Elem_name name ]; _ }; _ }
+      | ({ A.node = A.Command ({ A.cmd_elements = [ A.Elem_name _ ]; _ } as cmd); _ }
          as last)
         :: prefix_last :: _
-        when may_name_iex name -> (
+        when may_name_iex cmd -> (
           match
             reused_payload ctx
               (Pscommon.Extent.union first.A.extent prefix_last.A.extent)
@@ -662,16 +670,13 @@ and eval_pipeline ctx elems =
 
 (* a bare command name that spells Invoke-Expression, or that is computed
    (`& ('ie'+'x')`) and may evaluate to it *)
-and may_name_iex (name : A.t) =
-  match name.A.node with
-  | A.String_const (s, A.Bare) -> (
-      let resolved =
-        match Pslex.Aliases.resolve s with Some full -> full | None -> s
-      in
-      match Strcase.lower resolved with
+and may_name_iex (cmd : A.command) =
+  match cmd.A.cmd_key with
+  | Some key -> (
+      match key.A.cmd_builtin with
       | "invoke-expression" | "iex" -> true
       | _ -> false)
-  | _ -> true
+  | None -> true
 
 (* The verify sandbox's reference run: a payload recovery decoded from the
    text at [extent] replaces evaluating it again (see {!Env.reuse}) *)
@@ -697,47 +702,34 @@ and run_stages ctx input = function
       run_stages ctx output rest
 
 and run_command ctx (cmd : A.command) ~input =
-  (* evaluate elements *)
   let name_expr, rest =
     match cmd.A.cmd_elements with
     | A.Elem_name n :: rest -> (n, rest)
     | _ -> eval_fail "command without a name"
   in
-  let name_value =
-    match name_expr.A.node with
-    | A.String_const (s, A.Bare) -> Value.Str s
-    | _ -> eval_expr ctx name_expr
-  in
-  match name_value with
-  | Value.Script_block sb ->
-      let args =
-        List.filter_map
-          (function A.Elem_argument a -> Some (eval_expr ctx a) | _ -> None)
-          rest
-      in
-      invoke_script_block ctx sb args ~input
-  | name_value ->
-      let name = Value.to_string name_value in
-      let literal =
-        match name_expr.A.node with
-        | A.String_const (_, A.Bare) -> true
-        | _ -> false
-      in
-      dispatch_command ctx ~name ~elements:rest ~input ~literal
-        ~invocation:cmd.A.cmd_invocation
+  match cmd.A.cmd_key with
+  | Some key -> dispatch_command ctx ~key ~elements:rest ~input ~literal:true
+  | None -> (
+      match eval_expr ctx name_expr with
+      | Value.Script_block sb ->
+          let args =
+            List.filter_map
+              (function A.Elem_argument a -> Some (eval_expr ctx a) | _ -> None)
+              rest
+          in
+          invoke_script_block ctx sb args ~input
+      | name_value ->
+          (* a name computed at run time: `& ('ie'+'x')` *)
+          let key = Psparse.Names.command (Value.to_string name_value) in
+          dispatch_command ctx ~key ~elements:rest ~input ~literal:false)
 
-and dispatch_command ctx ~name ~elements ~input ~literal ~invocation =
-  ignore invocation;
-  let resolved =
-    match Pslex.Aliases.resolve name with Some full -> full | None -> name
-  in
-  let lname = Strcase.lower resolved in
+and dispatch_command ctx ~key ~elements ~input ~literal =
   (* user-defined functions take precedence over builtins *)
-  match Env.find_function ctx.env name with
+  match Env.find_function ctx.env key.A.cmd_folded with
   | Some fn ->
       let args = eval_elements_positional ctx elements in
       invoke_function ctx fn args ~input
-  | None -> run_builtin ctx ~lname ~original_name:name ~elements ~input ~literal
+  | None -> run_builtin ctx ~key ~elements ~input ~literal
 
 and eval_elements_positional ctx elements =
   List.concat_map
@@ -750,14 +742,7 @@ and eval_elements_positional ctx elements =
 and eval_elements_parameters ctx elements =
   let rec walk = function
     | [] -> []
-    | A.Elem_parameter (p, attached) :: rest ->
-        let pname =
-          let p = Strcase.lower p in
-          let p = if String.length p > 0 && p.[0] = '-' then String.sub p 1 (String.length p - 1) else p in
-          if String.length p > 0 && p.[String.length p - 1] = ':' then
-            String.sub p 0 (String.length p - 1)
-          else p
-        in
+    | A.Elem_parameter ({ A.key = pname; _ }, attached) :: rest ->
         (match attached with
         | Some v -> (pname, Some (eval_expr ctx v)) :: walk rest
         | None -> (
@@ -832,12 +817,7 @@ and run_powershell_exe ctx ~elements ~input =
      StartsWith, like PowerShell's own auto-completion (paper §III-B4) *)
   let rec walk = function
     | [] -> []
-    | A.Elem_parameter (p, attached) :: rest -> (
-        let pname =
-          let p = Strcase.lower p in
-          let p = if p <> "" && p.[0] = '-' then String.sub p 1 (String.length p - 1) else p in
-          if p <> "" && p.[String.length p - 1] = ':' then String.sub p 0 (String.length p - 1) else p
-        in
+    | A.Elem_parameter ({ A.key = pname; _ }, attached) :: rest -> (
         let is_enc =
           pname <> "" && Strcase.starts_with ~prefix:pname "encodedcommand"
           && pname.[0] = 'e'
@@ -870,8 +850,9 @@ and run_powershell_exe ctx ~elements ~input =
 and synthetic_file_content path =
   Printf.sprintf "# content of %s" path
 
-and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
+and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
   let env = ctx.env in
+  let lname = key.A.cmd_builtin in
   let positional () = eval_elements_positional ctx elements in
   let params () = eval_elements_parameters ctx elements in
   let iex_payload p =
@@ -929,13 +910,13 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
               List.iter
                 (fun item ->
                   Env.tick env;
-                  Env.set_var env "_" item;
+                  Env.set_var env Env.item_var item;
                   collect out (run_block item))
                 input;
               List.rev !out
           | member ->
               (* ForEach-Object membername *)
-              let mname = Value.to_string member in
+              let mname = Strcase.lower (Value.to_string member) in
               List.map
                 (fun item ->
                   match Members.get_property item mname with
@@ -952,7 +933,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
           List.filter
             (fun item ->
               Env.tick env;
-              Env.set_var env "_" item;
+              Env.set_var env Env.item_var item;
               Value.to_bool (Value.of_list (run_block item)))
             input
       | _ -> input)
@@ -1003,7 +984,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
             | [ Value.Arr a ] -> Array.to_list a
             | args -> args)
       in
-      [ construct_object ctx type_name ctor_args ])
+      [ construct_object ctx (Psparse.Names.type_key type_name) ctor_args ])
   | "convertto-securestring" -> (
       let ps = params () in
       let source =
@@ -1043,7 +1024,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
             | n :: _ -> Value.to_string n
             | [] -> eval_fail "Get-Variable requires a name")
       in
-      match Env.get_var env name with
+      match Env.get_var env (Psparse.Names.var_key name) with
       | Some v -> [ v ]
       | None -> eval_fail "variable %s not found" name)
   | "set-variable" | "new-variable" -> (
@@ -1058,10 +1039,10 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
       in
       match (name, value) with
       | Some n, Some v ->
-          Env.set_var env n v;
+          Env.set_var env (Psparse.Names.var_key n) v;
           []
       | Some n, None ->
-          Env.set_var env n Value.Null;
+          Env.set_var env (Psparse.Names.var_key n) Value.Null;
           []
       | None, _ -> eval_fail "Set-Variable requires a name")
   | "get-alias" -> (
@@ -1180,7 +1161,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
       (match env.Env.mode with
       | Env.Recovery ->
           Env.taint env;
-          eval_fail "unknown command '%s'" original_name
+          eval_fail "unknown command '%s'" key.A.cmd_name
       | Env.Sandbox ->
           (* unresolved commands are otherwise invisible to the sandbox;
              the effect log needs them so a rewrite that drops or alters
@@ -1190,7 +1171,7 @@ and run_builtin ctx ~lname ~original_name ~elements ~input ~literal =
           Env.log_command env lname
             (List.map Value.to_string (positional ()));
           if Strcase.ends_with ~suffix:".exe" lname then
-            Env.record env (Env.Process_start original_name));
+            Env.record env (Env.Process_start key.A.cmd_name));
       []
 
 (* ForEach-Object / Where-Object run their blocks in the CALLER's scope in
@@ -1201,12 +1182,12 @@ and block_runner ctx (sb : Value.sb) =
   let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
   let stmts = sb.Value.sb_ast.A.sb_statements in
   fun item ->
-    Env.set_var ctx.env "input" (Value.Arr [| item |]);
+    Env.set_var ctx.env Env.input_var (Value.Arr [| item |]);
     try eval_statements inner_ctx stmts with Return_exc out -> out
 
-and construct_object ctx type_name args =
-  let t = Casts.normalize_type type_name in
-  match t with
+(* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)
+and construct_object ctx key args =
+  match key with
   | "net.webclient" ->
       Value.Obj { Value.otype = "System.Net.WebClient"; okind = Value.Web_client }
   | "io.memorystream" -> (
@@ -1283,9 +1264,7 @@ and construct_object ctx type_name args =
             (Env.Tcp_connect (Value.to_string host, Value.to_int port))
       | _ -> ());
       Value.Obj { Value.otype = "System.Net.Sockets.TcpClient"; okind = Value.Generic })
-  | other ->
-      ignore other;
-      Value.Obj { Value.otype = type_display_name type_name; okind = Value.Generic }
+  | _ -> Value.Obj { Value.otype = type_display_name key; okind = Value.Generic }
 
 (* ---------- entry points ---------- *)
 

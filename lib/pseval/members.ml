@@ -18,8 +18,10 @@ let arg_string = function
 
 (* ---------- properties ---------- *)
 
-let get_property v name =
-  let n = Strcase.lower name in
+(* Member names arrive as lookup keys: folded, by the parser or by the
+   interpreter for a name computed at run time. *)
+
+let get_property v n =
   match (v, n) with
   | Value.Str s, "length" -> Some (Value.Int (String.length s))
   | Value.Arr a, ("length" | "count") -> Some (Value.Int (Array.length a))
@@ -69,8 +71,7 @@ let split_on_chars s seps =
     parts := Buffer.contents buf :: !parts;
     List.rev !parts
 
-let string_method s name args =
-  let n = Strcase.lower name in
+let string_method s n args =
   match (n, args) with
   | "replace", [ a; b ] ->
       (* String.Replace is ordinal case-SENSITIVE, unlike -replace *)
@@ -217,8 +218,7 @@ let dead_network env =
   if env.Env.downloads_fail then
     raise (Env.Eval_error "WebClient: unable to connect to the remote server")
 
-let object_method env (o : Value.ps_object) name args =
-  let n = Strcase.lower name in
+let object_method env (o : Value.ps_object) n args =
   match (o.Value.okind, n, args) with
   | Value.Web_client, "downloadstring", [ url ] ->
       let url = Value.to_string url in
@@ -277,7 +277,7 @@ let invoke_method env v name args =
   | Value.Str s -> string_method s name args
   | Value.Char c -> string_method (String.make 1 c) name args
   | Value.Int n -> (
-      match Strcase.lower name with
+      match name with
       | "tostring" -> (
           match args with
           | [] -> Some (Value.Str (string_of_int n))
@@ -290,7 +290,7 @@ let invoke_method env v name args =
           | _ -> None)
       | _ -> None)
   | Value.Arr a -> (
-      match (Strcase.lower name, args) with
+      match (name, args) with
       | "contains", [ x ] ->
           Some (Value.Bool (Array.exists (fun e -> Value.equal_loose e x) a))
       | "indexof", [ x ] ->
@@ -303,18 +303,18 @@ let invoke_method env v name args =
       | "getvalue", [ i ] -> Some (Ops.index_array a (Value.to_int i))
       | _ -> None)
   | Value.Hash pairs -> (
-      match (Strcase.lower name, args) with
+      match (name, args) with
       | "containskey", [ k ] ->
           Some (Value.Bool (List.exists (fun (key, _) -> Value.equal_loose key k) pairs))
       | "tostring", _ -> Some (Value.Str "System.Collections.Hashtable")
       | _ -> None)
   | Value.Obj o -> object_method env o name args
   | Value.Secure_string _ -> (
-      match Strcase.lower name with
+      match name with
       | "tostring" -> Some (Value.Str "System.Security.SecureString")
       | _ -> None)
   | Value.Bool _ | Value.Float _ | Value.Null -> (
-      match Strcase.lower name with
+      match name with
       | "tostring" -> Some (Value.Str (Value.to_string v))
       | _ -> None)
   | Value.Script_block _ -> None (* Invoke handled by the interpreter *)

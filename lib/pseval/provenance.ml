@@ -49,26 +49,25 @@ let create ?(cap = 65536) () =
 let poisoned t = t.poisoned
 let count t = t.next_id
 
-let note t ~var ~extent ~step ~reads =
+let note t ~var ~spelled ~extent ~step ~reads =
   if t.poisoned = None then
     try
       Chaos.probe "interp.provenance";
       if t.next_id >= t.cap then t.poisoned <- Some "provenance cap exceeded"
       else begin
-        let key = Strcase.lower var in
         let deps =
           List.filter_map
             (fun name ->
-              match Hashtbl.find_opt t.latest (Strcase.lower name) with
+              match Hashtbl.find_opt t.latest name with
               | Some r -> Some r.id
               | None -> None)
             reads
           |> List.sort_uniq compare
         in
-        let r = { id = t.next_id; var = key; spelled = var; extent; step; deps } in
+        let r = { id = t.next_id; var; spelled; extent; step; deps } in
         t.next_id <- t.next_id + 1;
         t.records <- r :: t.records;
-        Hashtbl.replace t.latest key r;
+        Hashtbl.replace t.latest var r;
         Hashtbl.replace t.by_id r.id r
       end
     with e ->
@@ -104,19 +103,19 @@ let defining_extents t name =
 
 (* Variable names an expression reads, for dependency stamping.  A local
    walk (pseval cannot see the deobfuscator's tracer): [$name] reads and
-   expandable-string interpolations. *)
+   expandable-string interpolations, by their folded names. *)
 let read_vars ast =
   let module A = Psast.Ast in
   let acc = ref [] in
-  let add name = acc := Strcase.lower name :: !acc in
+  let add (v : A.variable) = acc := v.A.var_key.A.folded :: !acc in
   A.iter_post_order
     (fun n ->
       match n.A.node with
-      | A.Variable_expr v -> add v.A.var_name
+      | A.Variable_expr v -> add v
       | A.Expandable_string (_, parts) ->
           List.iter
             (function
-              | A.Part_variable (v, _) -> add v.A.var_name
+              | A.Part_variable (v, _) -> add v
               | A.Part_text _ | A.Part_subexpr _ -> ())
             parts
       | _ -> ())

@@ -22,11 +22,13 @@ val create : ?cap:int -> unit -> t
     drops provenance). *)
 
 val note :
-  t -> var:string -> extent:Pscommon.Extent.t -> step:int ->
-  reads:string list -> unit
-(** Stamp one variable write.  [reads] are the names the written value was
-    derived from; they resolve to the ids of their last writes.  Never
-    raises — any fault poisons the recorder instead. *)
+  t -> var:string -> spelled:string -> extent:Pscommon.Extent.t ->
+  step:int -> reads:string list -> unit
+(** Stamp one variable write of [var], a folded name (the AST's
+    [var_key.folded]) spelled [spelled] at the site.  [reads] are the
+    folded names the written value was derived from; they resolve to the
+    ids of their last writes.  Never raises — any fault poisons the
+    recorder instead. *)
 
 val poisoned : t -> string option
 (** Set when recording failed; the provenance map must not be trusted. *)
@@ -46,4 +48,4 @@ val defining_extents : t -> string -> Pscommon.Extent.t list
 
 val read_vars : Psast.Ast.t -> string list
 (** Variable names an expression reads ([$name] and expandable-string
-    interpolations), lowercased, sorted, deduplicated. *)
+    interpolations), folded, sorted, deduplicated. *)

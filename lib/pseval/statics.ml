@@ -12,10 +12,8 @@ exception Static_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Static_error s)) fmt
 
-let normalize = Casts.normalize_type
-
 let encoding_of_member m =
-  match Strcase.lower m with
+  match m with
   | "unicode" -> Some Value.Enc_unicode
   | "utf8" -> Some Value.Enc_utf8
   | "ascii" -> Some Value.Enc_ascii
@@ -29,9 +27,9 @@ let encoding_obj enc =
 
 (* ---------- property-style statics ---------- *)
 
-let get_static type_name member =
-  let t = normalize type_name in
-  let m = Strcase.lower member in
+(* [t] and [m] are lookup keys: {!Psparse.Names.type_key} and the folded
+   member name *)
+let get_static t m =
   match t with
   | "text.encoding" | "texts.encoding" -> (
       match encoding_of_member m with
@@ -101,10 +99,7 @@ let to_string_radix n radix =
     in
     go n ""
 
-let invoke_static env type_name member args =
-  ignore env;
-  let t = normalize type_name in
-  let m = Strcase.lower member in
+let invoke_static t m args =
   match (t, m, args) with
   (* --- Convert --- *)
   | "convert", "frombase64string", [ s ] -> (

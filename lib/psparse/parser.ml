@@ -200,7 +200,7 @@ and parse_param_keyword st =
       match t.T.kind with
       | T.Group_start -> incr depth
       | T.Group_end -> decr depth
-      | T.Variable -> if !depth = 1 then names := t.T.content :: !names
+      | T.Variable -> if !depth = 1 then names := Names.variable t.T.content :: !names
       | _ -> ()
     done;
     List.rev !names
@@ -406,7 +406,7 @@ and parse_foreach st start =
   if var_tok.T.kind <> T.Variable then err var_start "expected loop variable";
   let var =
     node_here st var_start
-      (A.Variable_expr { A.var_name = var_tok.T.content; var_splat = false })
+      (A.Variable_expr (Names.variable var_tok.T.content))
   in
   skip_newlines st;
   if not (keyword_is st "in") then err (cur_position st) "expected 'in'";
@@ -482,7 +482,8 @@ and parse_function st start =
   let name_tok = advance st in
   let name =
     match name_tok.T.kind with
-    | T.Command | T.Command_argument | T.Member | T.Keyword -> name_tok.T.content
+    | T.Command | T.Command_argument | T.Member | T.Keyword ->
+        Names.function_name name_tok.T.content
     | _ -> err name_tok.T.extent.Extent.start "expected function name"
   in
   skip_newlines st;
@@ -496,7 +497,7 @@ and parse_function st start =
         match t.T.kind with
         | T.Group_start -> incr depth
         | T.Group_end -> decr depth
-        | T.Variable -> if !depth = 1 then names := t.T.content :: !names
+        | T.Variable -> if !depth = 1 then names := Names.variable t.T.content :: !names
         | _ -> ()
       done;
       List.rev !names
@@ -657,9 +658,9 @@ and parse_command_elements st start inv name =
         let with_colon = String.length content > 0 && content.[String.length content - 1] = ':' in
         if with_colon then begin
           let value = parse_argument st in
-          elements := A.Elem_parameter (content, Some value) :: !elements
+          elements := A.Elem_parameter (Names.parameter content, Some value) :: !elements
         end
-        else elements := A.Elem_parameter (content, None) :: !elements
+        else elements := A.Elem_parameter (Names.parameter content, None) :: !elements
     | Some { T.kind = T.Keyword; content; _ } ->
         (* keywords as bareword arguments inside a command *)
         let t = advance st in
@@ -679,7 +680,13 @@ and parse_command_elements st start inv name =
         elements := A.Elem_argument value :: !elements
   done;
   node_here st start
-    (A.Command { A.cmd_invocation = inv; cmd_elements = List.rev !elements })
+    (A.Command
+       { A.cmd_invocation = inv;
+         cmd_elements = List.rev !elements;
+         cmd_key =
+           (match name.A.node with
+           | A.String_const (s, A.Bare) -> Some (Names.command s)
+           | _ -> None) })
 
 (* A command argument: a postfix-primary expression, possibly a comma
    array; no binary operators at argument position. *)
@@ -878,9 +885,9 @@ and parse_unary st =
       let t = advance st in
       if starts_operand st then
         let operand = parse_unary st in
-        node_here st start (A.Convert_expr (content, operand))
+        node_here st start (A.Convert_expr (Names.type_name content, operand))
       else
-        let base = A.make (A.Type_literal content) t.T.extent in
+        let base = A.make (A.Type_literal (Names.type_name content)) t.T.extent in
         parse_postfix_chain st start base
   | _ -> parse_postfix st
 
@@ -928,12 +935,12 @@ and parse_member_after st start lhs ~static =
     match peek st with
     | Some { T.kind = T.Member; _ } ->
         let t = advance st in
-        A.Member_name t.T.content
+        A.Member_name (Names.member t.T.content)
     | Some { T.kind = T.Variable; _ } ->
         let t = advance st in
         A.Member_dynamic
           (A.make
-             (A.Variable_expr { A.var_name = t.T.content; var_splat = false })
+             (A.Variable_expr (Names.variable t.T.content))
              t.T.extent)
     | Some t when T.is_string t ->
         let e = parse_primary st in
@@ -985,13 +992,13 @@ and parse_primary st =
       parse_expandable st t A.Double_here
   | Some { T.kind = T.Variable; content; extent; _ } ->
       ignore (advance st);
-      A.make (A.Variable_expr { A.var_name = content; var_splat = false }) extent
+      A.make (A.Variable_expr (Names.variable content)) extent
   | Some { T.kind = T.Splat_variable; content; extent; _ } ->
       ignore (advance st);
-      A.make (A.Variable_expr { A.var_name = content; var_splat = true }) extent
+      A.make (A.Variable_expr (Names.variable ~splat:true content)) extent
   | Some { T.kind = T.Type_name; content; extent; _ } ->
       ignore (advance st);
-      A.make (A.Type_literal content) extent
+      A.make (A.Type_literal (Names.type_name content)) extent
   | Some { T.kind = T.Group_start; content = "("; _ } ->
       ignore (advance st);
       let saved = st.no_comma in
@@ -1135,7 +1142,7 @@ and parse_expandable st tok quote_kind =
             let name = String.sub raw (!i + 2) (close - !i - 2) in
             let vext = Extent.make ~start:(abs !i) ~stop:(abs (close + 1)) in
             parts :=
-              A.Part_variable ({ A.var_name = name; var_splat = false }, vext)
+              A.Part_variable (Names.variable name, vext)
               :: !parts;
             i := close + 1
         | _ ->
@@ -1155,7 +1162,7 @@ and parse_expandable st tok quote_kind =
         let name = String.sub raw (!i + 1) (!j - !i - 1) in
         let vext = Extent.make ~start:(abs !i) ~stop:(abs !j) in
         parts :=
-          A.Part_variable ({ A.var_name = name; var_splat = false }, vext)
+          A.Part_variable (Names.variable name, vext)
           :: !parts;
         i := !j
       end

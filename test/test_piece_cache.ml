@@ -199,6 +199,51 @@ let test_persistent_round_trip () =
       let c3 = Cache.create ~dir ~fingerprint:"fp-2" () in
       check_b "foreign fingerprint misses" true (Cache.find c3 "k" = None))
 
+(* The persistent tier marshals [Value.t], and [Value.Script_block] embeds
+   the AST: an entry written before a change to either shape must load as
+   a miss, never as a value of the wrong layout. *)
+let test_persistent_script_block_and_format_bump () =
+  let fingerprint =
+    Deobf.Batch.piece_cache_fingerprint ~options:None ~timeout_s:None
+      ~max_output_bytes:None
+  in
+  with_temp_dir (fun dir ->
+      let block =
+        match
+          Pseval.Interp.invoke_piece (Pseval.Env.create ())
+            "{ param($Suffix) 'decoded-' + $SUFFIX }"
+        with
+        | Ok (Value.Script_block _ as v) -> v
+        | _ -> Alcotest.fail "expected a script block"
+      in
+      Cache.add (Cache.create ~dir ~fingerprint ()) "sb" (Ok block);
+      let warm = Cache.create ~dir ~fingerprint () in
+      match Cache.find warm "sb" with
+      | Some (Ok (Value.Script_block _ as loaded)) ->
+          check_i "answered from disk" 1 (Cache.stats warm).Cache.persistent_loads;
+          let env = Pseval.Env.create () in
+          Pseval.Env.set_var env (Psparse.Names.var_key "sb") loaded;
+          check_b "the reloaded block runs" true
+            (Pseval.Interp.invoke_piece env "$sb.Invoke('ok')"
+            = Ok (Value.Str "decoded-ok"))
+      | _ -> Alcotest.fail "script block did not round-trip");
+  (* the previous format's fingerprint, computed as it was *)
+  let v1 =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            ("piece-cache-v1", (None : Deobf.Engine.options option),
+             (None : float option), (None : int option))
+            []))
+  in
+  check_b "the format version moved" false (v1 = fingerprint);
+  with_temp_dir (fun dir ->
+      Cache.add (Cache.create ~dir ~fingerprint:v1 ()) "k" (Ok (Value.Str "old"));
+      let c = Cache.create ~dir ~fingerprint () in
+      check_b "v1 entry misses" true (Cache.find c "k" = None);
+      check_i "no persistent loads from a v1 directory" 0
+        (Cache.stats c).Cache.persistent_loads)
+
 let test_persistent_corruption_is_a_miss () =
   with_temp_dir (fun dir ->
       let c1 = Cache.create ~dir ~fingerprint:"fp" () in
@@ -386,6 +431,8 @@ let suite =
       test_fact_tier_cache_off_byte_identical;
     Alcotest.test_case "persistent tier round-trips" `Quick
       test_persistent_round_trip;
+    Alcotest.test_case "persistent script block; format bump misses v1" `Quick
+      test_persistent_script_block_and_format_bump;
     Alcotest.test_case "persistent corruption is a miss, never a crash" `Quick
       test_persistent_corruption_is_a_miss;
     Alcotest.test_case "unusable cache dir degrades to memory" `Quick

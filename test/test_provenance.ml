@@ -121,14 +121,14 @@ let test_conditional_provenance () =
 let test_recorder_cap_poisons () =
   let prov = P.create ~cap:2 () in
   let e = Extent.make ~start:0 ~stop:1 in
-  P.note prov ~var:"a" ~extent:e ~step:1 ~reads:[];
-  P.note prov ~var:"b" ~extent:e ~step:2 ~reads:[];
+  P.note prov ~var:"a" ~spelled:"a" ~extent:e ~step:1 ~reads:[];
+  P.note prov ~var:"b" ~spelled:"b" ~extent:e ~step:2 ~reads:[];
   check_b "under cap: healthy" true (P.poisoned prov = None);
-  P.note prov ~var:"c" ~extent:e ~step:3 ~reads:[];
+  P.note prov ~var:"c" ~spelled:"c" ~extent:e ~step:3 ~reads:[];
   check_b "over cap: poisoned, not silently dropped" true
     (P.poisoned prov <> None);
   (* poisoning is sticky and note stays total *)
-  P.note prov ~var:"d" ~extent:e ~step:4 ~reads:[];
+  P.note prov ~var:"d" ~spelled:"d" ~extent:e ~step:4 ~reads:[];
   check_b "still poisoned" true (P.poisoned prov <> None)
 
 let test_read_vars () =

@@ -436,9 +436,81 @@ let test_parsed_piece_reusable () =
   let second = pass () in
   check_b "program tier hit on the second pass" true (second > first)
 
+(* ---------- names under random case ---------- *)
+
+(* The paper's L1 layer randomises the case of every name; the parser keys
+   names once, so a randomly cased decoder must read exactly like its
+   canonical spelling: same value or error text, same step count. *)
+let test_decoders_under_random_case () =
+  let payload = "Write-Host 'case-check'" in
+  let codes radix text =
+    String.concat "," (Encoding.Digits.encode_codes radix text)
+  in
+  let loop codes conv =
+    Printf.sprintf "((%s -split ',' | ForEach-Object { %s }) -join '')"
+      ("'" ^ codes ^ "'") conv
+  in
+  let radix name radix conv =
+    [ (name, loop (codes radix payload) conv);
+      (name ^ " (bad digit)", loop (codes radix payload ^ ",9g") conv) ]
+  in
+  let xored = String.map (fun c -> Char.chr (Char.code c lxor 0x2A)) payload in
+  let b64 = Encoding.Base64.encode payload in
+  let base64 data =
+    Printf.sprintf
+      "([Text.Encoding]::UTF8.GetString([Convert]::FromBase64String('%s')))" data
+  in
+  let secure blob =
+    Printf.sprintf
+      "([Runtime.InteropServices.Marshal]::PtrToStringAuto([Runtime.InteropServices.Marshal]::SecureStringToBSTR((ConvertTo-SecureString -String '%s' -Key (0..31)))))"
+      blob
+  in
+  let decoders =
+    radix "binary" Encoding.Digits.Binary "[char][convert]::ToInt32($_,2)"
+    @ radix "octal" Encoding.Digits.Octal "[char][convert]::ToInt32($_,8)"
+    @ radix "hex" Encoding.Digits.Hex "[char][convert]::ToInt32($_,16)"
+    @ radix "decimal" Encoding.Digits.Decimal "[char][int]$_"
+    @ [ ("bxor", loop (codes Encoding.Digits.Decimal xored) "[char]($_ -bxor '0x2A')");
+        ("bxor (bad code)", loop "1,x" "[char]($_ -bxor '0x2A')");
+        ("base64", base64 b64);
+        ("base64 (bad data)", base64 ("!" ^ b64));
+        ( "securestring",
+          secure
+            ("76492d1116743f0423413b16050a5345|"
+            ^ Encoding.Base64.encode (Encoding.Utf16.encode payload)) );
+        ("securestring (bad blob)", secure "no-blob") ]
+  in
+  let run src =
+    let env = Pseval.Env.create () in
+    let result = Pseval.Interp.invoke_piece env src in
+    (Result.map Value.to_string result, env.Pseval.Env.steps)
+  in
+  List.iter
+    (fun (name, src) ->
+      let expected, steps = run src in
+      let good = not (String.contains name '(') in
+      check_b (name ^ " outcome") good
+        (match expected with Ok v -> v = payload | Error _ -> false);
+      let changed = ref 0 in
+      for seed = 1 to 6 do
+        let cased =
+          Obfuscator.Obfuscate.apply (Pscommon.Rng.of_int seed)
+            Obfuscator.Technique.Random_case src
+        in
+        if cased <> src then incr changed;
+        let result, cased_steps = run cased in
+        let show = function Ok v -> "ok: " ^ v | Error e -> "error: " ^ e in
+        check_s (Printf.sprintf "%s, seed %d: value" name seed) (show expected)
+          (show result);
+        check_i (Printf.sprintf "%s, seed %d: steps" name seed) steps cased_steps
+      done;
+      check_b (name ^ ": spellings differ") true (!changed > 0))
+    decoders
+
 let suite =
   [
     ("decoder per-element cost", `Quick, test_decoder_element_cost);
+    ("decoders under random case", `Quick, test_decoders_under_random_case);
     ("lower of folded text allocates nothing", `Quick,
       test_lower_folded_allocates_nothing);
     ("loop output is linear", `Quick, test_loop_output_linear);

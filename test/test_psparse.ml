@@ -85,14 +85,14 @@ let test_unary () =
 let test_method_call_args_commas () =
   (* commas inside method args separate arguments, not arrays *)
   match (find_kind "$s.Replace('a','b')" "InvokeMemberExpressionAst").A.node with
-  | A.Invoke_member (_, A.Member_name m, args, false) ->
+  | A.Invoke_member (_, A.Member_name { A.written = m; _ }, args, false) ->
       check_s "member" "Replace" m;
       check_i "two args" 2 (List.length args)
   | _ -> Alcotest.fail "expected instance invoke"
 
 let test_static_member () =
   match (find_kind "[Convert]::FromBase64String('x')" "InvokeMemberExpressionAst").A.node with
-  | A.Invoke_member (obj, A.Member_name m, _, true) ->
+  | A.Invoke_member (obj, A.Member_name { A.written = m; _ }, _, true) ->
       check_s "member" "FromBase64String" m;
       check_s "obj is type" "TypeExpressionAst" (A.kind_name obj)
   | _ -> Alcotest.fail "expected static invoke"
@@ -102,7 +102,7 @@ let test_convert_vs_type_literal () =
   check_b "chained cast" true (kind_exists "[string][char]39" "ConvertExpressionAst");
   (* type literal before :: stays a literal *)
   match (find_kind "[Math]::Abs(1)" "TypeExpressionAst").A.node with
-  | A.Type_literal t -> check_s "name" "Math" t
+  | A.Type_literal { A.written = t; _ } -> check_s "name" "Math" t
   | _ -> Alcotest.fail "expected type literal"
 
 let test_index_expr () =
@@ -138,25 +138,27 @@ let test_control_flow () =
   check_b "try" true (kind_exists "try { 1 } catch { 2 } finally { 3 }" "TryStatementAst");
   check_b "trap" true (kind_exists "trap { continue }; 1" "TrapStatementAst")
 
+let var_names = List.map (fun (v : A.variable) -> v.A.var_name)
+
 let test_function_def () =
   match (only_statement "function f($a, $b) { $a }").A.node with
-  | A.Function_def (name, params, _) ->
+  | A.Function_def ({ A.written = name; _ }, params, _) ->
       check_s "name" "f" name;
-      Alcotest.(check (list string)) "params" [ "a"; "b" ] params
+      Alcotest.(check (list string)) "params" [ "a"; "b" ] (var_names params)
   | _ -> Alcotest.fail "expected function"
 
 let test_param_block () =
   (* a leading param(...) becomes the script block's parameter list *)
   match (parse "param($x, $y)\n$x").A.node with
   | A.Script_block sb ->
-      Alcotest.(check (list string)) "names" [ "x"; "y" ] sb.A.sb_params;
+      Alcotest.(check (list string)) "names" [ "x"; "y" ] (var_names sb.A.sb_params);
       check_i "one statement" 1 (List.length sb.A.sb_statements)
   | _ -> Alcotest.fail "expected script block"
 
 let test_script_block_params () =
   match (find_kind "{ param($p) $p * 2 }" "ScriptBlockExpressionAst").A.node with
   | A.Script_block_expr sb ->
-      Alcotest.(check (list string)) "sb params" [ "p" ] sb.A.sb_params
+      Alcotest.(check (list string)) "sb params" [ "p" ] (var_names sb.A.sb_params)
   | _ -> Alcotest.fail "expected script block"
 
 let test_hash_literal () =
@@ -178,7 +180,7 @@ let test_command_parameters () =
   | A.Command cmd ->
       let params =
         List.filter_map
-          (function A.Elem_parameter (p, _) -> Some p | _ -> None)
+          (function A.Elem_parameter ({ A.written = p; _ }, _) -> Some p | _ -> None)
           cmd.A.cmd_elements
       in
       check_i "two params" 2 (List.length params)
@@ -305,9 +307,83 @@ let test_empty_and_whitespace_scripts () =
 let test_splatting_parses () =
   check_b "splat variable" true (Psparse.Parser.is_valid_syntax "cmd @params")
 
+(* the lookup keys the parser stores next to each name (Psparse.Names):
+   the evaluator dispatches on them, the printer reads the text *)
+let test_name_keys () =
+  let type_of src =
+    match (find_kind src "TypeExpressionAst").A.node with
+    | A.Type_literal ty -> ty
+    | _ -> Alcotest.fail "expected type literal"
+  in
+  let type_key src = (type_of src).A.key in
+  check_s "spaced System.Char" "char" (type_key "[System.Char ]");
+  (* the lexer starts a type name only right after '[' *)
+  check_s "padded System.Char" "char" (Psparse.Names.type_key " System.Char ");
+  check_s "spaced array type" "char[]" (type_key "[char []]");
+  check_s "upper-case namespace" "text.encoding" (type_key "[SYSTEM.Text.Encoding]::UTF8");
+  check_s "text as written" "SYSTEM.Text.Encoding"
+    (type_of "[SYSTEM.Text.Encoding]::UTF8").A.written;
+  (match (find_kind "[System.Char ]104" "ConvertExpressionAst").A.node with
+  | A.Convert_expr (ty, _) -> check_s "cast key" "char" ty.A.key
+  | _ -> Alcotest.fail "expected cast");
+  let member src =
+    match (find_kind src "InvokeMemberExpressionAst").A.node with
+    | A.Invoke_member (_, A.Member_name m, _, _) -> m
+    | _ -> Alcotest.fail "expected a named member"
+  in
+  check_s "ToInt32" "toint32" (member "[Convert]::ToInt32('1', 2)").A.key;
+  check_s "toint32" "toint32" (member "[convert]::toint32('1', 2)").A.key;
+  check_s "member as written" "ToInt32" (member "[Convert]::ToInt32('1', 2)").A.written;
+  let variable src =
+    match (find_kind src "VariableExpressionAst").A.node with
+    | A.Variable_expr v -> v
+    | _ -> Alcotest.fail "expected variable"
+  in
+  let env_path = variable "$Env:PATH" in
+  check_s "env text" "Env:PATH" env_path.A.var_name;
+  check_b "env drive" true (env_path.A.var_key.A.drive = A.Env_drive);
+  check_s "env key" "path" env_path.A.var_key.A.scope_key;
+  check_s "env folded" "env:path" env_path.A.var_key.A.folded;
+  let global = variable "${global:X}" in
+  check_b "global drive" true (global.A.var_key.A.drive = A.Global_drive);
+  check_s "global key" "x" global.A.var_key.A.scope_key;
+  check_s "global folded" "global:x" global.A.var_key.A.folded;
+  let splat = variable "f @Splat" in
+  check_b "splat" true splat.A.var_splat;
+  check_b "no drive" true (splat.A.var_key.A.drive = A.No_drive);
+  check_s "splat key" "splat" splat.A.var_key.A.scope_key;
+  let command src =
+    match (only_statement src).A.node with
+    | A.Pipeline [ { A.node = A.Command cmd; _ } ] -> cmd.A.cmd_key
+    | _ -> Alcotest.fail "expected one command"
+  in
+  (match command "% { $_ }" with
+  | Some k ->
+      check_s "% as written" "%" k.A.cmd_name;
+      check_s "% function key" "%" k.A.cmd_folded;
+      check_s "% builtin" "foreach-object" k.A.cmd_builtin
+  | None -> Alcotest.fail "% has no key");
+  (match command "IEX $x" with
+  | Some k ->
+      check_s "iex function key" "iex" k.A.cmd_folded;
+      check_s "iex builtin" "invoke-expression" k.A.cmd_builtin
+  | None -> Alcotest.fail "iex has no key");
+  check_b "a computed name has no key" true (command "& ('ie'+'x') $x" = None);
+  (match (find_kind "powershell -EnC: abc" "CommandAst").A.node with
+  | A.Command { A.cmd_elements = [ _; A.Elem_parameter (p, _) ]; _ } ->
+      check_s "parameter key" "enc" p.A.key;
+      check_s "parameter as written" "-EnC:" p.A.written
+  | _ -> Alcotest.fail "expected a parameter");
+  (* an already-normal name is its own key: no copy per name *)
+  let normal = "char[]" in
+  check_b "type key reuses" true (Psparse.Names.type_key normal == normal);
+  let k = Psparse.Names.var_key "x" in
+  check_b "variable key reuses" true (k.A.scope_key == k.A.folded)
+
 let suite =
   [
     ("pipeline shapes", `Quick, test_pipeline_shapes);
+    ("name keys", `Quick, test_name_keys);
     ("precedence matrix", `Quick, test_precedence_matrix);
     ("here-string interpolation", `Quick, test_here_string_double_interpolates);
     ("nested subexpr in string", `Quick, test_nested_subexpr_in_string);

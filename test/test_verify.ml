@@ -504,7 +504,7 @@ let test_reuse_negative_cases () =
 let test_probe_rejects_impure_payloads () =
   let decode src =
     let env = Env.create ~mode:Env.Recovery () in
-    Env.set_var env "c" (Psvalue.Value.Str "Write-Output traced");
+    Env.set_var env (Psparse.Names.var_key "c") (Psvalue.Value.Str "Write-Output traced");
     Pseval.Interp.invoke_payload env ~src (Pseval.Interp.parse_piece src)
   in
   List.iter
