@@ -242,7 +242,7 @@ and eval_postfix ctx op operand =
 and member_name ctx member =
   match member with
   | A.Member_name n -> n
-  | A.Member_dynamic e -> Psparse.Names.member (Value.to_string (eval_expr ctx e))
+  | A.Member_dynamic e -> Psparse.Names.folded (Value.to_string (eval_expr ctx e))
 
 and eval_member_access ctx whole obj member static =
   let name = member_name ctx member in

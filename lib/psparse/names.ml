@@ -13,8 +13,7 @@ let type_key name =
   else n
 
 let type_name written = { A.written; key = type_key written }
-let member written = { A.written; key = Strcase.lower written }
-let function_name written = { A.written; key = Strcase.lower written }
+let folded written = { A.written; key = Strcase.lower written }
 
 let parameter written =
   let p = Strcase.lower written in

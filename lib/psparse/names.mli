@@ -4,21 +4,22 @@
     next to the text as written (see {!Psast.Ast.name}), so the evaluator
     never folds a name taken from the AST.  The evaluator calls them only
     on names that exist at run time: New-Object arguments, [.$x] members,
-    and names a script builds while it runs.  Every key reuses its
-    argument when the argument is already normal. *)
+    and names a script builds while it runs.  A key equal to its
+    argument is the argument itself, not a copy. *)
 
 val type_key : string -> string
-(** [\[ System.Char \[\] \]] and [\[char\[\]\]] both key as ["char[]"]:
-    folded, without a leading [System.] and without blanks. *)
+(** The name inside the brackets, folded, trimmed, without a leading
+    [System.] and without blanks: ["System.Char\[\] "] and ["char \[\]"]
+    both key as ["char\[\]"]. *)
 
 val type_name : string -> Psast.Ast.name
-val member : string -> Psast.Ast.name  (** key: folded *)
+
+val folded : string -> Psast.Ast.name
+(** Keyed by folding alone: member and function names. *)
 
 val parameter : string -> Psast.Ast.name
 (** [-EncodedCommand:] keys as ["encodedcommand"]: folded, without the
     leading dash and the trailing colon. *)
-
-val function_name : string -> Psast.Ast.name  (** key: folded *)
 
 val var_key : string -> Psast.Ast.var_key
 (** A variable name without its sigil: ["Env:PATH"] keys as the

@@ -483,7 +483,7 @@ and parse_function st start =
   let name =
     match name_tok.T.kind with
     | T.Command | T.Command_argument | T.Member | T.Keyword ->
-        Names.function_name name_tok.T.content
+        Names.folded name_tok.T.content
     | _ -> err name_tok.T.extent.Extent.start "expected function name"
   in
   skip_newlines st;
@@ -935,7 +935,7 @@ and parse_member_after st start lhs ~static =
     match peek st with
     | Some { T.kind = T.Member; _ } ->
         let t = advance st in
-        A.Member_name (Names.member t.T.content)
+        A.Member_name (Names.folded t.T.content)
     | Some { T.kind = T.Variable; _ } ->
         let t = advance st in
         A.Member_dynamic
