@@ -689,12 +689,14 @@ let payload_of_command st (cmd : A.command) ~piped_input =
             in
             let rec find = function
               | [] -> None
-              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _ when is_encoded_command_param p ->
+              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _
+                when is_encoded_command_param p ->
                   decode_enc v
               | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
                 when is_encoded_command_param p ->
                   decode_enc v
-              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _ when is_command_param p ->
+              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _
+                when is_command_param p ->
                   eval_payload st v
               | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
                 when is_command_param p ->

@@ -20,7 +20,6 @@ let arg_string = function
 
 (* Member names arrive as lookup keys: folded, by the parser or by the
    interpreter for a name computed at run time. *)
-
 let get_property v n =
   match (v, n) with
   | Value.Str s, "length" -> Some (Value.Int (String.length s))

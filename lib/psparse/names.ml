@@ -17,12 +17,11 @@ let folded written = { A.written; key = Strcase.lower written }
 
 let parameter written =
   let p = Strcase.lower written in
-  let p = if p <> "" && p.[0] = '-' then String.sub p 1 (String.length p - 1) else p in
-  let p =
-    if p <> "" && p.[String.length p - 1] = ':' then String.sub p 0 (String.length p - 1)
-    else p
-  in
-  { A.written; key = p }
+  let n = String.length p in
+  let start = if n > 0 && p.[0] = '-' then 1 else 0 in
+  let stop = if n > start && p.[n - 1] = ':' then n - 1 else n in
+  { A.written;
+    key = (if start = 0 && stop = n then p else String.sub p start (stop - start)) }
 
 let var_key name =
   let folded = Strcase.lower name in
