@@ -33,16 +33,18 @@ let set =
 
 let is_blocked name = Strcase.Set.mem name set
 
+let names_blocked_command toks =
+  List.exists
+    (fun t ->
+      match t.Pslex.Token.kind with
+      | Pslex.Token.Command | Pslex.Token.Member ->
+          is_blocked t.Pslex.Token.content
+      | _ -> false)
+    toks
+
 (** True when the piece mentions a blocked command or method, checked on
     tokens so string contents don't trigger it. *)
 let mentions_blocked_command piece =
   match Pslex.Lexer.tokenize piece with
   | Error _ -> true (* un-lexable pieces are never executed *)
-  | Ok toks ->
-      List.exists
-        (fun t ->
-          match t.Pslex.Token.kind with
-          | Pslex.Token.Command | Pslex.Token.Member ->
-              is_blocked t.Pslex.Token.content
-          | _ -> false)
-        toks
+  | Ok toks -> names_blocked_command toks

@@ -13,3 +13,6 @@ val mentions_blocked_command : string -> bool
 (** True when the piece's {e token stream} names a blocked command or
     method (string contents do not trigger it); also true for un-lexable
     pieces, which are never executed. *)
+
+val names_blocked_command : Pslex.Token.t list -> bool
+(** {!mentions_blocked_command} on the tokens of a piece that lexed. *)

@@ -527,7 +527,7 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
                 Guard.protect ~deadline ~max_output_bytes ~measure (fun () ->
                     match
                       Recover.run_dynamic_parsed ~opts:options.recovery ~stats
-                        ~cache ~ast:recovered.Parser.ast ~log ~pass:iterations
+                        ~ast:recovered.Parser.ast ~log ~pass:iterations
                         ~suppress recovered.Parser.text
                     with
                     | None -> (recovered, iterations)

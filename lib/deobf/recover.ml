@@ -94,10 +94,12 @@ let new_stats () =
    (atomic rename; payload digest + version/options [fingerprint] checked
    on load, so corruption, torn writes, and stale options all read as a
    miss) — batch reruns and daemon restarts start warm.  Alongside the
-   result tiers, piece parses ({!Pseval.Interp.parse_piece}) are memoized
-   on text alone: a parse has no environment inputs, so one parse of a
-   piece is shared even when the binding digest differs or result caching
-   is ablated away. *)
+   result tiers, the piece tier memoizes on text alone what recovery asks
+   of a piece before it runs it — its parse, whether it is already a
+   literal, whether it names a blocked command — from one lexer run and
+   one parse: none of the three has environment inputs, so an entry is
+   shared even when the binding digest differs or result caching is
+   ablated away. *)
 module Cache = struct
   (* Two generations of one table, bounded at [cap] entries each: adding a
      new key to a full hot generation flips it (hot becomes cold, the
@@ -147,7 +149,6 @@ module Cache = struct
       g.cold <- Hashtbl.create 64
 
     let length g = Hashtbl.length g.hot + Hashtbl.length g.cold
-    let fold f g acc = Hashtbl.fold f g.hot (Hashtbl.fold f g.cold acc)
   end
 
   (* tier attribution: which tier answered a hit — the scrape endpoint's
@@ -167,7 +168,11 @@ module Cache = struct
     persistent_loads : int;
   }
 
-  type fact = Trivial | Blocked
+  type piece = {
+    parsed : (A.t, string) result;
+    trivial : bool;
+    blocked : bool;
+  }
 
   type t = {
     mu : Mutex.t;
@@ -178,16 +183,14 @@ module Cache = struct
     mutable hits : int;
     mutable lookups : int;
     mutable persistent_loads : int;
-    parses : (string, (Psast.Ast.t, string) result) Gens.t;
-    facts : (fact * string, bool) Gens.t;
+    pieces : (string, piece) Gens.t;
   }
 
   let m_resets = T.Metrics.counter "recover.cache.resets"
   let m_entries = T.Metrics.gauge "recover.cache.entries"
 
   (* result-tier flips are counted in [recover.cache.resets], as the
-     whole-table reset they replace was; the program and fact tiers flip
-     uncounted *)
+     whole-table reset they replace was; the piece tier flips uncounted *)
   let create ?(cap = 2048) ?dir ?(fingerprint = "") () =
     let gen_cap = max 1 (cap / 2) in
     { mu = Mutex.create ();
@@ -197,8 +200,7 @@ module Cache = struct
       hits = 0;
       lookups = 0;
       persistent_loads = 0;
-      parses = Gens.create gen_cap;
-      facts = Gens.create gen_cap }
+      pieces = Gens.create gen_cap }
 
   let locked t f =
     Mutex.lock t.mu;
@@ -327,8 +329,7 @@ module Cache = struct
   let shrink t =
     locked t (fun () ->
         Gens.shrink t.results;
-        Gens.shrink t.parses;
-        Gens.shrink t.facts;
+        Gens.shrink t.pieces;
         T.Metrics.incr m_shrinks;
         gauge_entries t)
 
@@ -342,41 +343,48 @@ module Cache = struct
           evictions = t.results.Gens.dropped;
           persistent_loads = t.persistent_loads })
 
-  (* [key]'s value from [gens], or [compute ()] outside the lock,
-     remembered *)
-  let memo ?(on_hit = ignore) t gens key compute =
-    match locked t (fun () -> Gens.find gens key) with
-    | Some (Gens.Hot v | Gens.Cold v) ->
-        on_hit ();
-        v
+  (* ----- piece tier ----- *)
+
+  (* pieces that are already in recovered form make no progress: the
+     parse is one lone string or number literal *)
+  let is_literal = function
+    | Ok { A.node = A.Script_block { A.sb_statements = [ stmt ]; _ }; _ } -> (
+        match stmt.A.node with
+        | A.Pipeline [ { A.node = A.Command_expression e; _ } ] -> (
+            match e.A.node with
+            | A.String_const (_, (A.Single_quoted | A.Double_quoted))
+            | A.Number_const _ ->
+                true
+            | _ -> false)
+        | _ -> false)
+    | Ok _ | Error _ -> false
+
+  let make_piece text =
+    match Pseval.Interp.lex_piece text with
+    | Error e ->
+        (* un-lexable pieces are never executed *)
+        { parsed = Error e; trivial = false; blocked = true }
+    | Ok toks ->
+        let parsed = Pseval.Interp.parse_lexed_piece text toks in
+        { parsed; trivial = is_literal parsed;
+          blocked = Blocklist.names_blocked_command toks }
+
+  (* What recovery asks of a piece text before it runs it depends on the
+     text alone, so an entry is shared across binding digests, passes,
+     files and domains, and kept even when result caching is ablated off.
+     ASTs are immutable, so one parse serves any number of concurrent
+     evaluations. *)
+  let piece t text =
+    match locked t (fun () -> Gens.find t.pieces text) with
+    | Some (Gens.Hot p | Gens.Cold p) ->
+        T.Metrics.incr m_tier_program;
+        p
     | None ->
-        let v = compute () in
-        locked t (fun () -> Gens.add gens key v);
-        v
+        let p = make_piece text in
+        locked t (fun () -> Gens.add t.pieces text p);
+        p
 
-  (* ----- program tier ----- *)
-
-  (* A piece's parse depends on its text alone, so it is shared across
-     binding digests, passes, files and domains, and kept even when result
-     caching is ablated off.  ASTs are immutable, so one parse serves any
-     number of concurrent evaluations. *)
-  let parse t text =
-    memo t t.parses text
-      ~on_hit:(fun () -> T.Metrics.incr m_tier_program)
-      (fun () -> Pseval.Interp.parse_piece text)
-
-  (* ----- per-text fact tier ----- *)
-
-  (* Pure per-text answers (is the piece already a literal, does it name a
-     blocked command) that every fixpoint pass would otherwise recompute
-     with a parse or a lex of the same piece.  Keyed on (fact, text),
-     never persisted, and bounded like the program tier. *)
-  let fact t fact text compute =
-    memo t t.facts (fact, text) (fun () -> compute text)
-
-  let fact_count t fact =
-    locked t (fun () ->
-        Gens.fold (fun (f, _) _ n -> if f = fact then n + 1 else n) t.facts 0)
+  let piece_count t = locked t (fun () -> Gens.length t.pieces)
 end
 
 type pass_state = {
@@ -453,11 +461,6 @@ let cacheable_error = function
   | "timeout" | "stack-exhausted" -> false
   | _ -> true
 
-(* the blocklist test (paper §III-B2) is a pure function of the piece text,
-   asked again on every pass: answered from the cache's per-text tier *)
-let blocked cache text =
-  Cache.fact cache Cache.Blocked text Blocklist.mentions_blocked_command
-
 let cache_key st text =
   if not st.opts.use_piece_cache then None
   else
@@ -504,7 +507,10 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
           [ ("kind", T.S kind); ("bytes_in", T.I (String.length text)) ]
     else 0
   in
-  if st.opts.use_blocklist && blocked st.cache text then begin
+  (* the blocklist test (paper §III-B2) and the parse come from one entry
+     of the piece tier *)
+  let piece = Cache.piece st.cache text in
+  if st.opts.use_blocklist && piece.Cache.blocked then begin
     st.stats.pieces_blocked <- st.stats.pieces_blocked + 1;
     T.Metrics.incr m_blocked;
     if sid <> 0 then
@@ -525,17 +531,17 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
         let result =
           guarded st (fun () ->
               Pscommon.Chaos.probe "recover.piece";
-              let parsed = Cache.parse st.cache text in
               let env = fresh_env ~for_bytes:(String.length text) st in
               match st.payloads with
               | Some table when payload ->
                   let result, decoded =
-                    Pseval.Interp.invoke_payload env ~src:text parsed
+                    Pseval.Interp.invoke_payload env ~src:text
+                      piece.Cache.parsed
                   in
                   Option.iter (Hashtbl.replace table text) decoded;
                   result
               | Some _ | None ->
-                  Pseval.Interp.invoke_parsed env ~src:text parsed)
+                  Pseval.Interp.invoke_parsed env ~src:text piece.Cache.parsed)
         in
         let dt_ms = (Guard.now () -. t0) *. 1000.0 in
         T.Metrics.observe m_piece_ms dt_ms;
@@ -577,24 +583,9 @@ let is_recoverable (node : A.t) =
       true
   | _ -> false
 
-(* pieces that are already in recovered form make no progress *)
-let is_literal_piece text =
-  match Psparse.Parser.parse text with
-  | Ok { A.node = A.Script_block { A.sb_statements = [ stmt ]; _ }; _ } -> (
-      match stmt.A.node with
-      | A.Pipeline [ { A.node = A.Command_expression e; _ } ] -> (
-          match e.A.node with
-          | A.String_const (_, (A.Single_quoted | A.Double_quoted))
-          | A.Number_const _ ->
-              true
-          | _ -> false)
-      | _ -> false)
-  | Ok _ | Error _ -> false
-
-(* asked of every recoverable node on every pass; a pure function of the
-   text, so the per-text tier answers repeats without a parse *)
-let trivially_recovered st text =
-  Cache.fact st.cache Cache.Trivial text is_literal_piece
+(* asked of every recoverable node on every pass; the piece tier answers
+   repeats without a parse, and the entry's parse serves the invocation *)
+let trivially_recovered st text = (Cache.piece st.cache text).Cache.trivial
 
 (* ---------- Invoke-Expression identification (paper §III-B4) ---------- *)
 
@@ -621,18 +612,13 @@ let is_powershell_name name =
     [ "powershell"; "powershell.exe"; "pwsh"; "pwsh.exe" ]
 
 (* -EncodedCommand parameter in any auto-completed spelling (paper: lowercase
-   then '-encodedcommand'.StartsWith($param)) *)
-let is_encoded_command_param p =
-  let p = Strcase.lower p in
-  let p = if p <> "" && p.[0] = '-' then String.sub p 1 (String.length p - 1) else p in
-  let p = if p <> "" && p.[String.length p - 1] = ':' then String.sub p 0 (String.length p - 1) else p in
-  String.length p > 0 && p.[0] = 'e' && Strcase.starts_with ~prefix:p "encodedcommand"
+   then '-encodedcommand'.StartsWith($param)); [key] is the parameter name
+   the parser folded, without its dash and colon *)
+let is_encoded_command_param key =
+  key <> "" && String.starts_with ~prefix:key "encodedcommand"
 
-let is_command_param p =
-  let p = Strcase.lower p in
-  let p = if p <> "" && p.[0] = '-' then String.sub p 1 (String.length p - 1) else p in
-  let p = if p <> "" && p.[String.length p - 1] = ':' then String.sub p 0 (String.length p - 1) else p in
-  String.length p > 0 && p.[0] = 'c' && Strcase.starts_with ~prefix:p "command"
+let is_command_param key =
+  key <> "" && String.starts_with ~prefix:key "command"
 
 (* extract the single expression argument of a command *)
 let command_arguments (cmd : A.command) =
@@ -689,16 +675,16 @@ let payload_of_command st (cmd : A.command) ~piped_input =
             in
             let rec find = function
               | [] -> None
-              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _
+              | A.Elem_parameter ({ A.key = p; _ }, Some v) :: _
                 when is_encoded_command_param p ->
                   decode_enc v
-              | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
+              | A.Elem_parameter ({ A.key = p; _ }, None) :: A.Elem_argument v :: _
                 when is_encoded_command_param p ->
                   decode_enc v
-              | A.Elem_parameter ({ A.written = p; _ }, Some v) :: _
+              | A.Elem_parameter ({ A.key = p; _ }, Some v) :: _
                 when is_command_param p ->
                   eval_payload st v
-              | A.Elem_parameter ({ A.written = p; _ }, None) :: A.Elem_argument v :: _
+              | A.Elem_parameter ({ A.key = p; _ }, None) :: A.Elem_argument v :: _
                 when is_command_param p ->
                   eval_payload st v
               | _ :: rest -> find rest
@@ -852,14 +838,15 @@ let trace_assignment st ~in_guard (stmt : A.t) =
           else if Tracer.unknown_variables st.table rhs <> [] then
             Tracer.remove st.table name
           else if
-            st.opts.use_blocklist && blocked st.cache (A.text st.src rhs)
+            st.opts.use_blocklist
+            && (Cache.piece st.cache (A.text st.src rhs)).Cache.blocked
           then Tracer.remove st.table name
           else begin
             (* compute the assigned value by executing the whole assignment *)
             let traced =
               guarded st (fun () ->
                   let text = A.text st.src stmt in
-                  let parsed = Cache.parse st.cache text in
+                  let parsed = (Cache.piece st.cache text).Cache.parsed in
                   let env = fresh_env ~for_bytes:(String.length text) st in
                   (match Tracer.lookup st.table name with
                   | Some value -> Pseval.Env.set_var env v.A.var_key value
@@ -1079,7 +1066,7 @@ let rendered_bindings env =
     (fun (name, v) -> (name, Value.to_source_opt v))
     (Pseval.Env.global_bindings env)
 
-let run_dynamic_parsed ~opts ~stats ?cache ?ast ?log ?(pass = 0)
+let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
     ?(suppress = []) src =
   if not opts.use_dynamic then None
   else
@@ -1101,11 +1088,7 @@ let run_dynamic_parsed ~opts ~stats ?cache ?ast ?log ?(pass = 0)
                 Tracer.assigned_names stmt = []
                 || contains_function_def stmt
                 || (opts.use_blocklist
-                   &&
-                   let text = A.text src stmt in
-                   match cache with
-                   | Some cache -> blocked cache text
-                   | None -> Blocklist.mentions_blocked_command text)
+                   && Blocklist.mentions_blocked_command (A.text src stmt))
               then None
               else Some kind
         in

@@ -77,13 +77,15 @@ val new_stats : unit -> stats
     crash.  A later run pointed at the same [dir] with the same
     fingerprint starts warm.
 
-    The cache also holds the program tier: each piece text's parse
-    ({!Pseval.Interp.parse_piece}, a syntax error included), keyed on text
-    alone, so a piece is parsed once however many passes, files and
-    domains run it.  Parses are environment-independent, never persisted,
-    kept even when result caching is ablated off, and answered hits are
-    counted in [recover.cache.tier.program].  All in-memory tiers share
-    the two-generation bounding above. *)
+    The cache also holds the piece tier ({!Cache.piece}): keyed on a piece's
+    text alone, it answers the three questions recovery asks before it
+    runs the piece — its parse, whether it is already a literal, whether
+    it names a blocked command — from one lexer run and one parse, so a
+    piece is lexed and parsed once however many passes, files and domains
+    ask.  Entries are environment-independent, never persisted, kept even
+    when result caching is ablated off, and a hit for any of the three
+    answers is counted in [recover.cache.tier.program].  Both in-memory
+    tiers share the two-generation bounding above. *)
 module Cache : sig
   type t
 
@@ -112,28 +114,30 @@ module Cache : sig
   val stats : t -> stats
 
   val shrink : t -> unit
-  (** Memory-pressure shed: drop the cold generation of the result,
-      program (parse) and per-text fact tiers (counted in
-      [recover.cache.shrinks] and the eviction stats), keeping the hot
-      working set.  The persistent tier is untouched, so shrunk entries
-      reload on demand. *)
+  (** Memory-pressure shed: drop the cold generation of the result and
+      piece tiers (counted in [recover.cache.shrinks] and the eviction
+      stats), keeping the hot working set.  The persistent tier is
+      untouched, so shrunk entries reload on demand. *)
 
-  (** Per-text facts: pure answers about a piece text that every fixpoint
-      pass would otherwise recompute with a parse or a lex.  Keyed on
-      (fact, text), never persisted, and bounded like the program tier
-      (two generations flipping at half the capacity, cold generation
-      dropped by {!shrink}). *)
-  type fact =
-    | Trivial  (** the piece is already a lone string or number literal *)
-    | Blocked  (** {!Blocklist.mentions_blocked_command} *)
+  type piece = {
+    parsed : (Psast.Ast.t, string) result;
+        (** {!Pseval.Interp.parse_piece}, its error text included *)
+    trivial : bool;
+        (** the parse is one lone string or number literal: the piece is
+            already in recovered form *)
+    blocked : bool;
+        (** {!Blocklist.mentions_blocked_command}, read off the same
+            tokens *)
+  }
 
-  val fact : t -> fact -> string -> (string -> bool) -> bool
-  (** [fact t f text compute] answers [f] for [text] from the tier, or
-      computes it with [compute text] and remembers the answer. *)
+  val piece : t -> string -> piece
+  (** The piece tier's entry for a text, built from one
+      {!Pseval.Interp.lex_piece} and one {!Pseval.Interp.parse_lexed_piece}
+      on a miss.  Bounded like the result tier (two generations flipping
+      at half the capacity, cold generation dropped by {!shrink}). *)
 
-  val fact_count : t -> fact -> int
-  (** Texts whose answer to the fact is currently held, both
-      generations. *)
+  val piece_count : t -> int
+  (** Piece texts currently held, both generations. *)
 end
 
 val is_recoverable : Psast.Ast.t -> bool
@@ -209,7 +213,6 @@ val run_dynamic :
 val run_dynamic_parsed :
   opts:options ->
   stats:stats ->
-  ?cache:Cache.t ->
   ?ast:Psast.Ast.t ->
   ?log:Editlog.t ->
   ?pass:int ->
@@ -218,6 +221,4 @@ val run_dynamic_parsed :
   Psparse.Parser.parsed option
 (** {!run_dynamic}, returning the tokens of the patched text along with its
     parse.  [ast] is the parse of the text argument when the caller
-    already holds it (the static fixpoint's last validated parse); [cache]
-    answers the blocklist test of each candidate region from its per-text
-    tier. *)
+    already holds it (the static fixpoint's last validated parse). *)

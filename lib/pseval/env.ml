@@ -135,7 +135,7 @@ let new_scope () = { table = Hashtbl.create 16 }
 (* Simulated Windows environment, enough for the $env / $pshome index tricks
    obfuscators rely on ($pshome[4]+$pshome[30]+'x' = 'iex', comspec[4,24,25]
    = 'iex', …). *)
-let default_env_vars () =
+let default_env_vars =
   let t = Hashtbl.create 16 in
   List.iter
     (fun (k, v) -> Hashtbl.replace t (Strcase.lower k) v)
@@ -175,9 +175,17 @@ let automatic_variables =
     ("psuiculture", Psvalue.Value.Str "en-US");
   ]
 
+(* [default_env_vars] and this table are the templates [create] copies, so
+   an environment costs two table copies instead of hashing 28 names.
+   Built once, read by every domain, written by none: never hand them
+   out. *)
+let automatic_scope =
+  let t = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace t k v) automatic_variables;
+  t
+
 let create ?(mode = Recovery) ?(limits = default_limits) () =
-  let global = new_scope () in
-  List.iter (fun (k, v) -> Hashtbl.replace global.table k v) automatic_variables;
+  let global = { table = Hashtbl.copy automatic_scope } in
   (* an enclosing Guard.protect bounds every evaluator created under it *)
   let limits =
     { limits with deadline = Float.min limits.deadline (Guard.ambient_deadline ()) }
@@ -185,7 +193,7 @@ let create ?(mode = Recovery) ?(limits = default_limits) () =
   {
     scopes = [ global ];
     functions = Hashtbl.create 8;
-    env_vars = default_env_vars ();
+    env_vars = Hashtbl.copy default_env_vars;
     mode;
     limits;
     steps = 0;
@@ -423,7 +431,7 @@ let global_bindings env =
                script state *)
             acc
           else
-            match List.assoc_opt name automatic_variables with
+            match Hashtbl.find_opt automatic_scope name with
             | Some seeded when seeded = value -> acc
             | Some _ | None -> (name, value) :: acc)
         global.table []

@@ -1299,15 +1299,28 @@ let eval_parsed env ~src ast =
 
 (* The parse of a piece, with a failure rendered as the error text the
    evaluation would report.  Pure and environment-independent, so callers
-   may memoise it on the text and run one parse in any number of envs. *)
-let parse_piece src =
-  match Psparse.Parser.parse src with
-  | exception Stack_overflow -> Error "stack exhausted while parsing"
+   may memoise it on the text and run one parse in any number of envs.
+   Split into its lexer run and its parse, so a caller that also scans
+   the tokens lexes the piece once. *)
+let syntax_error ~position message =
+  Error (Printf.sprintf "syntax error at %d: %s" position message)
+
+let stack_exhausted = Error "stack exhausted while parsing"
+
+let lex_piece src =
+  match Pslex.Lexer.tokenize src with
+  | exception Stack_overflow -> stack_exhausted
+  | Error e -> syntax_error ~position:e.Pslex.Lexer.position e.Pslex.Lexer.message
+  | Ok toks -> Ok toks
+
+let parse_lexed_piece src toks =
+  match Psparse.Parser.parse_tokens src toks with
+  | exception Stack_overflow -> stack_exhausted
   | Error e ->
-      Error
-        (Printf.sprintf "syntax error at %d: %s" e.Psparse.Parser.position
-           e.Psparse.Parser.message)
+      syntax_error ~position:e.Psparse.Parser.position e.Psparse.Parser.message
   | Ok ast -> Ok ast
+
+let parse_piece src = Result.bind (lex_piece src) (parse_lexed_piece src)
 
 let run_parsed env ~src parsed =
   (* chaos probe: an injected fault here propagates out of the interpreter

@@ -36,7 +36,17 @@ val parse_piece : string -> (Psast.Ast.t, string) result
     reports ([syntax error at N: …], or [stack exhausted while parsing]).
     Pure and environment-independent: a caller may memoise it on the text
     and hand one parse to {!run_parsed} / {!invoke_parsed} in any number
-    of environments and domains. *)
+    of environments and domains.  It is
+    [Result.bind (lex_piece src) (parse_lexed_piece src)]. *)
+
+val lex_piece : string -> (Pslex.Token.t list, string) result
+(** The lexer run of {!parse_piece}, with a lexical error rendered as
+    {!parse_piece} renders it. *)
+
+val parse_lexed_piece :
+  string -> Pslex.Token.t list -> (Psast.Ast.t, string) result
+(** [parse_lexed_piece src toks] is {!parse_piece} [src] for the tokens
+    [lex_piece src] returned: the parse without a second lexer run. *)
 
 val run_parsed :
   Env.t -> src:string -> (Psast.Ast.t, string) result ->

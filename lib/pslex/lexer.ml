@@ -101,21 +101,29 @@ let backtick_escape c =
 
 let lex_single_string st =
   let start = st.pos in
-  let buf = Buffer.create 16 in
-  let rec loop i =
-    if i >= st.len then fail start "unterminated single-quoted string"
-    else
-      match st.src.[i] with
-      | '\'' when i + 1 < st.len && st.src.[i + 1] = '\'' ->
-          Buffer.add_char buf '\'';
-          loop (i + 2)
-      | '\'' -> i + 1
-      | c ->
-          Buffer.add_char buf c;
-          loop (i + 1)
-  in
-  let stop = loop (st.pos + 1) in
-  emit st Token.String_single (Buffer.contents buf) stop
+  match String.index_from_opt st.src (start + 1) '\'' with
+  | None -> fail start "unterminated single-quoted string"
+  | Some q when q + 1 >= st.len || st.src.[q + 1] <> '\'' ->
+      (* no '' escape: the content is the text between the quotes *)
+      emit st Token.String_single
+        (String.sub st.src (start + 1) (q - start - 1))
+        (q + 1)
+  | Some _ ->
+      let buf = Buffer.create 16 in
+      let rec loop i =
+        if i >= st.len then fail start "unterminated single-quoted string"
+        else
+          match st.src.[i] with
+          | '\'' when i + 1 < st.len && st.src.[i + 1] = '\'' ->
+              Buffer.add_char buf '\'';
+              loop (i + 2)
+          | '\'' -> i + 1
+          | c ->
+              Buffer.add_char buf c;
+              loop (i + 1)
+      in
+      let stop = loop (start + 1) in
+      emit st Token.String_single (Buffer.contents buf) stop
 
 let lex_double_string st =
   let start = st.pos in

@@ -37,27 +37,23 @@ let advance st =
   st.last_stop <- t.T.extent.Extent.stop;
   t
 
-let kind_is st k = match peek st with Some t -> t.T.kind = k | None -> false
+(* The lookahead predicates read the token array in place: they run on
+   every token, so they allocate no [peek] option. *)
+let kind_is st k = (not (at_end st)) && st.toks.(st.pos).T.kind = k
 
-let op_is st s =
-  match peek st with
-  | Some { T.kind = T.Operator; content; _ } -> String.equal content s
-  | _ -> false
+let content_is st k s =
+  (not (at_end st))
+  && (let t = st.toks.(st.pos) in
+      t.T.kind = k && String.equal t.T.content s)
 
-let group_start_is st s =
-  match peek st with
-  | Some { T.kind = T.Group_start; content; _ } -> String.equal content s
-  | _ -> false
-
-let group_end_is st s =
-  match peek st with
-  | Some { T.kind = T.Group_end; content; _ } -> String.equal content s
-  | _ -> false
+let op_is st s = content_is st T.Operator s
+let group_start_is st s = content_is st T.Group_start s
+let group_end_is st s = content_is st T.Group_end s
 
 let keyword_is st s =
-  match peek st with
-  | Some { T.kind = T.Keyword; content; _ } -> Strcase.equal content s
-  | _ -> false
+  (not (at_end st))
+  && (let t = st.toks.(st.pos) in
+      t.T.kind = T.Keyword && Strcase.equal t.T.content s)
 
 let expect_group_end st s =
   match peek st with

@@ -145,25 +145,48 @@ let tokenizes = M.counter "pslex.tokenizes"
 let two_layer_sample =
   "Invoke-Expression ('Invoke-Expression (''Write-Host'' + '' hi'')')"
 
-let counts_per_request () =
+(* one request on a fresh cache: its output, verdict, parses and lexer
+   runs *)
+let count_request name src =
   let cache = Deobf.Recover.Cache.create () in
   let p0 = M.counter_value parses and l0 = M.counter_value tokenizes in
-  let outcome, output =
-    Deobf.Batch.run_source ~cache ~verify:true ~name:"two-layer"
-      two_layer_sample
-  in
-  let p = M.counter_value parses - p0 and l = M.counter_value tokenizes - l0 in
+  let outcome, output = Deobf.Batch.run_source ~cache ~verify:true ~name src in
+  ( output,
+    outcome.Deobf.Batch.verdict,
+    M.counter_value parses - p0,
+    M.counter_value tokenizes - l0 )
+
+let counts_per_request () =
+  let output, verdict, p, l = count_request "two-layer" two_layer_sample in
   check_s "both layers unwrapped" "Write-Host hi\n" output;
-  check_b "verified" true
-    (outcome.Deobf.Batch.verdict = Some V.Equivalent);
+  check_b "verified" true (verdict = Some V.Equivalent);
   (* Pinned: each distinct text is lexed once and parsed once, plus the
      parses of piece texts and of the payloads the sandbox's own IEX
      evaluates.  Before stages handed their parses on, this request cost 21
-     parses and 37 lexer runs.  A stage that re-parses a text it was handed
-     raises these; a change that removes a parse lowers them and updates
-     the pins. *)
-  check_i "psparse.parses per request" 12 p;
-  check_i "pslex.tokenizes per request" 15 l
+     parses and 37 lexer runs; before one piece-tier entry answered the
+     literal test, the blocklist and the parse of a piece, 12 and 15.  A
+     stage that re-parses a text it was handed raises these; a change that
+     removes a parse lowers them and updates the pins. *)
+  check_i "psparse.parses per request" 11 p;
+  check_i "pslex.tokenizes per request" 11 l
+
+(* several distinct pieces, none of them a payload: each piece text costs
+   one lexer run and one parse, so a piece lexed again for the blocklist
+   or parsed again for the literal test raises these *)
+let distinct_pieces_sample =
+  "$a = ('he' + 'llo')\n\
+   $b = [char]72 + [char]105\n\
+   Write-Output ($a + $b) ('x' + 'y') ([string]::Join('', 'o', 'k'))"
+
+let counts_with_distinct_pieces () =
+  let output, verdict, p, l =
+    count_request "distinct-pieces" distinct_pieces_sample
+  in
+  check_b "pieces recovered" true
+    (String.length output < String.length distinct_pieces_sample);
+  check_b "verified" true (verdict = Some V.Equivalent);
+  check_i "psparse.parses per request" 13 p;
+  check_i "pslex.tokenizes per request" 13 l
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -203,6 +226,8 @@ let suite =
       run_parsed_matches_under_chaos;
     Alcotest.test_case "lex and parse counts per request pinned" `Quick
       counts_per_request;
+    Alcotest.test_case "counts pinned on a request of distinct pieces" `Quick
+      counts_with_distinct_pieces;
     Alcotest.test_case "front-end counters on every metrics surface" `Quick
       counters_rendered;
   ]

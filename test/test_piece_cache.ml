@@ -1,7 +1,8 @@
 (* The content-addressed piece cache: binding-digest keying (no aliasing
-   across different traced contexts), two-generation eviction, persistent
-   tier round-trips and corruption tolerance, batch byte-identity with the
-   cache on/off/persistent, and the --jobs clamp. *)
+   across different traced contexts), two-generation eviction, the piece
+   tier's answers, persistent tier round-trips and corruption tolerance,
+   batch byte-identity with the cache on/off/persistent, and the --jobs
+   clamp. *)
 
 module Cache = Deobf.Recover.Cache
 module Value = Psvalue.Value
@@ -85,68 +86,75 @@ let test_cold_hit_promotes () =
   check_b "promoted entry survives the next flip" true
     (Cache.find c "a" = Some (Ok (Value.Int 1)))
 
-(* ---------- per-text fact tier ---------- *)
+(* ---------- piece tier ---------- *)
 
-(* a compute function that counts how often the tier had to ask it *)
-let counting () =
-  let calls = ref 0 in
-  (calls, fun text -> incr calls; String.length text mod 2 = 0)
-
-let test_fact_tier_generations_and_shrink () =
+let test_piece_tier_generations_and_shrink () =
   let c = Cache.create ~cap:8 () in
-  let calls, compute = counting () in
-  let ask i = ignore (Cache.fact c Cache.Trivial (Printf.sprintf "t%d" i) compute) in
+  (* a hit hands back the entry the tier holds; a miss builds a new one *)
+  let seen = Hashtbl.create 16 and builds = ref 0 in
+  let ask i =
+    let entry = Cache.piece c (Printf.sprintf "'t' + %d" i) in
+    (match Hashtbl.find_opt seen i with
+    | Some held when held == entry -> ()
+    | Some _ | None -> incr builds);
+    Hashtbl.replace seen i entry
+  in
   for i = 1 to 6 do ask i done;
   (* gen_cap = 4: t1..t4 flipped cold when t5 arrived *)
-  check_i "every text computed once" 6 !calls;
-  check_i "both generations held" 6 (Cache.fact_count c Cache.Trivial);
+  check_i "every text built once" 6 !builds;
+  check_i "both generations held" 6 (Cache.piece_count c);
   ask 1;
   ask 6;
-  check_i "repeats answered from the tier" 6 !calls;
+  check_i "repeats answered from the tier" 6 !builds;
   for i = 7 to 100 do ask i done;
-  check_b "flips bound the tier" true (Cache.fact_count c Cache.Trivial <= 8);
+  check_b "flips bound the tier" true (Cache.piece_count c <= 8);
   ask 2;
-  check_i "an evicted text is computed again" 101 !calls;
+  check_i "an evicted text is built again" 101 !builds;
   Cache.shrink c;
-  check_b "shrink drops the cold generation" true
-    (Cache.fact_count c Cache.Trivial <= 4);
+  check_b "shrink drops the cold generation" true (Cache.piece_count c <= 4);
   ask 100;
-  check_i "the hot generation survives shrink" 101 !calls
+  check_i "the hot generation survives shrink" 101 !builds
 
-let test_fact_kinds_are_separate () =
+let test_one_entry_answers_all () =
   let c = Cache.create () in
-  let calls, compute = counting () in
-  ignore (Cache.fact c Cache.Trivial "piece" compute);
-  ignore (Cache.fact c Cache.Blocked "piece" compute);
-  check_i "one text, two facts, two computations" 2 !calls;
-  check_i "trivial held" 1 (Cache.fact_count c Cache.Trivial);
-  check_i "blocked held" 1 (Cache.fact_count c Cache.Blocked)
+  let text = "(New-Object Net.WebClient).DownloadString('http://x')" in
+  let e = Cache.piece c text in
+  check_b "blocked" true e.Cache.blocked;
+  check_b "not a literal" false e.Cache.trivial;
+  check_b "parsed" true (Result.is_ok e.Cache.parsed);
+  check_b "asked again: the same entry" true (Cache.piece c text == e);
+  check_i "one entry for all three answers" 1 (Cache.piece_count c);
+  let lit = Cache.piece c "'abc'" in
+  check_b "a literal" true lit.Cache.trivial;
+  check_b "not blocked" false lit.Cache.blocked;
+  check_i "one entry per text" 2 (Cache.piece_count c)
 
 let blocklist_script =
   "$u = 'http://' + 'example.com'\n\
    $c = (New-Object Net.WebClient).DownloadString($u)\n\
    Write-Host ('a' + 'b') ([char]72 + [char]105)"
 
-let test_blocklist_off_never_consults_tier () =
+let test_blocklist_off_never_blocks () =
   let run use_blocklist =
     let cache = Cache.create () in
     let options =
       { Deobf.Engine.default_options with
         recovery = { Deobf.Recover.default_options with use_blocklist } }
     in
-    ignore (Deobf.Engine.run_guarded ~options ~cache blocklist_script);
-    cache
+    let stats =
+      (Deobf.Engine.run_guarded ~options ~cache blocklist_script)
+        .Deobf.Engine.result.Deobf.Engine.stats
+    in
+    (stats.Deobf.Recover.pieces_blocked, cache)
   in
-  let on = run true and off = run false in
-  check_b "blocklist on: answers held" true
-    (Cache.fact_count on Cache.Blocked > 0);
-  check_i "blocklist off: never asked" 0 (Cache.fact_count off Cache.Blocked);
-  check_b "the literal test still uses the tier" true
-    (Cache.fact_count off Cache.Trivial > 0)
+  let blocked_on, _ = run true and blocked_off, off = run false in
+  check_b "blocklist on: pieces blocked" true (blocked_on > 0);
+  check_i "blocklist off: nothing blocked" 0 blocked_off;
+  check_b "the literal test still uses the tier" true (Cache.piece_count off > 0)
 
-let test_fact_tier_cache_off_byte_identical () =
-  (* results caching off still shares the per-text tier (like the program
-     tier); outputs and verdicts must not move either way *)
+let test_piece_tier_cache_off_byte_identical () =
+  (* results caching off still shares the piece tier; outputs and verdicts
+     must not move either way *)
   let no_cache =
     { Deobf.Engine.default_options with
       recovery = { Deobf.Recover.default_options with use_piece_cache = false } }
@@ -172,8 +180,94 @@ let test_fact_tier_cache_off_byte_identical () =
         (o_on.Deobf.Batch.verdict = o_off.Deobf.Batch.verdict))
     samples;
   check_i "no results cached when off" 0 (Cache.stats c_off).Cache.entries;
-  check_b "the tier served the cache-off run" true
-    (Cache.fact_count c_off Cache.Trivial > 0)
+  check_b "the tier served the cache-off run" true (Cache.piece_count c_off > 0)
+
+(* The entry must answer exactly what the three separate computations it
+   replaced answered: the literal test over its own parse, the blocklist's
+   own lexer run, and [Interp.parse_piece].  These are those computations,
+   kept here as the reference. *)
+let reference_trivial text =
+  let module A = Psast.Ast in
+  match Psparse.Parser.parse text with
+  | Ok { A.node = A.Script_block { A.sb_statements = [ stmt ]; _ }; _ } -> (
+      match stmt.A.node with
+      | A.Pipeline [ { A.node = A.Command_expression e; _ } ] -> (
+          match e.A.node with
+          | A.String_const (_, (A.Single_quoted | A.Double_quoted))
+          | A.Number_const _ ->
+              true
+          | _ -> false)
+      | _ -> false)
+  | Ok _ | Error _ -> false
+
+(* every text recovery would look up: recoverable nodes with children *)
+let piece_texts src =
+  match Psparse.Parser.parse src with
+  | Error _ -> []
+  | Ok ast ->
+      Psast.Ast.fold_pre_order
+        (fun acc node ->
+          if Deobf.Recover.is_recoverable node && Psast.Ast.children node <> []
+          then Psast.Ast.text src node :: acc
+          else acc)
+        [] ast
+
+let edge_texts =
+  [ (* unterminated strings: lex errors *)
+    "'unterminated + 1"; "(\"open"; "@'\nno end";
+    (* lexes, does not parse *)
+    "('a' + ";
+    (* '' escapes *)
+    "'it''s' + 'x'"; "'' + ''''"; "'a''' + \"b\"";
+    (* a blocked member *)
+    "(New-Object Net.WebClient).DownloadString('http://x/a.ps1')";
+    (* blocked names only inside string literals *)
+    "'Start-Sleep' + ' 5'"; "\"Invoke-WebRequest\" -replace 'x','y'";
+    (* literals, and an expression that is not one *)
+    "'abc'"; "42"; "-not $true";
+    (* deep nesting *)
+    String.make 300 '(' ^ "'deep'" ^ String.make 300 ')' ]
+
+let test_piece_tier_matches_references () =
+  let module G = Corpus.Generator in
+  let samples =
+    G.generate ~seed:19 ~count:75
+    @ G.generate_hard ~seed:19 ~count:75
+    @ G.generate_multilayer ~seed:19 ~count:75 ~min_depth:1 ~max_depth:4
+    @ G.generate_dynamic ~seed:19 ~count:75
+  in
+  let texts = Hashtbl.create 4096 in
+  List.iter
+    (fun (s : G.sample) ->
+      List.iter
+        (fun t -> Hashtbl.replace texts t ())
+        (piece_texts s.G.obfuscated))
+    samples;
+  check_b "samples give many piece texts" true (Hashtbl.length texts > 1000);
+  List.iter (fun t -> Hashtbl.replace texts t ()) edge_texts;
+  let c = Cache.create ~cap:100_000 () in
+  let parse_errors = ref 0 and blocked = ref 0 and trivial = ref 0 in
+  Hashtbl.iter
+    (fun text () ->
+      let e = Cache.piece c text in
+      let what field = Printf.sprintf "%S: %s" text field in
+      check_b (what "trivial") (reference_trivial text) e.Cache.trivial;
+      check_b (what "blocked")
+        (Deobf.Blocklist.mentions_blocked_command text)
+        e.Cache.blocked;
+      (match (Pseval.Interp.parse_piece text, e.Cache.parsed) with
+      | Ok a, Ok b -> check_b (what "same AST") true (a = b)
+      | Error a, Error b ->
+          incr parse_errors;
+          check_s (what "same error text") a b
+      | Ok _, Error _ | Error _, Ok _ -> Alcotest.fail (what "parse outcome"));
+      if e.Cache.blocked then incr blocked;
+      if e.Cache.trivial then incr trivial)
+    texts;
+  (* the edge texts cover each kind of answer *)
+  check_b "some parse errors" true (!parse_errors >= 4);
+  check_b "some blocked" true (!blocked >= 2);
+  check_b "some literals" true (!trivial >= 2)
 
 (* ---------- persistent tier ---------- *)
 
@@ -421,14 +515,16 @@ let suite =
       test_two_generation_eviction;
     Alcotest.test_case "cold hits promote to the hot generation" `Quick
       test_cold_hit_promotes;
-    Alcotest.test_case "fact tier: generations and shrink bound it" `Quick
-      test_fact_tier_generations_and_shrink;
-    Alcotest.test_case "fact tier: facts are kept apart" `Quick
-      test_fact_kinds_are_separate;
-    Alcotest.test_case "fact tier: blocklist off never asks it" `Quick
-      test_blocklist_off_never_consults_tier;
-    Alcotest.test_case "fact tier: cache on/off byte-identical" `Quick
-      test_fact_tier_cache_off_byte_identical;
+    Alcotest.test_case "piece tier: generations and shrink bound it" `Quick
+      test_piece_tier_generations_and_shrink;
+    Alcotest.test_case "piece tier: one entry answers all three" `Quick
+      test_one_entry_answers_all;
+    Alcotest.test_case "piece tier: blocklist off blocks nothing" `Quick
+      test_blocklist_off_never_blocks;
+    Alcotest.test_case "piece tier: cache on/off byte-identical" `Quick
+      test_piece_tier_cache_off_byte_identical;
+    Alcotest.test_case "piece tier: answers match the references" `Quick
+      test_piece_tier_matches_references;
     Alcotest.test_case "persistent tier round-trips" `Quick
       test_persistent_round_trip;
     Alcotest.test_case "persistent script block; format bump misses v1" `Quick

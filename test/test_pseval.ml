@@ -413,7 +413,7 @@ let test_parsed_piece_reusable () =
     | exception _ -> true
   in
   check_b "probe drawn before the syntax error" true faulted;
-  (* the recovery cache's program tier answers the second pass *)
+  (* the recovery cache's piece tier answers the second pass *)
   let module R = Deobf.Recover in
   let tier = Pscommon.Telemetry.Metrics.counter "recover.cache.tier.program" in
   let script = "$x = 'he' + 'llo'\nWrite-Output ([char]72 + [char]105)" in
@@ -434,7 +434,58 @@ let test_parsed_piece_reusable () =
   in
   let first = pass () in
   let second = pass () in
-  check_b "program tier hit on the second pass" true (second > first)
+  check_b "piece tier hit on the second pass" true (second > first)
+
+(* ---------- environment templates ---------- *)
+
+(* [Env.create] copies two tables built once (the automatic variables and
+   the $env: drive): whatever one environment writes must stay in it *)
+let default_reads env =
+  let read name =
+    Option.map Value.to_string
+      (Pseval.Env.get_var env (Psparse.Names.var_key name))
+  in
+  [ read "pshome"; read "ErrorActionPreference"; read "env:TEMP";
+    read "env:NEWNAME";
+    Some (string_of_int (Hashtbl.length env.Pseval.Env.functions));
+    Some (string_of_int (List.length (Pseval.Env.global_bindings env))) ]
+
+let defaults =
+  [ Some "C:\\Windows\\System32\\WindowsPowerShell\\v1.0"; Some "Continue";
+    Some "C:\\Users\\user\\AppData\\Local\\Temp";
+    Some "" (* an unset $env: name reads empty *); Some "0"; Some "0" ]
+
+let defaults_hold env = default_reads env = defaults
+
+let test_env_templates_independent () =
+  Alcotest.(check (list (option string)))
+    "a fresh env reads the defaults" defaults
+    (default_reads (Pseval.Env.create ()));
+  let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox () in
+  (match
+     Pseval.Interp.run_script env
+       "$env:TEMP = 'D:\\t'; $env:NEWNAME = 'n'\n\
+        $pshome = 'X'; $ErrorActionPreference = 'Stop'\n\
+        function Get-It { 1 }\n\
+        $env:TEMP + $env:NEWNAME + $pshome + (Get-It)"
+   with
+  | Ok [ v ] -> check_s "the env sees its own writes" "D:\\tnX1" (Value.to_string v)
+  | _ -> Alcotest.fail "script failed");
+  Alcotest.(check (list (option string)))
+    "every write landed in the writing env"
+    [ Some "X"; Some "Stop"; Some "D:\\t"; Some "n"; Some "1"; Some "2" ]
+    (default_reads env);
+  check_b "a later env still reads the defaults" true
+    (defaults_hold (Pseval.Env.create ()));
+  (* the templates are shared by every domain *)
+  let worker () =
+    List.for_all
+      (fun _ -> defaults_hold (Pseval.Env.create ()))
+      (List.init 2000 Fun.id)
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  check_b "domain 1 reads the defaults" true (Domain.join d1);
+  check_b "domain 2 reads the defaults" true (Domain.join d2)
 
 (* ---------- names under random case ---------- *)
 
@@ -515,6 +566,7 @@ let suite =
       test_lower_folded_allocates_nothing);
     ("loop output is linear", `Quick, test_loop_output_linear);
     ("a parsed piece is reusable", `Quick, test_parsed_piece_reusable);
+    ("env templates stay independent", `Quick, test_env_templates_independent);
     ("concat coercions", `Quick, test_concat);
     ("arithmetic", `Quick, test_arithmetic);
     ("hex string conversion", `Quick, test_hex_string_conversion);

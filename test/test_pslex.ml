@@ -43,6 +43,52 @@ let test_strings () =
   let t = List.hd (toks "\"say \"\"hi\"\"\"") in
   check_s "double double quote" "say \"hi\"" t.T.content
 
+(* Single-quoted strings without a '' escape are cut out of the source in
+   one piece; with one they go through the character loop.  The expected
+   tokens and errors are the character loop's: (kind, content, text,
+   start, stop) of every single-quoted token, or (message, position). *)
+let single_quoted src =
+  match Pslex.Lexer.tokenize src with
+  | Error e -> Error (e.Pslex.Lexer.message, e.Pslex.Lexer.position)
+  | Ok toks ->
+      Ok
+        (List.filter_map
+           (fun t ->
+             if t.T.kind = T.String_single then
+               let e = t.T.extent in
+               Some
+                 ( (T.kind_name t.T.kind, t.T.content),
+                   (t.T.text, (e.Pscommon.Extent.start, e.Pscommon.Extent.stop))
+                 )
+             else None)
+           toks)
+
+let test_single_quoted_tokens () =
+  let token = Alcotest.(pair (pair string string) (pair string (pair int int))) in
+  let check name src expected =
+    Alcotest.(check (result (list token) (pair string int)))
+      name expected (single_quoted src)
+  in
+  let s content text start stop =
+    (("StringSingle", content), (text, (start, stop)))
+  in
+  check "without escape" "'abc' + 'de'"
+    (Ok [ s "abc" "'abc'" 0 5; s "de" "'de'" 8 12 ]);
+  check "with escape" "'it''s' + 'a''''b'"
+    (Ok [ s "it's" "'it''s'" 0 7; s "a''b" "'a''''b'" 10 18 ]);
+  check "escape then plain" "('x''' + 'y')"
+    (Ok [ s "x'" "'x'''" 1 6; s "y" "'y'" 9 12 ]);
+  check "empty" "'' + ''''" (Ok [ s "" "''" 0 2; s "'" "''''" 5 9 ]);
+  check "at end of input" "$a = 'tail'" (Ok [ s "tail" "'tail'" 5 11 ]);
+  check "escape at end of input" "$a = 'x'''" (Ok [ s "x'" "'x'''" 5 10 ]);
+  check "newline inside" "'a\nb'" (Ok [ s "a\nb" "'a\nb'" 0 5 ]);
+  check "unterminated" "$a = 'abc"
+    (Error ("unterminated single-quoted string", 5));
+  check "unterminated after escape" "'ab''"
+    (Error ("unterminated single-quoted string", 0));
+  check "lone quote at end" "1 + '"
+    (Error ("unterminated single-quoted string", 4))
+
 let test_here_strings () =
   let src = "@'\nline1\nline2\n'@" in
   let t = List.hd (toks src) in
@@ -222,6 +268,7 @@ let suite =
     ("extents cover source", `Quick, test_extents_cover_source);
     ("call operators", `Quick, test_call_operators);
     ("lex errors", `Quick, test_errors);
+    ("single-quoted strings", `Quick, test_single_quoted_tokens);
     ("alias table", `Quick, test_aliases_table);
     ("keyword table", `Quick, test_keyword_table);
     ("paper listing 2", `Quick, test_paper_listing2);
