@@ -30,119 +30,30 @@ let output_arg =
 
 module T = Pscommon.Telemetry
 
-let pct hits attempted =
-  if attempted = 0 then 0.0
-  else 100.0 *. float_of_int hits /. float_of_int attempted
-
-let phase_ms_line timings =
-  String.concat ", "
-    (List.map (fun (p, ms) -> Printf.sprintf "%s %.1f" p ms) timings)
-
-(* --summary: the self-healing plane's state, shared by the single-file and
-   batch digests — worker churn counters, quarantined rules, and where the
-   heap sits against the governor's watermarks *)
-let print_selfheal_summary () =
-  let c name = T.Metrics.counter_value (T.Metrics.counter name) in
+(* --summary: the one-screen digest on stderr, [head] lines first.  The
+   pieces line carries the run's per-file stats and its piece cache; the
+   cache, dynamic and self-heal blocks are the renderings metrics.json and
+   the serve metrics op carry. *)
+let print_summary ~head (st : Deobf.Recover.stats) cache phases =
   Printf.eprintf
-    "workers: %d recycled (%d under memory pressure), %d wedged, %d \
-     respawns (%d failed)\n"
-    (c "pool.service.recycled")
-    (c "pool.service.recycled_mem")
-    (c "pool.service.wedged")
-    (c "pool.service.respawns")
-    (c "pool.service.respawn_failures");
-  (match Deobf.Quarantine.snapshot () with
-  | [] ->
-      Printf.eprintf "quarantine: %s, no open rules\n"
-        (if Deobf.Quarantine.enabled () then "on" else "off")
-  | rules ->
-      Printf.eprintf "quarantine: %s\n"
-        (String.concat ", "
-           (List.map (fun (rule, st) -> rule ^ "=" ^ st) rules)));
-  Printf.eprintf "memory: %s (heap %.1f MiB%s)\n"
-    (Pscommon.Memwatch.level_name (Pscommon.Memwatch.level ()))
-    (float_of_int (Pscommon.Memwatch.heap_bytes ()) /. 1048576.0)
-    (match Pscommon.Memwatch.soft_watermark_bytes () with
-    | None -> ", watermarks off"
-    | Some b -> Printf.sprintf ", soft %.0f MiB" (float_of_int b /. 1048576.0))
-
-(* --summary: the one-screen digest of a single-file run *)
-let print_file_summary src (guarded : Deobf.Engine.guarded) =
-  let result = guarded.Deobf.Engine.result in
-  let stats = result.Deobf.Engine.stats in
-  let score_before =
-    Deobf.Score.score_of_detection (Deobf.Score.detect src)
-  in
-  let score_after =
-    Deobf.Score.score_of_detection
-      (Deobf.Score.detect result.Deobf.Engine.output)
-  in
-  Printf.eprintf
-    "== summary ==\n\
-     score: %d -> %d\n\
-     pieces: %d recovered, %d blocked, %d attempted (cache hit-rate %.1f%%)\n\
+    "%s\
+     pieces: %d recovered, %d blocked, %d attempted; cache: %s\n\
      variables substituted: %d, layers unwrapped: %d\n\
-     dynamic: %d recovered of %d attempted, %d unverifiable\n\
-     iterations: %d, changed: %b, contained failures: %d\n\
+     dynamic: %s\n\
+     selfheal: %s\n\
      phase ms: %s\n"
-    score_before score_after stats.Deobf.Recover.pieces_recovered
-    stats.Deobf.Recover.pieces_blocked stats.Deobf.Recover.pieces_attempted
-    (pct stats.Deobf.Recover.cache_hits stats.Deobf.Recover.pieces_attempted)
-    stats.Deobf.Recover.variables_substituted
-    stats.Deobf.Recover.layers_unwrapped
-    stats.Deobf.Recover.dynamic_recovered stats.Deobf.Recover.dynamic_attempted
-    stats.Deobf.Recover.dynamic_unverifiable result.Deobf.Engine.iterations
-    result.Deobf.Engine.changed
-    (List.length guarded.Deobf.Engine.failures)
-    (phase_ms_line guarded.Deobf.Engine.timings);
-  print_selfheal_summary ()
-
-(* --summary: the one-screen digest of a batch run *)
-let print_batch_summary (s : Deobf.Batch.summary) =
-  let sum f =
-    List.fold_left
-      (fun acc (o : Deobf.Batch.outcome) -> acc + f o.Deobf.Batch.stats)
-      0 s.Deobf.Batch.outcomes
-  in
-  let recovered = sum (fun st -> st.Deobf.Recover.pieces_recovered) in
-  let blocked = sum (fun st -> st.Deobf.Recover.pieces_blocked) in
-  let attempted = sum (fun st -> st.Deobf.Recover.pieces_attempted) in
-  let hits = sum (fun st -> st.Deobf.Recover.cache_hits) in
-  let unwrapped = sum (fun st -> st.Deobf.Recover.layers_unwrapped) in
-  let dyn_attempted = sum (fun st -> st.Deobf.Recover.dynamic_attempted) in
-  let dyn_recovered = sum (fun st -> st.Deobf.Recover.dynamic_recovered) in
-  let dyn_unverifiable =
-    sum (fun st -> st.Deobf.Recover.dynamic_unverifiable)
-  in
-  let phase_totals =
-    List.fold_left
-      (fun acc (o : Deobf.Batch.outcome) ->
-        List.fold_left
-          (fun acc (phase, ms) ->
-            let prev = Option.value ~default:0.0 (List.assoc_opt phase acc) in
-            (phase, prev +. ms) :: List.remove_assoc phase acc)
-          acc o.Deobf.Batch.phase_ms)
-      [] s.Deobf.Batch.outcomes
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Printf.eprintf
-    "== batch summary ==\n\
-     files: %d (%d clean, %d degraded) in %.1f ms\n\
-     pieces: %d recovered, %d blocked, %d attempted (cache hit-rate %.1f%%)\n\
-     layers unwrapped: %d\n\
-     dynamic: %d recovered of %d attempted, %d unverifiable\n\
-     phase ms: %s\n"
-    s.Deobf.Batch.total s.Deobf.Batch.clean s.Deobf.Batch.degraded
-    s.Deobf.Batch.wall_ms recovered blocked attempted (pct hits attempted)
-    unwrapped dyn_recovered dyn_attempted dyn_unverifiable
-    (phase_ms_line phase_totals);
-  print_selfheal_summary ()
+    head st.pieces_recovered st.pieces_blocked st.pieces_attempted
+    (Deobf.Batch.cache_json cache)
+    st.variables_substituted st.layers_unwrapped
+    (Deobf.Batch.dynamic_json ())
+    (Deobf.Batch.selfheal_json ())
+    (String.concat ", "
+       (List.map (fun (p, ms) -> Printf.sprintf "%s %.1f" p ms) phases))
 
 let deobfuscate_cmd =
   let run input output no_tracing no_blocklist no_multilayer no_rename
       no_reformat no_token_phase no_piece_cache no_partial no_dynamic chaos
-      stats batch
-      jobs timeout trace log_level log_format summary_flag verify_flag
+      batch jobs timeout trace log_level log_format summary_flag verify_flag
       no_verify resume serve queue_cap cache_cap piece_cache_dir trace_sample
       metrics_out metrics_addr flight_dir client no_quarantine grace
       mem_soft_mb mem_hard_mb max_major_mb =
@@ -299,7 +210,16 @@ let deobfuscate_cmd =
           Printf.sprintf "%d files: %d clean, %d degraded (reports in %s)"
             summary.Deobf.Batch.total summary.Deobf.Batch.clean
             summary.Deobf.Batch.degraded out_dir);
-      if summary_flag then print_batch_summary summary;
+      if summary_flag then
+        print_summary
+          ~head:
+            (Printf.sprintf
+               "== batch summary ==\nfiles: %d (%d clean, %d degraded) in \
+                %.1f ms\n"
+               summary.total summary.clean summary.degraded summary.wall_ms)
+          (Deobf.Batch.total_stats summary.outcomes)
+          (Option.get summary.cache_stats)
+          (Deobf.Batch.phase_totals summary.outcomes);
       (* exit 0 only when every file came through clean; 2 signals that
          at least one file had a phase skipped (a contained failure) or
          failed the semantic gate without a successful rollback, so
@@ -310,29 +230,28 @@ let deobfuscate_cmd =
     end
     else begin
       let src = read_input input in
-      let file_trace =
-        match trace with None -> None | Some path -> Some (path, T.create ())
-      in
       let timeout_s = Option.value timeout ~default:infinity in
-      let compute () =
+      let cache = Deobf.Recover.Cache.create () in
+      (* one request scope for the run; --trace asks for its event ring *)
+      let guarded, verify_outcome =
+        T.with_request_id ~record:(trace <> None) (T.new_trace_id ())
+        @@ fun () ->
         (* with --verify, the gate runs under the same deadline as the
            engine (--timeout) *)
-        if verify_flag then
-          let g, o = Deobf.Verify.run_guarded ~options ~timeout_s src in
-          (g, Some o)
-        else (Deobf.Engine.run_guarded ~options ~timeout_s src, None)
+        let run =
+          if verify_flag then
+            let g, o = Deobf.Verify.run_guarded ~options ~cache ~timeout_s src in
+            (g, Some o)
+          else (Deobf.Engine.run_guarded ~options ~cache ~timeout_s src, None)
+        in
+        (match (trace, T.current_trace ()) with
+        | Some "", Some tr -> prerr_string (T.to_jsonl tr)
+        | Some path, Some tr ->
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc (T.to_jsonl tr))
+        | _ -> ());
+        run
       in
-      let guarded, verify_outcome =
-        match file_trace with
-        | None -> compute ()
-        | Some (_, tr) -> T.with_trace tr compute
-      in
-      (match file_trace with
-      | None -> ()
-      | Some ("", tr) -> prerr_string (T.to_jsonl tr)
-      | Some (path, tr) ->
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc (T.to_jsonl tr)));
       let result = guarded.Deobf.Engine.result in
       write_output result.Deobf.Engine.output output;
       (match verify_outcome with
@@ -349,17 +268,17 @@ let deobfuscate_cmd =
               Printf.sprintf "contained failure in %s: %s" site.phase
                 (Pscommon.Guard.failure_to_string site.failure)))
         guarded.Deobf.Engine.failures;
-      if summary_flag then print_file_summary src guarded;
-      if stats then
-        Printf.eprintf
-          "pieces recovered: %d\nvariables substituted: %d\nlayers unwrapped: %d\npieces attempted: %d (blocked: %d, cache hits: %d)\niterations: %d\nchanged: %b\n"
-          result.stats.Deobf.Recover.pieces_recovered
-          result.stats.Deobf.Recover.variables_substituted
-          result.stats.Deobf.Recover.layers_unwrapped
-          result.stats.Deobf.Recover.pieces_attempted
-          result.stats.Deobf.Recover.pieces_blocked
-          result.stats.Deobf.Recover.cache_hits
-          result.Deobf.Engine.iterations result.Deobf.Engine.changed
+      if summary_flag then
+        let score text = Deobf.Score.(score_of_detection (detect text)) in
+        print_summary
+          ~head:
+            (Printf.sprintf
+               "== summary ==\nscore: %d -> %d\n\
+                iterations: %d, changed: %b, contained failures: %d\n"
+               (score src) (score result.output) result.iterations
+               result.changed
+               (List.length guarded.failures))
+          result.stats (Deobf.Recover.Cache.stats cache) guarded.timings
     end
   in
   let flag names doc = Arg.(value & flag & info names ~doc) in
@@ -391,7 +310,6 @@ let deobfuscate_cmd =
                  with probability $(i,RATE), seeded by $(i,SEED).  Optional \
                  per-site overrides: SEED:RATE:site=rate,site=rate.  Also \
                  read from $(b,INVOKE_DEOBF_CHAOS) when the flag is absent.")
-      $ flag [ "stats" ] "Print recovery statistics to stderr."
       $ flag [ "batch" ]
           "Treat FILE as a directory of samples: process each file in \
            crash-isolated fashion, writing recovered scripts, per-file \
@@ -539,11 +457,11 @@ let deobfuscate_cmd =
           & opt (some string) None
           & info [ "flight-dir" ] ~docv:"DIR"
               ~doc:
-                "Enable the flight recorder: each domain keeps a bounded \
-                 in-memory ring of its most recent spans and events, and on \
-                 a fault (worker recycle, blown deadline, chaos \
-                 containment, diverged verify verdict) the ring is dumped \
-                 to $(docv) as a JSONL black box carrying the failing \
+                "Enable the flight recorder: every request records its \
+                 spans and events into its domain's event ring, and on a \
+                 fault (worker recycle, blown deadline, chaos containment, \
+                 diverged verify verdict) the newest 512 are dumped to \
+                 $(docv) as a JSONL black box carrying the failing \
                  request's trace id.  Zero serialization cost until a dump \
                  triggers.")
       $ Arg.(

@@ -409,36 +409,33 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
      one extra probe (the trace write), but only after the output is
      already decided, so traced/untraced byte-identity holds too. *)
   Chaos.with_scope (Filename.basename file) @@ fun () ->
-  (* one trace id per input file, installed as the domain's ambient request
-     id: per-file traces adopt it, flight entries stamp it.  Observation
-     only — the id draws from a process counter, never the chaos stream,
-     so outputs stay byte-identical across --jobs levels. *)
-  T.with_request_id (T.new_trace_id ()) @@ fun () ->
+  (* one request scope per input file: a trace id, and — when the file is
+     traced or the flight recorder is on — the domain's event ring, reset
+     for this file.  Observation only: the id draws from a process counter,
+     never the chaos stream, so outputs stay byte-identical across --jobs
+     levels. *)
+  T.with_request_id ~record:(trace_dir <> None) (T.new_trace_id ()) @@ fun () ->
   let task () =
     (* the "pool.task" probe models a fault in the worker itself, outside
        every engine guard; the protect in [contained] below is what keeps
        it from crashing the pool *)
     Chaos.probe "pool.task";
-    match trace_dir with
-    | None ->
-        process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
-          ?out_dir ?verify ?verify_opts ?journal file
-    | Some dir ->
-        (* one event stream per input: the trace is created in (and private
-           to) whichever pool domain runs this file, installed as that
-           domain's ambient context for the duration, and serialized next to
-           the other per-file reports.  Tracing is observation only, so the
-           deobfuscated output is byte-identical to an untraced run. *)
-        let trace = T.create () in
+    let run () =
+      process_file_inner ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
+        ?verify ?verify_opts ?journal file
+    in
+    match (trace_dir, T.current_trace ()) with
+    | Some dir, Some trace ->
+        (* one trace file per input, next to the other per-file reports;
+           untraced files get no root span, so a flight dump taken inside
+           one holds closed spans only *)
         let outcome =
-          T.with_trace trace (fun () ->
-              T.span ~attrs:[ ("file", T.S file) ] "batch.file" (fun () ->
-                  process_file_inner ?options ?timeout_s ?max_output_bytes
-                    ?cache ?out_dir ?verify ?verify_opts ?journal file))
+          T.span ~attrs:[ ("file", T.S file) ] "batch.file" run
         in
         let path = Filename.concat dir (Filename.basename file ^ ".trace.jsonl") in
         ignore (Guard.protect (fun () -> write_file path (T.to_jsonl trace)));
         outcome
+    | _ -> run ()
   in
   (* backstop: Pool.map re-raises worker exceptions at join, so anything
      escaping the per-file pipeline (an injected pool fault, a bug in
@@ -448,8 +445,7 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
   | Ok outcome -> outcome
   | Error failure ->
       (* black box before the structured outcome: whatever the domain's
-         flight ring holds about this file is about to be overwritten by
-         the next one *)
+         ring holds about this file is reset by the next one *)
       ignore
         (T.Flight.dump
            ~reason:("pool.task/" ^ Guard.failure_label failure)
@@ -586,8 +582,75 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
 
 (* ---------- run-level metrics rollup ---------- *)
 
-let sum_stats f outcomes =
-  List.fold_left (fun acc o -> acc + f o.stats) 0 outcomes
+(* the run's per-file stats, summed *)
+let total_stats outcomes =
+  let open Recover in
+  let t = new_stats () in
+  List.iter
+    (fun o ->
+      let s = o.stats in
+      t.pieces_recovered <- t.pieces_recovered + s.pieces_recovered;
+      t.variables_substituted <- t.variables_substituted + s.variables_substituted;
+      t.layers_unwrapped <- t.layers_unwrapped + s.layers_unwrapped;
+      t.pieces_attempted <- t.pieces_attempted + s.pieces_attempted;
+      t.pieces_blocked <- t.pieces_blocked + s.pieces_blocked;
+      t.cache_hits <- t.cache_hits + s.cache_hits;
+      t.edits_recorded <- t.edits_recorded + s.edits_recorded;
+      t.dynamic_attempted <- t.dynamic_attempted + s.dynamic_attempted;
+      t.dynamic_recovered <- t.dynamic_recovered + s.dynamic_recovered;
+      t.dynamic_unverifiable <- t.dynamic_unverifiable + s.dynamic_unverifiable)
+    outcomes;
+  t
+
+(* The cache, dynamic-funnel and self-heal blocks have one renderer each,
+   shared by metrics.json, the serve [metrics] op and the CLI's --summary,
+   so the three surfaces cannot drift apart. *)
+
+(* the shared piece cache's own counts; the hit rate is hits over lookups *)
+let cache_json (cs : Recover.Cache.stats) =
+  Printf.sprintf
+    "{\"entries\": %d, \"lookups\": %d, \"hits\": %d, \"hit_rate\": %.3f, \
+     \"evictions\": %d, \"persistent_loads\": %d}"
+    cs.entries cs.lookups cs.hits
+    (if cs.lookups = 0 then 0.0
+     else float_of_int cs.hits /. float_of_int cs.lookups)
+    cs.evictions cs.persistent_loads
+
+let registry_count name = T.Metrics.counter_value (T.Metrics.counter name)
+
+(* the dynamic-recovery funnel, from the registry (process totals, reset
+   per batch run, the gate's re-runs included): regions attempted,
+   replaced by provenance-mapped literals, rolled back by the gate, and
+   degraded to static-only *)
+let dynamic_json () =
+  Printf.sprintf
+    "{\"attempted\": %d, \"recovered\": %d, \"rolled_back\": %d, \
+     \"unverifiable\": %d}"
+    (registry_count "recover.dynamic.attempted")
+    (registry_count "recover.dynamic.recovered")
+    (registry_count "verify.dynamic_rolled_back")
+    (registry_count "recover.dynamic.unverifiable")
+
+(* the self-healing plane: worker churn, the rules the adaptive quarantine
+   currently distrusts, and where the heap sits against the governor's
+   watermarks *)
+let selfheal_json () =
+  Printf.sprintf
+    "{\"recycled\": %d, \"recycled_mem\": %d, \"wedged\": %d, \
+     \"respawns\": %d, \"respawn_failures\": %d, \
+     \"quarantine\": {\"enabled\": %b, \"rules\": {%s}}, \"memory\": %s}"
+    (registry_count "pool.service.recycled")
+    (registry_count "pool.service.recycled_mem")
+    (registry_count "pool.service.wedged")
+    (registry_count "pool.service.respawns")
+    (registry_count "pool.service.respawn_failures")
+    (Quarantine.enabled ())
+    (String.concat ", "
+       (List.map
+          (fun (rule, st) ->
+            Printf.sprintf "%s: %s" (T.json_string rule) (T.json_string st))
+          (Quarantine.snapshot ())))
+    (Pscommon.Memwatch.to_json ())
 
 let diverged_count s =
   List.length
@@ -639,14 +702,16 @@ let phase_totals outcomes =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (** The run-level observability rollup written as [metrics.json]: failure
-    sites, cache hit-rate, per-phase wall totals, and the full metrics
-    snapshot (counters, gauges, latency histograms) aggregated across every
-    pool domain of the run. *)
+    sites, the summed per-file stats, the cache, dynamic and self-heal
+    blocks, per-phase wall totals, and the full metrics snapshot (counters,
+    gauges, latency histograms) aggregated across every pool domain of the
+    run. *)
 let metrics_json s =
-  let attempted = sum_stats (fun st -> st.Recover.pieces_attempted) s.outcomes in
-  let hits = sum_stats (fun st -> st.Recover.cache_hits) s.outcomes in
-  let hit_rate =
-    if attempted = 0 then 0.0 else float_of_int hits /. float_of_int attempted
+  let cs =
+    Option.value s.cache_stats
+      ~default:
+        { Recover.Cache.entries = 0; hits = 0; lookups = 0; evictions = 0;
+          persistent_loads = 0 }
   in
   String.concat "\n"
     [
@@ -660,23 +725,8 @@ let metrics_json s =
            (List.map
               (fun (k, n) -> Printf.sprintf "%s: %d" (T.json_string k) n)
               (failure_site_counts s.outcomes)));
-      (* per-piece counters from the outcomes plus the shared cache's own
-         view: occupancy, generation-flip evictions, and how many hits the
-         persistent tier answered *)
-      (let cs =
-         Option.value
-           ~default:
-             { Recover.Cache.entries = 0; hits = 0; lookups = 0;
-               evictions = 0; persistent_loads = 0 }
-           s.cache_stats
-       in
-       Printf.sprintf
-         "  \"cache\": {\"pieces_attempted\": %d, \"cache_hits\": %d, \
-          \"hit_rate\": %.3f, \"entries\": %d, \"lookups\": %d, \
-          \"hits\": %d, \"evictions\": %d, \"persistent_loads\": %d},"
-         attempted hits hit_rate cs.Recover.Cache.entries
-         cs.Recover.Cache.lookups cs.Recover.Cache.hits
-         cs.Recover.Cache.evictions cs.Recover.Cache.persistent_loads);
+      Printf.sprintf "  \"stats\": %s," (stats_to_json (total_stats s.outcomes));
+      Printf.sprintf "  \"cache\": %s," (cache_json cs);
       Printf.sprintf "  \"jobs\": {\"requested\": %d, \"effective\": %d},"
         s.jobs_requested s.jobs_effective;
       Printf.sprintf "  \"phase_ms_total\": {%s},"
@@ -693,34 +743,13 @@ let metrics_json s =
               (verdict_counts s.outcomes)));
       Printf.sprintf "  \"resumed\": %d,"
         (List.length (List.filter (fun o -> o.resumed) s.outcomes));
-      (* dynamic-recovery funnel: regions attempted, regions replaced by
-         provenance-mapped literals, regions the gate later rolled back
-         (from the run-local metrics registry), and regions degraded to
-         static-only *)
-      Printf.sprintf
-        "  \"dynamic\": {\"attempted\": %d, \"recovered\": %d, \
-         \"rolled_back\": %d, \"unverifiable\": %d},"
-        (sum_stats (fun st -> st.Recover.dynamic_attempted) s.outcomes)
-        (sum_stats (fun st -> st.Recover.dynamic_recovered) s.outcomes)
-        (T.Metrics.counter_value (T.Metrics.counter "verify.dynamic_rolled_back"))
-        (sum_stats (fun st -> st.Recover.dynamic_unverifiable) s.outcomes);
+      Printf.sprintf "  \"dynamic\": %s," (dynamic_json ());
       (* how much text the partial-parse recovery salvaged *)
       Printf.sprintf
         "  \"regions\": {\"total\": %d, \"recovered\": %d},"
         (List.fold_left (fun acc o -> acc + o.regions_total) 0 s.outcomes)
         (List.fold_left (fun acc o -> acc + o.regions_recovered) 0 s.outcomes);
-      (* self-healing state: which rules the adaptive quarantine currently
-         distrusts, and where the heap sits against the governor's
-         watermarks *)
-      Printf.sprintf "  \"quarantine\": {\"enabled\": %b, \"rules\": {%s}},"
-        (Quarantine.enabled ())
-        (String.concat ", "
-           (List.map
-              (fun (rule, st) ->
-                Printf.sprintf "%s: %s" (T.json_string rule)
-                  (T.json_string st))
-              (Quarantine.snapshot ())));
-      Printf.sprintf "  \"memory\": %s," (Pscommon.Memwatch.to_json ());
+      Printf.sprintf "  \"selfheal\": %s," (selfheal_json ());
       Printf.sprintf "  \"metrics\": %s"
         (T.Metrics.snapshot_to_json (T.Metrics.snapshot ()));
       "}";

@@ -186,9 +186,37 @@ val summary_to_json : summary -> string
 
 val metrics_json : summary -> string
 (** The run-level rollup written as [metrics.json]: contained-failure
-    counts keyed ["phase/kind"], piece-cache hit rate, per-phase wall-time
-    totals, the partial-parse [regions] totals, and the current
-    {!Pscommon.Telemetry.Metrics} snapshot
-    (counters, gauges and latency histograms aggregated across all pool
-    domains).  Meaningful right after {!run_files}/{!run_dir}, which reset
-    the registry at the start of the run. *)
+    counts keyed ["phase/kind"], the summed per-file [stats] (rendered as
+    in the outcome JSON), the {!cache_json}, {!dynamic_json} and
+    {!selfheal_json} blocks, per-phase wall-time totals, the partial-parse
+    [regions] totals, and the current {!Pscommon.Telemetry.Metrics}
+    snapshot (counters, gauges and latency histograms aggregated across
+    all pool domains).  Meaningful right after {!run_files}/{!run_dir},
+    which reset the registry at the start of the run. *)
+
+(** {2 Shared rollup blocks}
+
+    One renderer per block, used by [metrics.json], the serve [metrics]
+    op and the CLI's [--summary], so the three surfaces read the same
+    numbers. *)
+
+val total_stats : outcome list -> Recover.stats
+(** The outcomes' per-file stats, summed. *)
+
+val phase_totals : outcome list -> (string * float) list
+(** Per-phase wall-time totals over the outcomes, sorted by phase. *)
+
+val cache_json : Recover.Cache.stats -> string
+(** [{"entries", "lookups", "hits", "hit_rate", "evictions",
+    "persistent_loads"}] of one piece cache; [hit_rate] is hits over
+    lookups (0 with no lookups). *)
+
+val dynamic_json : unit -> string
+(** The dynamic-recovery funnel [{"attempted", "recovered", "rolled_back",
+    "unverifiable"}] from the metrics registry: process totals, the
+    verify gate's re-runs included. *)
+
+val selfheal_json : unit -> string
+(** The self-healing state: worker recycle/wedge/respawn counters from the
+    registry, the quarantine's rule states and the memory governor's
+    reading ({!Pscommon.Memwatch.to_json}). *)

@@ -27,7 +27,6 @@ module T = Telemetry
 let m_attempted = T.Metrics.counter "recover.pieces_attempted"
 let m_recovered = T.Metrics.counter "recover.pieces_recovered"
 let m_blocked = T.Metrics.counter "recover.pieces_blocked"
-let m_cache_hits = T.Metrics.counter "recover.cache_hits"
 let m_substituted = T.Metrics.counter "recover.variables_substituted"
 let m_unwrapped = T.Metrics.counter "recover.layers_unwrapped"
 let m_piece_ms = T.Metrics.histogram "recover.piece_ms"
@@ -156,7 +155,7 @@ module Cache = struct
   let m_tier_hot = T.Metrics.counter "recover.cache.tier.hot"
   let m_tier_cold = T.Metrics.counter "recover.cache.tier.cold"
   let m_tier_persistent = T.Metrics.counter "recover.cache.tier.persistent"
-  let m_tier_program = T.Metrics.counter "recover.cache.tier.program"
+  let m_tier_piece = T.Metrics.counter "recover.cache.tier.piece"
 
   type entry = (Value.t, string) result
 
@@ -377,7 +376,7 @@ module Cache = struct
   let piece t text =
     match locked t (fun () -> Gens.find t.pieces text) with
     | Some (Gens.Hot p | Gens.Cold p) ->
-        T.Metrics.incr m_tier_program;
+        T.Metrics.incr m_tier_piece;
         p
     | None ->
         let p = make_piece text in
@@ -523,7 +522,6 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
     match Option.bind key (Cache.find st.cache) with
     | Some result ->
         st.stats.cache_hits <- st.stats.cache_hits + 1;
-        T.Metrics.incr m_cache_hits;
         if sid <> 0 then T.span_end sid ~attrs:(piece_end_attrs ~cache_hit:true result);
         result
     | None ->

@@ -84,7 +84,7 @@ val new_stats : unit -> stats
     piece is lexed and parsed once however many passes, files and domains
     ask.  Entries are environment-independent, never persisted, kept even
     when result caching is ablated off, and a hit for any of the three
-    answers is counted in [recover.cache.tier.program].  Both in-memory
+    answers is counted in [recover.cache.tier.piece].  Both in-memory
     tiers share the two-generation bounding above. *)
 module Cache : sig
   type t

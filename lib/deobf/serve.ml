@@ -227,39 +227,6 @@ let make_cache cfg =
          ~max_output_bytes:(Some cfg.max_output_bytes))
     ()
 
-(* Per-request tracing, two consumers: [trace_dir] serializes sampled
-   requests to [req-<seq>.trace.jsonl]; a request whose line carries
-   ["trace": true] additionally gets its events inlined in the response
-   (recorded into a small dedicated ring so the inline field stays
-   bounded); any other request runs untraced.  Either way the trace is
-   created inside the request-id scope, so its trace_id is the
-   request's. *)
-let with_request_trace cfg seq ~inline f =
-  let sampled =
-    cfg.trace_dir <> None
-    &&
-    match cfg.trace_sample with Some n when n > 1 -> seq mod n = 0 | _ -> true
-  in
-  match inline with
-  | None when not sampled -> f ()
-  | _ ->
-      let trace = match inline with Some tr -> tr | None -> T.create () in
-      let v =
-        T.with_trace trace (fun () ->
-            T.span ~attrs:[ ("request", T.I seq) ] "serve.request" f)
-      in
-      (match cfg.trace_dir with
-      | Some dir when sampled ->
-          let path =
-            Filename.concat dir (Printf.sprintf "req-%d.trace.jsonl" seq)
-          in
-          ignore
-            (Guard.protect (fun () ->
-                 Out_channel.with_open_bin path (fun oc ->
-                     Out_channel.output_string oc (T.to_jsonl trace))))
-      | _ -> ());
-      v
-
 (* The worker-side request handler.  Totalised twice over: the pipeline
    inside is {!Batch.run_source} (already total), the outer
    {!Guard.protect} installs the request's admission-time deadline as the
@@ -268,21 +235,26 @@ let with_request_trace cfg seq ~inline f =
    last-resort conversion of a response-rendering bug into an error
    response rather than a recycled-but-silent worker. *)
 let handle cfg cache req =
-  (* everything the request records — trace events, flight entries, its
-     response — carries the trace id allocated at admission *)
-  T.with_request_id req.rq_tid @@ fun () ->
   try
     let line = req.rq_line in
     let id = req.rq_id in
+    (* two trace consumers: [trace_dir] takes every event of a sampled
+       request as [req-<seq>.trace.jsonl], and a request line carrying
+       ["trace": true] gets its newest events inlined in the response *)
+    let inline = Jsonl.bool_field line "trace" = Some true in
+    let sampled =
+      cfg.trace_dir <> None
+      &&
+      match cfg.trace_sample with
+      | Some n when n > 1 -> req.rq_seq mod n = 0
+      | _ -> true
+    in
+    (* everything the request records — trace events, flight dumps, its
+       response — carries the trace id allocated at admission *)
+    let record = inline || sampled in
+    T.with_request_id ~record req.rq_tid @@ fun () ->
     T.Metrics.incr m_requests;
     let t0 = Unix.gettimeofday () in
-    (* per-request trace toggle: a bounded dedicated ring whose events are
-       inlined in the response *)
-    let inline =
-      if Jsonl.bool_field line "trace" = Some true then
-        Some (T.create ~capacity:4096 ())
-      else None
-    in
     let response =
       Chaos.with_scope (Printf.sprintf "req-%d" req.rq_seq) @@ fun () ->
       (* the "serve.wedge" site models the failure the watchdog exists for:
@@ -299,7 +271,12 @@ let handle cfg cache req =
           while Unix.gettimeofday () < until do
             ignore (Sys.opaque_identity 0)
           done);
-      with_request_trace cfg req.rq_seq ~inline @@ fun () ->
+      (* a root span only when traced: a flight dump taken inside an
+         untraced request then holds closed spans only *)
+      (if record then
+         T.span ~attrs:[ ("request", T.I req.rq_seq) ] "serve.request"
+       else fun f -> f ())
+      @@ fun () ->
       let src =
         match Jsonl.string_field line "script" with
         | Some s -> Ok s
@@ -352,16 +329,25 @@ let handle cfg cache req =
               error_json ~id ~kind:(Guard.failure_label failure)
                 ~detail:(Guard.failure_to_string failure))
     in
+    (match (cfg.trace_dir, T.current_trace ()) with
+    | Some dir, Some trace when sampled ->
+        let path =
+          Filename.concat dir (Printf.sprintf "req-%d.trace.jsonl" req.rq_seq)
+        in
+        ignore
+          (Guard.protect (fun () ->
+               Out_channel.with_open_bin path (fun oc ->
+                   Out_channel.output_string oc (T.to_jsonl trace))))
+    | _ -> ());
     let response =
-      match inline with
-      | None -> response
-      | Some tr ->
-          (* splice the inline trace into the already-rendered response *)
-          let n = String.length response in
-          if n > 0 && response.[n - 1] = '}' then
-            String.sub response 0 (n - 1)
-            ^ Printf.sprintf ", \"trace\": %s}" (T.events_to_json_array tr)
-          else response
+      let n = String.length response in
+      match T.current_trace () with
+      | Some trace when inline && n > 0 && response.[n - 1] = '}' ->
+          (* splice the newest events into the already-rendered response *)
+          String.sub response 0 (n - 1)
+          ^ Printf.sprintf ", \"trace\": %s}"
+              (T.events_to_json_array ~last:4096 trace)
+      | _ -> response
     in
     respond req response;
     note_request_ms ((Unix.gettimeofday () -. t0) *. 1000.0)
@@ -370,7 +356,7 @@ let handle cfg cache req =
       (error_json ~id:req.rq_id ~kind:"internal"
          ~detail:(Printexc.to_string e));
     (* re-raise so the service pool counts the recycle (and dumps the
-       flight ring while this domain's entries are still the request's) *)
+       domain's ring while it still holds the request's events) *)
     raise e
 
 (* ---------- listener-side ops ---------- *)
@@ -387,54 +373,13 @@ let health_json ~id ~started ~service ~draining cfg =
     cfg.jobs cfg.queue_cap
     (Unix.gettimeofday () -. started)
 
-(* the self-healing plane's state, shared between the daemon's [metrics]
-   op and the CLI's [--summary] rendering *)
-let selfheal_json () =
-  let c name = T.Metrics.counter_value (T.Metrics.counter name) in
-  Printf.sprintf
-    "{\"recycled\": %d, \"recycled_mem\": %d, \"wedged\": %d, \
-     \"respawns\": %d, \"respawn_failures\": %d, \
-     \"quarantine\": {\"enabled\": %b, \"rules\": {%s}}, \"memory\": %s}"
-    (c "pool.service.recycled")
-    (c "pool.service.recycled_mem")
-    (c "pool.service.wedged")
-    (c "pool.service.respawns")
-    (c "pool.service.respawn_failures")
-    (Quarantine.enabled ())
-    (String.concat ", "
-       (List.map
-          (fun (rule, st) ->
-            Printf.sprintf "%s: %s" (T.json_string rule)
-              (T.json_string st))
-          (Quarantine.snapshot ())))
-    (Memwatch.to_json ())
-
 let metrics_json ~id ~cache =
-  let cs = Recover.Cache.stats cache in
-  let hit_rate =
-    if cs.Recover.Cache.lookups = 0 then 0.0
-    else
-      float_of_int cs.Recover.Cache.hits
-      /. float_of_int cs.Recover.Cache.lookups
-  in
-  (* the dynamic-recovery funnel over the daemon's lifetime, from the
-     process-wide metrics registry (workers share it) *)
-  let dyn name = T.Metrics.counter_value (T.Metrics.counter name) in
   Printf.sprintf
-    "{\"id\": %s, \"status\": \"ok\", \"op\": \"metrics\", \
-     \"cache\": {\"entries\": %d, \"lookups\": %d, \"hits\": %d, \
-     \"hit_rate\": %.3f, \"evictions\": %d, \"persistent_loads\": %d}, \
-     \"dynamic\": {\"attempted\": %d, \"recovered\": %d, \
-     \"rolled_back\": %d, \"unverifiable\": %d}, \
-     \"selfheal\": %s, \"metrics\": %s}"
-    id cs.Recover.Cache.entries cs.Recover.Cache.lookups
-    cs.Recover.Cache.hits hit_rate cs.Recover.Cache.evictions
-    cs.Recover.Cache.persistent_loads
-    (dyn "recover.dynamic.attempted")
-    (dyn "recover.dynamic.recovered")
-    (dyn "verify.dynamic_rolled_back")
-    (dyn "recover.dynamic.unverifiable")
-    (selfheal_json ())
+    "{\"id\": %s, \"status\": \"ok\", \"op\": \"metrics\", \"cache\": %s, \
+     \"dynamic\": %s, \"selfheal\": %s, \"metrics\": %s}"
+    id
+    (Batch.cache_json (Recover.Cache.stats cache))
+    (Batch.dynamic_json ()) (Batch.selfheal_json ())
     (Jsonl.oneline (T.Metrics.snapshot_to_json (T.Metrics.snapshot ())))
 
 (* ---------- sockets ---------- *)

@@ -19,7 +19,7 @@
        [max_timeout_s];}
     {- [verify] — override the server's semantic-gate default;}
     {- [trace] — [true] inlines the request's span events as a [trace]
-       array in the response (bounded ring, observation-only).}}
+       array in the response (its newest 4096 events, observation-only).}}
 
     Responses: [{"id":…, "status":"ok"|"degraded", "trace_id":…,
     "output":…, "report":{…}}] with the same per-file report object as
@@ -94,7 +94,7 @@ type config = {
       (** write per-request traces here ([req-<seq>.trace.jsonl]) *)
   trace_sample : int option;
       (** with [trace_dir]: serialize only every n-th request's trace;
-          the rest record into a reusable per-domain scratch ring *)
+          the rest run untraced *)
   metrics_out : string option;
       (** write a final metrics snapshot here on drain *)
   metrics_addr : bind option;

@@ -186,7 +186,7 @@ module Service = struct
            with e ->
              Telemetry.Metrics.incr m_recycled;
              (* black-box forensics before the worker moves on: the domain's
-                flight ring still holds the spans the dying request recorded *)
+                ring still holds the events the dying request recorded *)
              ignore
                (Telemetry.Flight.dump
                   ~reason:("worker-recycled: " ^ Printexc.to_string e)

@@ -2,10 +2,10 @@
 
     Zero external dependencies and domain-safe by construction:
     {ul
-    {- the {e tracer} writes into a per-run ring buffer installed as an
-       ambient, {e domain-local} context ([Domain.DLS]) — a trace belongs to
-       exactly one domain at a time, so its buffer needs no locking, and
-       parallel batch workers each trace their own file without contention;}
+    {- the {e tracer} writes into a ring buffer installed as an ambient,
+       {e domain-local} context ([Domain.DLS]) — one ring per domain, reset
+       per request, so its buffer needs no locking and parallel batch
+       workers each record their own file without contention;}
     {- the {e metrics registry} is process-global and written from every
        pool domain concurrently, so every cell is an [Atomic] (float cells
        use a CAS loop) and registration takes a mutex;}
@@ -137,10 +137,10 @@ end
 (* ---------- trace / request identifiers ---------- *)
 
 (* Trace ids correlate one request's (or one batch file's) events across
-   the span stream, the flight recorder and the response protocol.  They
-   are {e observation-only}: allocation draws from a process-global
-   counter, never from the chaos stream or anything output-affecting, so
-   ids vary across runs while outputs stay byte-identical. *)
+   the trace file, the flight dump and the response protocol.  They are
+   {e observation-only}: allocation draws from a process-global counter,
+   never from the chaos stream or anything output-affecting, so ids vary
+   across runs while outputs stay byte-identical. *)
 
 let id_counter = Atomic.make 0
 
@@ -157,19 +157,12 @@ let new_trace_id () =
     (Atomic.fetch_and_add id_counter 1 land 0xffffff)
 
 (* The ambient request id of the current domain: installed around one
-   request (or one batch file), picked up by traces created or reset in
-   scope and stamped on every flight-recorder entry. *)
+   request (or one batch file) and picked up by traces created or reset in
+   scope. *)
 let current_request : string option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let current_request_id () = Domain.DLS.get current_request
-
-let with_request_id rid f =
-  let previous = Domain.DLS.get current_request in
-  Domain.DLS.set current_request (Some rid);
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_request previous)
-    f
 
 (* ---------- trace events ---------- *)
 
@@ -207,6 +200,7 @@ type trace = {
   mutable last_ms : float;  (** monotonicity clamp for [t_ms] *)
   mutable next_id : int;
   mutable stack : open_span list;  (** innermost open span first *)
+  mutable flushed : int;  (** events below this seq were flight-dumped *)
 }
 
 let fresh_trace_id () =
@@ -218,10 +212,10 @@ let create ?(capacity = 65536) () =
   let capacity = max 16 capacity in
   { buf = Array.make capacity dummy_event; capacity;
     trace_id = fresh_trace_id (); pushed = 0; dropped = 0;
-    created = Unix.gettimeofday (); last_ms = 0.0; next_id = 0; stack = [] }
+    created = Unix.gettimeofday (); last_ms = 0.0; next_id = 0; stack = [];
+    flushed = 0 }
 
 let trace_id t = t.trace_id
-let set_trace_id t id = t.trace_id <- id
 
 (* The wall clock can step backwards (NTP); event timestamps are clamped to
    the previous event's, so the stream is non-decreasing by construction. *)
@@ -238,9 +232,8 @@ let push t kind name ~id ~parent attrs =
   t.pushed <- t.pushed + 1
 
 (* Rewind a trace for reuse without reallocating the ring: a long-running
-   daemon (or a sampling batch run) traces thousands of requests, and a
-   fresh 64k-slot ring per request is pure allocator pressure when most
-   traces are never serialized. *)
+   daemon (or a batch run) records thousands of requests, and a fresh
+   64k-slot ring per request is pure allocator pressure. *)
 let reset t =
   t.trace_id <- fresh_trace_id ();
   t.created <- Unix.gettimeofday ();
@@ -248,13 +241,13 @@ let reset t =
   t.dropped <- 0;
   t.last_ms <- 0.0;
   t.next_id <- 0;
-  t.stack <- []
+  t.stack <- [];
+  t.flushed <- 0
 
 (* ---------- ambient installation (Domain.DLS) ---------- *)
 
 let ambient : trace option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let install t = Domain.DLS.set ambient (Some t)
 let uninstall () = Domain.DLS.set ambient None
 
 let with_trace t f =
@@ -262,142 +255,40 @@ let with_trace t f =
   Domain.DLS.set ambient (Some t);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient previous) f
 
-(* ---------- flight recorder ---------- *)
+let current_trace () = Domain.DLS.get ambient
 
-(* A black box for the daemon: each domain keeps a fixed ring of the most
-   recent spans/events it recorded, fed from the same instrumentation call
-   sites as the tracer but independent of any installed trace.  On a fault
-   — a recycled worker, a deadline blown, a chaos probe contained, a
-   diverged verify verdict — the ring is dumped as JSONL and cleared, so
-   every fault gets the events leading up to it at zero serialization cost
-   on the happy path.  Disabled (the default) it costs one atomic load per
-   instrumentation call and records nothing. *)
-module Flight = struct
-  type entry = {
-    f_seq : int;  (** total entries ever recorded by this domain *)
-    f_at : float;  (** wall clock, epoch seconds *)
-    f_kind : string;  (** "begin" | "end" | "event" | "note" *)
-    f_name : string;
-    f_attrs : attr list;
-    f_trace : string;  (** ambient request id at record time, "" if none *)
-  }
+(* ---------- request scope ---------- *)
 
-  let capacity = 512
+(* [Some dir]: flight dumps go to [dir], and every request records *)
+let flight_sink : string option Atomic.t = Atomic.make None
 
-  type ring = { slots : entry array; mutable total : int }
+(* The domain's one event ring, allocated by the first request that
+   records on this domain and reset by every later one.  The trace file,
+   the serve response's inline trace and the flight dump are all drains of
+   it, so an event is recorded once whichever of them is on. *)
+let domain_ring : trace option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-  let dummy_entry =
-    { f_seq = 0; f_at = 0.0; f_kind = ""; f_name = ""; f_attrs = [];
-      f_trace = "" }
-
-  let ring_key : ring Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { slots = Array.make capacity dummy_entry; total = 0 })
-
-  (* [Some dir] = record, dump into [dir]; the boolean mirror is the hot
-     path's single atomic load *)
-  let sink : string option Atomic.t = Atomic.make None
-  let on : bool Atomic.t = Atomic.make false
-
-  let set_sink d =
-    Atomic.set sink d;
-    Atomic.set on (Option.is_some d)
-
-  let enabled () = Atomic.get on
-
-  let dump_counter = Atomic.make 0
-  let dumps_total () = Atomic.get dump_counter
-
-  let note ?(attrs = []) ~kind name =
-    if Atomic.get on then begin
-      let r = Domain.DLS.get ring_key in
-      let rid =
-        match Domain.DLS.get current_request with Some s -> s | None -> ""
-      in
-      r.slots.(r.total mod capacity) <-
-        { f_seq = r.total; f_at = Unix.gettimeofday (); f_kind = kind;
-          f_name = name; f_attrs = attrs; f_trace = rid };
-      r.total <- r.total + 1
-    end
-
-  let record ?attrs name = note ?attrs ~kind:"note" name
-
-  let entries () =
-    let r = Domain.DLS.get ring_key in
-    let n = min r.total capacity in
-    let first = r.total - n in
-    List.init n (fun i -> r.slots.((first + i) mod capacity))
-
-  let clear () =
-    let r = Domain.DLS.get ring_key in
-    r.total <- 0
-
-  let entry_to_json e =
-    Printf.sprintf
-      "{\"seq\": %d, \"at\": %.6f, \"kind\": %s, \"name\": %s, \
-       \"trace_id\": %s, \"attrs\": %s}"
-      e.f_seq e.f_at (json_string e.f_kind) (json_string e.f_name)
-      (json_string e.f_trace)
-      (attrs_to_json e.f_attrs)
-
-  (* the dump body: a header line carrying the dump reason, the triggering
-     request's trace id and the recording domain, then the ring oldest
-     first *)
-  let render ~reason () =
-    let es = entries () in
-    let rid =
-      match Domain.DLS.get current_request with
-      | Some s -> s
-      | None -> (
-          (* outside the request scope (e.g. the pool's recycle catch):
-             attribute the dump to the last recorded request *)
-          match List.rev es with
-          | e :: _ when e.f_trace <> "" -> e.f_trace
-          | _ -> "")
+let with_request_id ?(record = false) rid f =
+  let previous = Domain.DLS.get current_request in
+  Domain.DLS.set current_request (Some rid);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set current_request previous)
+  @@ fun () ->
+  if record || Option.is_some (Atomic.get flight_sink) then begin
+    let t =
+      match Domain.DLS.get domain_ring with
+      | Some t -> t
+      | None ->
+          let t = create () in
+          Domain.DLS.set domain_ring (Some t);
+          t
     in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"kind\": \"flight\", \"reason\": %s, \"trace_id\": %s, \
-          \"domain\": %d, \"at\": %.6f, \"entries\": %d}\n"
-         (json_string reason) (json_string rid)
-         (Domain.self () :> int)
-         (Unix.gettimeofday ()) (List.length es));
-    List.iter
-      (fun e ->
-        Buffer.add_string buf (entry_to_json e);
-        Buffer.add_char buf '\n')
-      es;
-    Buffer.contents buf
+    reset t;
+    with_trace t f
+  end
+  else f ()
 
-  (* Dump the current domain's ring to the sink directory and clear it.
-     Totalised: a failing dump (unwritable directory, disk full) is
-     recording, and recording must never take the request path down with
-     it.  Returns the path written, [None] when disabled or the write
-     failed. *)
-  let dump ~reason () =
-    match Atomic.get sink with
-    | None -> None
-    | Some dir -> (
-        let body = render ~reason () in
-        clear ();
-        let n = Atomic.fetch_and_add dump_counter 1 in
-        let path =
-          Filename.concat dir
-            (Printf.sprintf "flight-%d-%d.jsonl" (Unix.getpid ()) n)
-        in
-        try
-          (try
-             if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc body);
-          Some path
-        with _ -> None)
-end
-
-let active () =
-  Option.is_some (Domain.DLS.get ambient) || Flight.enabled ()
+let active () = Option.is_some (Domain.DLS.get ambient)
 
 let current_span t =
   match t.stack with [] -> 0 | s :: _ -> s.os_id
@@ -405,7 +296,6 @@ let current_span t =
 (* ---------- recording ---------- *)
 
 let span_begin ?(attrs = []) name =
-  if Atomic.get Flight.on then Flight.note ~attrs ~kind:"begin" name;
   match Domain.DLS.get ambient with
   | None -> 0
   | Some t ->
@@ -427,8 +317,6 @@ let span_end ?(attrs = []) id =
           | [] -> []  (* unknown id (already closed): drop nothing *)
           | s :: rest when s.os_id = id ->
               push t Span_end s.os_name ~id:s.os_id ~parent:s.os_parent attrs;
-              if Atomic.get Flight.on then
-                Flight.note ~attrs ~kind:"end" s.os_name;
               rest
           | s :: rest ->
               push t Span_end s.os_name ~id:s.os_id ~parent:s.os_parent [];
@@ -448,17 +336,18 @@ let span ?attrs name f =
       raise e
 
 let event ?(attrs = []) name =
-  if Atomic.get Flight.on then Flight.note ~attrs ~kind:"event" name;
   match Domain.DLS.get ambient with
   | None -> ()
   | Some t -> push t Point name ~id:0 ~parent:(current_span t) attrs
 
 (* ---------- reading a trace back ---------- *)
 
-let events t =
-  let n = min t.pushed t.capacity in
-  let first = t.pushed - n in
-  List.init n (fun i -> t.buf.((first + i) mod t.capacity))
+(* the buffered events with [seq >= from], oldest first *)
+let events_from t from =
+  let first = max from (t.pushed - min t.pushed t.capacity) in
+  List.init (t.pushed - first) (fun i -> t.buf.((first + i) mod t.capacity))
+
+let events t = events_from t 0
 
 let dropped t = t.dropped
 
@@ -494,12 +383,84 @@ let to_jsonl t =
        (json_string t.trace_id) t.pushed t.dropped);
   Buffer.contents buf
 
-(** The buffered events as one single-line JSON array — the serve
-    protocol's inline [trace] response field. *)
-let events_to_json_array t =
+let events_to_json_array ~last t =
   "["
-  ^ String.concat ", " (List.map (event_to_json ?trace_id:None) (events t))
+  ^ String.concat ", "
+      (List.map (event_to_json ?trace_id:None) (events_from t (t.pushed - last)))
   ^ "]"
+
+(* ---------- flight recorder ---------- *)
+
+(* The black-box drain of the domain ring: on a fault — a recycled worker,
+   a deadline blown, a chaos probe contained, a diverged verify verdict —
+   the newest events not dumped before are written as JSONL, so every
+   fault gets the events leading up to it at zero serialization cost on
+   the happy path.  A dump only moves the ring's [flushed] mark: the
+   request's trace file still gets every event. *)
+module Flight = struct
+  let capacity = 512
+
+  let set_sink d = Atomic.set flight_sink d
+  let enabled () = Option.is_some (Atomic.get flight_sink)
+
+  let dump_counter = Atomic.make 0
+  let dumps_total () = Atomic.get dump_counter
+
+  (* the dump body: a header line carrying the dump reason, the triggering
+     request's trace id and the recording domain, then the events oldest
+     first *)
+  let render ~reason () =
+    let tid, es =
+      match Domain.DLS.get domain_ring with
+      | None -> ("", [])
+      | Some t ->
+          let es = events_from t (max t.flushed (t.pushed - capacity)) in
+          t.flushed <- t.pushed;
+          (t.trace_id, es)
+    in
+    (* outside the request scope (e.g. the pool's recycle catch) the ring
+       still holds the last request's events and id *)
+    let rid =
+      match Domain.DLS.get current_request with Some s -> s | None -> tid
+    in
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "{\"kind\": \"flight\", \"reason\": %s, \"trace_id\": %s, \
+          \"domain\": %d, \"at\": %.6f, \"entries\": %d}\n"
+         (json_string reason) (json_string rid)
+         (Domain.self () :> int)
+         (Unix.gettimeofday ()) (List.length es));
+    List.iter
+      (fun e ->
+        Buffer.add_string buf (event_to_json ~trace_id:tid e);
+        Buffer.add_char buf '\n')
+      es;
+    Buffer.contents buf
+
+  (* Totalised: a failing dump (unwritable directory, disk full) is
+     recording, and recording must never take the request path down with
+     it.  Returns the path written, [None] when disabled or the write
+     failed. *)
+  let dump ~reason () =
+    match Atomic.get flight_sink with
+    | None -> None
+    | Some dir -> (
+        let body = render ~reason () in
+        let n = Atomic.fetch_and_add dump_counter 1 in
+        let path =
+          Filename.concat dir
+            (Printf.sprintf "flight-%d-%d.jsonl" (Unix.getpid ()) n)
+        in
+        try
+          (try
+             if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+           with Unix.Unix_error _ | Sys_error _ -> ());
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc body);
+          Some path
+        with _ -> None)
+end
 
 (* ---------- metrics registry ---------- *)
 

@@ -4,19 +4,23 @@
     {ul
     {- a {e span/event tracer} — nestable spans and point events with
        monotonic (non-decreasing) millisecond timestamps and typed
-       attributes, recorded into a per-run ring buffer that serializes to
-       JSONL.  A trace is installed as the {e ambient} context of the
-       current domain ([Domain.DLS]), so instrumented code anywhere below
-       records into it without threading a handle — and parallel batch
-       workers, each installing their own per-file trace, never share a
-       buffer;}
+       attributes.  Each domain has one event ring, allocated only when a
+       request asks for its trace or the flight recorder is on, reset at
+       the start of every request ({!with_request_id}) and installed as
+       the domain's {e ambient} trace ([Domain.DLS]), so instrumented code
+       anywhere below records into it without threading a handle and
+       parallel batch workers never share a buffer.  Every span begin,
+       span end and event is recorded into it once; the trace file
+       ({!to_jsonl}), the serve response's inline trace
+       ({!events_to_json_array}) and the flight dump ({!Flight.dump}) are
+       drains of that ring, rendered line by line the same way;}
     {- a {e metrics registry} — process-global named counters, gauges and
        log-scale latency histograms, every cell an [Atomic], safe to bump
        from any pool domain concurrently and aggregated by {!Metrics.snapshot};}
     {- a {e leveled logger} — [error|warn|info|debug] to stderr, silent by
        default, for the ad-hoc prints a pipeline otherwise accretes.}}
 
-    The disabled fast path (no ambient trace installed) is a domain-local
+    The disabled fast path (no ambient trace installed) is one domain-local
     read plus a comparison — no allocation — so call sites stay
     unconditional even in hot loops. *)
 
@@ -68,23 +72,18 @@ end
 
 (** {1 Trace / request identifiers}
 
-    Correlation ids for request-scoped tracing: the daemon (or batch
-    driver) installs one id around each request, and everything recorded
-    in scope — trace events, flight-recorder entries, response fields —
-    carries it.  Ids are observation-only: they draw from a process
-    counter, never from anything output-affecting. *)
+    Correlation ids for request-scoped tracing: the daemon, the batch
+    driver and a single-file run each open one request scope
+    ({!with_request_id}) per request, and everything recorded in it — trace
+    lines, flight dumps, response fields — carries its id.  Ids are
+    observation-only: they draw from a process counter, never from anything
+    output-affecting. *)
 
 val new_trace_id : unit -> string
 (** A fresh process-unique id (["nonce-counter"], hex). *)
 
 val current_request_id : unit -> string option
 (** The ambient request id of this domain, if one is installed. *)
-
-val with_request_id : string -> (unit -> 'a) -> 'a
-(** Install [rid] as this domain's ambient request id for the duration of
-    the call (exception-safe, restores the previous id).  Traces created
-    or {!reset} in scope adopt it as their {!trace_id}; flight-recorder
-    entries stamp it. *)
 
 (** {1 Traces} *)
 
@@ -103,10 +102,11 @@ type event = {
 }
 
 type trace
-(** A bounded per-run event buffer.  Single-domain by design: install it
-    with {!with_trace} and record through the ambient API.  When more than
-    [capacity] events are pushed the ring overwrites the oldest and counts
-    them in {!dropped}. *)
+(** A bounded event ring.  Single-domain by design: install it with
+    {!with_trace} (or let {!with_request_id} install the domain's ring)
+    and record through the ambient API.  When more than [capacity] events
+    are pushed the ring overwrites the oldest and counts them in
+    {!dropped}. *)
 
 val create : ?capacity:int -> unit -> trace
 (** Default capacity 65536 events (floor 16).  The new trace's
@@ -116,28 +116,36 @@ val create : ?capacity:int -> unit -> trace
 val trace_id : trace -> string
 (** The trace's correlation id, stamped on every serialized event line. *)
 
-val set_trace_id : trace -> string -> unit
-
 val reset : trace -> unit
 (** Rewind the trace to empty for reuse, keeping the allocated ring: the
-    clock restarts, sequence numbers and span ids restart at 0, and the
-    open-span stack is cleared.  Long-running services (and sampling batch
-    runs) reuse one ring per domain instead of allocating one per
-    request. *)
-
-val install : trace -> unit
-(** Make [trace] the current domain's ambient trace. *)
+    clock restarts, sequence numbers and span ids restart at 0, the
+    open-span stack is cleared, and the {!trace_id} is taken afresh from
+    the ambient request id. *)
 
 val uninstall : unit -> unit
+(** Clear the current domain's ambient trace. *)
 
 val with_trace : trace -> (unit -> 'a) -> 'a
-(** Install for the duration of the call (exception-safe), restoring the
-    previously ambient trace afterwards. *)
+(** Install [trace] as the current domain's ambient trace for the duration
+    of the call (exception-safe), restoring the previous one afterwards. *)
+
+val current_trace : unit -> trace option
+(** The current domain's ambient trace. *)
+
+val with_request_id : ?record:bool -> string -> (unit -> 'a) -> 'a
+(** Run one request: [rid] is this domain's ambient request id for the
+    duration of the call (exception-safe, restores the previous id).  When
+    [record] is set (the caller wants the request's trace) or the flight
+    recorder is on, the domain's one event ring — allocated by the first
+    such request on the domain, 65536 events — is reset, adopts [rid] as
+    its {!trace_id}, and is installed as the ambient trace for the call;
+    read it back with {!current_trace}.  Otherwise nothing records and no
+    ring is allocated.  A nested call starts a new request on the same
+    ring. *)
 
 val active : unit -> bool
-(** Whether anything records in this domain — an ambient trace installed,
-    or the flight recorder enabled — the guard hot call sites use before
-    building attribute lists. *)
+(** Whether an ambient trace is installed in this domain — the guard hot
+    call sites use before building attribute lists. *)
 
 val span : ?attrs:attr list -> string -> (unit -> 'a) -> 'a
 (** [span name f] wraps [f] in a begin/end event pair nested under the
@@ -162,41 +170,42 @@ val events : trace -> event list
 val dropped : trace -> int
 
 val to_jsonl : trace -> string
-(** One JSON object per event per line, oldest first — each line carrying
-    the trace's {!trace_id} alongside the span [id]/[parent] pair — closed
-    by a summary line [{"kind": "summary", "trace_id": …, "events": total,
-    "dropped": n}]. *)
+(** The trace file: one {!event} JSON object per line, oldest first — each
+    line carrying the trace's {!trace_id} alongside the span
+    [id]/[parent] pair — closed by a summary line [{"kind": "summary",
+    "trace_id": …, "events": total, "dropped": n}]. *)
 
-val events_to_json_array : trace -> string
-(** The buffered events as one single-line JSON array (no summary line) —
-    the serve protocol's inline [trace] response field. *)
+val events_to_json_array : last:int -> trace -> string
+(** The newest [last] buffered events as one single-line JSON array (no
+    summary line, no trace id) — the serve protocol's inline [trace]
+    response field.  Lines are rendered as in {!to_jsonl}. *)
 
 (** {1 Flight recorder}
 
-    A per-domain black box: a fixed ring of the most recent spans/events,
-    fed from the same instrumentation call sites as the tracer but
-    independent of any installed trace, dumped as JSONL when a fault
-    warrants forensics (worker recycled, deadline blown, chaos containment,
-    diverged verdict).  Disabled — the default — it costs one atomic load
-    per instrumentation call; enabled, recording is allocation-light and
-    serialization happens only at dump time. *)
+    A black box drained from the same per-domain ring as the trace file:
+    with a sink set, every request records (see {!with_request_id}), and
+    when a fault warrants forensics (worker recycled, deadline blown,
+    chaos containment, diverged verdict) {!Flight.dump} writes the newest
+    events as JSONL.  Disabled — the default — it costs nothing on the
+    recording path and allocates no ring. *)
 module Flight : sig
   val set_sink : string option -> unit
-  (** [Some dir] enables recording and directs dumps into [dir] (created
-      on first dump if missing); [None] (the default) disables. *)
+  (** [Some dir] makes every request record and directs dumps into [dir]
+      (created on first dump if missing); [None] (the default)
+      disables. *)
 
   val enabled : unit -> bool
 
-  val record : ?attrs:attr list -> string -> unit
-  (** Append an explicit entry (kind ["note"]) to this domain's ring — for
-      context the automatic span/event feed does not carry. *)
-
   val dump : reason:string -> unit -> string option
-  (** Serialize this domain's ring (header line with [reason], the
-      triggering request's trace id and the domain id, then one line per
-      entry, oldest first), write it to the sink directory, and clear the
-      ring.  Returns the path written; [None] when disabled or the write
-      failed — a failing dump never takes the request path down. *)
+  (** Write this domain's newest events — the last 512, excluding any an
+      earlier dump of the same request already wrote — to the sink
+      directory: a header line [{"kind": "flight", "reason", "trace_id",
+      "domain", "at", "entries"}] whose trace id is the ambient request's
+      (else the ring's last request's), then one line per event, oldest
+      first, rendered as in {!to_jsonl}.  The ring itself keeps every
+      event, so the request's trace file is complete.  Returns the path
+      written; [None] when disabled or the write failed — a failing dump
+      never takes the request path down. *)
 
   val dumps_total : unit -> int
   (** Dumps attempted since process start (monotonic, process-wide). *)

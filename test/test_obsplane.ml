@@ -251,7 +251,118 @@ let test_flight_disabled_is_silent () =
   check_b "disabled" true (not (T.Flight.enabled ()));
   let before = T.Flight.dumps_total () in
   check_b "dump without sink is None" true (T.Flight.dump ~reason:"noop" () = None);
-  check_i "no dump counted" before (T.Flight.dumps_total ())
+  check_i "no dump counted" before (T.Flight.dumps_total ());
+  T.with_request_id (T.new_trace_id ()) (fun () ->
+      check_b "an unrecorded request installs no ring" true
+        (T.current_trace () = None))
+
+(* A file the gate rules [diverged]: per-site chaos faults every log
+   comparison, so no rollback round can restore equivalence. *)
+let diverged_sample dir =
+  let path = Filename.concat dir "d.ps1" in
+  write_file path
+    "$v1 = 'a1' + 'b'; Write-Output $v1\n$v2 = 'a2' + 'b'; Write-Output $v2\n";
+  path
+
+let with_verify_diff_chaos f =
+  Chaos.set
+    (Some { Chaos.seed = 3; rate = 0.0; site_rates = [ ("verify.diff", 1.0) ] });
+  Fun.protect ~finally:(fun () -> Chaos.set None) f
+
+let read_lines_of path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* every dump in [sink], header line first *)
+let dumps sink =
+  Sys.readdir sink |> Array.to_list |> List.sort String.compare
+  |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+  |> List.map (fun f -> read_lines_of (Filename.concat sink f))
+
+let count_kind kind lines =
+  List.length
+    (List.filter
+       (contains ~needle:(Printf.sprintf "\"kind\": \"%s\"" kind))
+       lines)
+
+let test_flight_dump_closes_spans () =
+  with_temp_dir "flightends" @@ fun dir ->
+  let sink = Filename.concat dir "flight" in
+  let sample = diverged_sample dir in
+  T.Flight.set_sink (Some sink);
+  Fun.protect ~finally:(fun () -> T.Flight.set_sink None) @@ fun () ->
+  (* no trace installed: the file runs untraced, the recorder alone on *)
+  let outcome =
+    with_verify_diff_chaos (fun () ->
+        Deobf.Batch.process_file ~timeout_s:30.0 ~verify:true sample)
+  in
+  check_b "verdict diverged" true
+    (outcome.Deobf.Batch.verdict = Some Deobf.Verify.Diverged);
+  match dumps sink with
+  | [ header :: events ] ->
+      check_b "dump names the verdict" true
+        (contains ~needle:"verify-diverged" header);
+      let begins = count_kind "begin" events in
+      check_b "dump holds spans" true (begins > 0);
+      check_i "one end per begin" begins (count_kind "end" events);
+      let piece_ends =
+        List.filter
+          (contains ~needle:"\"kind\": \"end\", \"name\": \"recover.piece\"")
+          events
+      in
+      check_b "piece ends dumped" true (piece_ends <> []);
+      List.iter
+        (fun l ->
+          check_b "piece end carries its verdict" true
+            (contains ~needle:"\"verdict\": " l))
+        piece_ends
+  | ds -> Alcotest.failf "expected one dump, got %d" (List.length ds)
+
+let test_flight_second_dump_is_new () =
+  with_temp_dir "flighttwice" @@ fun dir ->
+  T.Flight.set_sink (Some dir);
+  Fun.protect ~finally:(fun () -> T.Flight.set_sink None) @@ fun () ->
+  let read p = In_channel.with_open_bin (Option.get p) In_channel.input_all in
+  let first, second =
+    T.with_request_id (T.new_trace_id ()) (fun () ->
+        T.event "obs.first";
+        let a = T.Flight.dump ~reason:"one" () in
+        T.event "obs.second";
+        let b = T.Flight.dump ~reason:"two" () in
+        (read a, read b))
+  in
+  check_b "first dump holds the first event" true
+    (contains ~needle:"obs.first" first);
+  check_b "second dump holds the second event" true
+    (contains ~needle:"obs.second" second);
+  check_b "second dump does not repeat the first" false
+    (contains ~needle:"obs.first" second)
+
+let test_flight_dump_keeps_trace_whole () =
+  with_temp_dir "flighttrace" @@ fun dir ->
+  let sink = Filename.concat dir "flight" in
+  let trace_dir = Filename.concat dir "traces" in
+  Sys.mkdir trace_dir 0o755;
+  let sample = diverged_sample dir in
+  T.Flight.set_sink (Some sink);
+  Fun.protect ~finally:(fun () -> T.Flight.set_sink None) @@ fun () ->
+  ignore
+    (with_verify_diff_chaos (fun () ->
+         Deobf.Batch.process_file ~timeout_s:30.0 ~verify:true ~trace_dir
+           sample));
+  let trace = read_lines_of (Filename.concat trace_dir "d.ps1.trace.jsonl") in
+  match dumps sink with
+  | [ _header :: events ] ->
+      check_b "dump holds events" true (events <> []);
+      List.iter
+        (fun l ->
+          check_b "dumped event is still in the trace file" true
+            (List.mem l trace))
+        events;
+      check_i "trace file: one end per begin" (count_kind "begin" trace)
+        (count_kind "end" trace)
+  | ds -> Alcotest.failf "expected one dump, got %d" (List.length ds)
 
 (* ---------- byte identity across jobs with everything switched on ---------- *)
 
@@ -542,6 +653,78 @@ let test_serve_inline_trace_and_trace_id () =
       in
       check_i "graceful drain exits 0" 0 code
 
+(* One hit-rate definition, hits over lookups of the piece cache, on every
+   surface: the batch rollup here, the serve [metrics] op below, and the
+   CLI's --summary (the cram test compares it with metrics.json). *)
+let test_one_hit_rate_definition () =
+  with_temp_dir "hitrate" @@ fun dir ->
+  let scripts =
+    List.map
+      (fun (s : Corpus.Generator.sample) -> s.obfuscated)
+      (Corpus.Generator.generate ~seed:7 ~count:6)
+  in
+  let files =
+    List.mapi
+      (fun i text ->
+        let path = Filename.concat dir (Printf.sprintf "s%d.ps1" i) in
+        write_file path text;
+        path)
+      scripts
+  in
+  let rate_of hits lookups =
+    Printf.sprintf "%.3f" (float_of_int hits /. float_of_int lookups)
+  in
+  let rendered line =
+    match Jsonl.float_field line "hit_rate" with
+    | Some r -> Printf.sprintf "%.3f" r
+    | None -> Alcotest.failf "no hit_rate in %s" line
+  in
+  let s = Deobf.Batch.run_files ~timeout_s:30.0 ~verify:false files in
+  let cs = Option.get s.Deobf.Batch.cache_stats in
+  check_b "the batch hit the cache" true (cs.Deobf.Recover.Cache.hits > 0);
+  check_s "metrics.json: hits / lookups"
+    (rate_of cs.Deobf.Recover.Cache.hits cs.Deobf.Recover.Cache.lookups)
+    (rendered (Jsonl.oneline (Deobf.Batch.metrics_json s)));
+  let sock = Filename.concat dir "d.sock" in
+  let cfg =
+    { (Serve.default_config (Serve.Unix_sock sock)) with Serve.jobs = 1 }
+  in
+  match Serve.start cfg with
+  | Error e -> Alcotest.failf "start: %s" e
+  | Ok server ->
+      let metrics =
+        Fun.protect ~finally:(fun () -> Serve.stop server) (fun () ->
+            let rec await n =
+              if not (Sys.file_exists sock) && n > 0 then begin
+                Unix.sleepf 0.05;
+                await (n - 1)
+              end
+            in
+            await 100;
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX sock);
+            List.iteri
+              (fun i text ->
+                send_all fd (request_line (Printf.sprintf "r%d" i) text))
+              scripts;
+            ignore (read_lines fd (List.length scripts));
+            send_all fd "{\"op\": \"metrics\", \"id\": \"m\"}\n";
+            match read_lines fd 1 with
+            | [ line ] -> line
+            | _ -> Alcotest.fail "no metrics response")
+      in
+      check_i "graceful drain exits 0" 0 (Serve.wait server);
+      let field k =
+        match Jsonl.int_field metrics k with
+        | Some n -> n
+        | None -> Alcotest.failf "no %s in %s" k metrics
+      in
+      check_b "the daemon hit the cache" true (field "hits" > 0);
+      check_s "serve metrics op: hits / lookups"
+        (rate_of (field "hits") (field "lookups"))
+        (rendered metrics)
+
 let suite =
   [
     Alcotest.test_case "window quantiles on a synthetic stream" `Quick
@@ -560,10 +743,18 @@ let suite =
       test_flight_dump_on_pool_task_fault;
     Alcotest.test_case "flight disabled is silent" `Quick
       test_flight_disabled_is_silent;
+    Alcotest.test_case "flight dump closes every span" `Quick
+      test_flight_dump_closes_spans;
+    Alcotest.test_case "flight second dump is new events" `Quick
+      test_flight_second_dump_is_new;
+    Alcotest.test_case "flight dump keeps the trace file whole" `Quick
+      test_flight_dump_keeps_trace_whole;
     Alcotest.test_case "byte identity across jobs, observability on" `Quick
       test_jobs_identity_with_observability_on;
     Alcotest.test_case "scrape endpoint during chaos flood" `Quick
       test_scrape_during_chaos_flood;
     Alcotest.test_case "inline trace and response trace ids" `Quick
       test_serve_inline_trace_and_trace_id;
+    Alcotest.test_case "one hit-rate definition" `Quick
+      test_one_hit_rate_definition;
   ]

@@ -415,7 +415,7 @@ let test_parsed_piece_reusable () =
   check_b "probe drawn before the syntax error" true faulted;
   (* the recovery cache's piece tier answers the second pass *)
   let module R = Deobf.Recover in
-  let tier = Pscommon.Telemetry.Metrics.counter "recover.cache.tier.program" in
+  let tier = Pscommon.Telemetry.Metrics.counter "recover.cache.tier.piece" in
   let script = "$x = 'he' + 'llo'\nWrite-Output ([char]72 + [char]105)" in
   let ast =
     match Psparse.Parser.parse script with
