@@ -631,6 +631,16 @@ let dynamic_json () =
     (registry_count "verify.dynamic_rolled_back")
     (registry_count "recover.dynamic.unverifiable")
 
+(* the verify reference runs' Invoke-Expression sites: lookups in the
+   request's payload table and payloads reused, the rate being reused
+   over lookups *)
+let payloads_json () =
+  let lookups = registry_count "verify.payload_lookups"
+  and reused = registry_count "verify.payloads_reused" in
+  Printf.sprintf "{\"lookups\": %d, \"reused\": %d, \"reuse_rate\": %.3f}"
+    lookups reused
+    (if lookups = 0 then 0.0 else float_of_int reused /. float_of_int lookups)
+
 (* the self-healing plane: worker churn, the rules the adaptive quarantine
    currently distrusts, and where the heap sits against the governor's
    watermarks *)
@@ -702,10 +712,10 @@ let phase_totals outcomes =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (** The run-level observability rollup written as [metrics.json]: failure
-    sites, the summed per-file stats, the cache, dynamic and self-heal
-    blocks, per-phase wall totals, and the full metrics snapshot (counters,
-    gauges, latency histograms) aggregated across every pool domain of the
-    run. *)
+    sites, the summed per-file stats, the cache, payload-reuse, dynamic
+    and self-heal blocks, per-phase wall totals, and the full metrics
+    snapshot (counters, gauges, latency histograms) aggregated across
+    every pool domain of the run. *)
 let metrics_json s =
   let cs =
     Option.value s.cache_stats
@@ -741,6 +751,7 @@ let metrics_json s =
            (List.map
               (fun (k, n) -> Printf.sprintf "%s: %d" (T.json_string k) n)
               (verdict_counts s.outcomes)));
+      Printf.sprintf "  \"payloads\": %s," (payloads_json ());
       Printf.sprintf "  \"resumed\": %d,"
         (List.length (List.filter (fun o -> o.resumed) s.outcomes));
       Printf.sprintf "  \"dynamic\": %s," (dynamic_json ());

@@ -187,7 +187,10 @@ val summary_to_json : summary -> string
 val metrics_json : summary -> string
 (** The run-level rollup written as [metrics.json]: contained-failure
     counts keyed ["phase/kind"], the summed per-file [stats] (rendered as
-    in the outcome JSON), the {!cache_json}, {!dynamic_json} and
+    in the outcome JSON), the {!cache_json} block, the verify reference
+    runs' payload reuse ([payloads]: [lookups] in a request's
+    decoded-payload table at Invoke-Expression sites, payloads [reused],
+    and [reuse_rate], reused over lookups), the {!dynamic_json} and
     {!selfheal_json} blocks, per-phase wall-time totals, the partial-parse
     [regions] totals, and the current {!Pscommon.Telemetry.Metrics}
     snapshot (counters, gauges and latency histograms aggregated across

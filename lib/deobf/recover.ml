@@ -492,7 +492,8 @@ let piece_end_attrs ~cache_hit result =
     [kind] labels the telemetry span with what the piece syntactically is
     (AST node kind, or the call-site role for command names / payloads).
     With [payload], an evaluation that turns out self-contained is also
-    recorded in [st.payloads] under [text]. *)
+    recorded in [st.payloads], under the evaluation digest of the piece
+    tier's parse of [text]. *)
 let invoke_piece ?(kind = "piece") ?(payload = false) st text =
   st.stats.pieces_attempted <- st.stats.pieces_attempted + 1;
   T.Metrics.incr m_attempted;
@@ -536,7 +537,9 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
                     Pseval.Interp.invoke_payload env ~src:text
                       piece.Cache.parsed
                   in
-                  Option.iter (Hashtbl.replace table text) decoded;
+                  Option.iter
+                    (fun (digest, p) -> Hashtbl.replace table digest p)
+                    decoded;
                   result
               | Some _ | None ->
                   Pseval.Interp.invoke_parsed env ~src:text piece.Cache.parsed)

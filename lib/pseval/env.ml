@@ -70,6 +70,7 @@ type fn = { fn_params : Psast.Ast.variable list; fn_body : Psast.Ast.t }
 type payload = {
   decoded : string;
   steps : int;
+  reads : (string * Psvalue.Value.t) list;
   writes : (string * Psvalue.Value.t) list;
   commands : string list;
   decoded_under : limits;
@@ -78,8 +79,9 @@ type payload = {
 type payloads = (string, payload) Hashtbl.t
 
 (* What recovery watches while it decodes a payload piece: whether the
-   evaluation is self-contained, where its writes landed, and the steps of
-   the piece's lone statement minus that statement's own tick. *)
+   evaluation is self-contained, which outside scalars it read, where its
+   writes landed, and the steps of the piece's lone statement minus that
+   statement's own tick. *)
 type probe = {
   target : Psast.Ast.t;  (** the piece's lone pipeline statement *)
   outer : scope list;  (** the scopes that existed before the piece ran *)
@@ -90,8 +92,15 @@ type probe = {
           them) whose scope key is in [written]: every later read or write
           of them is the piece's own, so the decode loop's [$_] and
           [$input] are checked once, not per element *)
+  mutable reads : (string * Psvalue.Value.t) list;
+      (** outside scalar bindings it read, by scope key, with the value the
+          first read found *)
+  mutable checked : Psast.Ast.var_key list;
+      (** variable keys (physically) whose outside read is in [reads] *)
   mutable looked_up : string list;  (** command names it found undefined *)
   mutable in_place : int;  (** steps of [target]'s pipeline; -1 until done *)
+  sb_text_reads : int;
+      (** {!Psvalue.Value.script_block_text_reads} when the probe started *)
 }
 
 type t = {
@@ -126,8 +135,8 @@ type t = {
   mutable probe : probe option;
       (** [Recovery]: set while a payload piece is decoded for reuse *)
   mutable payloads : payloads option;
-      (** [Sandbox]: payloads recovery already decoded, keyed on the exact
-          text of the argument they decode *)
+      (** [Sandbox]: payloads recovery already decoded, keyed on the
+          {!Psast.Eval_digest} of the stages they decode *)
 }
 
 let new_scope () = { table = Hashtbl.create 16 }
@@ -285,19 +294,33 @@ let rec lookup_in scopes key =
       | Some v -> Some v
       | None -> lookup_in rest key)
 
+(* values a reuse can compare with what the site's bindings hold *)
+let immutable_scalar (v : Psvalue.Value.t) =
+  match v with
+  | Null | Bool _ | Int _ | Float _ | Char _ | Str _ -> true
+  | Arr _ | Hash _ | Script_block _ | Secure_string _ | Obj _ -> false
+
 (* A read is the piece's own when it resolves to a binding the piece
-   wrote; anything else (a seeded or automatic binding, [$env:], a drive
-   scope, a miss) could read differently where the payload runs in place. *)
+   wrote.  A read of an outside binding (seeded or automatic) that holds
+   an immutable scalar is recorded, so a reuse can check that the site
+   reads the same value; anything else (an outside array or object,
+   [$env:], a drive scope, a miss) disqualifies. *)
 let rec probe_resolved p (k : A.var_key) key = function
   | [] -> p.self_contained <- false
   | s :: rest ->
       if not (Hashtbl.mem s.table key) then probe_resolved p k key rest
       else if not (List.memq s p.outer) then ()
       else if List.mem key p.written then p.settled <- k :: p.settled
-      else p.self_contained <- false
+      else
+        let v = Hashtbl.find s.table key in
+        if immutable_scalar v then begin
+          if not (List.mem_assoc key p.reads) then p.reads <- (key, v) :: p.reads;
+          p.checked <- k :: p.checked
+        end
+        else p.self_contained <- false
 
 let probe_read env p (k : A.var_key) =
-  if List.memq k p.settled then ()
+  if List.memq k p.settled || List.memq k p.checked then ()
   else if k.A.drive <> A.No_drive then p.self_contained <- false
   else probe_resolved p k k.A.scope_key env.scopes
 
@@ -487,7 +510,8 @@ let bindings_digest bindings =
 let start_probe env ~target =
   let p =
     { target; outer = env.scopes; self_contained = true; written = [];
-      settled = []; looked_up = []; in_place = -1 }
+      settled = []; reads = []; checked = []; looked_up = []; in_place = -1;
+      sb_text_reads = Psvalue.Value.script_block_text_reads () }
   in
   env.probe <- Some p;
   p
@@ -509,13 +533,14 @@ let finish_probe env p decoded =
   let final key = lookup_in p.outer key in
   if
     p.self_contained && p.in_place >= 0
+    && Psvalue.Value.script_block_text_reads () = p.sb_text_reads
     && List.for_all
          (fun key ->
            match final key with Some v -> replayable v | None -> false)
          p.written
   then
     Some
-      { decoded; steps = p.in_place;
+      { decoded; steps = p.in_place; reads = p.reads;
         writes =
           List.rev_map (fun key -> (key, Option.get (final key))) p.written;
         commands = p.looked_up; decoded_under = env.limits }
@@ -528,13 +553,30 @@ let charge env steps =
   env.steps <- before + steps;
   if before lsr 11 <> env.steps lsr 11 then Guard.check env.limits.deadline
 
-let reuse env (p : payload) =
+let same_scalar (a : Psvalue.Value.t) (b : Psvalue.Value.t) =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> x = y
+  | Int x, Int y -> x = y
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Char x, Char y -> x = y
+  | Str x, Str y -> String.equal x y
+  | _ -> false
+
+let reads_same env (key, v) =
+  match lookup_in env.scopes key with
+  | Some now -> same_scalar v now
+  | None -> false
+
+let reuse env ~commands (p : payload) =
   if
     env.provenance <> None
     || env.steps + p.steps > env.limits.max_steps
     || env.limits.max_string_bytes < p.decoded_under.max_string_bytes
     || env.limits.max_collection < p.decoded_under.max_collection
     || List.exists (Hashtbl.mem env.functions) p.commands
+    || List.exists (Hashtbl.mem env.functions) commands
+    || not (List.for_all (reads_same env) p.reads)
   then false
   else begin
     charge env p.steps;

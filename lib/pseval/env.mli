@@ -50,6 +50,11 @@ type payload = {
   steps : int;
       (** evaluation steps the expression took, counted as in place: the
           piece's own statement tick is not included *)
+  reads : (string * Psvalue.Value.t) list;
+      (** outside bindings it read, by scope key, each an immutable scalar
+          ([Null], [Bool], [Int], [Float], [Char], [Str]) with the value
+          it read: a reuse where one of them holds another value, or none,
+          misses *)
   writes : (string * Psvalue.Value.t) list;
       (** bindings the evaluation left in the scope it ran in, by scope
           key, with their final values — in practice the [$_] and [$input] cursors
@@ -65,14 +70,17 @@ type payload = {
 }
 (** What recovery learned decoding an Invoke-Expression payload whose
     evaluation was self-contained: it returned a string, read only
-    bindings it wrote itself, wrote only into the scope it ran in, called
-    no user function, recorded no event, command-log line or host output,
-    and took no path on which [Recovery] and [Sandbox] mode differ.
-    {!reuse} stands in for the same evaluation in place. *)
+    bindings it wrote itself or outside immutable scalars (recorded in
+    [reads]), wrote only into the scope it ran in, called no user
+    function, recorded no event, command-log line or host output,
+    stringified no script block, and took no path on which [Recovery] and
+    [Sandbox] mode differ.  {!reuse} stands in for the same evaluation in
+    place. *)
 
 type payloads = (string, payload) Hashtbl.t
-(** One request's decoded payloads, keyed on the exact source text of the
-    expression (or pipeline prefix) recovery evaluated. *)
+(** One request's decoded payloads, keyed on the {!Psast.Eval_digest} of
+    the stages recovery evaluated: the expression's parse, or the
+    pipeline prefix's. *)
 
 type probe
 (** The watch {!start_probe} keeps over one recovery evaluation. *)
@@ -206,15 +214,18 @@ val taint : t -> unit
 
 val finish_probe : t -> probe -> string -> payload option
 (** [Some] when the evaluation watched by the probe, which returned
-    [decoded], was self-contained and its target statement finished.  The
-    caller clears [t.probe]. *)
+    [decoded], was self-contained, stringified no script block, and its
+    target statement finished.  The caller clears [t.probe]. *)
 
-val reuse : t -> payload -> bool
-(** Stand in for evaluating the payload's expression in place: charge its
-    steps against the budget (polling the deadline as those ticks would),
-    replay its residual writes as {!set_var} would, and apply {!check_size} to
-    the decoded string.  [false], with nothing changed, when the reuse
-    could not match an in-place evaluation: the steps would cross the
-    budget, a provenance recorder is installed, this run's string or
-    collection caps are lower than the ones it was decoded under, or one
-    of its commands is a user function here. *)
+val reuse : t -> commands:string list -> payload -> bool
+(** Stand in for evaluating the payload's expression in place, at a site
+    whose bareword commands have the folded names [commands] as written
+    ({!Psast.Eval_digest.site}): charge its steps against the budget
+    (polling the deadline as those ticks would), replay its residual
+    writes as {!set_var} would, and apply {!check_size} to the decoded
+    string.  [false], with nothing changed, when the reuse could not match
+    an in-place evaluation: the steps would cross the budget, a provenance
+    recorder is installed, this run's string or collection caps are lower
+    than the ones it was decoded under, one of its commands or of
+    [commands] is a user function here, or one of its [reads] resolves
+    here to another value or to none. *)

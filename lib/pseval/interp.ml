@@ -18,6 +18,9 @@ exception Exit_exc
 
 type ctx = { env : Env.t; src : string; src_exact : bool }
 
+let m_payload_lookups =
+  Pscommon.Telemetry.Metrics.counter "verify.payload_lookups"
+
 let m_payloads_reused =
   Pscommon.Telemetry.Metrics.counter "verify.payloads_reused"
 
@@ -122,11 +125,17 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
           | _ -> Value.Null)
       | _ -> Value.of_list (eval_statement ctx stmt))
   | A.Script_block_expr sb ->
-      let text = strip_braces (node_text ctx t) in
-      Value.Script_block { Value.sb_ast = sb; sb_text = text }
+      Value.Script_block { Value.sb_ast = sb; sb_text = block_text ctx t }
   | A.Pipeline _ | A.Command _ | A.Command_expression _ ->
       Value.of_list (eval_statement ctx t)
   | _ -> eval_fail "cannot evaluate %s as an expression" (A.kind_name t)
+
+(* A script block literal's text.  Where [ctx.src] may not be the text the
+   node's extent indexes, the slice, and whether it is in range at all,
+   depends on where the block sits, not on its parse. *)
+and block_text ctx t =
+  if not ctx.src_exact then Env.taint ctx.env;
+  strip_braces (node_text ctx t)
 
 and strip_braces text =
   let text = String.trim text in
@@ -501,7 +510,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
                        Value.to_bool
                          (Value.of_list
                             (invoke_script_block ctx
-                               { Value.sb_ast = sb; sb_text = strip_braces (node_text ctx pat) }
+                               { Value.sb_ast = sb; sb_text = block_text ctx pat }
                                [] ~input:[ subject ]))
                    | _ ->
                        let pv = eval_expr ctx pat in
@@ -650,19 +659,16 @@ and eval_assignment ctx op lhs rhs =
 and eval_pipeline ctx elems =
   match elems with
   | [ { A.node = A.Command_expression e; _ } ] -> enumerate (eval_expr ctx e)
-  | first :: _ :: _ when ctx.env.Env.payloads <> None -> (
+  | _ :: _ :: _ when payload_table ctx <> None -> (
       (* `<prefix> | iex`: a prefix recovery decoded stands in for running
          the prefix stages; the last stage, its name included, then runs
          as it would in place *)
       match List.rev elems with
       | ({ A.node = A.Command ({ A.cmd_elements = [ A.Elem_name _ ]; _ } as cmd); _ }
          as last)
-        :: prefix_last :: _
+        :: prefix_rev
         when may_name_iex cmd -> (
-          match
-            reused_payload ctx
-              (Pscommon.Extent.union first.A.extent prefix_last.A.extent)
-          with
+          match reused_payload ctx (List.rev prefix_rev) with
           | Some decoded -> run_stages ctx [ decoded ] [ last ]
           | None -> run_stages ctx [] elems)
       | _ -> run_stages ctx [] elems)
@@ -678,17 +684,27 @@ and may_name_iex (cmd : A.command) =
       | _ -> false)
   | None -> true
 
-(* The verify sandbox's reference run: a payload recovery decoded from the
-   text at [extent] replaces evaluating it again (see {!Env.reuse}) *)
-and reused_payload ctx extent =
+(* the reference run's payload table where a site may consult it: a request
+   that recorded no payload pays nothing at its sites *)
+and payload_table ctx =
   match ctx.env.Env.payloads with
-  | Some table when ctx.src_exact -> (
-      match Hashtbl.find_opt table (Pscommon.Extent.text ctx.src extent) with
-      | Some p when Env.reuse ctx.env p ->
+  | Some table as found when ctx.src_exact && Hashtbl.length table > 0 -> found
+  | Some _ | None -> None
+
+(* The verify sandbox's reference run: a payload recovery decoded from a
+   parse with the same digest as [stages] replaces evaluating them again
+   (see {!Env.reuse}) *)
+and reused_payload ctx stages =
+  match payload_table ctx with
+  | Some table -> (
+      Pscommon.Telemetry.Metrics.incr m_payload_lookups;
+      let digest, commands = Psast.Eval_digest.site stages in
+      match Hashtbl.find_opt table digest with
+      | Some p when Env.reuse ctx.env ~commands p ->
           Pscommon.Telemetry.Metrics.incr m_payloads_reused;
           Some (Value.Str p.Env.decoded)
       | Some _ | None -> None)
-  | Some _ | None -> None
+  | None -> None
 
 and run_stages ctx input = function
   | [] -> input
@@ -866,7 +882,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       let payloads =
         match elements with
         | [ A.Elem_argument a ] -> (
-            match reused_payload ctx a.A.extent with
+            match reused_payload ctx [ a ] with
             | Some decoded -> [ decoded ]
             | None -> positional ())
         | _ -> ( match positional () with [] -> input | args -> args)
@@ -1364,15 +1380,16 @@ let lone_pipeline = function
       { A.node =
           A.Script_block
             { A.sb_params = [];
-              sb_statements = [ ({ A.node = A.Pipeline _; _ } as stmt) ]; _ };
+              sb_statements = [ ({ A.node = A.Pipeline stages; _ } as stmt) ];
+              _ };
         _ } ->
-      Some stmt
+      Some (stmt, stages)
   | Ok _ | Error _ -> None
 
 let invoke_payload env ~src parsed =
   match lone_pipeline parsed with
   | None -> (invoke_parsed env ~src parsed, None)
-  | Some target ->
+  | Some (target, stages) ->
       let probe = Env.start_probe env ~target in
       let result =
         Fun.protect
@@ -1381,5 +1398,8 @@ let invoke_payload env ~src parsed =
       in
       ( result,
         match result with
-        | Ok (Value.Str s) -> Env.finish_probe env probe s
+        | Ok (Value.Str s) ->
+            Option.map
+              (fun p -> (Psast.Eval_digest.pipeline stages, p))
+              (Env.finish_probe env probe s)
         | Ok _ | Error _ -> None )

@@ -17,9 +17,10 @@ type ctx = {
   src_exact : bool;
       (** [src] is the text the evaluated AST was parsed from, so a node's
           extent reads the node's own text there.  False inside functions
-          and script blocks, whose extents may index another text; the
-          sandbox then does not look payloads up by text
-          ({!Env.payloads}). *)
+          and script blocks, whose extents may index another text: a
+          script block literal's text read there depends on where the
+          block sits, so a payload probe refuses the evaluation, and the
+          sandbox looks no payload up ({!Env.payloads}). *)
 }
 
 val eval_expr : ctx -> Psast.Ast.t -> Psvalue.Value.t
@@ -67,11 +68,13 @@ val invoke_parsed :
 
 val invoke_payload :
   Env.t -> src:string -> (Psast.Ast.t, string) result ->
-  (Psvalue.Value.t, string) result * Env.payload option
+  (Psvalue.Value.t, string) result * (string * Env.payload) option
 (** {!invoke_parsed} on a [Recovery] environment under an {!Env.probe}:
     the same result, plus what a sandbox needs to reuse it
-    ({!Env.payload}) when the piece is one pipeline statement and its
-    evaluation was self-contained.  The recorded step count is that of
+    ({!Env.payload}) and the key it is reused under (the
+    {!Psast.Eval_digest.pipeline} of the statement's stages) when the
+    piece is one pipeline statement and its evaluation was
+    self-contained.  The recorded step count is that of
     the statement's pipeline alone, which is what the same text costs in
     place: as the argument of Invoke-Expression, or as the stages before
     [| iex]. *)

@@ -80,6 +80,12 @@ let float_to_string f =
     let s = Printf.sprintf "%.15g" f in
     s
 
+(* A script block's text is its source as spelled, so an evaluation that
+   stringifies one can tell two spellings of the same parse apart; the
+   count, per domain, lets a caller notice that it did. *)
+let sb_text_reads = Domain.DLS.new_key (fun () -> ref 0)
+let script_block_text_reads () = !(Domain.DLS.get sb_text_reads)
+
 (* PowerShell-style stringification. *)
 let rec to_string = function
   | Null -> ""
@@ -90,7 +96,9 @@ let rec to_string = function
   | Char c -> String.make 1 c
   | Arr a -> String.concat " " (Array.to_list (Array.map to_string a))
   | Hash _ -> "System.Collections.Hashtable"
-  | Script_block sb -> sb.sb_text
+  | Script_block sb ->
+      incr (Domain.DLS.get sb_text_reads);
+      sb.sb_text
   | Secure_string _ -> "System.Security.SecureString"
   | Obj o -> o.otype
 

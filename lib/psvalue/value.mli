@@ -61,7 +61,14 @@ val encoding_type_name : encoding_name -> string
 val to_string : t -> string
 (** PowerShell stringification: [Null] is [""], booleans are
     ["True"]/["False"], arrays join with spaces, objects print their type
-    name. *)
+    name, a script block its source text (counted by
+    {!script_block_text_reads}). *)
+
+val script_block_text_reads : unit -> int
+(** How many times {!to_string} has returned a script block's text in the
+    calling domain.  The text is the block's source as spelled, so an
+    evaluation during which the count moved may depend on spelling that
+    its parse does not record. *)
 
 val float_to_string : float -> string
 (** Culture-invariant, integral floats without a decimal point. *)

@@ -438,73 +438,140 @@ let reference_state ?payloads src =
     steps = env.Env.steps }
 
 let m_reused = Pscommon.Telemetry.Metrics.counter "verify.payloads_reused"
+let m_lookups = Pscommon.Telemetry.Metrics.counter "verify.payload_lookups"
+
+(* [f ()] and how far it moved counter [m] *)
+let counted m f =
+  let before = Pscommon.Telemetry.Metrics.counter_value m in
+  let r = f () in
+  (r, Pscommon.Telemetry.Metrics.counter_value m - before)
 
 (* reference runs of [src] without and with the payloads its engine run
-   decoded must end in the same state; returns the reuse count *)
-let reuses_identically src =
+   decoded must end in the same state; returns the reuse and lookup
+   counts *)
+let reuses_and_lookups src =
   let payloads = Hashtbl.create 8 in
   ignore (E.run_guarded_parsed ~payloads src);
   let without = reference_state src in
-  let before = Pscommon.Telemetry.Metrics.counter_value m_reused in
-  let with_table = reference_state ~payloads src in
-  let reused = Pscommon.Telemetry.Metrics.counter_value m_reused - before in
+  let (with_table, reused), lookups =
+    counted m_lookups (fun () ->
+        counted m_reused (fun () -> reference_state ~payloads src))
+  in
   if without <> with_table then
     Alcotest.failf
       "reference run differs with reuse (%d reused, steps %d vs %d): %s"
       reused without.steps with_table.steps src;
-  reused
+  (reused, lookups)
+
+let reuses_identically src = fst (reuses_and_lookups src)
+
+let sweep_samples () =
+  Corpus.Generator.generate_multilayer ~seed:23 ~count:100 ~min_depth:1
+    ~max_depth:4
+  @ Corpus.Generator.generate_hard ~seed:23 ~count:100
+  @ Corpus.Generator.generate ~seed:23 ~count:100
 
 let test_reuse_equivalence_sweep () =
-  let samples =
-    Corpus.Generator.generate_multilayer ~seed:23 ~count:100 ~min_depth:1
-      ~max_depth:4
-    @ Corpus.Generator.generate_hard ~seed:23 ~count:100
-    @ Corpus.Generator.generate ~seed:23 ~count:100
-  in
-  let reused, hit_samples =
+  let samples = sweep_samples () in
+  let reused, lookups, hit_samples =
     List.fold_left
-      (fun (reused, hits) (s : Corpus.Generator.sample) ->
-        let n = reuses_identically s.Corpus.Generator.obfuscated in
-        (reused + n, if n > 0 then hits + 1 else hits))
-      (0, 0) samples
+      (fun (reused, lookups, hits) (s : Corpus.Generator.sample) ->
+        let n, l = reuses_and_lookups s.Corpus.Generator.obfuscated in
+        (reused + n, lookups + l, if n > 0 then hits + 1 else hits))
+      (0, 0, 0) samples
   in
-  (* not vacuous: a good share of the samples must hit the table *)
-  check_b (Printf.sprintf "%d payloads reused in %d of %d samples" reused
-       hit_samples (List.length samples))
-    true (hit_samples >= 60)
+  (* not vacuous: most samples must hit the table *)
+  check_b
+    (Printf.sprintf "%d payloads reused of %d lookups in %d of %d samples"
+       reused lookups hit_samples (List.length samples))
+    true (hit_samples >= 250)
 
 let b64_utf16 s = Encoding.Base64.encode (Encoding.Utf16.encode s)
 
+(* a script block literal inside a block the payload runs: its text is
+   sliced from the outer block's text at the offsets it has in the whole
+   source, so whether the slice is in range depends on where the payload
+   sits (here: in range in the piece, out of range at the site) *)
+let nested_block =
+  "('a' | % { 'b' | % { 'Write-Output n' }; [void]'" ^ String.make 40 'c'
+  ^ "' })"
+
+let verdict_of src = V.verdict_name (snd (V.run_guarded src)).V.verdict
+
 (* each of these payloads is decoded by recovery but must never be
-   reused: its evaluation read outside itself, had an effect, or took a
-   path where recovery and the sandbox differ *)
+   reused: its evaluation had an effect, took a path where recovery and
+   the sandbox differ, read a stale traced value, or names a user
+   function where the token phase expanded an alias *)
 let test_reuse_negative_cases () =
-  let cases =
-    [ ( "reads a variable the script reassigns",
-        "$c = 'Write-Output old'\niex 'Write-Output mid'\n\
-         $c = 'Write-Output new'\niex ($c + ';')" );
-      ( "invokes powershell -enc",
+  List.iter
+    (fun (name, src) -> check_i name 0 (reuses_identically src))
+    [ ( "invokes powershell -enc",
         Printf.sprintf "iex (powershell -enc %s)"
           (b64_utf16 "'Write-Output one'") );
       ("calls Write-Host", "iex $(Write-Host 'x'; 'Write-Output y')");
-      ("reads $pshome", "iex ($pshome.Substring(0, 0) + 'Write-Output z')");
-      ( "rewritten by the token phase",
-        "iex (('104,105' -split ',' | % { [char][int]$_ }) -join '')" ) ]
+      ( "nested script block literal",
+        "$pad = '" ^ String.make 60 'x' ^ "'\niex " ^ nested_block ) ];
+  (* the tracer misses the IEX'd assignment, so recovery decodes
+     ($u + ';') under 'Write-Output a' while the site reads
+     'Write-Output b'; only the literal payload of the computed-name IEX
+     is reused *)
+  let stale =
+    "$u = 'Write-Output a'\n\
+     & ('ie'+'x') ('$u = ''Write-Output b''')\n\
+     iex ($u + ';')"
   in
+  check_i "stale tracer value: only the literal payload reused" 1
+    (reuses_identically stale);
+  check_s "stale tracer value: verdict" "rolled_back" (verdict_of stale);
+  (* `%` is a user function here: the token phase's expansion to
+     ForEach-Object digests like the original, but the site calls the
+     function *)
+  let shadow =
+    "function % { 'Write-Output shadow' }\n\
+     iex (('104,105' -split ',' | % { [char][int]$_ }) -join '')"
+  in
+  check_i "user function shadows an expanded alias" 0
+    (reuses_identically shadow);
+  check_s "shadowed alias: verdict" "diverged" (verdict_of shadow)
+
+(* payloads spelled otherwise than recovery saw them, or reading outside
+   scalars the site still holds: reused, with identical state *)
+let test_reuse_positive_cases () =
   List.iter
-    (fun (name, src) -> check_i name 0 (reuses_identically src))
-    cases;
-  (* control: the last payload spelled without the alias is reused *)
-  check_i "same payload, no rewrite" 1
-    (reuses_identically
-       "iex (('104,105' -split ',' | ForEach-Object { [char][int]$_ }) -join '')")
+    (fun (name, src) -> check_i name 1 (reuses_identically src))
+    [ ( "rewritten by the token phase",
+        "iex (('104,105' -split ',' | % { [char][int]$_ }) -join '')" );
+      ( "same payload, no rewrite",
+        "iex (('104,105' -split ',' | ForEach-Object { [char][int]$_ }) \
+         -join '')" );
+      ( "reads a variable the script reassigns, current value",
+        "$c = 'Write-Output old'\niex 'Write-Output mid'\n\
+         $c = 'Write-Output new'\niex ($c + ';')" );
+      ("reads $pshome", "iex ($pshome.Substring(0, 0) + 'Write-Output z')") ]
+
+(* the stages of [src] parsed on its own as one pipeline, as recovery
+   parses a payload piece *)
+let piece_stages src =
+  match Pseval.Interp.parse_piece src with
+  | Ok
+      { Psast.Ast.node =
+          Psast.Ast.Script_block
+            { Psast.Ast.sb_statements =
+                [ { Psast.Ast.node = Psast.Ast.Pipeline stages; _ } ];
+              _ };
+        _ } ->
+      stages
+  | _ -> Alcotest.failf "not one pipeline: %s" src
 
 (* the same payloads, checked at the probe itself: recovery evaluates them
    to a string, yet records nothing *)
 let test_probe_rejects_impure_payloads () =
   let decode src =
     let env = Env.create ~mode:Env.Recovery () in
-    Env.set_var env (Psparse.Names.var_key "c") (Psvalue.Value.Str "Write-Output traced");
+    Env.set_var env (Psparse.Names.var_key "c")
+      (Psvalue.Value.Str "Write-Output traced");
+    Env.set_var env (Psparse.Names.var_key "a")
+      (Psvalue.Value.Arr [| Psvalue.Value.Str "Write-Output a" |]);
     Pseval.Interp.invoke_payload env ~src (Pseval.Interp.parse_piece src)
   in
   List.iter
@@ -513,33 +580,166 @@ let test_probe_rejects_impure_payloads () =
       | Ok (Psvalue.Value.Str _), None -> ()
       | Ok (Psvalue.Value.Str _), Some _ -> Alcotest.failf "recorded: %s" src
       | _ -> Alcotest.failf "did not decode to a string: %s" src)
-    [ "($c + ';')";
-      Printf.sprintf "(powershell -enc %s)" (b64_utf16 "'Write-Output x'");
+    [ Printf.sprintf "(powershell -enc %s)" (b64_utf16 "'Write-Output x'");
       "$(Write-Host 'x'; 'Write-Output y')";
-      "($pshome.Substring(0, 0) + 'Write-Output z')";
       "($env:comspec.Substring(0, 0) + 'Write-Output z')";
       "(& { 'Write-Output s' })";
       (* a Recovery-only failure a try/catch absorbs: the sandbox reads an
          unknown method as $null and never reaches the catch *)
-      "$(try { 'x'.NoSuchMethod() } catch { 'Write-Output caught' })" ];
-  (* a self-contained decode is recorded with its cursor writes and the
-     steps of its expression alone *)
+      "$(try { 'x'.NoSuchMethod() } catch { 'Write-Output caught' })";
+      (* a script block's text is its spelling, which the digest drops *)
+      "([string]{wRiTe-HoSt 'x'})";
+      (* an outside array, read and then mutated in place *)
+      "$($a[0] = 'Write-Output b'; $a[0])";
+      nested_block ];
+  (* an outside scalar is recorded with the value read *)
+  List.iter
+    (fun (src, key, value) ->
+      match decode src with
+      | Ok (Psvalue.Value.Str _), Some (_, p) ->
+          check_b (src ^ " records its read") true
+            (p.Env.reads = [ (key, Psvalue.Value.Str value) ])
+      | _ -> Alcotest.failf "not recorded: %s" src)
+    [ ("($c + ';')", "c", "Write-Output traced");
+      ( "($pshome.Substring(0, 0) + 'Write-Output z')", "pshome",
+        "C:\\Windows\\System32\\WindowsPowerShell\\v1.0" ) ];
+  (* a self-contained decode is recorded under its parse's digest, with
+     its cursor writes and the steps of its expression alone *)
   let arg = "(('87,114' -split ',' | ForEach-Object { [char][int]$_ }) -join '')" in
   match decode arg with
-  | Ok (Psvalue.Value.Str "Wr"), Some p ->
+  | Ok (Psvalue.Value.Str "Wr"), Some (digest, p) ->
       check_s "decoded" "Wr" p.Env.decoded;
+      check_s "keyed on the digest of the piece's parse"
+        (Psast.Eval_digest.pipeline (piece_stages arg)) digest;
       check_b "cursor writes recorded" true
         (List.mem_assoc "_" p.Env.writes && List.mem_assoc "input" p.Env.writes);
-      let src = "iex " ^ arg in
       let table = Hashtbl.create 1 in
-      Hashtbl.replace table arg p;
-      let before = Pscommon.Telemetry.Metrics.counter_value m_reused in
-      let reused = reference_state ~payloads:table src in
-      check_i "reused once" 1
-        (Pscommon.Telemetry.Metrics.counter_value m_reused - before);
-      check_i "steps counted as in place" (reference_state src).steps
-        reused.steps
+      Hashtbl.replace table digest p;
+      (* the site spells the payload otherwise; its parse is the same *)
+      List.iter
+        (fun src ->
+          let reused, n =
+            counted m_reused (fun () -> reference_state ~payloads:table src)
+          in
+          check_i ("reused once: " ^ src) 1 n;
+          check_i "steps counted as in place" (reference_state src).steps
+            reused.steps)
+        [ "iex " ^ arg;
+          "iex (('87,114' -SpLiT ',' | % { [ChAr][InT]$_ }) -jOiN '')" ]
   | _ -> Alcotest.fail "self-contained decode not recorded"
+
+(* the sites' own counts: lookups bound reuses, and a batch repeats both
+   exactly (with the process-wide reference memo off, which would answer
+   the second batch's reference runs without a sandbox) *)
+let test_reuse_counts_repeat () =
+  with_temp_dir (fun dir ->
+      let files = sample_files dir 24 in
+      let counts () =
+        let s =
+          Deobf.Batch.run_files ~timeout_s:20.0 ~jobs:1 ~verify:true
+            ~verify_opts:{ V.default_opts with V.use_ref_cache = false }
+            files
+        in
+        (* run_files starts the metrics registry afresh for the batch *)
+        ( Pscommon.Telemetry.Metrics.counter_value m_reused,
+          Pscommon.Telemetry.Metrics.counter_value m_lookups,
+          Deobf.Jsonl.float_field
+            (Deobf.Jsonl.oneline (Deobf.Batch.metrics_json s))
+            "reuse_rate" )
+      in
+      let (reused, lookups, rate) as first = counts () in
+      check_b (Printf.sprintf "%d reused of %d lookups" reused lookups) true
+        (0 < reused && reused <= lookups);
+      check_s "metrics.json: reused / lookups"
+        (Printf.sprintf "%.3f" (float_of_int reused /. float_of_int lookups))
+        (match rate with Some r -> Printf.sprintf "%.3f" r | None -> "none");
+      check_b "both counts repeat" true (counts () = first))
+
+(* ---------- the evaluation digest ---------- *)
+
+(* IEX arguments and `| iex` prefixes of a parse, in source order, with
+   the stages a sandbox site digests *)
+let iex_sites ast =
+  let is_iex = function
+    | Some { Psast.Ast.cmd_builtin = "invoke-expression" | "iex"; _ } -> true
+    | _ -> false
+  in
+  Psast.Ast.fold_pre_order
+    (fun acc (n : Psast.Ast.t) ->
+      match n.Psast.Ast.node with
+      | Psast.Ast.Command
+          { Psast.Ast.cmd_elements = [ _; Psast.Ast.Elem_argument a ];
+            cmd_key; _ }
+        when is_iex cmd_key ->
+          (a.Psast.Ast.extent, [ a ]) :: acc
+      | Psast.Ast.Pipeline (first :: _ :: _ as stages) -> (
+          match List.rev stages with
+          | { Psast.Ast.node =
+                Psast.Ast.Command
+                  { Psast.Ast.cmd_elements = [ _ ]; cmd_key; _ };
+              _ }
+            :: (last :: _ as prefix_rev)
+            when is_iex cmd_key ->
+              ( Pscommon.Extent.union first.Psast.Ast.extent
+                  last.Psast.Ast.extent,
+                List.rev prefix_rev )
+              :: acc
+          | _ -> acc)
+      | _ -> acc)
+    [] ast
+  |> List.rev
+
+(* every site the token phase respelled keeps its digest *)
+let test_digest_invariant_under_token_phase () =
+  let parse src =
+    match Psparse.Parser.parse src with
+    | Ok ast -> ast
+    | Error _ -> Alcotest.failf "does not parse: %s" src
+  in
+  let respelled =
+    List.fold_left
+      (fun respelled (s : Corpus.Generator.sample) ->
+        let src = s.Corpus.Generator.obfuscated in
+        let phased = Deobf.Token_phase.run src in
+        let before = iex_sites (parse src) and after = iex_sites (parse phased) in
+        check_i "same sites" (List.length before) (List.length after);
+        List.fold_left2
+          (fun respelled (ext, stages) (ext', stages') ->
+            let text = Pscommon.Extent.text src ext
+            and text' = Pscommon.Extent.text phased ext' in
+            if text = text' then respelled
+            else begin
+              check_b
+                (Printf.sprintf "digest kept: %s -> %s" text text')
+                true
+                (Psast.Eval_digest.pipeline stages
+                = Psast.Eval_digest.pipeline stages');
+              respelled + 1
+            end)
+          respelled before after)
+      0 (sweep_samples ())
+  in
+  check_b (Printf.sprintf "%d respelled sites" respelled) true (respelled > 0)
+
+(* spellings that evaluate differently digest differently *)
+let test_digest_separates_meanings () =
+  let digest src = Psast.Eval_digest.pipeline (piece_stages src) in
+  List.iter
+    (fun (name, a, b) ->
+      check_b name true (digest a <> digest b))
+    [ ("bareword argument case", "Write-Output abc", "Write-Output ABC");
+      ("string literal case", "'abc' + 'd'", "'ABC' + 'd'");
+      ("braced name", "${ab} + 'x'", "${ac} + 'x'");
+      ("braced name and another name", "${ab} + 'x'", "$ac + 'x'");
+      ("operator", "'ab' -replace 'a'", "'ab' -creplace 'a'");
+      ("invocation operator", "& $x", ". $x");
+      ("number", "1 + 2", "1 + 3") ];
+  List.iter
+    (fun (name, a, b) -> check_s name (digest a) (digest b))
+    [ ("command alias", "'a' | % { $_ }", "'a' | ForEach-Object { $_ }");
+      ("name case", "$AB.ToUpper()", "$ab.toupper()");
+      ("type spelling", "[System.Char ]65", "[char]65");
+      ("parameter case", "Write-Output -NoEnumerate 1", "write-output -noenumerate 1") ]
 
 (* a payload whose in-place evaluation crosses the verify step budget:
    the loop before it stays within the budget, the payload's own steps
@@ -616,8 +816,16 @@ let suite =
       test_reuse_equivalence_sweep;
     Alcotest.test_case "payload reuse: impure payloads never reused" `Quick
       test_reuse_negative_cases;
+    Alcotest.test_case "payload reuse: respelled and scalar-reading payloads reused"
+      `Quick test_reuse_positive_cases;
     Alcotest.test_case "payload reuse: probe rejects impure payloads" `Quick
       test_probe_rejects_impure_payloads;
+    Alcotest.test_case "payload reuse: counts bounded and repeatable" `Quick
+      test_reuse_counts_repeat;
+    Alcotest.test_case "payload digest: invariant under the token phase"
+      `Quick test_digest_invariant_under_token_phase;
+    Alcotest.test_case "payload digest: separates meanings" `Quick
+      test_digest_separates_meanings;
     Alcotest.test_case "payload reuse: budget still unverifiable" `Quick
       test_reuse_budget_still_unverifiable;
     Alcotest.test_case "effect log records unresolved commands" `Quick
