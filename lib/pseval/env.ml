@@ -568,14 +568,14 @@ let reads_same env (key, v) =
   | Some now -> same_scalar v now
   | None -> false
 
-let reuse env ~commands (p : payload) =
+let reuse env ~site_commands (p : payload) =
   if
     env.provenance <> None
     || env.steps + p.steps > env.limits.max_steps
     || env.limits.max_string_bytes < p.decoded_under.max_string_bytes
     || env.limits.max_collection < p.decoded_under.max_collection
     || List.exists (Hashtbl.mem env.functions) p.commands
-    || List.exists (Hashtbl.mem env.functions) commands
+    || List.exists (Hashtbl.mem env.functions) site_commands
     || not (List.for_all (reads_same env) p.reads)
   then false
   else begin

@@ -217,15 +217,15 @@ val finish_probe : t -> probe -> string -> payload option
     [decoded], was self-contained, stringified no script block, and its
     target statement finished.  The caller clears [t.probe]. *)
 
-val reuse : t -> commands:string list -> payload -> bool
+val reuse : t -> site_commands:string list -> payload -> bool
 (** Stand in for evaluating the payload's expression in place, at a site
-    whose bareword commands have the folded names [commands] as written
-    ({!Psast.Eval_digest.site}): charge its steps against the budget
-    (polling the deadline as those ticks would), replay its residual
-    writes as {!set_var} would, and apply {!check_size} to the decoded
-    string.  [false], with nothing changed, when the reuse could not match
-    an in-place evaluation: the steps would cross the budget, a provenance
-    recorder is installed, this run's string or collection caps are lower
-    than the ones it was decoded under, one of its commands or of
-    [commands] is a user function here, or one of its [reads] resolves
-    here to another value or to none. *)
+    whose bareword commands have the folded names [site_commands] as
+    written ({!Psast.Eval_digest.site}): charge its steps against the
+    budget (polling the deadline as those ticks would), replay its
+    residual writes as {!set_var} would, and apply {!check_size} to the
+    decoded string.  [false], with nothing changed, when the reuse could
+    not match an in-place evaluation: the steps would cross the budget, a
+    provenance recorder is installed, this run's string or collection
+    caps are lower than the ones it was decoded under, one of its
+    commands or of [site_commands] is a user function here, or one of its
+    [reads] resolves here to another value or to none. *)

@@ -698,9 +698,9 @@ and reused_payload ctx stages =
   match payload_table ctx with
   | Some table -> (
       Pscommon.Telemetry.Metrics.incr m_payload_lookups;
-      let digest, commands = Psast.Eval_digest.site stages in
+      let digest, site_commands = Psast.Eval_digest.site stages in
       match Hashtbl.find_opt table digest with
-      | Some p when Env.reuse ctx.env ~commands p ->
+      | Some p when Env.reuse ctx.env ~site_commands p ->
           Pscommon.Telemetry.Metrics.incr m_payloads_reused;
           Some (Value.Str p.Env.decoded)
       | Some _ | None -> None)
