@@ -56,7 +56,7 @@ let deobfuscate_cmd =
       batch jobs timeout trace log_level log_format summary_flag verify_flag
       no_verify resume serve queue_cap cache_cap piece_cache_dir trace_sample
       metrics_out metrics_addr flight_dir client no_quarantine grace
-      mem_soft_mb mem_hard_mb max_major_mb =
+      mem_soft_mb mem_hard_mb =
     Option.iter (fun l -> T.Log.set_level (Some l)) log_level;
     Option.iter T.Log.set_format log_format;
     (* the flight recorder is mode-independent: batch dumps on pool-task
@@ -165,8 +165,6 @@ let deobfuscate_cmd =
                 grace_s = (match grace with Some g -> Float.max 0.01 g | None -> base.Deobf.Serve.grace_s);
                 mem_soft_mb;
                 mem_hard_mb;
-                max_major_bytes =
-                  Option.map (fun mb -> mb * 1024 * 1024) max_major_mb;
                 quarantine = not no_quarantine }
             in
             exit (Deobf.Serve.run cfg)));
@@ -187,7 +185,9 @@ let deobfuscate_cmd =
       let out_dir =
         match output with Some o -> o | None -> dir ^ "-deobfuscated"
       in
-      let timeout_s = Option.value timeout ~default:30.0 in
+      let timeout_s =
+        Option.value timeout ~default:Deobf.Batch.default_timeout_s
+      in
       let jobs =
         match jobs with
         | Some n -> max 1 n
@@ -508,17 +508,7 @@ let deobfuscate_cmd =
               ~doc:
                 "Serve mode: hard memory watermark in MiB.  Above it, \
                  workers additionally recycle between requests, releasing \
-                 domain-local state (default: off).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "max-major-mb" ] ~docv:"MB"
-              ~doc:
-                "Serve mode: per-request major-allocation budget in MiB; \
-                 a request that allocates past it degrades to a structured \
-                 out-of-memory failure at its next checkpoint instead of \
-                 growing the daemon's heap (runtime-wide accounting — a \
-                 generous backstop, not an SLA; default: off)."))
+                 domain-local state (default: off)."))
 
 (* ---------- score ---------- *)
 

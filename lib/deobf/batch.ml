@@ -277,6 +277,8 @@ let write_file path content =
   Chaos.probe "batch.write";
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
 
+let default_timeout_s = 30.0
+
 (* The shared request core: everything between "we have source text" and
    "we have an outcome plus output text".  Batch file processing and the
    serve daemon both go through it, so a service request runs the same
@@ -286,7 +288,7 @@ let write_file path content =
    kept, so there is nothing for a second attempt to add.  The semantic
    gate runs under the same deadline, its rollback re-runs included
    ({!Verify.run_guarded}). *)
-let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
+let run_source ?options ?(timeout_s = default_timeout_s) ?max_output_bytes ?cache
     ?(verify = false) ?verify_opts ~name src =
   let started = Guard.now () in
   (* quarantine scope: admission decisions (which rules may run) are fixed
@@ -329,7 +331,7 @@ let run_source ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
       verdict; resumed = false },
     result.Engine.output )
 
-let process_file_inner ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
+let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
     ?out_dir ?(verify = false) ?verify_opts ?journal file =
   let started = Guard.now () in
   let finish ?output_file ?(phase_ms = []) ?(regions = (0, 0))
@@ -366,7 +368,7 @@ let process_file_inner ?options ?(timeout_s = 30.0) ?max_output_bytes ?cache
       (* the guarded engine is total; the outer protect is the backstop for
          anything outside it (e.g. report writing) *)
       let core, output =
-        run_source ?options ~timeout_s ?max_output_bytes ?cache ~verify
+        run_source ?options ?timeout_s ?max_output_bytes ?cache ~verify
           ?verify_opts ~name:file src
       in
       let output_file, write_failure =

@@ -60,6 +60,8 @@ val piece_cache_fingerprint :
     misses.  Used by {!run_files} and the serve daemon; exposed so other
     front ends pointing at the same cache directory stay compatible. *)
 
+val default_timeout_s : float  (** 30 s *)
+
 val run_source :
   ?options:Engine.options ->
   ?timeout_s:float ->
@@ -72,7 +74,8 @@ val run_source :
   outcome * string
 (** [run_source ~name src] is the shared request core between batch files
     and serve-daemon requests: run {!Engine.run_guarded_parsed} once on the
-    source text under one [timeout_s] deadline, optionally run the
+    source text under one [timeout_s] deadline ({!default_timeout_s}),
+    never later than an enclosing one, optionally run the
     {!Verify} gate on its result, and return the outcome (with [file = name], no output file, [wall_ms] covering just
     the pipeline) alongside the recovered text.  [cache] supplies a
     caller-owned piece cache, so a long-running service keeps recovered

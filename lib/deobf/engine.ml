@@ -23,7 +23,6 @@ and recovery_options = Recover.options = {
   use_piece_cache : bool;
   max_depth : int;
   piece_step_budget : int;
-  piece_timeout_s : float;
   use_dynamic : bool;
   dynamic_step_budget : int;
 }
@@ -302,15 +301,17 @@ type parses = {
   out_ast : Psast.Ast.t option;
 }
 
+let default_max_output_bytes = 32 * 1024 * 1024
+
 (** Totalised pipeline: every phase runs under {!Pscommon.Guard.protect}
     with one wall-clock deadline for the whole run.  A phase that crashes,
     overruns, or over-produces degrades to the best text the earlier phases
     produced, and the failure is recorded — the run itself always returns.
     Also returns the parses of the input and of the output that the run
     made anyway, for the verify gate's sandbox runs. *)
-let run_guarded_parsed ?(options = default_options) ?(timeout_s = 60.0)
-    ?(max_output_bytes = 32 * 1024 * 1024) ?cache ?(suppress = []) ?payloads
-    src =
+let run_guarded_parsed ?(options = default_options) ?(timeout_s = infinity)
+    ?(max_output_bytes = default_max_output_bytes) ?cache ?(suppress = [])
+    ?payloads src =
   let module Guard = Pscommon.Guard in
   let module T = Pscommon.Telemetry in
   (* one deadline for the whole run, never later than an enclosing one (a
@@ -607,7 +608,7 @@ let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =
 (** Deobfuscate a script.  Never raises: scripts that fail to lex or parse
     are returned unchanged with [changed = false]. *)
 let run ?(options = default_options) src =
-  (run_guarded ~options ~timeout_s:infinity ~max_output_bytes:max_int src).result
+  (run_guarded ~options ~max_output_bytes:max_int src).result
 
 (** Convenience: deobfuscate and report score reduction. *)
 let run_with_scores ?options src =

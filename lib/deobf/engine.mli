@@ -33,7 +33,6 @@ and recovery_options = Recover.options = {
   use_piece_cache : bool;
   max_depth : int;
   piece_step_budget : int;
-  piece_timeout_s : float;
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
           ({!Recover.run_dynamic}), run as its own guarded phase after the
@@ -86,6 +85,8 @@ type guarded = {
           texts and cannot be replayed against the whole file. *)
 }
 
+val default_max_output_bytes : int  (** 32 MiB *)
+
 val run_guarded :
   ?options:options ->
   ?timeout_s:float ->
@@ -96,8 +97,8 @@ val run_guarded :
   guarded
 (** Totalised pipeline for hostile input: every phase runs under
     {!Pscommon.Guard.protect} with one wall-clock deadline for the whole
-    run, [timeout_s] from now or the enclosing ambient deadline, whichever
-    comes first.  Deeply nested scripts, decode bombs and random bytes each
+    run: the enclosing ambient deadline, lowered to [timeout_s] from now
+    when given.  Deeply nested scripts, decode bombs and random bytes each
     come back as a structured {!failure_site} — the call itself always
     returns, degrading phase-by-phase to the best text produced so far.
     When the deadline passes, partial recovery is kept and the later

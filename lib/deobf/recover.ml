@@ -41,7 +41,6 @@ type options = {
   use_piece_cache : bool;  (** ablation: memoize piece invocations *)
   max_depth : int;  (** multi-layer recursion bound *)
   piece_step_budget : int;  (** interpreter budget per invoked piece *)
-  piece_timeout_s : float;  (** wall-clock budget per invoked piece *)
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
           the static tracer skips; every edit still faces the verify gate *)
@@ -51,7 +50,7 @@ type options = {
 let default_options =
   { use_tracing = true; use_blocklist = true; use_multilayer = true;
     use_piece_cache = true; max_depth = 16; piece_step_budget = 400_000;
-    piece_timeout_s = 5.0; use_dynamic = true; dynamic_step_budget = 1_000_000 }
+    use_dynamic = true; dynamic_step_budget = 1_000_000 }
 
 type stats = {
   mutable pieces_recovered : int;
@@ -445,12 +444,9 @@ let fresh_env ?(for_bytes = 0) st =
 
 (* run one piece under a guard: a stack overflow on a pathological piece, a
    wall-clock overrun, or any stray exception degrades that piece instead of
-   aborting the pass.  The per-piece deadline is lowered to any enclosing
-   run deadline by Guard.protect itself. *)
-let guarded st f =
-  match
-    Guard.protect ~deadline:(Guard.deadline_after st.opts.piece_timeout_s) f
-  with
+   aborting the pass *)
+let guarded f =
+  match Guard.protect f with
   | Ok r -> r
   | Error failure -> Error (Guard.failure_label failure)
 
@@ -528,7 +524,7 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
     | None ->
         let t0 = Guard.now () in
         let result =
-          guarded st (fun () ->
+          guarded (fun () ->
               Pscommon.Chaos.probe "recover.piece";
               let env = fresh_env ~for_bytes:(String.length text) st in
               match st.payloads with
@@ -845,7 +841,7 @@ let trace_assignment st ~in_guard (stmt : A.t) =
           else begin
             (* compute the assigned value by executing the whole assignment *)
             let traced =
-              guarded st (fun () ->
+              guarded (fun () ->
                   let text = A.text st.src stmt in
                   let parsed = (Cache.piece st.cache text).Cache.parsed in
                   let env = fresh_env ~for_bytes:(String.length text) st in

@@ -12,9 +12,8 @@ type options = {
           obfuscators emit the same decode piece hundreds of times per
           script, and the fixpoint loop re-attempts unrecovered pieces *)
   max_depth : int;  (** multi-layer recursion bound *)
-  piece_step_budget : int;  (** interpreter budget per invoked piece *)
-  piece_timeout_s : float;
-      (** wall-clock budget per invoked piece; each piece runs under a
+  piece_step_budget : int;
+      (** interpreter budget per invoked piece; each piece runs under a
           {!Pscommon.Guard.protect}, so a crashing or hanging piece degrades
           to "kept obfuscated" instead of aborting the pass *)
   use_dynamic : bool;

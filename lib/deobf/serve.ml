@@ -77,19 +77,18 @@ type config = {
   grace_s : float;  (** watchdog patience past a request's deadline *)
   mem_soft_mb : int option;  (** shed admissions past this heap size *)
   mem_hard_mb : int option;  (** additionally recycle workers past this *)
-  max_major_bytes : int option;  (** per-request major-allocation budget *)
   quarantine : bool;  (** adaptive rule quarantine (breakers on rollbacks) *)
 }
 
 let default_config bind =
-  { bind; jobs = 1; queue_cap = 64; default_timeout_s = 30.0;
+  { bind; jobs = 1; queue_cap = 64; default_timeout_s = Batch.default_timeout_s;
     max_timeout_s = 300.0; max_request_bytes = 8 * 1024 * 1024;
-    max_output_bytes = 32 * 1024 * 1024; options = Engine.default_options;
+    max_output_bytes = Engine.default_max_output_bytes;
+    options = Engine.default_options;
     verify = false; verify_opts = None; cache_cap = 2048;
     piece_cache_dir = None; trace_dir = None; trace_sample = None;
     metrics_out = None; metrics_addr = None; flight_dir = None;
-    grace_s = 2.0; mem_soft_mb = None; mem_hard_mb = None;
-    max_major_bytes = None; quarantine = true }
+    grace_s = 2.0; mem_soft_mb = None; mem_hard_mb = None; quarantine = true }
 
 (* ---------- metrics ---------- *)
 
@@ -193,7 +192,6 @@ type request = {
   rq_id : string;  (* already-rendered JSON value for the "id" field *)
   rq_tid : string;  (* trace id, allocated at admission *)
   rq_deadline : Guard.deadline;
-  rq_timeout_s : float;
   rq_answered : bool Atomic.t;
       (* one-response-per-request CAS: the worker and the watchdog can both
          try to answer (the watchdog wins a wedge, the worker wins a late
@@ -299,10 +297,9 @@ let handle cfg cache req =
             Option.value ~default:cfg.verify (Jsonl.bool_field line "verify")
           in
           match
-            Guard.protect ~deadline:req.rq_deadline
-              ?max_major_bytes:cfg.max_major_bytes (fun () ->
-                Batch.run_source ~options:cfg.options
-                  ~timeout_s:req.rq_timeout_s
+            Guard.protect ~deadline:req.rq_deadline (fun () ->
+                (* the admission deadline is the request's one clock *)
+                Batch.run_source ~options:cfg.options ~timeout_s:infinity
                   ~max_output_bytes:cfg.max_output_bytes ~cache ~verify
                   ?verify_opts:cfg.verify_opts
                   ~name:(Printf.sprintf "req-%d" req.rq_seq)
@@ -615,7 +612,6 @@ let serve_loop cfg stop listen_fd =
               (* the budget starts at admission: time spent queued is part
                  of the request's deadline, which also bounds drain *)
               rq_deadline = Guard.deadline_after timeout_s;
-              rq_timeout_s = timeout_s;
               rq_answered = Atomic.make false }
           in
           match Chaos.probe "serve.queue" with

@@ -35,8 +35,8 @@
     Worker domains ({!Pscommon.Pool.Service}) run each request through
     {!Batch.run_source} — one guarded engine run and the {!Verify} gate,
     as for a batch file — under a {!Pscommon.Guard} ambient deadline that
-    starts at {e admission}, so queue time counts against the request's
-    budget and drain time is bounded.  Any failure is a structured error response; workers recycle,
+    starts at {e admission} and is the request's only clock, so queue
+    time counts against the request's budget and drain time is bounded.  Any failure is a structured error response; workers recycle,
     the daemon survives.  All workers share one warm bounded piece cache
     ({!Recover.Cache}) for the life of the process — a piece recovered for
     one request is a hit for every later one, whichever worker runs it —
@@ -76,7 +76,8 @@ type config = {
   bind : bind;
   jobs : int;  (** worker domains *)
   queue_cap : int;  (** admission-control bound; beyond it requests shed *)
-  default_timeout_s : float;  (** per-request budget when unspecified *)
+  default_timeout_s : float;
+      (** per-request budget when unspecified ({!Batch.default_timeout_s}) *)
   max_timeout_s : float;  (** cap on client-requested budgets *)
   max_request_bytes : int;
       (** a connection whose unterminated line exceeds this is answered
@@ -119,11 +120,6 @@ type config = {
   mem_hard_mb : int option;
       (** hard memory watermark: additionally, workers recycle between
           requests, releasing domain-local state; [None] disables *)
-  max_major_bytes : int option;
-      (** per-request major-allocation budget installed via
-          {!Pscommon.Guard.protect}; an exhausted budget degrades the
-          request to a structured out-of-memory failure.  Runtime-wide
-          accounting — size it as a generous backstop, not an SLA *)
   quarantine : bool;
       (** adaptive rule quarantine ({!Quarantine}): transforms repeatedly
           rolled back by the semantic gate are skipped up front until a

@@ -24,13 +24,12 @@ let verdict_detail = function
 
 type opts = {
   max_steps : int;
-  timeout_s : float;
   max_rounds : int;
   use_ref_cache : bool;
 }
 
 let default_opts =
-  { max_steps = 400_000; timeout_s = 5.0; max_rounds = 4;
+  { max_steps = 400_000; max_rounds = 4;
     use_ref_cache = true }
 
 type outcome = {
@@ -58,8 +57,7 @@ let out_of_time () = Guard.expired (Guard.ambient_deadline ())
 let run_log ~opts ~runs ?ast ?payloads text =
   incr runs;
   match
-    Sandbox.run_for_verify ~max_steps:opts.max_steps ~timeout_s:opts.timeout_s
-      ?ast ?payloads text
+    Sandbox.run_for_verify ~max_steps:opts.max_steps ?ast ?payloads text
   with
   | Error _ when out_of_time () -> raise Out_of_time
   | log -> log
@@ -67,8 +65,8 @@ let run_log ~opts ~runs ?ast ?payloads text =
 (* Reference-log memo for the {e original} script's sandbox run.  A
    service sees the same script again and again, and a repeated batch
    re-verifies the same inputs — but the reference log is
-   a pure function of (text, sandbox limits), so it is cached keyed on the
-   content digest plus those limits.  Only [Ok] logs are stored: a
+   a pure function of (text, step budget), so it is cached keyed on the
+   content digest plus that budget.  Only [Ok] logs are stored: a
    containment error (timeout, step limit hit mid-wall-clock) depends on
    the moment of execution and must not be replayed.  Bounded with
    whole-table reset on overflow, mutex-protected (serve workers share
@@ -82,9 +80,7 @@ let ref_log ~opts ~runs ~ast ?payloads src =
   if not opts.use_ref_cache then run_log ~opts ~runs ~ast ?payloads src
   else begin
     let key =
-      Printf.sprintf "%s:%d:%h"
-        (Digest.to_hex (Digest.string src))
-        opts.max_steps opts.timeout_s
+      Printf.sprintf "%s:%d" (Digest.to_hex (Digest.string src)) opts.max_steps
     in
     Mutex.lock ref_cache_lock;
     let cached = Hashtbl.find_opt ref_cache key in

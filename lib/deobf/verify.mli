@@ -5,7 +5,7 @@
     offending rewrite — then re-verify.
 
     The gate never raises and never loops: sandbox executions run under the
-    interpreter's step budget plus a wall-clock guard, rollback rounds are
+    interpreter's step budget and deadline, rollback rounds are
     bounded, and a chaos fault injected at the ["verify.diff"] probe site
     degrades to a (spurious) divergence that exercises the same rollback
     machinery. *)
@@ -32,11 +32,10 @@ val verdict_detail : verdict -> string option
 
 type opts = {
   max_steps : int;  (** interpreter budget per sandbox execution *)
-  timeout_s : float;  (** wall-clock budget per sandbox execution *)
   max_rounds : int;  (** rollback attempts before giving up as [Diverged] *)
   use_ref_cache : bool;
       (** memoize the {e original} script's reference effect log, keyed on
-          content digest plus sandbox limits.  Only successful logs are
+          content digest plus [max_steps].  Only successful logs are
           cached (containment errors are wall-clock-dependent), so a memo
           hit returns exactly what a fresh run would — verdicts are
           identical with the cache on or off; a hit just skips one sandbox
@@ -45,7 +44,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** 400k steps, 5s, 4 rounds, reference cache on. *)
+(** 400k steps, 4 rounds, reference cache on. *)
 
 type outcome = {
   verdict : verdict;
@@ -102,9 +101,10 @@ val gate :
     request), with the same effect log, step count and verdict as without
     them.  The output and bisection runs do not use them.
 
-    Every sandbox run is bounded by the ambient deadline
-    ({!Pscommon.Guard.within}) on top of [opts.timeout_s].  A reference
-    run, or a first output run, that deadline contains ends the gate
+    Every sandbox run is bounded by [opts.max_steps] and by the
+    evaluator's deadline ({!Pseval.Env.t}), which the ambient request
+    deadline ({!Pscommon.Guard.within}) lowers.  A reference run, or a
+    first output run, the request deadline contains ends the gate
     [Unverifiable "request deadline"] with [guarded] kept: no bisection or
     rollback starts from a run the deadline cut short.  Once a divergence
     is found, the deadline ends the gate as running out of rounds does:
@@ -123,5 +123,4 @@ val run_guarded :
     handing the gate the run's parses and decoded payloads, with rollback
     re-runs wired to the same engine configuration and piece cache.  With
     [timeout_s], the engine run and the whole gate share one deadline
-    ({!Pscommon.Guard.within}), never later than an enclosing one; without
-    it, the gate's runs are bounded by [opts.timeout_s] alone. *)
+    ({!Pscommon.Guard.within}), never later than an enclosing one. *)

@@ -37,10 +37,6 @@ exception Injected_oom
 (* the chaos memory fault: classified exactly like [Out_of_memory] but never
    confusable with the runtime's preallocated exception *)
 
-exception Allocation_budget_exceeded
-(* the cooperative per-request major-allocation budget fired; classified as
-   [Oom] — the request exhausted the memory it was admitted with *)
-
 (* let Chaos inject the real taxonomy exceptions without a module cycle *)
 let () = Chaos.set_deadline_exn Deadline_exceeded
 let () = Chaos.set_oom_exn Injected_oom
@@ -89,35 +85,8 @@ let beat () =
   | Some cell -> Atomic.incr cell
   | None -> ()
 
-(* ---------- allocation budgets ---------- *)
-
-(* Per-request major-allocation budget, the memory analogue of the
-   wall-clock deadline: {!protect} records the major-heap allocation
-   baseline at entry, and {!check} compares the delta against the budget.
-   [Gc.quick_stat] reports promoted plus directly-major words for the whole
-   runtime, so concurrent workers bleed into each other's accounting — the
-   budget is a governor against runaway decode bombs, not a precise
-   per-request meter, and it is sized accordingly (hundreds of MB).  The
-   slot is domain-local and innermost-wins, like the deadline stack. *)
-type alloc_budget = { base_words : float; budget_words : float }
-
-let alloc_ambient : alloc_budget option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let major_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.major_words +. s.Gc.minor_words
-
-let check_alloc () =
-  match Domain.DLS.get alloc_ambient with
-  | None -> ()
-  | Some b ->
-      if major_words () -. b.base_words > b.budget_words then
-        raise Allocation_budget_exceeded
-
 let check d =
   beat ();
-  check_alloc ();
   if expired d then raise Deadline_exceeded
 
 (* Registration happens in module initialisers (single-domain, before any
@@ -136,29 +105,18 @@ let classify_exn e =
   | Stack_overflow -> Stack_exhausted
   | Out_of_memory -> Oom
   | Injected_oom -> Oom
-  | Allocation_budget_exceeded -> Oom
   | Chaos.Injected site -> Unexpected ("chaos injection at " ^ site)
   | e -> (
       match List.find_map (fun f -> f e) (Atomic.get classifiers) with
       | Some failure -> failure
       | None -> Unexpected (Printexc.to_string e))
 
-let protect ?(deadline = no_deadline) ?max_output_bytes ?measure
-    ?max_major_bytes f =
+let protect ?(deadline = no_deadline) ?max_output_bytes ?measure f =
   let effective = Float.min deadline (ambient_deadline ()) in
   if expired effective then Error Timeout
   else begin
     beat ();
     Domain.DLS.set ambient (effective :: Domain.DLS.get ambient);
-    let saved_alloc = Domain.DLS.get alloc_ambient in
-    (match max_major_bytes with
-    | None -> ()
-    | Some bytes ->
-        Domain.DLS.set alloc_ambient
-          (Some
-             { base_words = major_words ();
-               budget_words = float_of_int bytes /. float_of_int (Sys.word_size / 8)
-             }));
     let result =
       (* the chaos probe fires inside the guarded extent, so an injected
          fault is classified exactly like a real one *)
@@ -169,7 +127,6 @@ let protect ?(deadline = no_deadline) ?max_output_bytes ?measure
       | v -> Ok v
       | exception e -> Error (classify_exn e)
     in
-    Domain.DLS.set alloc_ambient saved_alloc;
     Domain.DLS.set ambient
       (match Domain.DLS.get ambient with _ :: rest -> rest | [] -> []);
     match (result, max_output_bytes, measure) with

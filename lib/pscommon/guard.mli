@@ -46,11 +46,6 @@ exception Injected_oom
     as the allocator really giving up — without raising the runtime's
     preallocated [Out_of_memory] from library code. *)
 
-exception Allocation_budget_exceeded
-(** Raised cooperatively by {!check} when the ambient per-request
-    major-allocation budget (installed via {!protect}'s [max_major_bytes])
-    is exhausted; classified as {!Oom}. *)
-
 type deadline = float
 (** Absolute time in epoch seconds; [infinity] means no deadline. *)
 
@@ -84,11 +79,9 @@ val within : deadline -> (unit -> 'a) -> 'a
     engine run and its verify gate). *)
 
 val check : deadline -> unit
-(** The cooperative checkpoint: publishes a heartbeat ({!beat}), enforces
-    the ambient allocation budget, then the deadline.
-    @raise Deadline_exceeded when [deadline] has passed.
-    @raise Allocation_budget_exceeded when the ambient major-allocation
-    budget is exhausted. *)
+(** The cooperative checkpoint: publishes a heartbeat ({!beat}), then
+    enforces the deadline.
+    @raise Deadline_exceeded when [deadline] has passed. *)
 
 val set_progress_cell : int Atomic.t option -> unit
 (** Register this domain's heartbeat cell.  Every cooperative checkpoint
@@ -113,7 +106,6 @@ val protect :
   ?deadline:deadline ->
   ?max_output_bytes:int ->
   ?measure:('a -> int) ->
-  ?max_major_bytes:int ->
   (unit -> 'a) ->
   ('a, failure) result
 (** [protect f] runs [f ()] with every escape hatch closed: [Stack_overflow],
@@ -124,9 +116,5 @@ val protect :
     running [f].  When both [max_output_bytes] and [measure] are given, a
     result measuring larger returns [Error Output_too_large].
 
-    [max_major_bytes] installs a cooperative major-allocation budget for
-    the duration of [f]: {!check} compares the major-heap growth since
-    entry against it and raises (classified {!Oom}) when exhausted.  The
-    underlying [Gc.quick_stat] counters are runtime-wide, so with parallel
-    workers the meter over-counts — size it as a generous backstop against
-    allocation bombs, not an SLA. *)
+    Allocation is bounded by the evaluator's step budget, which charges
+    what each value built ({!Pseval.Env.built}). *)

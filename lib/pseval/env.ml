@@ -47,15 +47,14 @@ type limits = {
   max_invoke_depth : int;  (** nested Invoke-Expression layers *)
   max_collection : int;  (** range / array size cap *)
   max_string_bytes : int;  (** cap on any single string value built *)
-  deadline : float;
-      (** absolute wall-clock bound (epoch seconds, [infinity] = none);
-          polled by {!tick}, so runaway decode loops stop on time, not just
-          on steps *)
 }
 
 let default_limits =
   { max_steps = 2_000_000; max_invoke_depth = 32; max_collection = 1_000_000;
-    max_string_bytes = 32 * 1024 * 1024; deadline = Guard.no_deadline }
+    max_string_bytes = 32 * 1024 * 1024 }
+
+(* the longest any evaluator runs, whatever its request has left *)
+let max_eval_s = 5.0
 
 (* map evaluator limits into the guard taxonomy without a dependency cycle *)
 let () =
@@ -109,6 +108,7 @@ type t = {
   env_vars : (string, string) Hashtbl.t;  (** simulated $env: drive *)
   mode : mode;
   limits : limits;
+  deadline : Guard.deadline;
   mutable steps : int;
   mutable invoke_depth : int;
   mutable events : event list;  (** reverse order *)
@@ -195,16 +195,14 @@ let automatic_scope =
 
 let create ?(mode = Recovery) ?(limits = default_limits) () =
   let global = { table = Hashtbl.copy automatic_scope } in
-  (* an enclosing Guard.protect bounds every evaluator created under it *)
-  let limits =
-    { limits with deadline = Float.min limits.deadline (Guard.ambient_deadline ()) }
-  in
   {
     scopes = [ global ];
     functions = Hashtbl.create 8;
     env_vars = Hashtbl.copy default_env_vars;
     mode;
     limits;
+    deadline =
+      Float.min (Guard.ambient_deadline ()) (Guard.deadline_after max_eval_s);
     steps = 0;
     invoke_depth = 0;
     events = [];
@@ -217,15 +215,16 @@ let create ?(mode = Recovery) ?(limits = default_limits) () =
     payloads = None;
   }
 
-let tick env =
-  env.steps <- env.steps + 1;
+(* polling the clock every step would dominate the hot loop; every 2048
+   charged steps keeps deadline latency in the microseconds *)
+let charge env n =
+  let before = env.steps in
+  env.steps <- before + n;
   if env.steps > env.limits.max_steps then
     raise (Limit_exceeded "step budget exhausted");
-  (* polling the clock every step would dominate the hot loop; every 2048
-     steps keeps deadline latency in the microseconds *)
-  if env.steps land 2047 = 0 then Guard.check env.limits.deadline
+  if before lsr 11 <> env.steps lsr 11 then Guard.check env.deadline
 
-let large_string_bytes = 65536
+let tick env = charge env 1
 
 let check_size env (v : Psvalue.Value.t) =
   match v with
@@ -234,17 +233,25 @@ let check_size env (v : Psvalue.Value.t) =
       if n > env.limits.max_string_bytes then
         raise
           (Limit_exceeded
-             (Printf.sprintf "string of %d bytes exceeds max_string_bytes" n));
-      (* a step that builds a large string can cost milliseconds, so
-         [tick]'s poll every 2048 steps would let it overrun the deadline
-         by seconds *)
-      if n >= large_string_bytes then Guard.check env.limits.deadline
+             (Printf.sprintf "string of %d bytes exceeds max_string_bytes" n))
   | Psvalue.Value.Arr a ->
       if Array.length a > env.limits.max_collection then
         raise
           (Limit_exceeded
              (Printf.sprintf "collection of %d elements exceeds max_collection"
                 (Array.length a)))
+  | _ -> ()
+
+(* Calibrated on a plain step of about 64 ns: a matcher step takes 26 ns,
+   ToUpper on a megabyte 4 ms, and an array 10 to 35 ns an element (up to
+   130 ns for a million, with its collection). *)
+let charge_matcher env matcher_steps = charge env (matcher_steps lsr 2)
+
+let built env (v : Psvalue.Value.t) =
+  check_size env v;
+  match v with
+  | Psvalue.Value.Str s -> charge env (String.length s lsr 4)
+  | Psvalue.Value.Arr a -> charge env (Array.length a lsr 2)
   | _ -> ()
 
 (* ---------- payload probes (recording) ---------- *)
@@ -546,13 +553,6 @@ let finish_probe env p decoded =
         commands = p.looked_up; decoded_under = env.limits }
   else None
 
-(* [steps] evaluation steps at once, polling the deadline when that many
-   single ticks would have polled it *)
-let charge env steps =
-  let before = env.steps in
-  env.steps <- before + steps;
-  if before lsr 11 <> env.steps lsr 11 then Guard.check env.limits.deadline
-
 let same_scalar (a : Psvalue.Value.t) (b : Psvalue.Value.t) =
   match (a, b) with
   | Null, Null -> true
@@ -579,6 +579,7 @@ let reuse env ~site_commands (p : payload) =
     || not (List.for_all (reads_same env) p.reads)
   then false
   else begin
+    (* [p.steps] already holds what building [p.decoded] was charged *)
     charge env p.steps;
     List.iter (fun (key, v) -> assign env key (copy v)) p.writes;
     check_size env (Psvalue.Value.Str p.decoded);

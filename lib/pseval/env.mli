@@ -35,10 +35,6 @@ type limits = {
   max_invoke_depth : int;  (** nested Invoke-Expression layers *)
   max_collection : int;  (** range / array size cap *)
   max_string_bytes : int;  (** cap on any single string value built *)
-  deadline : float;
-      (** absolute wall-clock bound (epoch seconds, [infinity] = none),
-          polled cooperatively by {!tick}; {!create} lowers it to any
-          ambient {!Pscommon.Guard} deadline *)
 }
 
 val default_limits : limits
@@ -91,6 +87,9 @@ type t = {
   env_vars : (string, string) Hashtbl.t;  (** simulated [$env:] drive *)
   mode : mode;
   limits : limits;
+  deadline : Pscommon.Guard.deadline;
+      (** the evaluator's one clock: the ambient request deadline at
+          {!create}, at most 5 s away *)
   mutable steps : int;
   mutable invoke_depth : int;
   mutable events : event list;
@@ -131,16 +130,24 @@ val automatic_variables : (string * Psvalue.Value.t) list
 val create : ?mode:mode -> ?limits:limits -> unit -> t
 
 val tick : t -> unit
-(** Account one evaluation step.  @raise Limit_exceeded over budget.
-    @raise Pscommon.Guard.Deadline_exceeded past the wall-clock deadline. *)
+(** Account one evaluation step.  Steps are also charged for the work
+    {!built} and {!charge_matcher} report, and the deadline is polled
+    whenever the count crosses a multiple of 2 048.
+    @raise Limit_exceeded over budget.
+    @raise Pscommon.Guard.Deadline_exceeded past the deadline. *)
 
 val check_size : t -> Psvalue.Value.t -> unit
-(** Enforce [max_string_bytes] / [max_collection] on a freshly built value —
-    the string-building hot paths (concat, [-join], array append) call this
-    so decode bombs stop growing at the cap.  A string of 64 KiB or more
-    also polls the deadline, as {!tick} does every 2048 steps.
-    @raise Limit_exceeded when the value is over a limit.
-    @raise Pscommon.Guard.Deadline_exceeded past the wall-clock deadline. *)
+(** Enforce [max_string_bytes] / [max_collection] on a value.
+    @raise Limit_exceeded when the value is over a limit. *)
+
+val built : t -> Psvalue.Value.t -> unit
+(** {!check_size} a value an expression built and charge building it:
+    a step per 16 string bytes or 4 array elements, so a step budget
+    bounds time and allocation even when every step builds a megabyte. *)
+
+val charge_matcher : t -> int -> unit
+(** Charge the matcher steps a {!Regexen.Regex} search reports: a step
+    per four. *)
 
 val record : t -> event -> unit
 (** Record a side effect ([Sandbox]) or @raise Blocked ([Recovery]). *)
@@ -220,10 +227,10 @@ val finish_probe : t -> probe -> string -> payload option
 val reuse : t -> site_commands:string list -> payload -> bool
 (** Stand in for evaluating the payload's expression in place, at a site
     whose bareword commands have the folded names [site_commands] as
-    written ({!Psast.Eval_digest.site}): charge its steps against the
-    budget (polling the deadline as those ticks would), replay its
-    residual writes as {!set_var} would, and apply {!check_size} to the
-    decoded string.  [false], with nothing changed, when the reuse could
+    written ({!Psast.Eval_digest.site}): charge its steps (building
+    the decoded string included), replay its residual writes as
+    {!set_var} would, and apply {!check_size} to the decoded string.
+    [false], with nothing changed, when the reuse could
     not match an in-place evaluation: the steps would cross the budget, a
     provenance recorder is installed, this run's string or collection
     caps are lower than the ones it was decoded under, one of its

@@ -55,12 +55,16 @@ let collect out chunk = out := List.rev_append chunk !out
 
 (* ---------- expressions ---------- *)
 
-(* every expression result passes one O(1) size check: string concat, -join,
-   -f, array append, member calls — all the paths a decode bomb can grow
-   through — are bounded without instrumenting each operator *)
+(* every expression result passes one O(1) size check and is charged what
+   building it cost: string concat, -join, -f, array append, member calls —
+   all the paths a decode bomb can grow through — are bounded without
+   instrumenting each operator.  A variable read or a literal builds
+   nothing, so it is not charged again. *)
 let rec eval_expr ctx (t : A.t) : Value.t =
   let v = eval_expr_unchecked ctx t in
-  Env.check_size ctx.env v;
+  (match t.A.node with
+  | A.Variable_expr _ | A.String_const _ -> Env.check_size ctx.env v
+  | _ -> Env.built ctx.env v);
   v
 
 and eval_expr_unchecked ctx (t : A.t) : Value.t =
@@ -172,16 +176,16 @@ and eval_binary ctx op sensitivity a b =
       match op with
       | A.Add -> Ops.add va vb
       | A.Sub -> Ops.subtract va vb
-      | A.Mul -> Ops.multiply va vb
+      | A.Mul -> Ops.multiply ctx.env va vb
       | A.Div -> Ops.divide va vb
       | A.Mod -> Ops.modulo va vb
       | A.Format -> Value.Str (Format_op.format (Value.to_string va) (Value.to_list vb))
       | A.Range -> Ops.range ctx.env.Env.limits.Env.max_collection va vb
       | A.Eq | A.Ne | A.Gt | A.Ge | A.Lt | A.Le | A.Like | A.Notlike | A.Match
       | A.Notmatch ->
-          Ops.comparison op sensitivity va vb
-      | A.Replace -> Ops.replace_op sensitivity va vb
-      | A.Split -> Ops.split_op sensitivity va vb
+          Ops.comparison ctx.env op sensitivity va vb
+      | A.Replace -> Ops.replace_op ctx.env sensitivity va vb
+      | A.Split -> Ops.split_op ctx.env sensitivity va vb
       | A.Join -> Ops.join_op va vb
       | A.Contains ->
           Ops.contains_op ~case_sensitive:(sensitivity = Some true) ~negate:false va vb
@@ -586,9 +590,14 @@ and eval_assignment ctx op lhs rhs =
     | A.Assign -> rhs_value
     | A.Plus_assign -> Ops.add current rhs_value
     | A.Minus_assign -> Ops.subtract current rhs_value
-    | A.Times_assign -> Ops.multiply current rhs_value
+    | A.Times_assign -> Ops.multiply ctx.env current rhs_value
     | A.Div_assign -> Ops.divide current rhs_value
     | A.Mod_assign -> Ops.modulo current rhs_value
+  in
+  let combined current =
+    let v = combined current in
+    if op <> A.Assign then Env.built ctx.env v;
+    v
   in
   match lhs.A.node with
   | A.Variable_expr v ->
@@ -1162,7 +1171,8 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       | pat :: _ ->
           let pattern = Value.to_string pat in
           let r = Ops.compile_regex pattern in
-          List.filter (fun v -> Regexen.Regex.is_match r (Value.to_string v)) input
+          let charge = Env.charge_matcher env in
+          List.filter (fun v -> Regexen.Regex.is_match ~charge r (Value.to_string v)) input
       | [] -> input)
   | "powershell" | "powershell.exe" | "pwsh" | "pwsh.exe" ->
       (match env.Env.mode with

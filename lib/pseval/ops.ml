@@ -60,23 +60,39 @@ and neutral_for = function
   | Value.Arr _ -> Value.Arr [||]
   | v -> v
 
-let multiply a b =
+(* [src] ([len] long) [n] times over in [dst]: each blit doubles the copies *)
+let repeat blit src len n dst =
+  if len * n > 0 then blit src 0 dst 0 len;
+  let filled = ref len in
+  while !filled < len * n do
+    blit dst 0 dst !filled (min !filled ((len * n) - !filled));
+    filled := 2 * !filled
+  done;
+  dst
+
+(* [n * len > cap], without overflowing *)
+let over_cap cap n len = n > 0 && len > cap / n
+
+let multiply (env : Env.t) a b =
   match a with
   | Value.Str s ->
-      let n = Value.to_int b in
+      let n = Value.to_int b and len = String.length s in
       if n < 0 then fail "negative string multiplier"
-      else if n * String.length s > 32 * 1024 * 1024 then fail "string too large"
+      else if over_cap env.limits.max_string_bytes n len then
+        fail "string too large"
       else
-        Value.Str (String.concat "" (List.init n (fun _ -> s)))
+        let src = Bytes.unsafe_of_string s in
+        Value.Str (Bytes.unsafe_to_string (repeat Bytes.blit src len n (Bytes.create (len * n))))
   | Value.Int n -> (
       match b with
       | Value.Float _ -> Value.Float (float_of_int n *. Value.to_float b)
       | _ -> Value.Int (n * Value.to_int b))
   | Value.Float f -> Value.Float (f *. Value.to_float b)
   | Value.Arr xs ->
-      let n = Value.to_int b in
-      if n < 0 || n * Array.length xs > 1_000_000 then fail "array too large"
-      else Value.Arr (Array.concat (List.init n (fun _ -> xs)))
+      let n = Value.to_int b and len = Array.length xs in
+      if n < 0 || over_cap env.limits.max_collection n len then
+        fail "array too large"
+      else Value.Arr (repeat Array.blit xs len n (Array.make (len * n) Value.Null))
   | _ -> fail "operator '*' not supported on %s" (Value.type_name a)
 
 let arith_int_like a = match a with Value.Float _ -> false | _ -> true
@@ -116,29 +132,30 @@ let range env_cap a b =
   else if lo <= hi then Value.Arr (Array.init len (fun i -> Value.Int (lo + i)))
   else Value.Arr (Array.init len (fun i -> Value.Int (lo - i)))
 
-let like_match ~case_sensitive subject pattern =
+(* regex work is charged to [env]'s step budget while it runs *)
+let like_match env ~case_sensitive subject pattern =
   let r = compile_regex ~case_sensitive (wildcard_to_regex pattern) in
-  Regexen.Regex.is_match r subject
+  Regexen.Regex.is_match ~charge:(Env.charge_matcher env) r subject
 
 (* Comparison operators filter when LHS is an array (PowerShell semantics):
    @(1,2,3) -eq 2  →  @(2). *)
-let comparison op sensitivity a b =
+let comparison env op sensitivity a b =
   let case_sensitive = sensitivity = Some true in
   let test x =
     match op with
     | A.Eq -> Value.equal_loose ~case_sensitive x b
     | A.Ne -> not (Value.equal_loose ~case_sensitive x b)
     | A.Gt | A.Ge | A.Lt | A.Le -> scalar_compare_op op ~case_sensitive x b
-    | A.Like -> like_match ~case_sensitive (Value.to_string x) (Value.to_string b)
+    | A.Like -> like_match env ~case_sensitive (Value.to_string x) (Value.to_string b)
     | A.Notlike ->
-        not (like_match ~case_sensitive (Value.to_string x) (Value.to_string b))
+        not (like_match env ~case_sensitive (Value.to_string x) (Value.to_string b))
     | A.Match ->
-        Regexen.Regex.is_match
+        Regexen.Regex.is_match ~charge:(Env.charge_matcher env)
           (compile_regex ~case_sensitive (Value.to_string b))
           (Value.to_string x)
     | A.Notmatch ->
         not
-          (Regexen.Regex.is_match
+          (Regexen.Regex.is_match ~charge:(Env.charge_matcher env)
              (compile_regex ~case_sensitive (Value.to_string b))
              (Value.to_string x))
     | _ -> assert false
@@ -148,7 +165,7 @@ let comparison op sensitivity a b =
       Value.Arr (Array.of_list (List.filter test (Array.to_list xs)))
   | _ -> Value.Bool (test a)
 
-let replace_op sensitivity a b =
+let replace_op env sensitivity a b =
   let case_sensitive = sensitivity = Some true in
   let pattern, replacement =
     match b with
@@ -157,12 +174,13 @@ let replace_op sensitivity a b =
     | v -> (Value.to_string v, "")
   in
   let r = compile_regex ~case_sensitive pattern in
-  let apply s = Regexen.Regex.replace r ~template:replacement s in
+  let charge = Env.charge_matcher env in
+  let apply s = Regexen.Regex.replace ~charge r ~template:replacement s in
   match a with
   | Value.Arr xs -> Value.Arr (Array.map (fun x -> Value.Str (apply (Value.to_string x))) xs)
   | v -> Value.Str (apply (Value.to_string v))
 
-let split_op sensitivity a b =
+let split_op env sensitivity a b =
   let case_sensitive = sensitivity = Some true in
   (* '-split pattern,count' limits the number of pieces; the last piece is
      the rest of the subject, separators and all *)
@@ -174,7 +192,8 @@ let split_op sensitivity a b =
     | v -> (Value.to_string v, 0)
   in
   let r = compile_regex ~case_sensitive pattern in
-  let split_one v = Regexen.Regex.split ~limit r (Value.to_string v) in
+  let charge = Env.charge_matcher env in
+  let split_one v = Regexen.Regex.split ~limit ~charge r (Value.to_string v) in
   (* applied to an array, -split splits each element and flattens — chained
      splits ('x' -split 'a' -split 'b') rely on this *)
   let per_subject =

@@ -312,17 +312,29 @@ let class_matches ci (negated, items) c =
   let hit = if ci then test (Char.lowercase_ascii c) || test (Char.uppercase_ascii c) else test c in
   hit <> negated
 
+(* One search's matcher steps (see the interface), reported to [charge]
+   in whole batches of 64 *)
+type meter = { mutable steps : int; charge : (int -> unit) option }
+
+let count m n =
+  let before = m.steps in
+  m.steps <- before + n;
+  match m.charge with
+  | Some charge when m.steps lsr 6 > before lsr 6 ->
+      charge (((m.steps lsr 6) - (before lsr 6)) lsl 6)
+  | Some _ | None -> ()
+
 (* groups: (start, stop) array; -1 when unset.  Backtracking via CPS. *)
-let exec t subject start_pos =
+let exec m t subject start_pos =
   let n = String.length subject in
   let ci = t.case_insensitive in
   let gstarts = Array.make (t.group_count + 1) (-1) in
   let gstops = Array.make (t.group_count + 1) (-1) in
-  let steps = ref 0 in
-  let budget = 2_000_000 in
+  count m 2;
+  let limit = if m.charge = None then m.steps + 2_000_000 else max_int in
   let rec match_node node pos (k : int -> bool) =
-    incr steps;
-    if !steps > budget then false
+    count m 1;
+    if m.steps > limit then false
     else
       match node with
       | Empty -> k pos
@@ -407,7 +419,7 @@ let exec t subject start_pos =
 
 (* A literal pattern matches at [pos] exactly when [exec] would: [exec]
    walks the same [Char] nodes with the same [char_eq], and a literal
-   can neither backtrack nor exhaust the step budget.  The scans below
+   can neither backtrack nor exhaust a position's budget.  The scans below
    therefore find the same matches without the per-position group arrays,
    continuation closures and match records. *)
 let rec literal_at ci lit subject pos i len =
@@ -421,26 +433,35 @@ let rec literal_index ci lit subject pos =
   else if literal_at ci lit subject pos 0 (String.length lit) then pos
   else literal_index ci lit subject (pos + 1)
 
+let literal_search m ci lit subject pos =
+  let i = literal_index ci lit subject pos in
+  let stop = if i < 0 then String.length subject else i in
+  count m (max 0 (stop - pos) / 2);
+  i
+
 let literal_match start len =
   { m_start = start; m_stop = start + len;
     groups = [| { g_start = start; g_stop = start + len } |] }
 
-let find ?(start = 0) t subject =
+let find_with meter ~start t subject =
   match t.literal with
   | Some lit ->
-      let i = literal_index t.case_insensitive lit subject (max 0 start) in
+      let i = literal_search meter t.case_insensitive lit subject (max 0 start) in
       if i < 0 then None else Some (literal_match i (String.length lit))
   | None ->
       let n = String.length subject in
-      let rec scan pos = if pos > n then None else match exec t subject pos with Some m -> Some m | None -> scan (pos + 1) in
+      let rec scan pos = if pos > n then None else match exec meter t subject pos with Some m -> Some m | None -> scan (pos + 1) in
       scan (max 0 start)
 
-let find_all t subject =
+let find ?(start = 0) t subject =
+  find_with { steps = 0; charge = None } ~start t subject
+
+let all_matches meter t subject =
   let n = String.length subject in
   let rec loop pos acc =
     if pos > n then List.rev acc
     else
-      match find ~start:pos t subject with
+      match find_with meter ~start:pos t subject with
       | None -> List.rev acc
       | Some m ->
           let next = if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop in
@@ -448,7 +469,10 @@ let find_all t subject =
   in
   loop 0 []
 
-let is_match t subject = find t subject <> None
+let find_all t subject = all_matches { steps = 0; charge = None } t subject
+
+let is_match ?charge t subject =
+  find_with { steps = 0; charge } ~start:0 t subject <> None
 
 let matched_text subject m = String.sub subject m.m_start (m.m_stop - m.m_start)
 
@@ -505,9 +529,9 @@ let expand_template subject m template =
   loop 0;
   Buffer.contents buf
 
-let replace_f t ~f subject =
+let substitute meter t ~f subject =
   let buf = Buffer.create (String.length subject) in
-  let matches = find_all t subject in
+  let matches = all_matches meter t subject in
   let pos =
     List.fold_left
       (fun pos m ->
@@ -519,13 +543,18 @@ let replace_f t ~f subject =
   Buffer.add_substring buf subject pos (String.length subject - pos);
   Buffer.contents buf
 
-let replace t ~template subject =
-  replace_f t ~f:(fun subj m -> expand_template subj m template) subject
+let replace_f t ~f subject = substitute { steps = 0; charge = None } t ~f subject
+
+let replace ?charge t ~template subject =
+  substitute { steps = 0; charge } t
+    ~f:(fun subj m -> expand_template subj m template)
+    subject
 
 (* The fields between the matches [find_all] would return.  With [limit] =
    k > 0, at most k fields: after k - 1 separators the rest of the subject
    is the last field, verbatim. *)
-let split ?(limit = 0) t subject =
+let split ?(limit = 0) ?charge t subject =
+  let meter = { steps = 0; charge } in
   let n = String.length subject in
   let field pos stop acc = String.sub subject pos (stop - pos) :: acc in
   (* [pos]: start of the current field; [search]: where the next match may
@@ -535,13 +564,13 @@ let split ?(limit = 0) t subject =
     else
       match t.literal with
       | Some lit ->
-          let i = literal_index t.case_insensitive lit subject search in
+          let i = literal_search meter t.case_insensitive lit subject search in
           if i < 0 then field pos n acc
           else
             let stop = i + String.length lit in
             loop (fields + 1) stop stop (field pos i acc)
       | None -> (
-          match find ~start:search t subject with
+          match find_with meter ~start:search t subject with
           | None -> field pos n acc
           | Some m ->
               let search =

@@ -43,6 +43,16 @@ type match_result = {
 val matched_text : string -> match_result -> string
 val group_text : string -> match_result -> int -> string option
 
+(** {2 Searching}
+
+    A search counts its work in matcher steps of about 26 ns: one per
+    pattern node visited, two per start position tried, one per two
+    offsets a literal scan compares.  Without [charge], each start
+    position fails to match past two million steps.  With [charge] (the
+    evaluator's operators pass one), no position has a budget: [charge n]
+    is called as each further [n] steps (a multiple of 64) are done, and
+    stops the search by raising. *)
+
 val find : ?start:int -> t -> string -> match_result option
 (** Leftmost match at or after [start]. *)
 
@@ -50,16 +60,16 @@ val find_all : t -> string -> match_result list
 (** Non-overlapping matches, left to right.  Empty matches advance by one
     character to guarantee termination. *)
 
-val is_match : t -> string -> bool
+val is_match : ?charge:(int -> unit) -> t -> string -> bool
 
-val replace : t -> template:string -> string -> string
+val replace : ?charge:(int -> unit) -> t -> template:string -> string -> string
 (** Replace every match.  The template supports [$1]–[$9], [$&] (whole
     match), [$$] (literal dollar), and [${n}]. *)
 
 val replace_f : t -> f:(string -> match_result -> string) -> string -> string
 (** Replace every match with the result of [f subject m]. *)
 
-val split : ?limit:int -> t -> string -> string list
+val split : ?limit:int -> ?charge:(int -> unit) -> t -> string -> string list
 (** Split on every match, like .NET [Regex.Split] (no captured separators;
     adjacent matches yield empty fields).  With [limit] = k > 0 at most k
     fields come back: the last one is the rest of the subject after the

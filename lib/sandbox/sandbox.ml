@@ -21,12 +21,8 @@ type report = {
           budget, stray exception) rather than finishing *)
 }
 
-let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast ?payloads
-    script =
-  let deadline = Pscommon.Guard.deadline_after timeout_s in
-  let limits =
-    { Pseval.Env.default_limits with Pseval.Env.max_steps; deadline }
-  in
+let run ?(max_steps = 1_000_000) ?ast ?payloads script =
+  let limits = { Pseval.Env.default_limits with Pseval.Env.max_steps } in
   let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
   env.Pseval.Env.payloads <- payloads;
   let report error failure =
@@ -35,7 +31,7 @@ let run ?(max_steps = 1_000_000) ?(timeout_s = infinity) ?ast ?payloads
       bindings = Pseval.Env.global_bindings env; error; failure }
   in
   match
-    Pscommon.Guard.protect ~deadline (fun () ->
+    Pscommon.Guard.protect (fun () ->
         Pseval.Interp.run_parsed env ~src:script
           (match ast with
           | Some ast -> Ok ast
@@ -92,9 +88,8 @@ let effect_log r =
   @ vars
   @ (match r.error with Some _ -> [ "error" ] | None -> [])
 
-let run_for_verify ?(max_steps = 400_000) ?(timeout_s = 5.0) ?ast ?payloads
-    script =
-  let r = run ~max_steps ~timeout_s ?ast ?payloads script in
+let run_for_verify ~max_steps ?ast ?payloads script =
+  let r = run ~max_steps ?ast ?payloads script in
   match r.failure with
   | Some f -> Error (Pscommon.Guard.failure_to_string f)
   | None -> Ok (effect_log r)

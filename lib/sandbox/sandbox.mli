@@ -17,12 +17,12 @@ type report = {
 }
 
 val run :
-  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t ->
-  ?payloads:Pseval.Env.payloads -> string -> report
+  ?max_steps:int -> ?ast:Psast.Ast.t -> ?payloads:Pseval.Env.payloads ->
+  string -> report
 (** Never raises: execution is guarded, and a contained crash or overrun
-    keeps the events recorded up to that point.  The run stops at
-    [timeout_s] from now or at the ambient {!Pscommon.Guard} deadline,
-    whichever is sooner.  [ast], when the caller
+    keeps the events recorded up to that point.  The run stops after
+    [max_steps] (default one million) or at the evaluator's deadline
+    ({!Pseval.Env.t}).  [ast], when the caller
     already holds the parse of the script, is run without parsing it
     again ({!Pseval.Interp.run_parsed}).  [payloads] are Invoke-Expression
     payloads recovery already decoded from this script
@@ -40,14 +40,13 @@ val effect_log : report -> string list
     ["<scriptblock>"] so renames inside emitted blocks don't register. *)
 
 val run_for_verify :
-  ?max_steps:int -> ?timeout_s:float -> ?ast:Psast.Ast.t ->
-  ?payloads:Pseval.Env.payloads -> string -> (string list, string) result
-(** Run under a tight budget and return the {!effect_log}, or [Error
-    reason] when the run was contained (deadline, step budget, crash) —
-    the script is then unverifiable rather than comparable.  Defaults:
-    400k steps, 5s.  [ast] and [payloads] as in {!run}: a reused payload
-    is charged the steps its evaluation took, so the budget binds as it
-    would without it. *)
+  max_steps:int -> ?ast:Psast.Ast.t -> ?payloads:Pseval.Env.payloads ->
+  string -> (string list, string) result
+(** Run under a tight budget of [max_steps] and return the {!effect_log},
+    or [Error reason] when the run was contained (deadline, step budget,
+    crash) — the script is then unverifiable rather than comparable.  [ast] and [payloads] as in {!run}: a reused
+    payload is charged the steps its evaluation took, so the budget binds
+    as it would without it. *)
 
 val is_network_event : Pseval.Env.event -> bool
 

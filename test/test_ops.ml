@@ -36,19 +36,52 @@ let test_add_coercions () =
   check_b "null+x adopts rhs type" true
     (Value.to_string (Ops.add Value.Null (str "x")) = "x")
 
+let env = Pseval.Env.create ()
+
 let test_multiply () =
   check_s "string replication" "ababab"
-    (Value.to_string (Ops.multiply (str "ab") (int 3)));
+    (Value.to_string (Ops.multiply env (str "ab") (int 3)));
   check_s "replication by string count" "aa"
-    (Value.to_string (Ops.multiply (str "a") (str "2")));
+    (Value.to_string (Ops.multiply env (str "a") (str "2")));
   check_b "negative replication raises" true
-    (match Ops.multiply (str "a") (int (-1)) with
+    (match Ops.multiply env (str "a") (int (-1)) with
     | exception Ops.Op_error _ -> true
     | _ -> false);
-  check_i "array replication" 6
-    (match Ops.multiply (arr [ int 1; int 2 ]) (int 3) with
-    | Value.Arr a -> Array.length a
-    | _ -> -1)
+  check_b "array replication" true
+    (Ops.multiply env (arr [ int 1; int 2 ]) (int 3)
+    = arr [ int 1; int 2; int 1; int 2; int 1; int 2 ])
+
+let op_error f =
+  match f () with _ -> "no error" | exception Ops.Op_error m -> m
+
+(* a megabyte built by one allocation, not a list of a million strings;
+   the caps are the evaluator's limits *)
+let test_multiply_allocates_once () =
+  let mb = 1_000_000 in
+  let before = Gc.allocated_bytes () in
+  let v = Ops.multiply env (str "ab") (int (mb / 2)) in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_b "value" true (v = str (String.concat "" (List.init (mb / 2) (fun _ -> "ab"))));
+  check_b (Printf.sprintf "allocated %.0f bytes" allocated) true
+    (allocated <= 2.0 *. float_of_int mb);
+  let with_caps bytes elements =
+    Pseval.Env.create
+      ~limits:
+        { Pseval.Env.default_limits with
+          Pseval.Env.max_string_bytes = bytes; max_collection = elements }
+      ()
+  in
+  let small = with_caps 10 10 in
+  check_s "string cap" "string too large"
+    (op_error (fun () -> Ops.multiply small (str "abc") (int 4)));
+  check_s "string at the cap" "abababababab"
+    (Value.to_string (Ops.multiply (with_caps 12 10) (str "ab") (int 6)));
+  check_s "array cap" "array too large"
+    (op_error (fun () -> Ops.multiply small (arr [ int 1; int 2 ]) (int 6)));
+  check_s "negative multiplier" "negative string multiplier"
+    (op_error (fun () -> Ops.multiply small (str "a") (int (-1))));
+  check_s "empty string, huge count" ""
+    (Value.to_string (Ops.multiply env (str "") (int max_int)))
 
 let test_divide_kinds () =
   check_b "int/int exact" true (Ops.divide (int 8) (int 2) = int 4);
@@ -84,13 +117,13 @@ let test_indexing () =
     | _ -> false)
 
 let test_like_wildcards () =
-  check_b "star" true (Ops.like_match ~case_sensitive:false "evil.ps1" "*.ps1");
-  check_b "question" true (Ops.like_match ~case_sensitive:false "cat" "c?t");
-  check_b "anchored" false (Ops.like_match ~case_sensitive:false "xcat" "c?t");
-  check_b "case" false (Ops.like_match ~case_sensitive:true "CAT" "cat")
+  check_b "star" true (Ops.like_match env ~case_sensitive:false "evil.ps1" "*.ps1");
+  check_b "question" true (Ops.like_match env ~case_sensitive:false "cat" "c?t");
+  check_b "anchored" false (Ops.like_match env ~case_sensitive:false "xcat" "c?t");
+  check_b "case" false (Ops.like_match env ~case_sensitive:true "CAT" "cat")
 
 let test_comparison_array_filter () =
-  match Ops.comparison A.Gt None (arr [ int 1; int 5; int 3 ]) (int 2) with
+  match Ops.comparison env A.Gt None (arr [ int 1; int 5; int 3 ]) (int 2) with
   | Value.Arr a ->
       check_i "filtered" 2 (Array.length a);
       check_b "values" true (a.(0) = int 5 && a.(1) = int 3)
@@ -98,11 +131,11 @@ let test_comparison_array_filter () =
 
 let test_replace_op_behaviours () =
   check_s "regex groups" "b.a"
-    (Value.to_string (Ops.replace_op None (str "a@b") (arr [ str "(\\w)@(\\w)"; str "$2.$1" ])));
+    (Value.to_string (Ops.replace_op env None (str "a@b") (arr [ str "(\\w)@(\\w)"; str "$2.$1" ])));
   check_s "deletion with single arg" "ac"
-    (Value.to_string (Ops.replace_op None (str "abc") (str "b")));
+    (Value.to_string (Ops.replace_op env None (str "abc") (str "b")));
   check_b "applies across array lhs" true
-    (match Ops.replace_op None (arr [ str "xa"; str "xb" ]) (arr [ str "x"; str "y" ]) with
+    (match Ops.replace_op env None (arr [ str "xa"; str "xb" ]) (arr [ str "x"; str "y" ]) with
     | Value.Arr [| Value.Str "ya"; Value.Str "yb" |] -> true
     | _ -> false)
 
@@ -127,7 +160,7 @@ let test_type_matches () =
   check_b "mismatch" false (Ops.type_matches "int" (str "x"))
 
 let split_with_count subject pattern n =
-  match Ops.split_op None (str subject) (arr [ str pattern; int n ]) with
+  match Ops.split_op env None (str subject) (arr [ str pattern; int n ]) with
   | Value.Arr parts -> List.map Value.to_string (Array.to_list parts)
   | v -> [ Value.to_string v ]
 
@@ -149,6 +182,7 @@ let suite =
     ("split count tail", `Quick, test_split_count_tail);
     ("add coercions", `Quick, test_add_coercions);
     ("multiply", `Quick, test_multiply);
+    ("multiply allocates once", `Quick, test_multiply_allocates_once);
     ("divide kinds", `Quick, test_divide_kinds);
     ("range", `Quick, test_range);
     ("indexing", `Quick, test_indexing);

@@ -421,12 +421,16 @@ let prop_mutated_scripts_contained =
 
 (* ---------- one degradation path: a failed phase keeps the best text ---------- *)
 
+(* step budgets so high that only the wall clock stops a bomb *)
 let bomb_options =
   { Deobf.Engine.default_options with
     recovery =
       { Deobf.Recover.default_options with
         piece_step_budget = 1_000_000_000;
-        piece_timeout_s = 60.0 } }
+        dynamic_step_budget = 1_000_000_000 } }
+
+let bomb_verify_opts =
+  { Deobf.Verify.default_opts with Deobf.Verify.max_steps = 1_000_000_000 }
 
 (* a foldable concatenation, a backtick-obfuscated command, then a decode
    bomb only the wall clock can stop *)
@@ -466,7 +470,7 @@ let test_deadline_keeps_partial_recovery () =
         true
         (o.Deobf.Batch.wall_ms < (timeout_s +. 0.5) *. 1000.0))
 
-(* the same bomb with dear steps, so the sandbox's step budget outlasts
+(* the same bomb with dear steps, and a gate whose step budget outlasts
    the deadline: the verify gate's reference run used to get its own 5 s
    budget after the engine had spent the file's deadline *)
 let verify_bomb =
@@ -482,10 +486,10 @@ let test_verify_gate_honours_deadline () =
       let started = Guard.now () in
       let o =
         Deobf.Batch.process_file ~options:bomb_options ~timeout_s:0.4
-          ~verify:true ~out_dir path
+          ~verify:true ~verify_opts:bomb_verify_opts ~out_dir path
       in
       let elapsed = Guard.now () -. started in
-      check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.9);
+      check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.44);
       check_s "verdict" "unverifiable"
         (match o.Deobf.Batch.verdict with
         | Some v -> Deobf.Verify.verdict_name v
@@ -495,17 +499,20 @@ let test_verify_gate_honours_deadline () =
         (String.starts_with ~prefix:"$a = 'hello'" output))
 
 (* each step builds a megabyte, so 2048 steps take seconds: the deadline
-   must be polled by the string size check, not only by the step counter *)
+   must be polled by the charge for what a step built, not only by the
+   step counter *)
+let string_bomb =
+  "while ($i -lt 100000) { $null = ('a' * 1000000).ToUpper(); $i++ }\n"
+
 let test_string_bomb_honours_deadline () =
-  let src =
-    "while ($i -lt 100000) { $null = ('a' * 1000000).ToUpper(); $i++ }\n"
-  in
+  let src = string_bomb in
   let started = Guard.now () in
   let o, out =
-    Deobf.Batch.run_source ~verify:false ~timeout_s:0.5 ~name:"string-bomb" src
+    Deobf.Batch.run_source ~options:bomb_options ~verify:false ~timeout_s:0.5
+      ~name:"string-bomb" src
   in
   let elapsed = Guard.now () -. started in
-  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 1.0);
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.55);
   check_s "script kept" src out;
   check_b "the overrun is reported" true
     (List.exists
@@ -518,6 +525,43 @@ let test_string_bomb_honours_deadline () =
    rollback re-run finishes just as the deadline passes, so the next
    round's sandbox runs are cut short.  The divergence must stand: the
    verdict is diverged with the rollback on record, never unverifiable *)
+(* at default budgets the same bomb ends on the dynamic stage's step
+   budget, not on the 30 s request deadline it used to spend: the later
+   phases run and the gate ends on its own step budget *)
+let test_dynamic_stage_bounded () =
+  let started = Guard.now () in
+  let o, out = Deobf.Batch.run_source ~verify:true ~name:"string-bomb" string_bomb in
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 3.0);
+  check_i "dynamic region unverifiable" 1
+    o.Deobf.Batch.stats.Deobf.Recover.dynamic_unverifiable;
+  check_b "no timeout" false
+    (List.exists
+       (fun (f : Deobf.Engine.failure_site) ->
+         f.Deobf.Engine.failure = Guard.Timeout)
+       o.Deobf.Batch.failures);
+  check_b "renamed and reformatted" true
+    (List.mem_assoc "rename" o.Deobf.Batch.phase_ms
+    && List.mem_assoc "reformat" o.Deobf.Batch.phase_ms);
+  check_s "output of an unhurried run" (Deobf.Engine.run string_bomb).Deobf.Engine.output out;
+  check_s "verdict"
+    "unverifiable: original: interpreter limit: step budget exhausted"
+    (match o.Deobf.Batch.verdict with
+    | Some v ->
+        Deobf.Verify.verdict_name v ^ ": "
+        ^ Option.value ~default:"" (Deobf.Verify.verdict_detail v)
+    | None -> "none")
+
+(* one backtracking match on 201 characters used to take 2 000 000
+   matcher steps at each start position, some 8 s; it now draws from the
+   request's budgets while it runs *)
+let test_regex_bomb_honours_deadline () =
+  let src = "$s = ('a' * 200) + 'b'\n$s -match '(a+)+$'\n" in
+  let started = Guard.now () in
+  ignore (Deobf.Batch.run_source ~verify:true ~timeout_s:1.0 ~name:"regex-bomb" src);
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 1.1)
+
 let test_verify_deadline_keeps_divergence () =
   with_chaos (cfg 9 ~site_rates:[ ("verify.diff", 1.0) ]) (fun () ->
       let src = "$a = ('te'+'st'); Write-Output $a" in
@@ -722,6 +766,10 @@ let suite =
       test_verify_gate_honours_deadline;
     Alcotest.test_case "string bomb honours the deadline" `Quick
       test_string_bomb_honours_deadline;
+    Alcotest.test_case "dynamic stage is bounded by its budget" `Quick
+      test_dynamic_stage_bounded;
+    Alcotest.test_case "regex bomb honours the deadline" `Quick
+      test_regex_bomb_honours_deadline;
     Alcotest.test_case "verify deadline keeps a found divergence" `Quick
       test_verify_deadline_keeps_divergence;
     Alcotest.test_case "verify deadline in bisection keeps divergence" `Quick
