@@ -54,7 +54,7 @@ let deobfuscate_cmd =
   let run input output no_tracing no_blocklist no_multilayer no_rename
       no_reformat no_token_phase no_piece_cache no_partial no_dynamic chaos
       batch jobs timeout trace log_level log_format summary_flag verify_flag
-      no_verify resume serve queue_cap cache_cap piece_cache_dir trace_sample
+      no_verify resume serve queue_cap cache_cap trace_sample
       metrics_out metrics_addr flight_dir client no_quarantine grace
       mem_soft_mb mem_hard_mb =
     Option.iter (fun l -> T.Log.set_level (Some l)) log_level;
@@ -155,7 +155,6 @@ let deobfuscate_cmd =
                 options;
                 verify = verify_flag && not no_verify;
                 cache_cap = max 1 cache_cap;
-                piece_cache_dir;
                 trace_dir =
                   (match trace with None | Some "" -> None | d -> d);
                 trace_sample;
@@ -202,8 +201,7 @@ let deobfuscate_cmd =
       in
       let summary =
         Deobf.Batch.run_dir ~options ~timeout_s ~out_dir ?trace_dir
-          ?trace_sample ~jobs ~verify:(not no_verify) ~resume
-          ?piece_cache_dir dir
+          ?trace_sample ~jobs ~verify:(not no_verify) ~resume dir
       in
       print_endline (Deobf.Batch.summary_to_json summary);
       T.Log.info (fun () ->
@@ -413,18 +411,6 @@ let deobfuscate_cmd =
                 "Serve mode: capacity of the process-shared warm piece \
                  cache (entries; shared by all workers, persists across \
                  requests).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "piece-cache-dir" ] ~docv:"DIR"
-              ~doc:
-                "Persist cacheable piece results to $(docv) (created if \
-                 missing) and reload them on later runs, so a re-run over \
-                 the same corpus — or a restarted daemon — starts with a \
-                 warm piece cache.  Entries are content-addressed, written \
-                 atomically, and guarded by a fingerprint of the recovery \
-                 options; a corrupt or foreign entry loads as a miss.  \
-                 Applies to --batch and --serve modes.")
       $ Arg.(
           value
           & opt (some int) None

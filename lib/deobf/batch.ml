@@ -144,20 +144,6 @@ let options_fingerprint ~options ~timeout_s ~max_output_bytes ~verify =
     (Digest.string
        (Marshal.to_string (options, timeout_s, max_output_bytes, verify) []))
 
-(* The persistent piece tier is only sound between runs that would evaluate
-   pieces identically, so its fingerprint covers the cache format version
-   and every evaluation-relevant knob.  [verify] is deliberately absent:
-   the gate replays the same pieces, it does not change their results.
-   Entries are marshalled [Value.t], and [Value.Script_block] embeds
-   [Psast.Ast]: the version must change with any change to the shape of
-   [Value.t] or [Psast.Ast.t], or a warm run would unmarshal an entry
-   into the wrong layout. *)
-let piece_cache_fingerprint ~options ~timeout_s ~max_output_bytes =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ("piece-cache-v2", options, timeout_s, max_output_bytes) []))
-
 (* field extraction for our own single-line manifest entries lives in
    {!Jsonl} (shared with the serve daemon's NDJSON protocol); a malformed
    line simply fails to match *)
@@ -477,7 +463,7 @@ let rec ensure_dir dir =
 
 let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
     ?trace_sample ?(jobs = 1) ?(verify = true) ?verify_opts ?(resume = false)
-    ?piece_cache_dir files =
+    files =
   let started = Guard.now () in
   (* more domains than cores only adds scheduler churn (and, on a small
      machine, cold caches); the requested level is still reported so the
@@ -523,22 +509,8 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
     | _ -> None
   in
   (* one content-addressed piece cache for the whole run, shared by every
-     pool domain; with [piece_cache_dir] it also reads and writes the
-     persistent tier, so a later run starts warm.  An unusable cache
-     directory degrades to the in-memory tiers — caching is an
-     accelerator, never a reason to fail the batch. *)
-  let cache =
-    let dir =
-      Option.bind piece_cache_dir (fun dir ->
-          match Guard.protect (fun () -> ensure_dir dir) with
-          | Ok () -> Some dir
-          | Error _ -> None)
-    in
-    Recover.Cache.create ?dir
-      ~fingerprint:
-        (piece_cache_fingerprint ~options ~timeout_s ~max_output_bytes)
-      ()
-  in
+     pool domain *)
+  let cache = Recover.Cache.create () in
   let outcomes =
     match dir_failure with
     | Some site ->
@@ -612,11 +584,11 @@ let total_stats outcomes =
 let cache_json (cs : Recover.Cache.stats) =
   Printf.sprintf
     "{\"entries\": %d, \"lookups\": %d, \"hits\": %d, \"hit_rate\": %.3f, \
-     \"evictions\": %d, \"persistent_loads\": %d}"
+     \"evictions\": %d}"
     cs.entries cs.lookups cs.hits
     (if cs.lookups = 0 then 0.0
      else float_of_int cs.hits /. float_of_int cs.lookups)
-    cs.evictions cs.persistent_loads
+    cs.evictions
 
 let registry_count name = T.Metrics.counter_value (T.Metrics.counter name)
 
@@ -722,8 +694,7 @@ let metrics_json s =
   let cs =
     Option.value s.cache_stats
       ~default:
-        { Recover.Cache.entries = 0; hits = 0; lookups = 0; evictions = 0;
-          persistent_loads = 0 }
+        { Recover.Cache.entries = 0; hits = 0; lookups = 0; evictions = 0 }
   in
   String.concat "\n"
     [
@@ -769,7 +740,7 @@ let metrics_json s =
     ]
 
 let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
-    ?trace_sample ?jobs ?verify ?verify_opts ?resume ?piece_cache_dir dir =
+    ?trace_sample ?jobs ?verify ?verify_opts ?resume dir =
   let files =
     match Guard.protect (fun () -> Sys.readdir dir) with
     | Error _ -> []
@@ -783,7 +754,7 @@ let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
   in
   let summary =
     run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
-      ?trace_sample ?jobs ?verify ?verify_opts ?resume ?piece_cache_dir files
+      ?trace_sample ?jobs ?verify ?verify_opts ?resume files
   in
   (match out_dir with
   | Some out ->

@@ -48,18 +48,6 @@ type journal
 (** Handle on the [manifest.jsonl] resume journal of one batch run; created
     internally by {!run_files} when there is an output directory. *)
 
-val piece_cache_fingerprint :
-  options:Engine.options option ->
-  timeout_s:float option ->
-  max_output_bytes:int option ->
-  string
-(** The version/options fingerprint guarding the persistent piece-cache
-    tier ({!Recover.Cache.create}): a digest over the cache format version
-    and every evaluation-relevant knob, so entries written by a run with
-    different recovery options (or a future incompatible format) load as
-    misses.  Used by {!run_files} and the serve daemon; exposed so other
-    front ends pointing at the same cache directory stay compatible. *)
-
 val default_timeout_s : float  (** 30 s *)
 
 val run_source :
@@ -131,7 +119,6 @@ val run_files :
   ?verify:bool ->
   ?verify_opts:Verify.opts ->
   ?resume:bool ->
-  ?piece_cache_dir:string ->
   string list ->
   summary
 (** Process the given files, [jobs] at a time (default 1, sequential;
@@ -145,10 +132,8 @@ val run_files :
     [metrics.json] rollup from {!run_dir}) covers exactly this run.
 
     All files share one {!Recover.Cache} across every pool domain, so a
-    decode piece recovered in one file is a cache hit in the next.  With
-    [piece_cache_dir] (created mkdir-p; an unusable directory silently
-    degrades to memory-only) cacheable piece results also persist across
-    runs, guarded by a fingerprint of the evaluation-relevant options.
+    decode piece recovered in one file is a cache hit in the next.  The
+    cache lives for the call: nothing is carried over to a later run.
 
     [verify] (default on) runs the {!Verify} semantic gate on every file.
     With an [out_dir], the run keeps an append-only [manifest.jsonl]
@@ -173,7 +158,6 @@ val run_dir :
   ?verify:bool ->
   ?verify_opts:Verify.opts ->
   ?resume:bool ->
-  ?piece_cache_dir:string ->
   string ->
   summary
 (** Process every regular file in a directory, in sorted order.  With
@@ -213,9 +197,8 @@ val phase_totals : outcome list -> (string * float) list
 (** Per-phase wall-time totals over the outcomes, sorted by phase. *)
 
 val cache_json : Recover.Cache.stats -> string
-(** [{"entries", "lookups", "hits", "hit_rate", "evictions",
-    "persistent_loads"}] of one piece cache; [hit_rate] is hits over
-    lookups (0 with no lookups). *)
+(** [{"entries", "lookups", "hits", "hit_rate", "evictions"}] of one
+    piece cache; [hit_rate] is hits over lookups (0 with no lookups). *)
 
 val dynamic_json : unit -> string
 (** The dynamic-recovery funnel [{"attempted", "recovered", "rolled_back",

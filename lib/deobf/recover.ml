@@ -82,22 +82,17 @@ let new_stats () =
    ambient input to an execution) with the piece text; a table holding an
    unfingerprintable value yields no key and bypasses the cache entirely.
 
-   Three tiers.  In-memory results are content-addressed and mutex-guarded,
-   so one cache is shared by every pool domain of a batch or daemon
-   process; bounding is two-generation segmented eviction (hot fills up →
-   hot becomes cold, old cold is dropped, recently-touched entries are
-   promoted back to hot), so overflow sheds the stale half instead of
-   cold-starting the whole working set.  An optional persistent tier
-   ([dir]) write-throughs every cacheable result to a digest-named file
-   (atomic rename; payload digest + version/options [fingerprint] checked
-   on load, so corruption, torn writes, and stale options all read as a
-   miss) — batch reruns and daemon restarts start warm.  Alongside the
-   result tiers, the piece tier memoizes on text alone what recovery asks
-   of a piece before it runs it — its parse, whether it is already a
-   literal, whether it names a blocked command — from one lexer run and
-   one parse: none of the three has environment inputs, so an entry is
-   shared even when the binding digest differs or result caching is
-   ablated away. *)
+   Results are content-addressed and mutex-guarded, so one cache is
+   shared by every pool domain of a batch or daemon process; bounding is
+   two-generation segmented eviction (hot fills up → hot becomes cold, old
+   cold is dropped, recently-touched entries are promoted back to hot), so
+   overflow sheds the stale half instead of cold-starting the whole
+   working set.  Alongside the result tier, the piece tier memoizes on
+   text alone what recovery asks of a piece before it runs it — its
+   parse, whether it is already a literal, whether it names a blocked
+   command — from one lexer run and one parse: none of the three has
+   environment inputs, so an entry is shared even when the binding digest
+   differs or result caching is ablated away. *)
 module Cache = struct
   (* Two generations of one table, bounded at [cap] entries each: adding a
      new key to a full hot generation flips it (hot becomes cold, the
@@ -153,7 +148,6 @@ module Cache = struct
      view of where the working set actually lives *)
   let m_tier_hot = T.Metrics.counter "recover.cache.tier.hot"
   let m_tier_cold = T.Metrics.counter "recover.cache.tier.cold"
-  let m_tier_persistent = T.Metrics.counter "recover.cache.tier.persistent"
   let m_tier_piece = T.Metrics.counter "recover.cache.tier.piece"
 
   type entry = (Value.t, string) result
@@ -163,7 +157,6 @@ module Cache = struct
     hits : int;
     lookups : int;
     evictions : int;
-    persistent_loads : int;
   }
 
   type piece = {
@@ -176,11 +169,8 @@ module Cache = struct
     mu : Mutex.t;
     results : (string, entry) Gens.t;
         (** [gen_cap] per generation; total residency stays under [cap] *)
-    dir : string option;
-    fingerprint : string;
     mutable hits : int;
     mutable lookups : int;
-    mutable persistent_loads : int;
     pieces : (string, piece) Gens.t;
   }
 
@@ -189,15 +179,12 @@ module Cache = struct
 
   (* result-tier flips are counted in [recover.cache.resets], as the
      whole-table reset they replace was; the piece tier flips uncounted *)
-  let create ?(cap = 2048) ?dir ?(fingerprint = "") () =
+  let create ?(cap = 2048) () =
     let gen_cap = max 1 (cap / 2) in
     { mu = Mutex.create ();
       results = Gens.create ~on_flip:(fun () -> T.Metrics.incr m_resets) gen_cap;
-      dir;
-      fingerprint;
       hits = 0;
       lookups = 0;
-      persistent_loads = 0;
       pieces = Gens.create gen_cap }
 
   let locked t f =
@@ -207,117 +194,26 @@ module Cache = struct
   (* last writer wins across domains — a gauge, not an exact census *)
   let gauge_entries t = T.Metrics.set m_entries (Gens.length t.results)
 
-  let insert_locked t key entry =
-    Gens.add t.results key entry;
-    gauge_entries t
-
-  (* ----- persistent tier ----- *)
-
-  let magic = "IDPC1"
-
-  let entry_path t key =
-    match t.dir with
-    | None -> None
-    | Some dir ->
-        Some
-          (Filename.concat dir
-             (Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ key))
-             ^ ".piece"))
-
-  let tmp_counter = Atomic.make 0
-
-  (* best-effort write-through: tmp file + atomic rename so readers never
-     see a partial entry under POSIX semantics, plus a payload digest so a
-     torn write on a crashed run still reads back as a miss *)
-  let persist t key entry =
-    match entry_path t key with
-    | None -> ()
-    | Some path -> (
-        try
-          let payload =
-            Marshal.to_string (t.fingerprint, key, (entry : entry)) []
-          in
-          let body = magic ^ Digest.string payload ^ payload in
-          let tmp =
-            Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-              (Atomic.fetch_and_add tmp_counter 1)
-          in
-          let oc = open_out_bin tmp in
-          (try
-             output_string oc body;
-             close_out oc
-           with e ->
-             close_out_noerr oc;
-             raise e);
-          Sys.rename tmp path
-        with _ -> ())
-
-  (* any defect — missing file, bad magic, truncation, digest mismatch,
-     foreign fingerprint, unmarshalable bytes — is a miss, never a crash *)
-  let load_persistent t key =
-    match entry_path t key with
-    | None -> None
-    | Some path -> (
-        try
-          let ic = open_in_bin path in
-          let body =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let mlen = String.length magic in
-          if String.length body < mlen + 16 then None
-          else if not (String.equal (String.sub body 0 mlen) magic) then None
-          else
-            let digest = String.sub body mlen 16 in
-            let payload =
-              String.sub body (mlen + 16) (String.length body - mlen - 16)
-            in
-            if not (String.equal (Digest.string payload) digest) then None
-            else
-              let (fp, k, entry) : string * string * entry =
-                Marshal.from_string payload 0
-              in
-              if String.equal fp t.fingerprint && String.equal k key then
-                Some entry
-              else None
-        with _ -> None)
-
-  (* ----- lookups ----- *)
-
   let find t key =
-    let in_memory =
-      locked t (fun () ->
-          t.lookups <- t.lookups + 1;
-          match Gens.find t.results key with
-          | Some (Gens.Hot e) ->
-              t.hits <- t.hits + 1;
-              T.Metrics.incr m_tier_hot;
-              Some e
-          | Some (Gens.Cold e) ->
-              (* promoted: recently-used entries survive the next flip *)
-              t.hits <- t.hits + 1;
-              T.Metrics.incr m_tier_cold;
-              gauge_entries t;
-              Some e
-          | None -> None)
-    in
-    match in_memory with
-    | Some _ as r -> r
-    | None -> (
-        match load_persistent t key with
-        | Some entry ->
-            locked t (fun () ->
-                t.hits <- t.hits + 1;
-                t.persistent_loads <- t.persistent_loads + 1;
-                T.Metrics.incr m_tier_persistent;
-                insert_locked t key entry);
-            Some entry
+    locked t (fun () ->
+        t.lookups <- t.lookups + 1;
+        match Gens.find t.results key with
+        | Some (Gens.Hot e) ->
+            t.hits <- t.hits + 1;
+            T.Metrics.incr m_tier_hot;
+            Some e
+        | Some (Gens.Cold e) ->
+            (* promoted: recently-used entries survive the next flip *)
+            t.hits <- t.hits + 1;
+            T.Metrics.incr m_tier_cold;
+            gauge_entries t;
+            Some e
         | None -> None)
 
   let add t key entry =
-    locked t (fun () -> insert_locked t key entry);
-    persist t key entry
+    locked t (fun () ->
+        Gens.add t.results key entry;
+        gauge_entries t)
 
   let m_shrinks = T.Metrics.counter "recover.cache.shrinks"
 
@@ -338,8 +234,7 @@ module Cache = struct
         { entries = Gens.length t.results;
           hits = t.hits;
           lookups = t.lookups;
-          evictions = t.results.Gens.dropped;
-          persistent_loads = t.persistent_loads })
+          evictions = t.results.Gens.dropped })
 
   (* ----- piece tier ----- *)
 

@@ -68,55 +68,42 @@ val new_stats : unit -> stats
     [recover.cache.resets]; occupancy is gauged by
     [recover.cache.entries].
 
-    With [dir], every cacheable result is also written through to a
-    persistent tier: one digest-named [*.piece] file per entry, written
-    atomically (tmp + rename) and self-verifying (magic, payload digest,
-    and the caller's version/options [fingerprint]); any defect — torn
-    write, corruption, foreign fingerprint — loads as a miss, never a
-    crash.  A later run pointed at the same [dir] with the same
-    fingerprint starts warm.
-
     The cache also holds the piece tier ({!Cache.piece}): keyed on a piece's
     text alone, it answers the three questions recovery asks before it
     runs the piece — its parse, whether it is already a literal, whether
     it names a blocked command — from one lexer run and one parse, so a
     piece is lexed and parsed once however many passes, files and domains
-    ask.  Entries are environment-independent, never persisted, kept even
-    when result caching is ablated off, and a hit for any of the three
-    answers is counted in [recover.cache.tier.piece].  Both in-memory
-    tiers share the two-generation bounding above. *)
+    ask.  Entries are environment-independent, kept even when result
+    caching is ablated off, and a hit for any of the three answers is
+    counted in [recover.cache.tier.piece].  Both tiers share the
+    two-generation bounding above. *)
 module Cache : sig
   type t
 
   type entry = (Psvalue.Value.t, string) result
 
   type stats = {
-    entries : int;  (** in-memory entries, both generations *)
-    hits : int;  (** lookups answered, any tier *)
+    entries : int;  (** result entries, both generations *)
+    hits : int;  (** lookups answered, either generation *)
     lookups : int;
     evictions : int;  (** entries dropped by generation flips *)
-    persistent_loads : int;  (** hits answered from the persistent tier *)
   }
 
-  val create : ?cap:int -> ?dir:string -> ?fingerprint:string -> unit -> t
-  (** Default capacity 2048 entries (floor 1) split over two generations.
-      [dir] enables the persistent tier (the directory must exist);
-      [fingerprint] guards its entries against version/options drift —
-      use a digest of everything that could change evaluation results. *)
+  val create : ?cap:int -> unit -> t
+  (** Default capacity 2048 entries (floor 1) split over two generations. *)
 
   val find : t -> string -> entry option
   val add : t -> string -> entry -> unit
 
   val length : t -> int
-  (** Current in-memory entry count. *)
+  (** Current result entry count. *)
 
   val stats : t -> stats
 
   val shrink : t -> unit
   (** Memory-pressure shed: drop the cold generation of the result and
       piece tiers (counted in [recover.cache.shrinks] and the eviction
-      stats), keeping the hot working set.  The persistent tier is
-      untouched, so shrunk entries reload on demand. *)
+      stats), keeping the hot working set. *)
 
   type piece = {
     parsed : (Psast.Ast.t, string) result;

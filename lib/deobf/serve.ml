@@ -68,7 +68,6 @@ type config = {
   verify : bool;
   verify_opts : Verify.opts option;
   cache_cap : int;
-  piece_cache_dir : string option;
   trace_dir : string option;
   trace_sample : int option;
   metrics_out : string option;
@@ -86,7 +85,7 @@ let default_config bind =
     max_output_bytes = Engine.default_max_output_bytes;
     options = Engine.default_options;
     verify = false; verify_opts = None; cache_cap = 2048;
-    piece_cache_dir = None; trace_dir = None; trace_sample = None;
+    trace_dir = None; trace_sample = None;
     metrics_out = None; metrics_addr = None; flight_dir = None;
     grace_s = 2.0; mem_soft_mb = None; mem_hard_mb = None; quarantine = true }
 
@@ -215,15 +214,8 @@ let id_of_line ~seq line =
 (* One warm piece cache for the whole process, shared by every worker
    domain ({!Recover.Cache} is mutex-guarded): a decode piece recovered
    for one request is a hit for every later request, whichever worker
-   runs it.  With [piece_cache_dir] the cache also persists across daemon
-   restarts, guarded by the same options fingerprint as a batch run. *)
-let make_cache cfg =
-  Recover.Cache.create ~cap:cfg.cache_cap ?dir:cfg.piece_cache_dir
-    ~fingerprint:
-      (Batch.piece_cache_fingerprint ~options:(Some cfg.options)
-         ~timeout_s:(Some cfg.default_timeout_s)
-         ~max_output_bytes:(Some cfg.max_output_bytes))
-    ()
+   runs it. *)
+let make_cache cfg = Recover.Cache.create ~cap:cfg.cache_cap ()
 
 (* The worker-side request handler.  Totalised twice over: the pipeline
    inside is {!Batch.run_source} (already total), the outer

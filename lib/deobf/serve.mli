@@ -39,9 +39,8 @@
     time counts against the request's budget and drain time is bounded.  Any failure is a structured error response; workers recycle,
     the daemon survives.  All workers share one warm bounded piece cache
     ({!Recover.Cache}) for the life of the process — a piece recovered for
-    one request is a hit for every later one, whichever worker runs it —
-    and with [piece_cache_dir] it persists across daemon restarts.  The
-    ["metrics"] op reports the cache's occupancy and hit rate alongside
+    one request is a hit for every later one, whichever worker runs it.
+    The ["metrics"] op reports the cache's occupancy and hit rate alongside
     the self-healing state ([selfheal]: recycle/wedge/respawn counters,
     quarantined rules, memory watermark) and the registry snapshot.
 
@@ -88,9 +87,6 @@ type config = {
   verify : bool;  (** default semantic-gate setting; per-request overridable *)
   verify_opts : Verify.opts option;
   cache_cap : int;  (** process-shared piece-cache capacity *)
-  piece_cache_dir : string option;
-      (** persistent piece-cache tier shared with batch runs; entries are
-          guarded by {!Batch.piece_cache_fingerprint} *)
   trace_dir : string option;
       (** write per-request traces here ([req-<seq>.trace.jsonl]) *)
   trace_sample : int option;

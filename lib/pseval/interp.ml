@@ -908,14 +908,23 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       input @ List.concat_map enumerate (positional ())
   | "write-host" | "write-verbose" | "write-debug" | "write-warning"
   | "write-error" | "write-information" ->
+      (* the joined text is built here, unlike what Write-Output passes on *)
       let text =
-        String.concat " " (List.map Value.to_string (input @ positional ()))
+        Value.Str
+          (String.concat " " (List.map Value.to_string (input @ positional ())))
       in
-      Env.sink env (Value.Str text);
+      Env.built env text;
+      Env.sink env text;
       []
   | "out-null" -> []
   | "out-string" ->
-      [ Value.Str (String.concat "\r\n" (List.map Value.to_string (input @ positional ()))) ]
+      let text =
+        Value.Str
+          (String.concat "\r\n"
+             (List.map Value.to_string (input @ positional ())))
+      in
+      Env.built env text;
+      [ text ]
   | "out-host" | "out-default" ->
       List.iter (Env.sink env) input;
       []

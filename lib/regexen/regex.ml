@@ -482,8 +482,14 @@ let group_text subject m i =
     let g = m.groups.(i) in
     if g.g_start < 0 then None else Some (String.sub subject g.g_start (g.g_stop - g.g_start))
 
-let expand_template subject m template =
-  let buf = Buffer.create (String.length template) in
+(* [template] expanded for match [m], appended to [buf] *)
+let add_template buf subject m template =
+  let add_group g =
+    if g >= 0 && g < Array.length m.groups then
+      let gr = m.groups.(g) in
+      if gr.g_start >= 0 then
+        Buffer.add_substring buf subject gr.g_start (gr.g_stop - gr.g_start)
+  in
   let n = String.length template in
   let rec loop i =
     if i >= n then ()
@@ -493,23 +499,17 @@ let expand_template subject m template =
           Buffer.add_char buf '$';
           loop (i + 2)
       | '&' ->
-          Buffer.add_string buf (matched_text subject m);
+          Buffer.add_substring buf subject m.m_start (m.m_stop - m.m_start);
           loop (i + 2)
       | '0' .. '9' as c ->
-          let g = Char.code c - Char.code '0' in
-          (match group_text subject m g with
-          | Some s -> Buffer.add_string buf s
-          | None -> ());
+          add_group (Char.code c - Char.code '0');
           loop (i + 2)
       | '{' -> (
           match String.index_from_opt template (i + 2) '}' with
           | Some close -> (
-              let name = String.sub template (i + 2) (close - i - 2) in
-              match int_of_string_opt name with
+              match int_of_string_opt (String.sub template (i + 2) (close - i - 2)) with
               | Some g ->
-                  (match group_text subject m g with
-                  | Some s -> Buffer.add_string buf s
-                  | None -> ());
+                  add_group g;
                   loop (close + 1)
               | None ->
                   Buffer.add_char buf '$';
@@ -526,28 +526,37 @@ let expand_template subject m template =
       loop (i + 1)
     end
   in
-  loop 0;
-  Buffer.contents buf
+  loop 0
 
-let substitute meter t ~f subject =
-  let buf = Buffer.create (String.length subject) in
-  let matches = all_matches meter t subject in
-  let pos =
-    List.fold_left
-      (fun pos m ->
-        Buffer.add_substring buf subject pos (m.m_start - pos);
-        Buffer.add_string buf (f subject m);
-        m.m_stop)
-      0 matches
+(* Each match is written out as it is found, by [add buf subject m]; the
+   searches are those of [all_matches], in the same order. *)
+let substitute meter t ~add subject =
+  let n = String.length subject in
+  let buf = Buffer.create n in
+  (* [pos]: end of the text already written; [search]: where the next
+     match may start, one past an empty match *)
+  let rec loop pos search =
+    if search > n then pos
+    else
+      match find_with meter ~start:search t subject with
+      | None -> pos
+      | Some m ->
+          Buffer.add_substring buf subject pos (m.m_start - pos);
+          add buf subject m;
+          loop m.m_stop (if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop)
   in
-  Buffer.add_substring buf subject pos (String.length subject - pos);
+  let pos = loop 0 0 in
+  Buffer.add_substring buf subject pos (n - pos);
   Buffer.contents buf
 
-let replace_f t ~f subject = substitute { steps = 0; charge = None } t ~f subject
+let replace_f t ~f subject =
+  substitute { steps = 0; charge = None } t
+    ~add:(fun buf subj m -> Buffer.add_string buf (f subj m))
+    subject
 
 let replace ?charge t ~template subject =
   substitute { steps = 0; charge } t
-    ~f:(fun subj m -> expand_template subj m template)
+    ~add:(fun buf subj m -> add_template buf subj m template)
     subject
 
 (* The fields between the matches [find_all] would return.  With [limit] =

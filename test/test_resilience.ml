@@ -520,6 +520,29 @@ let test_string_bomb_honours_deadline () =
          f.Deobf.Engine.failure = Guard.Timeout)
        o.Deobf.Batch.failures)
 
+(* a command that joins its input builds a new string as an expression
+   does: each [Out-String] copies a megabyte, so it must be charged what
+   it builds, or the gate's reference run spends seconds under its step
+   budget before it ends *)
+let out_string_bomb =
+  "$big = 'a' * 1000000\n\
+   while ($i -lt 100000) { $x = $big | Out-String; $i++ }\n"
+
+let test_out_string_bomb_charged () =
+  let started = Guard.now () in
+  let o, _ =
+    Deobf.Batch.run_source ~verify:true ~name:"out-string-bomb" out_string_bomb
+  in
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 1.0);
+  check_s "verdict"
+    "unverifiable: original: interpreter limit: step budget exhausted"
+    (match o.Deobf.Batch.verdict with
+    | Some v ->
+        Deobf.Verify.verdict_name v ^ ": "
+        ^ Option.value ~default:"" (Deobf.Verify.verdict_detail v)
+    | None -> "none")
+
 (* the deadline passes after the gate has found a divergence: forced diff
    faults make the first output diverge, bisection names an edit, and the
    rollback re-run finishes just as the deadline passes, so the next
@@ -770,6 +793,8 @@ let suite =
       test_dynamic_stage_bounded;
     Alcotest.test_case "regex bomb honours the deadline" `Quick
       test_regex_bomb_honours_deadline;
+    Alcotest.test_case "out-string bomb is charged" `Quick
+      test_out_string_bomb_charged;
     Alcotest.test_case "verify deadline keeps a found divergence" `Quick
       test_verify_deadline_keeps_divergence;
     Alcotest.test_case "verify deadline in bisection keeps divergence" `Quick
