@@ -193,37 +193,39 @@ let split_op env sensitivity a b =
   in
   let r = compile_regex ~case_sensitive pattern in
   let charge = Env.charge_matcher env in
-  let split_one v = Regexen.Regex.split ~limit ~charge r (Value.to_string v) in
+  let split_one v =
+    Regexen.Regex.split_map ~limit ~charge
+      ~f:(fun s -> Value.Str s)
+      r (Value.to_string v)
+  in
   (* applied to an array, -split splits each element and flattens — chained
      splits ('x' -split 'a' -split 'b') rely on this *)
-  let per_subject =
-    match a with
-    | Value.Arr xs -> Array.map split_one xs
-    | v -> [| split_one v |]
-  in
-  let total =
-    Array.fold_left (fun n parts -> n + List.length parts) 0 per_subject
-  in
-  let out = Array.make total Value.Null in
-  let i = ref 0 in
-  Array.iter
-    (List.iter (fun s ->
-         out.(!i) <- Value.Str s;
-         incr i))
-    per_subject;
-  Value.Arr out
+  match a with
+  | Value.Arr xs -> Value.Arr (Array.concat (Array.to_list (Array.map split_one xs)))
+  | v -> Value.Arr (split_one v)
 
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* unary -split: split on runs of whitespace, dropping empties — the
+   maximal runs of other characters, counted and then cut into the array *)
 let unary_split a =
-  (* unary -split: split on runs of whitespace, dropping empties *)
-  let subject = Value.to_string a in
-  let parts =
-    String.split_on_char ' ' subject
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.concat_map (String.split_on_char '\n')
-    |> List.concat_map (String.split_on_char '\r')
-    |> List.filter (fun s -> s <> "")
-  in
-  Value.Arr (Array.of_list (List.map (fun s -> Value.Str s) parts))
+  let s = Value.to_string a in
+  let n = String.length s in
+  let fields = ref 0 in
+  for i = 0 to n - 1 do
+    if (not (is_blank s.[i])) && (i = 0 || is_blank s.[i - 1]) then incr fields
+  done;
+  let out = Array.make !fields Value.Null in
+  let k = ref 0 and start = ref (-1) in
+  for i = 0 to n do
+    if i < n && not (is_blank s.[i]) then (if !start < 0 then start := i)
+    else if !start >= 0 then begin
+      out.(!k) <- Value.Str (String.sub s !start (i - !start));
+      incr k;
+      start := -1
+    end
+  done;
+  Value.Arr out
 
 let join_op a b =
   let sep = Value.to_string b in

@@ -96,6 +96,20 @@ let cmdlet_index =
     Strcase.Map.empty table
 
 let resolve name = Strcase.Map.find_opt name alias_to_cmdlet
+
+(* folded alias -> folded cmdlet: a hash lookup, no caseless tree walk *)
+let folded_builtins =
+  let t = Hashtbl.create 256 in
+  Strcase.Map.iter
+    (fun alias cmdlet ->
+      Hashtbl.replace t (Strcase.lower alias) (Strcase.lower cmdlet))
+    alias_to_cmdlet;
+  t
+
+let builtin_folded folded =
+  match Hashtbl.find folded_builtins folded with
+  | cmdlet -> cmdlet
+  | exception Not_found -> folded
 let is_alias name = Strcase.Map.mem name alias_to_cmdlet
 
 let aliases_of cmdlet =

@@ -6,6 +6,10 @@
 val resolve : string -> string option
 (** [resolve "iex"] is [Some "Invoke-Expression"]; caseless. *)
 
+val builtin_folded : string -> string
+(** [builtin_folded "iex"] is ["invoke-expression"]: the lowercase cmdlet a
+    lowercase name resolves to, or the name itself when it is no alias. *)
+
 val is_alias : string -> bool
 
 val aliases_of : string -> string list

@@ -44,9 +44,5 @@ let variable ?(splat = false) name =
 
 let command name =
   let cmd_folded = Strcase.lower name in
-  let cmd_builtin =
-    match Pslex.Aliases.resolve name with
-    | Some full -> Strcase.lower full
-    | None -> cmd_folded
-  in
-  { A.cmd_name = name; cmd_folded; cmd_builtin }
+  { A.cmd_name = name; cmd_folded;
+    cmd_builtin = Pslex.Aliases.builtin_folded cmd_folded }

@@ -8,9 +8,13 @@ exception Err of error
 
 let err pos message = raise (Err { message; position = pos })
 
+(* The token array ends in a sentinel: [peek] and [mark] run on every
+   token, and they allocate nothing.  The sentinel is a comment token,
+   which the grammar never sees otherwise (comments are dropped before
+   parsing), so a [T.Comment] pattern is the end of the tokens. *)
 type state = {
   src : string;
-  toks : T.t array;
+  toks : T.t array;  (* the tokens, then [eof] *)
   mutable pos : int;
   mutable last_stop : int;  (* stop offset of the last consumed token *)
   mutable no_comma : bool;
@@ -19,45 +23,42 @@ type state = {
          nested group resets this *)
 }
 
+let eof =
+  { T.kind = T.Comment; content = ""; text = ""; extent = Extent.empty_at 0 }
+
 (* ---------- token helpers ---------- *)
 
-let at_end st = st.pos >= Array.length st.toks
-let peek st = if at_end st then None else Some st.toks.(st.pos)
-let peek2 st = if st.pos + 1 >= Array.length st.toks then None else Some st.toks.(st.pos + 1)
+let at_end st = st.pos >= Array.length st.toks - 1
+let peek st = st.toks.(st.pos)
+let peek2 st = if at_end st then eof else st.toks.(st.pos + 1)
 
 let cur_position st =
-  match peek st with
-  | Some t -> t.T.extent.Extent.start
-  | None -> String.length st.src
+  if at_end st then String.length st.src else (peek st).T.extent.Extent.start
 
 let advance st =
   if at_end st then err (cur_position st) "unexpected end of script";
-  let t = st.toks.(st.pos) in
+  let t = peek st in
   st.pos <- st.pos + 1;
   st.last_stop <- t.T.extent.Extent.stop;
   t
 
-(* The lookahead predicates read the token array in place: they run on
-   every token, so they allocate no [peek] option. *)
-let kind_is st k = (not (at_end st)) && st.toks.(st.pos).T.kind = k
+let kind_is st k = (peek st).T.kind = k
 
 let content_is st k s =
-  (not (at_end st))
-  && (let t = st.toks.(st.pos) in
-      t.T.kind = k && String.equal t.T.content s)
+  let t = peek st in
+  t.T.kind = k && String.equal t.T.content s
 
 let op_is st s = content_is st T.Operator s
 let group_start_is st s = content_is st T.Group_start s
 let group_end_is st s = content_is st T.Group_end s
 
 let keyword_is st s =
-  (not (at_end st))
-  && (let t = st.toks.(st.pos) in
-      t.T.kind = T.Keyword && Strcase.equal t.T.content s)
+  let t = peek st in
+  t.T.kind = T.Keyword && Strcase.equal t.T.content s
 
 let expect_group_end st s =
   match peek st with
-  | Some { T.kind = T.Group_end; content; _ } when content = s ->
+  | { T.kind = T.Group_end; content; _ } when content = s ->
       ignore (advance st)
   | _ -> err (cur_position st) (Printf.sprintf "expected '%s'" s)
 
@@ -85,7 +86,15 @@ let node_here st start node =
 
 (* ---------- numbers ---------- *)
 
-let parse_number_content pos content =
+(* the decimal value of [s], or [-1] at a character that is not a digit *)
+let rec decimal s i acc =
+  if i = String.length s then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> decimal s (i + 1) ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+let parse_number_literal pos content =
   let lower = Strcase.lower content in
   let sign, body =
     if String.length lower > 0 && lower.[0] = '-' then
@@ -125,52 +134,133 @@ let parse_number_content pos content =
         A.Int_lit (int_of_float v)
     | None -> err pos (Printf.sprintf "bad numeric literal %s" content)
 
+(* up to 15 digits with no sign, suffix or fraction: the integer
+   [parse_number_literal] gives, which a float holds exactly *)
+let parse_number_content pos content =
+  let short = if String.length content <= 15 then decimal content 0 0 else -1 in
+  if String.length content > 0 && short >= 0 then A.Int_lit short
+  else parse_number_literal pos content
+
 (* ---------- operators ---------- *)
 
-(* maps an operator token content (already lowercased by the lexer) to a
-   binop plus explicit case-sensitivity flag *)
-let binop_of_content content =
-  let lookup bare =
-    match bare with
-    | "-eq" -> Some A.Eq
-    | "-ne" -> Some A.Ne
-    | "-gt" -> Some A.Gt
-    | "-ge" -> Some A.Ge
-    | "-lt" -> Some A.Lt
-    | "-le" -> Some A.Le
-    | "-like" -> Some A.Like
-    | "-notlike" -> Some A.Notlike
-    | "-match" -> Some A.Match
-    | "-notmatch" -> Some A.Notmatch
-    | "-replace" -> Some A.Replace
-    | "-split" -> Some A.Split
-    | "-join" -> Some A.Join
-    | "-contains" -> Some A.Contains
-    | "-notcontains" -> Some A.Notcontains
-    | "-in" -> Some A.In_op
-    | "-notin" -> Some A.Notin
-    | "-is" -> Some A.Is_op
-    | "-isnot" -> Some A.Isnot
-    | "-as" -> Some A.As_op
-    | "-band" -> Some A.Band
-    | "-bor" -> Some A.Bor
-    | "-bxor" -> Some A.Bxor
-    | "-shl" -> Some A.Shl
-    | "-shr" -> Some A.Shr
-    | _ -> None
+(* Binary operators by precedence, loosest first: 1 logical, 2 comparison,
+   3 additive, 4 multiplicative, 5 format.  An operator token's content is
+   already lowercased by the lexer; it is looked up once, with no
+   allocation: the common spellings by a string match, the comparisons in
+   a table. *)
+type binary = { prec : int; op : A.binop; case : bool option }
+
+let binary prec op = { prec; op; case = None }
+let not_binary = binary 0 A.Add
+let b_and = binary 1 A.And_op
+let b_or = binary 1 A.Or_op
+let b_xor = binary 1 A.Xor_op
+let b_add = binary 3 A.Add
+let b_sub = binary 3 A.Sub
+let b_mul = binary 4 A.Mul
+let b_div = binary 4 A.Div
+let b_mod = binary 4 A.Mod
+let b_format = binary 5 A.Format
+
+(* Each comparison, plus its [-c] (case-sensitive) and [-i] (explicitly
+   insensitive) spellings.  Exact spellings win: '-contains' must not lose
+   its 'c' to the case-sensitivity prefix, nor '-isnot' its 'i'. *)
+let comparisons =
+  let ops =
+    A.
+      [ ("eq", Eq); ("ne", Ne); ("gt", Gt); ("ge", Ge); ("lt", Lt); ("le", Le);
+        ("like", Like); ("notlike", Notlike); ("match", Match);
+        ("notmatch", Notmatch); ("replace", Replace); ("split", Split);
+        ("join", Join); ("contains", Contains); ("notcontains", Notcontains);
+        ("in", In_op); ("notin", Notin); ("is", Is_op); ("isnot", Isnot);
+        ("as", As_op); ("band", Band); ("bor", Bor); ("bxor", Bxor);
+        ("shl", Shl); ("shr", Shr) ]
   in
-  (* exact spellings first: '-contains' must not lose its 'c' to the
-     case-sensitivity prefix, nor '-isnot' its 'i' *)
-  match lookup content with
-  | Some op -> Some (op, None)
-  | None ->
-      if String.length content > 2 && content.[0] = '-' then
-        let w = String.sub content 1 (String.length content - 1) in
-        let stripped = "-" ^ String.sub w 1 (String.length w - 1) in
-        if w.[0] = 'c' then Option.map (fun op -> (op, Some true)) (lookup stripped)
-        else if w.[0] = 'i' then Option.map (fun op -> (op, Some false)) (lookup stripped)
-        else None
-      else None
+  let t = Hashtbl.create 128 in
+  let add content op case = Hashtbl.replace t content { prec = 2; op; case } in
+  List.iter
+    (fun (w, op) ->
+      add ("-c" ^ w) op (Some true);
+      add ("-i" ^ w) op (Some false))
+    ops;
+  List.iter (fun (w, op) -> add ("-" ^ w) op None) ops;
+  t
+
+let binary_of_content = function
+  | "+" -> b_add
+  | "-" -> b_sub
+  | "*" -> b_mul
+  | "/" -> b_div
+  | "%" -> b_mod
+  | "-f" -> b_format
+  | "-and" -> b_and
+  | "-or" -> b_or
+  | "-xor" -> b_xor
+  | content ->
+      if String.length content > 2 && String.unsafe_get content 0 = '-' then
+        match Hashtbl.find comparisons content with
+        | b -> b
+        | exception Not_found -> not_binary
+      else not_binary
+
+let binary_at st =
+  match peek st with
+  | { T.kind = T.Operator; content; _ } -> binary_of_content content
+  | _ -> not_binary
+
+(* The tokens the grammar reads, comments and line continuations dropped,
+   each extent shifted by [offset], then [eof]: counted, then written
+   straight into the array. *)
+let kept t =
+  match t.T.kind with T.Comment | T.Line_continuation -> false | _ -> true
+
+let rec fill a offset i = function
+  | [] -> ()
+  | t :: rest when kept t ->
+      a.(i) <-
+        (if offset = 0 then t
+         else { t with T.extent = Extent.shift t.T.extent offset });
+      fill a offset (i + 1) rest
+  | _ :: rest -> fill a offset i rest
+
+let token_array ~offset toks =
+  let n = List.fold_left (fun n t -> if kept t then n + 1 else n) 0 toks in
+  let a = Array.make (n + 1) eof in
+  fill a offset 0 toks;
+  a
+
+(* ---------- expandable-string scanning ---------- *)
+
+let is_var_char c =
+  match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+
+(* the end of the run of characters from [i] that an expandable string
+   keeps as they are: no escape, no quote, no '$' *)
+let rec plain_end raw n i =
+  if i < n && (match raw.[i] with '`' | '"' | '$' -> false | _ -> true) then
+    plain_end raw n (i + 1)
+  else i
+
+(* $name and $drive:name inside an expandable string *)
+let rec expandable_name_end raw n j =
+  if
+    j < n
+    && (is_var_char raw.[j]
+       || (raw.[j] = ':' && j + 1 < n && is_var_char raw.[j + 1]))
+  then expandable_name_end raw n (j + 1)
+  else j
+
+(* the first '}' from [i] before [n], or [-1] *)
+let rec brace_end raw n i =
+  if i >= n then -1 else if raw.[i] = '}' then i else brace_end raw n (i + 1)
+
+let flush_text buf parts =
+  if Buffer.length buf = 0 then parts
+  else begin
+    let s = Buffer.contents buf in
+    Buffer.clear buf;
+    A.Part_text s :: parts
+  end
 
 (* ---------- forward declarations via recursion ---------- *)
 
@@ -209,19 +299,21 @@ and parse_statement_list st ~closing =
   while !continue do
     skip_separators st;
     match peek st with
-    | None -> continue := false
-    | Some { T.kind = T.Group_end; content; _ } when closing = Some content ->
+    | { T.kind = T.Comment; _ } -> continue := false
+    | { T.kind = T.Group_end; content; _ }
+      when (match closing with Some c -> String.equal c content | None -> false)
+      ->
         continue := false
-    | Some { T.kind = T.Group_end; _ } when closing = None ->
+    | { T.kind = T.Group_end; _ } when Option.is_none closing ->
         err (cur_position st) "unbalanced group end"
-    | Some _ ->
+    | _ ->
         stmts := parse_statement st :: !stmts;
         (* a statement must be followed by a separator, the closing group or
            EOF — unless it ended with '}' (blocks chain freely) *)
         (match peek st with
-        | None | Some { T.kind = T.New_line | T.Statement_separator | T.Group_end; _ } ->
+        | { T.kind = T.Comment | T.New_line | T.Statement_separator | T.Group_end; _ } ->
             ()
-        | Some t ->
+        | t ->
             let ended_with_brace =
               st.pos > 0
               &&
@@ -256,8 +348,8 @@ and parse_statement st =
   skip_newlines st;
   let start = mark st in
   match peek st with
-  | None -> err (cur_position st) "expected a statement"
-  | Some { T.kind = T.Keyword; content; _ } -> (
+  | { T.kind = T.Comment; _ } -> err (cur_position st) "expected a statement"
+  | { T.kind = T.Keyword; content; _ } -> (
       match Strcase.lower content with
       | "if" -> parse_if st start
       | "while" ->
@@ -285,7 +377,7 @@ and parse_statement st =
           (* statement form only when followed by '(' *)
           if
             match peek2 st with
-            | Some { T.kind = T.Group_start; content = "("; _ } -> true
+            | { T.kind = T.Group_start; content = "("; _ } -> true
             | _ -> false
           then parse_foreach st start
           else parse_pipeline_statement st
@@ -328,14 +420,14 @@ and parse_statement st =
           (* keywords that behave like commands in loose scripts *)
           ignore kw;
           parse_pipeline_statement st)
-  | Some _ -> parse_pipeline_statement st
+  | _ -> parse_pipeline_statement st
 
 and parse_optional_pipeline st =
   match peek st with
-  | None -> None
-  | Some { T.kind = T.New_line | T.Statement_separator | T.Group_end; _ } ->
+  | { T.kind = T.Comment; _ } -> None
+  | { T.kind = T.New_line | T.Statement_separator | T.Group_end; _ } ->
       None
-  | Some _ -> Some (parse_pipeline st)
+  | _ -> Some (parse_pipeline st)
 
 and parse_if st start =
   ignore (advance st);
@@ -420,11 +512,11 @@ and parse_switch st start =
   (* optional flags: -regex -wildcard -exact -casesensitive *)
   let rec skip_flags () =
     match peek st with
-    | Some { T.kind = T.Command_argument; content; _ }
+    | { T.kind = T.Command_argument; content; _ }
       when String.length content > 0 && content.[0] = '-' ->
         ignore (advance st);
         skip_flags ()
-    | Some { T.kind = T.Command_parameter; _ } ->
+    | { T.kind = T.Command_parameter; _ } ->
         ignore (advance st);
         skip_flags ()
     | _ -> ()
@@ -447,7 +539,7 @@ and parse_switch st start =
       let pat_start = mark st in
       let is_default =
         match peek st with
-        | Some { T.kind = T.Command | T.Command_argument | T.Member; content; _ }
+        | { T.kind = T.Command | T.Command_argument | T.Member; content; _ }
           when Strcase.equal content "default" ->
             true
         | _ -> false
@@ -460,7 +552,7 @@ and parse_switch st start =
       else begin
         let pat =
           match peek st with
-          | Some { T.kind = T.Command | T.Command_argument | T.Member; content; _ } ->
+          | { T.kind = T.Command | T.Command_argument | T.Member; content; _ } ->
               ignore (advance st);
               node_here st pat_start (A.String_const (content, A.Bare))
           | _ -> parse_primary st
@@ -557,8 +649,9 @@ and parse_pipeline st =
   let first = parse_pipeline_element st in
   (* assignment? *)
   match (first.A.node, peek st) with
-  | A.Command_expression lhs, Some { T.kind = T.Operator; content; _ }
-    when List.mem content [ "="; "+="; "-="; "*="; "/="; "%=" ] ->
+  | ( A.Command_expression lhs,
+      { T.kind = T.Operator;
+        content = ("=" | "+=" | "-=" | "*=" | "/=" | "%=") as content; _ } ) ->
       let op =
         match content with
         | "=" -> A.Assign
@@ -566,8 +659,7 @@ and parse_pipeline st =
         | "-=" -> A.Minus_assign
         | "*=" -> A.Times_assign
         | "/=" -> A.Div_assign
-        | "%=" -> A.Mod_assign
-        | _ -> assert false
+        | _ -> A.Mod_assign
       in
       ignore (advance st);
       skip_newlines st;
@@ -585,9 +677,9 @@ and parse_pipeline st =
 and parse_pipeline_element st =
   let start = mark st in
   match peek st with
-  | None -> err (cur_position st) "expected pipeline element"
-  | Some { T.kind = T.Command; _ } -> parse_command st start A.Inv_normal None
-  | Some { T.kind = T.Keyword; content; _ } ->
+  | { T.kind = T.Comment; _ } -> err (cur_position st) "expected pipeline element"
+  | { T.kind = T.Command; _ } -> parse_command st start A.Inv_normal None
+  | { T.kind = T.Keyword; content; _ } ->
       (* 'foreach'/'where' as command aliases inside pipelines *)
       let name_tok = advance st in
       ignore content;
@@ -597,13 +689,13 @@ and parse_pipeline_element st =
           name_tok.T.extent
       in
       parse_command_elements st start A.Inv_normal name
-  | Some { T.kind = T.Operator; content = "&"; _ } ->
+  | { T.kind = T.Operator; content = "&"; _ } ->
       ignore (advance st);
       parse_invocation_target st start A.Inv_call
-  | Some { T.kind = T.Operator; content = "."; _ } ->
+  | { T.kind = T.Operator; content = "."; _ } ->
       ignore (advance st);
       parse_invocation_target st start A.Inv_dot
-  | Some _ ->
+  | _ ->
       let e = parse_expression st in
       (* an expression can be followed by command arguments only via call
          operators, so a bare expression is a command-expression element *)
@@ -613,7 +705,7 @@ and parse_invocation_target st start inv =
   skip_newlines st;
   let name =
     match peek st with
-    | Some { T.kind = T.Command_argument; _ } ->
+    | { T.kind = T.Command_argument; _ } ->
         let t = advance st in
         A.make (A.String_const (t.T.content, A.Bare)) t.T.extent
     | _ -> parse_postfix st
@@ -633,23 +725,23 @@ and parse_command_elements st start inv name =
   let continue = ref true in
   while !continue do
     match peek st with
-    | None -> continue := false
-    | Some { T.kind = T.New_line | T.Statement_separator | T.Group_end | T.Index_end; _ } ->
+    | { T.kind = T.Comment; _ } -> continue := false
+    | { T.kind = T.New_line | T.Statement_separator | T.Group_end | T.Index_end; _ } ->
         continue := false
-    | Some { T.kind = T.Operator; content = "|" | "||" | "&&"; _ } -> continue := false
-    | Some { T.kind = T.Operator; content = "&"; _ } ->
+    | { T.kind = T.Operator; content = "|" | "||" | "&&"; _ } -> continue := false
+    | { T.kind = T.Operator; content = "&"; _ } ->
         (* background operator: consume and stop *)
         ignore (advance st);
         continue := false
-    | Some { T.kind = T.Operator; content = ("2>&1" | "1>&2" | ">" | ">>" | "2>" | "1>" | "2>>" | "1>>" | "<") as redir; _ } ->
+    | { T.kind = T.Operator; content = ("2>&1" | "1>&2" | ">" | ">>" | "2>" | "1>" | "2>>" | "1>>" | "<") as redir; _ } ->
         ignore (advance st);
         (* consume a redirection target when one follows *)
         (match peek st with
-        | Some { T.kind = T.Command_argument | T.Number; _ } -> ignore (advance st)
-        | Some t when T.is_string t -> ignore (advance st)
+        | { T.kind = T.Command_argument | T.Number; _ } -> ignore (advance st)
+        | t when T.is_string t -> ignore (advance st)
         | _ -> ());
         elements := A.Elem_redirection redir :: !elements
-    | Some { T.kind = T.Command_parameter; content; _ } ->
+    | { T.kind = T.Command_parameter; content; _ } ->
         ignore (advance st);
         let with_colon = String.length content > 0 && content.[String.length content - 1] = ':' in
         if with_colon then begin
@@ -657,21 +749,21 @@ and parse_command_elements st start inv name =
           elements := A.Elem_parameter (Names.parameter content, Some value) :: !elements
         end
         else elements := A.Elem_parameter (Names.parameter content, None) :: !elements
-    | Some { T.kind = T.Keyword; content; _ } ->
+    | { T.kind = T.Keyword; content; _ } ->
         (* keywords as bareword arguments inside a command *)
         let t = advance st in
         ignore content;
         elements :=
           A.Elem_argument (A.make (A.String_const (t.T.content, A.Bare)) t.T.extent)
           :: !elements
-    | Some { T.kind = T.Operator; content; extent; _ } ->
+    | { T.kind = T.Operator; content; extent; _ } ->
         (* a stray operator in argument position is treated as a literal
            bareword argument, matching PowerShell's generic token gluing *)
         ignore (advance st);
         elements :=
           A.Elem_argument (A.make (A.String_const (content, A.Bare)) extent)
           :: !elements
-    | Some _ ->
+    | _ ->
         let value = parse_argument st in
         elements := A.Elem_argument value :: !elements
   done;
@@ -702,10 +794,10 @@ and parse_argument st =
 
 and parse_argument_atom st =
   match peek st with
-  | Some { T.kind = T.Command_argument; _ } ->
+  | { T.kind = T.Command_argument; _ } ->
       let t = advance st in
       A.make (A.String_const (t.T.content, A.Bare)) t.T.extent
-  | Some { T.kind = T.Number; content; extent; _ } ->
+  | { T.kind = T.Number; content; extent; _ } ->
       let t = advance st in
       ignore t;
       A.make (A.Number_const (parse_number_content extent.Extent.start content)) extent
@@ -713,97 +805,22 @@ and parse_argument_atom st =
 
 (* ---------- expressions ---------- *)
 
-and parse_expression st = parse_logical st
+and parse_expression st = parse_binary st 1
 
-and parse_logical st =
-  let start = mark st in
-  let lhs = ref (parse_comparison st) in
-  let rec loop () =
-    match peek st with
-    | Some { T.kind = T.Operator; content = ("-and" | "-or" | "-xor") as c; _ } ->
-        ignore (advance st);
-        skip_newlines st;
-        let rhs = parse_comparison st in
-        let op =
-          match c with
-          | "-and" -> A.And_op
-          | "-or" -> A.Or_op
-          | _ -> A.Xor_op
-        in
-        lhs := node_here st start (A.Binary_expr (op, None, !lhs, rhs));
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_comparison st =
-  let start = mark st in
-  let lhs = ref (parse_additive st) in
-  let rec loop () =
-    match peek st with
-    | Some { T.kind = T.Operator; content; _ } -> (
-        match binop_of_content content with
-        | Some (op, sensitivity) ->
-            ignore (advance st);
-            skip_newlines st;
-            let rhs = parse_additive st in
-            lhs := node_here st start (A.Binary_expr (op, sensitivity, !lhs, rhs));
-            loop ()
-        | None -> ())
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_additive st =
-  let start = mark st in
-  let lhs = ref (parse_multiplicative st) in
-  let rec loop () =
-    match peek st with
-    | Some { T.kind = T.Operator; content = ("+" | "-") as c; _ } ->
-        ignore (advance st);
-        skip_newlines st;
-        let rhs = parse_multiplicative st in
-        let op = if c = "+" then A.Add else A.Sub in
-        lhs := node_here st start (A.Binary_expr (op, None, !lhs, rhs));
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_multiplicative st =
-  let start = mark st in
-  let lhs = ref (parse_format st) in
-  let rec loop () =
-    match peek st with
-    | Some { T.kind = T.Operator; content = ("*" | "/" | "%") as c; _ } ->
-        ignore (advance st);
-        skip_newlines st;
-        let rhs = parse_format st in
-        let op = match c with "*" -> A.Mul | "/" -> A.Div | _ -> A.Mod in
-        lhs := node_here st start (A.Binary_expr (op, None, !lhs, rhs));
-        loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_format st =
+(* Precedence climbing over the binary levels, each left-associative: a
+   node spans from where its level started to its last token. *)
+and parse_binary st min_prec =
   let start = mark st in
   let lhs = ref (parse_range st) in
-  let rec loop () =
-    match peek st with
-    | Some { T.kind = T.Operator; content = "-f"; _ } ->
-        ignore (advance st);
-        skip_newlines st;
-        let rhs = parse_range st in
-        lhs := node_here st start (A.Binary_expr (A.Format, None, !lhs, rhs));
-        loop ()
-    | _ -> ()
-  in
-  loop ();
+  let b = ref (binary_at st) in
+  while !b.prec >= min_prec do
+    let { prec; op; case } = !b in
+    ignore (advance st);
+    skip_newlines st;
+    let rhs = parse_binary st (prec + 1) in
+    lhs := node_here st start (A.Binary_expr (op, case, !lhs, rhs));
+    b := binary_at st
+  done;
   !lhs
 
 and parse_range st =
@@ -833,51 +850,51 @@ and parse_array_literal st =
 
 and starts_operand st =
   match peek st with
-  | Some { T.kind = T.Number | T.Variable | T.Splat_variable | T.Type_name
-           | T.Group_start | T.String_single | T.String_double
-           | T.String_single_here | T.String_double_here; _ } ->
+  | { T.kind = T.Number | T.Variable | T.Splat_variable | T.Type_name
+      | T.Group_start | T.String_single | T.String_double
+      | T.String_single_here | T.String_double_here; _ } ->
       true
-  | Some { T.kind = T.Operator;
-           content = "-" | "+" | "!" | "-not" | "-bnot" | "-join" | "-split" | "++" | "--"; _ } ->
+  | { T.kind = T.Operator;
+      content = "-" | "+" | "!" | "-not" | "-bnot" | "-join" | "-split" | "++" | "--"; _ } ->
       true
   | _ -> false
 
 and parse_unary st =
   let start = mark st in
   match peek st with
-  | Some { T.kind = T.Operator; content = ("!" | "-not") ; _ } ->
+  | { T.kind = T.Operator; content = ("!" | "-not") ; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Not, operand))
-  | Some { T.kind = T.Operator; content = "-bnot"; _ } ->
+  | { T.kind = T.Operator; content = "-bnot"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Bnot, operand))
-  | Some { T.kind = T.Operator; content = "-join"; _ } ->
+  | { T.kind = T.Operator; content = "-join"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Ujoin, operand))
-  | Some { T.kind = T.Operator; content = "-split"; _ } ->
+  | { T.kind = T.Operator; content = "-split"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Usplit, operand))
-  | Some { T.kind = T.Operator; content = "-"; _ } ->
+  | { T.kind = T.Operator; content = "-"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Negate, operand))
-  | Some { T.kind = T.Operator; content = "+"; _ } ->
+  | { T.kind = T.Operator; content = "+"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Unary_plus, operand))
-  | Some { T.kind = T.Operator; content = "++"; _ } ->
+  | { T.kind = T.Operator; content = "++"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Incr, operand))
-  | Some { T.kind = T.Operator; content = "--"; _ } ->
+  | { T.kind = T.Operator; content = "--"; _ } ->
       ignore (advance st);
       let operand = parse_unary st in
       node_here st start (A.Unary_expr (A.Decr, operand))
-  | Some { T.kind = T.Type_name; content; _ } ->
+  | { T.kind = T.Type_name; content; _ } ->
       let t = advance st in
       if starts_operand st then
         let operand = parse_unary st in
@@ -897,14 +914,14 @@ and parse_postfix_chain st start base =
   let continue = ref true in
   while !continue do
     match peek st with
-    | Some { T.kind = T.Operator; content = "."; extent; _ }
+    | { T.kind = T.Operator; content = "."; extent; _ }
       when extent.Extent.start = st.last_stop ->
         ignore (advance st);
         parse_member_after st start lhs ~static:false
-    | Some { T.kind = T.Operator; content = "::"; _ } ->
+    | { T.kind = T.Operator; content = "::"; _ } ->
         ignore (advance st);
         parse_member_after st start lhs ~static:true
-    | Some { T.kind = T.Index_start; _ } ->
+    | { T.kind = T.Index_start; _ } ->
         ignore (advance st);
         let saved = st.no_comma in
         st.no_comma <- false;
@@ -913,13 +930,13 @@ and parse_postfix_chain st start base =
         st.no_comma <- saved;
         skip_newlines st;
         (match peek st with
-        | Some { T.kind = T.Index_end; _ } -> ignore (advance st)
+        | { T.kind = T.Index_end; _ } -> ignore (advance st)
         | _ -> err (cur_position st) "expected ']'");
         lhs := node_here st start (A.Index_expr (!lhs, idx))
-    | Some { T.kind = T.Operator; content = "++"; _ } ->
+    | { T.kind = T.Operator; content = "++"; _ } ->
         ignore (advance st);
         lhs := node_here st start (A.Postfix_expr (A.Incr, !lhs))
-    | Some { T.kind = T.Operator; content = "--"; _ } ->
+    | { T.kind = T.Operator; content = "--"; _ } ->
         ignore (advance st);
         lhs := node_here st start (A.Postfix_expr (A.Decr, !lhs))
     | _ -> continue := false
@@ -929,23 +946,23 @@ and parse_postfix_chain st start base =
 and parse_member_after st start lhs ~static =
   let member =
     match peek st with
-    | Some { T.kind = T.Member; _ } ->
+    | { T.kind = T.Member; _ } ->
         let t = advance st in
         A.Member_name (Names.folded t.T.content)
-    | Some { T.kind = T.Variable; _ } ->
+    | { T.kind = T.Variable; _ } ->
         let t = advance st in
         A.Member_dynamic
           (A.make
              (A.Variable_expr (Names.variable t.T.content))
              t.T.extent)
-    | Some t when T.is_string t ->
+    | t when T.is_string t ->
         let e = parse_primary st in
         A.Member_dynamic e
     | _ -> err (cur_position st) "expected member name"
   in
   (* method call: '(' must be adjacent *)
   match peek st with
-  | Some { T.kind = T.Group_start; content = "("; extent; _ }
+  | { T.kind = T.Group_start; content = "("; extent; _ }
     when extent.Extent.start = st.last_stop ->
       ignore (advance st);
       skip_newlines st;
@@ -970,32 +987,32 @@ and parse_member_after st start lhs ~static =
 and parse_primary st =
   let start = mark st in
   match peek st with
-  | None -> err (cur_position st) "expected an expression"
-  | Some { T.kind = T.Number; content; extent; _ } ->
+  | { T.kind = T.Comment; _ } -> err (cur_position st) "expected an expression"
+  | { T.kind = T.Number; content; extent; _ } ->
       ignore (advance st);
       A.make (A.Number_const (parse_number_content extent.Extent.start content)) extent
-  | Some { T.kind = T.String_single; content; extent; _ } ->
+  | { T.kind = T.String_single; content; extent; _ } ->
       ignore (advance st);
       A.make (A.String_const (content, A.Single_quoted)) extent
-  | Some { T.kind = T.String_single_here; content; extent; _ } ->
+  | { T.kind = T.String_single_here; content; extent; _ } ->
       ignore (advance st);
       A.make (A.String_const (content, A.Single_here)) extent
-  | Some ({ T.kind = T.String_double; _ } as t) ->
+  | ({ T.kind = T.String_double; _ } as t) ->
       ignore (advance st);
       parse_expandable st t A.Double_quoted
-  | Some ({ T.kind = T.String_double_here; _ } as t) ->
+  | ({ T.kind = T.String_double_here; _ } as t) ->
       ignore (advance st);
       parse_expandable st t A.Double_here
-  | Some { T.kind = T.Variable; content; extent; _ } ->
+  | { T.kind = T.Variable; content; extent; _ } ->
       ignore (advance st);
       A.make (A.Variable_expr (Names.variable content)) extent
-  | Some { T.kind = T.Splat_variable; content; extent; _ } ->
+  | { T.kind = T.Splat_variable; content; extent; _ } ->
       ignore (advance st);
       A.make (A.Variable_expr (Names.variable ~splat:true content)) extent
-  | Some { T.kind = T.Type_name; content; extent; _ } ->
+  | { T.kind = T.Type_name; content; extent; _ } ->
       ignore (advance st);
       A.make (A.Type_literal (Names.type_name content)) extent
-  | Some { T.kind = T.Group_start; content = "("; _ } ->
+  | { T.kind = T.Group_start; content = "("; _ } ->
       ignore (advance st);
       let saved = st.no_comma in
       st.no_comma <- false;
@@ -1005,7 +1022,7 @@ and parse_primary st =
       st.no_comma <- saved;
       expect_group_end st ")";
       node_here st start (A.Paren_expr inner)
-  | Some { T.kind = T.Group_start; content = "$("; _ } ->
+  | { T.kind = T.Group_start; content = "$("; _ } ->
       ignore (advance st);
       let saved = st.no_comma in
       st.no_comma <- false;
@@ -1013,7 +1030,7 @@ and parse_primary st =
       st.no_comma <- saved;
       expect_group_end st ")";
       node_here st start (A.Sub_expr stmts)
-  | Some { T.kind = T.Group_start; content = "@("; _ } ->
+  | { T.kind = T.Group_start; content = "@("; _ } ->
       ignore (advance st);
       let saved = st.no_comma in
       st.no_comma <- false;
@@ -1021,12 +1038,12 @@ and parse_primary st =
       st.no_comma <- saved;
       expect_group_end st ")";
       node_here st start (A.Array_expr stmts)
-  | Some { T.kind = T.Group_start; content = "@{"; _ } ->
+  | { T.kind = T.Group_start; content = "@{"; _ } ->
       ignore (advance st);
       let pairs = parse_hash_entries st in
       expect_group_end st "}";
       node_here st start (A.Hash_literal pairs)
-  | Some { T.kind = T.Group_start; content = "{"; _ } ->
+  | { T.kind = T.Group_start; content = "{"; _ } ->
       ignore (advance st);
       let saved = st.no_comma in
       st.no_comma <- false;
@@ -1039,16 +1056,16 @@ and parse_primary st =
         | _ -> assert false
       in
       node_here st start (A.Script_block_expr block)
-  | Some { T.kind = T.Command_argument; content; extent; _ } ->
+  | { T.kind = T.Command_argument; content; extent; _ } ->
       ignore (advance st);
       A.make (A.String_const (content, A.Bare)) extent
-  | Some { T.kind = T.Command; content; extent; _ } ->
+  | { T.kind = T.Command; content; extent; _ } ->
       ignore (advance st);
       A.make (A.String_const (content, A.Bare)) extent
-  | Some { T.kind = T.Member; content; extent; _ } ->
+  | { T.kind = T.Member; content; extent; _ } ->
       ignore (advance st);
       A.make (A.String_const (content, A.Bare)) extent
-  | Some t ->
+  | t ->
       err t.T.extent.Extent.start
         (Printf.sprintf "unexpected token %s" (T.kind_name t.T.kind))
 
@@ -1062,7 +1079,7 @@ and parse_hash_entries st =
       let key_start = mark st in
       let key =
         match peek st with
-        | Some { T.kind = T.Member | T.Command | T.Command_argument; content; _ } ->
+        | { T.kind = T.Member | T.Command | T.Command_argument; content; _ } ->
             ignore (advance st);
             node_here st key_start (A.String_const (content, A.Bare))
         | _ -> parse_primary st
@@ -1080,107 +1097,114 @@ and parse_hash_entries st =
 
 and parse_expandable st tok quote_kind =
   let raw = tok.T.text in
-  let ext = tok.T.extent in
-  (* body bounds inside raw text *)
-  let body_start, body_stop =
-    match quote_kind with
-    | A.Double_quoted -> (1, String.length raw - 1)
-    | A.Double_here ->
-        let first_nl =
-          match String.index_opt raw '\n' with Some i -> i + 1 | None -> 2
-        in
-        (first_nl, String.length raw - 3)
-    | A.Bare | A.Single_quoted | A.Single_here -> (0, String.length raw)
-  in
-  let abs i = ext.Extent.start + i in
-  let parts = ref [] in
-  let text_buf = Buffer.create 16 in
-  let flush_text () =
-    if Buffer.length text_buf > 0 then begin
-      parts := A.Part_text (Buffer.contents text_buf) :: !parts;
-      Buffer.clear text_buf
-    end
-  in
-  let i = ref body_start in
-  let n = body_stop in
-  while !i < n do
-    let c = raw.[!i] in
-    if c = '`' && !i + 1 < n then begin
-      Buffer.add_char text_buf (backtick_escape_char raw.[!i + 1]);
-      i := !i + 2
-    end
-    else if c = '"' && !i + 1 < n && raw.[!i + 1] = '"' then begin
-      Buffer.add_char text_buf '"';
-      i := !i + 2
-    end
-    else if c = '$' && !i + 1 < n then begin
-      let c2 = raw.[!i + 1] in
-      if c2 = '(' then begin
-        (* find matching close paren *)
-        let close = find_matching_paren ~err_pos:(abs !i) raw (!i + 1) n in
-        flush_text ();
-        let inner_start = !i + 2 in
-        let fragment = String.sub raw inner_start (close - inner_start) in
-        let sub =
-          parse_fragment_internal ~src:st.src ~offset:(abs inner_start) fragment
-        in
-        let sub_ext = Extent.make ~start:(abs !i) ~stop:(abs (close + 1)) in
-        let stmts =
-          match sub.A.node with A.Script_block b -> b.A.sb_statements | _ -> []
-        in
-        parts := A.Part_subexpr (A.make (A.Sub_expr stmts) sub_ext) :: !parts;
-        i := close + 1
+  (* nothing expands without a '$' *)
+  if not (String.contains raw '$') then
+    A.make (A.String_const (tok.T.content, quote_kind)) tok.T.extent
+  else begin
+    let ext = tok.T.extent in
+    let base = ext.Extent.start in
+    (* body bounds inside raw text *)
+    let body_start =
+      match quote_kind with
+      | A.Double_quoted -> 1
+      | A.Double_here -> (
+          match String.index raw '\n' with
+          | i -> i + 1
+          | exception Not_found -> 2)
+      | A.Bare | A.Single_quoted | A.Single_here -> 0
+    in
+    let n =
+      match quote_kind with
+      | A.Double_quoted -> String.length raw - 1
+      | A.Double_here -> String.length raw - 3
+      | A.Bare | A.Single_quoted | A.Single_here -> String.length raw
+    in
+    let parts = ref [] and expanded = ref false in
+    let text_buf = Buffer.create 16 in
+    let i = ref body_start in
+    while !i < n do
+      let c = raw.[!i] in
+      if c = '`' && !i + 1 < n then begin
+        Buffer.add_char text_buf (backtick_escape_char raw.[!i + 1]);
+        i := !i + 2
       end
-      else if c2 = '{' then begin
-        match String.index_from_opt raw (!i + 2) '}' with
-        | Some close when close < n ->
-            flush_text ();
-            let name = String.sub raw (!i + 2) (close - !i - 2) in
-            let vext = Extent.make ~start:(abs !i) ~stop:(abs (close + 1)) in
-            parts :=
-              A.Part_variable (Names.variable name, vext)
-              :: !parts;
-            i := close + 1
-        | _ ->
+      else if c = '"' && !i + 1 < n && raw.[!i + 1] = '"' then begin
+        Buffer.add_char text_buf '"';
+        i := !i + 2
+      end
+      else if
+        c = '$' && !i + 1 < n
+        && (match raw.[!i + 1] with
+           | '(' | '{' -> true
+           | c2 -> is_var_char c2)
+      then begin
+        let c2 = raw.[!i + 1] in
+        if c2 = '(' then begin
+          (* find matching close paren *)
+          let close =
+            find_matching_paren ~err_pos:(base + !i) raw (!i + 1) n
+          in
+          parts := flush_text text_buf !parts;
+          let inner_start = !i + 2 in
+          let fragment = String.sub raw inner_start (close - inner_start) in
+          let sub =
+            parse_fragment_internal ~src:st.src ~offset:(base + inner_start)
+              fragment
+          in
+          let sub_ext =
+            Extent.make ~start:(base + !i) ~stop:(base + close + 1)
+          in
+          let stmts =
+            match sub.A.node with
+            | A.Script_block b -> b.A.sb_statements
+            | _ -> []
+          in
+          parts := A.Part_subexpr (A.make (A.Sub_expr stmts) sub_ext) :: !parts;
+          expanded := true;
+          i := close + 1
+        end
+        else if c2 = '{' then begin
+          let close = brace_end raw n (!i + 2) in
+          if close < 0 then begin
+            (* no closing brace: the '$' is text *)
             Buffer.add_char text_buf c;
             incr i
-      end
-      else if is_var_start_char c2 then begin
-        let j = ref (!i + 1) in
-        while
-          !j < n
-          && (is_ident_char_local raw.[!j]
-             || (raw.[!j] = ':' && !j + 1 < n && is_ident_char_local raw.[!j + 1]))
-        do
-          incr j
-        done;
-        flush_text ();
-        let name = String.sub raw (!i + 1) (!j - !i - 1) in
-        let vext = Extent.make ~start:(abs !i) ~stop:(abs !j) in
-        parts :=
-          A.Part_variable (Names.variable name, vext)
-          :: !parts;
-        i := !j
+          end
+          else begin
+            parts := flush_text text_buf !parts;
+            let name = String.sub raw (!i + 2) (close - !i - 2) in
+            let vext =
+              Extent.make ~start:(base + !i) ~stop:(base + close + 1)
+            in
+            parts := A.Part_variable (Names.variable name, vext) :: !parts;
+            expanded := true;
+            i := close + 1
+          end
+        end
+        else begin
+          let j = expandable_name_end raw n (!i + 1) in
+          parts := flush_text text_buf !parts;
+          let name = String.sub raw (!i + 1) (j - !i - 1) in
+          let vext = Extent.make ~start:(base + !i) ~stop:(base + j) in
+          parts := A.Part_variable (Names.variable name, vext) :: !parts;
+          expanded := true;
+          i := j
+        end
       end
       else begin
-        Buffer.add_char text_buf c;
-        incr i
+        (* this character and the plain run after it, as they are *)
+        let j = plain_end raw n (!i + 1) in
+        Buffer.add_substring text_buf raw !i (j - !i);
+        i := j
       end
-    end
-    else begin
-      Buffer.add_char text_buf c;
-      incr i
-    end
-  done;
-  flush_text ();
-  let parts = List.rev !parts in
-  let has_expansion =
-    List.exists
-      (function A.Part_text _ -> false | A.Part_variable _ | A.Part_subexpr _ -> true)
-      parts
-  in
-  if has_expansion then A.make (A.Expandable_string (tok.T.content, parts)) ext
-  else A.make (A.String_const (tok.T.content, quote_kind)) ext
+    done;
+    if !expanded then
+      A.make
+        (A.Expandable_string
+           (tok.T.content, List.rev (flush_text text_buf !parts)))
+        ext
+    else A.make (A.String_const (tok.T.content, quote_kind)) ext
+  end
 
 and backtick_escape_char c =
   match c with
@@ -1193,16 +1217,6 @@ and backtick_escape_char c =
   | 'f' -> '\012'
   | 'v' -> '\011'
   | c -> c
-
-and is_var_start_char c =
-  match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-  | _ -> false
-
-and is_ident_char_local c =
-  match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-  | _ -> false
 
 and find_matching_paren ~err_pos raw start limit =
   (* raw.[start] = '('; returns index of matching ')'.  [err_pos] is the
@@ -1246,37 +1260,25 @@ and parse_fragment_internal ~src ~offset fragment =
   | Error e ->
       err (offset + e.Pslex.Lexer.position) ("in fragment: " ^ e.Pslex.Lexer.message)
   | Ok toks ->
-      let toks =
-        List.filter
-          (fun t ->
-            match t.T.kind with
-            | T.Comment | T.Line_continuation -> false
-            | _ -> true)
-          toks
-        |> List.map (fun t -> { t with T.extent = Extent.shift t.T.extent offset })
+      let st2 =
+        { src; toks = token_array ~offset toks; pos = 0; last_stop = offset;
+          no_comma = false }
       in
-      let st2 = { src; toks = Array.of_list toks; pos = 0; last_stop = offset; no_comma = false } in
       let sb = parse_script_block st2 ~closing:None in
       if not (at_end st2) then err (cur_position st2) "trailing tokens in fragment";
       sb
 
 (* ---------- entry points ---------- *)
 
-let prepare_tokens toks =
-  List.filter
-    (fun t ->
-      match t.T.kind with
-      | T.Comment | T.Line_continuation -> false
-      | _ -> true)
-    toks
-
 (* every whole-script parse, whichever entry point it came through *)
 let m_parses = Pscommon.Telemetry.Metrics.counter "psparse.parses"
 
 let parse_tokens src toks =
   Pscommon.Telemetry.Metrics.incr m_parses;
-  let toks = prepare_tokens toks in
-  let st = { src; toks = Array.of_list toks; pos = 0; last_stop = 0; no_comma = false } in
+  let st =
+    { src; toks = token_array ~offset:0 toks; pos = 0; last_stop = 0;
+      no_comma = false }
+  in
   match parse_script_block st ~closing:None with
   | sb ->
       if at_end st then Ok sb

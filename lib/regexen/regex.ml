@@ -559,35 +559,75 @@ let replace ?charge t ~template subject =
     ~add:(fun buf subj m -> add_template buf subj m template)
     subject
 
-(* The fields between the matches [find_all] would return.  With [limit] =
-   k > 0, at most k fields: after k - 1 separators the rest of the subject
-   is the last field, verbatim. *)
-let split ?(limit = 0) ?charge t subject =
+(* Fields are cut into chunks of 8, 16, 32 and then 64 on the minor heap,
+   then into one array of the exact size: no list cell per field, no
+   reversal, and only the result can be large. *)
+type 'a fields = {
+  mutable full : 'a array list;  (* filled chunks, newest first *)
+  mutable chunk : 'a array;  (* the chunk being filled *)
+  mutable k : int;  (* fields in [chunk] *)
+  mutable count : int;
+}
+
+let add_field fs v =
+  if fs.k = Array.length fs.chunk then begin
+    if fs.k > 0 then fs.full <- fs.chunk :: fs.full;
+    fs.chunk <- Array.make (min 64 (max 8 (2 * fs.k))) v;
+    fs.k <- 0
+  end;
+  fs.chunk.(fs.k) <- v;
+  fs.k <- fs.k + 1;
+  fs.count <- fs.count + 1
+
+let fields_array fs =
+  if fs.full = [] then Array.sub fs.chunk 0 fs.k
+  else begin
+    let out = Array.make fs.count fs.chunk.(0) in
+    let at = ref (fs.count - fs.k) in
+    Array.blit fs.chunk 0 out !at fs.k;
+    List.iter
+      (fun c ->
+        at := !at - Array.length c;
+        Array.blit c 0 out !at (Array.length c))
+      fs.full;
+    out
+  end
+
+(* The fields between the matches [find_all] would return, each passed
+   through [f].  With [limit] = k > 0, at most k fields: after k - 1
+   separators the rest of the subject is the last field, verbatim. *)
+let split_map ?(limit = 0) ?charge ~f t subject =
   let meter = { steps = 0; charge } in
   let n = String.length subject in
-  let field pos stop acc = String.sub subject pos (stop - pos) :: acc in
+  let fs = { full = []; chunk = [||]; k = 0; count = 0 } in
+  let cut pos stop = add_field fs (f (String.sub subject pos (stop - pos))) in
   (* [pos]: start of the current field; [search]: where the next match may
      start, one past an empty match *)
-  let rec loop fields pos search acc =
-    if fields = limit - 1 || search > n then field pos n acc
+  let rec loop pos search =
+    if fs.count = limit - 1 || search > n then cut pos n
     else
       match t.literal with
       | Some lit ->
           let i = literal_search meter t.case_insensitive lit subject search in
-          if i < 0 then field pos n acc
-          else
+          if i < 0 then cut pos n
+          else begin
+            cut pos i;
             let stop = i + String.length lit in
-            loop (fields + 1) stop stop (field pos i acc)
+            loop stop stop
+          end
       | None -> (
           match find_with meter ~start:search t subject with
-          | None -> field pos n acc
+          | None -> cut pos n
           | Some m ->
-              let search =
-                if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop
-              in
-              loop (fields + 1) m.m_stop search (field pos m.m_start acc))
+              cut pos m.m_start;
+              loop m.m_stop
+                (if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop))
   in
-  List.rev (loop 0 0 0 [])
+  loop 0 0;
+  fields_array fs
+
+let split ?limit ?charge t subject =
+  Array.to_list (split_map ?limit ?charge ~f:Fun.id t subject)
 
 let quote s =
   let buf = Buffer.create (String.length s) in

@@ -69,11 +69,20 @@ val replace : ?charge:(int -> unit) -> t -> template:string -> string -> string
 val replace_f : t -> f:(string -> match_result -> string) -> string -> string
 (** Replace every match with the result of [f subject m]. *)
 
-val split : ?limit:int -> ?charge:(int -> unit) -> t -> string -> string list
+val split_map :
+  ?limit:int ->
+  ?charge:(int -> unit) ->
+  f:(string -> 'a) ->
+  t ->
+  string ->
+  'a array
 (** Split on every match, like .NET [Regex.Split] (no captured separators;
-    adjacent matches yield empty fields).  With [limit] = k > 0 at most k
-    fields come back: the last one is the rest of the subject after the
-    (k-1)-th match, verbatim. *)
+    adjacent matches yield empty fields), each field passed through [f].
+    With [limit] = k > 0 at most k fields come back: the last one is the
+    rest of the subject after the (k-1)-th match, verbatim. *)
+
+val split : ?limit:int -> ?charge:(int -> unit) -> t -> string -> string list
+(** {!split_map} of the fields themselves, as a list. *)
 
 val quote : string -> string
 (** Escape a literal so it matches itself. *)

@@ -208,6 +208,175 @@ let counters_rendered () =
   check_b "pslex.tokenizes on /metrics" true
     (contains prom "invoke_deobf_pslex_tokenizes_total")
 
+(* ---------- front-end golden digest ---------- *)
+
+(* Every token, AST, extent, error message and error position the lexer and
+   parser produce on a fixed corpus, folded into one digest.  A rewrite of
+   the front end that changes any of them fails here, whatever the rest of
+   the pipeline makes of the change. *)
+
+let nest depth opener closer inner =
+  String.concat "" (List.init depth (fun _ -> opener))
+  ^ inner
+  ^ String.concat "" (List.init depth (fun _ -> closer))
+
+let edge_texts =
+  [
+    (* unterminated strings *)
+    "'abc"; "$a = 'abc"; "'ab''"; "1 + '"; "\"abc"; "$a = \"a`\"b";
+    "\"tick at end`"; "@'\nbody\n"; "@\"\nbody $x\n"; "@'no newline";
+    "@\"\n$x\n\"@"; "@'\r\nline\r\n'@"; "@'\nline1\nline2\n'@ + 'x'";
+    (* '' and "" escapes *)
+    "'it''s' + '''' + ''"; "\"say \"\"hi\"\"\" + \"\"\"\" + \"\"";
+    (* backtick escapes inside and outside strings *)
+    "\"a`tb`n`r`0`a`b`f`v`$x`\"\""; "wr`ite-h`ost h`ello we`bclient";
+    "iN`v`oKe-eXpReSsIoN ('a'+'b')"; "$x = \"$env:temp\\`$y ${a b} $($x + 1)\"";
+    "cmd a`\nb"; "\"$(\"nested $(1 + (2))\")\"";
+    (* CRLF *)
+    "$a = 1\r\n$b = 2\r\nWrite-Output ($a + $b)\r\n"; "'x'\r"; "1 `\r\n+ 2";
+    "1 `\r+ 2";
+    (* comments *)
+    "<# block\n comment #> 1"; "1 # rest\n2"; "<# unterminated"; "echo a#b #c";
+    "$x = 1 <# inline #> + 2"; "#";
+    (* line continuations *)
+    "1 `\n+ 2"; "write-host `\n  a `\n  b";
+    (* variables *)
+    "${a b} = 1; ${a b}"; "$env:comspec; $env:x + $global:y + $script:z";
+    "f @splat; @args"; "$$; $?; $^; $_"; "${unterminated"; "$ x"; "$(";
+    (* numbers *)
+    "4kb + 2MB + 1gb + 3Tb + 5pb"; "10l + 3d + 7L + 9D"; "0x1F + 0XfF + 0x";
+    "1e5 + 2.5E-3 + 1.5e+2 + 3e"; ".5 + 3. + 1.2.3"; "-5; cmd -5 -x 2kb 0x10";
+    "1..5; -1..-5; 'x'[-1..-3]"; "12abc"; "[int]'0x10' + 1kbx";
+    (* redirections *)
+    "cmd > out.txt"; "cmd >> out.txt"; "cmd 2> err.txt"; "cmd 2>> err";
+    "cmd 1> a"; "cmd 1>> a"; "cmd 2>&1"; "cmd 1>&2"; "cmd < in";
+    "cmd a 2>&1 | out-null"; "$x > 'f'"; "1>a";
+    (* operators *)
+    "$x += 1; $x -= 1; $x *= 2; $x /= 2; $x %= 3; $x++; $x--; ++$x; --$x";
+    "$a -and $b -or !$c -xor $d -and -not $e";
+    "'a' -CEQ 'A' -iLike 'a*' -NotMatch 'x' -cReplace 'a','b' -Split ','";
+    "'{0}{1}' -f 'a','b' -join '' -bxor 3 -shl 1 -shr 1 -band 1 -bor 2";
+    "$a -is [int] -isnot [string] -as [char] -in 1,2 -notin 3 -contains 4";
+    "cmd -join -Name:value -f; -foo"; "$x = -foo"; "1 -bnot 2; -bnot 3";
+    "a && b || c"; "$a::b; [Convert]::FromBase64String('x'); [x]:: y";
+    "$a. Length; $a.b.c(1, 2); $a.'x'; $a.$b; {1}.Invoke()";
+    ". ./x.ps1; . $x; & 'iex' 'a'; & ($x) b; %{ $_ } ; 1 | % { $_ }";
+    "$h = @{a=1;b=2; 'c' = 3}; $h.a"; "@(1,2)[0]; $(1;2); ,1"; "[char[]] 'ab'";
+    "[string][char]39; [System.Text.Encoding]::UTF8; [a[b]]; [ ]"; "$a[0][1]";
+    (* statements *)
+    "if ($a) { 1 } elseif ($b) { 2 } else { 3 }";
+    "while ($i -lt 3) { $i++ }; do { 1 } while ($false); do { } until (1)";
+    "for ($i = 0; $i -lt 3; $i++) { $i }; foreach ($x in 1..3) { $x }";
+    "switch -regex ($x) { 'a' { 1 } default { 2 } }";
+    "function f($a, $b) { param($c) return $a }; filter g { $_ }";
+    "try { 1 } catch [System.Exception], [x] { 2 } finally { 3 }";
+    "trap [x] { continue }; begin { } process { } end { }; exit 1; throw 'x'";
+    "break; continue; return";
+    (* parse errors *)
+    "(1"; "1 +"; "}"; ")"; "$"; "@"; "`"; "if ($a) 1"; "try { 1 }";
+    "$a = "; "f(1 2"; "do { } x"; "$a.(1)"; "[int]"; "@{a}"; "1 2";
+    "function"; "foreach ($x 1) { }"; "\"$(1\""; "$a[1";
+    (* 300-deep nesting *)
+    nest 300 "(" ")" "1"; nest 300 "{" "}" ""; nest 300 "$(" ")" "1";
+    nest 300 "@(" ")" "1"; nest 300 "$a[" "]" "0"; nest 300 "[" "]" "";
+    nest 300 "(" "" "1";
+  ]
+
+let corpus_texts =
+  lazy
+    (let samples =
+       G.generate ~seed:13 ~count:100
+       @ G.generate_hard ~seed:13 ~count:100
+       @ G.generate_multilayer ~seed:13 ~count:100 ~min_depth:1 ~max_depth:4
+       @ G.generate_dynamic ~seed:13 ~count:100
+     in
+     let cache = Deobf.Recover.Cache.create () in
+     List.concat_map
+       (fun (s : G.sample) ->
+         let _, output =
+           Deobf.Batch.run_source ~cache ~verify:true ~name:"frontend"
+             s.G.obfuscated
+         in
+         [ s.G.obfuscated; s.G.clean; output ])
+       samples)
+
+let add_frontend_digest buf src =
+  (match Pslex.Lexer.tokenize src with
+  | Error e ->
+      Printf.bprintf buf "lex error %S at %d\n" e.Pslex.Lexer.message
+        e.Pslex.Lexer.position
+  | Ok toks ->
+      List.iter
+        (fun (t : Pslex.Token.t) ->
+          Printf.bprintf buf "%s\000%s\000%s\000%d\000%d\001"
+            (Pslex.Token.kind_name t.kind) t.content t.text
+            t.extent.Pscommon.Extent.start t.extent.Pscommon.Extent.stop)
+        toks);
+  (match Psparse.Parser.parse src with
+  | Error e ->
+      Printf.bprintf buf "parse error %S at %d\n" e.Psparse.Parser.message
+        e.Psparse.Parser.position
+  | Ok ast ->
+      Buffer.add_string buf (Marshal.to_string ast [ Marshal.No_sharing ]));
+  Buffer.add_char buf '\002'
+
+(* computed before the allocation-free lexer and flat-precedence parser
+   replaced the ones it pins *)
+let frontend_digest = "d95df66d7a6dfd2f52ce9f9fcaa1cf32"
+
+let test_frontend_digest () =
+  let texts = Lazy.force corpus_texts @ edge_texts in
+  check_i "texts" (1200 + List.length edge_texts) (List.length texts);
+  let buf = Buffer.create (1 lsl 22) in
+  List.iter (add_frontend_digest buf) texts;
+  check_s "front-end digest" frontend_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* ---------- allocation ceiling ---------- *)
+
+(* Minor words allocated per token by the lexer and by the parser over the
+   digest's corpus texts.  The count is deterministic for a given build, so
+   an allocation regression in either fails here without a timing run.  The
+   ceilings are the measured values plus 10%.  The lexer that allocated an
+   option per character read took 38.84 words per token on these texts, and
+   the parser with a closure per precedence level 47.76. *)
+let lex_words_ceiling = 18.72 *. 1.1
+let parse_words_ceiling = 17.07 *. 1.1
+
+let test_allocation_ceiling () =
+  let lexed =
+    List.filter_map
+      (fun src ->
+        match Pslex.Lexer.tokenize src with
+        | Ok toks -> Some (src, toks)
+        | Error _ -> None)
+      (Lazy.force corpus_texts)
+  in
+  let tokens =
+    float_of_int
+      (List.fold_left (fun n (_, toks) -> n + List.length toks) 0 lexed)
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    List.iter f lexed;
+    Gc.minor_words () -. w0
+  in
+  let lex =
+    words (fun (src, _) -> ignore (Sys.opaque_identity (Pslex.Lexer.tokenize src)))
+    /. tokens
+  in
+  let parse =
+    words (fun (src, toks) ->
+        ignore (Sys.opaque_identity (Psparse.Parser.parse_tokens src toks)))
+    /. tokens
+  in
+  check_b
+    (Printf.sprintf "lexer %.2f words per token <= %.2f" lex lex_words_ceiling)
+    true (lex <= lex_words_ceiling);
+  check_b
+    (Printf.sprintf "parser %.2f words per token <= %.2f" parse parse_words_ceiling)
+    true (parse <= parse_words_ceiling)
+
 let suite =
   [
     Alcotest.test_case "wild samples: threaded ASTs change nothing" `Quick
@@ -230,4 +399,7 @@ let suite =
       counts_with_distinct_pieces;
     Alcotest.test_case "front-end counters on every metrics surface" `Quick
       counters_rendered;
+    Alcotest.test_case "front-end golden digest" `Quick test_frontend_digest;
+    Alcotest.test_case "front-end allocation ceiling" `Quick
+      test_allocation_ceiling;
   ]

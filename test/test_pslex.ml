@@ -244,6 +244,183 @@ let prop_tokens_reconstruct_source =
             (fun t -> Pscommon.Extent.text src t.T.extent = t.T.text)
             toks)
 
+(* ---------- operator spelling table ---------- *)
+
+(* Every token of [src] as "Kind content text start-stop;", or the error. *)
+let render src =
+  match Pslex.Lexer.tokenize src with
+  | Error e ->
+      Printf.sprintf "error %S at %d" e.Pslex.Lexer.message e.Pslex.Lexer.position
+  | Ok toks ->
+      String.concat " "
+        (List.map
+           (fun (t : T.t) ->
+             Printf.sprintf "%s %s %s %d-%d;" (T.kind_name t.kind) t.content
+               t.text t.extent.Pscommon.Extent.start
+               t.extent.Pscommon.Extent.stop)
+           toks)
+
+(* Each multi-character operator and redirection at command start, in
+   command arguments, in expression position and glued to a value, as the
+   lexer that scanned a list of operator spellings left them. *)
+let operator_table =
+  [
+    ( "2>&1",
+      [ "Number 2 2 0-1; Operator > > 1-2; Operator & & 2-3; Number 1 1 3-4; Number 1 1 5-6;";
+        "Command cmd cmd 0-3; Operator 2>&1 2>&1 4-8; CommandArgument x x 9-10;";
+        "Variable x $x 0-2; Number 2 2 3-4; Operator > > 4-5; Operator & & 5-6; Number 1 1 6-7; Number 1 1 8-9;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 2 2 4-5; Operator > > 5-6; Operator & & 6-7; Number 11 11 7-9;" ] );
+    ( "1>&2",
+      [ "Number 1 1 0-1; Operator > > 1-2; Operator & & 2-3; Number 2 2 3-4; Number 1 1 5-6;";
+        "Command cmd cmd 0-3; Operator 1>&2 1>&2 4-8; CommandArgument x x 9-10;";
+        "Variable x $x 0-2; Number 1 1 3-4; Operator > > 4-5; Operator & & 5-6; Number 2 2 6-7; Number 1 1 8-9;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 1 1 4-5; Operator > > 5-6; Operator & & 6-7; Number 21 21 7-9;" ] );
+    ( ">>",
+      [ "Operator >> >> 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator >> >> 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator >> >> 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator >> >> 4-6; Number 1 1 6-7;" ] );
+    ( ">",
+      [ "Operator > > 0-1; Number 1 1 2-3;";
+        "Command cmd cmd 0-3; Operator > > 4-5; CommandArgument x x 6-7;";
+        "Variable x $x 0-2; Operator > > 3-4; Number 1 1 5-6;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator > > 4-5; Number 1 1 5-6;" ] );
+    ( "<",
+      [ "Operator < < 0-1; Number 1 1 2-3;";
+        "Command cmd cmd 0-3; Operator < < 4-5; CommandArgument x x 6-7;";
+        "Variable x $x 0-2; Operator < < 3-4; Number 1 1 5-6;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator < < 4-5; Number 1 1 5-6;" ] );
+    ( "2>",
+      [ "Number 2 2 0-1; Operator > > 1-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator 2> 2> 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Number 2 2 3-4; Operator > > 4-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 2 2 4-5; Operator > > 5-6; Number 1 1 6-7;" ] );
+    ( "1>",
+      [ "Number 1 1 0-1; Operator > > 1-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator 1> 1> 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Number 1 1 3-4; Operator > > 4-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 1 1 4-5; Operator > > 5-6; Number 1 1 6-7;" ] );
+    ( "2>>",
+      [ "Number 2 2 0-1; Operator >> >> 1-3; Number 1 1 4-5;";
+        "Command cmd cmd 0-3; Operator 2>> 2>> 4-7; CommandArgument x x 8-9;";
+        "Variable x $x 0-2; Number 2 2 3-4; Operator >> >> 4-6; Number 1 1 7-8;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 2 2 4-5; Operator >> >> 5-7; Number 1 1 7-8;" ] );
+    ( "1>>",
+      [ "Number 1 1 0-1; Operator >> >> 1-3; Number 1 1 4-5;";
+        "Command cmd cmd 0-3; Operator 1>> 1>> 4-7; CommandArgument x x 8-9;";
+        "Variable x $x 0-2; Number 1 1 3-4; Operator >> >> 4-6; Number 1 1 7-8;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Number 1 1 4-5; Operator >> >> 5-7; Number 1 1 7-8;" ] );
+    ( "+=",
+      [ "Operator += += 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator += += 4-6; Command x x 7-8;";
+        "Variable x $x 0-2; Operator += += 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator += += 4-6; Number 1 1 6-7;" ] );
+    ( "-=",
+      [ "Operator -= -= 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator -= -= 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator -= -= 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator -= -= 4-6; Number 1 1 6-7;" ] );
+    ( "*=",
+      [ "Operator *= *= 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator *= *= 4-6; Command x x 7-8;";
+        "Variable x $x 0-2; Operator *= *= 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator *= *= 4-6; Number 1 1 6-7;" ] );
+    ( "/=",
+      [ "Operator /= /= 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator /= /= 4-6; Command x x 7-8;";
+        "Variable x $x 0-2; Operator /= /= 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator /= /= 4-6; Number 1 1 6-7;" ] );
+    ( "%=",
+      [ "Command % % 0-1; Operator = = 1-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator %= %= 4-6; Command x x 7-8;";
+        "Variable x $x 0-2; Operator %= %= 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator %= %= 4-6; Number 1 1 6-7;" ] );
+    ( "++",
+      [ "Operator ++ ++ 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator ++ ++ 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator ++ ++ 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator ++ ++ 4-6; Number 1 1 6-7;" ] );
+    ( "--",
+      [ "Operator -- -- 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator -- -- 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator -- -- 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator -- -- 4-6; Number 1 1 6-7;" ] );
+    ( "..",
+      [ "Operator .. .. 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator .. .. 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator .. .. 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator .. .. 4-6; Number 1 1 6-7;" ] );
+    ( "::",
+      [ "Operator :: :: 0-2; Member 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator :: :: 4-6; Member x x 7-8;";
+        "Variable x $x 0-2; Operator :: :: 3-5; Member 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator :: :: 4-6; Member 1 1 6-7;" ] );
+    ( "&&",
+      [ "Operator && && 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator && && 4-6; CommandArgument x x 7-8;";
+        "Variable x $x 0-2; Operator && && 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator && && 4-6; Number 1 1 6-7;" ] );
+    ( "||",
+      [ "Operator || || 0-2; Number 1 1 3-4;";
+        "Command cmd cmd 0-3; Operator || || 4-6; Command x x 7-8;";
+        "Variable x $x 0-2; Operator || || 3-5; Number 1 1 6-7;";
+        "GroupStart ( ( 0-1; Variable x $x 1-3; GroupEnd ) ) 3-4; Operator || || 4-6; Number 1 1 6-7;" ] );
+  ]
+
+let operator_sources op =
+  [ op ^ " 1"; "cmd " ^ op ^ " x"; "$x " ^ op ^ " 1"; "($x)" ^ op ^ "1" ]
+
+let test_operator_table () =
+  List.iter
+    (fun (op, expected) ->
+      Alcotest.(check (list string)) op expected
+        (List.map render (operator_sources op)))
+    operator_table
+
+(* Every dash operator in lower, upper, mixed and case-prefixed spellings,
+   in expression position, in command arguments and at command start: an
+   operator's content is its lowercase spelling, a parameter and a
+   non-operator word keep theirs, and the text is always as written. *)
+let mixed_case w =
+  String.mapi
+    (fun i c -> if i mod 2 = 0 then Char.uppercase_ascii c else c)
+    w
+
+let dash_spellings w =
+  [ w; String.uppercase_ascii w; mixed_case w; "c" ^ w; "C" ^ mixed_case w;
+    "i" ^ w; "I" ^ String.uppercase_ascii w ]
+
+let test_dash_operator_spellings () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun sp ->
+          let word = "-" ^ sp and n = String.length sp + 1 in
+          let as_operand at =
+            if List.mem (String.lowercase_ascii sp) Pslex.Lexer.dash_operators
+            then
+              Printf.sprintf "Operator %s %s %d-%d;"
+                (String.lowercase_ascii word) word at (at + n)
+            else Printf.sprintf "CommandArgument %s %s %d-%d;" word word at (at + n)
+          in
+          let src = "$x " ^ word ^ " 1" in
+          check_s src
+            (Printf.sprintf "Variable x $x 0-2; %s Number 1 1 %d-%d;"
+               (as_operand 3) (n + 4) (n + 5))
+            (render src);
+          let src = "cmd " ^ word ^ " 1" in
+          check_s src
+            (Printf.sprintf
+               "Command cmd cmd 0-3; CommandParameter %s %s 4-%d; Number 1 1 %d-%d;"
+               word word (n + 4) (n + 5) (n + 6))
+            (render src);
+          let src = word ^ " 1" in
+          check_s src
+            (Printf.sprintf "%s Number 1 1 %d-%d;" (as_operand 0) (n + 1) (n + 2))
+            (render src))
+        (dash_spellings w))
+    Pslex.Lexer.dash_operators
+
 let suite =
   [
     ("command and args", `Quick, test_command_and_args);
@@ -272,5 +449,7 @@ let suite =
     ("alias table", `Quick, test_aliases_table);
     ("keyword table", `Quick, test_keyword_table);
     ("paper listing 2", `Quick, test_paper_listing2);
+    ("operator spelling table", `Quick, test_operator_table);
+    ("dash operator spellings", `Quick, test_dash_operator_spellings);
     QCheck_alcotest.to_alcotest prop_tokens_reconstruct_source;
   ]
