@@ -487,6 +487,203 @@ let test_env_templates_independent () =
   check_b "domain 1 reads the defaults" true (Domain.join d1);
   check_b "domain 2 reads the defaults" true (Domain.join d2)
 
+(* ---------- evaluator golden digest ---------- *)
+
+(* What the evaluator computes over small seeded corpus slices, folded into
+   one digest: for every recoverable piece of every sample and of every
+   layer it decodes, the result or error text, the charged steps and the
+   cursor bindings left behind, run plain and under a payload probe (with
+   the payload record the probe makes); for every sample, the sandbox
+   reference run's whole final state with and without the payloads the
+   engine run decoded, and the verify effect logs of input and output.  A
+   change to the evaluator that keeps its behaviour keeps the digest; one
+   that means to change it updates the constant and says why. *)
+
+let evaluator_digest = "f263d25cf6f07a69692a779428b1f1a8"
+
+let rec show_value buf (v : Value.t) =
+  match v with
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%h" f)
+  | Arr a ->
+      Buffer.add_string buf "@(";
+      Array.iter (fun x -> show_value buf x; Buffer.add_char buf ',') a;
+      Buffer.add_char buf ')'
+  | Hash pairs ->
+      Buffer.add_string buf "@{";
+      List.iter
+        (fun (k, x) ->
+          show_value buf k;
+          Buffer.add_char buf '=';
+          show_value buf x;
+          Buffer.add_char buf ';')
+        pairs;
+      Buffer.add_char buf '}'
+  | v -> Buffer.add_string buf (Format.asprintf "%a" Value.pp v)
+
+let add_line buf label parts =
+  Buffer.add_string buf label;
+  List.iter (fun p -> Buffer.add_char buf ' '; Buffer.add_string buf p) parts;
+  Buffer.add_char buf '\n'
+
+let value_text v =
+  let b = Buffer.create 64 in
+  show_value b v;
+  Buffer.contents b
+
+let bindings_text bs =
+  String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ value_text v) bs)
+
+let cursor_text env =
+  List.map
+    (fun k ->
+      match Pseval.Env.get_var env k with
+      | Some v -> value_text v
+      | None -> "-")
+    [ Pseval.Env.item_var; Pseval.Env.input_var ]
+
+let golden_piece_limits =
+  { Pseval.Env.default_limits with Pseval.Env.max_steps = 400_000 }
+
+let seeded_env seeds =
+  let env = Pseval.Env.create ~limits:golden_piece_limits () in
+  List.iter
+    (fun (name, v) -> Pseval.Env.set_var env (Psparse.Names.var_key name) v)
+    seeds;
+  env
+
+let result_text = function
+  | Ok v -> "ok " ^ value_text v
+  | Error e -> "error " ^ e
+
+(* the pieces recovery would evaluate in [src]: every recoverable node, and
+   the stages before the last of every pipeline *)
+let golden_pieces src ast =
+  let module A = Psast.Ast in
+  A.fold_pre_order
+    (fun acc (n : A.t) ->
+      match n.A.node with
+      | (A.Pipeline _ | A.Unary_expr _ | A.Binary_expr _ | A.Convert_expr _
+        | A.Invoke_member _ | A.Sub_expr _)
+        when A.children n <> [] -> (
+          let acc = A.text src n :: acc in
+          match n.A.node with
+          | A.Pipeline (first :: (_ :: _ as rest)) ->
+              let stop = List.nth (first :: rest) (List.length rest - 1) in
+              Pscommon.Extent.text src
+                (Pscommon.Extent.union first.A.extent stop.A.extent)
+              :: acc
+          | _ -> acc)
+      | _ -> acc)
+    [] ast
+  |> List.rev
+
+let rec fold_pieces buf ~seeds ~seen ~depth src =
+  match Psparse.Parser.parse src with
+  | Error _ -> add_line buf "unparsed" [ string_of_int (String.length src) ]
+  | Ok ast ->
+      List.iter
+        (fun text ->
+          if not (Hashtbl.mem seen text) then begin
+            Hashtbl.replace seen text ();
+            let parsed = Pseval.Interp.parse_piece text in
+            let env = seeded_env seeds in
+            let plain = Pseval.Interp.invoke_parsed env ~src:text parsed in
+            add_line buf "piece"
+              ([ result_text plain; string_of_int env.Pseval.Env.steps ]
+              @ cursor_text env);
+            let env = seeded_env seeds in
+            let probed, record =
+              Pseval.Interp.invoke_payload env ~src:text parsed
+            in
+            add_line buf "probed"
+              ([ result_text probed; string_of_int env.Pseval.Env.steps ]
+              @ cursor_text env);
+            (match record with
+            | Some (digest, (p : Pseval.Env.payload)) ->
+                add_line buf "payload"
+                  [ Digest.to_hex (Digest.string digest); p.Pseval.Env.decoded;
+                    string_of_int p.Pseval.Env.steps;
+                    bindings_text p.Pseval.Env.reads;
+                    bindings_text p.Pseval.Env.writes;
+                    String.concat "," p.Pseval.Env.commands ]
+            | None -> add_line buf "payload" [ "none" ]);
+            match plain with
+            | Ok (Value.Str s) when depth < 4 && String.length s > 8 && s <> text ->
+                fold_pieces buf ~seeds ~seen ~depth:(depth + 1) s
+            | Ok _ | Error _ -> ()
+          end)
+        (golden_pieces src ast)
+
+let reference_run ?payloads src =
+  let limits =
+    { Pseval.Env.default_limits with
+      Pseval.Env.max_steps = Deobf.Verify.default_opts.Deobf.Verify.max_steps }
+  in
+  let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
+  env.Pseval.Env.payloads <- payloads;
+  let result = Pseval.Interp.run_script env src in
+  let state =
+    [ (match result with
+      | Ok out -> "ok " ^ String.concat "," (List.map value_text out)
+      | Error e -> "error " ^ e);
+      String.concat "," (List.map Pseval.Env.event_to_string (Pseval.Env.events env));
+      String.concat "," (Pseval.Env.commands env);
+      String.concat "," (List.map value_text (Pseval.Env.sunk_output env));
+      bindings_text (Pseval.Env.global_bindings env);
+      string_of_int env.Pseval.Env.steps ]
+    @ cursor_text env
+  in
+  (state, Pseval.Env.global_bindings env)
+
+let verify_log src =
+  match
+    Sandbox.run_for_verify
+      ~max_steps:Deobf.Verify.default_opts.Deobf.Verify.max_steps src
+  with
+  | Ok log -> "ok " ^ String.concat "|" log
+  | Error e -> "error " ^ e
+
+let golden_samples () =
+  let module G = Corpus.Generator in
+  G.generate ~seed:81 ~count:24
+  @ G.generate_hard ~seed:82 ~count:12
+  @ G.generate_multilayer ~seed:83 ~count:16 ~min_depth:1 ~max_depth:4
+  @ G.generate_dynamic ~seed:84 ~count:16
+
+let test_evaluator_golden_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let samples = golden_samples () in
+  List.iter
+    (fun (s : Corpus.Generator.sample) ->
+      let src = s.Corpus.Generator.obfuscated in
+      let state, final = reference_run src in
+      add_line buf "reference" state;
+      let payloads = Hashtbl.create 8 in
+      let guarded, _ = Deobf.Engine.run_guarded_parsed ~payloads src in
+      Hashtbl.fold (fun k p acc -> (k, p) :: acc) payloads []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> List.iter (fun (k, (p : Pseval.Env.payload)) ->
+             add_line buf "decoded"
+               [ Digest.to_hex (Digest.string k); p.Pseval.Env.decoded;
+                 string_of_int p.Pseval.Env.steps ]);
+      add_line buf "reused" (fst (reference_run ~payloads src));
+      add_line buf "verify-in" [ verify_log src ];
+      add_line buf "verify-out"
+        [ verify_log guarded.Deobf.Engine.result.Deobf.Engine.output ];
+      let seeds =
+        List.filter
+          (fun (_, (v : Value.t)) ->
+            match v with
+            | Null | Bool _ | Int _ | Float _ | Char _ | Str _ -> true
+            | Arr _ | Hash _ | Script_block _ | Secure_string _ | Obj _ -> false)
+          final
+      in
+      fold_pieces buf ~seeds ~seen:(Hashtbl.create 64) ~depth:0 src)
+    samples;
+  check_i "samples" 68 (List.length samples);
+  check_s "digest" evaluator_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ---------- names under random case ---------- *)
 
 (* The paper's L1 layer randomises the case of every name; the parser keys
@@ -561,6 +758,7 @@ let test_decoders_under_random_case () =
 let suite =
   [
     ("decoder per-element cost", `Quick, test_decoder_element_cost);
+    ("evaluator golden digest", `Quick, test_evaluator_golden_digest);
     ("decoders under random case", `Quick, test_decoders_under_random_case);
     ("lower of folded text allocates nothing", `Quick,
       test_lower_folded_allocates_nothing);
