@@ -27,6 +27,8 @@ and recovery_options = Recover.options = {
   dynamic_step_budget : int;
 }
 
+let m_phase_ms = Pscommon.Telemetry.Metrics.histogram_family "engine.phase_ms."
+
 let default_options =
   { token_phase = true; recovery = Recover.default_options; rename = true;
     reformat = true; max_iterations = 8; partial = true }
@@ -357,7 +359,7 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = infinity)
     let r = f () in
     let ms = (Guard.now () -. t0) *. 1000.0 in
     if sid <> 0 then T.span_end sid ~attrs:[ ("ms", T.F ms) ];
-    T.Metrics.observe (T.Metrics.histogram ("engine.phase_ms." ^ phase)) ms;
+    T.Metrics.observe (T.Metrics.member m_phase_ms phase) ms;
     timings := add_timing !timings phase ms;
     r
   in

@@ -30,6 +30,10 @@ let m_blocked = T.Metrics.counter "recover.pieces_blocked"
 let m_substituted = T.Metrics.counter "recover.variables_substituted"
 let m_unwrapped = T.Metrics.counter "recover.layers_unwrapped"
 let m_piece_ms = T.Metrics.histogram "recover.piece_ms"
+
+(* per rule kind, registered on the kind's first piece *)
+let m_rule = T.Metrics.counter_family "recover.rule."
+let m_rule_ms = T.Metrics.histogram_family "recover.rule_ms."
 let m_dyn_attempted = T.Metrics.counter "recover.dynamic.attempted"
 let m_dyn_recovered = T.Metrics.counter "recover.dynamic.recovered"
 let m_dyn_unverifiable = T.Metrics.counter "recover.dynamic.unverifiable"
@@ -390,7 +394,7 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
   T.Metrics.incr m_attempted;
   (* per-kind attribution: which syntactic shapes the recovery budget is
      actually spent on (counter here, latency histogram on the miss path) *)
-  T.Metrics.incr (T.Metrics.counter ("recover.rule." ^ kind));
+  T.Metrics.incr (T.Metrics.member m_rule kind);
   let sid =
     if T.active () then
       T.span_begin "recover.piece"
@@ -437,9 +441,7 @@ let invoke_piece ?(kind = "piece") ?(payload = false) st text =
         in
         let dt_ms = (Guard.now () -. t0) *. 1000.0 in
         T.Metrics.observe m_piece_ms dt_ms;
-        T.Metrics.observe
-          (T.Metrics.histogram ("recover.rule_ms." ^ kind))
-          dt_ms;
+        T.Metrics.observe (T.Metrics.member m_rule_ms kind) dt_ms;
         (match (key, result) with
         | Some k, Ok _ -> Cache.add st.cache k result
         | Some k, Error e when cacheable_error e -> Cache.add st.cache k result

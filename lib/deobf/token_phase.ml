@@ -10,6 +10,8 @@ open Pscommon
 module T = Pslex.Token
 
 (* canonical casing for members that appear in obfuscated recovery code *)
+let m_rule = Telemetry.Metrics.counter_family "token.rule."
+
 let member_case_table =
   List.fold_left
     (fun acc m -> Strcase.Map.add m m acc)
@@ -165,8 +167,7 @@ let run_parsed ?log ?(pass = 0) ?(suppress = []) ?toks src =
                    syntactically valid result *)
                 List.iter
                   (fun (_, kind) ->
-                    Telemetry.Metrics.incr
-                      (Telemetry.Metrics.counter ("token.rule." ^ kind)))
+                    Telemetry.Metrics.incr (Telemetry.Metrics.member m_rule kind))
                   pairs;
                 Option.iter
                   (fun l -> Editlog.record_stage l ~phase:"token" ~pass ~src pairs)

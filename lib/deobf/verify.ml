@@ -76,6 +76,10 @@ let ref_cache_lock = Mutex.create ()
 let ref_cache_cap = 512
 let m_ref_hits = T.Metrics.counter "verify.ref_cache_hits"
 
+(* the gate's own metrics, registered by its first verdict *)
+let m_gate = T.Metrics.counter_family "verify."
+let m_gate_ms = T.Metrics.histogram_family "verify."
+
 let ref_log ~opts ~runs ~ast ?payloads src =
   if not opts.use_ref_cache then run_log ~opts ~runs ~ast ?payloads src
   else begin
@@ -163,11 +167,11 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
     let dynamic_rolled_back =
       List.length (List.filter is_dynamic_rule rolled_rules)
     in
-    T.Metrics.incr (T.Metrics.counter ("verify." ^ verdict_name verdict));
-    T.Metrics.incr ~by:!runs (T.Metrics.counter "verify.sandbox_runs");
+    T.Metrics.incr (T.Metrics.member m_gate (verdict_name verdict));
+    T.Metrics.incr ~by:!runs (T.Metrics.member m_gate "sandbox_runs");
     T.Metrics.incr ~by:dynamic_rolled_back
-      (T.Metrics.counter "verify.dynamic_rolled_back");
-    T.Metrics.observe (T.Metrics.histogram "verify.ms") verify_ms;
+      (T.Metrics.member m_gate "dynamic_rolled_back");
+    T.Metrics.observe (T.Metrics.member m_gate_ms "ms") verify_ms;
     if T.active () then
       T.event "verify.verdict"
         ~attrs:

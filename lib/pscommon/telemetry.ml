@@ -504,60 +504,87 @@ module Metrics = struct
     h_max : float Atomic.t;  (** [neg_infinity] until the first observation *)
   }
 
+  (* indexed by name: a lookup is one hash under the mutex, whatever the
+     number of registered metrics *)
   type registry = {
-    mutable counters : counter list;
-    mutable gauges : gauge list;
-    mutable histograms : histogram list;
+    counters : (string, counter) Hashtbl.t;
+    gauges : (string, gauge) Hashtbl.t;
+    histograms : (string, histogram) Hashtbl.t;
   }
 
-  let registry = { counters = []; gauges = []; histograms = [] }
+  let registry =
+    { counters = Hashtbl.create 128; gauges = Hashtbl.create 16;
+      histograms = Hashtbl.create 64 }
+
   let registry_mutex = Mutex.create ()
 
   let locked f =
     Mutex.lock registry_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
 
-  let counter name =
+  let get_or_create table name make =
     locked (fun () ->
-        match List.find_opt (fun c -> c.c_name = name) registry.counters with
-        | Some c -> c
+        match Hashtbl.find_opt table name with
+        | Some x -> x
         | None ->
-            let c = { c_name = name; c = Atomic.make 0 } in
-            registry.counters <- c :: registry.counters;
-            c)
+            let x = make () in
+            Hashtbl.replace table name x;
+            x)
+
+  let counter name =
+    get_or_create registry.counters name (fun () ->
+        { c_name = name; c = Atomic.make 0 })
 
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c by)
   let counter_value c = Atomic.get c.c
 
   let gauge name =
-    locked (fun () ->
-        match List.find_opt (fun g -> g.g_name = name) registry.gauges with
-        | Some g -> g
-        | None ->
-            let g = { g_name = name; g = Atomic.make 0 } in
-            registry.gauges <- g :: registry.gauges;
-            g)
+    get_or_create registry.gauges name (fun () ->
+        { g_name = name; g = Atomic.make 0 })
 
   let set g v = Atomic.set g.g v
   let gauge_value g = Atomic.get g.g
 
   let histogram name =
-    locked (fun () ->
-        match
-          List.find_opt (fun h -> h.h_name = name) registry.histograms
-        with
-        | Some h -> h
-        | None ->
-            let h =
-              { h_name = name;
-                buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
-                h_count = Atomic.make 0;
-                h_sum = Atomic.make 0.0;
-                h_min = Atomic.make infinity;
-                h_max = Atomic.make neg_infinity }
-            in
-            registry.histograms <- h :: registry.histograms;
-            h)
+    get_or_create registry.histograms name (fun () ->
+        { h_name = name;
+          buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
+          h_count = Atomic.make 0;
+          h_sum = Atomic.make 0.0;
+          h_min = Atomic.make infinity;
+          h_max = Atomic.make neg_infinity })
+
+  (* Handles named [prefix ^ suffix] for a small set of suffixes (rule
+     kinds, phases, verdicts), each looked up in the registry on its first
+     use, exactly when a direct lookup would register it, and kept: later
+     uses compare the suffix against the few already seen, without the
+     mutex or building the name.  Suffixes are usually string literals, so
+     the physical test answers first.  Domains race only to add the same
+     handle twice. *)
+  type 'a family = {
+    prefix : string;
+    lookup : string -> 'a;
+    seen : (string * 'a) list Atomic.t;
+  }
+
+  let family lookup prefix = { prefix; lookup; seen = Atomic.make [] }
+  let counter_family prefix = family counter prefix
+  let histogram_family prefix = family histogram prefix
+
+  let rec find_suffix suffix = function
+    | [] -> None
+    | (k, h) :: rest ->
+        if k == suffix || String.equal k suffix then Some h
+        else find_suffix suffix rest
+
+  let rec member f suffix =
+    let seen = Atomic.get f.seen in
+    match find_suffix suffix seen with
+    | Some h -> h
+    | None ->
+        let h = f.lookup (f.prefix ^ suffix) in
+        if Atomic.compare_and_set f.seen seen ((suffix, h) :: seen) then h
+        else member f suffix
 
   let observe h v =
     ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1);
@@ -620,27 +647,24 @@ module Metrics = struct
 
   let by_name (a, _) (b, _) = String.compare a b
 
+  let sorted_values table value =
+    List.sort by_name
+      (Hashtbl.fold (fun name x acc -> (name, value x) :: acc) table [])
+
   let snapshot () =
     locked (fun () ->
-        { counters =
-            List.sort by_name
-              (List.map (fun c -> (c.c_name, Atomic.get c.c)) registry.counters);
-          gauges =
-            List.sort by_name
-              (List.map (fun g -> (g.g_name, Atomic.get g.g)) registry.gauges);
-          histograms =
-            List.sort by_name
-              (List.map (fun h -> (h.h_name, snapshot_histogram h))
-                 registry.histograms) })
+        { counters = sorted_values registry.counters (fun c -> Atomic.get c.c);
+          gauges = sorted_values registry.gauges (fun g -> Atomic.get g.g);
+          histograms = sorted_values registry.histograms snapshot_histogram })
 
   (* Zeroes every registered value; handles created before the reset stay
      valid.  Used at the start of a batch run so metrics.json is per-run. *)
   let reset () =
     locked (fun () ->
-        List.iter (fun c -> Atomic.set c.c 0) registry.counters;
-        List.iter (fun g -> Atomic.set g.g 0) registry.gauges;
-        List.iter
-          (fun h ->
+        Hashtbl.iter (fun _ c -> Atomic.set c.c 0) registry.counters;
+        Hashtbl.iter (fun _ g -> Atomic.set g.g 0) registry.gauges;
+        Hashtbl.iter
+          (fun _ h ->
             Array.iter (fun b -> Atomic.set b 0) h.buckets;
             Atomic.set h.h_count 0;
             Atomic.set h.h_sum 0.0;

@@ -242,6 +242,18 @@ module Metrics : sig
   val histogram : string -> histogram
   val observe : histogram -> float -> unit
 
+  type 'a family
+  (** Handles named [prefix ^ suffix] for a small set of suffixes (rule
+      kinds, phases, verdicts). *)
+
+  val counter_family : string -> counter family
+  val histogram_family : string -> histogram family
+
+  val member : 'a family -> string -> 'a
+  (** [member f suffix] is the handle {!counter} or {!histogram} gives for
+      [prefix ^ suffix], looked up (and so registered) on the suffix's
+      first use only. *)
+
   val bucket_bound : int -> float
   (** Upper bound (ms) of bucket [i]; [infinity] for the overflow bucket. *)
 

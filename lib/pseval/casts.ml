@@ -39,14 +39,14 @@ let parse_scriptblock text =
 let cast key v =
   match key with
   | "string" -> Value.Str (Value.to_string v)
-  | "char" -> Value.Char (Value.to_char v)
+  | "char" -> Value.of_char (Value.to_char v)
   | "int" | "int32" | "int64" | "long" | "int16" | "short" | "uint32" | "uint64"
   | "uint16" | "sbyte" ->
-      Value.Int (Value.to_int v)
+      Value.of_int (Value.to_int v)
   | "byte" ->
       let n = Value.to_int v in
       if n < 0 || n > 255 then fail "value %d out of byte range" n
-      else Value.Int n
+      else Value.of_int n
   | "double" | "float" | "single" | "decimal" -> Value.Float (Value.to_float v)
   | "bool" | "boolean" -> Value.Bool (Value.to_bool v)
   | "char[]" -> to_char_array v

@@ -62,7 +62,21 @@ let () =
     | Limit_exceeded m -> Some (Guard.Interpreter_limit m)
     | _ -> None)
 
-type scope = { table : (string, Psvalue.Value.t) Hashtbl.t }
+(* A scope maps each name it binds to a mutable cell: updating a binding
+   is one lookup and one store, and a pipeline cursor resolved once is
+   updated per item with the store alone (see {!cursor}). *)
+type binding = { mutable value : Psvalue.Value.t }
+
+(* tables keyed on names: a string hash and a string compare per probe,
+   not the generic ones *)
+module Name_table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
+type scope = { table : binding Name_table.t }
 
 type fn = { fn_params : Psast.Ast.variable list; fn_body : Psast.Ast.t }
 
@@ -104,8 +118,14 @@ type probe = {
 
 type t = {
   mutable scopes : scope list;  (** innermost first; last is global *)
+  global : scope;  (** the last of [scopes] *)
+  mutable created : int;
+      (** bindings created so far in any scope: a resolved {!cursor} cell
+          stays where {!set_var} would write while this count stands *)
   functions : (string, fn) Hashtbl.t;  (** keys lowercased *)
-  env_vars : (string, string) Hashtbl.t;  (** simulated $env: drive *)
+  env_vars : (string, string) Hashtbl.t;
+      (** the $env: names this environment wrote; the rest read
+          [default_env_vars] *)
   mode : mode;
   limits : limits;
   deadline : Guard.deadline;
@@ -139,15 +159,15 @@ type t = {
           {!Psast.Eval_digest} of the stages they decode *)
 }
 
-let new_scope () = { table = Hashtbl.create 16 }
+let new_scope () = { table = Name_table.create 16 }
 
 (* Simulated Windows environment, enough for the $env / $pshome index tricks
    obfuscators rely on ($pshome[4]+$pshome[30]+'x' = 'iex', comspec[4,24,25]
    = 'iex', …). *)
 let default_env_vars =
-  let t = Hashtbl.create 16 in
+  let t = Name_table.create 16 in
   List.iter
-    (fun (k, v) -> Hashtbl.replace t (Strcase.lower k) v)
+    (fun (k, v) -> Name_table.replace t (Strcase.lower k) v)
     [
       ("comspec", "C:\\WINDOWS\\system32\\cmd.exe");
       ("windir", "C:\\WINDOWS");
@@ -184,21 +204,24 @@ let automatic_variables =
     ("psuiculture", Psvalue.Value.Str "en-US");
   ]
 
-(* [default_env_vars] and this table are the templates [create] copies, so
-   an environment costs two table copies instead of hashing 28 names.
-   Built once, read by every domain, written by none: never hand them
-   out. *)
+(* [default_env_vars] and this table are read-only fallbacks behind every
+   environment's own bindings (copy-on-write): a fresh environment copies
+   nothing, a read that no scope answers falls through to the template, and
+   a write creates the environment's own binding (see {!assign}).  Built
+   once, read by every domain, written by none: never hand them out. *)
 let automatic_scope =
-  let t = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace t k v) automatic_variables;
+  let t = Name_table.create 16 in
+  List.iter (fun (k, v) -> Name_table.replace t k v) automatic_variables;
   t
 
 let create ?(mode = Recovery) ?(limits = default_limits) () =
-  let global = { table = Hashtbl.copy automatic_scope } in
+  let global = new_scope () in
   {
     scopes = [ global ];
+    global;
+    created = 0;
     functions = Hashtbl.create 8;
-    env_vars = Hashtbl.copy default_env_vars;
+    env_vars = Hashtbl.create 4;
     mode;
     limits;
     deadline =
@@ -293,13 +316,21 @@ let item_var = Psparse.Names.var_key "_"
 let input_var = Psparse.Names.var_key "input"
 let args_var = Psparse.Names.var_key "args"
 
-let rec lookup_in scopes key =
+(* the innermost binding of [key]; [Not_found] when no scope binds it *)
+let rec find_binding scopes key =
   match scopes with
-  | [] -> None
+  | [] -> raise Not_found
   | s :: rest -> (
-      match Hashtbl.find_opt s.table key with
-      | Some v -> Some v
-      | None -> lookup_in rest key)
+      match Name_table.find s.table key with
+      | b -> b
+      | exception Not_found -> find_binding rest key)
+
+(* what a read of [key] sees: the innermost binding, else the automatic
+   template behind the global scope *)
+let lookup_in scopes key =
+  match find_binding scopes key with
+  | b -> Some b.value
+  | exception Not_found -> Name_table.find_opt automatic_scope key
 
 (* values a reuse can compare with what the site's bindings hold *)
 let immutable_scalar (v : Psvalue.Value.t) =
@@ -311,20 +342,27 @@ let immutable_scalar (v : Psvalue.Value.t) =
    wrote.  A read of an outside binding (seeded or automatic) that holds
    an immutable scalar is recorded, so a reuse can check that the site
    reads the same value; anything else (an outside array or object,
-   [$env:], a drive scope, a miss) disqualifies. *)
+   [$env:], a drive scope, a miss) disqualifies.  An automatic variable no
+   scope binds is an outside binding of the global scope. *)
+let probe_outside_read p (k : A.var_key) key v =
+  if immutable_scalar v then begin
+    if not (List.mem_assoc key p.reads) then p.reads <- (key, v) :: p.reads;
+    p.checked <- k :: p.checked
+  end
+  else p.self_contained <- false
+
 let rec probe_resolved p (k : A.var_key) key = function
-  | [] -> p.self_contained <- false
-  | s :: rest ->
-      if not (Hashtbl.mem s.table key) then probe_resolved p k key rest
-      else if not (List.memq s p.outer) then ()
-      else if List.mem key p.written then p.settled <- k :: p.settled
-      else
-        let v = Hashtbl.find s.table key in
-        if immutable_scalar v then begin
-          if not (List.mem_assoc key p.reads) then p.reads <- (key, v) :: p.reads;
-          p.checked <- k :: p.checked
-        end
-        else p.self_contained <- false
+  | [] -> (
+      match Name_table.find_opt automatic_scope key with
+      | Some v -> probe_outside_read p k key v
+      | None -> p.self_contained <- false)
+  | s :: rest -> (
+      match Name_table.find s.table key with
+      | exception Not_found -> probe_resolved p k key rest
+      | b ->
+          if not (List.memq s p.outer) then ()
+          else if List.mem key p.written then p.settled <- k :: p.settled
+          else probe_outside_read p k key b.value)
 
 let probe_read env p (k : A.var_key) =
   if List.memq k p.settled || List.memq k p.checked then ()
@@ -342,11 +380,13 @@ let probe_lands p k key s =
   end
   else p.self_contained <- false
 
-let rec probe_landing p k key current = function
-  | [] -> probe_lands p k key current
+let rec probe_landing env p k key current = function
+  | [] ->
+      probe_lands p k key
+        (if Name_table.mem automatic_scope key then env.global else current)
   | s :: rest ->
-      if not (Hashtbl.mem s.table key) then
-        probe_landing p k key current rest
+      if not (Name_table.mem s.table key) then
+        probe_landing env p k key current rest
       else if List.memq s p.outer then probe_lands p k key s
 
 let probe_write env p (k : A.var_key) =
@@ -355,51 +395,91 @@ let probe_write env p (k : A.var_key) =
   else
     match env.scopes with
     | [] -> ()
-    | current :: _ -> probe_landing p k k.A.scope_key current env.scopes
+    | current :: _ -> probe_landing env p k k.A.scope_key current env.scopes
 
-(* update [key] in the innermost scope that binds it; false when none does *)
-let rec assign_existing key value = function
-  | [] -> false
-  | s :: rest ->
-      if Hashtbl.mem s.table key then begin
-        Hashtbl.replace s.table key value;
-        true
-      end
-      else assign_existing key value rest
+(* a new binding of [key] in [s]; the caller knows [s] has none *)
+let bind env s key value =
+  let b = { value } in
+  Name_table.add s.table key b;
+  env.created <- env.created + 1;
+  b
 
-let get_var env (k : A.var_key) =
+(* the binding [key] has in [s], created when there is none *)
+let binding_in env s key value =
+  match Name_table.find s.table key with
+  | b ->
+      b.value <- value;
+      b
+  | exception Not_found -> bind env s key value
+
+(* PowerShell assignment updates an existing visible variable, or creates
+   it in the current scope.  An automatic variable no scope binds yet is
+   visible in the global scope, so writing it binds it there. *)
+let assign env key value =
+  match find_binding env.scopes key with
+  | b ->
+      b.value <- value;
+      b
+  | exception Not_found -> (
+      if Name_table.mem automatic_scope key then bind env env.global key value
+      else
+        match env.scopes with
+        | s :: _ -> bind env s key value
+        | [] -> assert false)
+
+let read_var env (k : A.var_key) =
   (match env.probe with Some p -> probe_read env p k | None -> ());
   match k.A.drive with
   | A.Env_drive -> (
       match Hashtbl.find_opt env.env_vars k.A.scope_key with
-      | Some s -> Some (Psvalue.Value.Str s)
-      | None -> Some Psvalue.Value.Null)
-  | A.Global_drive | A.Local_drive | A.No_drive ->
-      lookup_in env.scopes k.A.scope_key
-  | A.Other_drive -> None
+      | Some s -> Psvalue.Value.Str s
+      | None -> (
+          match Name_table.find_opt default_env_vars k.A.scope_key with
+          | Some s -> Psvalue.Value.Str s
+          | None -> Psvalue.Value.Null))
+  | A.Global_drive | A.Local_drive | A.No_drive -> (
+      match find_binding env.scopes k.A.scope_key with
+      | b -> b.value
+      | exception Not_found -> Name_table.find automatic_scope k.A.scope_key)
+  | A.Other_drive -> raise Not_found
 
-(* PowerShell assignment updates an existing visible variable, or creates
-   it in the current scope *)
-let assign env key value =
-  if not (assign_existing key value env.scopes) then
-    match env.scopes with
-    | s :: _ -> Hashtbl.replace s.table key value
-    | [] -> assert false
+let get_var env k = match read_var env k with v -> Some v | exception Not_found -> None
 
 let set_var env (k : A.var_key) value =
   (match env.probe with Some p -> probe_write env p k | None -> ());
   match k.A.drive with
   | A.Env_drive ->
       Hashtbl.replace env.env_vars k.A.scope_key (Psvalue.Value.to_string value)
-  | A.Global_drive -> (
-      match List.rev env.scopes with
-      | global :: _ -> Hashtbl.replace global.table k.A.scope_key value
-      | [] -> assert false)
+  | A.Global_drive -> ignore (binding_in env env.global k.A.scope_key value)
   | A.Local_drive -> (
       match env.scopes with
-      | s :: _ -> Hashtbl.replace s.table k.A.scope_key value
+      | s :: _ -> ignore (binding_in env s k.A.scope_key value)
       | [] -> assert false)
-  | A.Other_drive | A.No_drive -> assign env k.A.scope_key value
+  | A.Other_drive | A.No_drive -> ignore (assign env k.A.scope_key value)
+
+(* ---------- pipeline cursors ---------- *)
+
+(* A pipeline binds [$_] and [$input] once per item.  The first {!set_cursor}
+   resolves the binding {!set_var} would write, exactly as it would; later
+   ones store into that binding while no binding was created anywhere since
+   (a new binding may shadow it), and resolve again otherwise.  A payload
+   probe still sees every write: after the first it is one [List.memq]. *)
+type cursor = {
+  cursor_key : A.var_key;
+  mutable cell : binding;
+  mutable resolved_at : int;  (** [created] when [cell] was resolved; -1: never *)
+}
+
+let cursor (k : A.var_key) =
+  { cursor_key = k; cell = { value = Psvalue.Value.Null }; resolved_at = -1 }
+
+let set_cursor env c value =
+  (match env.probe with Some p -> probe_write env p c.cursor_key | None -> ());
+  if c.resolved_at = env.created then c.cell.value <- value
+  else begin
+    c.cell <- assign env c.cursor_key.A.scope_key value;
+    c.resolved_at <- env.created
+  end
 
 let push_scope env = env.scopes <- new_scope () :: env.scopes
 
@@ -449,23 +529,35 @@ let sunk_output env = List.rev env.output_sink
    variables are skipped unless the script overwrote them — the comparison
    baseline of an empty session is noise, a changed preference variable is a
    behaviour. *)
+let by_name bindings = List.sort (fun (a, _) (b, _) -> String.compare a b) bindings
+
 let global_bindings env =
-  match List.rev env.scopes with
-  | [] -> []
-  | global :: _ ->
-      Hashtbl.fold
-        (fun name value acc ->
-          if name = "_" || name = "input" then
-            (* pipeline cursors ($_, $input): interpreter plumbing whose
-               residue depends on whether a pipeline was folded away, not
-               script state *)
-            acc
-          else
-            match Hashtbl.find_opt automatic_scope name with
-            | Some seeded when seeded = value -> acc
-            | Some _ | None -> (name, value) :: acc)
-        global.table []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Name_table.fold
+    (fun name { value } acc ->
+      if name = "_" || name = "input" then
+        (* pipeline cursors ($_, $input): interpreter plumbing whose
+           residue depends on whether a pipeline was folded away, not
+           script state *)
+        acc
+      else
+        match Name_table.find_opt automatic_scope name with
+        | Some seeded when seeded = value -> acc
+        | Some _ | None -> (name, value) :: acc)
+    env.global.table []
+  |> by_name
+
+let scope_bindings env =
+  List.map
+    (fun s ->
+      let own = Name_table.fold (fun name { value } acc -> (name, value) :: acc) s.table [] in
+      if s != env.global then by_name own
+      else
+        by_name
+          (Name_table.fold
+             (fun name value acc ->
+               if Name_table.mem s.table name then acc else (name, value) :: acc)
+             automatic_scope own))
+    env.scopes
 
 (* ---------- binding fingerprints (recovery memoization) ---------- *)
 
@@ -581,7 +673,7 @@ let reuse env ~site_commands (p : payload) =
   else begin
     (* [p.steps] already holds what building [p.decoded] was charged *)
     charge env p.steps;
-    List.iter (fun (key, v) -> assign env key (copy v)) p.writes;
+    List.iter (fun (key, v) -> ignore (assign env key (copy v))) p.writes;
     check_size env (Psvalue.Value.Str p.decoded);
     true
   end

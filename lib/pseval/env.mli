@@ -81,10 +81,18 @@ type payloads = (string, payload) Hashtbl.t
 type probe
 (** The watch {!start_probe} keeps over one recovery evaluation. *)
 
+type scope
+(** One variable scope: a table of mutable binding cells. *)
+
 type t = {
-  mutable scopes : scope list;
+  mutable scopes : scope list;  (** innermost first; the last is [global] *)
+  global : scope;
+  mutable created : int;
+      (** bindings created so far in any scope (see {!cursor}) *)
   functions : (string, fn) Hashtbl.t;
-  env_vars : (string, string) Hashtbl.t;  (** simulated [$env:] drive *)
+  env_vars : (string, string) Hashtbl.t;
+      (** the simulated [$env:] names this environment wrote; every other
+          name reads a shared read-only template *)
   mode : mode;
   limits : limits;
   deadline : Pscommon.Guard.deadline;
@@ -121,11 +129,12 @@ type t = {
           expression again.  [None] (the default) evaluates every payload. *)
 }
 
-and scope = { table : (string, Psvalue.Value.t) Hashtbl.t }
-
 val automatic_variables : (string * Psvalue.Value.t) list
 (** The built-in variables an empty session provides ([$pshome], [$true],
-    [$pid], …) — including the values obfuscators index into. *)
+    [$pid], …) — including the values obfuscators index into.  They sit in
+    a shared read-only template behind every environment's global scope
+    (copy-on-write): a write to one binds it in the global scope, and
+    {!create} copies nothing. *)
 
 val create : ?mode:mode -> ?limits:limits -> unit -> t
 
@@ -168,13 +177,35 @@ val global_bindings : t -> (string * Psvalue.Value.t) list
 (** Global-scope bindings the script established, sorted by name; automatic
     variables appear only if the script overwrote them. *)
 
+val scope_bindings : t -> (string * Psvalue.Value.t) list list
+(** Every scope's bindings, innermost scope first, each sorted by name; the
+    global scope's include every automatic variable, overwritten or not.
+    For tests that compare whole environments. *)
+
 val get_var : t -> Psast.Ast.var_key -> Psvalue.Value.t option
 (** Scope-chain lookup; [$env:*] reads the simulated environment;
     drive-qualified names resolve their scope.  The key comes from the
     AST, or from {!Psparse.Names.var_key} for a name made at run time. *)
 
+val read_var : t -> Psast.Ast.var_key -> Psvalue.Value.t
+(** {!get_var} without the option.
+    @raise Not_found where {!get_var} answers [None]. *)
+
 val set_var : t -> Psast.Ast.var_key -> Psvalue.Value.t -> unit
-(** Update where visible, else create in the current scope. *)
+(** Update where visible, else create in the current scope (an automatic
+    variable is visible in the global scope). *)
+
+type cursor
+(** A pipeline cursor's binding ([$_], [$input]) kept across the items of
+    one pipeline stage. *)
+
+val cursor : Psast.Ast.var_key -> cursor
+(** A cursor for the key, resolved on its first {!set_cursor}. *)
+
+val set_cursor : t -> cursor -> Psvalue.Value.t -> unit
+(** Exactly {!set_var} on the cursor's key, probe included; after the
+    first call, while no binding has been created in any scope since, it
+    is one store into the binding the first call resolved. *)
 
 val item_var : Psast.Ast.var_key
 (** [$_], the pipeline cursor *)

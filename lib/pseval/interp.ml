@@ -48,10 +48,40 @@ let note_write ctx ?rhs ?(reads_self = false) ~extent (v : A.variable) =
 (* pipeline-boundary enumeration: arrays stream element-wise *)
 let enumerate v = Value.to_list v
 
-(* Loops gather their output reversed, one [rev_append] per iteration, and
-   reverse it once at the end: appending each iteration's output to the
-   total so far would be quadratic in the number of iterations. *)
-let collect out chunk = out := List.rev_append chunk !out
+(* A stage's items: like [enumerate], but an array, copied so a stage sees
+   the items as they were when the previous stage produced them *)
+let stage_items (v : Value.t) =
+  match v with Null -> [||] | Arr a -> Array.copy a | v -> [| v |]
+
+(* Loops and per-item stages gather their output in a growable array:
+   appending each iteration's output to the total so far would be
+   quadratic in the number of iterations, and a list built in reverse and
+   reversed at the end holds two conses per item that outlive the loop. *)
+type outbuf = { mutable items : Value.t array; mutable len : int }
+
+(* [expected]: the items a per-item stage expects to emit, one per input *)
+let outbuf ?(expected = 0) () = { items = Array.make expected Value.Null; len = 0 }
+
+let emit out v =
+  if out.len = Array.length out.items then begin
+    let grown = Array.make (max 8 (2 * out.len)) Value.Null in
+    Array.blit out.items 0 grown 0 out.len;
+    out.items <- grown
+  end;
+  out.items.(out.len) <- v;
+  out.len <- out.len + 1
+
+let rec collect out = function
+  | [] -> ()
+  | v :: rest ->
+      emit out v;
+      collect out rest
+
+(* the items emitted; a full buffer is handed over, not copied *)
+let contents out =
+  if out.len = Array.length out.items then out.items else Array.sub out.items 0 out.len
+
+let contents_list out = Array.to_list (contents out)
 
 (* ---------- expressions ---------- *)
 
@@ -71,7 +101,7 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
   Env.tick ctx.env;
   match t.A.node with
   | A.String_const (s, _) -> Value.Str s
-  | A.Number_const (A.Int_lit n) -> Value.Int n
+  | A.Number_const (A.Int_lit n) -> Value.of_int n
   | A.Number_const (A.Float_lit f) -> Value.Float f
   | A.Expandable_string (_, parts) ->
       let buf = Buffer.create 32 in
@@ -159,9 +189,9 @@ and read_variable ctx (v : A.variable) =
       match Env.get_var ctx.env Env.input_var with Some v -> v | None -> Value.Arr [||])
   | "ofs" -> Value.Str " "
   | _ -> (
-      match Env.get_var ctx.env v.A.var_key with
-      | Some v -> v
-      | None -> (
+      match Env.read_var ctx.env v.A.var_key with
+      | v -> v
+      | exception Not_found -> (
           match ctx.env.Env.mode with
           | Env.Recovery -> eval_fail "undefined variable $%s" v.A.var_name
           | Env.Sandbox -> Value.Null))
@@ -287,7 +317,7 @@ and eval_member_access ctx whole obj member static =
 
 and eval_invoke_member ctx whole obj member args static =
   let name = member_name ctx member in
-  let arg_values = List.map (eval_expr ctx) args in
+  let arg_values = eval_args ctx args in
   if static then begin
     match obj.A.node with
     | A.Type_literal ty -> (
@@ -301,7 +331,7 @@ and eval_invoke_member ctx whole obj member args static =
     let v = eval_expr ctx obj in
     match (v, name.A.key) with
     | Value.Script_block sb, ("invoke" | "invokereturnasis") ->
-        Value.of_list (invoke_script_block ctx sb arg_values ~input:[])
+        Value.of_list (invoke_script_block ctx sb arg_values ~input:[||])
     | _ -> (
         match Members.invoke_method ctx.env v name.A.key arg_values with
         | Some result -> result
@@ -315,13 +345,20 @@ and eval_invoke_member ctx whole obj member args static =
             | Env.Sandbox -> Value.Null))
   end
 
+(* [List.map (eval_expr ctx)], left to right, without the closure *)
+and eval_args ctx = function
+  | [] -> []
+  | a :: rest ->
+      let v = eval_expr ctx a in
+      v :: eval_args ctx rest
+
 (* ---------- script blocks & functions ---------- *)
 
 and invoke_script_block ctx (sb : Value.sb) args ~input =
   Env.with_scope ctx.env (fun () ->
       let params = sb.Value.sb_ast.A.sb_params in
       bind_parameters ctx params args;
-      Env.set_var ctx.env Env.input_var (Value.Arr (Array.of_list input));
+      Env.set_var ctx.env Env.input_var (Value.Arr (Array.copy input));
       let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
       (* script-block ASTs parsed from their own text keep extents relative
          to that text *)
@@ -347,7 +384,7 @@ and invoke_function ctx (fn : Env.fn) args ~input =
   let ctx = { ctx with src_exact = false } in
   Env.with_scope ctx.env (fun () ->
       bind_parameters ctx fn.Env.fn_params args;
-      Env.set_var ctx.env Env.input_var (Value.Arr (Array.of_list input));
+      Env.set_var ctx.env Env.input_var (Value.Arr (Array.copy input));
       let body_stmts =
         match fn.Env.fn_body.A.node with
         | A.Script_block sb -> sb.A.sb_statements
@@ -367,16 +404,16 @@ and invoke_function ctx (fn : Env.fn) args ~input =
       let process_blocks = named "process" in
       if process_blocks <> [] then begin
         try
-          let out = ref [] in
+          let out = outbuf () in
           let run b = collect out (eval_statement ctx b) in
           List.iter run (named "begin");
-          List.iter
+          Array.iter
             (fun item ->
               Env.set_var ctx.env Env.item_var item;
               List.iter run process_blocks)
             input;
           List.iter run (named "end");
-          List.rev !out
+          contents_list out
         with Return_exc out -> out
       end
       else try eval_statements ctx body_stmts with Return_exc out -> out)
@@ -433,7 +470,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
       in
       try_clauses clauses)
   | A.While_stmt (cond, body) ->
-      let out = ref [] in
+      let out = outbuf () in
       (try
          while Value.to_bool (Value.of_list (eval_statement ctx cond)) do
            Env.tick ctx.env;
@@ -441,9 +478,9 @@ and eval_statement ctx (t : A.t) : Value.t list =
            with Continue_exc -> ()
          done
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.Do_while_stmt (body, cond) ->
-      let out = ref [] in
+      let out = outbuf () in
       (try
          let continue = ref true in
          while !continue do
@@ -452,9 +489,9 @@ and eval_statement ctx (t : A.t) : Value.t list =
            continue := Value.to_bool (Value.of_list (eval_statement ctx cond))
          done
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.Do_until_stmt (body, cond) ->
-      let out = ref [] in
+      let out = outbuf () in
       (try
          let continue = ref true in
          while !continue do
@@ -463,10 +500,10 @@ and eval_statement ctx (t : A.t) : Value.t list =
            continue := not (Value.to_bool (Value.of_list (eval_statement ctx cond)))
          done
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.For_stmt (init, cond, step, body) ->
       (match init with Some s -> ignore (eval_statement ctx s) | None -> ());
-      let out = ref [] in
+      let out = outbuf () in
       (try
          let check () =
            match cond with
@@ -479,7 +516,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
            match step with Some s -> ignore (eval_statement ctx s) | None -> ()
          done
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.Foreach_stmt (var, coll, body) ->
       let items = enumerate (Value.of_list (eval_statement ctx coll)) in
       let loop_var =
@@ -487,7 +524,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
         | A.Variable_expr v -> v
         | _ -> eval_fail "foreach requires a variable"
       in
-      let out = ref [] in
+      let out = outbuf () in
       (try
          List.iter
            (fun item ->
@@ -497,10 +534,10 @@ and eval_statement ctx (t : A.t) : Value.t list =
              try collect out (eval_statement ctx body) with Continue_exc -> ())
            items
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.Switch_stmt (value, cases, default) ->
       let subjects = enumerate (Value.of_list (eval_statement ctx value)) in
-      let out = ref [] in
+      let out = outbuf () in
       (try
          List.iter
            (fun subject ->
@@ -515,7 +552,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
                          (Value.of_list
                             (invoke_script_block ctx
                                { Value.sb_ast = sb; sb_text = block_text ctx pat }
-                               [] ~input:[ subject ]))
+                               [] ~input:[| subject |]))
                    | _ ->
                        let pv = eval_expr ctx pat in
                        Value.equal_loose pv subject
@@ -532,7 +569,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
                | None -> ())
            subjects
        with Break_exc -> ());
-      List.rev !out
+      contents_list out
   | A.Function_def (name, params, body) ->
       Env.define_function ctx.env name.A.key { Env.fn_params = params; fn_body = body };
       []
@@ -678,10 +715,10 @@ and eval_pipeline ctx elems =
         :: prefix_rev
         when may_name_iex cmd -> (
           match reused_payload ctx (List.rev prefix_rev) with
-          | Some decoded -> run_stages ctx [ decoded ] [ last ]
-          | None -> run_stages ctx [] elems)
-      | _ -> run_stages ctx [] elems)
-  | elems -> run_stages ctx [] elems
+          | Some decoded -> Array.to_list (run_stages ctx [| decoded |] [ last ])
+          | None -> Array.to_list (run_stages ctx [||] elems))
+      | _ -> Array.to_list (run_stages ctx [||] elems))
+  | elems -> Array.to_list (run_stages ctx [||] elems)
 
 (* a bare command name that spells Invoke-Expression, or that is computed
    (`& ('ie'+'x')`) and may evaluate to it *)
@@ -721,8 +758,8 @@ and run_stages ctx input = function
       let output =
         match elem.A.node with
         | A.Command cmd -> run_command ctx cmd ~input
-        | A.Command_expression e -> enumerate (eval_expr ctx e)
-        | _ -> enumerate (eval_expr ctx elem)
+        | A.Command_expression e -> stage_items (eval_expr ctx e)
+        | _ -> stage_items (eval_expr ctx elem)
       in
       run_stages ctx output rest
 
@@ -742,7 +779,7 @@ and run_command ctx (cmd : A.command) ~input =
               (function A.Elem_argument a -> Some (eval_expr ctx a) | _ -> None)
               rest
           in
-          invoke_script_block ctx sb args ~input
+          Array.of_list (invoke_script_block ctx sb args ~input)
       | name_value ->
           (* a name computed at run time: `& ('ie'+'x')` *)
           let key = Psparse.Names.command (Value.to_string name_value) in
@@ -753,7 +790,7 @@ and dispatch_command ctx ~key ~elements ~input ~literal =
   match Env.find_function ctx.env key.A.cmd_folded with
   | Some fn ->
       let args = eval_elements_positional ctx elements in
-      invoke_function ctx fn args ~input
+      Array.of_list (invoke_function ctx fn args ~input)
   | None -> run_builtin ctx ~key ~elements ~input ~literal
 
 and eval_elements_positional ctx elements =
@@ -806,8 +843,7 @@ and script_block_of_value _ctx v =
       | _ -> eval_fail "cannot convert to script block")
   | v -> eval_fail "expected a script block, got %s" (Value.type_name v)
 
-and run_iex ctx payload ~input =
-  ignore input;
+and run_iex ctx payload =
   let env = ctx.env in
   (* a nested layer's depth and Invoke-Expression hook are the caller's *)
   Env.taint env;
@@ -837,7 +873,7 @@ and decode_encoded_command payload =
       if Encoding.Utf16.looks_utf16 bytes then Encoding.Utf16.decode_lossy bytes
       else bytes
 
-and run_powershell_exe ctx ~elements ~input =
+and run_powershell_exe ctx ~elements =
   (* `powershell -enc <b64>` / -command: parameter prefixes are matched with
      StartsWith, like PowerShell's own auto-completion (paper §III-B4) *)
   let rec walk = function
@@ -859,14 +895,14 @@ and run_powershell_exe ctx ~elements ~input =
         match (is_enc, is_cmd, value_and_rest) with
         | true, _, Some (v, rest') ->
             let decoded = decode_encoded_command (Value.to_string v) in
-            run_iex ctx decoded ~input @ walk rest'
-        | _, true, Some (v, rest') -> run_iex ctx (Value.to_string v) ~input @ walk rest'
+            run_iex ctx decoded @ walk rest'
+        | _, true, Some (v, rest') -> run_iex ctx (Value.to_string v) @ walk rest'
         | _, _, _ -> walk rest)
     | A.Elem_argument a :: rest -> (
         (* a bare string argument to powershell.exe is a command *)
         let v = eval_expr ctx a in
         match v with
-        | Value.Str s when String.length s > 0 -> run_iex ctx s ~input @ walk rest
+        | Value.Str s when String.length s > 0 -> run_iex ctx s @ walk rest
         | _ -> walk rest)
     | _ :: rest -> walk rest
   in
@@ -884,8 +920,9 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
     let s = Value.to_string p in
     match env.Env.iex_hook with
     | Some hook when hook ~literal s -> []
-    | Some _ | None -> run_iex ctx s ~input:[]
+    | Some _ | None -> run_iex ctx s
   in
+  let listed () = Array.to_list input in
   match lname with
   | "invoke-expression" | "iex" ->
       let payloads =
@@ -894,40 +931,45 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
             match reused_payload ctx [ a ] with
             | Some decoded -> [ decoded ]
             | None -> positional ())
-        | _ -> ( match positional () with [] -> input | args -> args)
+        | _ -> ( match positional () with [] -> listed () | args -> args)
       in
-      List.concat_map iex_payload payloads
+      Array.of_list (List.concat_map iex_payload payloads)
   | "invoke-command" -> (
       match param_value (params ()) [ "scriptblock" ] with
-      | Some sb -> invoke_script_block ctx (script_block_of_value ctx sb) [] ~input
+      | Some sb ->
+          Array.of_list
+            (invoke_script_block ctx (script_block_of_value ctx sb) [] ~input)
       | None -> (
           match positional () with
-          | [ v ] -> invoke_script_block ctx (script_block_of_value ctx v) [] ~input
-          | _ -> []))
+          | [ v ] ->
+              Array.of_list
+                (invoke_script_block ctx (script_block_of_value ctx v) [] ~input)
+          | _ -> [||]))
   | "write-output" | "write-object" ->
-      input @ List.concat_map enumerate (positional ())
+      Array.append input
+        (Array.of_list (List.concat_map enumerate (positional ())))
   | "write-host" | "write-verbose" | "write-debug" | "write-warning"
   | "write-error" | "write-information" ->
       (* the joined text is built here, unlike what Write-Output passes on *)
       let text =
         Value.Str
-          (String.concat " " (List.map Value.to_string (input @ positional ())))
+          (String.concat " " (List.map Value.to_string (listed () @ positional ())))
       in
       Env.built env text;
       Env.sink env text;
-      []
-  | "out-null" -> []
+      [||]
+  | "out-null" -> [||]
   | "out-string" ->
       let text =
         Value.Str
           (String.concat "\r\n"
-             (List.map Value.to_string (input @ positional ())))
+             (List.map Value.to_string (listed () @ positional ())))
       in
       Env.built env text;
-      [ text ]
+      [| text |]
   | "out-host" | "out-default" ->
-      List.iter (Env.sink env) input;
-      []
+      Array.iter (Env.sink env) input;
+      [||]
   | "foreach-object" -> (
       let block =
         match param_value (params ()) [ "process" ] with
@@ -935,23 +977,24 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
         | None -> ( match positional () with b :: _ -> Some b | [] -> None)
       in
       match block with
-      | None -> []
+      | None -> [||]
       | Some b -> (
           match b with
           | Value.Script_block sb ->
               let run_block = block_runner ctx sb in
-              let out = ref [] in
-              List.iter
+              let cursor = Env.cursor Env.item_var in
+              let out = outbuf ~expected:(Array.length input) () in
+              Array.iter
                 (fun item ->
                   Env.tick env;
-                  Env.set_var env Env.item_var item;
+                  Env.set_cursor env cursor item;
                   collect out (run_block item))
                 input;
-              List.rev !out
+              contents out
           | member ->
               (* ForEach-Object membername *)
               let mname = Strcase.lower (Value.to_string member) in
-              List.map
+              Array.map
                 (fun item ->
                   match Members.get_property item mname with
                   | Some v -> v
@@ -964,40 +1007,42 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       match positional () with
       | [ Value.Script_block sb ] ->
           let run_block = block_runner ctx sb in
-          List.filter
+          let cursor = Env.cursor Env.item_var in
+          let out = outbuf () in
+          Array.iter
             (fun item ->
               Env.tick env;
-              Env.set_var env Env.item_var item;
-              Value.to_bool (Value.of_list (run_block item)))
-            input
+              Env.set_cursor env cursor item;
+              if Value.to_bool (Value.of_list (run_block item)) then emit out item)
+            input;
+          contents out
       | _ -> input)
   | "select-object" -> (
       let ps = params () in
-      let take_first n lst =
-        let rec go n = function
-          | [] -> []
-          | x :: rest -> if n = 0 then [] else x :: go (n - 1) rest
-        in
-        go n lst
-      in
       match param_value ps [ "first" ] with
-      | Some n -> take_first (Value.to_int n) input
+      | Some n ->
+          let n = Value.to_int n in
+          (* a negative count takes everything *)
+          if n < 0 || n >= Array.length input then input else Array.sub input 0 n
       | None -> (
           match param_value ps [ "last" ] with
           | Some n ->
               let n = Value.to_int n in
-              let len = List.length input in
-              List.filteri (fun i _ -> i >= len - n) input
+              let len = Array.length input in
+              let keep = max 0 (min len n) in
+              Array.sub input (len - keep) keep
           | None -> input))
   | "sort-object" ->
-      List.sort (fun a b -> Value.compare_loose a b) input
-  | "measure-object" -> [ Value.Int (List.length input) ]
+      Array.of_list (List.sort (fun a b -> Value.compare_loose a b) (listed ()))
+  | "measure-object" -> [| Value.Int (Array.length input) |]
   | "get-random" -> (
       (* deterministic: evaluation must be reproducible *)
       match param_value (params ()) [ "maximum" ] with
-      | Some m -> [ Value.Int (Value.to_int m / 2) ]
-      | None -> ( match input with [] -> [ Value.Int 42 ] | l -> [ List.nth l (List.length l / 2) ]))
-  | "get-date" -> [ Value.Str "01/01/2021 00:00:00" ]
+      | Some m -> [| Value.Int (Value.to_int m / 2) |]
+      | None ->
+          if Array.length input = 0 then [| Value.Int 42 |]
+          else [| input.(Array.length input / 2) |])
+  | "get-date" -> [| Value.Str "01/01/2021 00:00:00" |]
   | "new-object" -> (
       let ps = params () in
       let type_name, ctor_args =
@@ -1018,7 +1063,16 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
             | [ Value.Arr a ] -> Array.to_list a
             | args -> args)
       in
-      [ construct_object ctx (Psparse.Names.type_key type_name) ctor_args ])
+      [| construct_object ctx (Psparse.Names.type_key type_name) ctor_args |])
+  | _ -> Array.of_list (run_other_builtin ctx ~key ~elements ~input:(listed ()))
+
+(* the builtins that are not stages over their input's items *)
+and run_other_builtin ctx ~(key : A.command_key) ~elements ~input =
+  let env = ctx.env in
+  let lname = key.A.cmd_builtin in
+  let positional () = eval_elements_positional ctx elements in
+  let params () = eval_elements_parameters ctx elements in
+  match lname with
   | "convertto-securestring" -> (
       let ps = params () in
       let source =
@@ -1187,7 +1241,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       (match env.Env.mode with
       | Env.Sandbox -> Env.record env (Env.Process_start "powershell")
       | Env.Recovery -> Env.taint env);
-      run_powershell_exe ctx ~elements ~input
+      run_powershell_exe ctx ~elements
   | "cmd" | "cmd.exe" ->
       let args = String.concat " " (List.map Value.to_string (positional ())) in
       Env.record env (Env.Process_start ("cmd " ^ args));
@@ -1211,13 +1265,15 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
 
 (* ForEach-Object / Where-Object run their blocks in the CALLER's scope in
    PowerShell ($_ and assignments leak); no new scope here.  The block's
-   context and statements are resolved once per pipeline; each item then
-   binds [$input] to a fresh one-element array and runs them. *)
+   context, statements and [$input] cursor are resolved once per pipeline;
+   each item then binds [$input] to a fresh one-element array and runs
+   them. *)
 and block_runner ctx (sb : Value.sb) =
   let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
   let stmts = sb.Value.sb_ast.A.sb_statements in
+  let cursor = Env.cursor Env.input_var in
   fun item ->
-    Env.set_var ctx.env Env.input_var (Value.Arr [| item |]);
+    Env.set_cursor ctx.env cursor (Value.Arr [| item |]);
     try eval_statements inner_ctx stmts with Return_exc out -> out
 
 (* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)

@@ -282,9 +282,9 @@ let type_matches type_name v =
 let bitwise op a b =
   let x = Value.to_int a and y = Value.to_int b in
   match op with
-  | A.Band -> Value.Int (x land y)
-  | A.Bor -> Value.Int (x lor y)
-  | A.Bxor -> Value.Int (x lxor y)
+  | A.Band -> Value.of_int (x land y)
+  | A.Bor -> Value.of_int (x lor y)
+  | A.Bxor -> Value.of_int (x lxor y)
   | A.Shl -> Value.Int (x lsl (y land 63))
   | A.Shr -> Value.Int (x asr (y land 63))
   | _ -> assert false

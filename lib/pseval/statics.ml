@@ -109,10 +109,10 @@ let invoke_static t m args =
   | "convert", "tobase64string", [ v ] ->
       Some (Value.Str (Encoding.Base64.encode (Value.value_to_bytes v)))
   | "convert", ("toint32" | "toint16" | "toint64" | "tobyte"), [ v ] ->
-      Some (Value.Int (Value.to_int v))
+      Some (Value.of_int (Value.to_int v))
   | "convert", ("toint32" | "toint16" | "toint64" | "tobyte"), [ v; radix ] ->
-      Some (Value.Int (to_int_radix (Value.to_string v) (radix_digits radix)))
-  | "convert", "tochar", [ v ] -> Some (Value.Char (Value.to_char v))
+      Some (Value.of_int (to_int_radix (Value.to_string v) (radix_digits radix)))
+  | "convert", "tochar", [ v ] -> Some (Value.of_char (Value.to_char v))
   | "convert", "tostring", [ v ] -> Some (Value.Str (Value.to_string v))
   | "convert", "tostring", [ v; radix ] ->
       Some (Value.Str (to_string_radix (Value.to_int v) (radix_digits radix)))

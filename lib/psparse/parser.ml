@@ -101,24 +101,34 @@ let parse_number_literal pos content =
       (-1., String.sub lower 1 (String.length lower - 1))
     else (1., lower)
   in
-  let body, mult =
-    let strip suffix m =
+  let hex = String.length body > 2 && body.[0] = '0' && body.[1] = 'x' in
+  let body, suffix, mult =
+    let strip (suffix, m) =
       if Strcase.ends_with ~suffix body then
-        Some (String.sub body 0 (String.length body - String.length suffix), m)
+        Some (String.sub body 0 (String.length body - String.length suffix), suffix, m)
       else None
     in
+    (* [d] (decimal) is a hex digit in a hex literal, not a suffix *)
     match
-      List.find_map
-        (fun (s, m) -> strip s m)
-        [ ("kb", 1024.); ("mb", 1048576.); ("gb", 1073741824.);
-          ("tb", 1099511627776.); ("pb", 1125899906842624.); ("l", 1.); ("d", 1.) ]
+      List.find_map strip
+        ([ ("kb", 1024.); ("mb", 1048576.); ("gb", 1073741824.);
+           ("tb", 1099511627776.); ("pb", 1125899906842624.); ("l", 1.) ]
+        @ if hex then [] else [ ("d", 1.) ])
     with
-    | Some (b, m) -> (b, m)
-    | None -> (body, 1.)
+    | Some found -> found
+    | None -> (body, "", 1.)
   in
-  if String.length body > 2 && body.[0] = '0' && body.[1] = 'x' then
+  if hex then
     match int_of_string_opt body with
-    | Some n -> A.Int_lit (int_of_float (sign *. float_of_int n *. mult))
+    | Some n ->
+        (* a hex literal without the long suffix that fits in 32 bits is an
+           Int32: 0x80000000 to 0xFFFFFFFF read as negative numbers *)
+        let n =
+          if suffix <> "l" && n >= 0x8000_0000 && n <= 0xFFFF_FFFF then
+            n - 0x1_0000_0000
+          else n
+        in
+        A.Int_lit (int_of_float (sign *. float_of_int n *. mult))
     | None -> err pos (Printf.sprintf "bad hex literal %s" content)
   else if String.contains body '.' || String.contains body 'e' then
     match float_of_string_opt body with

@@ -47,6 +47,16 @@ let conv_fail fmt = Printf.ksprintf (fun s -> raise (Conversion_error s)) fmt
 
 let of_list = function [] -> Null | [ v ] -> v | vs -> Arr (Array.of_list vs)
 
+(* One box per character and per byte value, built once: a decoded
+   character, a byte or a character code then allocates nothing.  Scalars
+   are immutable, so sharing a box is invisible.  Each table is small
+   enough for the minor heap: a 1 024-entry one, built while the program
+   started, cost every process about half a millisecond. *)
+let char_boxes = Array.init 256 (fun i -> Char (Char.chr i))
+let byte_boxes = Array.init 256 (fun i -> Int i)
+let of_char c = Array.unsafe_get char_boxes (Char.code c)
+let of_int n = if n >= 0 && n < 256 then Array.unsafe_get byte_boxes n else Int n
+
 let to_list = function
   | Null -> []
   | Arr a -> Array.to_list a
@@ -112,9 +122,9 @@ let to_int = function
   | Char c -> Char.code c
   | Str s -> (
       let s = String.trim s in
-      match int_of_string_opt s with
-      | Some n -> n
-      | None -> (
+      match int_of_string s with
+      | n -> n
+      | exception Failure _ -> (
           match float_of_string_opt s with
           | Some f -> int_of_float (Float.round f)
           | None -> conv_fail "cannot convert %S to Int32" s))
@@ -173,7 +183,7 @@ let to_char = function
 
 (* byte strings <-> value arrays *)
 let bytes_to_value data =
-  Arr (Array.init (String.length data) (fun i -> Int (Char.code data.[i])))
+  Arr (Array.init (String.length data) (fun i -> of_int (Char.code data.[i])))
 
 let value_to_bytes v =
   match v with
@@ -190,7 +200,7 @@ let value_to_bytes v =
   | v -> conv_fail "cannot convert %s to byte[]" (type_name v)
 
 let chars_to_value s =
-  Arr (Array.init (String.length s) (fun i -> Char s.[i]))
+  Arr (Array.init (String.length s) (fun i -> of_char s.[i]))
 
 (* ---------- loose equality / comparison (PowerShell -eq semantics) ---------- *)
 

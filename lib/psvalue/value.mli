@@ -47,6 +47,12 @@ val of_list : t list -> t
 (** [\[\]] is [Null], a singleton is its element, anything longer an
     array — how pipeline output collapses to a single value. *)
 
+val of_char : char -> t
+(** [Char c], from a table built once: no allocation. *)
+
+val of_int : int -> t
+(** [Int n], from a table built once for [0 <= n < 256]. *)
+
 val to_list : t -> t list
 (** Inverse-ish: [Null] enumerates to nothing, arrays to their elements,
     scalars to themselves. *)

@@ -322,10 +322,12 @@ let test_decoder_element_cost () =
       | Error msg -> Alcotest.fail (name ^ ": " ^ msg));
       check_i (name ^ " steps") steps used;
       let per_element = words /. float_of_int n in
+      (* 17.5 (ascii) to 24.5 (bxor) words when measured; the ceiling is
+         the highest plus 10% *)
       check_b
         (Printf.sprintf "%s allocates %.1f minor words per element" name
            per_element)
-        true (per_element <= 100.0))
+        true (per_element <= 27.0))
     decoder_shapes
 
 let test_lower_folded_allocates_nothing () =
@@ -486,6 +488,68 @@ let test_env_templates_independent () =
   let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
   check_b "domain 1 reads the defaults" true (Domain.join d1);
   check_b "domain 2 reads the defaults" true (Domain.join d2)
+
+(* ---------- pipeline cursors ---------- *)
+
+(* ForEach-Object and Where-Object bind [$_] and [$input] once per item
+   where an assignment would: the binding visible from the caller's scope,
+   else a new one there.  Each case pins the output, the cursors and the
+   global bindings left behind, and the steps charged. *)
+let cursor_cases =
+  let open Pseval.Env in
+  [ (Sandbox,
+      "$inner = { \"$o$_\" }; 1..2 | ForEach-Object { $o = $_; 'a','b' | ForEach-Object $inner; $_ }; $_",
+      "\"1a\",\"1b\",\"b\",\"2a\",\"2b\",\"b\",\"b\" | $_=\"b\" $input=@(\"b\") | inner={ \"$o$_\" };o=2 | 45");
+    (Sandbox, "1..3 | ForEach-Object { $_ = $_ * 10; $_ }",
+      "10,20,30 | $_=30 $input=@(3) |  | 30");
+    (Sandbox, "1..3 | ForEach-Object { $_ } | Out-Null; $_",
+      "3 | $_=3 $input=@(3) |  | 17");
+    (Sandbox, "function f { 1..3 | ForEach-Object { $_ + 1 } }; f; $_",
+      "2,3,4 | $_=- $input=- |  | 25");
+    (Recovery, "function f { 1..3 | ForEach-Object { $_ + 1 } }; f; $_",
+      "error: evaluation error: undefined variable $_ | $_=- $input=- |  | 25");
+    (Sandbox, "$_ = 'g'; function f { 1..2 | ForEach-Object { $_ } }; f; $_",
+      "1,2,2 | $_=2 $input=- |  | 19");
+    (Sandbox, "1..6 | Where-Object { $_ % 2 -eq 0 }; $_",
+      "2,4,6,6 | $_=6 $input=@(6) |  | 51");
+    (Sandbox, "$true = 5; function g { $pshome = 'Y' }; g; $pshome; $true",
+      "\"Y\",5 | $_=- $input=- | pshome=\"Y\";true=5 | 13");
+    (Sandbox, "'x','y' | ForEach-Object { $input }; $input",
+      "\"x\",\"y\",\"y\" | $_=\"y\" $input=@(\"y\") |  | 14");
+    (* a function call per item creates bindings: the cursors resolve again *)
+    (Sandbox, "function h($v) { $v * 2 }; 1..3 | ForEach-Object { h $_ }; $_",
+      "2,4,6,3 | $_=3 $input=@() |  | 30");
+    (* a binding the block creates shadows the one the cursor resolved *)
+    (Sandbox,
+      "$_ = 0; function k { 1..3 | ForEach-Object { $local:_ = 'L'; $_ } }; k; $_",
+      "\"L\",\"L\",\"L\",1 | $_=1 $input=- |  | 31");
+    (Sandbox, "1..3 | ForEach-Object { $global:_ = 'G'; $_ }; $_",
+      "\"G\",\"G\",\"G\",\"G\" | $_=\"G\" $input=@(3) |  | 26") ]
+
+let test_pipeline_cursors () =
+  let show v = Format.asprintf "%a" Value.pp v in
+  List.iter
+    (fun (mode, src, expected) ->
+      let env = Pseval.Env.create ~mode () in
+      let result =
+        match Pseval.Interp.run_script env src with
+        | Ok out -> String.concat "," (List.map show out)
+        | Error e -> "error: " ^ e
+      in
+      let cursor k =
+        match Pseval.Env.get_var env k with Some v -> show v | None -> "-"
+      in
+      let globals =
+        String.concat ";"
+          (List.map
+             (fun (k, v) -> k ^ "=" ^ show v)
+             (Pseval.Env.global_bindings env))
+      in
+      check_s src expected
+        (Printf.sprintf "%s | $_=%s $input=%s | %s | %d" result
+           (cursor Pseval.Env.item_var) (cursor Pseval.Env.input_var) globals
+           env.Pseval.Env.steps))
+    cursor_cases
 
 (* ---------- evaluator golden digest ---------- *)
 
@@ -759,6 +823,7 @@ let suite =
   [
     ("decoder per-element cost", `Quick, test_decoder_element_cost);
     ("evaluator golden digest", `Quick, test_evaluator_golden_digest);
+    ("pipeline cursors", `Quick, test_pipeline_cursors);
     ("decoders under random case", `Quick, test_decoders_under_random_case);
     ("lower of folded text allocates nothing", `Quick,
       test_lower_folded_allocates_nothing);

@@ -82,6 +82,22 @@ let test_unary () =
   check_b "not" true (kind_exists "!$x" "UnaryExpressionAst");
   check_b "join unary" true (kind_exists "-join $a" "UnaryExpressionAst")
 
+(* PowerShell's reading of numeric literals: [d] is a hex digit in a hex
+   literal, not the decimal suffix, and a hex literal that fits in 32 bits
+   without the long suffix is an Int32 *)
+let test_hex_literals () =
+  let int_of src =
+    match (find_kind src "ConstantExpressionAst").A.node with
+    | A.Number_const (A.Int_lit n) -> n
+    | _ -> Alcotest.fail (src ^ ": expected an integer constant")
+  in
+  List.iter
+    (fun (src, expected) -> check_i src expected (int_of src))
+    [ ("0xAD", 173); ("0x1d", 29); ("0xdd", 221); ("0xFFFFFFFF", -1);
+      ("0x80000000", -2147483648); ("0x7FFFFFFF", 2147483647);
+      ("0xFFFFFFFFL", 4294967295); ("0x100000000", 4294967296);
+      ("0xffl", 255); ("0x10kb", 16384); ("1d", 1); ("12d", 12) ]
+
 let test_method_call_args_commas () =
   (* commas inside method args separate arguments, not arrays *)
   match (find_kind "$s.Replace('a','b')" "InvokeMemberExpressionAst").A.node with
@@ -383,6 +399,7 @@ let test_name_keys () =
 let suite =
   [
     ("pipeline shapes", `Quick, test_pipeline_shapes);
+    ("hex literals", `Quick, test_hex_literals);
     ("name keys", `Quick, test_name_keys);
     ("precedence matrix", `Quick, test_precedence_matrix);
     ("here-string interpolation", `Quick, test_here_string_double_interpolates);

@@ -196,6 +196,38 @@ let test_reset_keeps_handles () =
   M.incr c;
   check_i "handle still live" 1 (M.counter_value c)
 
+(* A family member is the handle the direct lookup gives, registered on
+   the suffix's first use and not before, whichever domain gets there
+   first. *)
+let test_families_match_direct_lookups () =
+  let names snap = List.map fst snap.M.counters in
+  let counters = M.counter_family "test.family." in
+  check_b "nothing registered before the first use" false
+    (List.mem "test.family.a" (names (M.snapshot ())));
+  let a = M.member counters "a" in
+  check_b "registered by the first use" true
+    (List.mem "test.family.a" (names (M.snapshot ())));
+  M.incr a;
+  M.incr (M.member counters ("a" ^ ""));
+  check_i "one handle per name" 2 (M.counter_value (M.counter "test.family.a"));
+  let hs = M.histogram_family "test.family_ms." in
+  M.observe (M.member hs "x") 1.0;
+  M.observe (M.histogram "test.family_ms.x") 1.0;
+  (match List.assoc_opt "test.family_ms.x" (M.snapshot ()).M.histograms with
+  | Some h -> check_i "histogram shared" 2 h.M.hs_count
+  | None -> Alcotest.fail "histogram missing");
+  let before = M.counter_value (M.counter "test.family.b") in
+  ignore
+    (Pool.map ~jobs:4
+       (fun k ->
+         for _ = 1 to 100 do
+           M.incr (M.member counters (if k mod 2 = 0 then "b" else "c"))
+         done;
+         k)
+       [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+  check_i "racing domains share b" (before + 400)
+    (M.counter_value (M.counter "test.family.b"))
+
 (* ---------- traces don't perturb batch output ---------- *)
 
 let write_file path text =
@@ -307,6 +339,8 @@ let suite =
     Alcotest.test_case "metrics aggregate across domains" `Quick
       test_metrics_aggregate_across_domains;
     Alcotest.test_case "reset keeps handles" `Quick test_reset_keeps_handles;
+    Alcotest.test_case "metric families match direct lookups" `Quick
+      test_families_match_direct_lookups;
     Alcotest.test_case "batch trace identity" `Quick test_batch_trace_identity;
     Alcotest.test_case "batch trace sample" `Quick test_batch_trace_sample;
     Alcotest.test_case "disabled path zero-alloc" `Quick

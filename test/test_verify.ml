@@ -432,12 +432,8 @@ let reference_state ?payloads src =
   let env = Env.create ~mode:Env.Sandbox ~limits () in
   env.Env.payloads <- payloads;
   let result = Pseval.Interp.run_parsed env ~src (Ok ast) in
-  let sorted scope =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) scope.Env.table []
-    |> List.sort compare
-  in
   { result; events = Env.events env; commands = Env.commands env;
-    host = Env.sunk_output env; scopes = List.map sorted env.Env.scopes;
+    host = Env.sunk_output env; scopes = Env.scope_bindings env;
     steps = env.Env.steps }
 
 let m_reused = Pscommon.Telemetry.Metrics.counter "verify.payloads_reused"
@@ -555,7 +551,15 @@ let test_reuse_positive_cases () =
       ( "reads a variable the script reassigns, current value",
         "$c = 'Write-Output old'\niex 'Write-Output mid'\n\
          $c = 'Write-Output new'\niex ($c + ';')" );
-      ("reads $pshome", "iex ($pshome.Substring(0, 0) + 'Write-Output z')") ]
+      ("reads $pshome", "iex ($pshome.Substring(0, 0) + 'Write-Output z')");
+      (* the decoder's cursors land on bindings the script already made *)
+      ( "ForEach decoder over existing cursors",
+        "$_ = 'seed'; $input = 'x'\n\
+         iex (('104,105' -split ',' | ForEach-Object { [char][int]$_ }) -join '')\n\
+         $_" );
+      ( "Where-Object feeding a ForEach decoder",
+        "iex (('104,0,105' -split ',' | Where-Object { $_ -ne '0' } | \
+         ForEach-Object { [char][int]$_ }) -join '')" ) ]
 
 (* the stages of [src] parsed on its own as one pipeline, as recovery
    parses a payload piece *)
