@@ -470,8 +470,8 @@ module Metrics = struct
     let cur = Atomic.get a in
     if not (Atomic.compare_and_set a cur (f cur)) then atomic_update a f
 
-  type counter = { c_name : string; c : int Atomic.t }
-  type gauge = { g_name : string; g : int Atomic.t }
+  type counter = { c : int Atomic.t }
+  type gauge = { g : int Atomic.t }
 
   (* Log-scale latency histogram: bucket [i] counts observations with
      [v <= 2^(i + min_exp)] ms; the last bucket is the +inf overflow.
@@ -496,7 +496,6 @@ module Metrics = struct
     end
 
   type histogram = {
-    h_name : string;
     buckets : int Atomic.t array;
     h_count : int Atomic.t;
     h_sum : float Atomic.t;
@@ -532,23 +531,20 @@ module Metrics = struct
             x)
 
   let counter name =
-    get_or_create registry.counters name (fun () ->
-        { c_name = name; c = Atomic.make 0 })
+    get_or_create registry.counters name (fun () -> { c = Atomic.make 0 })
 
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c by)
   let counter_value c = Atomic.get c.c
 
   let gauge name =
-    get_or_create registry.gauges name (fun () ->
-        { g_name = name; g = Atomic.make 0 })
+    get_or_create registry.gauges name (fun () -> { g = Atomic.make 0 })
 
   let set g v = Atomic.set g.g v
   let gauge_value g = Atomic.get g.g
 
   let histogram name =
     get_or_create registry.histograms name (fun () ->
-        { h_name = name;
-          buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
+        { buckets = Array.init bucket_count (fun _ -> Atomic.make 0);
           h_count = Atomic.make 0;
           h_sum = Atomic.make 0.0;
           h_min = Atomic.make infinity;
