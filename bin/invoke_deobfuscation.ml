@@ -55,8 +55,7 @@ let deobfuscate_cmd =
       no_reformat no_token_phase no_piece_cache no_partial no_dynamic chaos
       batch jobs timeout trace log_level log_format summary_flag verify_flag
       no_verify resume serve queue_cap cache_cap trace_sample
-      metrics_out metrics_addr flight_dir client no_quarantine grace
-      mem_soft_mb mem_hard_mb =
+      metrics_out metrics_addr flight_dir client no_quarantine grace =
     Option.iter (fun l -> T.Log.set_level (Some l)) log_level;
     Option.iter T.Log.set_format log_format;
     (* the flight recorder is mode-independent: batch dumps on pool-task
@@ -162,8 +161,6 @@ let deobfuscate_cmd =
                 metrics_addr;
                 flight_dir;
                 grace_s = (match grace with Some g -> Float.max 0.01 g | None -> base.Deobf.Serve.grace_s);
-                mem_soft_mb;
-                mem_hard_mb;
                 quarantine = not no_quarantine }
             in
             exit (Deobf.Serve.run cfg)));
@@ -477,24 +474,7 @@ let deobfuscate_cmd =
                 "Serve mode: watchdog patience past a request's deadline \
                  before its worker is declared wedged, the client answered \
                  with a structured error, and the worker domain replaced \
-                 (default 2s).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "mem-soft" ] ~docv:"MB"
-              ~doc:
-                "Serve mode: soft memory watermark in MiB.  While the \
-                 major heap sits above it, new requests are shed with \
-                 reason \"memory\" and the piece cache drops its cold \
-                 generations (default: off).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "mem-hard" ] ~docv:"MB"
-              ~doc:
-                "Serve mode: hard memory watermark in MiB.  Above it, \
-                 workers additionally recycle between requests, releasing \
-                 domain-local state (default: off)."))
+                 (default 2s)."))
 
 (* ---------- score ---------- *)
 

@@ -615,16 +615,14 @@ let payloads_json () =
     lookups reused
     (if lookups = 0 then 0.0 else float_of_int reused /. float_of_int lookups)
 
-(* the self-healing plane: worker churn, the rules the adaptive quarantine
-   currently distrusts, and where the heap sits against the governor's
-   watermarks *)
+(* the self-healing plane: worker churn and the rules the adaptive
+   quarantine currently distrusts *)
 let selfheal_json () =
   Printf.sprintf
-    "{\"recycled\": %d, \"recycled_mem\": %d, \"wedged\": %d, \
+    "{\"recycled\": %d, \"wedged\": %d, \
      \"respawns\": %d, \"respawn_failures\": %d, \
-     \"quarantine\": {\"enabled\": %b, \"rules\": {%s}}, \"memory\": %s}"
+     \"quarantine\": {\"enabled\": %b, \"rules\": {%s}}}"
     (registry_count "pool.service.recycled")
-    (registry_count "pool.service.recycled_mem")
     (registry_count "pool.service.wedged")
     (registry_count "pool.service.respawns")
     (registry_count "pool.service.respawn_failures")
@@ -634,7 +632,6 @@ let selfheal_json () =
           (fun (rule, st) ->
             Printf.sprintf "%s: %s" (T.json_string rule) (T.json_string st))
           (Quarantine.snapshot ())))
-    (Pscommon.Memwatch.to_json ())
 
 let diverged_count s =
   List.length

@@ -207,5 +207,4 @@ val dynamic_json : unit -> string
 
 val selfheal_json : unit -> string
 (** The self-healing state: worker recycle/wedge/respawn counters from the
-    registry, the quarantine's rule states and the memory governor's
-    reading ({!Pscommon.Memwatch.to_json}). *)
+    registry and the quarantine's rule states. *)

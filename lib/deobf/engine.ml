@@ -612,13 +612,6 @@ let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =
 let run ?(options = default_options) src =
   (run_guarded ~options ~max_output_bytes:max_int src).result
 
-(** Convenience: deobfuscate and report score reduction. *)
-let run_with_scores ?options src =
-  let before = Score.score src in
-  let result = run ?options src in
-  let after = Score.score result.output in
-  (result, before, after)
-
 type phase_output = { phase : string; text : string }
 
 (** The staged view of the pipeline (paper Fig 7): the script after token

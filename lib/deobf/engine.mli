@@ -153,10 +153,6 @@ val run_guarded_parsed :
     it, which validates it with {!Psparse.Parser.parse_full} and hands the
     tokens and AST to the next stage. *)
 
-val run_with_scores : ?options:options -> string -> result * int * int
-(** [run_with_scores src] also returns the obfuscation score before and
-    after (paper §IV-B2). *)
-
 type phase_output = { phase : string; text : string }
 
 val run_phases : ?options:options -> string -> phase_output list

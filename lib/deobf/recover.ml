@@ -102,7 +102,7 @@ module Cache = struct
      new key to a full hot generation flips it (hot becomes cold, the
      previous cold generation is dropped, [on_flip] is told), and a cold
      hit is promoted back to hot, so recently used keys survive the next
-     flip.  [dropped] counts the entries flips and shrinks discarded.
+     flip.  [dropped] counts the entries flips discarded.
      Callers hold the cache mutex. *)
   module Gens = struct
     type ('k, 'v) t = {
@@ -138,12 +138,6 @@ module Cache = struct
               add g key v;
               Some (Cold v)
           | None -> None)
-
-    (* memory-pressure shed: the cold generation goes, the hot working set
-       stays *)
-    let shrink g =
-      g.dropped <- g.dropped + Hashtbl.length g.cold;
-      g.cold <- Hashtbl.create 64
 
     let length g = Hashtbl.length g.hot + Hashtbl.length g.cold
   end
@@ -217,18 +211,6 @@ module Cache = struct
   let add t key entry =
     locked t (fun () ->
         Gens.add t.results key entry;
-        gauge_entries t)
-
-  let m_shrinks = T.Metrics.counter "recover.cache.shrinks"
-
-  (* memory-pressure shed: drop the cold generation of every tier without
-     touching the hot working set — the cheapest bytes to give back, since
-     anything recently used was promoted to hot *)
-  let shrink t =
-    locked t (fun () ->
-        Gens.shrink t.results;
-        Gens.shrink t.pieces;
-        T.Metrics.incr m_shrinks;
         gauge_entries t)
 
   let length t = locked t (fun () -> Gens.length t.results)
@@ -995,7 +977,10 @@ let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
           let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
           let prov = Pseval.Provenance.create () in
           env.Pseval.Env.provenance <- Some prov;
-          let ctx = { Pseval.Interp.env; src; src_exact = true } in
+          let ctx =
+            { Pseval.Interp.env; src; src_exact = true;
+              in_pipeline_block = false }
+          in
           let edits = ref [] in
           let halted = ref false in
           let unverifiable () =

@@ -100,11 +100,6 @@ module Cache : sig
 
   val stats : t -> stats
 
-  val shrink : t -> unit
-  (** Memory-pressure shed: drop the cold generation of the result and
-      piece tiers (counted in [recover.cache.shrinks] and the eviction
-      stats), keeping the hot working set. *)
-
   type piece = {
     parsed : (Psast.Ast.t, string) result;
         (** {!Pseval.Interp.parse_piece}, its error text included *)
@@ -120,7 +115,7 @@ module Cache : sig
   (** The piece tier's entry for a text, built from one
       {!Pseval.Interp.lex_piece} and one {!Pseval.Interp.parse_lexed_piece}
       on a miss.  Bounded like the result tier (two generations flipping
-      at half the capacity, cold generation dropped by {!shrink}). *)
+      at half the capacity). *)
 
   val piece_count : t -> int
   (** Piece texts currently held, both generations. *)

@@ -29,7 +29,6 @@ module Guard = Pscommon.Guard
 module Pool = Pscommon.Pool
 module T = Pscommon.Telemetry
 module Chaos = Pscommon.Chaos
-module Memwatch = Pscommon.Memwatch
 
 type bind = Unix_sock of string | Tcp of string * int
 
@@ -74,8 +73,6 @@ type config = {
   metrics_addr : bind option;
   flight_dir : string option;
   grace_s : float;  (** watchdog patience past a request's deadline *)
-  mem_soft_mb : int option;  (** shed admissions past this heap size *)
-  mem_hard_mb : int option;  (** additionally recycle workers past this *)
   quarantine : bool;  (** adaptive rule quarantine (breakers on rollbacks) *)
 }
 
@@ -87,7 +84,7 @@ let default_config bind =
     verify = false; verify_opts = None; cache_cap = 2048;
     trace_dir = None; trace_sample = None;
     metrics_out = None; metrics_addr = None; flight_dir = None;
-    grace_s = 2.0; mem_soft_mb = None; mem_hard_mb = None; quarantine = true }
+    grace_s = 2.0; quarantine = true }
 
 (* ---------- metrics ---------- *)
 
@@ -102,7 +99,6 @@ let m_write_faults = T.Metrics.counter "serve.write_faults"
 let m_queue_faults = T.Metrics.counter "serve.queue_faults"
 let m_scrapes = T.Metrics.counter "serve.scrapes"
 let m_wedge_faults = T.Metrics.counter "serve.wedge_faults"
-let m_shed_memory = T.Metrics.counter "serve.shed_memory"
 
 (* the admission EWMA, surfaced as a gauge so shed hints are observable *)
 let m_ewma_ms = T.Metrics.gauge "serve.ewma_ms"
@@ -167,9 +163,8 @@ let error_json ~id ~kind ~detail =
     (T.json_string kind)
     (T.json_string detail)
 
-let overloaded_json ~id ~depth ~reason =
+let overloaded_json ~id ~depth =
   T.Metrics.incr m_shed;
-  if String.equal reason "memory" then T.Metrics.incr m_shed_memory;
   T.Window.observe w_shed 1.0;
   let retry =
     Float.max 10.0
@@ -177,10 +172,9 @@ let overloaded_json ~id ~depth ~reason =
          (Atomic.get avg_request_ms *. float_of_int (depth + 1)))
   in
   Printf.sprintf
-    "{\"id\": %s, \"status\": \"overloaded\", \"reason\": %s, \
+    "{\"id\": %s, \"status\": \"overloaded\", \"reason\": \"queue\", \
      \"retry_after_ms\": %d}"
-    id (T.json_string reason)
-    (int_of_float retry)
+    id (int_of_float retry)
 
 (* ---------- requests ---------- *)
 
@@ -493,16 +487,13 @@ let serve_loop cfg stop listen_fd =
   (* enable the flight recorder before any worker spawns so every domain
      records from its first request *)
   Option.iter (fun dir -> T.Flight.set_sink (Some dir)) cfg.flight_dir;
-  (* the memory governor and the rule quarantine are daemon-scoped policy:
-     configure both before any worker spawns *)
-  Memwatch.configure ?soft_mb:cfg.mem_soft_mb ?hard_mb:cfg.mem_hard_mb ();
-  Memwatch.install_alarm ();
+  (* the rule quarantine is daemon-scoped policy: configure it before any
+     worker spawns *)
   Quarantine.set_enabled cfg.quarantine;
   let cache = make_cache cfg in
   (* the watchdog: answer a wedged request from the supervisor domain (the
      CAS in [respond] keeps the one-line-per-request contract if the worker
-     somehow finishes late), recycle workers between requests while over
-     the hard memory watermark *)
+     somehow finishes late) *)
   let supervise =
     { Pool.Service.sv_grace_s = cfg.grace_s;
       sv_deadline_of = (fun req -> req.rq_deadline);
@@ -512,8 +503,7 @@ let serve_loop cfg stop listen_fd =
           respond req
             (error_json ~id:req.rq_id
                ~kind:(Guard.failure_label Guard.Wedged)
-               ~detail:(Guard.failure_to_string Guard.Wedged)));
-      sv_should_recycle = (fun () -> Memwatch.level () = Memwatch.Hard) }
+               ~detail:(Guard.failure_to_string Guard.Wedged))) }
   in
   let service =
     Pool.Service.create ~jobs:cfg.jobs ~queue_cap:cfg.queue_cap ~supervise
@@ -540,9 +530,6 @@ let serve_loop cfg stop listen_fd =
   in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let seq = ref 0 in
-  (* previous admission-time pressure level: cache shrinking happens on
-     the Ok -> pressured crossing, not on every shed request *)
-  let last_mem_level = ref Memwatch.Ok in
   let close_conn conn =
     conn.closed <- true;
     Hashtbl.remove conns conn.fd;
@@ -579,20 +566,6 @@ let serve_loop cfg stop listen_fd =
             (Printf.sprintf "{\"id\": %s, \"status\": \"ok\", \"op\": \"shutdown\"}" id);
           Atomic.set stop true
       | "deobfuscate" -> (
-          (* the memory governor gates admission before the queue does:
-             over the soft watermark new work is shed with an explicit
-             reason (work already admitted runs to completion), and the
-             first crossing sheds the caches' cold generations too *)
-          let mem_level = Memwatch.level () in
-          if mem_level <> Memwatch.Ok then begin
-            if !last_mem_level = Memwatch.Ok then Recover.Cache.shrink cache;
-            last_mem_level := mem_level;
-            send conn
-              (overloaded_json ~id ~depth:(Pool.Service.depth service)
-                 ~reason:"memory")
-          end
-          else begin
-            last_mem_level := Memwatch.Ok;
           let timeout_s =
             Float.min cfg.max_timeout_s
               (Option.value ~default:cfg.default_timeout_s
@@ -619,9 +592,7 @@ let serve_loop cfg stop listen_fd =
           | () ->
               if not (Pool.Service.submit service req) then
                 send conn
-                  (overloaded_json ~id ~depth:(Pool.Service.depth service)
-                     ~reason:"queue")
-          end)
+                  (overloaded_json ~id ~depth:(Pool.Service.depth service)))
       | other ->
           send conn
             (error_json ~id ~kind:"bad-request" ~detail:("unknown op: " ^ other))

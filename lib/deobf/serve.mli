@@ -42,7 +42,7 @@
     one request is a hit for every later one, whichever worker runs it.
     The ["metrics"] op reports the cache's occupancy and hit rate alongside
     the self-healing state ([selfheal]: recycle/wedge/respawn counters,
-    quarantined rules, memory watermark) and the registry snapshot.
+    quarantined rules) and the registry snapshot.
 
     {2 Self-healing}
 
@@ -50,9 +50,7 @@
     past its request's deadline plus [grace_s] is declared {e wedged} —
     its client gets a structured [kind:"wedged"] error, the domain is
     abandoned and a fresh one installed, with exponential backoff on
-    respawn failures.  A {!Pscommon.Memwatch} governor sheds admissions
-    ([reason:"memory"]), shrinks caches, and recycles workers as the heap
-    crosses the configured watermarks.  {!Quarantine} circuit-breaks
+    respawn failures.  {!Quarantine} circuit-breaks
     transforms the semantic gate keeps rolling back.
 
     Chaos probe sites [serve.accept], [serve.read], [serve.write] and
@@ -109,13 +107,6 @@ type config = {
           answered with a structured [kind:"wedged"] error and the worker
           domain abandoned and replaced ({!Pscommon.Pool.Service}
           supervision) *)
-  mem_soft_mb : int option;
-      (** soft memory watermark ({!Pscommon.Memwatch}): past it new
-          requests are shed with [status:"overloaded", reason:"memory"]
-          and the piece cache drops its cold generations; [None] disables *)
-  mem_hard_mb : int option;
-      (** hard memory watermark: additionally, workers recycle between
-          requests, releasing domain-local state; [None] disables *)
   quarantine : bool;
       (** adaptive rule quarantine ({!Quarantine}): transforms repeatedly
           rolled back by the semantic gate are skipped up front until a
@@ -126,8 +117,8 @@ type config = {
 val default_config : bind -> config
 (** 1 job, queue 64, 30 s default / 300 s max budget, 8 MiB request cap,
     32 MiB output cap, verify off, cache 2048 (memory-only), no tracing,
-    no scrape endpoint, flight recorder off, 2 s wedge grace, memory
-    governor off, no allocation budget, quarantine on. *)
+    no scrape endpoint, flight recorder off, 2 s wedge grace, quarantine
+    on. *)
 
 type server
 (** A daemon started in a background domain by {!start}. *)

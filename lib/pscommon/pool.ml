@@ -1,7 +1,7 @@
-(** Fixed-size domain pool with an atomic work queue.
+(** Fixed-size domain pool draining a bounded queue.
 
-    Determinism by construction: item [i]'s result is written only to slot
-    [i], and slots are disjoint, so the result list is always in input
+    Determinism by construction: {!map} writes item [i]'s result only to
+    slot [i], and slots are disjoint, so the result list is always in input
     order no matter how the scheduler interleaves the workers.  Worker
     domains inherit nothing ambient — {!Guard}'s deadline stack is
     domain-local, so a deadline installed in one worker can never leak
@@ -10,64 +10,20 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
 (* Scheduling metrics, aggregated across all pools of the process: how long
-   items sat in the queue before a worker claimed them vs how long they ran,
-   plus a per-domain task count (all Atomic-backed, so workers bump them
-   concurrently and a snapshot at join time sees every domain's share). *)
+   items sat in the queue before a worker claimed them vs how long they ran
+   (Atomic-backed, so workers bump them concurrently and a snapshot at join
+   time sees every domain's share). *)
 let m_queue_wait = Telemetry.Metrics.histogram "pool.queue_wait_ms"
 let m_run = Telemetry.Metrics.histogram "pool.run_ms"
 let m_jobs = Telemetry.Metrics.gauge "pool.jobs"
 
-let map ?(jobs = 1) f items =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
-  if jobs <= 1 then Array.to_list (Array.map f items)
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    Telemetry.Metrics.set m_jobs jobs;
-    let started = Unix.gettimeofday () in
-    let worker k () =
-      let m_tasks =
-        Telemetry.Metrics.counter (Printf.sprintf "pool.tasks.d%d" k)
-      in
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let claimed = Unix.gettimeofday () in
-          Telemetry.Metrics.observe m_queue_wait ((claimed -. started) *. 1000.0);
-          let r = match f items.(i) with v -> Ok v | exception e -> Error e in
-          Telemetry.Metrics.observe m_run
-            ((Unix.gettimeofday () -. claimed) *. 1000.0);
-          Telemetry.Metrics.incr m_tasks;
-          results.(i) <- Some r;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    (* the calling domain is worker number [jobs]; spawn the other jobs-1 *)
-    let domains = List.init (jobs - 1) (fun k -> Domain.spawn (worker k)) in
-    worker (jobs - 1) ();
-    List.iter Domain.join domains;
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok v) -> v
-           | Some (Error e) -> raise e
-           | None -> assert false (* every index was claimed and joined *))
-         results)
-  end
+(* ---------- service pool ---------- *)
 
-let iter ?jobs f items = ignore (map ?jobs f items)
-
-(* ---------- persistent service pool ---------- *)
-
-(* The daemon shape of the pool: instead of mapping one finite list, a
-   fixed set of worker domains drains a bounded queue for the life of the
-   process.  The bound is the admission-control contract — submit never
-   blocks and never grows memory; when the queue is full the caller sheds
-   the item (answers "overloaded") instead of queueing unboundedly.
+(* A fixed set of worker domains drains a bounded queue until shutdown;
+   the daemon keeps one for the life of the process.  The bound is the
+   admission-control contract — submit never blocks and never grows
+   memory; when the queue is full the caller sheds the item (answers
+   "overloaded") instead of queueing unboundedly.
 
    With supervision the pool is also {e crash-only}: a supervisor domain
    watches per-worker heartbeat slots (current item, admission deadline,
@@ -84,7 +40,6 @@ module Service = struct
   let m_respawns = Telemetry.Metrics.counter "pool.service.respawns"
   let m_respawn_failures =
     Telemetry.Metrics.counter "pool.service.respawn_failures"
-  let m_recycled_mem = Telemetry.Metrics.counter "pool.service.recycled_mem"
   let m_zombies = Telemetry.Metrics.gauge "pool.service.zombies"
 
   type 'a supervision = {
@@ -92,7 +47,6 @@ module Service = struct
     sv_deadline_of : 'a -> float;
     sv_describe : 'a -> string;
     sv_on_wedged : 'a -> unit;
-    sv_should_recycle : unit -> bool;
   }
 
   (* Exponential respawn backoff: first failure retries fast, a crash loop
@@ -150,10 +104,11 @@ module Service = struct
   }
 
   let worker t (slot : 'a slot) () =
-    (* register the heartbeat cell so every Guard checkpoint below this
-       worker publishes progress the supervisor can read *)
-    Guard.set_progress_cell (Some slot.sl_progress);
     let supervised = t.supervise <> None in
+    (* register the heartbeat cell so every Guard checkpoint below a
+       supervised worker publishes progress the supervisor can read; an
+       unsupervised worker's checkpoints publish nothing *)
+    if supervised then Guard.set_progress_cell (Some slot.sl_progress);
     let rec loop () =
       if Atomic.get slot.sl_abandoned then ()
       else begin
@@ -171,12 +126,11 @@ module Service = struct
           Atomic.incr t.inflight;
           (* deadline before item: a supervisor that can see the item can
              always see a valid deadline for it *)
-          if supervised then begin
-            (match t.supervise with
-            | Some sv -> Atomic.set slot.sl_deadline (sv.sv_deadline_of item)
-            | None -> ());
-            Atomic.set slot.sl_item (Some item)
-          end;
+          (match t.supervise with
+          | Some sv ->
+              Atomic.set slot.sl_deadline (sv.sv_deadline_of item);
+              Atomic.set slot.sl_item (Some item)
+          | None -> ());
           let t0 = Unix.gettimeofday () in
           (* handlers are expected to be total (everything below them runs
              under Guard.protect); this catch is the recycling backstop — a
@@ -200,26 +154,11 @@ module Service = struct
           Telemetry.Metrics.observe m_run
             ((Unix.gettimeofday () -. t0) *. 1000.0);
           Atomic.decr t.inflight;
-          (* memory-pressure recycle: over the hard watermark the governor
-             asks workers to retire between requests, releasing
-             domain-local state; the supervisor respawns the position *)
-          let mem_recycle =
-            match t.supervise with
-            | Some sv when not (Atomic.get slot.sl_abandoned) ->
-                (not t.stopping) && sv.sv_should_recycle ()
-            | _ -> false
-          in
-          if mem_recycle then begin
-            Telemetry.Metrics.incr m_recycled_mem;
-            Telemetry.Log.info (fun () ->
-                "service worker recycled under memory pressure")
-          end
-          else loop ()
+          loop ()
         end
       end
     in
     loop ();
-    Guard.set_progress_cell None;
     Atomic.set slot.sl_retired true
 
   (* Spawn a replacement into position [p].  The "serve.respawn" chaos site
@@ -309,8 +248,8 @@ module Service = struct
             p.p_slot <- new_slot ();
             Atomic.set p.p_slot.sl_retired true (* nothing running: respawn *)
         | _ -> ());
-        (* respawn: the position's worker retired (memory recycle, wedge
-           replacement above, or a crash of the loop itself) *)
+        (* respawn: the position's worker retired (wedge replacement
+           above, or a crash of the loop itself) *)
         if (not t.stopping) && Atomic.get p.p_slot.sl_retired then begin
           (match p.p_domain with
           | Some d ->
@@ -470,3 +409,34 @@ module Service = struct
     Telemetry.Metrics.set m_zombies 0;
     t.positions <- [||]
 end
+
+(* ---------- parallel map ---------- *)
+
+(* A finite map is a service whose queue holds every index: the handler
+   writes item [i]'s outcome to slot [i] only, and [shutdown] drains the
+   queue and joins the workers before any slot is read. *)
+let map ?(jobs = 1) f items =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let jobs = max 1 (min jobs n) in
+  if jobs <= 1 then Array.to_list (Array.map f items)
+  else begin
+    let results = Array.make n None in
+    let service =
+      Service.create ~jobs ~queue_cap:n (fun i ->
+          results.(i) <-
+            Some (match f items.(i) with v -> Ok v | exception e -> Error e))
+    in
+    for i = 0 to n - 1 do
+      let accepted = Service.submit service i in
+      assert accepted (* the queue holds all [n] indices *)
+    done;
+    Service.shutdown service;
+    Array.to_list
+      (Array.map
+         (function
+           | Some (Ok v) -> v
+           | Some (Error e) -> raise e
+           | None -> assert false (* every index was submitted and drained *))
+         results)
+  end

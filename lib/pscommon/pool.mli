@@ -1,35 +1,34 @@
-(** Fixed-size domain pool: parallel map over a work queue with
-    deterministic, input-ordered results.
+(** Fixed-size domain pool: worker domains draining a bounded queue
+    ({!Service}), and a parallel map over it with deterministic,
+    input-ordered results.
 
-    Built for batch deobfuscation: each work item is independent, already
-    totalised by {!Guard.protect}, and its result slot is private to the
-    item, so the only shared state is the index counter.  Worker domains
-    pull the next index atomically; results land in a pre-sized array, so
-    the output order is the input order regardless of scheduling. *)
+    Built for batch deobfuscation and the daemon: each work item is
+    independent, already totalised by {!Guard.protect}, and a map item's
+    result slot is private to the item; results land in a pre-sized array,
+    so the output order is the input order regardless of scheduling. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware's parallelism. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] applies [f] to every item, running up to [jobs]
-    domains (the calling domain counts as one).  [jobs <= 1] runs
-    sequentially in the calling domain, spawning nothing.  Results are in
-    input order.  If [f] raises, the exception with the lowest input index
-    is re-raised after all workers have drained (callers in this codebase
-    pass total functions, so this is a backstop, not a protocol).
+(** [map ~jobs f items] applies [f] to every item on an unsupervised
+    {!Service} of [min jobs (List.length items)] worker domains, the
+    calling domain waiting for the drain.  [jobs <= 1] runs sequentially in
+    the calling domain, spawning nothing.  Results are in input order.  If
+    [f] raises, the exception with the lowest input index is re-raised
+    after all workers have drained (callers in this codebase pass total
+    functions, so this is a backstop, not a protocol).
 
-    Parallel runs feed the {!Telemetry.Metrics} registry: histograms
-    [pool.queue_wait_ms] (pool start → claim) and [pool.run_ms] per item,
-    counters [pool.tasks.d<k>] per worker domain, gauge [pool.jobs]. *)
+    Parallel runs feed the {!Service} metrics: histograms
+    [pool.queue_wait_ms] (submit → claim) and [pool.run_ms] per item,
+    gauges [pool.jobs] and [pool.service.depth]. *)
 
-val iter : ?jobs:int -> ('a -> unit) -> 'a list -> unit
-(** [iter ~jobs f items] — {!map} with unit results. *)
-
-(** Persistent bounded-queue worker pool — the daemon-shaped counterpart of
-    {!map}.  A fixed set of worker domains drains a bounded queue for the
-    life of the process; the bound is the admission-control contract:
-    {!Service.submit} never blocks and never grows memory, it simply
-    refuses when full so the caller can shed the request explicitly. *)
+(** Bounded-queue worker pool.  A fixed set of worker domains drains a
+    bounded queue until {!Service.shutdown} — for the life of the process
+    in the daemon, for one list in {!map}.  The bound is the
+    admission-control contract: {!Service.submit} never blocks and never
+    grows memory, it simply refuses when full so the caller can shed the
+    request explicitly. *)
 module Service : sig
   type 'a t
 
@@ -51,10 +50,6 @@ module Service : sig
     sv_on_wedged : 'a -> unit;
         (** answer the victim; runs on the supervisor domain, must not
             block indefinitely *)
-    sv_should_recycle : unit -> bool;
-        (** polled between requests; [true] retires the worker (counted in
-            [pool.service.recycled_mem]) and respawns a fresh domain —
-            the memory governor's hard-watermark hook *)
   }
 
   val respawn_backoff : int -> float
@@ -74,11 +69,12 @@ module Service : sig
 
       [supervise] additionally spawns a watchdog domain that scans worker
       heartbeat slots (deadline, current item, progress cell published via
-      {!Guard.set_progress_cell} / {!Guard.beat}): a worker still busy past
-      its item's deadline plus [sv_grace_s] is declared wedged — counted in
-      [pool.service.wedged], dumped to the flight recorder, its request
-      answered via [sv_on_wedged], its domain abandoned and its slot
-      respawned.  Respawns (counted in [pool.service.respawns]) pass
+      {!Guard.set_progress_cell} / {!Guard.beat}; an unsupervised worker
+      registers no cell, so its checkpoints publish nothing): a worker
+      still busy past its item's deadline plus [sv_grace_s] is declared
+      wedged — counted in [pool.service.wedged], dumped to the flight
+      recorder, its request answered via [sv_on_wedged], its domain
+      abandoned and its slot respawned.  Respawns (counted in [pool.service.respawns]) pass
       through the ["serve.respawn"] chaos site; failures (counted in
       [pool.service.respawn_failures]) back off exponentially per
       {!respawn_backoff}.  Abandoned domains that eventually finish are

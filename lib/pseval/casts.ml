@@ -31,7 +31,7 @@ let to_byte_array v = Value.bytes_to_value (Value.value_to_bytes v)
 let parse_scriptblock text =
   match Psparse.Parser.parse text with
   | Ok { Psast.Ast.node = Psast.Ast.Script_block sb; _ } ->
-      Value.Script_block { Value.sb_ast = sb; sb_text = text }
+      Value.Script_block { Value.sb_ast = sb; sb_text = text; sb_src = text }
   | Ok _ -> fail "scriptblock parse produced an unexpected node"
   | Error e -> fail "cannot convert to scriptblock: %s" e.Psparse.Parser.message
 

@@ -16,7 +16,12 @@ exception Continue_exc
 exception Throw_exc of Value.t
 exception Exit_exc
 
-type ctx = { env : Env.t; src : string; src_exact : bool }
+type ctx = {
+  env : Env.t;
+  src : string;
+  src_exact : bool;
+  in_pipeline_block : bool;
+}
 
 let m_payload_lookups =
   Pscommon.Telemetry.Metrics.counter "verify.payload_lookups"
@@ -159,7 +164,8 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
           | _ -> Value.Null)
       | _ -> Value.of_list (eval_statement ctx stmt))
   | A.Script_block_expr sb ->
-      Value.Script_block { Value.sb_ast = sb; sb_text = block_text ctx t }
+      Value.Script_block
+        { Value.sb_ast = sb; sb_text = block_text ctx t; sb_src = ctx.src }
   | A.Pipeline _ | A.Command _ | A.Command_expression _ ->
       Value.of_list (eval_statement ctx t)
   | _ -> eval_fail "cannot evaluate %s as an expression" (A.kind_name t)
@@ -359,9 +365,7 @@ and invoke_script_block ctx (sb : Value.sb) args ~input =
       let params = sb.Value.sb_ast.A.sb_params in
       bind_parameters ctx params args;
       Env.set_var ctx.env Env.input_var (Value.Arr (Array.copy input));
-      let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
-      (* script-block ASTs parsed from their own text keep extents relative
-         to that text *)
+      let inner_ctx = { ctx with src = sb.Value.sb_src; src_exact = false } in
       let stmts = sb.Value.sb_ast.A.sb_statements in
       try eval_statements inner_ctx stmts with Return_exc out -> out)
 
@@ -551,7 +555,8 @@ and eval_statement ctx (t : A.t) : Value.t list =
                        Value.to_bool
                          (Value.of_list
                             (invoke_script_block ctx
-                               { Value.sb_ast = sb; sb_text = block_text ctx pat }
+                               { Value.sb_ast = sb; sb_text = block_text ctx pat;
+                                 sb_src = ctx.src }
                                [] ~input:[| subject |]))
                    | _ ->
                        let pv = eval_expr ctx pat in
@@ -734,7 +739,10 @@ and may_name_iex (cmd : A.command) =
    that recorded no payload pays nothing at its sites *)
 and payload_table ctx =
   match ctx.env.Env.payloads with
-  | Some table as found when ctx.src_exact && Hashtbl.length table > 0 -> found
+  | Some table as found
+    when ctx.src_exact && (not ctx.in_pipeline_block)
+         && Hashtbl.length table > 0 ->
+      found
   | Some _ | None -> None
 
 (* The verify sandbox's reference run: a payload recovery decoded from a
@@ -984,12 +992,13 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
               let run_block = block_runner ctx sb in
               let cursor = Env.cursor Env.item_var in
               let out = outbuf ~expected:(Array.length input) () in
-              Array.iter
-                (fun item ->
-                  Env.tick env;
-                  Env.set_cursor env cursor item;
-                  collect out (run_block item))
-                input;
+              keeping_cursors ctx (fun () ->
+                  Array.iter
+                    (fun item ->
+                      Env.tick env;
+                      Env.set_cursor env cursor item;
+                      collect out (run_block item))
+                    input);
               contents out
           | member ->
               (* ForEach-Object membername *)
@@ -1009,12 +1018,14 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
           let run_block = block_runner ctx sb in
           let cursor = Env.cursor Env.item_var in
           let out = outbuf () in
-          Array.iter
-            (fun item ->
-              Env.tick env;
-              Env.set_cursor env cursor item;
-              if Value.to_bool (Value.of_list (run_block item)) then emit out item)
-            input;
+          keeping_cursors ctx (fun () ->
+              Array.iter
+                (fun item ->
+                  Env.tick env;
+                  Env.set_cursor env cursor item;
+                  if Value.to_bool (Value.of_list (run_block item)) then
+                    emit out item)
+                input);
           contents out
       | _ -> input)
   | "select-object" -> (
@@ -1269,12 +1280,30 @@ and run_other_builtin ctx ~(key : A.command_key) ~elements ~input =
    each item then binds [$input] to a fresh one-element array and runs
    them. *)
 and block_runner ctx (sb : Value.sb) =
-  let inner_ctx = { ctx with src = sb.Value.sb_text; src_exact = false } in
+  let inner_ctx =
+    { ctx with src = sb.Value.sb_src; src_exact = false;
+               in_pipeline_block = true }
+  in
   let stmts = sb.Value.sb_ast.A.sb_statements in
   let cursor = Env.cursor Env.input_var in
   fun item ->
     Env.set_cursor ctx.env cursor (Value.Arr [| item |]);
     try eval_statements inner_ctx stmts with Return_exc out -> out
+
+(* A ForEach-Object or Where-Object nested in another's block leaves the
+   outer block its own [$_] and [$input] when it ends, however it ends.  A
+   payload decoded here would not replay that, so {!payload_table} offers
+   none inside a block. *)
+and keeping_cursors ctx f =
+  if not ctx.in_pipeline_block then f ()
+  else begin
+    let env = ctx.env in
+    let item = Env.get_var env Env.item_var
+    and input = Env.get_var env Env.input_var in
+    Fun.protect f ~finally:(fun () ->
+        Option.iter (Env.set_var env Env.item_var) item;
+        Option.iter (Env.set_var env Env.input_var) input)
+  end
 
 (* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)
 and construct_object ctx key args =
@@ -1376,7 +1405,7 @@ let describe_exception = function
   | _ -> None
 
 let run_ast env ~src ast =
-  let ctx = { env; src; src_exact = true } in
+  let ctx = { env; src; src_exact = true; in_pipeline_block = false } in
   try eval_statement ctx ast with Return_exc out -> out | Exit_exc -> []
 
 let eval_parsed env ~src ast =

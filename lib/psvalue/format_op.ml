@@ -13,6 +13,10 @@ let apply_numeric_format spec (v : Value.t) =
   if spec = "" then Value.to_string v
   else
     let kind = Char.uppercase_ascii spec.[0] in
+    let zero_pad width s =
+      if String.length s >= width then s
+      else String.make (width - String.length s) '0' ^ s
+    in
     let width =
       if String.length spec > 1 then
         match int_of_string_opt (String.sub spec 1 (String.length spec - 1)) with
@@ -21,14 +25,17 @@ let apply_numeric_format spec (v : Value.t) =
       else 0
     in
     match kind with
-    | 'D' ->
-        let s = string_of_int (Value.to_int v) in
-        if String.length s >= width then s
-        else String.make (width - String.length s) '0' ^ s
+    | 'D' -> zero_pad width (string_of_int (Value.to_int v))
     | 'X' ->
-        let s = Printf.sprintf "%X" (Value.to_int v) in
-        if String.length s >= width then s
-        else String.make (width - String.length s) '0' ^ s
+        (* .NET renders a negative integer in two's complement of its
+           type: 32 bits for an Int32, 64 for an Int64 *)
+        let n = Value.to_int v in
+        let s =
+          if n < 0 && n >= -0x8000_0000 then
+            Printf.sprintf "%X" (n land 0xFFFF_FFFF)
+          else Printf.sprintf "%LX" (Int64.of_int n)
+        in
+        zero_pad width (if spec.[0] = 'x' then String.lowercase_ascii s else s)
     | 'N' ->
         let decimals = if String.length spec > 1 then width else 2 in
         Printf.sprintf "%.*f" decimals (Value.to_float v)

@@ -23,7 +23,11 @@ type t =
           trips recover it *)
   | Obj of ps_object
 
-and sb = { sb_ast : Psast.Ast.script_block; sb_text : string }
+and sb = {
+  sb_ast : Psast.Ast.script_block;
+  sb_text : string;
+  sb_src : string;
+}
 
 and ps_object = { otype : string; okind : object_kind }
 

@@ -21,7 +21,13 @@ type t =
           trips recover it *)
   | Obj of ps_object
 
-and sb = { sb_ast : Psast.Ast.script_block; sb_text : string }
+and sb = {
+  sb_ast : Psast.Ast.script_block;
+  sb_text : string;  (** the block's text, braces stripped *)
+  sb_src : string;
+      (** the text [sb_ast]'s extents index: the source a literal was
+          sliced from, or [sb_text] itself for a block parsed from it *)
+}
 
 and ps_object = { otype : string; okind : object_kind }
 

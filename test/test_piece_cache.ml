@@ -87,7 +87,7 @@ let test_cold_hit_promotes () =
 
 (* ---------- piece tier ---------- *)
 
-let test_piece_tier_generations_and_shrink () =
+let test_piece_tier_generations () =
   let c = Cache.create ~cap:8 () in
   (* a hit hands back the entry the tier holds; a miss builds a new one *)
   let seen = Hashtbl.create 16 and builds = ref 0 in
@@ -108,11 +108,7 @@ let test_piece_tier_generations_and_shrink () =
   for i = 7 to 100 do ask i done;
   check_b "flips bound the tier" true (Cache.piece_count c <= 8);
   ask 2;
-  check_i "an evicted text is built again" 101 !builds;
-  Cache.shrink c;
-  check_b "shrink drops the cold generation" true (Cache.piece_count c <= 4);
-  ask 100;
-  check_i "the hot generation survives shrink" 101 !builds
+  check_i "an evicted text is built again" 101 !builds
 
 let test_one_entry_answers_all () =
   let c = Cache.create () in
@@ -358,8 +354,8 @@ let suite =
       test_two_generation_eviction;
     Alcotest.test_case "cold hits promote to the hot generation" `Quick
       test_cold_hit_promotes;
-    Alcotest.test_case "piece tier: generations and shrink bound it" `Quick
-      test_piece_tier_generations_and_shrink;
+    Alcotest.test_case "piece tier: generations bound it" `Quick
+      test_piece_tier_generations;
     Alcotest.test_case "piece tier: one entry answers all three" `Quick
       test_one_entry_answers_all;
     Alcotest.test_case "piece tier: blocklist off blocks nothing" `Quick

@@ -499,7 +499,18 @@ let cursor_cases =
   let open Pseval.Env in
   [ (Sandbox,
       "$inner = { \"$o$_\" }; 1..2 | ForEach-Object { $o = $_; 'a','b' | ForEach-Object $inner; $_ }; $_",
-      "\"1a\",\"1b\",\"b\",\"2a\",\"2b\",\"b\",\"b\" | $_=\"b\" $input=@(\"b\") | inner={ \"$o$_\" };o=2 | 45");
+      "\"1a\",\"1b\",1,\"2a\",\"2b\",2,2 | $_=2 $input=@(2) | inner={ \"$o$_\" };o=2 | 45");
+    (* a script block literal nested in a block reads its text from the
+       source the outer block was sliced from *)
+    (Sandbox, "1..2 | ForEach-Object { $o = $_; 'a','b' | ForEach-Object { \"$o$_\" } }",
+      "\"1a\",\"1b\",\"2a\",\"2b\" | $_=2 $input=@(2) | o=2 | 36");
+    (* the outer block gets its cursors back however the nested pipeline
+       ends *)
+    (Sandbox,
+      "1..2 | ForEach-Object { 'a','b' | ForEach-Object { throw $_ } }",
+      "error: uncaught throw: a | $_=1 $input=@(1) |  | 16");
+    (Sandbox, "5..7 | Where-Object { ('p','q' | Where-Object { $_ -eq 'q' }) -and $_ -gt 5 }; $_",
+      "6,7,7 | $_=7 $input=@(7) |  | 74");
     (Sandbox, "1..3 | ForEach-Object { $_ = $_ * 10; $_ }",
       "10,20,30 | $_=30 $input=@(3) |  | 30");
     (Sandbox, "1..3 | ForEach-Object { $_ } | Out-Null; $_",

@@ -130,8 +130,17 @@ let test_format_alignment () =
   check_s "wider than field" "xyz" (fmt "{0,2}" [ Value.Str "xyz" ])
 
 let test_format_numeric () =
-  check_s "hex" "ff" (String.lowercase_ascii (fmt "{0:X}" [ Value.Int 255 ]));
+  check_s "hex" "FF" (fmt "{0:X}" [ Value.Int 255 ]);
+  check_s "lowercase hex" "ff" (fmt "{0:x2}" [ Value.Int 255 ]);
   check_s "padded hex" "0F" (fmt "{0:X2}" [ Value.Int 15 ]);
+  check_s "padded lowercase hex" "0f" (fmt "{0:x2}" [ Value.Int 15 ]);
+  check_s "negative Int32 hex" "FFFFFFFF" (fmt "{0:X}" [ Value.Int (-1) ]);
+  check_s "negative Int32 lowercase hex" "ffffff85"
+    (fmt "{0:x}" [ Value.Int (-123) ]);
+  check_s "Int32 minimum hex" "80000000"
+    (fmt "{0:X}" [ Value.Int (-0x8000_0000) ]);
+  check_s "negative Int64 hex" "FFFFFFFF7FFFFFFF"
+    (fmt "{0:X}" [ Value.Int (-0x8000_0001) ]);
   check_s "decimal pad" "007" (fmt "{0:D3}" [ Value.Int 7 ])
 
 let test_format_errors () =

@@ -1,13 +1,12 @@
 (* Tests for the self-healing service layer: the wedged-worker watchdog
    (victim answered, daemon keeps serving), respawn backoff, the adaptive
-   rule quarantine breaker, memory-pressure shedding, OOM containment in
-   piece recovery, and jobs-count byte-identity with supervision on. *)
+   rule quarantine breaker, OOM containment in piece recovery, and
+   jobs-count byte-identity with supervision on. *)
 
 module Serve = Deobf.Serve
 module Jsonl = Deobf.Jsonl
 module Chaos = Pscommon.Chaos
 module Guard = Pscommon.Guard
-module Memwatch = Pscommon.Memwatch
 module T = Pscommon.Telemetry
 module Q = Deobf.Quarantine
 
@@ -321,35 +320,6 @@ let test_quarantine_converges () =
     (match !tripped_at with Some i -> i <= 4 | None -> false);
   check_i "no rollback after the breaker opened" 0 !rolled_after
 
-(* ---------- memory-pressure governor ---------- *)
-
-let test_memory_shed_carries_reason () =
-  with_server "mem"
-    (fun bind -> { (Serve.default_config bind) with Serve.jobs = 1 })
-    (fun sock _server ->
-      Fun.protect ~finally:(fun () -> Memwatch.set_override None)
-      @@ fun () ->
-      let fd = connect sock in
-      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      Memwatch.set_override (Some Memwatch.Soft);
-      send_all fd (request ~id:"m1" ~script:piece_script ());
-      send_all fd (request ~id:"h" ~op:"health" ());
-      let lines = read_lines fd 2 in
-      let m1 = response_for lines "m1" in
-      check_s "pressured request shed" "overloaded" (status_of m1);
-      check_s "shed carries the memory reason" "memory"
-        (Option.value ~default:"?" (Jsonl.string_field m1 "reason"));
-      check_b "retry hint present" true
-        (Jsonl.int_field m1 "retry_after_ms" <> None);
-      check_s "control ops unaffected by pressure" "ok"
-        (status_of (response_for lines "h"));
-      (* pressure relieved: the same request is admitted again *)
-      Memwatch.set_override None;
-      send_all fd (request ~id:"m2" ~script:piece_script ());
-      let lines = read_lines fd 1 in
-      check_s "admitted after pressure clears" "ok"
-        (status_of (response_for lines "m2")))
-
 (* ---------- OOM containment in piece recovery ---------- *)
 
 let test_injected_oom_contained () =
@@ -459,8 +429,6 @@ let suite =
       test_quarantine_converges;
     Alcotest.test_case "quarantine disabled admits everything" `Quick
       test_quarantine_disabled_admits_everything;
-    Alcotest.test_case "memory shed carries reason" `Quick
-      test_memory_shed_carries_reason;
     Alcotest.test_case "injected OOM contained as structured failure" `Quick
       test_injected_oom_contained;
     Alcotest.test_case "jobs byte-identity with supervision on" `Quick
