@@ -228,16 +228,14 @@ let deobfuscate_cmd =
       let timeout_s = Option.value timeout ~default:infinity in
       let cache = Deobf.Recover.Cache.create () in
       (* one request scope for the run; --trace asks for its event ring *)
-      let guarded, verify_outcome =
+      let o, out =
         T.with_request_id ~record:(trace <> None) (T.new_trace_id ())
         @@ fun () ->
         (* with --verify, the gate runs under the same deadline as the
            engine (--timeout) *)
         let run =
-          if verify_flag then
-            let g, o = Deobf.Verify.run_guarded ~options ~cache ~timeout_s src in
-            (g, Some o)
-          else (Deobf.Engine.run_guarded ~options ~cache ~timeout_s src, None)
+          Deobf.Batch.run_source ~options ~cache ~timeout_s ~verify:verify_flag
+            ~name:(Option.value input ~default:"-") src
         in
         (match (trace, T.current_trace ()) with
         | Some "", Some tr -> prerr_string (T.to_jsonl tr)
@@ -247,22 +245,19 @@ let deobfuscate_cmd =
         | _ -> ());
         run
       in
-      let result = guarded.Deobf.Engine.result in
-      write_output result.Deobf.Engine.output output;
-      (match verify_outcome with
-      | None -> ()
-      | Some o ->
-          Printf.eprintf "verify: %s%s\n"
-            (Deobf.Verify.verdict_name o.Deobf.Verify.verdict)
-            (match Deobf.Verify.verdict_detail o.Deobf.Verify.verdict with
-            | None -> ""
-            | Some d -> " (" ^ d ^ ")"));
+      write_output out output;
+      Option.iter
+        (fun v ->
+          Printf.eprintf "verify: %s%s\n" (Deobf.Verify.verdict_name v)
+            (Option.fold ~none:"" ~some:(Printf.sprintf " (%s)")
+               (Deobf.Verify.verdict_detail v)))
+        o.verdict;
       List.iter
         (fun (site : Deobf.Engine.failure_site) ->
           T.Log.warn (fun () ->
               Printf.sprintf "contained failure in %s: %s" site.phase
                 (Pscommon.Guard.failure_to_string site.failure)))
-        guarded.Deobf.Engine.failures;
+        o.failures;
       if summary_flag then
         let score text = Deobf.Score.(score_of_detection (detect text)) in
         print_summary
@@ -270,10 +265,9 @@ let deobfuscate_cmd =
             (Printf.sprintf
                "== summary ==\nscore: %d -> %d\n\
                 iterations: %d, changed: %b, contained failures: %d\n"
-               (score src) (score result.output) result.iterations
-               result.changed
-               (List.length guarded.failures))
-          result.stats (Deobf.Recover.Cache.stats cache) guarded.timings
+               (score src) (score out) o.iterations o.changed
+               (List.length o.failures))
+          o.stats (Deobf.Recover.Cache.stats cache) o.phase_ms
     end
   in
   let flag names doc = Arg.(value & flag & info names ~doc) in

@@ -22,7 +22,9 @@ let () =
       let same =
         Sandbox.same_network_behavior reference (Sandbox.run obfuscated)
       in
-      let recovered = (Deobf.Engine.run obfuscated).Deobf.Engine.output in
+      let _, recovered =
+        Deobf.Batch.run_source ~verify:true ~name:"sample" obfuscated
+      in
       Printf.printf "%-22s %6d %8dB %9s %10d %d\n"
         (Obfuscator.Technique.name technique)
         (Obfuscator.Technique.level technique)
@@ -36,7 +38,8 @@ let () =
   (* stacked layers: the multi-layer case of Table III *)
   let layered = Obfuscator.Obfuscate.multilayer rng 3 payload in
   Printf.printf "3-layer sample (%d bytes) -> " (String.length layered);
-  let result = Deobf.Engine.run layered in
+  let result, output =
+    Deobf.Batch.run_source ~verify:true ~name:"layered" layered
+  in
   Printf.printf "unwrapped %d layers; final output:\n%s\n"
-    result.stats.Deobf.Recover.layers_unwrapped
-    (String.trim result.Deobf.Engine.output)
+    result.stats.Deobf.Recover.layers_unwrapped (String.trim output)

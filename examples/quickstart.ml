@@ -15,11 +15,13 @@ let () =
   print_newline ();
 
   (* one call does everything: token phase, variable tracing, AST recovery,
-     multi-layer unwrapping, rename & reformat *)
-  let result = Deobf.Engine.run obfuscated in
+     multi-layer unwrapping, rename & reformat, then the semantic gate *)
+  let result, output =
+    Deobf.Batch.run_source ~verify:true ~name:"quickstart" obfuscated
+  in
 
   print_endline "--- deobfuscated output ---";
-  print_endline (String.trim result.Deobf.Engine.output);
+  print_endline (String.trim output);
   print_newline ();
 
   Printf.printf "pieces recovered:      %d\n"
@@ -31,8 +33,8 @@ let () =
 
   (* obfuscation score before and after (paper §IV-B2) *)
   Printf.printf "obfuscation score:     %d -> %d\n" (Deobf.Score.score obfuscated)
-    (Deobf.Score.score result.Deobf.Engine.output);
+    (Deobf.Score.score output);
 
   (* the recovered indicators an analyst actually wants *)
-  let info = Keyinfo.extract result.Deobf.Engine.output in
+  let info = Keyinfo.extract output in
   List.iter (Printf.printf "recovered URL:         %s\n") info.Keyinfo.urls

@@ -1,12 +1,17 @@
 (** The five tools of the paper's comparison, in its ordering. *)
 
+(* The tool as it ships: the CLI's request path with the verify gate on and
+   one piece cache for the process, whose hits return what a miss would. *)
+let cache = Deobf.Recover.Cache.create ()
+
 let invoke_deobfuscation =
   {
     Tool.name = "Invoke-Deobfuscation";
     deobfuscate =
       (fun script ->
-        let result = Deobf.Engine.run script in
-        Tool.plain result.Deobf.Engine.output);
+        Tool.plain
+          (snd
+             (Deobf.Batch.run_source ~cache ~verify:true ~name:"sample" script)));
   }
 
 (* every compared tool runs guarded: one hostile sample degrades that

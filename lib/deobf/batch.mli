@@ -196,6 +196,9 @@ val total_stats : outcome list -> Recover.stats
 val phase_totals : outcome list -> (string * float) list
 (** Per-phase wall-time totals over the outcomes, sorted by phase. *)
 
+val phase_ms_to_json : (string * float) list -> string
+(** [{"phase": ms, …}], milliseconds to one decimal, in list order. *)
+
 val cache_json : Recover.Cache.stats -> string
 (** [{"entries", "lookups", "hits", "hit_rate", "evictions"}] of one
     piece cache; [hit_rate] is hits over lookups (0 with no lookups). *)

@@ -607,11 +607,6 @@ let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =
     (run_guarded_parsed ?options ?timeout_s ?max_output_bytes ?cache ?suppress
        src)
 
-(** Deobfuscate a script.  Never raises: scripts that fail to lex or parse
-    are returned unchanged with [changed = false]. *)
-let run ?(options = default_options) src =
-  (run_guarded ~options ~max_output_bytes:max_int src).result
-
 type phase_output = { phase : string; text : string }
 
 (** The staged view of the pipeline (paper Fig 7): the script after token

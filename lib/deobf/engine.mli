@@ -1,9 +1,6 @@
-(** Invoke-Deobfuscation — the full pipeline (paper Fig 2).
-
-    {[
-      let result = Deobf.Engine.run obfuscated_script in
-      print_string result.output
-    ]}
+(** Invoke-Deobfuscation — the full pipeline (paper Fig 2).  Callers
+    deobfuscate a script through {!Batch.run_source}, which runs it here
+    under one request deadline and, when asked, the {!Verify} gate.
 
     Phases: token parsing → variable tracing & recovery based on AST
     (iterated to a fixpoint, unwrapping [Invoke-Expression] layers) →
@@ -48,12 +45,6 @@ type result = {
   iterations : int;  (** recovery passes actually run, not the bound *)
   changed : bool;  (** false when the tool returned the input unchanged *)
 }
-
-val run : ?options:options -> string -> result
-(** Deobfuscate a script.  Never raises.  A script that fails to lex or
-    parse goes through partial-parse recovery (see {!options.partial});
-    when nothing at all is recoverable it comes back unchanged with
-    [changed = false]. *)
 
 type failure_site = { phase : string; failure : Pscommon.Guard.failure }
 (** One contained degradation: which pipeline phase gave up and why.

@@ -978,8 +978,7 @@ let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
           let prov = Pseval.Provenance.create () in
           env.Pseval.Env.provenance <- Some prov;
           let ctx =
-            { Pseval.Interp.env; src; src_exact = true;
-              in_pipeline_block = false }
+            { Pseval.Interp.env; src; src_exact = true }
           in
           let edits = ref [] in
           let halted = ref false in

@@ -177,7 +177,8 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
         ~attrs:
           [ ("verdict", T.S (verdict_name verdict));
             ("sandbox_runs", T.I !runs);
-            ("rolled_back", T.I (List.length suppressed)) ];
+            ("rolled_back", T.I (List.length suppressed));
+            ("ms", T.F verify_ms) ];
     (guarded,
      { verdict; sandbox_runs = !runs; suppressed; rolled_rules;
        dynamic_rolled_back; verify_ms })
@@ -255,22 +256,19 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
             in
             round guarded out_ast [] [] opts.max_rounds)
 
-let run_guarded ?options ?cache ?timeout_s ?max_output_bytes ?opts src =
-  let request () =
-    let payloads = Hashtbl.create 8 in
-    let guarded, parses =
-      Engine.run_guarded_parsed ?options ?cache ?timeout_s ?max_output_bytes
-        ~payloads src
-    in
-    (* the re-runs repeat the same run with the same piece cache, so
-       replayed pieces stay byte-identical *)
-    let rerun ~suppress =
-      Engine.run_guarded ?options ?cache ?timeout_s ?max_output_bytes
-        ~suppress src
-    in
-    gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
-      ~payloads ~rerun ~src guarded
+let run_guarded ?options ?cache ?(timeout_s = infinity) ?max_output_bytes ?opts
+    src =
+  Guard.within (Guard.deadline_after timeout_s) @@ fun () ->
+  let payloads = Hashtbl.create 8 in
+  let guarded, parses =
+    Engine.run_guarded_parsed ?options ?cache ~timeout_s ?max_output_bytes
+      ~payloads src
   in
-  match timeout_s with
-  | None -> request ()
-  | Some s -> Guard.within (Guard.deadline_after s) request
+  (* the re-runs repeat the same run with the same piece cache, so
+     replayed pieces stay byte-identical *)
+  let rerun ~suppress =
+    Engine.run_guarded ?options ?cache ~timeout_s ?max_output_bytes ~suppress
+      src
+  in
+  gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
+    ~payloads ~rerun ~src guarded

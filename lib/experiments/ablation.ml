@@ -41,12 +41,16 @@ let run ?(seed = 31337) ?(count = 40) () =
       let reductions = ref [] in
       let consistent = ref 0 and with_network = ref 0 in
       let key_got = ref 0 and key_total = ref 0 in
+      (* the variant as it would ship: verify gate on, its own cache *)
+      let cache = Deobf.Recover.Cache.create () in
       let t0 = Unix.gettimeofday () in
       List.iter
         (fun s ->
           let input = s.Corpus.Generator.obfuscated in
-          let result = Deobf.Engine.run ~options:v.options input in
-          let output = result.Deobf.Engine.output in
+          let _, output =
+            Deobf.Batch.run_source ~options:v.options ~cache ~verify:true
+              ~name:"sample" input
+          in
           let sb = Deobf.Score.score input and sa = Deobf.Score.score output in
           if sb > 0 then
             reductions := (float_of_int (sb - sa) /. float_of_int sb) :: !reductions;

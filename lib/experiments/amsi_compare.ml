@@ -56,7 +56,7 @@ let bypass_demo () =
       (fun layer -> Pscommon.Strcase.contains ~needle:flagged layer)
       capture.Baselines.Amsi.layers
   in
-  let deobf = (Deobf.Engine.run script).Deobf.Engine.output in
+  let _, deobf = Deobf.Batch.run_source ~verify:true ~name:"bypass" script in
   let we_see = Pscommon.Strcase.contains ~needle:flagged deobf in
   (amsi_sees, we_see)
 

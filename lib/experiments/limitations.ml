@@ -67,10 +67,11 @@ let run () =
   in
   List.map
     (fun c ->
-      let static_out =
-        (Deobf.Engine.run ~options:static_options c.script).Deobf.Engine.output
+      let run ?options script =
+        snd (Deobf.Batch.run_source ?options ~verify:true ~name:c.name script)
       in
-      let dynamic_out = (Deobf.Engine.run c.script).Deobf.Engine.output in
+      let static_out = run ~options:static_options c.script in
+      let dynamic_out = run c.script in
       {
         case = c.name;
         recovered = Strcase.contains ~needle:c.payload_marker static_out;

@@ -120,8 +120,9 @@ type t = {
   mutable scopes : scope list;  (** innermost first; last is global *)
   global : scope;  (** the last of [scopes] *)
   mutable created : int;
-      (** bindings created so far in any scope: a resolved {!cursor} cell
-          stays where {!set_var} would write while this count stands *)
+      (** bindings created or removed so far in any scope: a resolved
+          {!cursor} cell stays where {!set_var} would write while this
+          count stands *)
   functions : (string, fn) Hashtbl.t;  (** keys lowercased *)
   env_vars : (string, string) Hashtbl.t;
       (** the $env: names this environment wrote; the rest read
@@ -486,6 +487,44 @@ let set_cursor env c value =
     c.cell <- assign env c.cursor_key.A.scope_key value;
     c.resolved_at <- env.created
   end
+
+(* [$_] and [$input] belong to the pipeline stage that binds them: when it
+   ends, however it ends, a binding it found gets its value back and a name
+   that was unset is unset again.  The restore is not the piece's write: a
+   probe forgets a cursor the piece had not written before the stage, so
+   its later reads are checked as outside reads again. *)
+let keeping_cursors env f =
+  let keep (k : A.var_key) =
+    let key = k.A.scope_key in
+    let before =
+      match find_binding env.scopes key with
+      | b -> Some (b, b.value)
+      | exception Not_found -> None
+    in
+    let fresh =
+      match env.probe with Some p -> not (List.mem key p.written) | None -> false
+    in
+    fun () ->
+      (match before with
+      | Some (b, value) -> b.value <- value
+      | None ->
+          (* every binding of the name is the stage's; a cursor resolved to
+             one must resolve again *)
+          List.iter (fun s -> Name_table.remove s.table key) env.scopes;
+          env.created <- env.created + 1);
+      match env.probe with
+      | Some p when fresh ->
+          p.written <- List.filter (fun w -> not (String.equal w key)) p.written;
+          p.settled <-
+            List.filter
+              (fun (s : A.var_key) -> not (String.equal s.A.scope_key key))
+              p.settled
+      | Some _ | None -> ()
+  in
+  let item = keep item_var and input = keep input_var in
+  Fun.protect f ~finally:(fun () ->
+      item ();
+      input ())
 
 let push_scope env = env.scopes <- new_scope () :: env.scopes
 

@@ -88,7 +88,7 @@ type t = {
   mutable scopes : scope list;  (** innermost first; the last is [global] *)
   global : scope;
   mutable created : int;
-      (** bindings created so far in any scope (see {!cursor}) *)
+      (** bindings created or removed so far in any scope (see {!cursor}) *)
   functions : (string, fn) Hashtbl.t;
   env_vars : (string, string) Hashtbl.t;
       (** the simulated [$env:] names this environment wrote; every other
@@ -206,6 +206,11 @@ val set_cursor : t -> cursor -> Psvalue.Value.t -> unit
 (** Exactly {!set_var} on the cursor's key, probe included; after the
     first call, while no binding has been created in any scope since, it
     is one store into the binding the first call resolved. *)
+
+val keeping_cursors : t -> (unit -> 'a) -> 'a
+(** [keeping_cursors env f] runs a pipeline stage that binds [$_] and
+    [$input]: when [f] ends, however it ends, each gets back the value it
+    had before, or is unset again when it was unset. *)
 
 val item_var : Psast.Ast.var_key
 (** [$_], the pipeline cursor *)

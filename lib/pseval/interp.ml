@@ -20,7 +20,6 @@ type ctx = {
   env : Env.t;
   src : string;
   src_exact : bool;
-  in_pipeline_block : bool;
 }
 
 let m_payload_lookups =
@@ -740,8 +739,7 @@ and may_name_iex (cmd : A.command) =
 and payload_table ctx =
   match ctx.env.Env.payloads with
   | Some table as found
-    when ctx.src_exact && (not ctx.in_pipeline_block)
-         && Hashtbl.length table > 0 ->
+    when ctx.src_exact && Hashtbl.length table > 0 ->
       found
   | Some _ | None -> None
 
@@ -992,7 +990,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
               let run_block = block_runner ctx sb in
               let cursor = Env.cursor Env.item_var in
               let out = outbuf ~expected:(Array.length input) () in
-              keeping_cursors ctx (fun () ->
+              Env.keeping_cursors env (fun () ->
                   Array.iter
                     (fun item ->
                       Env.tick env;
@@ -1018,7 +1016,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
           let run_block = block_runner ctx sb in
           let cursor = Env.cursor Env.item_var in
           let out = outbuf () in
-          keeping_cursors ctx (fun () ->
+          Env.keeping_cursors env (fun () ->
               Array.iter
                 (fun item ->
                   Env.tick env;
@@ -1275,35 +1273,18 @@ and run_other_builtin ctx ~(key : A.command_key) ~elements ~input =
       []
 
 (* ForEach-Object / Where-Object run their blocks in the CALLER's scope in
-   PowerShell ($_ and assignments leak); no new scope here.  The block's
+   PowerShell (assignments leak; [$_] and [$input] are put back by
+   {!Env.keeping_cursors}); no new scope here.  The block's
    context, statements and [$input] cursor are resolved once per pipeline;
    each item then binds [$input] to a fresh one-element array and runs
    them. *)
 and block_runner ctx (sb : Value.sb) =
-  let inner_ctx =
-    { ctx with src = sb.Value.sb_src; src_exact = false;
-               in_pipeline_block = true }
-  in
+  let inner_ctx = { ctx with src = sb.Value.sb_src; src_exact = false } in
   let stmts = sb.Value.sb_ast.A.sb_statements in
   let cursor = Env.cursor Env.input_var in
   fun item ->
     Env.set_cursor ctx.env cursor (Value.Arr [| item |]);
     try eval_statements inner_ctx stmts with Return_exc out -> out
-
-(* A ForEach-Object or Where-Object nested in another's block leaves the
-   outer block its own [$_] and [$input] when it ends, however it ends.  A
-   payload decoded here would not replay that, so {!payload_table} offers
-   none inside a block. *)
-and keeping_cursors ctx f =
-  if not ctx.in_pipeline_block then f ()
-  else begin
-    let env = ctx.env in
-    let item = Env.get_var env Env.item_var
-    and input = Env.get_var env Env.input_var in
-    Fun.protect f ~finally:(fun () ->
-        Option.iter (Env.set_var env Env.item_var) item;
-        Option.iter (Env.set_var env Env.input_var) input)
-  end
 
 (* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)
 and construct_object ctx key args =
@@ -1405,7 +1386,7 @@ let describe_exception = function
   | _ -> None
 
 let run_ast env ~src ast =
-  let ctx = { env; src; src_exact = true; in_pipeline_block = false } in
+  let ctx = { env; src; src_exact = true } in
   try eval_statement ctx ast with Return_exc out -> out | Exit_exc -> []
 
 let eval_parsed env ~src ast =

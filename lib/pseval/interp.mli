@@ -21,10 +21,6 @@ type ctx = {
           script block literal's text read there depends on where the
           block sits, so a payload probe refuses the evaluation, and the
           sandbox looks no payload up ({!Env.payloads}). *)
-  in_pipeline_block : bool;
-      (** a ForEach-Object or Where-Object block is running: a pipeline of
-          either nested in it restores the block's [$_] and [$input] when
-          it ends, and the sandbox looks no payload up. *)
 }
 
 val eval_expr : ctx -> Psast.Ast.t -> Psvalue.Value.t

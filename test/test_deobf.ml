@@ -8,13 +8,12 @@ let check_s = Alcotest.(check string)
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
 
-let deobf src = (Deobf.Engine.run src).Deobf.Engine.output
+let deobf src = Pipeline.output src
 
 let deobf_no_rename src =
-  (Deobf.Engine.run
-     ~options:{ Deobf.Engine.default_options with rename = false; reformat = false }
-     src)
-    .Deobf.Engine.output
+  Pipeline.output
+    ~options:{ Deobf.Engine.default_options with rename = false; reformat = false }
+    src
 
 let contains needle s = Strcase.contains ~needle s
 
@@ -93,7 +92,7 @@ let test_tracing_eviction_after_loop () =
      dynamic stage then folds the loop to its final value — that path keeps
      its own tests in the provenance suite.) *)
   let src = "$x = 'start'\nforeach ($i in 1..2) { $x += $i }\nwrite-host $x" in
-  let out = (Deobf.Engine.run ~options:static_options src).Deobf.Engine.output in
+  let out = Pipeline.output ~options:static_options src in
   check_b "evicted" true (contains "write-host $x" out);
   check_b "stale value not substituted" true (not (contains "'start'," out));
   let full = deobf_no_rename src in
@@ -141,10 +140,10 @@ let test_multilayer_powershell_enc () =
 let test_multilayer_nested () =
   let rng = Rng.of_int 3 in
   let layered = Obfuscator.Obfuscate.multilayer rng 3 "write-output 'core'" in
-  let result = Deobf.Engine.run layered in
+  let result, output = Pipeline.run layered in
   check_b "layers unwrapped" true
-    (result.Deobf.Engine.stats.Deobf.Recover.layers_unwrapped >= 3);
-  check_b "core visible" true (contains "'core'" result.Deobf.Engine.output)
+    (result.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped >= 3);
+  check_b "core visible" true (contains "'core'" output)
 
 let test_whitespace_encoding_static_limit () =
   (* the paper's §V-C limitation: the loop-based whitespace decoder cannot
@@ -153,14 +152,13 @@ let test_whitespace_encoding_static_limit () =
   let rng = Rng.of_int 5 in
   let ob = Obfuscator.Obfuscate.apply rng Obfuscator.Technique.Enc_whitespace "write-host hi" in
   let static_only =
-    (Deobf.Engine.run
-       ~options:
-         { Deobf.Engine.default_options with
-           recovery =
-             { Deobf.Engine.default_options.Deobf.Engine.recovery with
-               Deobf.Engine.use_dynamic = false } }
-       ob)
-      .Deobf.Engine.output
+    Pipeline.output
+      ~options:
+        { Deobf.Engine.default_options with
+          recovery =
+            { Deobf.Engine.default_options.Deobf.Engine.recovery with
+              Deobf.Engine.use_dynamic = false } }
+      ob
   in
   check_b "payload still hidden statically" true
     (not (contains "write-host hi" static_only));
@@ -203,9 +201,10 @@ let test_reformat_keeps_comments () =
 
 let test_report_analyze () =
   let r = Deobf.Report.analyze "iex ('write-host '+'hi')" in
-  check_b "changed" true r.Deobf.Report.changed;
+  check_b "changed" true r.Deobf.Report.outcome.Deobf.Batch.changed;
   check_b "score drops" true (r.Deobf.Report.score_after < r.Deobf.Report.score_before);
-  check_b "layer counted" true (r.Deobf.Report.layers_unwrapped >= 1);
+  check_b "layer counted" true
+    (r.Deobf.Report.outcome.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped >= 1);
   let json = Deobf.Report.to_json r in
   check_b "json mentions output" true (contains "\"output\"" json);
   check_b "json escapes newline" true (contains "\\n" json)
@@ -269,9 +268,9 @@ let test_score_counts_each_technique_once () =
 
 let test_engine_invalid_input_unchanged () =
   let bad = "if (1) { no closing" in
-  let result = Deobf.Engine.run bad in
-  check_s "unchanged" bad result.Deobf.Engine.output;
-  check_b "flagged" true (not result.Deobf.Engine.changed)
+  let result, output = Pipeline.run bad in
+  check_s "unchanged" bad output;
+  check_b "flagged" true (not result.Deobf.Batch.changed)
 
 let test_engine_output_always_valid () =
   let rng = Rng.of_int 77 in
@@ -313,11 +312,11 @@ let test_large_sample_performance () =
   let layered = Obfuscator.Obfuscate.multilayer rng 3 clean in
   check_b "large input" true (String.length layered > 20_000);
   let t0 = Unix.gettimeofday () in
-  let result = Deobf.Engine.run layered in
+  let result, _ = Pipeline.run layered in
   let elapsed = Unix.gettimeofday () -. t0 in
   check_b "completes quickly" true (elapsed < 20.0);
   check_b "unwrapped" true
-    (result.Deobf.Engine.stats.Deobf.Recover.layers_unwrapped >= 3)
+    (result.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped >= 3)
 
 let prop_deobf_preserves_network_behavior =
   QCheck.Test.make ~name:"engine: deobfuscation preserves network behaviour"
@@ -333,7 +332,7 @@ let prop_deobf_never_raises =
   QCheck.Test.make ~name:"engine: never raises on arbitrary input" ~count:200
     QCheck.(string_of_size Gen.(int_range 0 80))
     (fun junk ->
-      match Deobf.Engine.run junk with
+      match Pipeline.run junk with
       | _ -> true
       | exception _ -> false)
 
@@ -350,7 +349,7 @@ let prop_deobf_survives_mutations =
       let a = cut_a mod (n + 1) and b = cut_b mod (n + 1) in
       let lo = min a b and hi = max a b in
       let mutated = String.sub ob 0 lo ^ String.sub ob hi (n - hi) in
-      match Deobf.Engine.run mutated with
+      match Pipeline.run mutated with
       | _ -> true
       | exception _ -> false)
 

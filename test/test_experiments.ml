@@ -39,7 +39,7 @@ let static_tool =
               { Deobf.Engine.default_options.Deobf.Engine.recovery with
                 Deobf.Engine.use_dynamic = false } }
         in
-        Baselines.Tool.plain (Deobf.Engine.run ~options script).Deobf.Engine.output);
+        Baselines.Tool.plain (Pipeline.output ~options script));
   }
 
 let test_table2_whitespace_encoding_static_limit () =
@@ -105,6 +105,16 @@ let test_ablation_variant_list () =
   check_s "first is full" "full"
     (List.hd Experiments.Ablation.variants).Experiments.Ablation.name
 
+(* every variant runs with the verify gate, which rolls back the rewrites
+   that change a sample's network behaviour: on seed 4's first eight
+   samples, no-tracing and no-multilayer lost it when run ungated *)
+let test_ablation_keeps_behaviour () =
+  List.iter
+    (fun (r : Experiments.Ablation.row) ->
+      check_i (r.variant ^ " behaviour consistent")
+        r.samples_with_network r.behavior_consistent)
+    (Experiments.Ablation.run ~seed:4 ~count:8 ())
+
 (* ---------- simplify ---------- *)
 
 let test_simplify_paren_literal () =
@@ -120,7 +130,7 @@ let test_simplify_keeps_needed_parens () =
     (String.trim (Deobf.Simplify.run ".('iex') 'x'"))
 
 let test_simplify_in_engine () =
-  let out = (Deobf.Engine.run "$name = (-join ('dcba'[-1..-4]))").Deobf.Engine.output in
+  let out = Pipeline.output "$name = (-join ('dcba'[-1..-4]))" in
   check_s "reverse collapses to bare literal" "$name = 'abcd'" (String.trim out)
 
 let suite =
@@ -135,6 +145,7 @@ let suite =
     ("amsi bypass demo", `Quick, test_amsi_bypass_demo);
     ("unknown techniques", `Quick, test_unknown_techniques_ours_recovers);
     ("ablation variants", `Quick, test_ablation_variant_list);
+    ("ablation keeps behaviour", `Quick, test_ablation_keeps_behaviour);
     ("simplify paren literal", `Quick, test_simplify_paren_literal);
     ("simplify keeps needed parens", `Quick, test_simplify_keeps_needed_parens);
     ("simplify in engine", `Quick, test_simplify_in_engine);

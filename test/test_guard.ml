@@ -150,12 +150,12 @@ let test_max_depth_boundary () =
     { Deobf.Engine.default_options with
       recovery = { Deobf.Recover.default_options with max_depth = 0 } }
   in
-  let r0 = Deobf.Engine.run ~options:depth0 src in
+  let r0, _ = Pipeline.run ~options:depth0 src in
   check_i "max_depth 0 unwraps nothing" 0
-    r0.Deobf.Engine.stats.Deobf.Recover.layers_unwrapped;
-  let r = Deobf.Engine.run src in
+    r0.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped;
+  let r, _ = Pipeline.run src in
   check_b "default depth unwraps layers" true
-    (r.Deobf.Engine.stats.Deobf.Recover.layers_unwrapped >= 1)
+    (r.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped >= 1)
 
 let test_budget_exhaustion_partial () =
   (* a starved step budget degrades pieces but the run still completes and
@@ -178,18 +178,18 @@ let test_budget_exhaustion_partial () =
 let test_iterations_actual_count () =
   (* a trivial script converges far below the fixpoint bound; the result
      must report the actual pass count, not max_iterations *)
-  let r = Deobf.Engine.run "Write-Host 'hello'" in
-  check_b "iterations >= 1" true (r.Deobf.Engine.iterations >= 1);
+  let r, _ = Pipeline.run "Write-Host 'hello'" in
+  check_b "iterations >= 1" true (r.Deobf.Batch.iterations >= 1);
   check_b "iterations below bound" true
-    (r.Deobf.Engine.iterations
+    (r.Deobf.Batch.iterations
     < Deobf.Engine.default_options.Deobf.Engine.max_iterations)
 
 let test_write_error_renamed () =
   (* "-e" appearing as command text (Write-Error) must not trip the
      residual-encoded check: decided on tokens, not substrings *)
-  let r = Deobf.Engine.run "$qzxwvjkp = 'v'; Write-Error $qzxwvjkp" in
+  let out = Pipeline.output "$qzxwvjkp = 'v'; Write-Error $qzxwvjkp" in
   check_b "pipeline ran to completion" true
-    (Psparse.Parser.is_valid_syntax r.Deobf.Engine.output)
+    (Psparse.Parser.is_valid_syntax out)
 
 let test_run_phases_consistent () =
   let src = "$a = ('Wr'+'ite'+'-Host'); & $a 'hi'" in
@@ -197,7 +197,7 @@ let test_run_phases_consistent () =
   check_i "four phases" 4 (List.length phases);
   let final = List.nth phases 3 in
   check_b "final phase equals run output" true
-    (String.equal final.Deobf.Engine.text (Deobf.Engine.run src).Deobf.Engine.output)
+    (String.equal final.Deobf.Engine.text (Pipeline.output src))
 
 (* ---------- sandbox containment ---------- *)
 

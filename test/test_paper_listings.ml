@@ -43,10 +43,7 @@ let listing4 =
     codes
 
 let deobf src =
-  (Deobf.Engine.run
-     ~options:{ Deobf.Engine.default_options with rename = false }
-     src)
-    .Deobf.Engine.output
+  Pipeline.output ~options:{ Deobf.Engine.default_options with rename = false } src
 
 let normalized s =
   (* compare on canonical casing *)

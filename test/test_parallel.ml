@@ -108,22 +108,20 @@ let test_parallel_guarded_runs_mixed_deadlines () =
 
 let test_cache_hit_matches_miss () =
   let src = "Write-Host ('f'+'oo') ('f'+'oo')" in
-  let with_cache = Deobf.Engine.run src in
-  check_s "recovered with cache" "Write-Host ('foo') ('foo')\n"
-    with_cache.Deobf.Engine.output;
+  let with_cache, out_with = Pipeline.run src in
+  check_s "recovered with cache" "Write-Host ('foo') ('foo')\n" out_with;
   check_b "repeated piece hit the cache" true
-    (with_cache.Deobf.Engine.stats.Deobf.Recover.cache_hits >= 1);
+    (with_cache.Deobf.Batch.stats.Deobf.Recover.cache_hits >= 1);
   let options =
     { Deobf.Engine.default_options with
       recovery =
         { Deobf.Engine.default_options.Deobf.Engine.recovery with
           use_piece_cache = false } }
   in
-  let without = Deobf.Engine.run ~options src in
+  let without, out_without = Pipeline.run ~options src in
   check_i "ablation disables the cache" 0
-    without.Deobf.Engine.stats.Deobf.Recover.cache_hits;
-  check_s "cache does not change the output" with_cache.Deobf.Engine.output
-    without.Deobf.Engine.output
+    without.Deobf.Batch.stats.Deobf.Recover.cache_hits;
+  check_s "cache does not change the output" out_with out_without
 
 (* ---------- batch determinism and output directories ---------- *)
 

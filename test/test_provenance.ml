@@ -181,8 +181,8 @@ let test_no_dynamic_ablation_equals_static_only () =
     { E.default_options with
       E.recovery = { E.default_options.E.recovery with E.use_dynamic = false } }
   in
-  let ablated = (E.run ~options:static_opts src).E.output in
-  let full = (E.run src).E.output in
+  let ablated = Pipeline.output ~options:static_opts src in
+  let full = Pipeline.output src in
   (* ablation keeps the loop (static tracing must not touch loop-carried
      bindings any more); the dynamic stage folds it *)
   check_b "ablated output keeps the loop" true
@@ -191,8 +191,8 @@ let test_no_dynamic_ablation_equals_static_only () =
     (Strcase.contains ~needle:"'abbb'" full);
   (* determinism of both paths *)
   check_s "ablated path deterministic" ablated
-    (E.run ~options:static_opts src).E.output;
-  check_s "dynamic path deterministic" full (E.run src).E.output
+    (Pipeline.output ~options:static_opts src);
+  check_s "dynamic path deterministic" full (Pipeline.output src)
 
 (* every edit the dynamic stage applies is individually journaled: the
    journal gains exactly one recover/dynamic.* entry per recovered region,
@@ -421,7 +421,7 @@ let prop_mutated_dynamic_input_total =
           let a = cut_a mod (n + 1) and b = cut_b mod (n + 1) in
           let lo = min a b and hi = max a b in
           let mutated = String.sub ob 0 lo ^ String.sub ob hi (n - hi) in
-          match E.run mutated with _ -> true | exception _ -> false)
+          match Pipeline.run mutated with _ -> true | exception _ -> false)
       | _ -> false)
 
 let suite =

@@ -51,7 +51,7 @@ let test_member_spacing () =
 let test_enc_param_separate_argument () =
   let b64 = Encoding.Base64.encode (Encoding.Utf16.encode "write-host e2e") in
   let out =
-    (Deobf.Engine.run (Printf.sprintf "powershell -eNc %s" b64)).Deobf.Engine.output
+    Pipeline.output (Printf.sprintf "powershell -eNc %s" b64)
   in
   check_b "unwrapped" true
     (Pscommon.Strcase.contains ~needle:"write-host e2e" out)
@@ -67,7 +67,7 @@ let test_rename_skipped_with_residual_payload () =
      Invoke-Expression ((($k + $p) -split '-' | ForEach-Object { [char]($_ -bxor '0x67') }) -join '')\n\
      }"
   in
-  let out = (Deobf.Engine.run script).Deobf.Engine.output in
+  let out = Pipeline.output script in
   check_b "original variable names kept" true
     (Pscommon.Strcase.contains ~needle:"$c2" out)
 
@@ -79,7 +79,7 @@ let test_recovery_never_grows_pieces () =
     Obfuscator.Obfuscate.apply rng Obfuscator.Technique.Enc_ascii
       "write-host growth-check"
   in
-  let out = (Deobf.Engine.run ob).Deobf.Engine.output in
+  let out = Pipeline.output ob in
   check_b "output smaller than input" true (String.length out <= String.length ob)
 
 (* ticking inside command ARGUMENTS (listing 2's nET.wE`bcLiEnT) survived
@@ -211,7 +211,34 @@ let test_gate_catches_stale_binding () =
        (second_download g.Deobf.Engine.result.Deobf.Engine.output));
   check_b "unverified output passes the stale URL" true
     (Pscommon.Strcase.contains ~needle:stale
-       (second_download (Deobf.Engine.run stale_binding_sample).Deobf.Engine.output))
+       (second_download (Pipeline.output stale_binding_sample)))
+
+(* The tool row of the paper tables, the report and the request path are
+   one path: on the stale-binding sample they emit the verified output,
+   which does not pass the stale URL. *)
+let test_one_path_on_stale_binding () =
+  let stale = "http://109.179.111.85/fasthexhex.exe" in
+  let _, served =
+    Deobf.Batch.run_source ~verify:true ~name:"stale" stale_binding_sample
+  in
+  let tool =
+    (Baselines.All_tools.invoke_deobfuscation.Baselines.Tool.deobfuscate
+       stale_binding_sample)
+      .Baselines.Tool.result
+  in
+  let report = Deobf.Report.analyze ~verify:true stale_binding_sample in
+  check_s "tool row" served tool;
+  check_s "report" served report.Deobf.Report.output;
+  (* the report's gate figures come from the request's trace *)
+  (match report.Deobf.Report.verify with
+  | Some g ->
+      check_s "report verdict" "rolled_back"
+        (Deobf.Verify.verdict_name g.Deobf.Report.verdict);
+      check_i "report rolled back" 1 g.Deobf.Report.rolled_back;
+      check_b "report sandbox runs" true (g.Deobf.Report.sandbox_runs >= 2)
+  | None -> Alcotest.fail "report has no verify block");
+  check_b "no stale URL" false
+    (Pscommon.Strcase.contains ~needle:stale (second_download served))
 
 (* Byte-identity guard for evaluator changes: 400 seeded samples from the
    four generators through [Batch.run_source ~verify:true] with one shared
@@ -275,5 +302,6 @@ let suite =
     ("step budget is containment", `Quick, test_step_budget_is_containment);
     ("alias expansion not divergent", `Quick, test_alias_expansion_not_divergent);
     ("gate catches stale binding", `Quick, test_gate_catches_stale_binding);
+    ("one path on stale binding", `Quick, test_one_path_on_stale_binding);
     ("golden output snapshot", `Quick, test_golden_snapshot);
   ]

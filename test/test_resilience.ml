@@ -566,7 +566,7 @@ let test_dynamic_stage_bounded () =
   check_b "renamed and reformatted" true
     (List.mem_assoc "rename" o.Deobf.Batch.phase_ms
     && List.mem_assoc "reformat" o.Deobf.Batch.phase_ms);
-  check_s "output of an unhurried run" (Deobf.Engine.run string_bomb).Deobf.Engine.output out;
+  check_s "output of an unhurried run" (Pipeline.output string_bomb) out;
   check_s "verdict"
     "unverifiable: original: interpreter limit: step budget exhausted"
     (match o.Deobf.Batch.verdict with
