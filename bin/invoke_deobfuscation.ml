@@ -399,9 +399,9 @@ let deobfuscate_cmd =
           & opt int 2048
           & info [ "cache-cap" ] ~docv:"N"
               ~doc:
-                "Serve mode: capacity of the process-shared warm piece \
-                 cache (entries; shared by all workers, persists across \
-                 requests).")
+                "Serve mode: capacity of each tier of the process-shared \
+                 warm cache (entries, at most 512 verify reference logs; \
+                 shared by all workers, persists across requests).")
       $ Arg.(
           value
           & opt (some int) None

@@ -42,58 +42,77 @@ type result = {
 
 module Parser = Psparse.Parser
 
-(* an IEX invocation whose payload is not a plain literal: the code it will
-   run at run time is invisible to renaming *)
+(* an IEX invocation whose payload can name the script's variables or
+   functions at run time, invisibly to renaming: a payload built at run time
+   from local variables, or a literal one whose text spells a variable or a
+   function that the script also names or that renaming could write *)
 let residual_dynamic_iex ast =
   let module A = Psast.Ast in
+  let module T = Pslex.Token in
   let is_iex_name s =
     Pscommon.Strcase.equal s "iex"
     || Pscommon.Strcase.equal s "invoke-expression"
   in
-  let found = ref false in
+  (* a string literal, bare or in parentheses *)
+  let literal (n : A.t) =
+    match n.A.node with
+    | A.String_const (s, _)
+    | A.Paren_expr
+        { A.node =
+            A.Pipeline
+              [ { A.node =
+                    A.Command_expression { A.node = A.String_const (s, _); _ };
+                  _ } ];
+          _ } ->
+        Some s
+    | _ -> None
+  in
+  let args = ref [] and functions = ref [] in
   A.iter_post_order
     (fun n ->
       match n.A.node with
-      | A.Command cmd -> (
-          let name_is_iex =
-            match cmd.A.cmd_elements with
-            | A.Elem_name { A.node = A.String_const (s, _); _ } :: _ ->
-                is_iex_name s
-            | A.Elem_name
-                { A.node =
-                    A.Paren_expr
-                      { A.node =
-                          A.Pipeline
-                            [ { A.node =
-                                  A.Command_expression
-                                    { A.node = A.String_const (s, _); _ };
-                                _ } ];
-                        _ };
-                  _ }
-              :: _ ->
-                is_iex_name s
-            | _ -> false
-          in
-          if name_is_iex then
-            let risky_arg =
-              List.exists
-                (function
-                  | A.Elem_argument { A.node = A.String_const _; _ } ->
-                      false
-                  | A.Elem_argument a ->
-                      (* dynamic payloads built from local variables can
-                         name variables at run time; payloads with no
-                         local reads (e.g. downloads) cannot *)
-                      List.exists
-                        (fun v -> not (Tracer.is_automatic v))
-                        (Tracer.variables_read a)
-                  | _ -> false)
-                cmd.A.cmd_elements
-            in
-            if risky_arg then found := true)
+      | A.Command { A.cmd_elements = A.Elem_name name :: elements; _ }
+        when Option.fold ~none:false ~some:is_iex_name (literal name) ->
+          List.iter
+            (function A.Elem_argument a -> args := a :: !args | _ -> ())
+            elements
+      | A.Function_def (name, _, _) -> functions := name.A.written :: !functions
       | _ -> ())
     ast;
-  !found
+  let local v = not (Tracer.is_automatic v) in
+  let variables =
+    List.filter local (Tracer.variables_read ast @ Tracer.assigned_names ast)
+  in
+  let clash visible name =
+    Rename.is_fresh_name name
+    || List.exists (Pscommon.Strcase.equal name) visible
+  in
+  (* whether a text spells such a variable, or such a function as a
+     bareword, in its code or, lexed as code in turn, inside its strings:
+     a payload that builds code at run time builds it from there *)
+  let rec spells text =
+    match Pslex.Lexer.tokenize text with
+    | Error _ -> false
+    | Ok toks ->
+        List.exists
+          (fun (t : T.t) ->
+            match t.T.kind with
+            | T.Variable | T.Splat_variable -> clash variables t.T.content
+            | T.Command | T.Command_argument -> clash !functions t.T.content
+            | T.String_single | T.String_double | T.String_single_here
+            | T.String_double_here ->
+                spells t.T.content
+            | _ -> false)
+          toks
+  in
+  List.exists
+    (fun a ->
+      match literal a with
+      | Some payload -> spells payload
+      (* payloads with no local reads (e.g. downloads) cannot name
+         variables *)
+      | None -> List.exists local (Tracer.variables_read a))
+    !args
 
 (* unparseable payloads (recursive entry) make one vacuous pass, as the
    stage-by-stage loop always did *)

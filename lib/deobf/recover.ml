@@ -87,66 +87,50 @@ let new_stats () =
    unfingerprintable value yields no key and bypasses the cache entirely.
 
    Results are content-addressed and mutex-guarded, so one cache is
-   shared by every pool domain of a batch or daemon process; bounding is
-   two-generation segmented eviction (hot fills up → hot becomes cold, old
-   cold is dropped, recently-touched entries are promoted back to hot), so
-   overflow sheds the stale half instead of cold-starting the whole
-   working set.  Alongside the result tier, the piece tier memoizes on
-   text alone what recovery asks of a piece before it runs it — its
-   parse, whether it is already a literal, whether it names a blocked
-   command — from one lexer run and one parse: none of the three has
-   environment inputs, so an entry is shared even when the binding digest
-   differs or result caching is ablated away. *)
+   shared by every pool domain of a batch or daemon process.  Alongside
+   the result tier, the piece tier memoizes on text alone what recovery
+   asks of a piece before it runs it — its parse, whether it is already a
+   literal, whether it names a blocked command — from one lexer run and
+   one parse: none of the three has environment inputs, so an entry is
+   shared even when the binding digest differs or result caching is
+   ablated away.  The reference tier holds the verify gate's sandbox logs
+   of original scripts.  Every tier is bounded alike: a tier holding its
+   bound ([cap] entries, at most 512 for reference logs) is emptied when
+   a new key arrives. *)
 module Cache = struct
-  (* Two generations of one table, bounded at [cap] entries each: adding a
-     new key to a full hot generation flips it (hot becomes cold, the
-     previous cold generation is dropped, [on_flip] is told), and a cold
-     hit is promoted back to hot, so recently used keys survive the next
-     flip.  [dropped] counts the entries flips discarded.
-     Callers hold the cache mutex. *)
-  module Gens = struct
-    type ('k, 'v) t = {
+  (* One tier: a table of at most [cap] entries, emptied whole when a new
+     key arrives at a full table; [dropped] counts the entries the clears
+     discarded.  Callers hold the cache mutex. *)
+  module Tier = struct
+    type 'v t = {
       cap : int;
-      on_flip : unit -> unit;
-      mutable hot : ('k, 'v) Hashtbl.t;
-      mutable cold : ('k, 'v) Hashtbl.t;
+      table : (string, 'v) Hashtbl.t;
       mutable dropped : int;
     }
 
-    type 'v hit = Hot of 'v | Cold of 'v
+    let create cap = { cap; table = Hashtbl.create 64; dropped = 0 }
 
-    let create ?(on_flip = ignore) cap =
-      { cap; on_flip; hot = Hashtbl.create 64; cold = Hashtbl.create 64;
-        dropped = 0 }
-
-    let add g key v =
-      if Hashtbl.length g.hot >= g.cap && not (Hashtbl.mem g.hot key) then begin
-        g.dropped <- g.dropped + Hashtbl.length g.cold;
-        g.cold <- g.hot;
-        g.hot <- Hashtbl.create 64;
-        g.on_flip ()
+    (* [true] when the table was full and cleared to make room *)
+    let add tier key v =
+      let full =
+        Hashtbl.length tier.table >= tier.cap
+        && not (Hashtbl.mem tier.table key)
+      in
+      if full then begin
+        tier.dropped <- tier.dropped + Hashtbl.length tier.table;
+        Hashtbl.reset tier.table
       end;
-      Hashtbl.replace g.hot key v;
-      Hashtbl.remove g.cold key
+      Hashtbl.replace tier.table key v;
+      full
 
-    let find g key =
-      match Hashtbl.find_opt g.hot key with
-      | Some v -> Some (Hot v)
-      | None -> (
-          match Hashtbl.find_opt g.cold key with
-          | Some v ->
-              add g key v;
-              Some (Cold v)
-          | None -> None)
-
-    let length g = Hashtbl.length g.hot + Hashtbl.length g.cold
+    let find tier key = Hashtbl.find_opt tier.table key
+    let length tier = Hashtbl.length tier.table
   end
 
-  (* tier attribution: which tier answered a hit — the scrape endpoint's
-     view of where the working set actually lives *)
-  let m_tier_hot = T.Metrics.counter "recover.cache.tier.hot"
-  let m_tier_cold = T.Metrics.counter "recover.cache.tier.cold"
+  (* hits per tier: the scrape endpoint's view of which tier answers *)
+  let m_tier_result = T.Metrics.counter "recover.cache.tier.result"
   let m_tier_piece = T.Metrics.counter "recover.cache.tier.piece"
+  let m_tier_reference = T.Metrics.counter "recover.cache.tier.reference"
 
   type entry = (Value.t, string) result
 
@@ -165,62 +149,55 @@ module Cache = struct
 
   type t = {
     mu : Mutex.t;
-    results : (string, entry) Gens.t;
-        (** [gen_cap] per generation; total residency stays under [cap] *)
+    results : entry Tier.t;
     mutable hits : int;
     mutable lookups : int;
-    pieces : (string, piece) Gens.t;
+    pieces : piece Tier.t;
+    references : (string list, string) result Tier.t;
   }
 
   let m_resets = T.Metrics.counter "recover.cache.resets"
   let m_entries = T.Metrics.gauge "recover.cache.entries"
 
-  (* result-tier flips are counted in [recover.cache.resets], as the
-     whole-table reset they replace was; the piece tier flips uncounted *)
+  (* A reference log is a whole effect list, so its tier holds at most
+     512: bounded at the daemon's [--cache-cap 16384] instead, it kept the
+     logs of all 1 000 scripts of bench/perf's serve pool and raised the
+     daemon's peak RSS by 0.5-4.3 MB over three runs. *)
   let create ?(cap = 2048) () =
-    let gen_cap = max 1 (cap / 2) in
+    let cap = max 1 cap in
     { mu = Mutex.create ();
-      results = Gens.create ~on_flip:(fun () -> T.Metrics.incr m_resets) gen_cap;
+      results = Tier.create cap;
       hits = 0;
       lookups = 0;
-      pieces = Gens.create gen_cap }
+      pieces = Tier.create cap;
+      references = Tier.create (min cap 512) }
 
   let locked t f =
     Mutex.lock t.mu;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-  (* last writer wins across domains — a gauge, not an exact census *)
-  let gauge_entries t = T.Metrics.set m_entries (Gens.length t.results)
-
   let find t key =
     locked t (fun () ->
         t.lookups <- t.lookups + 1;
-        match Gens.find t.results key with
-        | Some (Gens.Hot e) ->
-            t.hits <- t.hits + 1;
-            T.Metrics.incr m_tier_hot;
-            Some e
-        | Some (Gens.Cold e) ->
-            (* promoted: recently-used entries survive the next flip *)
-            t.hits <- t.hits + 1;
-            T.Metrics.incr m_tier_cold;
-            gauge_entries t;
-            Some e
-        | None -> None)
+        let e = Tier.find t.results key in
+        if Option.is_some e then begin
+          t.hits <- t.hits + 1;
+          T.Metrics.incr m_tier_result
+        end;
+        e)
 
   let add t key entry =
     locked t (fun () ->
-        Gens.add t.results key entry;
-        gauge_entries t)
-
-  let length t = locked t (fun () -> Gens.length t.results)
+        if Tier.add t.results key entry then T.Metrics.incr m_resets;
+        (* last writer wins across domains — a gauge, not an exact census *)
+        T.Metrics.set m_entries (Tier.length t.results))
 
   let stats t =
     locked t (fun () ->
-        { entries = Gens.length t.results;
+        { entries = Tier.length t.results;
           hits = t.hits;
           lookups = t.lookups;
-          evictions = t.results.Gens.dropped })
+          evictions = t.results.Tier.dropped })
 
   (* ----- piece tier ----- *)
 
@@ -248,22 +225,36 @@ module Cache = struct
         { parsed; trivial = is_literal parsed;
           blocked = Blocklist.names_blocked_command toks }
 
+  (* A tier answers from its table or computes outside the lock and
+     stores what [keep] admits; concurrent misses on one key compute
+     twice, and the later store wins with an equal value. *)
+  let memo t tier metric ~keep key compute =
+    match locked t (fun () -> Tier.find tier key) with
+    | Some v ->
+        T.Metrics.incr metric;
+        v
+    | None ->
+        let v = compute () in
+        if keep v then locked t (fun () -> ignore (Tier.add tier key v));
+        v
+
   (* What recovery asks of a piece text before it runs it depends on the
      text alone, so an entry is shared across binding digests, passes,
      files and domains, and kept even when result caching is ablated off.
      ASTs are immutable, so one parse serves any number of concurrent
      evaluations. *)
   let piece t text =
-    match locked t (fun () -> Gens.find t.pieces text) with
-    | Some (Gens.Hot p | Gens.Cold p) ->
-        T.Metrics.incr m_tier_piece;
-        p
-    | None ->
-        let p = make_piece text in
-        locked t (fun () -> Gens.add t.pieces text p);
-        p
+    memo t t.pieces m_tier_piece ~keep:(fun _ -> true) text (fun () ->
+        make_piece text)
 
-  let piece_count t = locked t (fun () -> Gens.length t.pieces)
+  let piece_count t = locked t (fun () -> Tier.length t.pieces)
+
+  (* ----- reference tier ----- *)
+
+  (* a containment error depends on the moment of execution, so only
+     [Ok] logs are kept *)
+  let reference t key run =
+    memo t t.references m_tier_reference ~keep:Result.is_ok key run
 end
 
 type pass_state = {

@@ -60,43 +60,42 @@ val new_stats : unit -> stats
 
     Keys join the traced-binding digest with the piece text, so
     cross-script sharing is sound; replayed results are deterministic
-    (wall-clock-dependent failures are never cached).  Bounding is
-    two-generation segmented eviction: when the hot generation fills, it
-    becomes the cold one and the previous cold generation is dropped, so
-    recently-used entries survive overflow instead of the whole table
-    cold-starting.  Generation flips are counted in
-    [recover.cache.resets]; occupancy is gauged by
-    [recover.cache.entries].
+    (wall-clock-dependent failures are never cached).
 
     The cache also holds the piece tier ({!Cache.piece}): keyed on a piece's
     text alone, it answers the three questions recovery asks before it
     runs the piece — its parse, whether it is already a literal, whether
     it names a blocked command — from one lexer run and one parse, so a
     piece is lexed and parsed once however many passes, files and domains
-    ask.  Entries are environment-independent, kept even when result
-    caching is ablated off, and a hit for any of the three answers is
-    counted in [recover.cache.tier.piece].  Both tiers share the
-    two-generation bounding above. *)
+    ask.  Entries are environment-independent and kept even when result
+    caching is ablated off.  The reference tier ({!Cache.reference}) holds
+    the verify gate's effect logs of original scripts.
+
+    The three tiers are bounded alike: a tier that holds its bound is
+    emptied when a new key arrives.  The bound is [cap] entries, or 512
+    for the reference tier when [cap] is larger.  A hit returns exactly
+    what a miss would compute, so the bound moves only hit counts.  Hits
+    are counted per tier in [recover.cache.tier.result], [.piece] and
+    [.reference]; clears of the result tier in [recover.cache.resets];
+    its occupancy is gauged by [recover.cache.entries]. *)
 module Cache : sig
   type t
 
   type entry = (Psvalue.Value.t, string) result
 
   type stats = {
-    entries : int;  (** result entries, both generations *)
-    hits : int;  (** lookups answered, either generation *)
+    entries : int;  (** result entries *)
+    hits : int;  (** result lookups answered *)
     lookups : int;
-    evictions : int;  (** entries dropped by generation flips *)
+    evictions : int;  (** result entries dropped by clears *)
   }
 
   val create : ?cap:int -> unit -> t
-  (** Default capacity 2048 entries (floor 1) split over two generations. *)
+  (** Default capacity 2048 entries per tier (floor 1); the reference
+      tier holds at most 512. *)
 
   val find : t -> string -> entry option
   val add : t -> string -> entry -> unit
-
-  val length : t -> int
-  (** Current result entry count. *)
 
   val stats : t -> stats
 
@@ -114,11 +113,21 @@ module Cache : sig
   val piece : t -> string -> piece
   (** The piece tier's entry for a text, built from one
       {!Pseval.Interp.lex_piece} and one {!Pseval.Interp.parse_lexed_piece}
-      on a miss.  Bounded like the result tier (two generations flipping
-      at half the capacity). *)
+      on a miss. *)
 
   val piece_count : t -> int
-  (** Piece texts currently held, both generations. *)
+  (** Piece texts currently held. *)
+
+  val reference :
+    t ->
+    string ->
+    (unit -> (string list, string) result) ->
+    (string list, string) result
+  (** [reference t key run] is the reference tier's log for [key], or
+      [run ()] on a miss, kept only when it is [Ok]: a containment error
+      depends on the moment of execution and is never replayed.  The
+      verify gate keys it on the script's content digest plus its step
+      budget. *)
 end
 
 val is_recoverable : Psast.Ast.t -> bool

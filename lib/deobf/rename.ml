@@ -93,6 +93,18 @@ let on_text f src =
 let on_parsed f (p : Psparse.Parser.parsed) =
   Option.value ~default:p (f ~src:p.Psparse.Parser.text p.Psparse.Parser.tokens)
 
+(* the names renaming writes: var<n> for variables, func<n> for functions *)
+let is_fresh_name s =
+  let numbered prefix =
+    let n = String.length prefix in
+    String.length s > n
+    && Strcase.equal (String.sub s 0 n) prefix
+    && String.for_all
+         (function '0' .. '9' -> true | _ -> false)
+         (String.sub s n (String.length s - n))
+  in
+  numbered "var" || numbered "func"
+
 let rename_tokens ~src toks =
   let vars, funcs = collect_names toks in
   if not (names_look_random (vars @ funcs)) then None

@@ -18,6 +18,9 @@ val rename : string -> string
     Returns the input unchanged when names do not look random or the result
     would not parse. *)
 
+val is_fresh_name : string -> bool
+(** A name {!rename} can write ([var{n}] or [func{n}], any case). *)
+
 val reformat : string -> string
 (** Collapse horizontal whitespace, drop line continuations and comments,
     indent by brace depth.  Only existing gaps are rewritten, so member

@@ -65,7 +65,6 @@ type config = {
   max_output_bytes : int;
   options : Engine.options;
   verify : bool;
-  verify_opts : Verify.opts option;
   cache_cap : int;
   trace_dir : string option;
   trace_sample : int option;
@@ -81,7 +80,7 @@ let default_config bind =
     max_timeout_s = 300.0; max_request_bytes = 8 * 1024 * 1024;
     max_output_bytes = Engine.default_max_output_bytes;
     options = Engine.default_options;
-    verify = false; verify_opts = None; cache_cap = 2048;
+    verify = false; cache_cap = 2048;
     trace_dir = None; trace_sample = None;
     metrics_out = None; metrics_addr = None; flight_dir = None;
     grace_s = 2.0; quarantine = true }
@@ -205,12 +204,6 @@ let id_of_line ~seq line =
       | Some n -> string_of_int n
       | None -> string_of_int seq)
 
-(* One warm piece cache for the whole process, shared by every worker
-   domain ({!Recover.Cache} is mutex-guarded): a decode piece recovered
-   for one request is a hit for every later request, whichever worker
-   runs it. *)
-let make_cache cfg = Recover.Cache.create ~cap:cfg.cache_cap ()
-
 (* The worker-side request handler.  Totalised twice over: the pipeline
    inside is {!Batch.run_source} (already total), the outer
    {!Guard.protect} installs the request's admission-time deadline as the
@@ -287,7 +280,6 @@ let handle cfg cache req =
                 (* the admission deadline is the request's one clock *)
                 Batch.run_source ~options:cfg.options ~timeout_s:infinity
                   ~max_output_bytes:cfg.max_output_bytes ~cache ~verify
-                  ?verify_opts:cfg.verify_opts
                   ~name:(Printf.sprintf "req-%d" req.rq_seq)
                   src)
           with
@@ -490,7 +482,11 @@ let serve_loop cfg stop listen_fd =
   (* the rule quarantine is daemon-scoped policy: configure it before any
      worker spawns *)
   Quarantine.set_enabled cfg.quarantine;
-  let cache = make_cache cfg in
+  (* one warm cache for the whole process, shared by every worker domain
+     ({!Recover.Cache} is mutex-guarded): a decode piece recovered, or a
+     reference log verified, for one request is a hit for every later
+     request, whichever worker runs it *)
+  let cache = Recover.Cache.create ~cap:cfg.cache_cap () in
   (* the watchdog: answer a wedged request from the supervisor domain (the
      CAS in [respond] keeps the one-line-per-request contract if the worker
      somehow finishes late) *)

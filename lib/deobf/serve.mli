@@ -83,8 +83,7 @@ type config = {
   max_output_bytes : int;
   options : Engine.options;
   verify : bool;  (** default semantic-gate setting; per-request overridable *)
-  verify_opts : Verify.opts option;
-  cache_cap : int;  (** process-shared piece-cache capacity *)
+  cache_cap : int;  (** process-shared cache capacity, per tier *)
   trace_dir : string option;
       (** write per-request traces here ([req-<seq>.trace.jsonl]) *)
   trace_sample : int option;

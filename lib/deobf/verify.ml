@@ -25,12 +25,9 @@ let verdict_detail = function
 type opts = {
   max_steps : int;
   max_rounds : int;
-  use_ref_cache : bool;
 }
 
-let default_opts =
-  { max_steps = 400_000; max_rounds = 4;
-    use_ref_cache = true }
+let default_opts = { max_steps = 400_000; max_rounds = 4 }
 
 type outcome = {
   verdict : verdict;
@@ -62,50 +59,25 @@ let run_log ~opts ~runs ?ast ?payloads text =
   | Error _ when out_of_time () -> raise Out_of_time
   | log -> log
 
-(* Reference-log memo for the {e original} script's sandbox run.  A
-   service sees the same script again and again, and a repeated batch
-   re-verifies the same inputs — but the reference log is
-   a pure function of (text, step budget), so it is cached keyed on the
-   content digest plus that budget.  Only [Ok] logs are stored: a
-   containment error (timeout, step limit hit mid-wall-clock) depends on
-   the moment of execution and must not be replayed.  Bounded with
-   whole-table reset on overflow, mutex-protected (serve workers share
-   it process-wide). *)
-let ref_cache : (string, string list) Hashtbl.t = Hashtbl.create 64
-let ref_cache_lock = Mutex.create ()
-let ref_cache_cap = 512
-let m_ref_hits = T.Metrics.counter "verify.ref_cache_hits"
-
 (* the gate's own metrics, registered by its first verdict *)
 let m_gate = T.Metrics.counter_family "verify."
 let m_gate_ms = T.Metrics.histogram_family "verify."
 
-let ref_log ~opts ~runs ~ast ?payloads src =
-  if not opts.use_ref_cache then run_log ~opts ~runs ~ast ?payloads src
-  else begin
-    let key =
-      Printf.sprintf "%s:%d" (Digest.to_hex (Digest.string src)) opts.max_steps
-    in
-    Mutex.lock ref_cache_lock;
-    let cached = Hashtbl.find_opt ref_cache key in
-    Mutex.unlock ref_cache_lock;
-    match cached with
-    | Some log ->
-        (* a hit performs no sandbox execution, so [runs] stays put —
-           sandbox_runs counts executions, not answers *)
-        T.Metrics.incr m_ref_hits;
-        Ok log
-    | None -> (
-        match run_log ~opts ~runs ~ast ?payloads src with
-        | Ok log as ok ->
-            Mutex.lock ref_cache_lock;
-            if Hashtbl.length ref_cache >= ref_cache_cap then
-              Hashtbl.reset ref_cache;
-            Hashtbl.replace ref_cache key log;
-            Mutex.unlock ref_cache_lock;
-            ok
-        | Error _ as e -> e)
-  end
+(* The {e original} script's sandbox run.  A service sees the same script
+   again and again, and a repeated batch re-verifies the same inputs, but
+   the reference log is a pure function of (text, step budget): with a
+   cache, the log comes from its reference tier, keyed on the content
+   digest plus that budget.  A hit performs no sandbox execution, so
+   [runs] stays put — sandbox_runs counts executions, not answers. *)
+let ref_log ?cache ~opts ~runs ~ast ?payloads src =
+  let run () = run_log ~opts ~runs ~ast ?payloads src in
+  match cache with
+  | None -> run ()
+  | Some cache ->
+      let key =
+        Printf.sprintf "%s:%d" (Digest.to_hex (Digest.string src)) opts.max_steps
+      in
+      Recover.Cache.reference cache key run
 
 (* The chaos probe sits inside the comparison itself, so an injected fault
    surfaces as a (spurious) divergence and drives the rollback machinery —
@@ -157,7 +129,7 @@ let culprit ~opts ~runs ~orig_log ~src (guarded : Engine.guarded) =
     (Editlog.suppress_edit e, e.Editlog.phase ^ "." ^ e.Editlog.kind)
   end
 
-let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
+let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
     (guarded : Engine.guarded) =
   T.span "verify.gate" @@ fun () ->
   let started = Guard.now () in
@@ -195,7 +167,7 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
            journaled and could not be bisected *)
         finish guarded (Unverifiable "original does not parse") [] []
     | Ok src_ast -> (
-        match ref_log ~opts ~runs ~ast:src_ast ?payloads src with
+        match ref_log ?cache ~opts ~runs ~ast:src_ast ?payloads src with
         | exception Out_of_time ->
             finish guarded (Unverifiable "request deadline") [] []
         | Error reason ->
@@ -259,16 +231,19 @@ let gate ?(opts = default_opts) ?src_ast ?out_ast ?payloads ~rerun ~src
 let run_guarded ?options ?cache ?(timeout_s = infinity) ?max_output_bytes ?opts
     src =
   Guard.within (Guard.deadline_after timeout_s) @@ fun () ->
+  let cache =
+    match cache with Some c -> c | None -> Recover.Cache.create ()
+  in
   let payloads = Hashtbl.create 8 in
   let guarded, parses =
-    Engine.run_guarded_parsed ?options ?cache ~timeout_s ?max_output_bytes
+    Engine.run_guarded_parsed ?options ~cache ~timeout_s ?max_output_bytes
       ~payloads src
   in
   (* the re-runs repeat the same run with the same piece cache, so
      replayed pieces stay byte-identical *)
   let rerun ~suppress =
-    Engine.run_guarded ?options ?cache ~timeout_s ?max_output_bytes ~suppress
+    Engine.run_guarded ?options ~cache ~timeout_s ?max_output_bytes ~suppress
       src
   in
-  gate ?opts ?src_ast:parses.Engine.src_ast ?out_ast:parses.Engine.out_ast
-    ~payloads ~rerun ~src guarded
+  gate ?opts ~cache ?src_ast:parses.Engine.src_ast
+    ?out_ast:parses.Engine.out_ast ~payloads ~rerun ~src guarded

@@ -8,7 +8,8 @@
     interpreter's step budget and deadline, rollback rounds are
     bounded, and a chaos fault injected at the ["verify.diff"] probe site
     degrades to a (spurious) divergence that exercises the same rollback
-    machinery. *)
+    machinery.  The gate keeps no state of its own: the reference-log memo
+    is the caller's cache's reference tier ({!Recover.Cache.reference}). *)
 
 type verdict =
   | Equivalent  (** effect logs match (or the tool changed nothing) *)
@@ -33,18 +34,10 @@ val verdict_detail : verdict -> string option
 type opts = {
   max_steps : int;  (** interpreter budget per sandbox execution *)
   max_rounds : int;  (** rollback attempts before giving up as [Diverged] *)
-  use_ref_cache : bool;
-      (** memoize the {e original} script's reference effect log, keyed on
-          content digest plus [max_steps].  Only successful logs are
-          cached (containment errors are wall-clock-dependent), so a memo
-          hit returns exactly what a fresh run would — verdicts are
-          identical with the cache on or off; a hit just skips one sandbox
-          execution (counted in [verify.ref_cache_hits], not in
-          [sandbox_runs]).  The memo is process-wide and bounded. *)
 }
 
 val default_opts : opts
-(** 400k steps, 4 rounds, reference cache on. *)
+(** 400k steps, 4 rounds. *)
 
 type outcome = {
   verdict : verdict;
@@ -68,6 +61,7 @@ type outcome = {
 
 val gate :
   ?opts:opts ->
+  ?cache:Recover.Cache.t ->
   ?src_ast:Psast.Ast.t ->
   ?out_ast:Psast.Ast.t ->
   ?payloads:Pseval.Env.payloads ->
@@ -88,6 +82,16 @@ val gate :
     contained counts as divergent, and when every journaled edit checks
     out the culprit is the finalization phase (rename + reformat), rolled
     back with {!Editlog.suppress_finalize}.
+
+    With [cache], the {e original} script's effect log comes from its
+    reference tier ({!Recover.Cache.reference}), keyed on the content
+    digest plus [opts.max_steps]: only successful logs are kept
+    (containment errors depend on the moment of execution), so a hit
+    returns exactly what a fresh run would and verdicts are the same with
+    or without it; a hit just skips one sandbox execution (counted in
+    [recover.cache.tier.reference], not in [sandbox_runs]).  Without
+    [cache] the gate keeps no memo, and nothing it reports depends on
+    what ran before it.
 
     [src_ast] and [out_ast] are the parses of [src] and of [guarded]'s
     output when the caller holds them ({!Engine.run_guarded_parsed}): the
@@ -121,6 +125,8 @@ val run_guarded :
   Engine.guarded * outcome
 (** One verified request: {!Engine.run_guarded_parsed} followed by {!gate},
     handing the gate the run's parses and decoded payloads, with rollback
-    re-runs wired to the same engine configuration and piece cache.  With
+    re-runs wired to the same engine configuration.  One cache serves the
+    first engine run, the re-runs and the gate's reference memo: [cache],
+    or a fresh one for this request when none is passed.  With
     [timeout_s], the engine run and the whole gate share one deadline
     ({!Pscommon.Guard.within}), never later than an enclosing one. *)

@@ -18,23 +18,20 @@ let check_s = Alcotest.(check string)
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
 
-(* the reference memo would let the second path skip reference runs the
-   first one made; off on both sides, sandbox_runs compare run for run *)
-let verify_opts = { V.default_opts with V.use_ref_cache = false }
-
 (* the gate with no pre-parsed ASTs: it parses the input and runs both
-   texts in the sandbox from source *)
+   texts in the sandbox from source.  Neither path hands the gate a cache,
+   so it keeps no reference memo and sandbox_runs compare run for run. *)
 let reference cache src =
   let rerun ~suppress = E.run_guarded ~cache ~suppress src in
-  V.gate ~opts:verify_opts ~rerun ~src (rerun ~suppress:[])
+  V.gate ~rerun ~src (rerun ~suppress:[])
 
 (* what the batch core does: the engine's parses of the input and the
    output go to the gate and on to the sandbox *)
 let threaded cache src =
   let rerun ~suppress = E.run_guarded ~cache ~suppress src in
   let guarded, parses = E.run_guarded_parsed ~cache src in
-  V.gate ~opts:verify_opts ?src_ast:parses.E.src_ast
-    ?out_ast:parses.E.out_ast ~rerun ~src guarded
+  V.gate ?src_ast:parses.E.src_ast ?out_ast:parses.E.out_ast ~rerun ~src
+    guarded
 
 let same_run name i ((g1 : E.guarded), (o1 : V.outcome))
     ((g2 : E.guarded), (o2 : V.outcome)) =
@@ -50,12 +47,12 @@ let same_run name i ((g1 : E.guarded), (o1 : V.outcome))
 let equivalence name samples () =
   (* one cache per path, shared across its samples as a batch shares it,
      so cache-hit stats line up sample for sample *)
-  let ref_cache = Deobf.Recover.Cache.create () in
+  let reference_cache = Deobf.Recover.Cache.create () in
   let new_cache = Deobf.Recover.Cache.create () in
   List.iteri
     (fun i (s : G.sample) ->
       let src = s.G.obfuscated in
-      same_run name i (reference ref_cache src) (threaded new_cache src))
+      same_run name i (reference reference_cache src) (threaded new_cache src))
     samples
 
 (* ---------- Interp.run_parsed against Interp.run_script ---------- *)

@@ -1,5 +1,5 @@
 (* The content-addressed piece cache: binding-digest keying (no aliasing
-   across different traced contexts), two-generation eviction, the piece
+   across different traced contexts), the clear-when-full bound, the piece
    tier's answers, batch byte-identity with the cache on and off, the
    batch-scale hit rate, and the --jobs clamp. *)
 
@@ -57,37 +57,51 @@ let test_bindings_do_not_alias () =
     (contains out2 "bazbar");
   check_b "no cross-contamination" false (contains out2 "foobar")
 
-(* ---------- two-generation eviction ---------- *)
+(* ---------- the bound: a full tier is cleared ---------- *)
 
-let test_two_generation_eviction () =
+let test_clear_when_full () =
   let c = Cache.create ~cap:8 () in
   for i = 1 to 100 do
-    Cache.add c (Printf.sprintf "key-%d" i) (Ok (Value.Int i))
+    Cache.add c (Printf.sprintf "key-%d" i) (Ok (Value.Int i));
+    check_b "occupancy within cap" true ((Cache.stats c).Cache.entries <= 8)
   done;
+  (* 12 clears of 8 entries each; keys 97..100 are held *)
   let s = Cache.stats c in
-  check_b "occupancy stays bounded" true (Cache.length c <= 8 + 4);
-  check_b "flips evicted old generations" true (s.Cache.evictions > 0);
-  (* the most recent insert survives in the hot generation *)
-  check_b "most recent entry survives" true
-    (Cache.find c "key-100" = Some (Ok (Value.Int 100)))
+  check_i "evictions counted" 96 s.Cache.evictions;
+  check_i "entries held" 4 s.Cache.entries;
+  check_b "newest entry readable" true
+    (Cache.find c "key-100" = Some (Ok (Value.Int 100)));
+  check_b "a cleared entry is gone" true (Cache.find c "key-96" = None);
+  (* a key already held replaces its entry without a clear *)
+  Cache.add c "key-100" (Ok (Value.Int 0));
+  check_i "re-adding a held key clears nothing" 96
+    (Cache.stats c).Cache.evictions
 
-let test_cold_hit_promotes () =
-  let c = Cache.create ~cap:4 () in
-  (* gen_cap = 2: fill hot, flip it cold, then hit the cold entry — it must
-     be promoted back into the hot generation and survive the next flip *)
-  Cache.add c "a" (Ok (Value.Int 1));
-  Cache.add c "b" (Ok (Value.Int 2));
-  Cache.add c "c" (Ok (Value.Int 3));  (* flip: a,b cold *)
-  check_b "cold entry still readable" true
-    (Cache.find c "a" = Some (Ok (Value.Int 1)));
-  Cache.add c "d" (Ok (Value.Int 4));  (* flip: c,(a) … a was promoted *)
-  Cache.add c "e" (Ok (Value.Int 5));
-  check_b "promoted entry survives the next flip" true
-    (Cache.find c "a" = Some (Ok (Value.Int 1)))
+(* the reference tier holds at most 512 logs, whatever [cap] allows *)
+let test_reference_tier_bound () =
+  let c = Cache.create ~cap:4096 () in
+  let runs = ref 0 in
+  let ask i =
+    Cache.reference c (Printf.sprintf "ref-%d" i) (fun () ->
+        incr runs;
+        Ok [ string_of_int i ])
+  in
+  for i = 1 to 512 do ignore (ask i) done;
+  check_b "a held log is answered" true (ask 1 = Ok [ "1" ]);
+  check_i "one run per log" 512 !runs;
+  ignore (ask 513);
+  check_b "the newest log is held" true (ask 513 = Ok [ "513" ] && !runs = 513);
+  ignore (ask 1);
+  check_i "a new key at 512 logs clears the tier" 514 !runs;
+  (* an [Error] is never kept *)
+  let fails () = Cache.reference c "failing" (fun () -> incr runs; Error "x") in
+  ignore (fails ());
+  ignore (fails ());
+  check_i "errors run every time" 516 !runs
 
 (* ---------- piece tier ---------- *)
 
-let test_piece_tier_generations () =
+let test_piece_tier_bound () =
   let c = Cache.create ~cap:8 () in
   (* a hit hands back the entry the tier holds; a miss builds a new one *)
   let seen = Hashtbl.create 16 and builds = ref 0 in
@@ -98,17 +112,18 @@ let test_piece_tier_generations () =
     | Some _ | None -> incr builds);
     Hashtbl.replace seen i entry
   in
-  for i = 1 to 6 do ask i done;
-  (* gen_cap = 4: t1..t4 flipped cold when t5 arrived *)
-  check_i "every text built once" 6 !builds;
-  check_i "both generations held" 6 (Cache.piece_count c);
+  for i = 1 to 8 do ask i done;
+  check_i "every text built once" 8 !builds;
+  check_i "the tier holds cap texts" 8 (Cache.piece_count c);
   ask 1;
-  ask 6;
-  check_i "repeats answered from the tier" 6 !builds;
-  for i = 7 to 100 do ask i done;
-  check_b "flips bound the tier" true (Cache.piece_count c <= 8);
+  ask 8;
+  check_i "repeats answered from the tier" 8 !builds;
+  ask 9;
+  check_i "a new text at a full tier clears it" 1 (Cache.piece_count c);
+  for i = 10 to 100 do ask i done;
+  check_b "clears bound the tier" true (Cache.piece_count c <= 8);
   ask 2;
-  check_i "an evicted text is built again" 101 !builds
+  check_i "a cleared text is built again" 101 !builds
 
 let test_one_entry_answers_all () =
   let c = Cache.create () in
@@ -350,12 +365,12 @@ let suite =
   [
     Alcotest.test_case "traced bindings do not alias shared piece text" `Quick
       test_bindings_do_not_alias;
-    Alcotest.test_case "two-generation eviction bounds occupancy" `Quick
-      test_two_generation_eviction;
-    Alcotest.test_case "cold hits promote to the hot generation" `Quick
-      test_cold_hit_promotes;
-    Alcotest.test_case "piece tier: generations bound it" `Quick
-      test_piece_tier_generations;
+    Alcotest.test_case "clear-when-full bounds occupancy" `Quick
+      test_clear_when_full;
+    Alcotest.test_case "reference tier: at most 512 logs" `Quick
+      test_reference_tier_bound;
+    Alcotest.test_case "piece tier: clears bound it" `Quick
+      test_piece_tier_bound;
     Alcotest.test_case "piece tier: one entry answers all three" `Quick
       test_one_entry_answers_all;
     Alcotest.test_case "piece tier: blocklist off blocks nothing" `Quick

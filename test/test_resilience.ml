@@ -624,10 +624,7 @@ let test_verify_deadline_in_bisection_keeps_divergence () =
       Deobf.Engine.edit_log =
         [ { Deobf.Editlog.s_phase = "recover"; s_pass = 0; s_edits = [ edit ] } ] }
   in
-  let opts =
-    { Deobf.Verify.default_opts with
-      Deobf.Verify.max_steps = max_int; use_ref_cache = false }
-  in
+  let opts = { Deobf.Verify.default_opts with Deobf.Verify.max_steps = max_int } in
   let rerun ~suppress:_ = Alcotest.fail "rollback re-run past the deadline" in
   let started = Guard.now () in
   let g, o =

@@ -117,32 +117,42 @@ let test_suppression_matches_by_content () =
 (* ---------- the gate ---------- *)
 
 let test_verify_equivalent_simple () =
-  (* cache off: this test asserts both sides actually executed, which a
-     warm reference memo (process-wide, possibly fed by earlier suites)
-     would legitimately skip *)
-  let opts = { V.default_opts with V.use_ref_cache = false } in
-  let _, o = V.run_guarded ~opts "$a = ('te'+'st'); Write-Output $a" in
+  let _, o = V.run_guarded "$a = ('te'+'st'); Write-Output $a" in
   check_s "verdict" "equivalent" (V.verdict_name o.V.verdict);
   check_b "sandbox ran" true (o.V.sandbox_runs >= 2)
 
-let test_ref_cache_ablation () =
-  (* the memo must be invisible in verdicts: gate the same script with the
-     reference cache off, then twice with it on — identical verdicts, and
-     the warm pass performs exactly one fewer sandbox execution (the
-     reference run answered from the memo) *)
+(* the gate as the batch core calls it, on a caller's cache *)
+let gate_on cache src =
+  let rerun ~suppress = E.run_guarded ~cache ~suppress src in
+  snd (V.gate ~cache ~rerun ~src (rerun ~suppress:[]))
+
+let test_ref_memo_invisible () =
+  (* the memo must be invisible in verdicts: gate the same script twice on
+     one cache — identical verdicts, and the second pass performs exactly
+     one fewer sandbox execution (the reference run answered from the
+     reference tier) *)
   let src = "$q = ('ca'+'che'+'d'); Write-Output $q" in
-  let off_opts = { V.default_opts with V.use_ref_cache = false } in
-  let _, off = V.run_guarded ~opts:off_opts src in
-  let _, cold = V.run_guarded src in
-  let _, warm = V.run_guarded src in
-  check_s "cache-off and cache-on verdicts identical"
-    (V.verdict_name off.V.verdict)
-    (V.verdict_name cold.V.verdict);
-  check_s "warm verdict identical"
-    (V.verdict_name off.V.verdict)
-    (V.verdict_name warm.V.verdict);
+  let cache = Deobf.Recover.Cache.create () in
+  let first = gate_on cache src in
+  let second = gate_on cache src in
+  check_s "verdicts identical" (V.verdict_name first.V.verdict)
+    (V.verdict_name second.V.verdict);
   check_i "memo hit skips exactly the reference run"
-    (cold.V.sandbox_runs - 1) warm.V.sandbox_runs
+    (first.V.sandbox_runs - 1) second.V.sandbox_runs
+
+let test_ref_memo_order_independent () =
+  (* no count depends on what ran before: a script gated on one cache,
+     then on a fresh one, pays for its reference run both times — the
+     memo is the cache's, not the process's *)
+  let src = "$o = ('or'+'der'); Write-Output $o" in
+  let a = gate_on (Deobf.Recover.Cache.create ()) src in
+  let b = gate_on (Deobf.Recover.Cache.create ()) src in
+  check_s "verdicts identical" (V.verdict_name a.V.verdict)
+    (V.verdict_name b.V.verdict);
+  check_i "sandbox runs identical" a.V.sandbox_runs b.V.sandbox_runs;
+  let _, c = V.run_guarded src in
+  check_i "run_guarded without a cache: same runs" a.V.sandbox_runs
+    c.V.sandbox_runs
 
 let test_verify_unchanged_skips_sandbox () =
   (* the engine's own fixpoint has nothing left to deobfuscate: trivially
@@ -268,14 +278,14 @@ let sample_files dir n =
       path)
     samples
 
-(* the gate's cost as a count: with the reference memo off, a file the
-   engine changed costs one reference and one output run, and a batch
+(* the gate's cost as a count: a file the engine changed costs one
+   reference and one output run (the batch's files are distinct, so its
+   cache's reference memo answers none), and a batch
    with nothing to roll back never pays for bisection or re-runs *)
 let test_batch_gate_two_runs_per_changed_file () =
   with_temp_dir (fun dir ->
       let s =
         Deobf.Batch.run_files ~timeout_s:20.0 ~jobs:1 ~verify:true
-          ~verify_opts:{ V.default_opts with V.use_ref_cache = false }
           (sample_files dir 32)
       in
       (* run_files starts the metrics registry afresh for the batch *)
@@ -641,16 +651,15 @@ let test_probe_rejects_impure_payloads () =
   | _ -> Alcotest.fail "self-contained decode not recorded"
 
 (* the sites' own counts: lookups bound reuses, and a batch repeats both
-   exactly (with the process-wide reference memo off, which would answer
-   the second batch's reference runs without a sandbox) *)
+   exactly (each batch has its own cache, so the second batch's reference
+   runs are not answered from the first one's memo) *)
 let test_reuse_counts_repeat () =
   with_temp_dir (fun dir ->
       let files = sample_files dir 24 in
       let counts () =
         let s =
           Deobf.Batch.run_files ~timeout_s:20.0 ~jobs:1 ~verify:true
-            ~verify_opts:{ V.default_opts with V.use_ref_cache = false }
-            files
+              files
         in
         (* run_files starts the metrics registry afresh for the batch *)
         ( Pscommon.Telemetry.Metrics.counter_value m_reused,
@@ -859,7 +868,9 @@ let suite =
     Alcotest.test_case "gate: simple recovery equivalent" `Quick
       test_verify_equivalent_simple;
     Alcotest.test_case "gate: reference memo invisible in verdicts" `Quick
-      test_ref_cache_ablation;
+      test_ref_memo_invisible;
+    Alcotest.test_case "gate: reference memo order-independent" `Quick
+      test_ref_memo_order_independent;
     Alcotest.test_case "gate: unchanged output skips sandbox" `Quick
       test_verify_unchanged_skips_sandbox;
     Alcotest.test_case "gate: unparseable original unverifiable" `Quick
