@@ -52,7 +52,7 @@ let print_summary ~head (st : Deobf.Recover.stats) cache phases =
 
 let deobfuscate_cmd =
   let run input output no_tracing no_blocklist no_multilayer no_rename
-      no_reformat no_token_phase no_piece_cache no_partial no_dynamic chaos
+      no_reformat no_token_phase no_piece_cache no_dynamic chaos
       batch jobs timeout trace log_level log_format summary_flag verify_flag
       no_verify resume serve queue_cap cache_cap trace_sample
       metrics_out metrics_addr flight_dir client no_quarantine grace =
@@ -61,9 +61,7 @@ let deobfuscate_cmd =
     (* the flight recorder is mode-independent: batch dumps on pool-task
        faults and diverged verdicts, serve additionally on recycle/deadline *)
     Option.iter (fun d -> T.Flight.set_sink (Some d)) flight_dir;
-    (match
-       match chaos with Some s -> Some s | None -> Sys.getenv_opt "INVOKE_DEOBF_CHAOS"
-     with
+    (match chaos with
     | None -> ()
     | Some spec -> (
         match Pscommon.Chaos.parse_spec spec with
@@ -84,7 +82,6 @@ let deobfuscate_cmd =
         rename = not no_rename;
         reformat = not no_reformat;
         max_iterations = Deobf.Engine.default_options.Deobf.Engine.max_iterations;
-        partial = not no_partial;
       }
     in
     (match client with
@@ -282,9 +279,6 @@ let deobfuscate_cmd =
       $ flag [ "no-reformat" ] "Keep original whitespace."
       $ flag [ "no-token-phase" ] "Disable token-level (L1) recovery (ablation)."
       $ flag [ "no-piece-cache" ] "Disable the piece result cache (ablation)."
-      $ flag [ "no-partial" ]
-          "Disable partial-parse recovery: unparseable files are returned \
-           unchanged instead of being segmented into recoverable regions."
       $ flag [ "no-dynamic" ]
           "Disable provenance-guided dynamic recovery of loop/conditional \
            regions (ablation): the output is exactly the static-only \
@@ -297,8 +291,7 @@ let deobfuscate_cmd =
                 "Deterministic fault injection for resilience testing: \
                  inject containment-taxonomy faults at named probe points \
                  with probability $(i,RATE), seeded by $(i,SEED).  Optional \
-                 per-site overrides: SEED:RATE:site=rate,site=rate.  Also \
-                 read from $(b,INVOKE_DEOBF_CHAOS) when the flag is absent.")
+                 per-site overrides: SEED:RATE:site=rate,site=rate.")
       $ flag [ "batch" ]
           "Treat FILE as a directory of samples: process each file in \
            crash-isolated fashion, writing recovered scripts, per-file \

@@ -275,7 +275,7 @@ let default_timeout_s = 30.0
    gate runs under the same deadline, its rollback re-runs included
    ({!Verify.run_guarded}). *)
 let run_source ?options ?(timeout_s = default_timeout_s) ?max_output_bytes ?cache
-    ?(verify = false) ?verify_opts ~name src =
+    ?(verify = false) ~name src =
   let started = Guard.now () in
   (* quarantine scope: admission decisions (which rules may run) are fixed
      for the whole request — including the gate's rollback re-runs — and
@@ -289,8 +289,7 @@ let run_source ?options ?(timeout_s = default_timeout_s) ?max_output_bytes ?cach
         [] )
     else
       let g, o =
-        Verify.run_guarded ?options ?cache ~timeout_s ?max_output_bytes
-          ?opts:verify_opts src
+        Verify.run_guarded ?options ?cache ~timeout_s ?max_output_bytes src
       in
       (g, Some o.Verify.verdict, o.Verify.rolled_rules)
   with
@@ -318,7 +317,7 @@ let run_source ?options ?(timeout_s = default_timeout_s) ?max_output_bytes ?cach
     result.Engine.output )
 
 let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
-    ?out_dir ?(verify = false) ?verify_opts ?journal file =
+    ?out_dir ?(verify = false) ?journal file =
   let started = Guard.now () in
   let finish ?output_file ?(phase_ms = []) ?(regions = (0, 0))
       ?(verdict = None) ?(resumed = false) ~iterations ~changed ~stats failures
@@ -355,7 +354,7 @@ let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
          anything outside it (e.g. report writing) *)
       let core, output =
         run_source ?options ?timeout_s ?max_output_bytes ?cache ~verify
-          ?verify_opts ~name:file src
+          ~name:file src
       in
       let output_file, write_failure =
         match out_dir with
@@ -389,7 +388,7 @@ let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
       outcome)
 
 let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
-    ?trace_dir ?verify ?verify_opts ?journal file =
+    ?trace_dir ?verify ?journal file =
   (* Scope the chaos stream to the file: injection becomes a pure function
      of (seed, basename, probe order), so a file draws the same faults no
      matter which pool domain ran it or in what order — outputs under
@@ -410,7 +409,7 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
     Chaos.probe "pool.task";
     let run () =
       process_file_inner ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
-        ?verify ?verify_opts ?journal file
+        ?verify ?journal file
     in
     match (trace_dir, T.current_trace ()) with
     | Some dir, Some trace ->
@@ -462,7 +461,7 @@ let rec ensure_dir dir =
   end
 
 let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
-    ?trace_sample ?(jobs = 1) ?(verify = true) ?verify_opts ?(resume = false)
+    ?trace_sample ?(jobs = 1) ?(verify = true) ?(resume = false)
     files =
   let started = Guard.now () in
   (* more domains than cores only adds scheduler churn (and, on a small
@@ -539,7 +538,7 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
               | _ -> trace_dir
             in
             process_file ?options ?timeout_s ?max_output_bytes ~cache
-              ?out_dir ?trace_dir ~verify ?verify_opts ?journal file)
+              ?out_dir ?trace_dir ~verify ?journal file)
           (List.mapi (fun i file -> (i, file)) files)
   in
   let clean = List.length (List.filter (fun o -> o.failures = []) outcomes) in
@@ -737,7 +736,7 @@ let metrics_json s =
     ]
 
 let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
-    ?trace_sample ?jobs ?verify ?verify_opts ?resume dir =
+    ?trace_sample ?jobs ?verify ?resume dir =
   let files =
     match Guard.protect (fun () -> Sys.readdir dir) with
     | Error _ -> []
@@ -751,7 +750,7 @@ let run_dir ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
   in
   let summary =
     run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
-      ?trace_sample ?jobs ?verify ?verify_opts ?resume files
+      ?trace_sample ?jobs ?verify ?resume files
   in
   (match out_dir with
   | Some out ->

@@ -56,7 +56,6 @@ val run_source :
   ?max_output_bytes:int ->
   ?cache:Recover.Cache.t ->
   ?verify:bool ->
-  ?verify_opts:Verify.opts ->
   name:string ->
   string ->
   outcome * string
@@ -79,7 +78,6 @@ val process_file :
   ?out_dir:string ->
   ?trace_dir:string ->
   ?verify:bool ->
-  ?verify_opts:Verify.opts ->
   ?journal:journal ->
   string ->
   outcome
@@ -117,7 +115,6 @@ val run_files :
   ?trace_sample:int ->
   ?jobs:int ->
   ?verify:bool ->
-  ?verify_opts:Verify.opts ->
   ?resume:bool ->
   string list ->
   summary
@@ -156,7 +153,6 @@ val run_dir :
   ?trace_sample:int ->
   ?jobs:int ->
   ?verify:bool ->
-  ?verify_opts:Verify.opts ->
   ?resume:bool ->
   string ->
   summary

@@ -49,25 +49,20 @@ let send_line fd line =
   in
   go 0
 
-(* Read NDJSON lines off the socket one at a time; [pending] buffers the
-   tail of the last read.  [None] on EOF (daemon gone). *)
-let read_line fd pending =
-  let buf = Bytes.create 65536 in
+(* The next response line; [None] once the daemon is gone. *)
+let read_line fd reader =
   let rec go () =
-    match String.index_opt !pending '\n' with
-    | Some i ->
-        let line = String.sub !pending 0 i in
-        pending := String.sub !pending (i + 1) (String.length !pending - i - 1);
-        Some line
+    match Jsonl.Reader.next_line reader with
+    | Some line -> Some line
     | None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
+        match Jsonl.Reader.read reader fd with
         | 0 -> None
-        | n ->
-            pending := !pending ^ Bytes.sub_string buf 0 n;
-            go ()
+        | _ -> go ()
         | exception Unix.Unix_error _ -> None)
   in
   go ()
+
+let connection_closed = "connection closed"
 
 (* ---------- retry policy ---------- *)
 
@@ -93,7 +88,7 @@ let request_line ~id ~timeout_s ~verify src =
       | None -> "");
       "}" ]
 
-let submit_file ~fd ~pending ~rng ~max_retries ~timeout_s ~verify ~out_dir
+let submit_file ~fd ~reader ~rng ~max_retries ~timeout_s ~verify ~out_dir
     ~id file =
   let started = Guard.now () in
   let finish ?output_file kind status attempts =
@@ -110,13 +105,12 @@ let submit_file ~fd ~pending ~rng ~max_retries ~timeout_s ~verify ~out_dir
   | Ok src ->
       let line = request_line ~id ~timeout_s ~verify src in
       let rec attempt n =
-        send_line fd line;
         (* responses arrive in submission order on this connection (one
            request in flight at a time); skip any line whose id is not
            ours anyway, defensively *)
         let rec await () =
-          match read_line fd pending with
-          | None -> finish Failed "connection closed" n
+          match read_line fd reader with
+          | None -> finish Failed connection_closed n
           | Some resp ->
               if Jsonl.int_field resp "id" <> Some id then await ()
               else
@@ -169,7 +163,10 @@ let submit_file ~fd ~pending ~rng ~max_retries ~timeout_s ~verify ~out_dir
                     | None -> status)
                     n
         in
-        await ()
+        (* the daemon closes a connection whose line it refuses: EPIPE *)
+        match send_line fd line with
+        | () -> await ()
+        | exception Unix.Unix_error _ -> finish Failed connection_closed n
       in
       attempt 1
 
@@ -208,14 +205,24 @@ let run ?(max_retries = 5) ?timeout_s ?verify ?out_dir ?rng_seed ~addr files =
       prerr_endline ("client: " ^ e);
       1
   | Ok fd ->
-      let pending = ref "" in
+      (* a write to a closed connection must fail as EPIPE, not kill the
+         process *)
+      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+       with Invalid_argument _ | Sys_error _ -> ());
+      let reader = Jsonl.Reader.create () in
+      let closed = ref false in
       let results =
         List.mapi
           (fun i file ->
             let r =
-              submit_file ~fd ~pending ~rng ~max_retries ~timeout_s ~verify
-                ~out_dir ~id:(i + 1) file
+              if !closed then
+                { r_file = file; r_kind = Failed; r_status = connection_closed;
+                  r_attempts = 0; r_wall_ms = 0.0; r_output_file = None }
+              else
+                submit_file ~fd ~reader ~rng ~max_retries ~timeout_s ~verify
+                  ~out_dir ~id:(i + 1) file
             in
+            closed := String.equal r.r_status connection_closed;
             print_endline (result_json r);
             r)
           files

@@ -13,6 +13,11 @@
     the daemon already contained the failure, so the same input would fail
     the same way.
 
+    When the daemon closes the connection (it refuses a request line
+    longer than 8 MiB that way), the file being sent and every later one
+    fail with status ["connection closed"]; SIGPIPE is ignored, so the
+    client still reports them.
+
     One NDJSON result line is printed per file, then a one-line summary
     object.  Exit code 0 when every file was answered ["ok"] or
     ["degraded"]; 1 when any was shed past the retry budget, failed, or

@@ -11,9 +11,6 @@ type options = {
   rename : bool;
   reformat : bool;
   max_iterations : int;  (** fixpoint bound for the recovery loop *)
-  partial : bool;
-      (** when the whole file fails to parse, segment it into maximal
-          parseable regions and deobfuscate each independently *)
 }
 
 and recovery_options = Recover.options = {
@@ -21,7 +18,6 @@ and recovery_options = Recover.options = {
   use_blocklist : bool;
   use_multilayer : bool;
   use_piece_cache : bool;
-  max_depth : int;
   piece_step_budget : int;
   use_dynamic : bool;
   dynamic_step_budget : int;
@@ -31,7 +27,7 @@ let m_phase_ms = Pscommon.Telemetry.Metrics.histogram_family "engine.phase_ms."
 
 let default_options =
   { token_phase = true; recovery = Recover.default_options; rename = true;
-    reformat = true; max_iterations = 8; partial = true }
+    reformat = true; max_iterations = 8 }
 
 type result = {
   output : string;
@@ -296,7 +292,7 @@ type guarded = {
           JSON object; the per-pass breakdown lives in telemetry spans *)
   regions_total : int;
       (** segments produced by partial-parse recovery; 0 when the input
-          parsed whole (or [partial] is off) *)
+          parsed whole *)
   regions_recovered : int;
       (** parseable regions that ran the pipeline to completion *)
   edit_log : Editlog.stage list;
@@ -507,10 +503,10 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = infinity)
   with
   | Ok (Error _) ->
       record "parse" Guard.Parse_failure;
-      if options.partial then recover_regions () else finish src 0
+      recover_regions ()
   | Error failure ->
       record "parse" failure;
-      if options.partial then recover_regions () else finish src 0
+      recover_regions ()
   | Ok (Ok parsed) ->
       src_ast := Some parsed.Parser.ast;
       let measure ((p : Parser.parsed), _) = String.length p.Parser.text in

@@ -14,21 +14,18 @@ type options = {
   rename : bool;  (** rename randomised identifiers to [var{n}] (§III-C) *)
   reformat : bool;  (** normalise whitespace and indentation *)
   max_iterations : int;  (** fixpoint bound for the recovery loop *)
-  partial : bool;
-      (** partial-parse recovery (default on): when the whole file fails to
-          parse, segment it with {!Psparse.Segment} into maximal parseable
-          regions, deobfuscate each through the normal fixpoint
-          independently (renaming disabled — opaque fragments may reference
-          original names), and reassemble with unparseable fragments passed
-          through verbatim *)
 }
+(** A file that fails to parse whole always takes partial-parse recovery:
+    it is segmented with {!Psparse.Segment} into maximal parseable regions,
+    each is deobfuscated through the normal fixpoint independently
+    (renaming disabled — opaque fragments may reference original names),
+    and the unparseable fragments are passed through verbatim. *)
 
 and recovery_options = Recover.options = {
   use_tracing : bool;
   use_blocklist : bool;
   use_multilayer : bool;
   use_piece_cache : bool;
-  max_depth : int;
   piece_step_budget : int;
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
@@ -66,7 +63,7 @@ type guarded = {
           breakdown is exposed as [engine.pass] telemetry spans instead. *)
   regions_total : int;
       (** segments produced by partial-parse recovery (parseable, opaque
-          and binary); 0 when the input parsed whole or [partial] is off *)
+          and binary); 0 when the input parsed whole *)
   regions_recovered : int;
       (** parseable regions whose sub-pipeline ran to completion *)
   edit_log : Editlog.stage list;

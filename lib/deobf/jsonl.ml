@@ -97,3 +97,65 @@ let bool_field line key =
    escapes newlines inside values, so every '\n' left in a multi-line
    rendering is formatting whitespace between tokens. *)
 let oneline s = String.map (fun c -> if c = '\n' then ' ' else c) s
+
+(* One growing buffer per connection: a read appends to it in place, and
+   [scanned] remembers how far the search for a newline already got, so a
+   line that takes many reads to arrive is copied and scanned once, not
+   once per read. *)
+module Reader = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable start : int;  (* first byte not yet returned in a line *)
+    mutable stop : int;  (* end of the bytes read *)
+    mutable scanned : int;  (* [start, scanned) holds no newline *)
+  }
+
+  let chunk = 65536
+  let create () = { buf = Bytes.create chunk; start = 0; stop = 0; scanned = 0 }
+
+  let read t fd =
+    if t.start = t.stop then begin
+      (* every byte read was returned: start over at the front, in a
+         fresh buffer when a long line grew this one *)
+      if Bytes.length t.buf > chunk then t.buf <- Bytes.create chunk;
+      t.start <- 0;
+      t.stop <- 0;
+      t.scanned <- 0
+    end
+    else if Bytes.length t.buf - t.stop < chunk then begin
+      (* make room for one chunk: move the unreturned bytes to the front,
+         into a buffer twice the size when a chunk does not fit beside
+         them *)
+      let live = t.stop - t.start in
+      let buf =
+        if live + chunk <= Bytes.length t.buf then t.buf
+        else Bytes.create (2 * Bytes.length t.buf)
+      in
+      Bytes.blit t.buf t.start buf 0 live;
+      t.buf <- buf;
+      t.scanned <- t.scanned - t.start;
+      t.start <- 0;
+      t.stop <- live
+    end;
+    let n = Unix.read fd t.buf t.stop chunk in
+    t.stop <- t.stop + n;
+    n
+
+  let next_line t =
+    let rec find i =
+      if i >= t.stop then None
+      else if Bytes.get t.buf i = '\n' then Some i
+      else find (i + 1)
+    in
+    match find t.scanned with
+    | None ->
+        t.scanned <- t.stop;
+        None
+    | Some i ->
+        let line = Bytes.sub_string t.buf t.start (i - t.start) in
+        t.start <- i + 1;
+        t.scanned <- i + 1;
+        Some line
+
+  let pending t = t.stop - t.start
+end

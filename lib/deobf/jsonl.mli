@@ -27,3 +27,26 @@ val oneline : string -> string
     multi-line JSON renderings into single NDJSON lines.  Only safe for
     JSON we rendered ourselves ({!Pscommon.Telemetry.json_escape} never
     leaves a raw newline inside a string value). *)
+
+(** Newline framing over a socket, for the serve daemon's listener and the
+    client.  Bytes are read into one buffer that grows by doubling, and
+    each byte is searched for a newline once, so a line that takes many
+    reads to arrive costs time linear in its length.  Once every line
+    read has been returned, a grown buffer is given back. *)
+module Reader : sig
+  type t
+
+  val create : unit -> t
+
+  val read : t -> Unix.file_descr -> int
+  (** One [Unix.read] of at most 64 KiB into the buffer; the number of
+      bytes read, 0 at end of file.
+      @raise Unix.Unix_error as [Unix.read] does. *)
+
+  val next_line : t -> string option
+  (** The oldest complete line read, without its newline, or [None] when
+      no newline is buffered. *)
+
+  val pending : t -> int
+  (** Bytes read and not yet returned in a line. *)
+end

@@ -43,7 +43,6 @@ type options = {
   use_blocklist : bool;  (** ablation: skip pieces naming blocked commands *)
   use_multilayer : bool;  (** ablation: IEX / -EncodedCommand unwrapping *)
   use_piece_cache : bool;  (** ablation: memoize piece invocations *)
-  max_depth : int;  (** multi-layer recursion bound *)
   piece_step_budget : int;  (** interpreter budget per invoked piece *)
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
@@ -51,9 +50,13 @@ type options = {
   dynamic_step_budget : int;  (** interpreter budget for one dynamic run *)
 }
 
+(* multi-layer recursion bound: a payload nested deeper is left for the
+   next fixpoint pass *)
+let max_depth = 16
+
 let default_options =
   { use_tracing = true; use_blocklist = true; use_multilayer = true;
-    use_piece_cache = true; max_depth = 16; piece_step_budget = 400_000;
+    use_piece_cache = true; piece_step_budget = 400_000;
     use_dynamic = true; dynamic_step_budget = 1_000_000 }
 
 type stats = {
@@ -734,7 +737,7 @@ let rec process_statement st ~in_guard (stmt : A.t) =
   match stmt.A.node with
   | A.Assignment (_, _, rhs) ->
       (match
-         if st.opts.use_multilayer && st.depth < st.opts.max_depth then
+         if st.opts.use_multilayer && st.depth < max_depth then
            multilayer_payload st rhs
          else None
        with
@@ -748,7 +751,7 @@ let rec process_statement st ~in_guard (stmt : A.t) =
   | A.Pipeline elems -> (
       let unwrapped_whole =
         match
-          if st.opts.use_multilayer && st.depth < st.opts.max_depth then
+          if st.opts.use_multilayer && st.depth < max_depth then
             multilayer_payload st stmt
           else None
         with
@@ -767,7 +770,7 @@ let rec process_statement st ~in_guard (stmt : A.t) =
           (* an IEX invocation that is one element of a longer pipe is
              replaced element-wise: iex(<enc>) | out-null *)
           let unwrapped_any = ref false in
-          if st.opts.use_multilayer && st.depth < st.opts.max_depth
+          if st.opts.use_multilayer && st.depth < max_depth
              && List.length elems > 1
           then
             List.iter

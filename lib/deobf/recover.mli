@@ -11,7 +11,6 @@ type options = {
       (** ablation: memoize piece invocations on (binding digest, text) —
           obfuscators emit the same decode piece hundreds of times per
           script, and the fixpoint loop re-attempts unrecovered pieces *)
-  max_depth : int;  (** multi-layer recursion bound *)
   piece_step_budget : int;
       (** interpreter budget per invoked piece; each piece runs under a
           {!Pscommon.Guard.protect}, so a crashing or hanging piece degrades

@@ -60,9 +60,6 @@ type config = {
   jobs : int;
   queue_cap : int;
   default_timeout_s : float;
-  max_timeout_s : float;
-  max_request_bytes : int;
-  max_output_bytes : int;
   options : Engine.options;
   verify : bool;
   cache_cap : int;
@@ -77,13 +74,17 @@ type config = {
 
 let default_config bind =
   { bind; jobs = 1; queue_cap = 64; default_timeout_s = Batch.default_timeout_s;
-    max_timeout_s = 300.0; max_request_bytes = 8 * 1024 * 1024;
-    max_output_bytes = Engine.default_max_output_bytes;
     options = Engine.default_options;
     verify = false; cache_cap = 2048;
     trace_dir = None; trace_sample = None;
     metrics_out = None; metrics_addr = None; flight_dir = None;
     grace_s = 2.0; quarantine = true }
+
+(* the largest budget a request may ask for *)
+let max_timeout_s = 300.0
+
+(* an unterminated request line longer than this is refused [too-large] *)
+let max_request_bytes = 8 * 1024 * 1024
 
 (* ---------- metrics ---------- *)
 
@@ -102,12 +103,6 @@ let m_wedge_faults = T.Metrics.counter "serve.wedge_faults"
 (* the admission EWMA, surfaced as a gauge so shed hints are observable *)
 let m_ewma_ms = T.Metrics.gauge "serve.ewma_ms"
 
-(* Rolling windows for the scrape endpoint: since-boot histograms answer
-   "ever", these answer "the last minute" — sliding p50/p90/p99 over
-   request latency, and req/s + shed/s rates whose window is the decay. *)
-let w_request_ms = T.Window.window "serve.request_ms"
-let w_shed = T.Window.window "serve.shed"
-
 (* EWMA of request handling time, feeding the retry_after_ms hint in
    overload responses.  Process-wide and racy by design — a hint, not an
    SLA. *)
@@ -115,7 +110,6 @@ let avg_request_ms = Atomic.make 250.0
 
 let note_request_ms ms =
   T.Metrics.observe m_request_ms ms;
-  T.Window.observe w_request_ms ms;
   let old = Atomic.get avg_request_ms in
   (* a lost race loses one sample of smoothing, nothing else *)
   ignore (Atomic.compare_and_set avg_request_ms old ((0.8 *. old) +. (0.2 *. ms)));
@@ -125,7 +119,7 @@ let note_request_ms ms =
 
 type conn = {
   fd : Unix.file_descr;
-  mutable pending : string;  (* bytes read but not yet newline-terminated *)
+  reader : Jsonl.Reader.t;  (* bytes read but not yet returned as lines *)
   send_mutex : Mutex.t;  (* listener (overload/health) and workers both write *)
   mutable closed : bool;
 }
@@ -164,7 +158,6 @@ let error_json ~id ~kind ~detail =
 
 let overloaded_json ~id ~depth =
   T.Metrics.incr m_shed;
-  T.Window.observe w_shed 1.0;
   let retry =
     Float.max 10.0
       (Float.min 10_000.0
@@ -279,9 +272,8 @@ let handle cfg cache req =
             Guard.protect ~deadline:req.rq_deadline (fun () ->
                 (* the admission deadline is the request's one clock *)
                 Batch.run_source ~options:cfg.options ~timeout_s:infinity
-                  ~max_output_bytes:cfg.max_output_bytes ~cache ~verify
-                  ~name:(Printf.sprintf "req-%d" req.rq_seq)
-                  src)
+                  ~cache ~verify
+                  ~name:(Printf.sprintf "req-%d" req.rq_seq) src)
           with
           | Ok (outcome, output) ->
               let status =
@@ -413,7 +405,8 @@ let scrape_response head =
   | "GET" :: path :: _
     when path = "/metrics" || String.starts_with ~prefix:"/metrics?" path ->
       T.Metrics.incr m_scrapes;
-      http_response ~status:"200 OK" (T.render_prometheus ())
+      http_response ~status:"200 OK"
+        (T.Metrics.to_prometheus (T.Metrics.snapshot ()))
   | _ -> http_response ~status:"404 Not Found" "not found\n"
 
 (* read the request head (bounded, short deadline), answer, close — total:
@@ -543,7 +536,8 @@ let serve_loop cfg stop listen_fd =
         | fd, _ ->
             T.Metrics.incr m_connections;
             Hashtbl.replace conns fd
-              { fd; pending = ""; send_mutex = Mutex.create (); closed = false })
+              { fd; reader = Jsonl.Reader.create ();
+                send_mutex = Mutex.create (); closed = false })
   in
   let process_line conn line =
     if String.trim line <> "" then begin
@@ -563,7 +557,7 @@ let serve_loop cfg stop listen_fd =
           Atomic.set stop true
       | "deobfuscate" -> (
           let timeout_s =
-            Float.min cfg.max_timeout_s
+            Float.min max_timeout_s
               (Option.value ~default:cfg.default_timeout_s
                  (Jsonl.float_field line "timeout_s"))
           in
@@ -601,29 +595,24 @@ let serve_loop cfg stop listen_fd =
            select re-fires next round — delayed, not lost *)
         T.Metrics.incr m_read_faults
     | () -> (
-        let bytes = Bytes.create 65536 in
-        match Unix.read conn.fd bytes 0 (Bytes.length bytes) with
+        match Jsonl.Reader.read conn.reader conn.fd with
         | exception Unix.Unix_error _ -> close_conn conn
         | 0 -> close_conn conn
-        | n ->
-            conn.pending <- conn.pending ^ Bytes.sub_string bytes 0 n;
+        | _ ->
             let rec drain_lines () =
-              match String.index_opt conn.pending '\n' with
-              | Some i ->
-                  let line = String.sub conn.pending 0 i in
-                  conn.pending <-
-                    String.sub conn.pending (i + 1)
-                      (String.length conn.pending - i - 1);
+              match Jsonl.Reader.next_line conn.reader with
+              | Some line ->
                   process_line conn line;
                   drain_lines ()
               | None ->
-                  if String.length conn.pending > cfg.max_request_bytes then begin
+                  if Jsonl.Reader.pending conn.reader > max_request_bytes
+                  then begin
                     incr seq;
                     send conn
                       (error_json ~id:(string_of_int !seq) ~kind:"too-large"
                          ~detail:
                            (Printf.sprintf "request line exceeds %d bytes"
-                              cfg.max_request_bytes));
+                              max_request_bytes));
                     close_conn conn
                   end
             in

@@ -15,8 +15,7 @@
        server-assigned sequence number;}
     {- [script] — the source text (JSON-escaped), or [path] — a file to
        read server-side;}
-    {- [timeout_s] — per-request budget, capped at the server's
-       [max_timeout_s];}
+    {- [timeout_s] — per-request budget, capped at 300 s;}
     {- [verify] — override the server's semantic-gate default;}
     {- [trace] — [true] inlines the request's span events as a [trace]
        array in the response (its newest 4096 events, observation-only).}}
@@ -28,7 +27,10 @@
     "retry_after_ms":…}] when admission control sheds the request;
     [{"id":…, "status":"error", "kind":…, "detail":…}] for anything else —
     unreadable paths, malformed requests, contained faults.  Every request
-    line is answered by exactly one of these.
+    line is answered by exactly one of these, except an unterminated line
+    longer than 8 MiB: it is answered with a ["too-large"] error and the
+    connection is closed, so a flood of bytes cannot grow memory.  Each
+    byte read is scanned for a newline once ({!Jsonl.Reader}).
 
     {2 Hardening}
 
@@ -46,8 +48,9 @@
 
     {2 Self-healing}
 
-    A supervisor domain watches per-worker heartbeats: a worker still busy
-    past its request's deadline plus [grace_s] is declared {e wedged} —
+    A supervisor domain watches each worker's current request: a worker
+    still busy past its request's deadline plus [grace_s] is declared
+    {e wedged} —
     its client gets a structured [kind:"wedged"] error, the domain is
     abandoned and a fresh one installed, with exponential backoff on
     respawn failures.  {!Quarantine} circuit-breaks
@@ -75,12 +78,6 @@ type config = {
   queue_cap : int;  (** admission-control bound; beyond it requests shed *)
   default_timeout_s : float;
       (** per-request budget when unspecified ({!Batch.default_timeout_s}) *)
-  max_timeout_s : float;  (** cap on client-requested budgets *)
-  max_request_bytes : int;
-      (** a connection whose unterminated line exceeds this is answered
-          with a ["too-large"] error and closed — a flood of bytes cannot
-          grow memory *)
-  max_output_bytes : int;
   options : Engine.options;
   verify : bool;  (** default semantic-gate setting; per-request overridable *)
   cache_cap : int;  (** process-shared cache capacity, per tier *)
@@ -94,8 +91,8 @@ type config = {
   metrics_addr : bind option;
       (** serve a Prometheus scrape endpoint ([GET /metrics]) on this
           address, on its own listener domain — scrapes never contend
-          with request admission.  Renders the registry snapshot plus
-          the rolling-window aggregates ({!Pscommon.Telemetry.Window}) *)
+          with request admission.  Renders a fresh registry snapshot
+          ({!Pscommon.Telemetry.Metrics.to_prometheus}) *)
   flight_dir : string option;
       (** enable the {!Pscommon.Telemetry.Flight} recorder and dump its
           per-domain ring here on worker recycle, blown deadline, or
@@ -114,8 +111,8 @@ type config = {
 }
 
 val default_config : bind -> config
-(** 1 job, queue 64, 30 s default / 300 s max budget, 8 MiB request cap,
-    32 MiB output cap, verify off, cache 2048 (memory-only), no tracing,
+(** 1 job, queue 64, 30 s default budget, verify off, cache 2048
+    (memory-only), no tracing,
     no scrape endpoint, flight recorder off, 2 s wedge grace, quarantine
     on. *)
 

@@ -82,7 +82,7 @@ let inject c site =
 let probe site =
   match Atomic.get cfg with None -> () | Some c -> inject c site
 
-(* ---------- --chaos / env spec ---------- *)
+(* ---------- --chaos spec ---------- *)
 
 let parse_site_rates spec =
   let parse_one acc part =

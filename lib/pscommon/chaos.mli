@@ -38,7 +38,7 @@ type config = {
 
 val parse_spec : string -> (config, string) result
 (** Parse ["SEED:RATE"] or ["SEED:RATE:SITE=RATE,SITE=RATE"] — the
-    [--chaos] CLI / [INVOKE_DEOBF_CHAOS] env syntax. *)
+    [--chaos] CLI syntax. *)
 
 val set : config option -> unit
 (** Enable ([Some cfg]) or disable ([None], the initial state) injection

@@ -65,28 +65,7 @@ let within d f =
   Domain.DLS.set ambient (Float.min d (ambient_deadline ()) :: stack);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient stack) f
 
-(* ---------- heartbeats ---------- *)
-
-(* The watchdog contract: a supervised worker registers an [Atomic] cell
-   for its domain, and every cooperative checkpoint ({!check} — i.e. the
-   interpreter's step accounting and every {!protect} entry) bumps it.  The
-   supervisor reads the cell from its own domain; a worker whose cell stops
-   moving past its deadline is not polling checkpoints and is declared
-   wedged.  The cell is per-domain (DLS) so parallel workers never share
-   one, and publication is a single [Atomic.incr] — cheap enough for the
-   every-2048-steps tick path. *)
-let progress_cell : int Atomic.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_progress_cell c = Domain.DLS.get progress_cell := c
-
-let beat () =
-  match !(Domain.DLS.get progress_cell) with
-  | Some cell -> Atomic.incr cell
-  | None -> ()
-
 let check d =
-  beat ();
   if expired d then raise Deadline_exceeded
 
 (* Registration happens in module initialisers (single-domain, before any
@@ -115,7 +94,6 @@ let protect ?(deadline = no_deadline) ?max_output_bytes ?measure f =
   let effective = Float.min deadline (ambient_deadline ()) in
   if expired effective then Error Timeout
   else begin
-    beat ();
     Domain.DLS.set ambient (effective :: Domain.DLS.get ambient);
     let result =
       (* the chaos probe fires inside the guarded extent, so an injected

@@ -9,7 +9,10 @@
     Deadlines are cooperative: {!protect} installs its deadline as the
     {e ambient} deadline for the duration of the call, and the interpreter's
     step accounting ({!Pseval.Env.tick}) polls it, so any evaluator created
-    below a guard inherits the time budget without explicit threading. *)
+    below a guard inherits the time budget without explicit threading.
+    Code that stops reaching checkpoints cannot observe its deadline; in
+    the daemon, {!Pool.Service}'s supervisor catches such a worker from
+    the deadline alone. *)
 
 type failure =
   | Parse_failure  (** the input never parsed; nothing to work on *)
@@ -79,21 +82,8 @@ val within : deadline -> (unit -> 'a) -> 'a
     engine run and its verify gate). *)
 
 val check : deadline -> unit
-(** The cooperative checkpoint: publishes a heartbeat ({!beat}), then
-    enforces the deadline.
+(** The cooperative checkpoint: enforces the deadline.
     @raise Deadline_exceeded when [deadline] has passed. *)
-
-val set_progress_cell : int Atomic.t option -> unit
-(** Register this domain's heartbeat cell.  Every cooperative checkpoint
-    ({!check}, {!protect} entry) bumps it with one [Atomic.incr]; a
-    supervisor watching the cell from another domain can tell a worker
-    that is slow-but-polling (cell moving — the cooperative deadline will
-    fire at its next checkpoint) from one that is wedged in a non-raising
-    loop (cell frozen past the deadline).  Domain-local: parallel workers
-    never share a cell.  [None] (the initial state) makes {!beat} free. *)
-
-val beat : unit -> unit
-(** Bump this domain's registered heartbeat cell, if any. *)
 
 val register_classifier : (exn -> failure option) -> unit
 (** Let higher layers map their exceptions into the taxonomy without a

@@ -26,13 +26,13 @@ let m_jobs = Telemetry.Metrics.gauge "pool.jobs"
    "overloaded") instead of queueing unboundedly.
 
    With supervision the pool is also {e crash-only}: a supervisor domain
-   watches per-worker heartbeat slots (current item, admission deadline,
-   progress cell bumped from Guard checkpoints).  OCaml domains cannot be
-   killed preemptively, so "preemption" here means the supervisor answers
-   the victim's request on the worker's behalf, abandons the wedged domain
-   (it exits on its own when — if ever — its loop ends), and installs a
-   fresh domain in the slot; replacement failures back off exponentially
-   with a flight-recorder dump at every edge. *)
+   watches per-worker slots (current item, admission deadline).  OCaml
+   domains cannot be killed preemptively, so "preemption" here means the
+   supervisor answers the victim's request on the worker's behalf,
+   abandons the wedged domain (it exits on its own when — if ever — its
+   loop ends), and installs a fresh domain in the slot; replacement
+   failures back off exponentially with a flight-recorder dump at every
+   edge. *)
 module Service = struct
   let m_recycled = Telemetry.Metrics.counter "pool.service.recycled"
   let m_depth = Telemetry.Metrics.gauge "pool.service.depth"
@@ -60,24 +60,21 @@ module Service = struct
       Float.min respawn_backoff_cap_s
         (respawn_backoff_base_s *. Float.pow 2.0 (float_of_int (failures - 1)))
 
-  (* One worker's heartbeat slot.  The worker writes item/deadline around
-     each request and bumps the progress cell from Guard checkpoints; the
-     supervisor reads everything through the atomics from its own domain.
-     A replaced (wedged) worker keeps its own slot record — the fresh
-     domain gets a fresh record — so the zombie's exit path never races
-     the replacement's state. *)
+  (* One worker's slot.  The worker writes item/deadline around each
+     request; the supervisor reads them through the atomics from its own
+     domain.  A replaced (wedged) worker keeps its own slot record — the
+     fresh domain gets a fresh record — so the zombie's exit path never
+     races the replacement's state. *)
   type 'a slot = {
     sl_item : 'a option Atomic.t;
     sl_deadline : float Atomic.t;  (* infinity when idle *)
-    sl_progress : int Atomic.t;  (* Guard heartbeat cell *)
     sl_abandoned : bool Atomic.t;  (* declared wedged: exit after the item *)
     sl_retired : bool Atomic.t;  (* the worker's loop has exited *)
   }
 
   let new_slot () =
     { sl_item = Atomic.make None; sl_deadline = Atomic.make infinity;
-      sl_progress = Atomic.make 0; sl_abandoned = Atomic.make false;
-      sl_retired = Atomic.make false }
+      sl_abandoned = Atomic.make false; sl_retired = Atomic.make false }
 
   (* per-position mutable state, touched only by the supervisor (and
      create): the live slot/domain pair plus the respawn backoff ledger *)
@@ -105,10 +102,6 @@ module Service = struct
 
   let worker t (slot : 'a slot) () =
     let supervised = t.supervise <> None in
-    (* register the heartbeat cell so every Guard checkpoint below a
-       supervised worker publishes progress the supervisor can read; an
-       unsupervised worker's checkpoints publish nothing *)
-    if supervised then Guard.set_progress_cell (Some slot.sl_progress);
     let rec loop () =
       if Atomic.get slot.sl_abandoned then ()
       else begin
@@ -211,8 +204,7 @@ module Service = struct
         (* wedge detection: a worker polling Guard checkpoints raises
            Deadline_exceeded at its first checkpoint past the deadline, so
            one still busy at deadline+grace has stopped reaching
-           checkpoints — its progress cell is frozen and only the
-           supervisor can answer for it *)
+           checkpoints and only the supervisor can answer for it *)
         (match Atomic.get slot.sl_item with
         | Some item
           when (not (Atomic.get slot.sl_abandoned))
@@ -222,9 +214,7 @@ module Service = struct
             ignore
               (Telemetry.Flight.dump
                  ~reason:
-                   (Printf.sprintf "worker-wedged: %s (progress=%d)"
-                      (sv.sv_describe item)
-                      (Atomic.get slot.sl_progress))
+                   ("worker-wedged: " ^ sv.sv_describe item)
                  ());
             Telemetry.Log.warn (fun () ->
                 Printf.sprintf "worker wedged on %s: answering and replacing"

@@ -67,14 +67,12 @@ module Service : sig
       is enabled — dumped as a flight-recorder JSONL black box) — the
       worker recycles and keeps serving.
 
-      [supervise] additionally spawns a watchdog domain that scans worker
-      heartbeat slots (deadline, current item, progress cell published via
-      {!Guard.set_progress_cell} / {!Guard.beat}; an unsupervised worker
-      registers no cell, so its checkpoints publish nothing): a worker
-      still busy past its item's deadline plus [sv_grace_s] is declared
-      wedged — counted in [pool.service.wedged], dumped to the flight
-      recorder, its request answered via [sv_on_wedged], its domain
-      abandoned and its slot respawned.  Respawns (counted in [pool.service.respawns]) pass
+      [supervise] additionally spawns a watchdog domain that scans each
+      worker's current item and its deadline: a worker still busy past its
+      item's deadline plus [sv_grace_s] is declared wedged — counted in
+      [pool.service.wedged], dumped to the flight recorder, its request
+      answered via [sv_on_wedged], its domain abandoned and its slot
+      respawned.  Respawns (counted in [pool.service.respawns]) pass
       through the ["serve.respawn"] chaos site; failures (counted in
       [pool.service.respawn_failures]) back off exponentially per
       {!respawn_backoff}.  Abandoned domains that eventually finish are

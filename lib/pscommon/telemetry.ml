@@ -102,7 +102,7 @@ module Log = struct
     | "json" | "jsonl" -> Some Json
     | _ -> None
 
-  let log ?(fields = []) l msg =
+  let log l msg =
     if enabled l then begin
       Mutex.lock emit_mutex;
       Fun.protect
@@ -111,21 +111,12 @@ module Log = struct
           match Atomic.get current_format with
           | Text -> Printf.eprintf "[%s] %s\n%!" (label l) (msg ())
           | Json ->
-              let extra =
-                String.concat ""
-                  (List.map
-                     (fun (k, v) ->
-                       Printf.sprintf ", %s: %s" (json_string k)
-                         (attr_value_to_json v))
-                     fields)
-              in
               Printf.eprintf
-                "{\"ts\": %.6f, \"level\": %s, \"domain\": %d, \"msg\": %s%s}\n%!"
+                "{\"ts\": %.6f, \"level\": %s, \"domain\": %d, \"msg\": %s}\n%!"
                 (Unix.gettimeofday ())
                 (json_string (label l))
                 (Domain.self () :> int)
-                (json_string (msg ()))
-                extra)
+                (json_string (msg ())))
     end
 
   let error msg = log Error msg
@@ -759,142 +750,3 @@ module Metrics = struct
       s.histograms;
     Buffer.contents buf
 end
-
-(* ---------- rolling-window aggregates ---------- *)
-
-(* The registry's histograms are cumulative since boot (or the last
-   [Metrics.reset]) — the right shape for a batch rollup, the wrong one
-   for a live scrape: an operator wants p99 over the last minute, not the
-   daemon's lifetime.  A window keeps the newest [capacity] observations
-   with their timestamps in a mutex-guarded ring and aggregates only the
-   ones inside the horizon at read time, so quantiles, rates and means
-   all answer "now".  Observation is O(1); aggregation cost (a copy and a
-   sort, bounded by [capacity]) is paid by the scraper, not the request
-   path. *)
-module Window = struct
-  type t = {
-    w_name : string;
-    w_cap : int;
-    w_horizon : float;  (* seconds of history that count at read time *)
-    w_ts : float array;  (* observation wall-clock, epoch seconds *)
-    w_vs : float array;
-    mutable w_total : int;  (* observations ever; next slot = total mod cap *)
-    w_mutex : Mutex.t;
-  }
-
-  let make ~name ~capacity ~horizon_s =
-    let cap = max 16 capacity in
-    { w_name = name; w_cap = cap; w_horizon = Float.max 0.001 horizon_s;
-      w_ts = Array.make cap 0.0; w_vs = Array.make cap 0.0; w_total = 0;
-      w_mutex = Mutex.create () }
-
-  (* get-or-create registry, mirroring the metrics registry so the scrape
-     endpoint can render every live window without threading handles *)
-  let registry : t list ref = ref []
-  let registry_mutex = Mutex.create ()
-
-  let window ?(capacity = 1024) ?(horizon_s = 60.0) name =
-    Mutex.lock registry_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock registry_mutex)
-      (fun () ->
-        match List.find_opt (fun w -> w.w_name = name) !registry with
-        | Some w -> w
-        | None ->
-            let w = make ~name ~capacity ~horizon_s in
-            registry := w :: !registry;
-            w)
-
-  let locked w f =
-    Mutex.lock w.w_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock w.w_mutex) f
-
-  (* [?at] exists for tests: a synthetic stream with pinned timestamps
-     makes ageing-out assertions deterministic *)
-  let observe ?at w v =
-    let t = match at with Some t -> t | None -> Unix.gettimeofday () in
-    locked w (fun () ->
-        let i = w.w_total mod w.w_cap in
-        w.w_ts.(i) <- t;
-        w.w_vs.(i) <- v;
-        w.w_total <- w.w_total + 1)
-
-  let reset w = locked w (fun () -> w.w_total <- 0)
-
-  (* in-horizon values, unordered *)
-  let values ?now w =
-    let now = match now with Some t -> t | None -> Unix.gettimeofday () in
-    let cutoff = now -. w.w_horizon in
-    locked w (fun () ->
-        let n = min w.w_total w.w_cap in
-        let acc = ref [] in
-        for i = 0 to n - 1 do
-          if w.w_ts.(i) >= cutoff then acc := w.w_vs.(i) :: !acc
-        done;
-        !acc)
-
-  let count ?now w = List.length (values ?now w)
-
-  (* nearest-rank quantile over the in-horizon samples: exact for what is
-     in the window (unlike the log2-bucket estimate), [nan] when empty *)
-  let quantile ?now w q =
-    match values ?now w with
-    | [] -> Float.nan
-    | vs ->
-        let a = Array.of_list vs in
-        Array.sort Float.compare a;
-        let n = Array.length a in
-        let q = Float.max 0.0 (Float.min 1.0 q) in
-        let rank =
-          int_of_float (Float.round (q *. float_of_int n +. 0.5)) - 1
-        in
-        a.(max 0 (min (n - 1) rank))
-
-  (* observations per second over the horizon — the EWMA-flavoured "rate
-     right now" a scrape wants (the window itself is the decay) *)
-  let rate ?now w =
-    float_of_int (count ?now w) /. w.w_horizon
-
-  let mean ?now w =
-    match values ?now w with
-    | [] -> Float.nan
-    | vs -> List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
-
-  let registered () =
-    Mutex.lock registry_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock registry_mutex)
-      (fun () -> List.rev !registry)
-
-  (* windows render as labelled gauges: one metric name per aggregate,
-     one time series per window *)
-  let to_prometheus ?now () =
-    let ws = registered () in
-    if ws = [] then ""
-    else begin
-      let buf = Buffer.create 1024 in
-      let line fmt = Printf.ksprintf (fun l -> Buffer.add_string buf l) fmt in
-      let series name f =
-        line "# TYPE invoke_deobf_window_%s gauge\n" name;
-        List.iter
-          (fun w ->
-            match f w with
-            | v when Float.is_nan v -> ()
-            | v ->
-                line "invoke_deobf_window_%s{window=\"%s\"} %s\n" name
-                  w.w_name (Metrics.prom_float v))
-          ws
-      in
-      series "p50_ms" (fun w -> quantile ?now w 0.50);
-      series "p90_ms" (fun w -> quantile ?now w 0.90);
-      series "p99_ms" (fun w -> quantile ?now w 0.99);
-      series "rate_per_s" (fun w -> rate ?now w);
-      series "count" (fun w -> float_of_int (count ?now w));
-      Buffer.contents buf
-    end
-end
-
-(** The scrape endpoint's whole body: the cumulative metrics registry plus
-    every live rolling window. *)
-let render_prometheus () =
-  Metrics.to_prometheus (Metrics.snapshot ()) ^ Window.to_prometheus ()

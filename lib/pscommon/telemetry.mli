@@ -16,7 +16,12 @@
        drains of that ring, rendered line by line the same way;}
     {- a {e metrics registry} — process-global named counters, gauges and
        log-scale latency histograms, every cell an [Atomic], safe to bump
-       from any pool domain concurrently and aggregated by {!Metrics.snapshot};}
+       from any pool domain concurrently and aggregated by
+       {!Metrics.snapshot}.  It is the one registry: [metrics.json], the
+       serve [metrics] op and the [/metrics] scrape
+       ({!Metrics.to_prometheus}) each render a snapshot of it, and rates
+       or quantiles over a recent window are the scraper's queries over
+       the exported series;}
     {- a {e leveled logger} — [error|warn|info|debug] to stderr, silent by
        default, for the ad-hoc prints a pipeline otherwise accretes.}}
 
@@ -47,8 +52,8 @@ module Log : sig
 
   type format = Text | Json
       (** [Text] (the default): ["[level] msg"].  [Json]: one JSON object
-          per line — [{"ts": epoch_s, "level": …, "domain": id, "msg": …,
-          <fields>}] — for log pipelines. *)
+          per line — [{"ts": epoch_s, "level": …, "domain": id, "msg": …}]
+          — for log pipelines. *)
 
   val set_format : format -> unit
   (** Process-wide, like the level (an [Atomic]). *)
@@ -58,9 +63,7 @@ module Log : sig
   val format_of_string : string -> format option
   (** ["text" | "json"("l")], case-insensitive. *)
 
-  val log : ?fields:attr list -> level -> (unit -> string) -> unit
-  (** [fields] are appended as extra top-level JSON fields in [Json] mode
-      and ignored in [Text] mode. *)
+  val log : level -> (unit -> string) -> unit
 
   val error : (unit -> string) -> unit
   val warn : (unit -> string) -> unit
@@ -301,48 +304,6 @@ module Metrics : sig
       registry names map to underscores under the [invoke_deobf_]
       prefix. *)
 end
-
-(** {1 Rolling windows}
-
-    Live aggregates for the scrape endpoint: the registry's histograms are
-    cumulative since boot, a window answers "the last minute".  The newest
-    [capacity] observations are kept with timestamps in a mutex-guarded
-    ring; quantiles/rates aggregate only observations inside the horizon
-    at read time, so the cost of aggregation (copy + sort) is paid by the
-    scraper, never the request path. *)
-module Window : sig
-  type t
-
-  val window : ?capacity:int -> ?horizon_s:float -> string -> t
-  (** Get or create by name (process-global registry, like metrics).
-      Defaults: capacity 1024 (floor 16), horizon 60 s. *)
-
-  val observe : ?at:float -> t -> float -> unit
-  (** O(1).  [at] (epoch seconds, default now) exists so tests can replay
-      a synthetic stream with pinned timestamps. *)
-
-  val quantile : ?now:float -> t -> float -> float
-  (** Nearest-rank quantile over in-horizon samples — exact for the
-      window's contents, [nan] when empty. *)
-
-  val rate : ?now:float -> t -> float
-  (** In-horizon observations per second. *)
-
-  val mean : ?now:float -> t -> float
-  (** [nan] when empty. *)
-
-  val count : ?now:float -> t -> int
-  val reset : t -> unit
-
-  val to_prometheus : ?now:float -> unit -> string
-  (** Every registered window as labelled gauges
-      ([invoke_deobf_window_p50_ms{window="…"}] etc.); empty string when no
-      windows exist. *)
-end
-
-val render_prometheus : unit -> string
-(** The scrape endpoint's whole body: {!Metrics.to_prometheus} of a fresh
-    snapshot plus {!Window.to_prometheus}. *)
 
 (** {1 JSON helpers} *)
 

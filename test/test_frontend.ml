@@ -199,7 +199,7 @@ let counters_rendered () =
     (contains json "\"psparse.parses\"");
   check_b "pslex.tokenizes in the JSON snapshot" true
     (contains json "\"pslex.tokenizes\"");
-  let prom = Pscommon.Telemetry.render_prometheus () in
+  let prom = M.to_prometheus (M.snapshot ()) in
   check_b "psparse.parses on /metrics" true
     (contains prom "invoke_deobf_psparse_parses_total");
   check_b "pslex.tokenizes on /metrics" true

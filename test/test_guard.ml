@@ -7,6 +7,7 @@ open Pscommon
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
+let check_s = Alcotest.(check string)
 
 (* ---------- Guard primitives ---------- *)
 
@@ -143,19 +144,39 @@ let prop_mutants_total =
 
 (* ---------- degradation boundaries ---------- *)
 
-let test_max_depth_boundary () =
-  let rng = Rng.of_int 7 in
-  let src = Obfuscator.Obfuscate.multilayer rng 3 "Write-Host 'deep'" in
-  let depth0 =
-    { Deobf.Engine.default_options with
-      recovery = { Deobf.Recover.default_options with max_depth = 0 } }
+(* [depth] Invoke-Expression layers around [inner], each a base64 decode *)
+let iex_nest depth inner =
+  let rec go n text =
+    if n = 0 then text
+    else
+      go (n - 1)
+        (Printf.sprintf
+           "iex ([Text.Encoding]::UTF8.GetString(\
+            [Convert]::FromBase64String('%s')))"
+           (Encoding.Base64.encode text))
   in
-  let r0, _ = Pipeline.run ~options:depth0 src in
-  check_i "max_depth 0 unwraps nothing" 0
-    r0.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped;
-  let r, _ = Pipeline.run src in
-  check_b "default depth unwraps layers" true
-    (r.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped >= 1)
+  go depth inner
+
+let test_max_depth_boundary () =
+  (* one pass recurses at most 16 layers deep; the next pass starts again
+     at depth 0, so a deeper nest still comes off layer by layer *)
+  List.iter
+    (fun depth ->
+      let r, out = Pipeline.run (iex_nest depth "Write-Host 'deep'") in
+      check_i
+        (Printf.sprintf "%d layers unwrapped" depth)
+        depth r.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped;
+      check_s "innermost payload recovered" "Write-Host 'deep'\n" out)
+    [ 1; 16; 17 ];
+  let no_multilayer =
+    { Deobf.Engine.default_options with
+      recovery = { Deobf.Recover.default_options with use_multilayer = false } }
+  in
+  let r, _ =
+    Pipeline.run ~options:no_multilayer (iex_nest 3 "Write-Host 'deep'")
+  in
+  check_i "multilayer off unwraps nothing" 0
+    r.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped
 
 let test_budget_exhaustion_partial () =
   (* a starved step budget degrades pieces but the run still completes and

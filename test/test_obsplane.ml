@@ -1,8 +1,8 @@
-(* Tests for the live telemetry plane: rolling-window aggregates, the
-   Prometheus scrape endpoint (exercised concurrently under a chaos
-   request flood), structured JSON logging, the flight recorder's fault
-   dumps, and trace-id propagation — all observation-only, so outputs
-   stay byte-identical whatever is switched on. *)
+(* Tests for the live telemetry plane: the Prometheus scrape endpoint
+   (exercised concurrently under a chaos request flood), structured JSON
+   logging, the flight recorder's fault dumps, and trace-id
+   propagation — all observation-only, so outputs stay byte-identical
+   whatever is switched on. *)
 
 module T = Pscommon.Telemetry
 module Pool = Pscommon.Pool
@@ -13,7 +13,6 @@ module Jsonl = Deobf.Jsonl
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
 let check_s = Alcotest.(check string)
-let check_f = Alcotest.(check (float 1e-9))
 let contains = Pscommon.Strcase.contains
 
 let with_temp_dir name f =
@@ -36,49 +35,6 @@ let with_temp_dir name f =
 
 let write_file path text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
-
-(* ---------- rolling windows ---------- *)
-
-let test_window_quantiles () =
-  let w = T.Window.window ~capacity:32 ~horizon_s:10.0 "obs.test.window" in
-  T.Window.reset w;
-  check_b "empty quantile is nan" true (Float.is_nan (T.Window.quantile w 0.5));
-  (* a pinned synthetic stream: values 1..10 at one-second spacing *)
-  let t0 = 1000.0 in
-  for i = 1 to 10 do
-    T.Window.observe ~at:(t0 +. float_of_int i) w (float_of_int i)
-  done;
-  let now = t0 +. 10.0 in
-  check_i "all in horizon" 10 (T.Window.count ~now w);
-  (* nearest-rank: exact for the window's contents *)
-  check_f "p0 is the min" 1.0 (T.Window.quantile ~now w 0.0);
-  check_f "p50" 6.0 (T.Window.quantile ~now w 0.5);
-  check_f "p90" 10.0 (T.Window.quantile ~now w 0.9);
-  check_f "p100 is the max" 10.0 (T.Window.quantile ~now w 1.0);
-  check_f "mean" 5.5 (T.Window.mean ~now w);
-  check_f "rate = count / horizon" 1.0 (T.Window.rate ~now w);
-  (* ageing: advance the clock so only the newest four samples remain *)
-  let later = t0 +. 17.0 in
-  check_i "old samples aged out" 4 (T.Window.count ~now:later w);
-  check_f "quantiles follow the horizon" 7.0
-    (T.Window.quantile ~now:later w 0.0);
-  (* past the horizon entirely: empty again *)
-  check_i "fully aged" 0 (T.Window.count ~now:(t0 +. 100.0) w);
-  T.Window.reset w;
-  check_i "reset empties" 0 (T.Window.count ~now w)
-
-let test_window_capacity_ring () =
-  let w = T.Window.window ~capacity:16 ~horizon_s:1000.0 "obs.test.ring" in
-  T.Window.reset w;
-  let t0 = 2000.0 in
-  for i = 1 to 100 do
-    T.Window.observe ~at:(t0 +. float_of_int i) w (float_of_int i)
-  done;
-  let now = t0 +. 100.0 in
-  (* only the newest [capacity] observations are retained: 85..100 *)
-  check_i "count capped at capacity" 16 (T.Window.count ~now w);
-  check_f "oldest retained" 85.0 (T.Window.quantile ~now w 0.0);
-  check_f "newest retained" 100.0 (T.Window.quantile ~now w 1.0)
 
 (* ---------- Prometheus exposition ---------- *)
 
@@ -108,9 +64,7 @@ let test_prometheus_exposition () =
   T.Metrics.set (T.Metrics.gauge "obs.prom.depth") 7;
   let h = T.Metrics.histogram "obs.prom.lat_ms" in
   List.iter (T.Metrics.observe h) [ 0.5; 2.0; 2.0; 700.0 ];
-  let w = T.Window.window "obs.prom.win" in
-  T.Window.observe w 12.5;
-  let body = T.render_prometheus () in
+  let body = T.Metrics.to_prometheus (T.Metrics.snapshot ()) in
   check_b "well-formed exposition" true (exposition_well_formed body);
   check_b "counter typed and _total-suffixed" true
     (contains ~needle:"# TYPE invoke_deobf_obs_prom_hits_total counter" body
@@ -125,11 +79,7 @@ let test_prometheus_exposition () =
        ~needle:"invoke_deobf_obs_prom_lat_ms_bucket{le=\"+Inf\"} 4" body);
   (* cumulative buckets: the le="2" bucket holds the 0.5 and both 2.0s *)
   check_b "buckets are cumulative" true
-    (contains ~needle:"invoke_deobf_obs_prom_lat_ms_bucket{le=\"2\"} 3" body);
-  check_b "window aggregates rendered as labelled gauges" true
-    (contains
-       ~needle:"invoke_deobf_window_p50_ms{window=\"obs.prom.win\"} 12.5"
-       body)
+    (contains ~needle:"invoke_deobf_obs_prom_lat_ms_bucket{le=\"2\"} 3" body)
 
 let test_histogram_json_quantiles () =
   let h = T.Metrics.histogram "obs.json.lat_ms" in
@@ -575,8 +525,18 @@ let test_scrape_during_chaos_flood () =
                 check_b "scrape body well-formed" true
                   (exposition_well_formed body);
                 check_b "scrape body has serve counters" true
-                  (contains ~needle:"invoke_deobf_serve_requests_total" body))
+                  (contains ~needle:"invoke_deobf_serve_requests_total" body);
+                check_b "scrape body has no window series" false
+                  (contains ~needle:"invoke_deobf_window_" body))
               scrapes;
+            (* once the flood is answered nothing else writes the registry
+               (a worker observes its request's latency just after the
+               response, hence the pause): a scrape is the fresh snapshot *)
+            Unix.sleepf 0.2;
+            let body = body_of_http (http_get msock "/metrics") in
+            check_s "scrape is Metrics.to_prometheus of a fresh snapshot"
+              (T.Metrics.to_prometheus (T.Metrics.snapshot ()))
+              body;
             (* an unknown path is a 404, not a hang or a crash *)
             check_b "unknown path 404s" true
               (contains ~needle:"404" (http_get msock "/other"));
@@ -727,10 +687,6 @@ let test_one_hit_rate_definition () =
 
 let suite =
   [
-    Alcotest.test_case "window quantiles on a synthetic stream" `Quick
-      test_window_quantiles;
-    Alcotest.test_case "window ring caps retention" `Quick
-      test_window_capacity_ring;
     Alcotest.test_case "prometheus exposition well-formed" `Quick
       test_prometheus_exposition;
     Alcotest.test_case "histogram json carries quantiles" `Quick

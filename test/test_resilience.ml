@@ -140,29 +140,11 @@ let test_mid_here_string_cut () =
   let g = Deobf.Engine.run_guarded ~timeout_s:10.0 src in
   check_b "prefix recovered" true (g.Deobf.Engine.regions_recovered >= 1)
 
-let test_valid_input_identical_with_partial_off () =
+let test_valid_input_has_no_regions () =
   (* partial recovery must be invisible on inputs that parse whole *)
   let src = "$a = 'x' + 'y'\nWrite-Output $a\n" in
-  let on = Deobf.Engine.run_guarded ~timeout_s:10.0 src in
-  let off =
-    Deobf.Engine.run_guarded
-      ~options:{ Deobf.Engine.default_options with partial = false }
-      ~timeout_s:10.0 src
-  in
-  check_s "same output either way"
-    off.Deobf.Engine.result.Deobf.Engine.output
-    on.Deobf.Engine.result.Deobf.Engine.output;
-  check_i "no regions on a valid file" 0 on.Deobf.Engine.regions_total
-
-let test_partial_off_returns_unchanged () =
-  let src = "if (1) { broken\n$b = 1 + 2\n" in
-  let off =
-    Deobf.Engine.run_guarded
-      ~options:{ Deobf.Engine.default_options with partial = false }
-      ~timeout_s:10.0 src
-  in
-  check_s "passthrough with partial off" src
-    off.Deobf.Engine.result.Deobf.Engine.output
+  let g = Deobf.Engine.run_guarded ~timeout_s:10.0 src in
+  check_i "no regions on a valid file" 0 g.Deobf.Engine.regions_total
 
 let test_recovery_fixpoint_stable () =
   (* re-running the engine on a partially recovered output changes nothing:
@@ -478,25 +460,18 @@ let verify_bomb =
    $x = $(while (1 -lt 2) { $null = ('a' * 20000).ToUpper() }; 'done')\n"
 
 let test_verify_gate_honours_deadline () =
-  with_temp_dir (fun dir ->
-      let path = Filename.concat dir "bomb.ps1" in
-      write_file path verify_bomb;
-      let out_dir = Filename.concat dir "out" in
-      Sys.mkdir out_dir 0o755;
-      let started = Guard.now () in
-      let o =
-        Deobf.Batch.process_file ~options:bomb_options ~timeout_s:0.4
-          ~verify:true ~verify_opts:bomb_verify_opts ~out_dir path
-      in
-      let elapsed = Guard.now () -. started in
-      check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.44);
-      check_s "verdict" "unverifiable"
-        (match o.Deobf.Batch.verdict with
-        | Some v -> Deobf.Verify.verdict_name v
-        | None -> "none");
-      let output = read_file (Filename.concat out_dir "bomb.ps1") in
-      check_b "partial recovery kept" true
-        (String.starts_with ~prefix:"$a = 'hello'" output))
+  let started = Guard.now () in
+  let g, o =
+    Deobf.Verify.run_guarded ~options:bomb_options ~timeout_s:0.4
+      ~opts:bomb_verify_opts verify_bomb
+  in
+  let elapsed = Guard.now () -. started in
+  check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.44);
+  check_s "verdict" "unverifiable"
+    (Deobf.Verify.verdict_name o.Deobf.Verify.verdict);
+  check_b "partial recovery kept" true
+    (String.starts_with ~prefix:"$a = 'hello'"
+       g.Deobf.Engine.result.Deobf.Engine.output)
 
 (* each step builds a megabyte, so 2048 steps take seconds: the deadline
    must be polled by the charge for what a step built, not only by the
@@ -758,10 +733,8 @@ let suite =
     Alcotest.test_case "truncated tail recovers" `Quick test_truncated_tail_recovers;
     Alcotest.test_case "binary prefix recovers" `Quick test_binary_prefix_recovers;
     Alcotest.test_case "mid-here-string cut recovers" `Quick test_mid_here_string_cut;
-    Alcotest.test_case "valid input identical with partial off" `Quick
-      test_valid_input_identical_with_partial_off;
-    Alcotest.test_case "partial off returns unchanged" `Quick
-      test_partial_off_returns_unchanged;
+    Alcotest.test_case "valid input has no regions" `Quick
+      test_valid_input_has_no_regions;
     Alcotest.test_case "recovery fixpoint stable" `Quick test_recovery_fixpoint_stable;
     Alcotest.test_case "truncated majority recovers" `Quick
       test_truncated_majority_recovers;

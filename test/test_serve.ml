@@ -414,6 +414,162 @@ let test_warm_cache_identical_output () =
       in
       check_s "daemon output equals direct engine output" direct (out cold))
 
+(* ---------- line framing ---------- *)
+
+let test_reader_frames_lines () =
+  let r, w = Unix.pipe () in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  let reader = Jsonl.Reader.create () in
+  (* in pieces the pipe holds, each read before the next is written *)
+  let rec feed s =
+    let n = min 4096 (String.length s) in
+    send_all w (String.sub s 0 n);
+    let rec drain got =
+      if got < n then drain (got + Jsonl.Reader.read reader r)
+    in
+    drain 0;
+    if n < String.length s then feed (String.sub s n (String.length s - n))
+  in
+  let rec lines acc =
+    match Jsonl.Reader.next_line reader with
+    | Some l -> lines (l :: acc)
+    | None -> List.rev acc
+  in
+  feed "a\nbb";
+  check_s "a line and a partial one" "a" (String.concat "|" (lines []));
+  check_i "the partial line is pending" 2 (Jsonl.Reader.pending reader);
+  (* a line longer than the buffer, split across reads, after the tail *)
+  let long = String.make 200_000 'x' in
+  feed ("b\n" ^ long);
+  feed "\nc\n";
+  check_b "every line whole, in order" true
+    (lines [] = [ "bbb"; long; "c" ]);
+  check_i "nothing pending" 0 (Jsonl.Reader.pending reader);
+  feed "d\n";
+  check_s "the buffer restarts after a long line" "d"
+    (String.concat "|" (lines []))
+
+(* ---------- request size bound ---------- *)
+
+let too_large_bytes = (8 * 1024 * 1024) + 1
+
+let test_too_large_refused () =
+  with_server "large" Serve.default_config (fun sock _server ->
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      (* one unterminated line one byte past the 8 MiB bound *)
+      let head = "{\"id\": \"big\", \"script\": \"" in
+      send_all fd
+        (head ^ String.make (too_large_bytes - String.length head) 'a');
+      let lines = read_lines fd 1 in
+      check_i "one response" 1 (List.length lines);
+      let line = List.hd lines in
+      check_s "refused" "error" (status_of line);
+      check_s "as too-large" "too-large"
+        (Option.value ~default:"?" (Jsonl.string_field line "kind"));
+      let buf = Bytes.create 16 in
+      check_i "the connection is closed" 0
+        (try Unix.read fd buf 0 16 with Unix.Unix_error _ -> 0);
+      (* a new connection is served as before *)
+      let fd2 = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
+      send_all fd2 (request ~id:"after" ~script:piece_script ());
+      check_s "the next connection is served" "ok"
+        (status_of (response_for (read_lines fd2 1) "after")))
+
+(* ---------- the client ---------- *)
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [f ()] with stdout sent to a file: its result and the lines it printed *)
+let capture_stdout f =
+  let tmp = Filename.temp_file "client" ".out" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let text = read_file tmp in
+  Sys.remove tmp;
+  (r, List.filter (( <> ) "") (String.split_on_char '\n' text))
+
+let field line key = Option.value ~default:"?" (Jsonl.string_field line key)
+
+let test_client_roundtrip () =
+  with_server "client" Serve.default_config (fun sock _server ->
+      with_temp_dir "client-files" @@ fun dir ->
+      let scripts =
+        [ ("a.ps1", piece_script);
+          ("b.ps1", "$a = 'x' + 'y'\nWrite-Output $a\n");
+          ("c.ps1", "Wr`ite-Out`put ('he' + 'llo')\n") ]
+      in
+      let files =
+        List.map
+          (fun (name, src) ->
+            let path = Filename.concat dir name in
+            write_file path src;
+            path)
+          scripts
+      in
+      let out_dir = Filename.concat dir "out" in
+      let code, lines =
+        capture_stdout (fun () ->
+            Deobf.Client.run ~rng_seed:1 ~out_dir ~addr:(Serve.Unix_sock sock)
+              files)
+      in
+      check_i "exit 0" 0 code;
+      check_i "one result line per file, then the summary" 4
+        (List.length lines);
+      List.iter2
+        (fun line (name, src) ->
+          check_s "result line in file order" (Filename.concat dir name)
+            (field line "file");
+          check_s (name ^ " done") "done" (field line "result");
+          check_s (name ^ " output as Batch.run_source")
+            (snd (Deobf.Batch.run_source ~name src))
+            (read_file (Filename.concat out_dir name)))
+        (List.filteri (fun i _ -> i < 3) lines)
+        scripts;
+      check_b "summary counts every file done" true
+        (Jsonl.int_field (List.nth lines 3) "done" = Some 3))
+
+let test_client_connection_closed () =
+  (* the daemon refuses the first file's line and closes the connection:
+     the client reports that file and the next one, and exits 1 *)
+  with_server "client-closed" Serve.default_config (fun sock _server ->
+      with_temp_dir "client-closed-files" @@ fun dir ->
+      let big = Filename.concat dir "big.ps1"
+      and small = Filename.concat dir "small.ps1" in
+      write_file big ("Write-Output '" ^ String.make 9_000_000 'a' ^ "'\n");
+      write_file small piece_script;
+      let code, lines =
+        capture_stdout (fun () ->
+            Deobf.Client.run ~rng_seed:1 ~addr:(Serve.Unix_sock sock)
+              [ big; small ])
+      in
+      check_i "exit 1" 1 code;
+      check_i "two result lines and the summary" 3 (List.length lines);
+      List.iter2
+        (fun line file ->
+          check_s "file" file (field line "file");
+          check_s "failed" "failed" (field line "result");
+          check_s "reason" "connection closed" (field line "status"))
+        (List.filteri (fun i _ -> i < 2) lines)
+        [ big; small ];
+      check_b "summary counts both failed" true
+        (Jsonl.int_field (List.nth lines 2) "failed" = Some 2))
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -434,4 +590,12 @@ let suite =
       test_shutdown_op;
     Alcotest.test_case "warm cache: byte-identical output" `Quick
       test_warm_cache_identical_output;
+    Alcotest.test_case "line reader frames lines across reads" `Quick
+      test_reader_frames_lines;
+    Alcotest.test_case "too-large line refused, next connection served"
+      `Quick test_too_large_refused;
+    Alcotest.test_case "client: every file answered as run_source" `Quick
+      test_client_roundtrip;
+    Alcotest.test_case "client: closed connection fails the rest" `Quick
+      test_client_connection_closed;
   ]
