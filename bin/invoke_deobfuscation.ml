@@ -420,8 +420,9 @@ let deobfuscate_cmd =
                  ($(b,GET /metrics), text exposition format 0.0.4) on \
                  $(docv) (unix:PATH or tcp:HOST:PORT), on its own listener \
                  so scrapes never contend with request admission.  Renders \
-                 the live registry plus rolling-window aggregates (sliding \
-                 p50/p90/p99 request latency, req/s, shed rate).")
+                 a snapshot of the metrics registry at each scrape; rates \
+                 and windowed quantiles are PromQL over those series (README, \
+                 \"Live telemetry\").")
       $ Arg.(
           value
           & opt (some string) None

@@ -144,15 +144,24 @@ let options_fingerprint ~options ~timeout_s ~max_output_bytes ~verify =
     (Digest.string
        (Marshal.to_string (options, timeout_s, max_output_bytes, verify) []))
 
-(* field extraction for our own single-line manifest entries lives in
-   {!Jsonl} (shared with the serve daemon's NDJSON protocol); a malformed
-   line simply fails to match *)
-let string_field = Jsonl.string_field
-let int_field = Jsonl.int_field
-let bool_field = Jsonl.bool_field
-
+(* each manifest line is parsed once ({!Jsonl}); a line that does not
+   parse, or lacks a field below, is skipped *)
 let journal_load path =
   let tbl = Hashtbl.create 64 in
+  let entry fields =
+    let get conv k = Option.bind (List.assoc_opt k fields) conv in
+    let str = get Jsonl.to_string and flag k = get Jsonl.to_bool k = Some true in
+    match (str "status", str "file", str "digest", str "options") with
+    | Some "done", Some f, Some d, Some o ->
+        (* replace: the last entry for a file wins *)
+        Hashtbl.replace tbl f
+          { d_digest = d; d_options = o;
+            d_clean = flag "clean"; d_changed = flag "changed";
+            d_verdict = str "verdict"; d_detail = str "verdict_detail";
+            d_rolled = Option.value ~default:0 (get Jsonl.to_int "rolled_back");
+            d_output = str "output_file" }
+    | _ -> ()
+  in
   (match
      Guard.protect (fun () ->
          In_channel.with_open_bin path In_channel.input_all)
@@ -161,29 +170,9 @@ let journal_load path =
   | Ok text ->
       List.iter
         (fun line ->
-          if string_field line "status" = Some "done" then
-            match
-              ( string_field line "file",
-                string_field line "digest",
-                string_field line "options" )
-            with
-            | Some f, Some d, Some o ->
-                (* replace: the last entry for a file wins *)
-                Hashtbl.replace tbl f
-                  {
-                    d_digest = d;
-                    d_options = o;
-                    d_clean =
-                      Option.value ~default:false (bool_field line "clean");
-                    d_changed =
-                      Option.value ~default:false (bool_field line "changed");
-                    d_verdict = string_field line "verdict";
-                    d_detail = string_field line "verdict_detail";
-                    d_rolled =
-                      Option.value ~default:0 (int_field line "rolled_back");
-                    d_output = string_field line "output_file";
-                  }
-            | _ -> ())
+          match Jsonl.parse line with
+          | Some (Jsonl.Object fields) -> entry fields
+          | _ -> ())
         (String.split_on_char '\n' text));
   tbl
 

@@ -106,6 +106,9 @@ val process_file :
     entry exists (resume), and ["started"]/["done"] entries are appended
     as it is processed. *)
 
+val ensure_dir : string -> unit
+(** [mkdir -p].  @raise Failure when a component is not a directory. *)
+
 val run_files :
   ?options:Engine.options ->
   ?timeout_s:float ->

@@ -111,57 +111,56 @@ let submit_file ~fd ~reader ~rng ~max_retries ~timeout_s ~verify ~out_dir
         let rec await () =
           match read_line fd reader with
           | None -> finish Failed connection_closed n
-          | Some resp ->
-              if Jsonl.int_field resp "id" <> Some id then await ()
-              else
-                let status =
-                  Option.value ~default:"?" (Jsonl.string_field resp "status")
-                in
-                if String.equal status "overloaded" then begin
-                  if n > max_retries then finish Shed "overloaded" n
-                  else begin
-                    let retry_after_ms =
-                      Option.value ~default:100
-                        (Jsonl.int_field resp "retry_after_ms")
-                    in
-                    let delay =
-                      backoff_ms rng ~retry_after_ms ~attempt:(n - 1)
-                    in
-                    Unix.sleepf (delay /. 1000.0);
-                    attempt (n + 1)
-                  end
-                end
-                else if String.equal status "ok" || String.equal status "degraded"
-                then begin
-                  let output =
-                    Option.value ~default:"" (Jsonl.string_field resp "output")
-                  in
-                  match out_dir with
-                  | None -> finish Done status n
-                  | Some dir -> (
-                      let path =
-                        Filename.concat dir (Filename.basename file)
-                      in
-                      match
-                        Guard.protect (fun () ->
-                            Out_channel.with_open_bin path (fun oc ->
-                                Out_channel.output_string oc output))
-                      with
-                      | Ok () -> finish ~output_file:path Done status n
-                      | Error failure ->
-                          finish Failed
-                            ("write: " ^ Guard.failure_to_string failure)
-                            n)
-                end
-                else
-                  (* a structured error ("wedged", "timeout", …) is a final
-                     answer: the daemon contained the failure; retrying the
-                     same input would most likely fail the same way *)
-                  finish Failed
-                    (match Jsonl.string_field resp "kind" with
-                    | Some k -> k
-                    | None -> status)
-                    n
+          | Some resp -> (
+              match Jsonl.parse resp with
+              | Some (Jsonl.Object fields)
+                when Option.bind (List.assoc_opt "id" fields) Jsonl.to_int
+                     = Some id ->
+                  answer fields
+              | _ -> await ())
+        and answer fields =
+          let get conv k = Option.bind (List.assoc_opt k fields) conv in
+          let status =
+            Option.value ~default:"?" (get Jsonl.to_string "status")
+          in
+          if String.equal status "overloaded" then begin
+            if n > max_retries then finish Shed "overloaded" n
+            else begin
+              let retry_after_ms =
+                Option.value ~default:100 (get Jsonl.to_int "retry_after_ms")
+              in
+              let delay = backoff_ms rng ~retry_after_ms ~attempt:(n - 1) in
+              Unix.sleepf (delay /. 1000.0);
+              attempt (n + 1)
+            end
+          end
+          else if String.equal status "ok" || String.equal status "degraded"
+          then begin
+            let output =
+              Option.value ~default:"" (get Jsonl.to_string "output")
+            in
+            match out_dir with
+            | None -> finish Done status n
+            | Some dir -> (
+                let path = Filename.concat dir (Filename.basename file) in
+                match
+                  Guard.protect (fun () ->
+                      Out_channel.with_open_bin path (fun oc ->
+                          Out_channel.output_string oc output))
+                with
+                | Ok () -> finish ~output_file:path Done status n
+                | Error failure ->
+                    finish Failed
+                      ("write: " ^ Guard.failure_to_string failure)
+                      n)
+          end
+          else
+            (* a structured error ("wedged", "timeout", …) is a final
+               answer: the daemon contained the failure; retrying the
+               same input would most likely fail the same way *)
+            finish Failed
+              (Option.value ~default:status (get Jsonl.to_string "kind"))
+              n
         in
         (* the daemon closes a connection whose line it refuses: EPIPE *)
         match send_line fd line with
@@ -196,10 +195,9 @@ let run ?(max_retries = 5) ?timeout_s ?verify ?out_dir ?rng_seed ~addr files =
          | None -> Unix.getpid () lxor int_of_float (Unix.gettimeofday () *. 1e6))
       |]
   in
-  (match out_dir with
-  | Some dir when not (Sys.file_exists dir) ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
-  | _ -> ());
+  (* mkdir -p, as --batch does; a failure shows as each file's write error *)
+  Option.iter (fun dir -> ignore (Guard.protect (fun () -> Batch.ensure_dir dir)))
+    out_dir;
   match connect addr with
   | Error e ->
       prerr_endline ("client: " ^ e);

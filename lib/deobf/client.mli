@@ -51,7 +51,7 @@ val run :
   int
 (** [run ~addr files] submits each file and returns the process exit
     code.  [out_dir] writes each ["output"] next to the input's basename
-    (created if missing); without it outputs are not persisted, only the
+    (created with any missing parents, as [--batch] does); without it outputs are not persisted, only the
     per-file result lines.  [timeout_s] and [verify] are forwarded
     per-request when given.  [rng_seed] makes the backoff jitter
     deterministic (tests). *)

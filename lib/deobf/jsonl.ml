@@ -1,97 +1,203 @@
-(** Minimal field extraction over single-line JSON objects.
+(** A strict JSON reader for single NDJSON lines.  See the interface for
+    the contract. *)
 
-    Shared by the batch resume journal and the serve daemon's NDJSON
-    protocol.  This is {e not} a general JSON parser: it scans flat
-    objects whose strings were escaped by
-    {!Pscommon.Telemetry.json_escape} (so a value never contains a raw
-    newline or an unescaped quote).  A malformed line simply fails to match — exactly the right degradation
-    for a journal replay or an untrusted request line, where the answer
-    to "can't read it" is "skip it / answer with an error", never an
-    exception. *)
+type t =
+  | Null
+  | Bool of bool
+  | Number of string
+  | String of string
+  | Array of t list
+  | Object of (string * t) list
 
-let index_of hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
+(* arrays and objects nested deeper than this are refused, which bounds
+   the parser's recursion whatever a line holds *)
+let max_depth = 64
 
-let scan_string line i =
-  let buf = Buffer.create 16 in
+(* a line holding more values than this is refused: each costs about 80
+   bytes parsed, so an 8 MiB line of [0,0,…] would otherwise build some
+   330 MB of list (the largest line this program writes, a response with
+   4 096 inline trace events, holds about 50 000) *)
+let max_values = 1 lsl 17
+
+exception Malformed
+
+let parse line =
   let n = String.length line in
-  let rec go i =
-    if i >= n then None
-    else
-      match line.[i] with
-      | '"' -> Some (Buffer.contents buf)
-      | '\\' when i + 1 < n -> (
-          match line.[i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'; go (i + 2)
-          | 'r' -> Buffer.add_char buf '\r'; go (i + 2)
-          | 't' -> Buffer.add_char buf '\t'; go (i + 2)
-          | 'u' when i + 5 < n ->
-              (match int_of_string_opt ("0x" ^ String.sub line (i + 2) 4) with
-              | Some c when c < 0x100 -> Buffer.add_char buf (Char.chr c)
-              | _ -> ());
-              go (i + 6)
-          | c -> Buffer.add_char buf c; go (i + 2))
-      | c -> Buffer.add_char buf c; go (i + 1)
+  let pos = ref 0 in
+  let peek () = if !pos < n then line.[!pos] else raise Malformed in
+  let expect c = if peek () = c then incr pos else raise Malformed in
+  (* consume one byte when it is one of [chars] *)
+  let opt chars =
+    !pos < n && String.contains chars line.[!pos] && (incr pos; true)
   in
-  go i
+  let skip_ws () = while opt " \t\n\r" do () done in
+  let digits () =
+    let start = !pos in
+    while opt "0123456789" do () done;
+    if !pos = start then raise Malformed
+  in
+  let keyword word v =
+    let k = String.length word in
+    if k > n - !pos || String.sub line !pos k <> word then raise Malformed;
+    pos := !pos + k;
+    v
+  in
+  let hex4 () =
+    let h = if n - !pos >= 4 then String.sub line !pos 4 else raise Malformed in
+    pos := !pos + 4;
+    match int_of_string_opt ("0x" ^ h) with
+    | Some v when not (String.contains h '_') -> v
+    | _ -> raise Malformed
+  in
+  (* after the opening quote.  Bytes that need no decoding are copied as
+     they are, a run at a time, so any byte string [json_escape] wrote —
+     non-UTF-8 bytes included — comes back unchanged *)
+  let plain () =
+    while
+      !pos < n
+      &&
+      let c = line.[!pos] in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      incr pos
+    done
+  in
+  let string_ () =
+    let start = !pos in
+    plain ();
+    if peek () = '"' then begin
+      incr pos;
+      String.sub line start (!pos - 1 - start)
+    end
+    else
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      let rec run start =
+        plain ();
+        Buffer.add_substring buf line start (!pos - start);
+        match peek () with
+        | '"' ->
+            incr pos;
+            Buffer.contents buf
+        | '\\' ->
+            incr pos;
+            let e = peek () in
+            incr pos;
+            (match e with
+            | '"' | '\\' | '/' -> Buffer.add_char buf e
+            | 'b' -> Buffer.add_char buf '\b'
+            | 'f' -> Buffer.add_char buf '\012'
+            | 'n' -> Buffer.add_char buf '\n'
+            | 'r' -> Buffer.add_char buf '\r'
+            | 't' -> Buffer.add_char buf '\t'
+            | 'u' ->
+                let u = hex4 () in
+                let code =
+                  if u land 0xFC00 <> 0xD800 then u
+                  else begin
+                    (* a high surrogate pairs with the low one after it *)
+                    expect '\\';
+                    expect 'u';
+                    let lo = hex4 () in
+                    if lo land 0xFC00 <> 0xDC00 then raise Malformed;
+                    0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+                  end
+                in
+                (* a lone low surrogate is no character *)
+                if not (Uchar.is_valid code) then raise Malformed;
+                Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+            | _ -> raise Malformed);
+            run !pos
+        | _ -> raise Malformed (* a raw control byte *)
+      in
+      run start
+  in
+  let number () =
+    let start = !pos in
+    ignore (opt "-");
+    if not (opt "0") then digits ();
+    if opt "." then digits ();
+    if opt "eE" then begin
+      ignore (opt "+-");
+      digits ()
+    end;
+    Number (String.sub line start (!pos - start))
+  in
+  (* the items up to [close], separated by commas *)
+  let sequence close item =
+    skip_ws ();
+    if opt close then []
+    else
+      let rec go acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        if opt "," then begin
+          skip_ws ();
+          go acc
+        end
+        else begin
+          expect close.[0];
+          List.rev acc
+        end
+      in
+      go []
+  in
+  let values = ref 0 in
+  let rec value depth =
+    incr values;
+    if !values > max_values then raise Malformed;
+    match peek () with
+    | ('{' | '[') when depth >= max_depth -> raise Malformed
+    | '{' ->
+        incr pos;
+        Object
+          (sequence "}" (fun () ->
+               expect '"';
+               let k = string_ () in
+               skip_ws ();
+               expect ':';
+               skip_ws ();
+               (k, value (depth + 1))))
+    | '[' ->
+        incr pos;
+        Array (sequence "]" (fun () -> value (depth + 1)))
+    | '"' ->
+        incr pos;
+        String (string_ ())
+    | 't' -> keyword "true" (Bool true)
+    | 'f' -> keyword "false" (Bool false)
+    | 'n' -> keyword "null" Null
+    | '-' | '0' .. '9' -> number ()
+    | _ -> raise Malformed
+  in
+  try
+    skip_ws ();
+    let v = value 0 in
+    skip_ws ();
+    if !pos = n then Some v else None
+  with Malformed -> None
 
-let field_start line key =
-  match index_of line ("\"" ^ key ^ "\":") with
-  | None -> None
-  | Some i ->
-      let j = ref (i + String.length key + 3) in
-      let n = String.length line in
-      while !j < n && line.[!j] = ' ' do incr j done;
-      if !j >= n then None else Some !j
+(* document order: a member's own value is searched before the members
+   after it *)
+let rec find t key =
+  match t with
+  | Object members ->
+      List.find_map
+        (fun (k, v) -> if String.equal k key then Some v else find v key)
+        members
+  | Array items -> List.find_map (fun v -> find v key) items
+  | Null | Bool _ | Number _ | String _ -> None
 
-let string_field line key =
-  match field_start line key with
-  | Some j when line.[j] = '"' -> scan_string line (j + 1)
-  | _ -> None
+let to_string = function String s -> Some s | _ -> None
+let to_bool = function Bool b -> Some b | _ -> None
+let to_int = function Number s -> int_of_string_opt s | _ -> None
+let to_float = function Number s -> float_of_string_opt s | _ -> None
 
-let int_field line key =
-  match field_start line key with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      while
-        !k < n && (line.[!k] = '-' || (line.[!k] >= '0' && line.[!k] <= '9'))
-      do
-        incr k
-      done;
-      int_of_string_opt (String.sub line j (!k - j))
+let field conv line key =
+  Option.bind (parse line) (fun t -> Option.bind (find t key) conv)
 
-let float_field line key =
-  match field_start line key with
-  | None -> None
-  | Some j ->
-      let n = String.length line in
-      let k = ref j in
-      while
-        !k < n
-        && (match line.[!k] with
-           | '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true
-           | _ -> false)
-      do
-        incr k
-      done;
-      float_of_string_opt (String.sub line j (!k - j))
-
-let bool_field line key =
-  match field_start line key with
-  | Some j when j + 4 <= String.length line && String.sub line j 4 = "true" ->
-      Some true
-  | Some j when j + 5 <= String.length line && String.sub line j 5 = "false"
-    ->
-      Some false
-  | _ -> None
+let string_field = field to_string
+let int_field = field to_int
+let float_field = field to_float
 
 (* Flattening is safe for anything we rendered ourselves: json_string
    escapes newlines inside values, so every '\n' left in a multi-line

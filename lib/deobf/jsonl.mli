@@ -1,26 +1,50 @@
-(** Minimal field extraction over single-line JSON objects.
+(** A strict JSON reader for single NDJSON lines.
 
-    Shared by the batch resume journal and the serve daemon's NDJSON
-    protocol.  Not a general JSON parser: it scans {e flat} objects whose
-    string values were escaped by {!Pscommon.Telemetry.json_escape} (no
-    raw newlines, no unescaped quotes).  Every accessor returns [None] on a malformed
-    or absent field — callers degrade (skip the journal line, answer the
-    request with a structured error) rather than raise. *)
+    Shared by the batch resume journal, the serve daemon's protocol and
+    its client: each reads a line by parsing it once with {!parse} and
+    looking its fields up in the result.  The reader takes any JSON text,
+    whitespace between tokens included, and decodes every escape
+    ([\uXXXX] and surrogate pairs as UTF-8).  Bytes outside escapes are
+    copied as they are, so every string {!Pscommon.Telemetry.json_escape}
+    wrote reads back byte for byte, non-UTF-8 bytes included.  A malformed
+    line is [None], never an exception: callers degrade (skip the journal
+    line, answer the request with a structured error). *)
+
+type t =
+  | Null
+  | Bool of bool
+  | Number of string  (** the literal as written, checked against the grammar *)
+  | String of string
+  | Array of t list
+  | Object of (string * t) list  (** members in document order *)
+
+val parse : string -> t option
+(** [None] on anything but exactly one JSON value with optional
+    whitespace around it: trailing bytes, a raw control byte or an
+    unpaired surrogate inside a string, arrays and objects nested more
+    than 64 deep, or more than 2{^17} values in all (which bounds the
+    memory a hostile line can make the reader build). *)
+
+val find : t -> string -> t option
+(** The first member with this name in document order, at any depth (a
+    member's own value is searched before the members after it). *)
+
+val to_string : t -> string option
+val to_bool : t -> bool option
+
+val to_int : t -> int option
+(** An integer literal that fits an [int]. *)
+
+val to_float : t -> float option
 
 val string_field : string -> string -> string option
-(** [string_field line key] — the unescaped value of ["key": "..."]. *)
+(** [string_field line key] is {!parse} then {!find}: the string value of
+    the first member named [key]; [None] when the line does not parse,
+    the member is absent or not a string.  Likewise {!int_field} and
+    {!float_field}. *)
 
 val int_field : string -> string -> int option
-
 val float_field : string -> string -> float option
-(** Accepts plain JSON numbers ([-1.5], [2e3]); [None] otherwise. *)
-
-val bool_field : string -> string -> bool option
-
-val field_start : string -> string -> int option
-(** Index of the first value character after ["key":] and any spaces —
-    the building block of the typed accessors, exposed for callers that
-    need presence checks or custom scans. *)
 
 val oneline : string -> string
 (** Replace every newline with a space — turns this codebase's pretty

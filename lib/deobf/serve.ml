@@ -83,7 +83,7 @@ let default_config bind =
 (* the largest budget a request may ask for *)
 let max_timeout_s = 300.0
 
-(* an unterminated request line longer than this is refused [too-large] *)
+(* a request line longer than this is refused [too-large] *)
 let max_request_bytes = 8 * 1024 * 1024
 
 (* ---------- metrics ---------- *)
@@ -172,7 +172,9 @@ let overloaded_json ~id ~depth =
 
 type request = {
   rq_conn : conn;
-  rq_line : string;
+  rq_script : string;
+  rq_verify : bool;
+  rq_trace : bool;  (* inline the request's trace events in the response *)
   rq_seq : int;
   rq_id : string;  (* already-rendered JSON value for the "id" field *)
   rq_tid : string;  (* trace id, allocated at admission *)
@@ -187,16 +189,6 @@ let respond req line =
   if Atomic.compare_and_set req.rq_answered false true then
     send req.rq_conn line
 
-(* the client's id is echoed verbatim (string or integer); without one the
-   server's own sequence number keeps responses matchable *)
-let id_of_line ~seq line =
-  match Jsonl.string_field line "id" with
-  | Some s -> T.json_string s
-  | None -> (
-      match Jsonl.int_field line "id" with
-      | Some n -> string_of_int n
-      | None -> string_of_int seq)
-
 (* The worker-side request handler.  Totalised twice over: the pipeline
    inside is {!Batch.run_source} (already total), the outer
    {!Guard.protect} installs the request's admission-time deadline as the
@@ -206,12 +198,11 @@ let id_of_line ~seq line =
    response rather than a recycled-but-silent worker. *)
 let handle cfg cache req =
   try
-    let line = req.rq_line in
     let id = req.rq_id in
     (* two trace consumers: [trace_dir] takes every event of a sampled
        request as [req-<seq>.trace.jsonl], and a request line carrying
        ["trace": true] gets its newest events inlined in the response *)
-    let inline = Jsonl.bool_field line "trace" = Some true in
+    let inline = req.rq_trace in
     let sampled =
       cfg.trace_dir <> None
       &&
@@ -247,54 +238,33 @@ let handle cfg cache req =
          T.span ~attrs:[ ("request", T.I req.rq_seq) ] "serve.request"
        else fun f -> f ())
       @@ fun () ->
-      let src =
-        match Jsonl.string_field line "script" with
-        | Some s -> Ok s
-        | None -> (
-            match Jsonl.string_field line "path" with
-            | None -> Error ("bad-request", "missing \"script\" or \"path\"")
-            | Some p -> (
-                match
-                  Guard.protect (fun () ->
-                      Chaos.probe "batch.read";
-                      In_channel.with_open_bin p In_channel.input_all)
-                with
-                | Ok s -> Ok s
-                | Error f -> Error ("read-failed", Guard.failure_to_string f)))
-      in
-      match src with
-      | Error (kind, detail) -> error_json ~id ~kind ~detail
-      | Ok src -> (
-          let verify =
-            Option.value ~default:cfg.verify (Jsonl.bool_field line "verify")
+      match
+        Guard.protect ~deadline:req.rq_deadline (fun () ->
+            (* the admission deadline is the request's one clock *)
+            Batch.run_source ~options:cfg.options ~timeout_s:infinity ~cache
+              ~verify:req.rq_verify
+              ~name:(Printf.sprintf "req-%d" req.rq_seq) req.rq_script)
+      with
+      | Ok (outcome, output) ->
+          let status =
+            if outcome.Batch.failures = [] then "ok" else "degraded"
           in
-          match
-            Guard.protect ~deadline:req.rq_deadline (fun () ->
-                (* the admission deadline is the request's one clock *)
-                Batch.run_source ~options:cfg.options ~timeout_s:infinity
-                  ~cache ~verify
-                  ~name:(Printf.sprintf "req-%d" req.rq_seq) src)
-          with
-          | Ok (outcome, output) ->
-              let status =
-                if outcome.Batch.failures = [] then "ok" else "degraded"
-              in
-              Printf.sprintf
-                "{\"id\": %s, \"status\": %s, \"trace_id\": %s, \
-                 \"output\": %s, \"report\": %s}"
-                id
-                (T.json_string status)
-                (T.json_string req.rq_tid)
-                (T.json_string output)
-                (Jsonl.oneline (Batch.outcome_to_json outcome))
-          | Error failure ->
-              (* a blown deadline is a flight-recorder trigger: dump the
-                 spans of the request that ran out of budget *)
-              (match failure with
-              | Guard.Timeout -> ignore (T.Flight.dump ~reason:"deadline" ())
-              | _ -> ());
-              error_json ~id ~kind:(Guard.failure_label failure)
-                ~detail:(Guard.failure_to_string failure))
+          Printf.sprintf
+            "{\"id\": %s, \"status\": %s, \"trace_id\": %s, \
+             \"output\": %s, \"report\": %s}"
+            id
+            (T.json_string status)
+            (T.json_string req.rq_tid)
+            (T.json_string output)
+            (Jsonl.oneline (Batch.outcome_to_json outcome))
+      | Error failure ->
+          (* a blown deadline is a flight-recorder trigger: dump the
+             spans of the request that ran out of budget *)
+          (match failure with
+          | Guard.Timeout -> ignore (T.Flight.dump ~reason:"deadline" ())
+          | _ -> ());
+          error_json ~id ~kind:(Guard.failure_label failure)
+            ~detail:(Guard.failure_to_string failure)
     in
     (match (cfg.trace_dir, T.current_trace ()) with
     | Some dir, Some trace when sampled ->
@@ -539,54 +509,87 @@ let serve_loop cfg stop listen_fd =
               { fd; reader = Jsonl.Reader.create ();
                 send_mutex = Mutex.create (); closed = false })
   in
+  (* one parse per line: the listener reads every field here, and the
+     worker gets the script, never the line *)
+  let process_request conn fields =
+    let get conv k = Option.bind (List.assoc_opt k fields) conv in
+    (* the client's id is echoed verbatim (string or integer); without one
+       the server's own sequence number keeps responses matchable *)
+    let id =
+      match (get Jsonl.to_string "id", get Jsonl.to_int "id") with
+      | Some s, _ -> T.json_string s
+      | None, Some n -> string_of_int n
+      | None, None -> string_of_int !seq
+    in
+    match Option.value ~default:"deobfuscate" (get Jsonl.to_string "op") with
+    | "health" ->
+        send conn
+          (health_json ~id ~started ~service ~draining:(Atomic.get stop) cfg)
+    | "metrics" -> send conn (metrics_json ~id ~cache)
+    | "shutdown" ->
+        send conn
+          (Printf.sprintf "{\"id\": %s, \"status\": \"ok\", \"op\": \"shutdown\"}" id);
+        Atomic.set stop true
+    | "deobfuscate" -> (
+        match get Jsonl.to_string "script" with
+        | None ->
+            send conn (error_json ~id ~kind:"bad-request" ~detail:"missing \"script\"")
+        | Some script -> (
+            let timeout_s =
+              Float.min max_timeout_s
+                (Option.value ~default:cfg.default_timeout_s
+                   (get Jsonl.to_float "timeout_s"))
+            in
+            let req =
+              { rq_conn = conn; rq_script = script;
+                rq_verify =
+                  Option.value ~default:cfg.verify (get Jsonl.to_bool "verify");
+                rq_trace = get Jsonl.to_bool "trace" = Some true;
+                rq_seq = !seq; rq_id = id;
+                rq_tid = T.new_trace_id ();
+                (* the budget starts at admission: time spent queued is part
+                   of the request's deadline, which also bounds drain *)
+                rq_deadline = Guard.deadline_after timeout_s;
+                rq_answered = Atomic.make false }
+            in
+            match Chaos.probe "serve.queue" with
+            | exception e ->
+                (* an injected queue fault costs this one request a
+                   structured error, nothing more — and, as a containment
+                   event, triggers a flight-recorder dump *)
+                T.Metrics.incr m_queue_faults;
+                ignore (T.Flight.dump ~reason:"chaos-queue-fault" ());
+                send conn
+                  (error_json ~id ~kind:"queue-fault"
+                     ~detail:(Printexc.to_string e))
+            | () ->
+                if not (Pool.Service.submit service req) then
+                  send conn
+                    (overloaded_json ~id ~depth:(Pool.Service.depth service))))
+    | other ->
+        send conn (error_json ~id ~kind:"bad-request" ~detail:("unknown op: " ^ other))
+  in
   let process_line conn line =
     if String.trim line <> "" then begin
       incr seq;
-      let id = id_of_line ~seq:!seq line in
-      let op =
-        Option.value ~default:"deobfuscate" (Jsonl.string_field line "op")
-      in
-      match op with
-      | "health" ->
+      match Jsonl.parse line with
+      | Some (Jsonl.Object fields) -> process_request conn fields
+      | _ ->
+          (* answered at once: a line that is not a JSON object never
+             takes a queue slot *)
           send conn
-            (health_json ~id ~started ~service ~draining:(Atomic.get stop) cfg)
-      | "metrics" -> send conn (metrics_json ~id ~cache)
-      | "shutdown" ->
-          send conn
-            (Printf.sprintf "{\"id\": %s, \"status\": \"ok\", \"op\": \"shutdown\"}" id);
-          Atomic.set stop true
-      | "deobfuscate" -> (
-          let timeout_s =
-            Float.min max_timeout_s
-              (Option.value ~default:cfg.default_timeout_s
-                 (Jsonl.float_field line "timeout_s"))
-          in
-          let req =
-            { rq_conn = conn; rq_line = line; rq_seq = !seq; rq_id = id;
-              rq_tid = T.new_trace_id ();
-              (* the budget starts at admission: time spent queued is part
-                 of the request's deadline, which also bounds drain *)
-              rq_deadline = Guard.deadline_after timeout_s;
-              rq_answered = Atomic.make false }
-          in
-          match Chaos.probe "serve.queue" with
-          | exception e ->
-              (* an injected queue fault costs this one request a
-                 structured error, nothing more — and, as a containment
-                 event, triggers a flight-recorder dump *)
-              T.Metrics.incr m_queue_faults;
-              ignore (T.Flight.dump ~reason:"chaos-queue-fault" ());
-              send conn
-                (error_json ~id ~kind:"queue-fault"
-                   ~detail:(Printexc.to_string e))
-          | () ->
-              if not (Pool.Service.submit service req) then
-                send conn
-                  (overloaded_json ~id ~depth:(Pool.Service.depth service)))
-      | other ->
-          send conn
-            (error_json ~id ~kind:"bad-request" ~detail:("unknown op: " ^ other))
+            (error_json ~id:(string_of_int !seq) ~kind:"bad-request"
+               ~detail:"not a well-formed JSON object")
     end
+  in
+  (* refuse a request line over the bound, terminated or not, and close
+     the connection: a flood of bytes cannot grow memory *)
+  let too_large conn =
+    incr seq;
+    send conn
+      (error_json ~id:(string_of_int !seq) ~kind:"too-large"
+         ~detail:(Printf.sprintf "request line exceeds %d bytes" max_request_bytes));
+    close_conn conn
   in
   let read_conn conn =
     match Chaos.probe "serve.read" with
@@ -601,20 +604,14 @@ let serve_loop cfg stop listen_fd =
         | _ ->
             let rec drain_lines () =
               match Jsonl.Reader.next_line conn.reader with
+              | Some line when String.length line > max_request_bytes ->
+                  too_large conn
               | Some line ->
                   process_line conn line;
                   drain_lines ()
               | None ->
-                  if Jsonl.Reader.pending conn.reader > max_request_bytes
-                  then begin
-                    incr seq;
-                    send conn
-                      (error_json ~id:(string_of_int !seq) ~kind:"too-large"
-                         ~detail:
-                           (Printf.sprintf "request line exceeds %d bytes"
-                              max_request_bytes));
-                    close_conn conn
-                  end
+                  if Jsonl.Reader.pending conn.reader > max_request_bytes then
+                    too_large conn
             in
             drain_lines ())
   in

@@ -7,14 +7,16 @@
 
     {2 Protocol}
 
-    Request fields (flat JSON object, one per line):
+    Request fields (one JSON object per line, read by {!Jsonl.parse}:
+    whitespace between tokens, every escape, [\uXXXX] as UTF-8):
     {ul
     {- [op] — ["deobfuscate"] (the default when absent), ["health"],
        ["metrics"], or ["shutdown"];}
     {- [id] — echoed back verbatim (string or integer); defaults to a
        server-assigned sequence number;}
-    {- [script] — the source text (JSON-escaped), or [path] — a file to
-       read server-side;}
+    {- [script] — the source text.  There is no [path] field: the daemon
+       reads no file a request names (a request carrying only [path] is
+       [bad-request]);}
     {- [timeout_s] — per-request budget, capped at 300 s;}
     {- [verify] — override the server's semantic-gate default;}
     {- [trace] — [true] inlines the request's span events as a [trace]
@@ -26,11 +28,14 @@
     (flattened to one line); [{"id":…, "status":"overloaded",
     "retry_after_ms":…}] when admission control sheds the request;
     [{"id":…, "status":"error", "kind":…, "detail":…}] for anything else —
-    unreadable paths, malformed requests, contained faults.  Every request
-    line is answered by exactly one of these, except an unterminated line
-    longer than 8 MiB: it is answered with a ["too-large"] error and the
-    connection is closed, so a flood of bytes cannot grow memory.  Each
-    byte read is scanned for a newline once ({!Jsonl.Reader}).
+    malformed requests, contained faults.  The listener parses each line
+    once: a line that is not a JSON object, or a deobfuscate request
+    without a [script] string, is answered [bad-request] at once and
+    takes no queue slot.  Every request line is answered by exactly one
+    of these, except a line longer than 8 MiB, terminated or not: it is
+    answered with a ["too-large"] error and the connection is closed, so
+    a flood of bytes cannot grow memory.  Each byte read is scanned for a
+    newline once ({!Jsonl.Reader}).
 
     {2 Hardening}
 

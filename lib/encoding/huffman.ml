@@ -80,80 +80,3 @@ let fixed_literal_lengths () =
       if i < 144 then 8 else if i < 256 then 9 else if i < 280 then 7 else 8)
 
 let fixed_distance_lengths () = Array.make 32 5
-
-(* Simple Huffman-tree construction over frequencies, then limit depth. *)
-let lengths_of_frequencies ~max_length freqs =
-  let n = Array.length freqs in
-  let module Node = struct
-    type t = { weight : int; kind : kind }
-    and kind = Leaf of int | Internal of t * t
-  end in
-  let leaves =
-    Array.to_list freqs
-    |> List.mapi (fun i f -> (i, f))
-    |> List.filter (fun (_, f) -> f > 0)
-    |> List.map (fun (i, f) -> Node.{ weight = f; kind = Leaf i })
-  in
-  let lengths = Array.make n 0 in
-  match leaves with
-  | [] -> lengths
-  | [ Node.{ kind = Leaf i; _ } ] ->
-      lengths.(i) <- 1;
-      lengths
-  | _ ->
-      (* Build tree with a sorted-list "priority queue"; symbol counts in
-         DEFLATE are small (≤288), so O(n² log n) worst case is fine. *)
-      let rec build = function
-        | [] -> assert false
-        | [ node ] -> node
-        | nodes ->
-            let sorted =
-              List.sort (fun a b -> Int.compare a.Node.weight b.Node.weight) nodes
-            in
-            (match sorted with
-            | a :: b :: rest ->
-                let merged =
-                  Node.{ weight = a.weight + b.weight; kind = Internal (a, b) }
-                in
-                build (merged :: rest)
-            | _ -> assert false)
-      in
-      let root = build leaves in
-      let rec assign depth node =
-        match node.Node.kind with
-        | Node.Leaf i -> lengths.(i) <- max depth 1
-        | Node.Internal (a, b) ->
-            assign (depth + 1) a;
-            assign (depth + 1) b
-      in
-      assign 0 root;
-      (* Flatten codes deeper than max_length: repeatedly move an
-         overly-deep leaf up by demoting a shallower one (standard zlib
-         bl-limit adjustment, done here on Kraft sums). *)
-      let kraft () =
-        Array.fold_left
-          (fun acc l -> if l > 0 then acc +. (1.0 /. float_of_int (1 lsl min l max_length)) else acc)
-          0.0 lengths
-      in
-      Array.iteri (fun i l -> if l > max_length then lengths.(i) <- max_length) lengths;
-      (* Restore Kraft inequality <= 1 by lengthening the shortest codes. *)
-      let rec fix () =
-        if kraft () > 1.0 +. 1e-9 then begin
-          (* find a symbol with length < max_length and smallest frequency *)
-          let best = ref (-1) in
-          Array.iteri
-            (fun i l ->
-              if l > 0 && l < max_length then
-                match !best with
-                | -1 -> best := i
-                | j -> if freqs.(i) < freqs.(j) then best := i)
-            lengths;
-          match !best with
-          | -1 -> ()
-          | i ->
-              lengths.(i) <- lengths.(i) + 1;
-              fix ()
-        end
-      in
-      fix ();
-      lengths

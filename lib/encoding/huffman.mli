@@ -22,8 +22,3 @@ val fixed_literal_lengths : unit -> int array
 
 val fixed_distance_lengths : unit -> int array
 (** The fixed distance code (32 symbols, all length 5). *)
-
-val lengths_of_frequencies : max_length:int -> int array -> int array
-(** Package-merge-free length assignment: build a Huffman tree over nonzero
-    frequencies, then flatten overly deep leaves to [max_length] by the
-    standard length-adjustment.  Used by the compressor's dynamic blocks. *)

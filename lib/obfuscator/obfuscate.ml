@@ -44,11 +44,6 @@ let piece rng technique base_command =
       L2.string_expr rng technique base_command
   | _ -> L3.apply ~launcher:`Obfuscated ~indirect:true rng technique base_command
 
-(** Compose several techniques.  L3 techniques nest (multi-layer); L1/L2
-    apply to the current outermost layer. *)
-let compose rng techniques script =
-  List.fold_left (fun acc t -> apply rng t acc) script techniques
-
 (** A wild-style sample: random techniques at each level following the
     paper's Table I distribution (98% L1, 98% L2, 96% L3 of wild samples). *)
 let wild_mix ?(p_l1 = 0.98) ?(p_l2 = 0.98) ?(p_l3 = 0.96) ?launcher rng script =

@@ -14,9 +14,6 @@ val piece : Pscommon.Rng.t -> Technique.t -> string -> string
     string expression evaluating to the input; L3 wrappers use obfuscated
     launcher spellings with variable indirection, as wild pieces do. *)
 
-val compose : Pscommon.Rng.t -> Technique.t list -> string -> string
-(** Apply several techniques left to right (L3 techniques stack). *)
-
 val wild_mix :
   ?p_l1:float ->
   ?p_l2:float ->

@@ -280,13 +280,6 @@ let children t =
 
 (* ---------- traversal ---------- *)
 
-(** Post-order fold: children before parents, which guarantees that when the
-    reconstruction visits a node, all nested obfuscated pieces inside it have
-    already been recovered (paper §III-B5). *)
-let rec fold_post_order f acc t =
-  let acc = List.fold_left (fold_post_order f) acc (children t) in
-  f acc t
-
 let rec iter_post_order f t =
   List.iter (iter_post_order f) (children t);
   f t

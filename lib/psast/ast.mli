@@ -171,10 +171,6 @@ val kind_name : t -> string
 
 val children : t -> t list
 
-val fold_post_order : ('a -> t -> 'a) -> 'a -> t -> 'a
-(** Children before parents — the traversal that guarantees nested pieces
-    are recovered before the node containing them (paper §III-B5). *)
-
 val iter_post_order : (t -> unit) -> t -> unit
 
 val fold_pre_order : ('a -> t -> 'a) -> 'a -> t -> 'a

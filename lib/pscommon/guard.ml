@@ -58,7 +58,6 @@ let ambient_deadline () =
 
 let expired d = d < infinity && now () >= d
 let remaining_s d = if d = infinity then infinity else d -. now ()
-let ambient_remaining_s () = remaining_s (ambient_deadline ())
 
 let within d f =
   let stack = Domain.DLS.get ambient in

@@ -69,11 +69,6 @@ val ambient_deadline : unit -> deadline
 val expired : deadline -> bool
 val remaining_s : deadline -> float
 
-val ambient_remaining_s : unit -> float
-(** Seconds left on the innermost ambient deadline ([infinity] outside any
-    guard, negative when expired) — what a request handler has left of its
-    budget, e.g. to report alongside a timeout response. *)
-
 val within : deadline -> (unit -> 'a) -> 'a
 (** [within d f] runs [f ()] with the minimum of [d] and the ambient
     deadline installed as ambient, like {!protect}, but contains nothing:

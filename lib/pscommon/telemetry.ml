@@ -36,8 +36,10 @@ let json_escape s =
 
 let json_string s = "\"" ^ json_escape s ^ "\""
 
+(* JSON has no nan or infinity: a strict reader would refuse the line *)
 let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.1f" f
   else Printf.sprintf "%.6g" f
 
@@ -531,7 +533,6 @@ module Metrics = struct
     get_or_create registry.gauges name (fun () -> { g = Atomic.make 0 })
 
   let set g v = Atomic.set g.g v
-  let gauge_value g = Atomic.get g.g
 
   let histogram name =
     get_or_create registry.histograms name (fun () ->
@@ -659,22 +660,21 @@ module Metrics = struct
             Atomic.set h.h_max neg_infinity)
           registry.histograms)
 
+  (* an empty histogram's nan min, max and quantiles, and the last
+     bucket's infinite bound, render as null *)
   let histogram_snapshot_to_json hs =
-    let min_s = if Float.is_nan hs.hs_min then "null" else json_float hs.hs_min in
-    let max_s = if Float.is_nan hs.hs_max then "null" else json_float hs.hs_max in
-    let q v = if Float.is_nan v then "null" else json_float v in
     Printf.sprintf
       "{\"count\": %d, \"sum_ms\": %s, \"min_ms\": %s, \"max_ms\": %s, \
        \"p50_ms\": %s, \"p90_ms\": %s, \"p99_ms\": %s, \"buckets\": [%s]}"
-      hs.hs_count (json_float hs.hs_sum) min_s max_s
-      (q (quantile hs 0.50))
-      (q (quantile hs 0.90))
-      (q (quantile hs 0.99))
+      hs.hs_count (json_float hs.hs_sum) (json_float hs.hs_min)
+      (json_float hs.hs_max)
+      (json_float (quantile hs 0.50))
+      (json_float (quantile hs 0.90))
+      (json_float (quantile hs 0.99))
       (String.concat ", "
          (List.map
             (fun (le, n) ->
-              if le = infinity then Printf.sprintf "{\"le_ms\": null, \"n\": %d}" n
-              else Printf.sprintf "{\"le_ms\": %s, \"n\": %d}" (json_float le) n)
+              Printf.sprintf "{\"le_ms\": %s, \"n\": %d}" (json_float le) n)
             hs.hs_buckets))
 
   let snapshot_to_json s =

@@ -234,7 +234,6 @@ module Metrics : sig
 
   val gauge : string -> gauge
   val set : gauge -> int -> unit
-  val gauge_value : gauge -> int
 
   type histogram
   (** Log-scale (base-2) latency histogram in milliseconds: bucket bounds

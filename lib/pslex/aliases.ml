@@ -121,5 +121,3 @@ let canonical_case name =
   match Strcase.Map.find_opt name cmdlet_index with
   | Some (canonical, _) -> Some canonical
   | None -> None
-
-let known_cmdlets = List.map fst table

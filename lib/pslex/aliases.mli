@@ -19,6 +19,3 @@ val canonical_case : string -> string option
 (** Canonical spelling of a known cmdlet name, e.g.
     [canonical_case "invoke-expression" = Some "Invoke-Expression"].  Used by
     random-case recovery on commands. *)
-
-val known_cmdlets : string list
-(** Every cmdlet this table knows about, canonical casing. *)

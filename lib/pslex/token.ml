@@ -66,8 +66,3 @@ let is_string t =
   | New_line | Number | Operator | Statement_separator | Type_name | Variable
   | Splat_variable ->
       false
-
-let is_bareword t =
-  match t.kind with
-  | Command | Command_argument -> true
-  | _ -> false

@@ -45,6 +45,3 @@ val pp : Format.formatter -> t -> unit
 
 val is_string : t -> bool
 (** Any of the four string kinds. *)
-
-val is_bareword : t -> bool
-(** Command or argument bareword. *)

@@ -275,12 +275,6 @@ let rec to_source_opt v =
         else None
   | Hash _ | Script_block _ | Secure_string _ | Obj _ -> None
 
-let is_stringlike = function
-  | Str _ | Char _ -> true
-  | Int _ | Float _ | Bool _ | Null | Arr _ | Hash _ | Script_block _
-  | Secure_string _ | Obj _ ->
-      false
-
 (* ---------- pretty-printing for diagnostics ---------- *)
 
 let rec pp fmt = function

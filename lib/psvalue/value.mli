@@ -131,6 +131,4 @@ val to_source_opt : t -> string option
     faithful source form (objects, hashtables, control characters) — the
     paper keeps the obfuscated piece in that case (§III-B2). *)
 
-val is_stringlike : t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -21,6 +21,7 @@ let () =
       ("deobf", Test_deobf.suite);
       ("verify", Test_verify.suite);
       ("provenance", Test_provenance.suite);
+      ("jsonl", Test_jsonl.suite);
       ("serve", Test_serve.suite);
       ("selfheal", Test_selfheal.suite);
       ("baselines", Test_baselines.suite);

@@ -118,8 +118,8 @@ let response_for lines id =
   | Some l -> l
   | None -> Alcotest.failf "no response for id %s in %d line(s)" id (List.length lines)
 
-let status_of line =
-  Option.value ~default:"?" (Jsonl.string_field line "status")
+let field line key = Option.value ~default:"?" (Jsonl.string_field line key)
+let status_of line = field line "status"
 
 (* the decode-piece sample: its Invoke-Expression argument is a piece the
    engine executes and replaces, so the piece cache sees real traffic *)
@@ -168,7 +168,8 @@ let test_health_and_metrics () =
       let m = response_for lines "m" in
       check_s "metrics ok" "ok" (status_of m);
       check_b "metrics payload has counters" true
-        (Jsonl.field_start m "counters" <> None))
+        (Option.bind (Jsonl.parse m) (fun t -> Jsonl.find t "counters")
+         <> None))
 
 let test_malformed_and_unknown () =
   with_server "bad"
@@ -455,27 +456,109 @@ let too_large_bytes = (8 * 1024 * 1024) + 1
 
 let test_too_large_refused () =
   with_server "large" Serve.default_config (fun sock _server ->
+      let head = "{\"id\": \"big\", \"script\": \"" in
+      let script_of len = head ^ String.make (len - String.length head) 'a' in
+      List.iter
+        (fun (what, input) ->
+          let fd = connect sock in
+          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+          send_all fd input;
+          let lines = read_lines fd 1 in
+          check_i (what ^ ": one response") 1 (List.length lines);
+          let line = List.hd lines in
+          check_s (what ^ ": refused") "error" (status_of line);
+          check_s (what ^ ": as too-large") "too-large" (field line "kind");
+          let buf = Bytes.create 16 in
+          check_i (what ^ ": the connection is closed") 0
+            (try Unix.read fd buf 0 16 with Unix.Unix_error _ -> 0);
+          (* a new connection is served as before *)
+          let fd2 = connect sock in
+          Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
+          send_all fd2 (request ~id:"after" ~script:piece_script ());
+          check_s (what ^ ": the next connection is served") "ok"
+            (status_of (response_for (read_lines fd2 1) "after")))
+        [ (* one unterminated line one byte past the 8 MiB bound *)
+          ("unterminated", script_of too_large_bytes);
+          (* a whole request line 41 bytes past it *)
+          ("terminated", script_of (too_large_bytes + 38) ^ "\"}\n") ])
+
+(* ---------- the protocol is JSON ---------- *)
+
+(* the escapes a standard encoder writes (Python's json.dumps) decode to
+   the UTF-8 text, and the response is UTF-8 again *)
+let test_escaped_non_ascii () =
+  with_server "utf8" Serve.default_config (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      (* one unterminated line one byte past the 8 MiB bound *)
-      let head = "{\"id\": \"big\", \"script\": \"" in
       send_all fd
-        (head ^ String.make (too_large_bytes - String.length head) 'a');
-      let lines = read_lines fd 1 in
-      check_i "one response" 1 (List.length lines);
-      let line = List.hd lines in
-      check_s "refused" "error" (status_of line);
-      check_s "as too-large" "too-large"
-        (Option.value ~default:"?" (Jsonl.string_field line "kind"));
-      let buf = Bytes.create 16 in
-      check_i "the connection is closed" 0
-        (try Unix.read fd buf 0 16 with Unix.Unix_error _ -> 0);
-      (* a new connection is served as before *)
+        {|{"id": "u", "script": "$a = 'caf' + '\u00e9 \u4e2d \ud83d\ude00'\nWrite-Output $a"}
+|};
+      let r = response_for (read_lines fd 1) "u" in
+      check_s "status ok" "ok" (status_of r);
+      check_b "the response is UTF-8" true (String.is_valid_utf_8 r);
+      let src = "$a = 'caf' + '\xc3\xa9 \xe4\xb8\xad \xf0\x9f\x98\x80'\nWrite-Output $a" in
+      let expected = snd (Deobf.Batch.run_source ~name:"req-1" src) in
+      check_b "the text survives recovery" true
+        (Pscommon.Strcase.contains ~needle:"caf\xc3\xa9 \xe4\xb8\xad" expected);
+      check_s "output as Batch.run_source on the UTF-8 text" expected
+        (field r "output"))
+
+let test_spaced_op_is_health () =
+  with_server "spaced" Serve.default_config (fun sock _server ->
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send_all fd "{\"id\" : \"sp\" , \"op\" : \"health\"}\n";
+      let r = response_for (read_lines fd 1) "sp" in
+      check_s "status ok" "ok" (status_of r);
+      check_s "answered as health" "health" (field r "op"))
+
+(* there is no server-side file read: a request names its script inline *)
+let test_path_refused () =
+  with_server "path" Serve.default_config (fun sock _server ->
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let path = Filename.concat (Filename.dirname sock) "secret.ps1" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc "Write-Output 'secret'");
+      send_all fd
+        (Printf.sprintf "{\"id\": \"p\", \"path\": %s}\n"
+           (Pscommon.Telemetry.json_string path));
+      let r = response_for (read_lines fd 1) "p" in
+      check_s "refused" "error" (status_of r);
+      check_s "as bad-request" "bad-request" (field r "kind");
+      check_b "the file is not read" true (Jsonl.string_field r "output" = None))
+
+(* a line that is not a JSON object is answered at once and never takes a
+   queue slot: with the one worker busy on a bomb, an 8 MiB line of [ is
+   answered bad-request before the bomb, neither shed nor queued *)
+let test_deep_line_refused () =
+  with_server "deep"
+    (fun bind ->
+      { (Serve.default_config bind) with
+        Serve.jobs = 1; queue_cap = 1; options = bomb_options })
+    (fun sock _server ->
+      let fd = connect sock in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      send_all fd (request ~id:"b1" ~script:bomb_script ~timeout_s:1.5 ());
+      send_all fd (request ~id:"b2" ~script:bomb_script ~timeout_s:1.5 ());
+      send_all fd (String.make (8 * 1024 * 1024) '[' ^ "\n");
+      let lines = read_lines fd 3 in
+      let position p =
+        match List.find_index p lines with
+        | Some i -> i
+        | None -> Alcotest.fail "a line was not answered"
+      in
+      let deep = position (fun l -> Jsonl.int_field l "id" = Some 3) in
+      let r = List.nth lines deep in
+      check_s "refused" "error" (status_of r);
+      check_s "as bad-request" "bad-request" (field r "kind");
+      check_b "answered before the bomb in flight" true
+        (deep < position (fun l -> field l "id" = "b1"));
       let fd2 = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd2) @@ fun () ->
-      send_all fd2 (request ~id:"after" ~script:piece_script ());
-      check_s "the next connection is served" "ok"
-        (status_of (response_for (read_lines fd2 1) "after")))
+      send_all fd2 (request ~id:"alive" ~op:"health" ());
+      check_s "the daemon keeps serving" "ok"
+        (status_of (response_for (read_lines fd2 1) "alive")))
 
 (* ---------- the client ---------- *)
 
@@ -503,8 +586,6 @@ let capture_stdout f =
   let text = read_file tmp in
   Sys.remove tmp;
   (r, List.filter (( <> ) "") (String.split_on_char '\n' text))
-
-let field line key = Option.value ~default:"?" (Jsonl.string_field line key)
 
 let test_client_roundtrip () =
   with_server "client" Serve.default_config (fun sock _server ->
@@ -543,6 +624,23 @@ let test_client_roundtrip () =
         scripts;
       check_b "summary counts every file done" true
         (Jsonl.int_field (List.nth lines 3) "done" = Some 3))
+
+let test_client_nested_out_dir () =
+  with_server "client-nested" Serve.default_config (fun sock _server ->
+      with_temp_dir "client-nested-files" @@ fun dir ->
+      let file = Filename.concat dir "a.ps1" in
+      write_file file piece_script;
+      let out_dir = List.fold_left Filename.concat dir [ "a"; "b"; "c" ] in
+      let code, lines =
+        capture_stdout (fun () ->
+            Deobf.Client.run ~rng_seed:1 ~out_dir ~addr:(Serve.Unix_sock sock)
+              [ file ])
+      in
+      check_i "exit 0" 0 code;
+      check_s "done" "done" (field (List.hd lines) "result");
+      check_s "output written under the created directories"
+        (snd (Deobf.Batch.run_source ~name:file piece_script))
+        (read_file (Filename.concat out_dir "a.ps1")))
 
 let test_client_connection_closed () =
   (* the daemon refuses the first file's line and closes the connection:
@@ -594,8 +692,17 @@ let suite =
       test_reader_frames_lines;
     Alcotest.test_case "too-large line refused, next connection served"
       `Quick test_too_large_refused;
+    Alcotest.test_case "escaped non-ASCII request decodes to UTF-8" `Quick
+      test_escaped_non_ascii;
+    Alcotest.test_case "whitespace before a colon: health" `Quick
+      test_spaced_op_is_health;
+    Alcotest.test_case "path field refused" `Quick test_path_refused;
+    Alcotest.test_case "deep line refused at once, daemon serving" `Quick
+      test_deep_line_refused;
     Alcotest.test_case "client: every file answered as run_source" `Quick
       test_client_roundtrip;
+    Alcotest.test_case "client: nested output directory created" `Quick
+      test_client_nested_out_dir;
     Alcotest.test_case "client: closed connection fails the rest" `Quick
       test_client_connection_closed;
   ]
