@@ -11,19 +11,20 @@ exception Cast_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Cast_error s)) fmt
 
+(* the elements a cast to an array type converts, in order *)
+let elements (v : Value.t) =
+  match v with Null -> [||] | Arr a -> a | v -> [| v |]
+
 let to_string_array v =
-  Value.Arr
-    (Array.of_list (List.map (fun x -> Value.Str (Value.to_string x)) (Value.to_list v)))
+  Value.Arr (Value.map_array (fun x -> Value.Str (Value.to_string x)) (elements v))
 
 let to_int_array v =
-  Value.Arr (Array.of_list (List.map (fun x -> Value.Int (Value.to_int x)) (Value.to_list v)))
+  Value.Arr (Value.map_array (fun x -> Value.of_int (Value.to_int x)) (elements v))
 
 let to_char_array v =
   match v with
   | Value.Str s -> Value.chars_to_value s
-  | Value.Arr _ ->
-      Value.Arr
-        (Array.of_list (List.map (fun x -> Value.Char (Value.to_char x)) (Value.to_list v)))
+  | Value.Arr a -> Value.Arr (Value.map_array (fun x -> Value.of_char (Value.to_char x)) a)
   | v -> Value.chars_to_value (Value.to_string v)
 
 let to_byte_array v = Value.bytes_to_value (Value.value_to_bytes v)

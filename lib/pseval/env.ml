@@ -110,6 +110,11 @@ type probe = {
           first read found *)
   mutable checked : Psast.Ast.var_key list;
       (** variable keys (physically) whose outside read is in [reads] *)
+  mutable passed : Psast.Ast.var_key;
+      (** the key of the last read found in [settled] or [checked]: its
+          next read needs no check.  [checked] only grows, and a stage's
+          restore, the only thing that drops keys from [settled], resets
+          it, so a loop's reads of its one key cost one comparison *)
   mutable looked_up : string list;  (** command names it found undefined *)
   mutable in_place : int;  (** steps of [target]'s pipeline; -1 until done *)
   sb_text_reads : int;
@@ -323,6 +328,9 @@ let item_var = Psparse.Names.var_key "_"
 let input_var = Psparse.Names.var_key "input"
 let args_var = Psparse.Names.var_key "args"
 
+(* a key no variable has, physically: {!probe}'s [passed] before any read *)
+let no_key = { A.drive = A.No_drive; scope_key = ""; folded = "" }
+
 (* the innermost binding of [key]; [Not_found] when no scope binds it *)
 let rec find_binding scopes key =
   match scopes with
@@ -339,6 +347,16 @@ let lookup_in scopes key =
   | b -> Some b.value
   | exception Not_found -> Name_table.find_opt automatic_scope key
 
+(* [List.mem] and [List.mem_assoc] on names, with [String.equal] rather
+   than the polymorphic compare *)
+let rec mem_name key = function
+  | [] -> false
+  | k :: rest -> String.equal k key || mem_name key rest
+
+let rec mem_name_assoc key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || mem_name_assoc key rest
+
 (* values a reuse can compare with what the site's bindings hold *)
 let immutable_scalar (v : Psvalue.Value.t) =
   match v with
@@ -353,7 +371,7 @@ let immutable_scalar (v : Psvalue.Value.t) =
    scope binds is an outside binding of the global scope. *)
 let probe_outside_read p (k : A.var_key) key v =
   if immutable_scalar v then begin
-    if not (List.mem_assoc key p.reads) then p.reads <- (key, v) :: p.reads;
+    if not (mem_name_assoc key p.reads) then p.reads <- (key, v) :: p.reads;
     p.checked <- k :: p.checked
   end
   else p.self_contained <- false
@@ -368,11 +386,11 @@ let rec probe_resolved p (k : A.var_key) key = function
       | exception Not_found -> probe_resolved p k key rest
       | b ->
           if not (List.memq s p.outer) then ()
-          else if List.mem key p.written then p.settled <- k :: p.settled
+          else if mem_name key p.written then p.settled <- k :: p.settled
           else probe_outside_read p k key b.value)
 
 let probe_read env p (k : A.var_key) =
-  if List.memq k p.settled || List.memq k p.checked then ()
+  if List.memq k p.settled || List.memq k p.checked then p.passed <- k
   else if k.A.drive <> A.No_drive then p.self_contained <- false
   else probe_resolved p k k.A.scope_key env.scopes
 
@@ -382,7 +400,7 @@ let probe_read env p (k : A.var_key) =
    payload runs in place, the name may be visible and be updated. *)
 let probe_lands p k key s =
   if List.memq s p.outer then begin
-    if not (List.mem key p.written) then p.written <- key :: p.written;
+    if not (mem_name key p.written) then p.written <- key :: p.written;
     p.settled <- k :: p.settled
   end
   else p.self_contained <- false
@@ -435,7 +453,9 @@ let assign env key value =
         | [] -> assert false)
 
 let read_var env (k : A.var_key) =
-  (match env.probe with Some p -> probe_read env p k | None -> ());
+  (match env.probe with
+  | Some p when k != p.passed -> probe_read env p k
+  | Some _ | None -> ());
   match k.A.drive with
   | A.Env_drive -> (
       match Hashtbl.find_opt env.env_vars k.A.scope_key with
@@ -470,18 +490,32 @@ let set_var env (k : A.var_key) value =
    resolves the binding {!set_var} would write, exactly as it would; later
    ones store into that binding while no binding was created anywhere since
    (a new binding may shadow it), and resolve again otherwise.  A payload
-   probe still sees every write: after the first it is one [List.memq]. *)
+   probe checks the first write like any other; once the key is settled,
+   the later ones are skipped while the probe's [settled] list is still
+   the one the key was found in.  The lists are never changed in place
+   and the cursor holds the one it saw, so a later list is never
+   physically that one. *)
 type cursor = {
   cursor_key : A.var_key;
   mutable cell : binding;
   mutable resolved_at : int;  (** [created] when [cell] was resolved; -1: never *)
+  mutable settled_in : A.var_key list;
+      (** the probe's [settled] list the key was last found in; [[]]: none *)
 }
 
 let cursor (k : A.var_key) =
-  { cursor_key = k; cell = { value = Psvalue.Value.Null }; resolved_at = -1 }
+  { cursor_key = k; cell = { value = Psvalue.Value.Null }; resolved_at = -1;
+    settled_in = [] }
+
+let probe_cursor env p c =
+  probe_write env p c.cursor_key;
+  if List.memq c.cursor_key p.settled then c.settled_in <- p.settled
 
 let set_cursor env c value =
-  (match env.probe with Some p -> probe_write env p c.cursor_key | None -> ());
+  (match env.probe with
+  | Some p when c.settled_in != p.settled || c.settled_in == [] ->
+      probe_cursor env p c
+  | Some _ | None -> ());
   if c.resolved_at = env.created then c.cell.value <- value
   else begin
     c.cell <- assign env c.cursor_key.A.scope_key value;
@@ -502,7 +536,7 @@ let keeping_cursors env f =
       | exception Not_found -> None
     in
     let fresh =
-      match env.probe with Some p -> not (List.mem key p.written) | None -> false
+      match env.probe with Some p -> not (mem_name key p.written) | None -> false
     in
     fun () ->
       (match before with
@@ -514,6 +548,7 @@ let keeping_cursors env f =
           env.created <- env.created + 1);
       match env.probe with
       | Some p when fresh ->
+          p.passed <- no_key;
           p.written <- List.filter (fun w -> not (String.equal w key)) p.written;
           p.settled <-
             List.filter
@@ -556,7 +591,7 @@ let find_function env key =
       match found with
       | Some _ -> p.self_contained <- false
       | None ->
-          if not (List.mem key p.looked_up) then
+          if not (mem_name key p.looked_up) then
             p.looked_up <- key :: p.looked_up)
   | None -> ());
   found
@@ -654,13 +689,16 @@ let bindings_digest bindings =
 let start_probe env ~target =
   let p =
     { target; outer = env.scopes; self_contained = true; written = [];
-      settled = []; reads = []; checked = []; looked_up = []; in_place = -1;
+      settled = []; reads = []; checked = []; passed = no_key; looked_up = [];
+      in_place = -1;
       sb_text_reads = Psvalue.Value.script_block_text_reads () }
   in
   env.probe <- Some p;
   p
 
-let set_in_place p stmt steps = if p.target == stmt then p.in_place <- steps
+let is_target p stmt = p.target == stmt
+
+let set_in_place p steps = p.in_place <- steps
 
 (* residual values are replayed into another environment, possibly many
    times: only values that can be copied without sharing qualify *)
@@ -671,7 +709,7 @@ let rec replayable (v : Psvalue.Value.t) =
   | Hash _ | Script_block _ | Secure_string _ | Obj _ -> false
 
 let rec copy (v : Psvalue.Value.t) =
-  match v with Arr a -> Psvalue.Value.Arr (Array.map copy a) | v -> v
+  match v with Arr a -> Psvalue.Value.Arr (Psvalue.Value.map_array copy a) | v -> v
 
 let finish_probe env p decoded =
   let final key = lookup_in p.outer key in

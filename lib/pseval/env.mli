@@ -246,9 +246,12 @@ val start_probe : t -> target:Psast.Ast.t -> probe
     over [target], the piece's lone pipeline statement (the interpreter
     stamps it; see {!set_in_place}). *)
 
-val set_in_place : probe -> Psast.Ast.t -> int -> unit
-(** [set_in_place p stmt steps]: the interpreter reports the steps a
-    pipeline statement's pipeline took; kept when [stmt] is the target. *)
+val is_target : probe -> Psast.Ast.t -> bool
+(** [is_target p stmt]: [stmt] is (physically) the probe's target. *)
+
+val set_in_place : probe -> int -> unit
+(** [set_in_place p steps]: the interpreter reports the steps the target
+    statement's pipeline took. *)
 
 val taint : t -> unit
 (** The running evaluation took a path whose result may differ where the

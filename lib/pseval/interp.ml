@@ -22,6 +22,14 @@ type ctx = {
   src_exact : bool;
 }
 
+(* a ForEach-Object or Where-Object block, resolved for one pipeline *)
+type stage_block = {
+  block_ctx : ctx;
+  statements : A.t list;
+  item_cursor : Env.cursor;
+  input_cursor : Env.cursor;
+}
+
 let m_payload_lookups =
   Pscommon.Telemetry.Metrics.counter "verify.payload_lookups"
 
@@ -81,6 +89,20 @@ let rec collect out = function
       emit out v;
       collect out rest
 
+(* [collect out (enumerate v)] *)
+let emit_items out (v : Value.t) =
+  match v with
+  | Null -> ()
+  | Arr a ->
+      for i = 0 to Array.length a - 1 do
+        emit out (Array.unsafe_get a i)
+      done
+  | v -> emit out v
+
+(* [Value.to_bool (Value.of_list items)] of the items emitted *)
+let truthy out =
+  match out.len with 0 -> false | 1 -> Value.to_bool out.items.(0) | _ -> true
+
 (* the items emitted; a full buffer is handed over, not copied *)
 let contents out =
   if out.len = Array.length out.items then out.items else Array.sub out.items 0 out.len
@@ -96,9 +118,12 @@ let contents_list out = Array.to_list (contents out)
    nothing, so it is not charged again. *)
 let rec eval_expr ctx (t : A.t) : Value.t =
   let v = eval_expr_unchecked ctx t in
-  (match t.A.node with
-  | A.Variable_expr _ | A.String_const _ -> Env.check_size ctx.env v
-  | _ -> Env.built ctx.env v);
+  (match v with
+  | Value.Str _ | Value.Arr _ -> (
+      match t.A.node with
+      | A.Variable_expr _ | A.String_const _ -> Env.check_size ctx.env v
+      | _ -> Env.built ctx.env v)
+  | _ -> ());
   v
 
 and eval_expr_unchecked ctx (t : A.t) : Value.t =
@@ -141,9 +166,9 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
       let index = eval_expr ctx idx in
       Ops.index_value container index
   | A.Array_literal elems ->
-      Value.Arr (Array.of_list (List.map (eval_expr ctx) elems))
+      Value.Arr (Value.array_of_list (eval_args ctx elems))
   | A.Array_expr stmts ->
-      Value.Arr (Array.of_list (eval_statements ctx stmts))
+      Value.Arr (Value.array_of_list (eval_statements ctx stmts))
   | A.Hash_literal pairs ->
       Value.Hash
         (List.map
@@ -161,6 +186,7 @@ and eval_expr_unchecked ctx (t : A.t) : Value.t =
           match stmt.A.node with
           | A.Assignment (_, lhs, _) -> eval_expr ctx lhs
           | _ -> Value.Null)
+      | A.Pipeline elems -> Value.of_items (pipeline_statement ctx stmt elems)
       | _ -> Value.of_list (eval_statement ctx stmt))
   | A.Script_block_expr sb ->
       Value.Script_block
@@ -371,7 +397,7 @@ and invoke_script_block ctx (sb : Value.sb) args ~input =
 and bind_parameters ctx params args =
   let rec bind params args =
     match (params, args) with
-    | [], rest -> Env.set_var ctx.env Env.args_var (Value.Arr (Array.of_list rest))
+    | [], rest -> Env.set_var ctx.env Env.args_var (Value.Arr (Value.array_of_list rest))
     | (p : A.variable) :: ps, a :: rest ->
         Env.set_var ctx.env p.A.var_key a;
         bind ps rest
@@ -437,6 +463,12 @@ and bind_param_defaults ctx names =
     names
 
 and eval_statement ctx (t : A.t) : Value.t list =
+  match t.A.node with
+  | A.Pipeline elems -> enumerate (pipeline_statement ctx t elems)
+  | _ -> eval_other_statement ctx t
+
+(* a statement that is not a pipeline *)
+and eval_other_statement ctx (t : A.t) : Value.t list =
   Env.tick ctx.env;
   match t.A.node with
   | A.Script_block sb ->
@@ -444,19 +476,6 @@ and eval_statement ctx (t : A.t) : Value.t list =
       eval_statements ctx sb.A.sb_statements
   | A.Named_block (_, body) -> eval_statement ctx body
   | A.Statement_block stmts -> eval_statements ctx stmts
-  | A.Pipeline [ { A.node = A.Command_expression
-                     { A.node = A.Postfix_expr ((A.Incr | A.Decr), _)
-                              | A.Unary_expr ((A.Incr | A.Decr), _); _ }; _ } ] ->
-      ignore (eval_pipeline ctx (match t.A.node with A.Pipeline e -> e | _ -> []));
-      []
-  | A.Pipeline elems -> (
-      match ctx.env.Env.probe with
-      | None -> eval_pipeline ctx elems
-      | Some p ->
-          let before = ctx.env.Env.steps in
-          let out = eval_pipeline ctx elems in
-          Env.set_in_place p t (ctx.env.Env.steps - before);
-          out)
   | A.Assignment (op, lhs, rhs) ->
       eval_assignment ctx op lhs rhs;
       []
@@ -615,7 +634,7 @@ and eval_statement ctx (t : A.t) : Value.t list =
       run_finally ();
       result
   | A.Trap_stmt _ -> []
-  | A.Command _ | A.Command_expression _ -> eval_pipeline ctx [ t ]
+  | A.Command _ | A.Command_expression _ -> Array.to_list (run_pipeline ctx [ t ])
   | A.Postfix_expr ((A.Incr | A.Decr), _) | A.Unary_expr ((A.Incr | A.Decr), _) ->
       (* ++/-- in statement position discards its value *)
       ignore (eval_expr ctx t);
@@ -706,9 +725,36 @@ and eval_assignment ctx op lhs rhs =
 
 (* ---------- pipelines & commands ---------- *)
 
-and eval_pipeline ctx elems =
+(* The output of pipeline statement [t], its stages [elems], as one value
+   whose items ({!enumerate}) are the output and whose array, if it is
+   one, no other value holds: one tick, then the pipeline, whose steps a
+   payload probe records when [t] is its target. *)
+and pipeline_statement ctx t elems =
+  Env.tick ctx.env;
+  match ctx.env.Env.probe with
+  | Some p when Env.is_target p t ->
+      let before = ctx.env.Env.steps in
+      let out = pipeline ctx elems in
+      Env.set_in_place p (ctx.env.Env.steps - before);
+      out
+  | Some _ | None -> pipeline ctx elems
+
+(* A lone expression's value, with no array made around a scalar (`$i++`
+   alone yields nothing); a longer pipeline's output as an array *)
+and pipeline ctx elems =
   match elems with
-  | [ { A.node = A.Command_expression e; _ } ] -> enumerate (eval_expr ctx e)
+  | [ { A.node = A.Command_expression e; _ } ] -> (
+      match e.A.node with
+      | A.Postfix_expr ((A.Incr | A.Decr), _) | A.Unary_expr ((A.Incr | A.Decr), _) ->
+          ignore (eval_expr ctx e);
+          Value.Null
+      | _ -> (
+          match eval_expr ctx e with Value.Arr a -> Value.Arr (Array.copy a) | v -> v))
+  | elems -> Value.Arr (run_pipeline ctx elems)
+
+(* The output of a pipeline: an array no other value holds *)
+and run_pipeline ctx elems =
+  match elems with
   | _ :: _ :: _ when payload_table ctx <> None -> (
       (* `<prefix> | iex`: a prefix recovery decoded stands in for running
          the prefix stages; the last stage, its name included, then runs
@@ -719,10 +765,10 @@ and eval_pipeline ctx elems =
         :: prefix_rev
         when may_name_iex cmd -> (
           match reused_payload ctx (List.rev prefix_rev) with
-          | Some decoded -> Array.to_list (run_stages ctx [| decoded |] [ last ])
-          | None -> Array.to_list (run_stages ctx [||] elems))
-      | _ -> Array.to_list (run_stages ctx [||] elems))
-  | elems -> Array.to_list (run_stages ctx [||] elems)
+          | Some decoded -> run_stages ctx [| decoded |] [ last ]
+          | None -> run_stages ctx [||] elems)
+      | _ -> run_stages ctx [||] elems)
+  | elems -> run_stages ctx [||] elems
 
 (* a bare command name that spells Invoke-Expression, or that is computed
    (`& ('ie'+'x')`) and may evaluate to it *)
@@ -785,7 +831,7 @@ and run_command ctx (cmd : A.command) ~input =
               (function A.Elem_argument a -> Some (eval_expr ctx a) | _ -> None)
               rest
           in
-          Array.of_list (invoke_script_block ctx sb args ~input)
+          Value.array_of_list (invoke_script_block ctx sb args ~input)
       | name_value ->
           (* a name computed at run time: `& ('ie'+'x')` *)
           let key = Psparse.Names.command (Value.to_string name_value) in
@@ -796,7 +842,7 @@ and dispatch_command ctx ~key ~elements ~input ~literal =
   match Env.find_function ctx.env key.A.cmd_folded with
   | Some fn ->
       let args = eval_elements_positional ctx elements in
-      Array.of_list (invoke_function ctx fn args ~input)
+      Value.array_of_list (invoke_function ctx fn args ~input)
   | None -> run_builtin ctx ~key ~elements ~input ~literal
 
 and eval_elements_positional ctx elements =
@@ -939,21 +985,21 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
             | None -> positional ())
         | _ -> ( match positional () with [] -> listed () | args -> args)
       in
-      Array.of_list (List.concat_map iex_payload payloads)
+      Value.array_of_list (List.concat_map iex_payload payloads)
   | "invoke-command" -> (
       match param_value (params ()) [ "scriptblock" ] with
       | Some sb ->
-          Array.of_list
+          Value.array_of_list
             (invoke_script_block ctx (script_block_of_value ctx sb) [] ~input)
       | None -> (
           match positional () with
           | [ v ] ->
-              Array.of_list
+              Value.array_of_list
                 (invoke_script_block ctx (script_block_of_value ctx v) [] ~input)
           | _ -> [||]))
   | "write-output" | "write-object" ->
       Array.append input
-        (Array.of_list (List.concat_map enumerate (positional ())))
+        (Value.array_of_list (List.concat_map enumerate (positional ())))
   | "write-host" | "write-verbose" | "write-debug" | "write-warning"
   | "write-error" | "write-information" ->
       (* the joined text is built here, unlike what Write-Output passes on *)
@@ -987,21 +1033,17 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
       | Some b -> (
           match b with
           | Value.Script_block sb ->
-              let run_block = block_runner ctx sb in
-              let cursor = Env.cursor Env.item_var in
+              let block = stage_block ctx sb in
               let out = outbuf ~expected:(Array.length input) () in
               Env.keeping_cursors env (fun () ->
-                  Array.iter
-                    (fun item ->
-                      Env.tick env;
-                      Env.set_cursor env cursor item;
-                      collect out (run_block item))
-                    input);
+                  for i = 0 to Array.length input - 1 do
+                    run_stage_block ctx block out (Array.unsafe_get input i)
+                  done);
               contents out
           | member ->
               (* ForEach-Object membername *)
               let mname = Strcase.lower (Value.to_string member) in
-              Array.map
+              Value.map_array
                 (fun item ->
                   match Members.get_property item mname with
                   | Some v -> v
@@ -1013,17 +1055,15 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
   | "where-object" -> (
       match positional () with
       | [ Value.Script_block sb ] ->
-          let run_block = block_runner ctx sb in
-          let cursor = Env.cursor Env.item_var in
-          let out = outbuf () in
+          let block = stage_block ctx sb in
+          let test = outbuf () and out = outbuf () in
           Env.keeping_cursors env (fun () ->
-              Array.iter
-                (fun item ->
-                  Env.tick env;
-                  Env.set_cursor env cursor item;
-                  if Value.to_bool (Value.of_list (run_block item)) then
-                    emit out item)
-                input);
+              for i = 0 to Array.length input - 1 do
+                let item = Array.unsafe_get input i in
+                test.len <- 0;
+                run_stage_block ctx block test item;
+                if truthy test then emit out item
+              done);
           contents out
       | _ -> input)
   | "select-object" -> (
@@ -1042,7 +1082,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
               Array.sub input (len - keep) keep
           | None -> input))
   | "sort-object" ->
-      Array.of_list (List.sort (fun a b -> Value.compare_loose a b) (listed ()))
+      Value.array_of_list (List.sort (fun a b -> Value.compare_loose a b) (listed ()))
   | "measure-object" -> [| Value.Int (Array.length input) |]
   | "get-random" -> (
       (* deterministic: evaluation must be reproducible *)
@@ -1073,7 +1113,7 @@ and run_builtin ctx ~(key : A.command_key) ~elements ~input ~literal =
             | args -> args)
       in
       [| construct_object ctx (Psparse.Names.type_key type_name) ctor_args |])
-  | _ -> Array.of_list (run_other_builtin ctx ~key ~elements ~input:(listed ()))
+  | _ -> Value.array_of_list (run_other_builtin ctx ~key ~elements ~input:(listed ()))
 
 (* the builtins that are not stages over their input's items *)
 and run_other_builtin ctx ~(key : A.command_key) ~elements ~input =
@@ -1274,17 +1314,37 @@ and run_other_builtin ctx ~(key : A.command_key) ~elements ~input =
 
 (* ForEach-Object / Where-Object run their blocks in the CALLER's scope in
    PowerShell (assignments leak; [$_] and [$input] are put back by
-   {!Env.keeping_cursors}); no new scope here.  The block's
-   context, statements and [$input] cursor are resolved once per pipeline;
-   each item then binds [$input] to a fresh one-element array and runs
-   them. *)
-and block_runner ctx (sb : Value.sb) =
-  let inner_ctx = { ctx with src = sb.Value.sb_src; src_exact = false } in
-  let stmts = sb.Value.sb_ast.A.sb_statements in
-  let cursor = Env.cursor Env.input_var in
-  fun item ->
-    Env.set_cursor ctx.env cursor (Value.Arr [| item |]);
-    try eval_statements inner_ctx stmts with Return_exc out -> out
+   {!Env.keeping_cursors}); no new scope here.  The block's context,
+   statements and cursors are resolved once per pipeline; each item is
+   then one tick, [$_] bound to it, [$input] bound to a fresh one-element
+   array, and the statements run. *)
+and stage_block ctx (sb : Value.sb) =
+  { block_ctx = { ctx with src = sb.Value.sb_src; src_exact = false };
+    statements = sb.Value.sb_ast.A.sb_statements;
+    item_cursor = Env.cursor Env.item_var;
+    input_cursor = Env.cursor Env.input_var }
+
+(* The block's output for [item] appended to [out]: [collect out] of
+   [eval_statements] on the block's statements, with [$_] and [$input]
+   bound, each statement's output appended as it ends and a pipeline's
+   items without a list.  A [return] keeps its own output alone. *)
+and run_stage_block ctx block out item =
+  Env.tick ctx.env;
+  Env.set_cursor ctx.env block.item_cursor item;
+  Env.set_cursor ctx.env block.input_cursor (Value.Arr [| item |]);
+  let mark = out.len in
+  try emit_statements block.block_ctx out block.statements
+  with Return_exc vs ->
+    out.len <- mark;
+    collect out vs
+
+and emit_statements ctx out = function
+  | [] -> ()
+  | stmt :: rest ->
+      (match stmt.A.node with
+      | A.Pipeline elems -> emit_items out (pipeline_statement ctx stmt elems)
+      | _ -> collect out (eval_statement ctx stmt));
+      emit_statements ctx out rest
 
 (* [key] is the type's lookup key ({!Psparse.Names.type_key}) *)
 and construct_object ctx key args =

@@ -26,9 +26,9 @@ let get_property v n =
   | Value.Arr a, ("length" | "count") -> Some (Value.Int (Array.length a))
   | Value.Hash pairs, ("count" | "length") -> Some (Value.Int (List.length pairs))
   | Value.Hash pairs, ("keys") ->
-      Some (Value.Arr (Array.of_list (List.map fst pairs)))
+      Some (Value.Arr (Value.array_of_list (List.map fst pairs)))
   | Value.Hash pairs, ("values") ->
-      Some (Value.Arr (Array.of_list (List.map snd pairs)))
+      Some (Value.Arr (Value.array_of_list (List.map snd pairs)))
   | Value.Hash pairs, key -> (
       (* hashtables expose entries as properties *)
       match
@@ -111,7 +111,7 @@ let string_method s n args =
       in
       Some
         (Value.Arr
-           (Array.of_list (List.map (fun p -> Value.Str p) (split_on_chars s chars))))
+           (Value.array_of_list (List.map (fun p -> Value.Str p) (split_on_chars s chars))))
   | "substring", [ a ] -> Some (Value.Str (clamp_sub s (Value.to_int a) (String.length s)))
   | "substring", [ a; b ] -> Some (Value.Str (clamp_sub s (Value.to_int a) (Value.to_int b)))
   | "toupper", [] | "toupperinvariant", [] -> Some (Value.Str (String.uppercase_ascii s))

@@ -43,7 +43,7 @@ let rec add a b =
       | Value.Float _ -> Value.Float (float_of_int n +. Value.to_float b)
       | _ -> Value.Int (n + Value.to_int b))
   | Value.Float f -> Value.Float (f +. Value.to_float b)
-  | Value.Arr xs -> Value.Arr (Array.append xs (Array.of_list (Value.to_list b)))
+  | Value.Arr xs -> Value.Arr (Array.append xs (Value.array_of_list (Value.to_list b)))
   | Value.Hash pairs -> (
       match b with
       | Value.Hash more -> Value.Hash (pairs @ more)
@@ -129,8 +129,8 @@ let range env_cap a b =
   let lo = Value.to_int a and hi = Value.to_int b in
   let len = abs (hi - lo) + 1 in
   if len > env_cap then fail "range too large (%d elements)" len
-  else if lo <= hi then Value.Arr (Array.init len (fun i -> Value.Int (lo + i)))
-  else Value.Arr (Array.init len (fun i -> Value.Int (lo - i)))
+  else if lo <= hi then Value.Arr (Value.init_array len (fun i -> Value.of_int (lo + i)))
+  else Value.Arr (Value.init_array len (fun i -> Value.of_int (lo - i)))
 
 (* regex work is charged to [env]'s step budget while it runs *)
 let like_match env ~case_sensitive subject pattern =
@@ -162,7 +162,7 @@ let comparison env op sensitivity a b =
   in
   match a with
   | Value.Arr xs ->
-      Value.Arr (Array.of_list (List.filter test (Array.to_list xs)))
+      Value.Arr (Value.array_of_list (List.filter test (Array.to_list xs)))
   | _ -> Value.Bool (test a)
 
 let replace_op env sensitivity a b =
@@ -177,7 +177,7 @@ let replace_op env sensitivity a b =
   let charge = Env.charge_matcher env in
   let apply s = Regexen.Regex.replace ~charge r ~template:replacement s in
   match a with
-  | Value.Arr xs -> Value.Arr (Array.map (fun x -> Value.Str (apply (Value.to_string x))) xs)
+  | Value.Arr xs -> Value.Arr (Value.map_array (fun x -> Value.Str (apply (Value.to_string x))) xs)
   | v -> Value.Str (apply (Value.to_string v))
 
 let split_op env sensitivity a b =
@@ -201,7 +201,7 @@ let split_op env sensitivity a b =
   (* applied to an array, -split splits each element and flattens — chained
      splits ('x' -split 'a' -split 'b') rely on this *)
   match a with
-  | Value.Arr xs -> Value.Arr (Array.concat (Array.to_list (Array.map split_one xs)))
+  | Value.Arr xs -> Value.Arr (Array.concat (List.map split_one (Array.to_list xs)))
   | v -> Value.Arr (split_one v)
 
 let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
@@ -326,5 +326,5 @@ let index_value container index =
       | None -> Value.Null)
   | v, Value.Arr indices ->
       (* slice: collect each index; string slices yield char arrays *)
-      Value.Arr (Array.map (fun ix -> scalar_index v (Value.to_int ix)) indices)
+      Value.Arr (Value.map_array (fun ix -> scalar_index v (Value.to_int ix)) indices)
   | v, ix -> scalar_index v (Value.to_int ix)

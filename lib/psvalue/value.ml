@@ -49,7 +49,42 @@ exception Conversion_error of string
 
 let conv_fail fmt = Printf.ksprintf (fun s -> raise (Conversion_error s)) fmt
 
-let of_list = function [] -> Null | [ v ] -> v | vs -> Arr (Array.of_list vs)
+(* Arrays of values start full of [Null] and are then filled.
+   [Array.make], [Array.of_list], [Array.init] and [Array.map] start an
+   array full of its first element; when that element is young and the
+   array longer than 256 words, the runtime empties the minor heap first,
+   so a large array never points at a young value when it is made. *)
+let array_of_list = function
+  | [] -> [||]
+  | vs ->
+      let a = Array.make (List.length vs) Null in
+      let rec fill i = function
+        | [] -> ()
+        | v :: rest ->
+            Array.unsafe_set a i v;
+            fill (i + 1) rest
+      in
+      fill 0 vs;
+      a
+
+let init_array n f =
+  let a = Array.make n Null in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
+let map_array f a =
+  let b = Array.make (Array.length a) Null in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (f (Array.unsafe_get a i))
+  done;
+  b
+
+let of_list = function [] -> Null | [ v ] -> v | vs -> Arr (array_of_list vs)
+
+(* [of_list (to_list v)], without the list or a copy *)
+let of_items = function Arr [||] -> Null | Arr [| v |] -> v | v -> v
 
 (* One box per character and per byte value, built once: a decoded
    character, a byte or a character code then allocates nothing.  Scalars
@@ -108,7 +143,7 @@ let rec to_string = function
   | Float f -> float_to_string f
   | Str s -> s
   | Char c -> String.make 1 c
-  | Arr a -> String.concat " " (Array.to_list (Array.map to_string a))
+  | Arr a -> String.concat " " (List.map to_string (Array.to_list a))
   | Hash _ -> "System.Collections.Hashtable"
   | Script_block sb ->
       incr (Domain.DLS.get sb_text_reads);
@@ -187,7 +222,7 @@ let to_char = function
 
 (* byte strings <-> value arrays *)
 let bytes_to_value data =
-  Arr (Array.init (String.length data) (fun i -> of_int (Char.code data.[i])))
+  Arr (init_array (String.length data) (fun i -> of_int (Char.code data.[i])))
 
 let value_to_bytes v =
   match v with
@@ -204,7 +239,7 @@ let value_to_bytes v =
   | v -> conv_fail "cannot convert %s to byte[]" (type_name v)
 
 let chars_to_value s =
-  Arr (Array.init (String.length s) (fun i -> of_char s.[i]))
+  Arr (init_array (String.length s) (fun i -> of_char s.[i]))
 
 (* ---------- loose equality / comparison (PowerShell -eq semantics) ---------- *)
 

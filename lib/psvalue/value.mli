@@ -53,6 +53,22 @@ val of_list : t list -> t
 (** [\[\]] is [Null], a singleton is its element, anything longer an
     array — how pipeline output collapses to a single value. *)
 
+val of_items : t -> t
+(** [of_list (to_list v)]: what a pipeline of [v]'s items yields.  An
+    array of two or more comes back as it is, so only for an array no
+    other value holds. *)
+
+val array_of_list : t list -> t array
+
+val init_array : int -> (int -> t) -> t array
+
+val map_array : ('a -> t) -> 'a array -> t array
+(** [Array.of_list], [Array.init] and [Array.map] for values, the
+    elements computed in the same order.  The array starts full of
+    [Null], so making one longer than 256 words forces no minor
+    collection (the stdlib's start full of the first element, and a young
+    first element makes the runtime empty the minor heap first). *)
+
 val of_char : char -> t
 (** [Char c], from a table built once: no allocation. *)
 

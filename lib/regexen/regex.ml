@@ -331,7 +331,7 @@ let exec m t subject start_pos =
   let gstarts = Array.make (t.group_count + 1) (-1) in
   let gstops = Array.make (t.group_count + 1) (-1) in
   count m 2;
-  let limit = if m.charge = None then m.steps + 2_000_000 else max_int in
+  let limit = if Option.is_none m.charge then m.steps + 2_000_000 else max_int in
   let rec match_node node pos (k : int -> bool) =
     count m 1;
     if m.steps > limit then false
@@ -433,11 +433,25 @@ let rec literal_index ci lit subject pos =
   else if literal_at ci lit subject pos 0 (String.length lit) then pos
   else literal_index ci lit subject (pos + 1)
 
+(* A search charges one step per two offsets it scanned, up to the match
+   or the end of the subject *)
+let charge_scan m pos i subject =
+  let stop = if i < 0 then String.length subject else i in
+  count m (Int.max 0 (stop - pos) / 2)
+
 let literal_search m ci lit subject pos =
   let i = literal_index ci lit subject pos in
-  let stop = if i < 0 then String.length subject else i in
-  count m (max 0 (stop - pos) / 2);
+  charge_scan m pos i subject;
   i
+
+(* A one-character literal [c] is found by comparing bytes: [char_eq ci c]
+   holds of exactly [lo] and [up], the two cases of [c] (one byte when [c]
+   has no case or the search is case-sensitive). *)
+let rec byte_index lo up subject pos n =
+  if pos >= n then -1
+  else
+    let b = String.unsafe_get subject pos in
+    if b = lo || b = up then pos else byte_index lo up subject (pos + 1) n
 
 let literal_match start len =
   { m_start = start; m_stop = start + len;
@@ -446,12 +460,12 @@ let literal_match start len =
 let find_with meter ~start t subject =
   match t.literal with
   | Some lit ->
-      let i = literal_search meter t.case_insensitive lit subject (max 0 start) in
+      let i = literal_search meter t.case_insensitive lit subject (Int.max 0 start) in
       if i < 0 then None else Some (literal_match i (String.length lit))
   | None ->
       let n = String.length subject in
       let rec scan pos = if pos > n then None else match exec meter t subject pos with Some m -> Some m | None -> scan (pos + 1) in
-      scan (max 0 start)
+      scan (Int.max 0 start)
 
 let find ?(start = 0) t subject =
   find_with { steps = 0; charge = None } ~start t subject
@@ -472,7 +486,7 @@ let all_matches meter t subject =
 let find_all t subject = all_matches { steps = 0; charge = None } t subject
 
 let is_match ?charge t subject =
-  find_with { steps = 0; charge } ~start:0 t subject <> None
+  Option.is_some (find_with { steps = 0; charge } ~start:0 t subject)
 
 let matched_text subject m = String.sub subject m.m_start (m.m_stop - m.m_start)
 
@@ -560,8 +574,11 @@ let replace ?charge t ~template subject =
     subject
 
 (* Fields are cut into chunks of 8, 16, 32 and then 64 on the minor heap,
-   then into one array of the exact size: no list cell per field, no
-   reversal, and only the result can be large. *)
+   then gathered into one array of the exact size: no list cell per field,
+   no reversal, and only the result can be large.  The gather copies
+   ([Array.concat]); making the result with [Array.make] from a field, a
+   young value, would make the runtime empty the minor heap first
+   whenever the result is longer than 256 words. *)
 type 'a fields = {
   mutable full : 'a array list;  (* filled chunks, newest first *)
   mutable chunk : 'a array;  (* the chunk being filled *)
@@ -572,30 +589,21 @@ type 'a fields = {
 let add_field fs v =
   if fs.k = Array.length fs.chunk then begin
     if fs.k > 0 then fs.full <- fs.chunk :: fs.full;
-    fs.chunk <- Array.make (min 64 (max 8 (2 * fs.k))) v;
+    fs.chunk <- Array.make (Int.min 64 (Int.max 8 (2 * fs.k))) v;
     fs.k <- 0
   end;
-  fs.chunk.(fs.k) <- v;
+  Array.unsafe_set fs.chunk fs.k v;
   fs.k <- fs.k + 1;
   fs.count <- fs.count + 1
 
 let fields_array fs =
-  if fs.full = [] then Array.sub fs.chunk 0 fs.k
-  else begin
-    let out = Array.make fs.count fs.chunk.(0) in
-    let at = ref (fs.count - fs.k) in
-    Array.blit fs.chunk 0 out !at fs.k;
-    List.iter
-      (fun c ->
-        at := !at - Array.length c;
-        Array.blit c 0 out !at (Array.length c))
-      fs.full;
-    out
-  end
+  let last = Array.sub fs.chunk 0 fs.k in
+  match fs.full with [] -> last | full -> Array.concat (List.rev (last :: full))
 
 (* The fields between the matches [find_all] would return, each passed
    through [f].  With [limit] = k > 0, at most k fields: after k - 1
-   separators the rest of the subject is the last field, verbatim. *)
+   separators the rest of the subject is the last field, verbatim.  A
+   one-character literal is found byte by byte. *)
 let split_map ?(limit = 0) ?charge ~f t subject =
   let meter = { steps = 0; charge } in
   let n = String.length subject in
@@ -606,24 +614,43 @@ let split_map ?(limit = 0) ?charge ~f t subject =
   let rec loop pos search =
     if fs.count = limit - 1 || search > n then cut pos n
     else
-      match t.literal with
-      | Some lit ->
-          let i = literal_search meter t.case_insensitive lit subject search in
-          if i < 0 then cut pos n
-          else begin
-            cut pos i;
-            let stop = i + String.length lit in
-            loop stop stop
-          end
-      | None -> (
-          match find_with meter ~start:search t subject with
-          | None -> cut pos n
-          | Some m ->
-              cut pos m.m_start;
-              loop m.m_stop
-                (if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop))
+      match find_with meter ~start:search t subject with
+      | None -> cut pos n
+      | Some m ->
+          cut pos m.m_start;
+          loop m.m_stop (if m.m_stop = m.m_start then m.m_stop + 1 else m.m_stop)
   in
-  loop 0 0;
+  (* a literal cannot match empty: each search starts where the previous
+     match ended *)
+  let rec literal_loop ci lit pos =
+    if fs.count = limit - 1 then cut pos n
+    else
+      let i = literal_search meter ci lit subject pos in
+      if i < 0 then cut pos n
+      else begin
+        cut pos i;
+        literal_loop ci lit (i + String.length lit)
+      end
+  in
+  let rec byte_loop lo up pos =
+    if fs.count = limit - 1 then cut pos n
+    else
+      let i = byte_index lo up subject pos n in
+      charge_scan meter pos i subject;
+      if i < 0 then cut pos n
+      else begin
+        cut pos i;
+        byte_loop lo up (i + 1)
+      end
+  in
+  (match t.literal with
+  | Some lit when String.length lit = 1 ->
+      let c = String.unsafe_get lit 0 in
+      if t.case_insensitive then
+        byte_loop (Char.lowercase_ascii c) (Char.uppercase_ascii c) 0
+      else byte_loop c c 0
+  | Some lit -> literal_loop t.case_insensitive lit 0
+  | None -> loop 0 0);
   fields_array fs
 
 let split ?limit ?charge t subject =

@@ -139,21 +139,59 @@ let prop_split_rejoin =
       String.concat "" parts = String.concat "" (String.split_on_char ',' s))
 
 (* Differential check of the literal scan: a pattern made only of plain
-   characters takes the direct scan; wrapped as [(?:…)] the same pattern
-   takes the backtracking matcher.  Every entry point must agree. *)
+   characters takes the direct scan (a byte scan when it is one
+   character); wrapped as [(?:…)] the same pattern takes the backtracking
+   matcher.  Every entry point must agree, and a split must charge what
+   the interface says a literal scan charges.  Half the patterns are one
+   character, so the count is twice what one kind of pattern needs. *)
+
+(* one-character separators, with and without case ("\t" is PowerShell's
+   `t) *)
+let separator_gen = QCheck.Gen.oneofl [ "-"; ","; "~"; ":"; "\t"; "x"; "X" ]
+
 let literal_gen =
   QCheck.Gen.(
-    map (String.concat "")
-      (list_size (int_range 1 4)
-         (oneofl [ ","; "-"; "~"; ":"; "\t"; "\\t"; "a"; "B"; "x"; "\\." ])))
+    frequency
+      [ (1, separator_gen);
+        ( 1,
+          map (String.concat "")
+            (list_size (int_range 1 4)
+               (oneofl [ ","; "-"; "~"; ":"; "\t"; "\\t"; "a"; "B"; "x"; "\\." ])) ) ])
 
+(* single characters (separators among them, so edge fields and adjacent
+   separators are empty) and runs of filler long enough for a search to
+   charge whole batches of steps *)
 let subject_gen =
   QCheck.Gen.(
-    string_size ~gen:(oneofl [ ','; '-'; '~'; ':'; '\t'; 'a'; 'A'; 'b'; 'B'; 'x'; 'X'; '.' ])
-      (int_range 0 30))
+    map (String.concat "")
+      (list_size (int_range 0 24)
+         (oneof
+            [ map (String.make 1)
+                (oneofl [ ','; '-'; '~'; ':'; '\t'; 'a'; 'A'; 'b'; 'B'; 'x'; 'X'; '.' ]);
+              string_size ~gen:(oneofl [ 'a'; 'b'; '7'; '.' ]) (int_range 0 60) ])))
+
+(* The steps a literal split charges: one per two offsets each search
+   scans, from where it starts (0, then the end of the previous match) to
+   the match or the end of the subject; after [limit] - 1 matches no search
+   is made.  The matches are the backtracking matcher's. *)
+let literal_split_steps gen ~limit subject =
+  let n = String.length subject in
+  let rec go start count steps = function
+    | _ when count = limit - 1 -> steps
+    | [] -> steps + ((n - start) / 2)
+    | (m : Regex.match_result) :: rest ->
+        go m.Regex.m_stop (count + 1) (steps + ((m.Regex.m_start - start) / 2)) rest
+  in
+  go 0 0 0 (Regex.find_all gen subject)
+
+(* what a run reports to [charge]: its steps in whole batches of 64 *)
+let charged run =
+  let total = ref 0 in
+  ignore (run (fun n -> total := !total + n));
+  !total
 
 let prop_literal_scan_matches_backtracker =
-  QCheck.Test.make ~name:"regex: literal scan = backtracking matcher" ~count:500
+  QCheck.Test.make ~name:"regex: literal scan = backtracking matcher" ~count:1000
     QCheck.(
       make
         ~print:(fun (p, s, ci, t, k) ->
@@ -163,6 +201,7 @@ let prop_literal_scan_matches_backtracker =
             (oneofl [ ""; "_"; "<$&>"; "$$"; "[$1]"; "${0}" ])
             (int_range 0 4)))
     (fun (pat, subject, case_insensitive, template, limit) ->
+      (* [case_insensitive] false is -csplit *)
       let lit = Regex.compile ~case_insensitive pat in
       let gen = Regex.compile ~case_insensitive ("(?:" ^ pat ^ ")") in
       Regex.find lit subject = Regex.find gen subject
@@ -170,6 +209,8 @@ let prop_literal_scan_matches_backtracker =
       && Regex.find_all lit subject = Regex.find_all gen subject
       && Regex.split lit subject = Regex.split gen subject
       && Regex.split ~limit lit subject = Regex.split ~limit gen subject
+      && charged (fun charge -> Regex.split ~limit ~charge lit subject)
+         = (literal_split_steps gen ~limit subject lsr 6) lsl 6
       && Regex.replace lit ~template subject = Regex.replace gen ~template subject)
 
 let suite =
