@@ -1,16 +1,17 @@
-(** Structured edit journal for the semantic-equivalence gate.
+(** Structured edit journal for the semantic-equivalence gate, and the one
+    place an edit lands ({!admits}, {!land_edits}).
 
     Every in-place extent edit the pipeline lands — token-phase rewrites,
-    piece recoveries, variable substitutions, layer unwraps, paren
-    simplifications — is recorded as a [(site, kind, before, after)]
-    record, grouped into {e stages}: one stage per successful application
-    of a phase to a concrete input text.  Because the pipeline threads each
-    stage's output into the next stage's input, replaying a {e prefix} of
-    the flattened edit sequence is exact: whole stages reproduce the
-    recorded intermediate texts byte for byte, and a partial stage is a
-    plain {!Pscommon.Patch.apply} of the first [k] normalized edits.  That
-    exactness is what lets {!Verify} bisect the journal to the first
-    behaviour-changing edit. *)
+    piece recoveries, variable substitutions, layer unwraps, dynamic
+    region replacements, paren simplifications — is recorded as a
+    [(site, kind, before, after)] record, grouped into {e stages}: one
+    stage per successful application of a phase to a concrete input text.
+    Because the pipeline threads each stage's output into the next stage's
+    input, replaying a {e prefix} of the flattened edit sequence is exact:
+    whole stages reproduce the recorded intermediate texts byte for byte,
+    and a partial stage is a plain {!Pscommon.Patch.apply} of the first
+    [k] normalized edits.  That exactness is what lets {!Verify} bisect
+    the journal to the first behaviour-changing edit. *)
 
 open Pscommon
 
@@ -30,20 +31,14 @@ type stage = {
   s_edits : edit list;  (** in application order (sorted, nesting resolved) *)
 }
 
-type t = { mutable stages_rev : stage list; mutable total : int }
+type t = { mutable stages_rev : stage list }
 
-let create () = { stages_rev = []; total = 0 }
+let create () = { stages_rev = [] }
 
-let record_stage t ~phase ~pass ~src pairs =
-  (* record exactly what Patch.apply performs: sorted, nested edits dropped.
-     normalize returns the input records themselves, so kinds correlate by
-     physical identity. *)
-  let applied = Patch.normalize (List.map fst pairs) in
-  let kind_of e =
-    match List.find_opt (fun (e', _) -> e' == e) pairs with
-    | Some (_, k) -> k
-    | None -> "edit"
-  in
+(* Journal one landed stage: [applied] is [Patch.normalize] of the
+   proposals' edits, the records themselves, so each finds its kind by
+   physical identity. *)
+let record t ~phase ~pass ~src pairs applied =
   let edits =
     List.map
       (fun (e : Patch.edit) ->
@@ -51,7 +46,7 @@ let record_stage t ~phase ~pass ~src pairs =
         and stop = e.Patch.extent.Extent.stop in
         {
           phase;
-          kind = kind_of e;
+          kind = List.assq e pairs;
           pass;
           start;
           stop;
@@ -60,13 +55,10 @@ let record_stage t ~phase ~pass ~src pairs =
         })
       applied
   in
-  if edits <> [] then begin
-    t.stages_rev <- { s_phase = phase; s_pass = pass; s_edits = edits } :: t.stages_rev;
-    t.total <- t.total + List.length edits
-  end
+  t.stages_rev <-
+    { s_phase = phase; s_pass = pass; s_edits = edits } :: t.stages_rev
 
 let stages t = List.rev t.stages_rev
-let total t = t.total
 
 let flatten stages = Array.of_list (List.concat_map (fun s -> s.s_edits) stages)
 
@@ -125,3 +117,39 @@ let describe s =
       if String.length t <= 40 then t else String.sub t 0 37 ^ "..."
     in
     Printf.sprintf "%s: %S -> %S" s.sup_phase (clip s.sup_before) (clip s.sup_after)
+
+(* ---------- landing (the one place an edit lands) ---------- *)
+
+(* Quarantine first, as every stage always asked it: its first answer for
+   a rule is cached for the request, and a half-open breaker takes its
+   probe slot on that answer.  [before] is sliced only when there is a
+   suppression to match it against. *)
+let admits ~suppress ~phase ~kind ~src ~extent ~after =
+  Quarantine.admits ~phase ~kind
+  && (suppress = []
+     || not
+          (suppressed suppress ~phase ~before:(Extent.text src extent) ~after))
+
+(* finalization is suppressed whole, before the breaker is asked *)
+let admits_finalize suppress =
+  (not (finalize_suppressed suppress))
+  && Quarantine.admits ~phase:"engine" ~kind:"finalize"
+
+(* normalized once: [applied] is both what Patch.apply performs and what
+   the journal records *)
+let land_edits ?log ~phase ~pass ~src pairs =
+  match Patch.normalize (List.map fst pairs) with
+  | exception Invalid_argument _ -> None
+  | [] -> None
+  | applied -> (
+      match Patch.apply src applied with
+      | exception Invalid_argument _ -> None
+      | patched when String.equal patched src -> None
+      | patched -> (
+          match Psparse.Parser.parse_full patched with
+          | Error _ -> None
+          | Ok parsed ->
+              Option.iter
+                (fun t -> record t ~phase ~pass ~src pairs applied)
+                log;
+              Some (parsed, List.length applied)))

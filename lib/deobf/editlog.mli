@@ -1,10 +1,17 @@
-(** Structured edit journal for the semantic-equivalence gate.
+(** Structured edit journal for the semantic-equivalence gate, and the one
+    place an edit lands.
 
-    The pipeline records every in-place extent edit it lands, grouped into
-    stages (one per successful phase application).  Stage outputs chain —
-    each stage's input is the previous stage's output — so replaying a
-    prefix of the flattened edit sequence reproduces the recorded
-    intermediate texts exactly; {!Verify} bisects on that. *)
+    Every journaled stage — the token phase, each recovery pass, the
+    dynamic stage, simplification — asks {!admits} about each edit it
+    proposes and hands the admitted ones to {!land_edits}, which applies
+    them, keeps the result only if it parses (paper §IV-A) and journals
+    exactly what it applied, grouped into stages (one per landed
+    application).  Renaming lands its token edits through {!land_edits}
+    too, unjournaled.  Stage outputs chain — each stage's input is the
+    previous stage's output — so replaying a prefix of the flattened edit
+    sequence reproduces the recorded intermediate texts exactly;
+    {!Verify} bisects on that.  {!Quarantine} is consulted here and
+    nowhere else. *)
 
 type edit = {
   phase : string;  (** producing phase: ["token"], ["recover"], ["simplify"] *)
@@ -26,20 +33,8 @@ type t
 
 val create : unit -> t
 
-val record_stage :
-  t -> phase:string -> pass:int -> src:string ->
-  (Pscommon.Patch.edit * string) list -> unit
-(** Record one applied stage: [(edit, kind)] pairs against stage input
-    [src].  Normalizes exactly as {!Pscommon.Patch.apply} does (sorted,
-    nested edits dropped) so the journal reflects what was actually
-    performed.  Call only after the stage's output was accepted
-    (syntax-validated) — rejected stages must not be journaled. *)
-
 val stages : t -> stage list
 (** Chronological. *)
-
-val total : t -> int
-(** Total recorded edits across all stages. *)
 
 val flatten : stage list -> edit array
 (** Edits in global application order. *)
@@ -68,7 +63,32 @@ val suppress_finalize : suppression
 
 val finalize_suppressed : suppression list -> bool
 
-val suppressed : suppression list -> phase:string -> before:string -> after:string -> bool
-
 val describe : suppression -> string
 (** Short human-readable form for logs and telemetry. *)
+
+(** {2 Landing} *)
+
+val admits :
+  suppress:suppression list -> phase:string -> kind:string -> src:string ->
+  extent:Pscommon.Extent.t -> after:string -> bool
+(** May the edit replacing [extent] of [src] by [after] be proposed?
+    Asks {!Quarantine.admits} for the rule [phase ^ "." ^ kind] first
+    (its answer and side effects come first, whatever the suppressions),
+    then checks the suppressions by content; [before] is sliced from
+    [src] only when [suppress] is non-empty. *)
+
+val admits_finalize : suppression list -> bool
+(** Should finalization (rename + reformat) run?  [false] under
+    {!suppress_finalize}, otherwise the ["engine.finalize"] breaker's
+    answer, asked only when the phase is not suppressed. *)
+
+val land_edits :
+  ?log:t -> phase:string -> pass:int -> src:string ->
+  (Pscommon.Patch.edit * string) list -> (Psparse.Parser.parsed * int) option
+(** Land one stage: [(edit, kind)] proposals against [src], applied at
+    once with {!Pscommon.Patch.apply}.  [None] when nothing lands — no
+    proposal, partially overlapping or out-of-range edits, a result equal
+    to [src], or a result that does not parse.  Otherwise the validated
+    parse of the result and the number of edits applied (nested edits are
+    dropped by normalization); with [log], the applied edits are journaled
+    as one stage under [phase] and [pass]. *)

@@ -264,22 +264,20 @@ let residual_encoded_parsed (p : Parser.parsed) =
   (* b) an Invoke-Expression whose argument is still dynamic *)
   || residual_dynamic_iex p.Parser.ast
 
-(* Phase 3: rename and reformat.  Each step validates its own output and
-   hands that parse on, so the result is known to parse. *)
-let finalize_parsed ~options (recovered : Parser.parsed) =
-  let renamed =
-    if options.rename && not (residual_encoded_parsed recovered) then
-      Rename.rename_parsed recovered
-    else recovered
-  in
-  if options.reformat then Rename.reformat_parsed renamed else renamed
-
-(* the string form, for region texts; a text that does not parse is left
-   as it is *)
+(* Phase 3 for region texts: rename and reformat, each step validating its
+   own output and handing that parse on; a text that does not parse is
+   left as it is *)
 let finalize ~options recovered =
   match Parser.parse_full recovered with
   | Error _ -> recovered
-  | Ok p -> (finalize_parsed ~options p).Parser.text
+  | Ok p ->
+      let renamed =
+        if options.rename && not (residual_encoded_parsed p) then
+          Rename.rename_parsed p
+        else p
+      in
+      (if options.reformat then Rename.reformat_parsed renamed else renamed)
+        .Parser.text
 
 type failure_site = { phase : string; failure : Pscommon.Guard.failure }
 
@@ -573,11 +571,8 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = infinity)
            divergence to rename/reformat) rolls back the whole phase; the
            quarantine breaker for "engine.finalize" skips it up front *)
         let options =
-          if
-            Editlog.finalize_suppressed suppress
-            || not (Quarantine.admits ~phase:"engine" ~kind:"finalize")
-          then { options with rename = false; reformat = false }
-          else options
+          if Editlog.admits_finalize suppress then options
+          else { options with rename = false; reformat = false }
         in
         let measure (p : Parser.parsed) = String.length p.Parser.text in
         (* each step hands on the parse it validated its output with *)
@@ -624,31 +619,25 @@ let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =
 
 type phase_output = { phase : string; text : string }
 
-(** The staged view of the pipeline (paper Fig 7): the script after token
-    parsing, after variable tracing and recovery, and after renaming and
-    reformatting. *)
-let run_phases ?(options = default_options) src =
-  match Parser.parse_full src with
-  | Error _ -> [ { phase = "original"; text = src } ]
-  | Ok parsed ->
-      (* each stage is computed exactly once: the fixpoint continues from
-         the token-parsed text, and the final stage finalizes the recovered
-         text *)
-      let stats = Recover.new_stats () in
-      let cache = Recover.Cache.create () in
-      let after_tokens =
-        if options.token_phase then
-          Option.value ~default:parsed
-            (Token_phase.run_parsed ~toks:parsed.Parser.tokens src)
-        else parsed
+(** The staged view of the pipeline (paper Fig 7), read off one guarded
+    run: the input, the journal replayed through the entry token stage
+    (pass -1), the whole journal replayed, and the run's output. *)
+let run_phases ?options src =
+  let g, parses = run_guarded_parsed ?options src in
+  match parses.src_ast with
+  | None -> [ { phase = "original"; text = src } ]
+  | Some _ ->
+      let stages = g.edit_log in
+      let token_edits =
+        match stages with
+        | { Editlog.s_pass = -1; s_edits; _ } :: _ -> List.length s_edits
+        | _ -> 0
       in
-      let recovered, _ =
-        fixpoint_parsed ~opts:options ~stats ~cache ~depth:0 after_tokens
-      in
-      let final = finalize_parsed ~options recovered in
       [
         { phase = "original"; text = src };
-        { phase = "token parsing"; text = after_tokens.Parser.text };
-        { phase = "variable tracing and recovery"; text = recovered.Parser.text };
-        { phase = "renaming and reformatting"; text = final.Parser.text };
+        { phase = "token parsing";
+          text = Editlog.replay_prefix ~src stages token_edits };
+        { phase = "variable tracing and recovery";
+          text = Editlog.replay_prefix ~src stages max_int };
+        { phase = "renaming and reformatting"; text = g.result.output };
       ]

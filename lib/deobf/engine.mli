@@ -144,5 +144,8 @@ val run_guarded_parsed :
 type phase_output = { phase : string; text : string }
 
 val run_phases : ?options:options -> string -> phase_output list
-(** The staged view of the pipeline (paper Fig 7): original, after token
-    parsing, after recovery, after renaming and reformatting. *)
+(** The staged view of the pipeline (paper Fig 7), read off one
+    {!run_guarded_parsed} run: the original; the journal replayed through
+    the entry token stage (pass [-1]); the whole journal replayed, the
+    dynamic stage included; and the run's output.  An input that does not
+    parse has the original alone. *)

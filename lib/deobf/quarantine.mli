@@ -13,6 +13,11 @@
     as a probe; a clean verify closes the breaker (the rule earns its way
     back), another rollback re-opens it with a doubled cooldown.
 
+    The pipeline asks in one place: [Editlog.admits], which every stage
+    calls for each edit it proposes, and [Editlog.admits_finalize] for
+    rename + reformat.  A skipped rule's edits are never applied, so the
+    request's journal holds none of them.
+
     This is the adaptive counterpart of {!Blocklist}: a blocklist encodes
     {e static} distrust decided offline, quarantine earns and loses trust
     {e online} from observed rollbacks, and converges back to full rule

@@ -280,11 +280,8 @@ type pass_state = {
    it would have done had the edit not been possible *)
 let add_edit st ~kind extent replacement =
   let keep =
-    Quarantine.admits ~phase:"recover" ~kind
-    && (st.suppress = []
-       || not
-            (Editlog.suppressed st.suppress ~phase:"recover"
-               ~before:(Extent.text st.src extent) ~after:replacement))
+    Editlog.admits ~suppress:st.suppress ~phase:"recover" ~kind ~src:st.src
+      ~extent ~after:replacement
   in
   if keep then st.edits <- (Patch.edit extent replacement, kind) :: st.edits;
   keep
@@ -854,6 +851,15 @@ and process_block st ~in_guard (block : A.t) =
       List.iter (process_statement st ~in_guard) stmts
   | _ -> process_statement st ~in_guard block
 
+(* a recovery stage lands like any other; [edits_recorded] counts what
+   was applied, the size of the journal the gate bisects *)
+let land_recovery ~stats ?log ~pass ~src pairs =
+  match Editlog.land_edits ?log ~phase:"recover" ~pass ~src pairs with
+  | None -> None
+  | Some (parsed, applied) ->
+      stats.edits_recorded <- stats.edits_recorded + applied;
+      Some parsed
+
 (** One recovery pass over an already-parsed script.  [deobfuscate] is the
     full engine used to process unwrapped layer payloads recursively.
     Returns [None] when the pass changed nothing (no edits, or edits that
@@ -869,31 +875,11 @@ let run_pass_parsed ~opts ~stats ~cache ~deobfuscate ~depth ?log ?(pass = 0)
   | A.Script_block sb ->
       List.iter (process_statement st ~in_guard:false) sb.A.sb_statements
   | _ -> process_statement st ~in_guard:false ast);
-  if st.edits = [] then None
-  else
-    let pairs = List.rev st.edits in
-    match Patch.apply src (List.map fst pairs) with
-    | patched when not (String.equal patched src) -> (
-        match Psparse.Parser.parse_full patched with
-        | Ok parsed ->
-            (* journal only what was applied and validated *)
-            stats.edits_recorded <-
-              stats.edits_recorded
-              + List.length (Patch.normalize (List.map fst pairs));
-            Option.iter
-              (fun l -> Editlog.record_stage l ~phase:"recover" ~pass ~src pairs)
-              log;
-            Some parsed
-        | Error _ -> None)
-    | _ -> None
-    | exception Invalid_argument _ -> None
-
-let text_and_ast =
-  Option.map (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
+  land_recovery ~stats ?log ~pass ~src (List.rev st.edits)
 
 let run_pass ~opts ~stats ~cache ~deobfuscate ~depth ?log ?pass ?suppress ~ast
     src =
-  text_and_ast
+  Option.map Psparse.Parser.text_and_ast
     (run_pass_parsed ~opts ~stats ~cache ~deobfuscate ~depth ?log ?pass
        ?suppress ~ast src)
 
@@ -1039,14 +1025,10 @@ let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
                            Printf.sprintf "$%s = %s" spelled rendered)
                          ordered)
                   in
-                  let keep =
-                    Quarantine.admits ~phase:"recover" ~kind
-                    && not
-                         (Editlog.suppressed suppress ~phase:"recover"
-                            ~before:(Extent.text src stmt.A.extent)
-                            ~after:replacement)
-                  in
-                  if keep then begin
+                  if
+                    Editlog.admits ~suppress ~phase:"recover" ~kind ~src
+                      ~extent:stmt.A.extent ~after:replacement
+                  then begin
                     edits := (Patch.edit stmt.A.extent replacement, kind) :: !edits;
                     stats.dynamic_recovered <- stats.dynamic_recovered + 1;
                     T.Metrics.incr m_dyn_recovered;
@@ -1078,25 +1060,9 @@ let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
                     | e when Pseval.Interp.describe_exception e <> None ->
                         halted := true))
             statements;
-          if !edits = [] then None
-          else
-            let pairs = List.rev !edits in
-            match Patch.apply src (List.map fst pairs) with
-            | patched when not (String.equal patched src) -> (
-                match Psparse.Parser.parse_full patched with
-                | Ok parsed ->
-                    stats.edits_recorded <-
-                      stats.edits_recorded
-                      + List.length (Patch.normalize (List.map fst pairs));
-                    Option.iter
-                      (fun l ->
-                        Editlog.record_stage l ~phase:"recover" ~pass ~src pairs)
-                      log;
-                    Some parsed
-                | Error _ -> None)
-            | _ -> None
-            | exception Invalid_argument _ -> None
+          land_recovery ~stats ?log ~pass ~src (List.rev !edits)
         end
 
 let run_dynamic ~opts ~stats ?log ?pass ?suppress src =
-  text_and_ast (run_dynamic_parsed ~opts ~stats ?log ?pass ?suppress src)
+  Option.map Psparse.Parser.text_and_ast
+    (run_dynamic_parsed ~opts ~stats ?log ?pass ?suppress src)

@@ -77,7 +77,9 @@ let collect_names toks =
 (* The stages below work on tokens and validate what they produce with
    one parse.  [None]: keep the input — nothing changed, or the result
    would not parse.  [Some parsed]: the new text with the tokens and parse
-   the next stage reuses. *)
+   the next stage reuses.  Renaming's token edits land through
+   {!Editlog.land_edits}; reformatting builds a whole new text and checks
+   it here. *)
 let validated ~src patched =
   if String.equal patched src then None
   else Result.to_option (Psparse.Parser.parse_full patched)
@@ -148,11 +150,9 @@ let rename_tokens ~src toks =
           | _ -> None)
         toks
     in
-    if edits = [] then None
-    else
-      match Patch.apply src edits with
-      | patched -> validated ~src patched
-      | exception Invalid_argument _ -> None
+    Option.map fst
+      (Editlog.land_edits ~phase:"rename" ~pass:0 ~src
+         (List.map (fun e -> (e, "rename")) edits))
   end
 
 (** Rename random identifiers to [var{n}] / [func{n}].  Replacement is

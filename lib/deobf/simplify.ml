@@ -21,15 +21,14 @@ let literal_inside (paren_body : A.t) =
     fixpoint driver can thread them onward without re-lexing or
     re-parsing. *)
 let run_parsed ?log ?(pass = 0) ?(suppress = []) ~ast src =
-  let edits = ref [] in
+  let pairs = ref [] in
   let add node replacement =
     if
-      Quarantine.admits ~phase:"simplify" ~kind:"paren"
-      && (suppress = []
-         || not
-              (Editlog.suppressed suppress ~phase:"simplify"
-                 ~before:(A.text src node) ~after:replacement))
-    then edits := Pscommon.Patch.edit node.A.extent replacement :: !edits
+      Editlog.admits ~suppress ~phase:"simplify" ~kind:"paren" ~src
+        ~extent:node.A.extent ~after:replacement
+    then
+      pairs :=
+        (Pscommon.Patch.edit node.A.extent replacement, "paren") :: !pairs
   in
   ignore
     (A.fold_post_order_with_ancestors
@@ -58,28 +57,15 @@ let run_parsed ?log ?(pass = 0) ?(suppress = []) ~ast src =
              | None -> ())
          | _ -> ())
        () ast);
-  if !edits = [] then None
-  else
-    match Pscommon.Patch.apply src !edits with
-    | patched when not (String.equal patched src) -> (
-        match Psparse.Parser.parse_full patched with
-        | Ok parsed ->
-            Pscommon.Telemetry.Metrics.incr
-              ~by:(List.length !edits)
-              (Pscommon.Telemetry.Metrics.counter "simplify.rule.paren");
-            Option.iter
-              (fun l ->
-                Editlog.record_stage l ~phase:"simplify" ~pass ~src
-                  (List.map (fun e -> (e, "paren")) !edits))
-              log;
-            Some parsed
-        | Error _ -> None)
-    | _ -> None
-    | exception Invalid_argument _ -> None
+  match Editlog.land_edits ?log ~phase:"simplify" ~pass ~src !pairs with
+  | None -> None
+  | Some (parsed, _) ->
+      Pscommon.Telemetry.Metrics.incr ~by:(List.length !pairs)
+        (Pscommon.Telemetry.Metrics.counter "simplify.rule.paren");
+      Some parsed
 
 let run_shared ?log ?pass ?suppress ~ast src =
-  Option.map
-    (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
+  Option.map Psparse.Parser.text_and_ast
     (run_parsed ?log ?pass ?suppress ~ast src)
 
 let run src =

@@ -144,43 +144,24 @@ let run_parsed ?log ?(pass = 0) ?(suppress = []) ?toks src =
   with
   | Error _ -> None
   | Ok toks -> (
-      let keep (e, kind) =
-        Quarantine.admits ~phase:"token" ~kind
-        && (suppress = []
-           ||
-           let start = e.Patch.extent.Extent.start
-           and stop = e.Patch.extent.Extent.stop in
-           not
-             (Editlog.suppressed suppress ~phase:"token"
-                ~before:(String.sub src start (stop - start))
-                ~after:e.Patch.replacement))
+      let admitted (e, kind) =
+        Editlog.admits ~suppress ~phase:"token" ~kind ~src
+          ~extent:e.Patch.extent ~after:e.Patch.replacement
       in
-      let pairs = List.filter keep (List.filter_map token_edit toks) in
-      let edits = List.map fst pairs in
-      if edits = [] then None
-      else
-        match Patch.apply src edits with
-        | patched when not (String.equal patched src) -> (
-            match Psparse.Parser.parse_full patched with
-            | Ok parsed ->
-                (* rule attribution, counted only for edits that landed in a
-                   syntactically valid result *)
-                List.iter
-                  (fun (_, kind) ->
-                    Telemetry.Metrics.incr (Telemetry.Metrics.member m_rule kind))
-                  pairs;
-                Option.iter
-                  (fun l -> Editlog.record_stage l ~phase:"token" ~pass ~src pairs)
-                  log;
-                Some parsed
-            | Error _ -> None)
-        | _ -> None
-        | exception Invalid_argument _ -> None)
+      let pairs = List.filter admitted (List.filter_map token_edit toks) in
+      match Editlog.land_edits ?log ~phase:"token" ~pass ~src pairs with
+      | None -> None
+      | Some (parsed, _) ->
+          (* rule attribution, counted only for edits that landed in a
+             syntactically valid result *)
+          List.iter
+            (fun (_, kind) ->
+              Telemetry.Metrics.incr (Telemetry.Metrics.member m_rule kind))
+            pairs;
+          Some parsed)
 
 let run_shared ?log ?pass ?suppress src =
-  Option.map
-    (fun p -> (p.Psparse.Parser.text, p.Psparse.Parser.ast))
-    (run_parsed ?log ?pass ?suppress src)
+  Option.map Psparse.Parser.text_and_ast (run_parsed ?log ?pass ?suppress src)
 
 (** Run the token phase.  The result is checked for syntactic validity; on
     any breakage the input is returned unchanged. *)

@@ -335,7 +335,9 @@ and eval_member_access ctx whole obj member static =
     | Some result -> result
     | None -> (
         match name.A.key with
-        | "length" | "count" -> Value.Int 1  (* scalars have Length 1 in PS *)
+        | "length" | "count" -> (
+            (* scalars have Length 1 in PS, $null has 0 *)
+            match v with Value.Null -> Value.Int 0 | _ -> Value.Int 1)
         | _ -> (
             match ctx.env.Env.mode with
             | Env.Recovery ->

@@ -1315,6 +1315,8 @@ let parse_full src =
       | Ok ast -> Ok { text = src; tokens; ast }
       | Error _ as e -> e)
 
+let text_and_ast p = (p.text, p.ast)
+
 let parse_exn src =
   match parse src with
   | Ok ast -> ast

@@ -29,6 +29,9 @@ type parsed = {
 val parse_full : string -> (parsed, error) result
 (** {!parse}, keeping the token list it lexed. *)
 
+val text_and_ast : parsed -> string * Psast.Ast.t
+(** The text and its parse, for a caller that does not take tokens. *)
+
 val parse_exn : string -> Psast.Ast.t
 (** @raise Failure on lexical or syntax errors. *)
 

@@ -237,30 +237,32 @@ let test_gate_rolls_back_bad_dynamic_edit () =
   let rerun ~suppress =
     let g = E.run_guarded ~suppress src in
     let out = g.E.result.E.output in
+    let idx =
+      match Strcase.index_opt ~needle:bad_before out with
+      | Some i -> i
+      | None -> 0
+    in
+    let extent = Extent.make ~start:idx ~stop:(idx + String.length bad_before) in
+    let stage_log = El.create () in
     if
-      El.suppressed suppress ~phase:"recover" ~before:bad_before
-        ~after:bad_after
+      not
+        (El.admits ~suppress ~phase:"recover" ~kind:"dynamic.loop" ~src:out
+           ~extent ~after:bad_after)
     then g
     else
-      let idx =
-        match Strcase.index_opt ~needle:bad_before out with
-        | Some i -> i
-        | None -> 0
-      in
-      let edit =
-        Patch.edit
-          (Extent.make ~start:idx ~stop:(idx + String.length bad_before))
-          bad_after
-      in
-      let patched = Patch.apply out [ edit ] in
-      let stage_log = El.create () in
-      El.record_stage stage_log ~phase:"recover" ~pass:99 ~src:out
-        [ (edit, "dynamic.loop") ];
-      {
-        g with
-        E.result = { g.E.result with E.output = patched; changed = true };
-        edit_log = g.E.edit_log @ El.stages stage_log;
-      }
+      match
+        El.land_edits ~log:stage_log ~phase:"recover" ~pass:99 ~src:out
+          [ (Patch.edit extent bad_after, "dynamic.loop") ]
+      with
+      | None -> Alcotest.fail "injected edit did not land"
+      | Some (patched, _) ->
+          {
+            g with
+            E.result =
+              { g.E.result with
+                E.output = patched.Psparse.Parser.text; changed = true };
+            edit_log = g.E.edit_log @ El.stages stage_log;
+          }
   in
   let g, o = V.gate ~rerun ~src (rerun ~suppress:[]) in
   (match o.V.verdict with

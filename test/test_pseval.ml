@@ -194,6 +194,13 @@ let test_control_flow_eval () =
   check_s "break" "12" (eval_str "$o=''; foreach ($i in 1..9) { if ($i -gt 2) { break }; $o += $i }; $o");
   check_s "continue" "13" (eval_str "$o=''; foreach ($i in 1..3) { if ($i -eq 2) { continue }; $o += $i }; $o")
 
+let test_null_length () =
+  (* PowerShell 3+: $null counts as no items, any other scalar as one *)
+  check_i "$null.Count" 0 (eval_int "$null.Count");
+  check_i "$null.Length" 0 (eval_int "$x = $null; $x.Length");
+  check_i "scalar Count" 1 (eval_int "(5).Count");
+  check_i "scalar Length" 1 (eval_int "$true.Length")
+
 let test_securestring_marshal () =
   check_s "plaintext roundtrip" "secret"
     (eval_str
@@ -908,6 +915,7 @@ let suite =
     ("powershell -enc", `Quick, test_powershell_enc);
     ("functions", `Quick, test_functions);
     ("control flow", `Quick, test_control_flow_eval);
+    ("null has no length", `Quick, test_null_length);
     ("securestring marshal", `Quick, test_securestring_marshal);
     ("deflate stream", `Quick, test_deflate_stream);
     ("recovery blocks side effects", `Quick, test_side_effects_blocked_in_recovery);

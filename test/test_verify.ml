@@ -107,12 +107,19 @@ let test_journal_prefix_replay () =
 
 let test_suppression_matches_by_content () =
   let sup = { El.sup_phase = "recover"; sup_before = "$x"; sup_after = "'a'" } in
-  check_b "matching edit suppressed" true
-    (El.suppressed [ sup ] ~phase:"recover" ~before:"$x" ~after:"'a'");
-  check_b "different content kept" false
-    (El.suppressed [ sup ] ~phase:"recover" ~before:"$y" ~after:"'a'");
-  check_b "different phase kept" false
-    (El.suppressed [ sup ] ~phase:"token" ~before:"$x" ~after:"'a'")
+  let src = "$x; $y" in
+  let admits ?(suppress = [ sup ]) ~phase ~start after =
+    El.admits ~suppress ~phase ~kind:"substitute" ~src
+      ~extent:(Pscommon.Extent.make ~start ~stop:(start + 2)) ~after
+  in
+  check_b "matching edit suppressed" false
+    (admits ~phase:"recover" ~start:0 "'a'");
+  check_b "different content kept" true (admits ~phase:"recover" ~start:4 "'a'");
+  check_b "different replacement kept" true
+    (admits ~phase:"recover" ~start:0 "'b'");
+  check_b "different phase kept" true (admits ~phase:"token" ~start:0 "'a'");
+  check_b "nothing suppressed" true
+    (admits ~suppress:[] ~phase:"recover" ~start:0 "'a'")
 
 (* ---------- the gate ---------- *)
 
@@ -201,6 +208,73 @@ let test_loop_fold_recovered_for_real () =
   | Ok a, Ok b -> check_b "unverified output equivalent too" true (a = b)
   | _ -> Alcotest.fail "contained"
 
+(* Every journaled phase lands through Editlog: a suppressed edit stays out
+   of the re-run's journal and output, and a tripped quarantine rule lands
+   nothing.  Finalization is off so the output is the journal's last text. *)
+let landing_cases =
+  [ ("token", "command", "wRiTe-HoSt 'x'");
+    ("recover", "substitute", "$a = 'te'; Write-Host $a");
+    ("recover", "piece", "Write-Host (('te'+'st') + $z)");
+    ("recover", "unwrap", "Invoke-Expression 'Write-Host 7'");
+    ("recover", "dynamic.loop", loop_fold_src);
+    ("simplify", "paren", "Write-Host (('te'+'st') + $z)") ]
+
+let test_every_phase_lands_through_editlog () =
+  let options = { E.default_options with E.rename = false; reformat = false } in
+  let module Q = Deobf.Quarantine in
+  (* case-sensitive: the token phase only changes case *)
+  let occurrences needle text =
+    let n = String.length needle in
+    let count = ref 0 in
+    for i = 0 to String.length text - n do
+      if String.sub text i n = needle then incr count
+    done;
+    !count
+  in
+  let journal g = Array.to_list (El.flatten g.E.edit_log) in
+  List.iter
+    (fun (phase, kind, src) ->
+      let rule = phase ^ "." ^ kind in
+      let g = E.run_guarded ~options src in
+      let e =
+        match
+          List.find_opt
+            (fun (e : El.edit) -> e.El.phase = phase && e.El.kind = kind)
+            (journal g)
+        with
+        | Some e -> e
+        | None -> Alcotest.failf "%s: no edit journaled" rule
+      in
+      let rerun = E.run_guarded ~options ~suppress:[ El.suppress_edit e ] src in
+      check_b (rule ^ ": suppressed edit not journaled") false
+        (List.exists
+           (fun (e' : El.edit) ->
+             e'.El.phase = phase && e'.El.before = e.El.before
+             && e'.El.after = e.El.after)
+           (journal rerun));
+      check_b (rule ^ ": suppressed edit not in the output") true
+        (occurrences e.El.before rerun.E.result.E.output
+        > occurrences e.El.before g.E.result.E.output);
+      Q.reset ();
+      Q.set_enabled true;
+      Q.configure ~k:1 ();
+      Fun.protect
+        ~finally:(fun () ->
+          Q.abort_request ();
+          Q.set_enabled false;
+          Q.reset ();
+          Q.configure ~k:3 ())
+        (fun () ->
+          Q.begin_request ();
+          Q.end_request ~rolled_rules:[ rule ];
+          Q.begin_request ();
+          let tripped = E.run_guarded ~options src in
+          check_b (rule ^ ": quarantined rule lands nothing") false
+            (List.exists
+               (fun (e : El.edit) -> e.El.phase = phase && e.El.kind = kind)
+               (journal tripped))))
+    landing_cases
+
 let test_gate_with_custom_rerun () =
   (* bisection pinpoints a synthetic bad stage injected on top of a benign
      pipeline: only the malicious edit is suppressed, the benign one kept *)
@@ -209,28 +283,36 @@ let test_gate_with_custom_rerun () =
   let rerun ~suppress =
     let g = E.run_guarded ~suppress src in
     let out = g.E.result.E.output in
-    if El.suppressed suppress ~phase:"evil" ~before:bad_before ~after:bad_after
+    (* splice in a behaviour-changing edit, landed and journaled like a
+       real pass *)
+    let idx =
+      match Pscommon.Strcase.index_opt ~needle:bad_before out with
+      | Some i -> i
+      | None -> 0
+    in
+    let extent =
+      Pscommon.Extent.make ~start:idx ~stop:(idx + String.length bad_before)
+    in
+    let stage_log = El.create () in
+    if
+      not
+        (El.admits ~suppress ~phase:"evil" ~kind:"evil" ~src:out ~extent
+           ~after:bad_after)
     then g
     else
-      (* splice in a behaviour-changing edit, journaled like a real pass *)
-      let idx =
-        match Pscommon.Strcase.index_opt ~needle:bad_before out with
-        | Some i -> i
-        | None -> 0
-      in
-      let edit =
-        Pscommon.Patch.edit
-          (Pscommon.Extent.make ~start:idx ~stop:(idx + String.length bad_before))
-          bad_after
-      in
-      let patched = Pscommon.Patch.apply out [ edit ] in
-      let stage_log = El.create () in
-      El.record_stage stage_log ~phase:"evil" ~pass:99 ~src:out [ (edit, "evil") ];
-      {
-        g with
-        E.result = { g.E.result with E.output = patched; changed = true };
-        edit_log = g.E.edit_log @ El.stages stage_log;
-      }
+      match
+        El.land_edits ~log:stage_log ~phase:"evil" ~pass:99 ~src:out
+          [ (Pscommon.Patch.edit extent bad_after, "evil") ]
+      with
+      | None -> Alcotest.fail "injected edit did not land"
+      | Some (patched, _) ->
+          {
+            g with
+            E.result =
+              { g.E.result with
+                E.output = patched.Psparse.Parser.text; changed = true };
+            edit_log = g.E.edit_log @ El.stages stage_log;
+          }
   in
   let g, o = V.gate ~rerun ~src (rerun ~suppress:[]) in
   (match o.V.verdict with
@@ -865,6 +947,8 @@ let suite =
       test_journal_prefix_replay;
     Alcotest.test_case "suppression matches by content" `Quick
       test_suppression_matches_by_content;
+    Alcotest.test_case "every journaled phase lands through Editlog" `Quick
+      test_every_phase_lands_through_editlog;
     Alcotest.test_case "gate: simple recovery equivalent" `Quick
       test_verify_equivalent_simple;
     Alcotest.test_case "gate: reference memo invisible in verdicts" `Quick
