@@ -73,8 +73,7 @@ let deobfuscate_cmd =
       {
         Deobf.Engine.token_phase = not no_token_phase;
         recovery =
-          { Deobf.Recover.default_options with
-            use_tracing = not no_tracing;
+          { Deobf.Recover.use_tracing = not no_tracing;
             use_blocklist = not no_blocklist;
             use_multilayer = not no_multilayer;
             use_piece_cache = not no_piece_cache;

@@ -305,24 +305,25 @@ let run_source ?options ?(timeout_s = default_timeout_s) ?max_output_bytes ?cach
       verdict; resumed = false },
     result.Engine.output )
 
+(* the outcome of a file no engine run stands behind: nothing recovered,
+   only its failure sites on record *)
+let zero_outcome ?(wall_ms = 0.0) file failures =
+  { file; output_file = None; wall_ms; phase_ms = []; iterations = 0;
+    changed = false; failures; stats = Recover.new_stats (); retries = 0;
+    regions_total = 0; regions_recovered = 0; verdict = None;
+    resumed = false }
+
 let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
     ?out_dir ?(verify = false) ?journal file =
   let started = Guard.now () in
-  let finish ?output_file ?(phase_ms = []) ?(regions = (0, 0))
-      ?(verdict = None) ?(resumed = false) ~iterations ~changed ~stats failures
-      =
-    { file; output_file; wall_ms = (Guard.now () -. started) *. 1000.0;
-      phase_ms; iterations; changed; failures; stats; retries = 0;
-      regions_total = fst regions; regions_recovered = snd regions;
-      verdict; resumed }
-  in
+  let elapsed_ms () = (Guard.now () -. started) *. 1000.0 in
   match
     Guard.protect (fun () ->
         Chaos.probe "batch.read";
         In_channel.with_open_bin file In_channel.input_all)
   with
   | Error failure ->
-      finish ~iterations:0 ~changed:false ~stats:(Recover.new_stats ())
+      zero_outcome ~wall_ms:(elapsed_ms ()) file
         [ { Engine.phase = "read"; failure } ]
   | Ok src -> (
       let digest = Digest.to_hex (Digest.string src) in
@@ -331,9 +332,9 @@ let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
           (* journaled clean result with matching input and options, output
              still on disk: keep it, byte for byte *)
           T.Metrics.incr (T.Metrics.counter "batch.resume.skipped");
-          finish ?output_file:e.d_output ~verdict:(verdict_of_entry e)
-            ~resumed:true ~iterations:0
-            ~changed:e.d_changed ~stats:(Recover.new_stats ()) []
+          { (zero_outcome ~wall_ms:(elapsed_ms ()) file []) with
+            output_file = e.d_output; changed = e.d_changed;
+            verdict = verdict_of_entry e; resumed = true }
       | None ->
       Option.iter
         (fun j ->
@@ -362,7 +363,7 @@ let process_file_inner ?options ?timeout_s ?max_output_bytes ?cache
           output_file;
           failures = core.failures @ Option.to_list write_failure;
           (* re-measured here so the file outcome also covers read + write *)
-          wall_ms = (Guard.now () -. started) *. 1000.0 }
+          wall_ms = elapsed_ms () }
       in
       Option.iter (fun j -> journal_append j (done_line j ~digest outcome)) journal;
       (match (out_dir, outcome.failures) with
@@ -426,12 +427,7 @@ let process_file ?options ?timeout_s ?max_output_bytes ?cache ?out_dir
         (T.Flight.dump
            ~reason:("pool.task/" ^ Guard.failure_label failure)
            ());
-      { file; output_file = None; wall_ms = 0.0; phase_ms = [];
-        iterations = 0; changed = false;
-        failures = [ { Engine.phase = "task"; failure } ];
-        stats = Recover.new_stats (); retries = 0;
-        regions_total = 0; regions_recovered = 0; verdict = None;
-        resumed = false }
+      zero_outcome file [ { Engine.phase = "task"; failure } ]
 
 (* mkdir -p semantics: creates missing ancestors, accepts an existing
    directory, and fails when any component exists as a non-directory. *)
@@ -448,6 +444,9 @@ let rec ensure_dir dir =
       (* lost a race to a sibling worker creating the same directory *)
       ()
   end
+
+let trace_sampled trace_sample i =
+  match trace_sample with Some n when n > 1 -> i mod n = 0 | _ -> true
 
 let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
     ?trace_sample ?(jobs = 1) ?(verify = true) ?(resume = false)
@@ -505,14 +504,7 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
         (* the output directory is unusable: report every file as a
            structured write failure instead of crashing or silently
            dropping the outputs *)
-        List.map
-          (fun file ->
-            { file; output_file = None; wall_ms = 0.0; phase_ms = [];
-              iterations = 0; changed = false; failures = [ site ];
-              stats = Recover.new_stats (); retries = 0;
-              regions_total = 0; regions_recovered = 0; verdict = None;
-              resumed = false })
-          files
+        List.map (fun file -> zero_outcome file [ site ]) files
     | None ->
         (* outcomes come back input-ordered regardless of which domain ran
            which file, so reports and outputs are deterministic — and so is
@@ -522,9 +514,7 @@ let run_files ?options ?timeout_s ?max_output_bytes ?out_dir ?trace_dir
         Pool.map ~jobs:jobs_effective
           (fun (i, file) ->
             let trace_dir =
-              match trace_sample with
-              | Some n when n > 1 && i mod n <> 0 -> None
-              | _ -> trace_dir
+              if trace_sampled trace_sample i then trace_dir else None
             in
             process_file ?options ?timeout_s ?max_output_bytes ~cache
               ?out_dir ?trace_dir ~verify ?journal file)

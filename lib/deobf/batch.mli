@@ -147,6 +147,12 @@ val run_files :
     n-th file's trace, by input index (0, n, 2n, …), so the selection is
     deterministic across [jobs] levels; the other files run untraced. *)
 
+val trace_sampled : int option -> int -> bool
+(** [trace_sampled trace_sample i]: whether input [i] (a batch file's
+    index, a daemon request's sequence number) is traced under
+    [trace_sample]: every input when it is [None] or at most 1, else every
+    n-th one — 0, n, 2n, … *)
+
 val run_dir :
   ?options:Engine.options ->
   ?timeout_s:float ->

@@ -18,28 +18,21 @@ type file_result = {
 (* ---------- transport ---------- *)
 
 let connect addr =
-  match addr with
-  | Serve.Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd (Unix.ADDR_UNIX path);
-         Ok fd
-       with e ->
-         (try Unix.close fd with _ -> ());
-         Error (Printf.sprintf "connect %s: %s" path (Printexc.to_string e)))
-  | Serve.Tcp (host, port) -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fail e =
+    Error
+      (Printf.sprintf "connect %s: %s" (Serve.bind_to_string addr)
+         (Printexc.to_string e))
+  in
+  match Serve.sockaddr addr with
+  | exception e -> fail e
+  | domain, sockaddr -> (
+      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       try
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        Unix.connect fd (Unix.ADDR_INET (inet, port));
+        Unix.connect fd sockaddr;
         Ok fd
       with e ->
         (try Unix.close fd with _ -> ());
-        Error
-          (Printf.sprintf "connect %s:%d: %s" host port (Printexc.to_string e)))
+        fail e)
 
 let send_line fd line =
   let data = line ^ "\n" in

@@ -18,9 +18,7 @@ and recovery_options = Recover.options = {
   use_blocklist : bool;
   use_multilayer : bool;
   use_piece_cache : bool;
-  piece_step_budget : int;
   use_dynamic : bool;
-  dynamic_step_budget : int;
 }
 
 let m_phase_ms = Pscommon.Telemetry.Metrics.histogram_family "engine.phase_ms."
@@ -597,19 +595,12 @@ let run_guarded_parsed ?(options = default_options) ?(timeout_s = infinity)
             recovered (fun p ->
               if residual_encoded_parsed p then p else Rename.rename_parsed p)
         in
-        let formatted =
-          step "reformat" ~enabled:options.reformat
-            ~rule:"engine.rule.reformat" renamed Rename.reformat_parsed
-        in
-        (* the syntax check of the finished text is the parse reformat (or
-           the last stage before it) validated it with; the phase keeps its
-           guard, so its deadline and fault site behave as before *)
-        let output =
-          match timed "check" (fun () -> Guard.protect ~deadline Fun.id) with
-          | Ok () -> formatted
-          | Error _ -> recovered
-        in
-        finish_parsed output iterations
+        (* the finished text is the one reformat (or the last stage before
+           it) validated with its parse *)
+        finish_parsed
+          (step "reformat" ~enabled:options.reformat
+             ~rule:"engine.rule.reformat" renamed Rename.reformat_parsed)
+          iterations
       end
 
 let run_guarded ?options ?timeout_s ?max_output_bytes ?cache ?suppress src =

@@ -26,12 +26,10 @@ and recovery_options = Recover.options = {
   use_blocklist : bool;
   use_multilayer : bool;
   use_piece_cache : bool;
-  piece_step_budget : int;
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
           ({!Recover.run_dynamic}), run as its own guarded phase after the
           static fixpoint *)
-  dynamic_step_budget : int;
 }
 
 val default_options : options
@@ -55,8 +53,8 @@ type guarded = {
       (** wall milliseconds per phase, {e summed} per phase in
           first-execution order — keys are unique, so the list renders
           directly as a JSON object.  Keys: ["parse"] (the input's validity
-          parse), then either ["recovery"], ["dynamic"], ["rename"],
-          ["reformat"] and ["check"] for an input that parses, or
+          parse), then either ["recovery"], ["dynamic"], ["rename"] and
+          ["reformat"] for an input that parses, or
           ["segment"] and ["region"] (summed over regions) for the
           partial-parse path.  A phase that was switched off or skipped
           (deadline reached, nothing to segment) has no key.  The per-pass

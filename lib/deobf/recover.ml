@@ -43,11 +43,9 @@ type options = {
   use_blocklist : bool;  (** ablation: skip pieces naming blocked commands *)
   use_multilayer : bool;  (** ablation: IEX / -EncodedCommand unwrapping *)
   use_piece_cache : bool;  (** ablation: memoize piece invocations *)
-  piece_step_budget : int;  (** interpreter budget per invoked piece *)
   use_dynamic : bool;
       (** provenance-guided dynamic recovery of loop/conditional regions
           the static tracer skips; every edit still faces the verify gate *)
-  dynamic_step_budget : int;  (** interpreter budget for one dynamic run *)
 }
 
 (* multi-layer recursion bound: a payload nested deeper is left for the
@@ -56,8 +54,7 @@ let max_depth = 16
 
 let default_options =
   { use_tracing = true; use_blocklist = true; use_multilayer = true;
-    use_piece_cache = true; piece_step_budget = 400_000;
-    use_dynamic = true; dynamic_step_budget = 1_000_000 }
+    use_piece_cache = true; use_dynamic = true }
 
 type stats = {
   mutable pieces_recovered : int;
@@ -305,11 +302,12 @@ let note_unwrap st payload =
 
 (* ---------- invoking pieces ---------- *)
 
-let fresh_env ?(for_bytes = 0) st =
-  (* decoding loops visit every payload character several times, so the
-     budget scales with the piece being executed *)
-  let max_steps = st.opts.piece_step_budget + (40 * for_bytes) in
-  let limits = { Pseval.Env.default_limits with Pseval.Env.max_steps } in
+(* a piece runs under the budget of its own text *)
+let fresh_env ~for_bytes st =
+  let limits =
+    { Pseval.Env.default_limits with
+      Pseval.Env.max_steps = Pseval.Env.step_budget ~bytes:for_bytes }
+  in
   let env = Pseval.Env.create ~mode:Pseval.Env.Recovery ~limits () in
   if st.opts.use_tracing then Tracer.seed_env st.table env;
   env
@@ -952,7 +950,8 @@ let run_dynamic_parsed ~opts ~stats ?ast ?log ?(pass = 0)
         else begin
           let limits =
             { Pseval.Env.default_limits with
-              Pseval.Env.max_steps = opts.dynamic_step_budget }
+              Pseval.Env.max_steps =
+                Pseval.Env.step_budget ~bytes:(String.length src) }
           in
           let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
           let prov = Pseval.Provenance.create () in

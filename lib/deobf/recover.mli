@@ -11,17 +11,16 @@ type options = {
       (** ablation: memoize piece invocations on (binding digest, text) —
           obfuscators emit the same decode piece hundreds of times per
           script, and the fixpoint loop re-attempts unrecovered pieces *)
-  piece_step_budget : int;
-      (** interpreter budget per invoked piece; each piece runs under a
-          {!Pscommon.Guard.protect}, so a crashing or hanging piece degrades
-          to "kept obfuscated" instead of aborting the pass *)
   use_dynamic : bool;
       (** provenance-guided dynamic recovery ({!run_dynamic}) of the
           loop/conditional regions Algorithm 1 skips; every edit it makes
           still faces the verify gate individually *)
-  dynamic_step_budget : int;
-      (** interpreter budget for one whole dynamic-recovery execution *)
 }
+(** Step budgets are not options: an invoked piece runs under
+    {!Pseval.Env.step_budget} of its own text and inside a
+    {!Pscommon.Guard.protect}, so a crashing or hanging piece degrades to
+    "kept obfuscated" instead of aborting the pass; one dynamic-recovery
+    execution runs under the budget of the script it runs. *)
 
 val default_options : options
 
@@ -125,8 +124,8 @@ module Cache : sig
   (** [reference t key run] is the reference tier's log for [key], or
       [run ()] on a miss, kept only when it is [Ok]: a containment error
       depends on the moment of execution and is never replayed.  The
-      verify gate keys it on the script's content digest plus its step
-      budget. *)
+      verify gate keys it on the script's content digest alone: the
+      step budget is a function of that content. *)
 end
 
 val is_recoverable : Psast.Ast.t -> bool
@@ -186,7 +185,8 @@ val run_dynamic :
   (string * Psast.Ast.t) option
 (** Provenance-guided dynamic recovery of the regions the static tracer
     skips (PowerPeeler-style; runs after the static fixpoint).  Executes
-    the script's top level in the sandbox with a {!Pseval.Provenance}
+    the script's top level in the sandbox, under the
+    {!Pseval.Env.step_budget} of the script, with a {!Pseval.Provenance}
     recorder installed and replaces each loop/conditional region whose
     execution was pure with literal assignments of the bindings it
     changed, in provenance (last-write) order — but only when every final

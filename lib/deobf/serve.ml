@@ -204,11 +204,7 @@ let handle cfg cache req =
        ["trace": true] gets its newest events inlined in the response *)
     let inline = req.rq_trace in
     let sampled =
-      cfg.trace_dir <> None
-      &&
-      match cfg.trace_sample with
-      | Some n when n > 1 -> req.rq_seq mod n = 0
-      | _ -> true
+      cfg.trace_dir <> None && Batch.trace_sampled cfg.trace_sample req.rq_seq
     in
     (* everything the request records — trace events, flight dumps, its
        response — carries the trace id allocated at admission *)
@@ -321,34 +317,38 @@ let metrics_json ~id ~cache =
 
 (* ---------- sockets ---------- *)
 
-let open_socket = function
-  | Unix_sock path ->
+let sockaddr = function
+  | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+  | Tcp (host, port) ->
+      let addr =
+        try Unix.inet_addr_of_string host
+        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      in
+      (Unix.PF_INET, Unix.ADDR_INET (addr, port))
+
+let open_socket bind =
+  (match bind with
+  | Unix_sock path -> (
       (* a stale socket file from a previous run would make bind fail *)
-      (try if Sys.file_exists path then Sys.remove path
-       with Sys_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try
-         Unix.bind fd (Unix.ADDR_UNIX path);
-         Unix.listen fd 64;
-         Ok fd
-       with e ->
-         (try Unix.close fd with _ -> ());
-         Error (Printf.sprintf "bind %s: %s" path (Printexc.to_string e)))
-  | Tcp (host, port) -> (
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ())
+  | Tcp _ -> ());
+  let fail e =
+    Error
+      (Printf.sprintf "bind %s: %s" (bind_to_string bind)
+         (Printexc.to_string e))
+  in
+  match sockaddr bind with
+  | exception e -> fail e
+  | domain, addr -> (
+      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
       try
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        let addr =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        Unix.bind fd (Unix.ADDR_INET (addr, port));
+        if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd addr;
         Unix.listen fd 64;
         Ok fd
       with e ->
         (try Unix.close fd with _ -> ());
-        Error
-          (Printf.sprintf "bind %s:%d: %s" host port (Printexc.to_string e)))
+        fail e)
 
 (* ---------- the metrics scrape endpoint ---------- *)
 

@@ -77,6 +77,12 @@ val parse_bind : string -> (bind, string) result
 
 val bind_to_string : bind -> string
 
+val sockaddr : bind -> Unix.socket_domain * Unix.sockaddr
+(** The socket domain and address of a bind, for the daemon's listener and
+    its client alike.  A TCP host is a numeric address or else a name
+    resolved with [gethostbyname]; raises [Not_found] when it resolves to
+    nothing. *)
+
 type config = {
   bind : bind;
   jobs : int;  (** worker domains *)

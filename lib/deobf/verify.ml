@@ -22,12 +22,8 @@ let verdict_detail = function
   | Rolled_back n -> Some (Printf.sprintf "%d edit(s) rolled back" n)
   | Unverifiable reason -> Some reason
 
-type opts = {
-  max_steps : int;
-  max_rounds : int;
-}
-
-let default_opts = { max_steps = 400_000; max_rounds = 4 }
+(* rollback attempts before giving up as [Diverged] *)
+let max_rounds = 4
 
 type outcome = {
   verdict : verdict;
@@ -51,11 +47,12 @@ exception Out_of_time
 
 let out_of_time () = Guard.expired (Guard.ambient_deadline ())
 
-let run_log ~opts ~runs ?ast ?payloads text =
+(* Every sandbox run of one gate, whatever script it executes, gets the
+   step budget of the original ([max_steps]), so both sides of an
+   effect-log comparison run under one budget. *)
+let run_log ~max_steps ~runs ?ast ?payloads text =
   incr runs;
-  match
-    Sandbox.run_for_verify ~max_steps:opts.max_steps ?ast ?payloads text
-  with
+  match Sandbox.run_for_verify ~max_steps ?ast ?payloads text with
   | Error _ when out_of_time () -> raise Out_of_time
   | log -> log
 
@@ -65,19 +62,16 @@ let m_gate_ms = T.Metrics.histogram_family "verify."
 
 (* The {e original} script's sandbox run.  A service sees the same script
    again and again, and a repeated batch re-verifies the same inputs, but
-   the reference log is a pure function of (text, step budget): with a
-   cache, the log comes from its reference tier, keyed on the content
-   digest plus that budget.  A hit performs no sandbox execution, so
-   [runs] stays put — sandbox_runs counts executions, not answers. *)
-let ref_log ?cache ~opts ~runs ~ast ?payloads src =
-  let run () = run_log ~opts ~runs ~ast ?payloads src in
+   the reference log is a pure function of the text (its step budget is
+   one too): with a cache, the log comes from its reference tier, keyed on
+   the content digest.  A hit performs no sandbox execution, so [runs]
+   stays put — sandbox_runs counts executions, not answers. *)
+let ref_log ?cache ~max_steps ~runs ~ast ?payloads src =
+  let run () = run_log ~max_steps ~runs ~ast ?payloads src in
   match cache with
   | None -> run ()
   | Some cache ->
-      let key =
-        Printf.sprintf "%s:%d" (Digest.to_hex (Digest.string src)) opts.max_steps
-      in
-      Recover.Cache.reference cache key run
+      Recover.Cache.reference cache (Digest.to_hex (Digest.string src)) run
 
 (* The chaos probe sits inside the comparison itself, so an injected fault
    surfaces as a (spurious) divergence and drives the rollback machinery —
@@ -95,10 +89,10 @@ let logs_equal a b =
    never re-evaluated, so an injected diff fault cannot flip the bisection
    anchor.  A prefix whose sandbox run is contained, or that no longer
    parses, counts as divergent. *)
-let prefix_equivalent ~opts ~runs ~orig_log ~src stages n =
+let prefix_equivalent ~max_steps ~runs ~orig_log ~src stages n =
   match Editlog.replay_prefix ~src stages n with
   | text -> (
-      match run_log ~opts ~runs text with
+      match run_log ~max_steps ~runs text with
       | Error _ -> false
       | Ok log -> logs_equal orig_log log)
   | exception _ -> false
@@ -112,27 +106,29 @@ let prefix_equivalent ~opts ~runs ~orig_log ~src stages n =
 (* Returns the suppression plus the attribution name of the rolled-back
    rule ([phase ^ "." ^ kind], or ["engine.finalize"] for the
    pseudo-suppression) — the identity {!Quarantine} keys its breakers on. *)
-let culprit ~opts ~runs ~orig_log ~src (guarded : Engine.guarded) =
+let culprit ~max_steps ~runs ~orig_log ~src (guarded : Engine.guarded) =
   let stages = guarded.Engine.edit_log in
   let flat = Editlog.flatten stages in
   let total = Array.length flat in
-  if total = 0 || prefix_equivalent ~opts ~runs ~orig_log ~src stages total
+  if total = 0 || prefix_equivalent ~max_steps ~runs ~orig_log ~src stages total
   then (Editlog.suppress_finalize, "engine.finalize")
   else begin
     let lo = ref 0 and hi = ref total in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
-      if prefix_equivalent ~opts ~runs ~orig_log ~src stages mid then lo := mid
+      if prefix_equivalent ~max_steps ~runs ~orig_log ~src stages mid then
+        lo := mid
       else hi := mid
     done;
     let e = flat.(!hi - 1) in
     (Editlog.suppress_edit e, e.Editlog.phase ^ "." ^ e.Editlog.kind)
   end
 
-let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
+let gate ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
     (guarded : Engine.guarded) =
   T.span "verify.gate" @@ fun () ->
   let started = Guard.now () in
+  let max_steps = Pseval.Env.step_budget ~bytes:(String.length src) in
   let runs = ref 0 in
   let finish guarded verdict suppressed rolled_rules =
     let verify_ms = (Guard.now () -. started) *. 1000.0 in
@@ -167,7 +163,7 @@ let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
            journaled and could not be bisected *)
         finish guarded (Unverifiable "original does not parse") [] []
     | Ok src_ast -> (
-        match ref_log ?cache ~opts ~runs ~ast:src_ast ?payloads src with
+        match ref_log ?cache ~max_steps ~runs ~ast:src_ast ?payloads src with
         | exception Out_of_time ->
             finish guarded (Unverifiable "request deadline") [] []
         | Error reason ->
@@ -182,7 +178,7 @@ let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
                 if rounds_left = 0 then
                   finish guarded Diverged suppressed rolled_rules
                 else
-                  match culprit ~opts ~runs ~orig_log ~src guarded with
+                  match culprit ~max_steps ~runs ~orig_log ~src guarded with
                   | exception Out_of_time ->
                       finish guarded Diverged suppressed rolled_rules
                   | sup, _ when List.mem sup suppressed || out_of_time () ->
@@ -209,7 +205,7 @@ let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
                 String.equal guarded.Engine.result.Engine.output src
                 ||
                 match
-                  run_log ~opts ~runs ?ast:out_ast
+                  run_log ~max_steps ~runs ?ast:out_ast
                     guarded.Engine.result.Engine.output
                 with
                 | Ok out_log -> logs_equal orig_log out_log
@@ -226,10 +222,9 @@ let gate ?(opts = default_opts) ?cache ?src_ast ?out_ast ?payloads ~rerun ~src
                     suppressed rolled_rules
               | false -> diverged ()
             in
-            round guarded out_ast [] [] opts.max_rounds)
+            round guarded out_ast [] [] max_rounds)
 
-let run_guarded ?options ?cache ?(timeout_s = infinity) ?max_output_bytes ?opts
-    src =
+let run_guarded ?options ?cache ?(timeout_s = infinity) ?max_output_bytes src =
   Guard.within (Guard.deadline_after timeout_s) @@ fun () ->
   let cache =
     match cache with Some c -> c | None -> Recover.Cache.create ()
@@ -245,5 +240,5 @@ let run_guarded ?options ?cache ?(timeout_s = infinity) ?max_output_bytes ?opts
     Engine.run_guarded ?options ~cache ~timeout_s ?max_output_bytes ~suppress
       src
   in
-  gate ?opts ~cache ?src_ast:parses.Engine.src_ast
+  gate ~cache ?src_ast:parses.Engine.src_ast
     ?out_ast:parses.Engine.out_ast ~payloads ~rerun ~src guarded

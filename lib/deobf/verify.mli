@@ -17,7 +17,7 @@ type verdict =
       (** logs match after suppressing this many offending rewrites and
           re-running the pipeline *)
   | Diverged
-      (** logs still differ after the rollback budget — the output is kept
+      (** logs still differ after four rollback rounds — the output is kept
           but flagged; treat it as untrusted *)
   | Unverifiable of string
       (** comparison impossible: the original does not parse (so its
@@ -30,14 +30,6 @@ val verdict_name : verdict -> string
 
 val verdict_detail : verdict -> string option
 (** Human-readable qualifier (rollback count, unverifiability reason). *)
-
-type opts = {
-  max_steps : int;  (** interpreter budget per sandbox execution *)
-  max_rounds : int;  (** rollback attempts before giving up as [Diverged] *)
-}
-
-val default_opts : opts
-(** 400k steps, 4 rounds. *)
 
 type outcome = {
   verdict : verdict;
@@ -60,7 +52,6 @@ type outcome = {
 }
 
 val gate :
-  ?opts:opts ->
   ?cache:Recover.Cache.t ->
   ?src_ast:Psast.Ast.t ->
   ?out_ast:Psast.Ast.t ->
@@ -85,7 +76,8 @@ val gate :
 
     With [cache], the {e original} script's effect log comes from its
     reference tier ({!Recover.Cache.reference}), keyed on the content
-    digest plus [opts.max_steps]: only successful logs are kept
+    digest alone (the step budget is a function of the content): only
+    successful logs are kept
     (containment errors depend on the moment of execution), so a hit
     returns exactly what a fresh run would and verdicts are the same with
     or without it; a hit just skips one sandbox execution (counted in
@@ -105,9 +97,12 @@ val gate :
     request), with the same effect log, step count and verdict as without
     them.  The output and bisection runs do not use them.
 
-    Every sandbox run is bounded by [opts.max_steps] and by the
-    evaluator's deadline ({!Pseval.Env.t}), which the ambient request
-    deadline ({!Pscommon.Guard.within}) lowers.  A reference run, or a
+    Every sandbox run — the reference run, the output run, bisection
+    prefixes and re-verifications — is bounded by one step budget, the
+    {!Pseval.Env.step_budget} of [src], so both sides of a comparison run
+    under the same budget; and by the evaluator's deadline
+    ({!Pseval.Env.t}), which the ambient request deadline
+    ({!Pscommon.Guard.within}) lowers.  A reference run, or a
     first output run, the request deadline contains ends the gate
     [Unverifiable "request deadline"] with [guarded] kept: no bisection or
     rollback starts from a run the deadline cut short.  Once a divergence
@@ -120,7 +115,6 @@ val run_guarded :
   ?cache:Recover.Cache.t ->
   ?timeout_s:float ->
   ?max_output_bytes:int ->
-  ?opts:opts ->
   string ->
   Engine.guarded * outcome
 (** One verified request: {!Engine.run_guarded_parsed} followed by {!gate},

@@ -53,6 +53,8 @@ let default_limits =
   { max_steps = 2_000_000; max_invoke_depth = 32; max_collection = 1_000_000;
     max_string_bytes = 32 * 1024 * 1024 }
 
+let step_budget ~bytes = 400_000 + (40 * bytes)
+
 (* the longest any evaluator runs, whatever its request has left *)
 let max_eval_s = 5.0
 

@@ -39,6 +39,13 @@ type limits = {
 
 val default_limits : limits
 
+val step_budget : bytes:int -> int
+(** The step budget of one run of a script of [bytes] bytes: 400 000 plus
+    40 per byte, since decoding loops visit every payload character several
+    times.  The deobfuscator's one budget rule: a recovery piece gets the
+    budget of its own text, the dynamic stage that of the script it runs,
+    and every sandbox run of the verify gate that of the original. *)
+
 type fn = { fn_params : Psast.Ast.variable list; fn_body : Psast.Ast.t }
 
 type payload = {

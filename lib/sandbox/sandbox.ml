@@ -21,7 +21,11 @@ type report = {
           budget, stray exception) rather than finishing *)
 }
 
-let run ?(max_steps = 1_000_000) ?ast ?payloads script =
+let run ?max_steps ?ast ?payloads script =
+  let max_steps =
+    Option.value max_steps
+      ~default:(Pseval.Env.step_budget ~bytes:(String.length script))
+  in
   let limits = { Pseval.Env.default_limits with Pseval.Env.max_steps } in
   let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
   env.Pseval.Env.payloads <- payloads;

@@ -21,8 +21,8 @@ val run :
   string -> report
 (** Never raises: execution is guarded, and a contained crash or overrun
     keeps the events recorded up to that point.  The run stops after
-    [max_steps] (default one million) or at the evaluator's deadline
-    ({!Pseval.Env.t}).  [ast], when the caller
+    [max_steps] (default the {!Pseval.Env.step_budget} of [script]) or at
+    the evaluator's deadline ({!Pseval.Env.t}).  [ast], when the caller
     already holds the parse of the script, is run without parsing it
     again ({!Pseval.Interp.run_parsed}).  [payloads] are Invoke-Expression
     payloads recovery already decoded from this script

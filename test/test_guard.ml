@@ -86,21 +86,30 @@ let test_deep_nesting_total () =
             | _ -> false))
         failures
 
-let bomb_options =
-  (* a step budget high enough that only the wall clock can stop the loop *)
-  { Deobf.Engine.default_options with
-    recovery =
-      { Deobf.Recover.default_options with
-        piece_step_budget = 1_000_000_000 } }
+(* A piece, the dynamic stage and the verify gate each run under the step
+   budget of the text they execute, which grows 40 steps per byte
+   ({!Pseval.Env.step_budget}): [steps_pad n] is a comment that buys the
+   text it pads [n] more steps. *)
+let steps_pad n = "<#" ^ String.make (n / 40) 'p' ^ "#>"
 
-(* an infinite decode-style loop; it must be variable-free, because a piece
-   reading (or even assigning) an untraced variable is never invoked *)
-let decode_bomb = "$x = $(while (1 -lt 2) { 1 }; 'done')"
+(* the evaluator runs some 60M steps a second: 160M steps per second of
+   deadline leave a bomb to the wall clock *)
+let wall_clock_pad ~timeout_s =
+  steps_pad (int_of_float (timeout_s *. 160e6))
+
+(* an infinite decode-style loop whose piece is padded to outlast
+   [timeout_s]; it must be variable-free, because a piece reading (or even
+   assigning) an untraced variable is never invoked *)
+let decode_bomb ~timeout_s =
+  Printf.sprintf "$x = $(while (1 -lt 2) { 1 }%s; 'done')"
+    (wall_clock_pad ~timeout_s)
 
 let test_decode_bomb_deadline () =
   let timeout_s = 0.4 in
   let started = Guard.now () in
-  let guarded = Deobf.Engine.run_guarded ~options:bomb_options ~timeout_s decode_bomb in
+  let guarded =
+    Deobf.Engine.run_guarded ~timeout_s (decode_bomb ~timeout_s)
+  in
   let elapsed = Guard.now () -. started in
   check_b "timeout recorded" true
     (List.exists
@@ -110,9 +119,14 @@ let test_decode_bomb_deadline () =
 
 let test_string_bomb_capped () =
   (* exponential string growth must stop at max_string_bytes, on steps, or on
-     the deadline — contained either way *)
-  let src = "$s = 'aaaaaaaa'; $r = $(foreach ($i in 1..64) { $s = $s + $s }; $s)" in
-  let guarded = Deobf.Engine.run_guarded ~options:bomb_options ~timeout_s:5.0 src in
+     the deadline — contained either way; the padding buys the steps to
+     reach max_string_bytes *)
+  let src =
+    Printf.sprintf
+      "$s = 'aaaaaaaa'; $r = $(foreach ($i in 1..64) { $s = $s + $s }%s; $s)"
+      (steps_pad 20_000_000)
+  in
+  let guarded = Deobf.Engine.run_guarded ~timeout_s:5.0 src in
   check_b "output bounded" true
     (String.length guarded.Deobf.Engine.result.Deobf.Engine.output
     <= 32 * 1024 * 1024)
@@ -179,17 +193,17 @@ let test_max_depth_boundary () =
     r.Deobf.Batch.stats.Deobf.Recover.layers_unwrapped
 
 let test_budget_exhaustion_partial () =
-  (* a starved step budget degrades pieces but the run still completes and
-     reports the attempts *)
-  let starved =
-    { Deobf.Engine.default_options with
-      recovery = { Deobf.Recover.default_options with piece_step_budget = 1 } }
-  in
+  (* a piece that exhausts its step budget degrades to kept-obfuscated, but
+     the run still completes and reports the attempts *)
   let rng = Rng.of_int 11 in
-  let src = Obfuscator.Obfuscate.multilayer rng 2 "Write-Host 'x'" in
-  let guarded = Deobf.Engine.run_guarded ~options:starved ~timeout_s:20.0 src in
-  check_b "run completes" true
-    (String.length guarded.Deobf.Engine.result.Deobf.Engine.output > 0);
+  let src =
+    Obfuscator.Obfuscate.multilayer rng 2 "Write-Host 'x'"
+    ^ "\n$y = $(while (1 -lt 2) { 1 })\n"
+  in
+  let guarded = Deobf.Engine.run_guarded ~timeout_s:20.0 src in
+  let output = guarded.Deobf.Engine.result.Deobf.Engine.output in
+  check_b "run completes" true (String.length output > 0);
+  check_b "starved piece kept" true (Strcase.contains ~needle:"while" output);
   check_b "pieces were attempted" true
     (guarded.Deobf.Engine.result.Deobf.Engine.stats.Deobf.Recover.pieces_attempted
     >= 1)
@@ -273,12 +287,10 @@ let test_batch_isolates_hanging_sample () =
       let out_dir = Filename.concat dir "out" in
       Sys.mkdir in_dir 0o755;
       write (Filename.concat in_dir "a_clean.ps1") "Write-Host 'hello'";
-      write (Filename.concat in_dir "b_bomb.ps1") decode_bomb;
+      write (Filename.concat in_dir "b_bomb.ps1") (decode_bomb ~timeout_s:2.0);
       write (Filename.concat in_dir "c_deep.ps1") (deep_nesting 30_000);
       let started = Guard.now () in
-      let summary =
-        Deobf.Batch.run_dir ~options:bomb_options ~timeout_s:2.0 ~out_dir in_dir
-      in
+      let summary = Deobf.Batch.run_dir ~timeout_s:2.0 ~out_dir in_dir in
       let elapsed = Guard.now () -. started in
       check_i "all files processed" 3 summary.Deobf.Batch.total;
       check_b "batch not stalled by the bomb" true (elapsed < 15.0);

@@ -73,9 +73,9 @@ let test_deadlines_stay_domain_local () =
 
 let test_parallel_guarded_runs_mixed_deadlines () =
   (* a hanging sample under a tight deadline next to clean samples under
-     loose ones: only the bomb times out, in every domain interleaving.  The
-     step budget of [bomb_options] leaves the bomb to the wall clock *)
-  let bomb = "$x = $(while (1 -lt 2) { 1 }; 'done')" in
+     loose ones: only the bomb times out, in every domain interleaving.  Its
+     padding leaves the bomb to the wall clock *)
+  let bomb = Test_guard.decode_bomb ~timeout_s:0.3 in
   let clean = "Write-Host 'hello'" in
   let inputs =
     [ (clean, 30.0); (bomb, 0.3); (clean, 30.0); (bomb, 0.3);
@@ -84,8 +84,7 @@ let test_parallel_guarded_runs_mixed_deadlines () =
   let results =
     Pool.map ~jobs:4
       (fun (src, timeout_s) ->
-        Deobf.Engine.run_guarded ~options:Test_guard.bomb_options ~timeout_s
-          src)
+        Deobf.Engine.run_guarded ~timeout_s src)
       inputs
   in
   List.iter2

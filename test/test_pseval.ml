@@ -742,10 +742,12 @@ let rec fold_pieces buf ~seeds ~seen ~depth src =
           end)
         (golden_pieces src ast)
 
+(* the verify gate's budget: the step budget of the original [src] *)
+let gate_budget src = Pseval.Env.step_budget ~bytes:(String.length src)
+
 let reference_run ?payloads src =
   let limits =
-    { Pseval.Env.default_limits with
-      Pseval.Env.max_steps = Deobf.Verify.default_opts.Deobf.Verify.max_steps }
+    { Pseval.Env.default_limits with Pseval.Env.max_steps = gate_budget src }
   in
   let env = Pseval.Env.create ~mode:Pseval.Env.Sandbox ~limits () in
   env.Pseval.Env.payloads <- payloads;
@@ -763,11 +765,8 @@ let reference_run ?payloads src =
   in
   (state, Pseval.Env.global_bindings env)
 
-let verify_log src =
-  match
-    Sandbox.run_for_verify
-      ~max_steps:Deobf.Verify.default_opts.Deobf.Verify.max_steps src
-  with
+let verify_log ~src text =
+  match Sandbox.run_for_verify ~max_steps:(gate_budget src) text with
   | Ok log -> "ok " ^ String.concat "|" log
   | Error e -> "error " ^ e
 
@@ -795,9 +794,9 @@ let test_evaluator_golden_digest () =
                [ Digest.to_hex (Digest.string k); p.Pseval.Env.decoded;
                  string_of_int p.Pseval.Env.steps ]);
       add_line buf "reused" (fst (reference_run ~payloads src));
-      add_line buf "verify-in" [ verify_log src ];
+      add_line buf "verify-in" [ verify_log ~src src ];
       add_line buf "verify-out"
-        [ verify_log guarded.Deobf.Engine.result.Deobf.Engine.output ];
+        [ verify_log ~src guarded.Deobf.Engine.result.Deobf.Engine.output ];
       let seeds =
         List.filter
           (fun (_, (v : Value.t)) ->

@@ -195,8 +195,10 @@ let test_range_after_value () =
    so a reference run cut short mid-decode was compared as if the script
    had finished, and the gate called a correct unwrap "diverged".  Found on
    sample 60 of [generate_hard ~seed:4243] (198 552 bytes: a 66 378-element
-   hex decode around a whitespace decoder); the repro is the same shape,
-   a hex decode padded until the sandbox budget runs out before its IEX. *)
+   hex decode around a whitespace decoder).  A piece and the gate's runs
+   now share one budget rule, so the repro cuts the reference run short
+   with a top-level loop the script's own budget cannot finish, before the
+   IEX whose unwrap recovery keeps. *)
 let test_step_budget_is_containment () =
   check_b "a run cut short by the step budget is unverifiable" true
     (Result.is_error
@@ -204,20 +206,43 @@ let test_step_budget_is_containment () =
           "foreach ($i in 1..100000) { $x = $i }\nWrite-Output 'done'"));
   let hex =
     String.concat ":"
-      (List.init 8000 (fun _ -> "20")
-      @ List.map
-          (fun c -> Printf.sprintf "%x" (Char.code c))
-          (List.of_seq (String.to_seq "Write-Output 'hi'")))
+      (List.map
+         (fun c -> Printf.sprintf "%x" (Char.code c))
+         (List.of_seq (String.to_seq "Write-Output 'hi'")))
   in
   let src =
     Printf.sprintf
-      "iex ((('%s') -split ':' | ForEach-Object { [char][convert]::ToInt32($_, 16) }) -join '')\n"
+      "for ($i = 0; $i -lt 1000000; $i++) { }\n\
+       iex ((('%s') -split ':' | ForEach-Object { [char][convert]::ToInt32($_, 16) }) -join '')\n"
       hex
   in
-  let opts = { Deobf.Verify.default_opts with Deobf.Verify.max_steps = 20_000 } in
-  let g, o = Deobf.Verify.run_guarded ~opts src in
-  check_s "the unwrap is kept" "'hi'\n" g.Deobf.Engine.result.Deobf.Engine.output;
+  let g, o = Deobf.Verify.run_guarded src in
+  check_b "the unwrap is kept" true
+    (String.ends_with ~suffix:"\n'hi'\n"
+       g.Deobf.Engine.result.Deobf.Engine.output);
   check_s "verdict" "unverifiable" (Deobf.Verify.verdict_name o.Deobf.Verify.verdict)
+
+(* the gate ran every sandbox run under a flat 400 000 steps while a
+   recovery piece got 40 more per byte of its text, so a large legitimate
+   sample passed recovery and ended unverifiable on cost alone.  Found on
+   sample 1488 of [generate_multilayer ~seed:402] (415 355 bytes): its
+   reference run needs more than the flat budget, and less than the one
+   its size earns. *)
+let test_large_sample_verifies () =
+  let s =
+    List.nth
+      (Corpus.Generator.generate_multilayer ~seed:402 ~count:1500 ~min_depth:1
+         ~max_depth:4)
+      1488
+  in
+  let src = s.Corpus.Generator.obfuscated in
+  check_b "the flat budget cannot finish its reference run" true
+    (Result.is_error (Sandbox.run_for_verify ~max_steps:400_000 src));
+  let o, _ = Deobf.Batch.run_source ~verify:true ~name:"ml402-1488" src in
+  check_s "verdict" "equivalent"
+    (match o.Deobf.Batch.verdict with
+    | Some v -> Deobf.Verify.verdict_name v
+    | None -> "none")
 
 (* the sandbox logged an unknown command under the name as written, so
    the token phase's alias expansion (iwmi -> Invoke-WmiMethod) read as a
@@ -360,6 +385,7 @@ let suite =
     ("new-object paren arguments", `Quick, test_new_object_paren_arguments);
     ("range after value", `Quick, test_range_after_value);
     ("step budget is containment", `Quick, test_step_budget_is_containment);
+    ("large sample verifies", `Quick, test_large_sample_verifies);
     ("alias expansion not divergent", `Quick, test_alias_expansion_not_divergent);
     ("gate catches stale binding", `Quick, test_gate_catches_stale_binding);
     ("one path on stale binding", `Quick, test_one_path_on_stale_binding);

@@ -403,21 +403,12 @@ let prop_mutated_scripts_contained =
 
 (* ---------- one degradation path: a failed phase keeps the best text ---------- *)
 
-(* step budgets so high that only the wall clock stops a bomb *)
-let bomb_options =
-  { Deobf.Engine.default_options with
-    recovery =
-      { Deobf.Recover.default_options with
-        piece_step_budget = 1_000_000_000;
-        dynamic_step_budget = 1_000_000_000 } }
-
-let bomb_verify_opts =
-  { Deobf.Verify.default_opts with Deobf.Verify.max_steps = 1_000_000_000 }
-
 (* a foldable concatenation, a backtick-obfuscated command, then a decode
-   bomb only the wall clock can stop *)
+   bomb padded so that only the wall clock stops it within 0.4 s *)
 let partial_bomb =
-  "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n$x = $(while (1 -lt 2) { 1 }; 'done')\n"
+  "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n"
+  ^ Test_guard.decode_bomb ~timeout_s:0.4
+  ^ "\n"
 
 let site_labels failures =
   List.map
@@ -441,9 +432,7 @@ let test_deadline_keeps_partial_recovery () =
       let out_dir = Filename.concat dir "out" in
       Sys.mkdir out_dir 0o755;
       let timeout_s = 0.4 in
-      let o =
-        Deobf.Batch.process_file ~options:bomb_options ~timeout_s ~out_dir path
-      in
+      let o = Deobf.Batch.process_file ~timeout_s ~out_dir path in
       check_partial_recovery
         (read_file (Filename.concat out_dir "bomb.ps1"))
         o.Deobf.Batch.failures;
@@ -452,19 +441,19 @@ let test_deadline_keeps_partial_recovery () =
         true
         (o.Deobf.Batch.wall_ms < (timeout_s +. 0.5) *. 1000.0))
 
-(* the same bomb with dear steps, and a gate whose step budget outlasts
-   the deadline: the verify gate's reference run used to get its own 5 s
-   budget after the engine had spent the file's deadline *)
+(* the same bomb with dear steps, padded so that the gate's step budget,
+   that of the whole script, outlasts the deadline too: the verify gate's
+   reference run used to get its own 5 s budget after the engine had spent
+   the file's deadline *)
 let verify_bomb =
-  "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n\
-   $x = $(while (1 -lt 2) { $null = ('a' * 20000).ToUpper() }; 'done')\n"
+  Printf.sprintf
+    "$a = 'he' + 'llo'\nWr`ite-Out`put $a\n\
+     $x = $(while (1 -lt 2) { $null = ('a' * 20000).ToUpper() }%s; 'done')\n"
+    (Test_guard.wall_clock_pad ~timeout_s:0.4)
 
 let test_verify_gate_honours_deadline () =
   let started = Guard.now () in
-  let g, o =
-    Deobf.Verify.run_guarded ~options:bomb_options ~timeout_s:0.4
-      ~opts:bomb_verify_opts verify_bomb
-  in
+  let g, o = Deobf.Verify.run_guarded ~timeout_s:0.4 verify_bomb in
   let elapsed = Guard.now () -. started in
   check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.44);
   check_s "verdict" "unverifiable"
@@ -480,11 +469,12 @@ let string_bomb =
   "while ($i -lt 100000) { $null = ('a' * 1000000).ToUpper(); $i++ }\n"
 
 let test_string_bomb_honours_deadline () =
-  let src = string_bomb in
+  (* padded so that the dynamic stage's step budget, that of the script it
+     runs, outlasts the deadline *)
+  let src = string_bomb ^ Test_guard.wall_clock_pad ~timeout_s:0.5 ^ "\n" in
   let started = Guard.now () in
   let o, out =
-    Deobf.Batch.run_source ~options:bomb_options ~verify:false ~timeout_s:0.5
-      ~name:"string-bomb" src
+    Deobf.Batch.run_source ~verify:false ~timeout_s:0.5 ~name:"string-bomb" src
   in
   let elapsed = Guard.now () -. started in
   check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 0.55);
@@ -541,6 +531,7 @@ let test_dynamic_stage_bounded () =
   check_b "renamed and reformatted" true
     (List.mem_assoc "rename" o.Deobf.Batch.phase_ms
     && List.mem_assoc "reformat" o.Deobf.Batch.phase_ms);
+  check_b "no check key" false (List.mem_assoc "check" o.Deobf.Batch.phase_ms);
   check_s "output of an unhurried run" (Pipeline.output string_bomb) out;
   check_s "verdict"
     "unverifiable: original: interpreter limit: step budget exhausted"
@@ -584,11 +575,14 @@ let test_verify_deadline_keeps_divergence () =
 
 (* the deadline passes in the middle of bisection: the reference and
    output runs finish and differ, but replaying the journal's one edit
-   yields a loop only the deadline stops.  The divergence is already
+   yields a loop only the deadline stops (the padding buys every run of
+   the gate the steps to outlast it).  The divergence is already
    confirmed, so the verdict is diverged (as when out of rounds) with the
    output kept, never unverifiable, and no rollback re-run starts *)
 let test_verify_deadline_in_bisection_keeps_divergence () =
-  let src = "$n = 0\nWrite-Output 'x'\n" in
+  let src =
+    "$n = 0\nWrite-Output 'x'\n" ^ Test_guard.wall_clock_pad ~timeout_s:0.3
+  in
   let base = Deobf.Engine.run_guarded "Write-Output 'y'" in
   let edit =
     { Deobf.Editlog.phase = "recover"; kind = "piece"; pass = 0; start = 0;
@@ -599,12 +593,11 @@ let test_verify_deadline_in_bisection_keeps_divergence () =
       Deobf.Engine.edit_log =
         [ { Deobf.Editlog.s_phase = "recover"; s_pass = 0; s_edits = [ edit ] } ] }
   in
-  let opts = { Deobf.Verify.default_opts with Deobf.Verify.max_steps = max_int } in
   let rerun ~suppress:_ = Alcotest.fail "rollback re-run past the deadline" in
   let started = Guard.now () in
   let g, o =
     Guard.within (Guard.deadline_after 0.3) (fun () ->
-        Deobf.Verify.gate ~opts ~rerun ~src guarded)
+        Deobf.Verify.gate ~rerun ~src guarded)
   in
   let elapsed = Guard.now () -. started in
   check_b (Printf.sprintf "returned in %.2f s" elapsed) true (elapsed < 2.0);
@@ -618,7 +611,7 @@ let test_admission_deadline_keeps_partial_recovery () =
      request and is shorter than the engine's own timeout *)
   match
     Guard.protect ~deadline:(Guard.deadline_after 0.4) (fun () ->
-        Deobf.Batch.run_source ~options:bomb_options ~timeout_s:30.0
+        Deobf.Batch.run_source ~timeout_s:30.0
           ~name:"request" partial_bomb)
   with
   | Error f -> Alcotest.failf "request escaped: %s" (Guard.failure_to_string f)
@@ -649,11 +642,8 @@ let test_clean_means_full_strength () =
       let good = Filename.concat dir "good.ps1" in
       let bomb = Filename.concat dir "bomb.ps1" in
       write_file good "$a = 'x' + 'y'\nWrite-Output $a\n";
-      write_file bomb "$x = $(while (1 -lt 2) { 1 }; 'done')\n";
-      let s =
-        Deobf.Batch.run_files ~options:bomb_options ~timeout_s:0.4
-          [ good; bomb ]
-      in
+      write_file bomb (Test_guard.decode_bomb ~timeout_s:0.4 ^ "\n");
+      let s = Deobf.Batch.run_files ~timeout_s:0.4 [ good; bomb ] in
       check_i "only the untouched file counts as clean" 1 s.Deobf.Batch.clean;
       check_i "the timed-out file counts as degraded" 1 s.Deobf.Batch.degraded)
 
@@ -664,12 +654,11 @@ let test_clean_means_full_strength () =
    equivalent *)
 let test_chaos_verify_diff_forces_rollback () =
   with_chaos (cfg 9 ~site_rates:[ ("verify.diff", 1.0) ]) (fun () ->
-      let src = "$a = ('te'+'st'); Write-Output $a" in
+      let src = "Write-Output ('te'+'st')" in
       (* forced faults make every rewrite look divergent, so reaching the
-         all-rolled-back fixpoint needs one round per journaled rewrite —
-         give the gate headroom beyond the production default *)
-      let opts = { Deobf.Verify.default_opts with Deobf.Verify.max_rounds = 16 } in
-      let g, o = Deobf.Verify.run_guarded ~opts src in
+         all-rolled-back fixpoint needs one round per journaled rewrite:
+         this script's are few enough for the gate's four rounds *)
+      let g, o = Deobf.Verify.run_guarded src in
       (match o.Deobf.Verify.verdict with
       | Deobf.Verify.Rolled_back _ -> ()
       | v ->

@@ -73,10 +73,13 @@ let read_lines ?(deadline_s = 60.0) fd n =
   let deadline = Unix.gettimeofday () +. deadline_s in
   let buf = Buffer.create 4096 in
   let bytes = Bytes.create 65536 in
+  (* what follows the last newline is a line still arriving: a response
+     longer than one read must not count before its end *)
   let lines () =
-    List.filter
-      (fun l -> l <> "")
-      (String.split_on_char '\n' (Buffer.contents buf))
+    match List.rev (String.split_on_char '\n' (Buffer.contents buf)) with
+    | [] -> []
+    | _arriving :: complete ->
+        List.filter (fun l -> l <> "") (List.rev complete)
   in
   (try
      while
@@ -126,11 +129,11 @@ let status_of line = field line "status"
 let piece_script = "$x = 'he' + 'llo'; Invoke-Expression ('Write-Output ' + $x)"
 
 (* a wall-clock bomb: an infinite loop the interpreter can only contain by
-   deadline — exercises per-request budget isolation.  The daemon serving
-   it runs with [bomb_options]: at the default piece step budget the loop
-   runs out of steps within milliseconds, before any deadline *)
-let bomb_script = "$x = $(while (1 -lt 2) { 1 }; 'done')"
-let bomb_options = Test_guard.bomb_options
+   deadline — exercises per-request budget isolation.  Its piece is padded
+   to buy the steps to outlast [timeout_s]: unpadded, the loop runs out of
+   its step budget within milliseconds, before any deadline *)
+let bomb_request ~id ~timeout_s =
+  request ~id ~script:(Test_guard.decode_bomb ~timeout_s) ~timeout_s ()
 
 (* ---------- round trips ---------- *)
 
@@ -198,7 +201,7 @@ let test_overload_shed () =
   with_server "shed"
     (fun bind ->
       { (Serve.default_config bind) with
-        Serve.jobs = 1; queue_cap = 2; options = bomb_options })
+        Serve.jobs = 1; queue_cap = 2 })
     (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -206,8 +209,7 @@ let test_overload_shed () =
       let payload = Buffer.create 1024 in
       for i = 1 to n do
         Buffer.add_string payload
-          (request ~id:(Printf.sprintf "f%d" i) ~script:bomb_script
-             ~timeout_s:0.4 ())
+          (bomb_request ~id:(Printf.sprintf "f%d" i) ~timeout_s:0.4)
       done;
       send_all fd (Buffer.contents payload);
       let lines = read_lines fd n in
@@ -244,11 +246,11 @@ let test_deadline_isolation () =
   with_server "deadline"
     (fun bind ->
       { (Serve.default_config bind) with
-        Serve.jobs = 2; options = bomb_options })
+        Serve.jobs = 2 })
     (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      send_all fd (request ~id:"bomb" ~script:bomb_script ~timeout_s:0.3 ());
+      send_all fd (bomb_request ~id:"bomb" ~timeout_s:0.3);
       send_all fd (request ~id:"clean" ~script:piece_script ());
       let lines = read_lines fd 2 in
       check_i "both answered" 2 (List.length lines);
@@ -326,7 +328,7 @@ let test_drain_finishes_inflight () =
   let sock = Filename.concat dir "d.sock" in
   let cfg =
     { (Serve.default_config (Serve.Unix_sock sock)) with
-      Serve.jobs = 1; options = bomb_options }
+      Serve.jobs = 1 }
   in
   match Serve.start cfg with
   | Error e -> Alcotest.failf "start: %s" e
@@ -336,15 +338,17 @@ let test_drain_finishes_inflight () =
       (* a slow request keeps the single worker busy, and the trailing
          health op proves admission: request lines on one connection are
          processed in order, so once "hb" is answered, "w" was queued *)
-      send_all fd (request ~id:"w" ~script:bomb_script ~timeout_s:0.5 ());
+      send_all fd (bomb_request ~id:"w" ~timeout_s:0.5);
       send_all fd (request ~id:"hb" ~op:"health" ());
       let lines = read_lines fd 1 in
       check_s "work request admitted" "ok"
         (status_of (response_for lines "hb"));
       Serve.stop server;
+      (* the bomb's response echoes its padding, more than a socket buffer
+         holds, so it is read while the daemon drains *)
+      let lines = lines @ read_lines ~deadline_s:5.0 fd 1 in
       let code = Serve.wait server in
       check_i "drain exits 0" 0 code;
-      let lines = lines @ read_lines ~deadline_s:5.0 fd 1 in
       (* the bomb was in flight at stop: drain waited out its deadline and
          still answered it (contained as degraded) before exiting *)
       check_s "in-flight request answered during drain" "degraded"
@@ -535,12 +539,12 @@ let test_deep_line_refused () =
   with_server "deep"
     (fun bind ->
       { (Serve.default_config bind) with
-        Serve.jobs = 1; queue_cap = 1; options = bomb_options })
+        Serve.jobs = 1; queue_cap = 1 })
     (fun sock _server ->
       let fd = connect sock in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      send_all fd (request ~id:"b1" ~script:bomb_script ~timeout_s:1.5 ());
-      send_all fd (request ~id:"b2" ~script:bomb_script ~timeout_s:1.5 ());
+      send_all fd (bomb_request ~id:"b1" ~timeout_s:1.5);
+      send_all fd (bomb_request ~id:"b2" ~timeout_s:1.5);
       send_all fd (String.make (8 * 1024 * 1024) '[' ^ "\n");
       let lines = read_lines fd 3 in
       let position p =

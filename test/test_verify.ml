@@ -7,8 +7,11 @@ module V = Deobf.Verify
 module E = Deobf.Engine
 module El = Deobf.Editlog
 
-(* a sandbox run under the gate's step budget *)
-let run_log = Sandbox.run_for_verify ~max_steps:V.default_opts.V.max_steps
+(* the gate's step budget for an original [src] *)
+let gate_budget src = Pseval.Env.step_budget ~bytes:(String.length src)
+
+(* a sandbox run under the step budget the gate gives [src] *)
+let run_log src = Sandbox.run_for_verify ~max_steps:(gate_budget src) src
 
 let check_s = Alcotest.(check string)
 let check_b = Alcotest.(check bool)
@@ -518,9 +521,7 @@ let reference_state ?payloads src =
     | Ok ast -> ast
     | Error _ -> Alcotest.failf "does not parse: %s" src
   in
-  let limits =
-    { Env.default_limits with Env.max_steps = V.default_opts.V.max_steps }
-  in
+  let limits = { Env.default_limits with Env.max_steps = gate_budget src } in
   let env = Env.create ~mode:Env.Sandbox ~limits () in
   env.Env.payloads <- payloads;
   let result = Pseval.Interp.run_parsed env ~src (Ok ast) in
@@ -856,7 +857,7 @@ let budget_bomb =
      + 'Write-Output late')"
 
 let test_reuse_budget_still_unverifiable () =
-  let budget = V.default_opts.V.max_steps in
+  let budget = gate_budget budget_bomb in
   check_b "the loop alone fits the budget" true
     ((reference_state budget_loop).steps <= budget);
   let payloads = Hashtbl.create 8 in
